@@ -101,9 +101,9 @@ func (cfg cliConfig) newBackend() (mr.Backend, error) {
 	}
 }
 
-// installBackend wires the selected backend into the cluster and
+// attachBackend wires the selected backend into the cluster and
 // returns the teardown that drains its workers.
-func installBackend(cfg cliConfig, cluster *haten2.Cluster) (func(), error) {
+func attachBackend(cfg cliConfig, cluster *haten2.Cluster) (func(), error) {
 	b, err := cfg.newBackend()
 	if err != nil || b == nil {
 		return func() {}, err
@@ -191,7 +191,7 @@ func run3(cfg cliConfig, raw *tensor.Tensor) error {
 		return err
 	}
 	cluster := haten2.NewCluster(haten2.ClusterConfig{Machines: cfg.machines})
-	teardown, err := installBackend(cfg, cluster)
+	teardown, err := attachBackend(cfg, cluster)
 	if err != nil {
 		return err
 	}
@@ -277,7 +277,7 @@ func run4(cfg cliConfig, raw *tensor.Tensor) error {
 		return fmt.Errorf("-model is supported for 3-way tensors only")
 	}
 	cluster := haten2.NewCluster(haten2.ClusterConfig{Machines: cfg.machines})
-	teardown, err := installBackend(cfg, cluster)
+	teardown, err := attachBackend(cfg, cluster)
 	if err != nil {
 		return err
 	}

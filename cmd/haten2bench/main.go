@@ -11,14 +11,13 @@
 //	haten2bench -exp mr -mrout BENCH_mr.json  # engine wall-clock sweep
 //	haten2bench -exp mr -backend=proc        # also sweep the multi-process backend
 //	haten2bench -exp faults -faultsout BENCH_faults.json  # fault overhead
-//	haten2bench -exp shuffle -shuffleout BENCH_shuffle.json  # codec A/B
 //	haten2bench -exp storage -storageout BENCH_storage.json  # DFS durability
 //	haten2bench -exp serve -serveout BENCH_serve.json  # factor-serving load
 //	haten2bench -exp mr -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiment ids: table2 table3 table4 table5 table6 table7 table8
 // fig1a fig1b fig1c fig7a fig7b fig7c fig8 nell ablation combiner mr
-// faults shuffle storage serve.
+// faults storage serve.
 //
 // The mr experiment measures real host wall-clock (not simulated time)
 // of the MapReduce engine across a GOMAXPROCS sweep; -mrout additionally
@@ -33,11 +32,7 @@
 // speculative execution, and checkpoint-resume against a fault-free
 // baseline, verifying outputs stay bit-identical; -faultsout writes its
 // report to the named JSON file (BENCH_faults.json by convention). The
-// shuffle experiment compares the fixed-width and columnar shuffle
-// codecs on one PARAFAC-DRI iteration — byte counts, per-record wire
-// cost, and output bit-identity; -shuffleout writes its report to the
-// named JSON file (BENCH_shuffle.json by convention). The storage
-// experiment measures the simulated-time overhead of checksum
+// storage experiment measures the simulated-time overhead of checksum
 // failover, read-repair, and checkpoint-restart after data loss under
 // seeded corruption/loss plans, verifying factors stay bit-identical;
 // -storageout writes its report to the named JSON file
@@ -88,7 +83,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit reports as JSON instead of tables")
 		mrOut      = flag.String("mrout", "", "also write the mr experiment's report to this JSON file")
 		faultsOut  = flag.String("faultsout", "", "also write the faults experiment's report to this JSON file")
-		shuffleOut = flag.String("shuffleout", "", "also write the shuffle experiment's report to this JSON file")
 		storageOut = flag.String("storageout", "", "also write the storage experiment's report to this JSON file")
 		serveOut   = flag.String("serveout", "", "also write the serve experiment's report to this JSON file")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -103,9 +97,6 @@ func main() {
 	}
 	if *faultsOut != "" {
 		outs["faults"] = *faultsOut
-	}
-	if *shuffleOut != "" {
-		outs["shuffle"] = *shuffleOut
 	}
 	if *storageOut != "" {
 		outs["storage"] = *storageOut
@@ -216,7 +207,6 @@ func run(exp string, full bool, seed int64, backend string, jsonOut bool, outs m
 		"nell":     bench.TableNELL,
 		"mr":       bench.MRBench,
 		"faults":   bench.Faults,
-		"shuffle":  bench.ShuffleBench,
 		"storage":  bench.Storage,
 		"serve":    bench.ServeBench,
 	}
@@ -224,7 +214,7 @@ func run(exp string, full bool, seed int64, backend string, jsonOut bool, outs m
 		"table2", "table3", "table4", "table5",
 		"fig1a", "fig1b", "fig1c", "fig7a", "fig7b", "fig7c", "fig8",
 		"table6", "table7", "table8", "nell", "ablation", "combiner",
-		"mr", "faults", "shuffle", "storage", "serve",
+		"mr", "faults", "storage", "serve",
 	}
 	var ids []string
 	if exp == "all" {

@@ -312,9 +312,14 @@ func NonnegativeParafac(c *Cluster, x *Tensor, rank int, opt Options) (*ParafacR
 	return wrapParafac(res), nil
 }
 
+// ErrMaskedInput is the error MaskedParafac returns for an input it
+// rejects before staging anything: a missing coordinate outside the
+// tensor's dims (Pos indexes it) or a tensor that is not 3-way (Pos -1).
+type ErrMaskedInput = core.ErrMaskedInput
+
 // MaskedParafac decomposes x treating the listed coordinates as missing
 // (EM imputation; the paper's other stated future work). Each missing
-// coordinate is a (i, j, k) triple.
+// coordinate is a (i, j, k) triple inside x's dims.
 func MaskedParafac(c *Cluster, x *Tensor, missing [][3]int64, rank int, opt Options) (*ParafacResult, error) {
 	res, err := core.MaskedParafacALS(c.c, x.t, missing, rank, opt.internal())
 	if err != nil {
@@ -371,7 +376,7 @@ func (r *TuckerResult) Predict(i, j, k int64) float64 { return r.model.At(i, j, 
 // Tucker runs the distributed Tucker-ALS of Algorithm 2 on the cluster
 // with the desired core shape.
 func Tucker(c *Cluster, x *Tensor, core3 [3]int, opt Options) (*TuckerResult, error) {
-	res, err := core.TuckerALS(c.c, x.t, core3, opt.internal())
+	res, err := core.TuckerALS(c.c, x.t, core3[:], opt.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,14 @@ package haten2_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	haten2 "github.com/haten2/haten2"
 	"github.com/haten2/haten2/internal/gen"
+	"github.com/haten2/haten2/internal/tensor"
 )
 
 func smallTensor() *haten2.Tensor {
@@ -154,6 +156,32 @@ func TestMaskedParafacPublic(t *testing.T) {
 	truth := x.At(0, 0, 0)
 	if pred := res.Predict(0, 0, 0); math.Abs(pred-truth) > 0.1*truth {
 		t.Fatalf("held-out prediction %v want %v", pred, truth)
+	}
+}
+
+// TestMaskedParafacRejectsBadInput: an out-of-range missing coordinate
+// used to panic on the second iteration (the E-step indexed a factor
+// row past its end) and a non-3-way tensor in Tensor.Append; both are
+// now typed errors returned before anything is staged.
+func TestMaskedParafacRejectsBadInput(t *testing.T) {
+	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
+	opt := haten2.Options{Variant: haten2.DRI, MaxIters: 3, Seed: 2}
+	var bad *haten2.ErrMaskedInput
+
+	_, err := haten2.MaskedParafac(c, smallTensor(), [][3]int64{{0, 0, 0}, {18, 0, 0}}, 1, opt)
+	if !errors.As(err, &bad) || bad.Pos != 1 || bad.Coord != [3]int64{18, 0, 0} {
+		t.Fatalf("out-of-range coordinate: got %v", err)
+	}
+	if _, err := haten2.MaskedParafac(c, smallTensor(), [][3]int64{{0, -1, 0}}, 1, opt); !errors.As(err, &bad) || bad.Pos != 0 {
+		t.Fatalf("negative coordinate: got %v", err)
+	}
+	x4 := tensor.New(2, 2, 2, 2)
+	x4.Append(1, 0, 0, 0, 0)
+	if _, err := haten2.MaskedParafac(c, haten2.WrapTensor(x4), nil, 1, opt); !errors.As(err, &bad) || bad.Pos != -1 {
+		t.Fatalf("4-way tensor: got %v", err)
+	}
+	if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
+		t.Fatalf("rejected inputs still reached the cluster: %+v, files %v", st, c.Unwrap().FS().List())
 	}
 }
 

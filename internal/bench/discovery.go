@@ -152,7 +152,7 @@ func tuckerDiscovery(cfg Config) (*gen.KB, *core.TuckerResult, error) {
 	kb, x := discoveryKB(cfg)
 	c := newBenchCluster(benchMachines)
 	dim := len(kb.Concepts)
-	res, err := core.TuckerALS(c, x, [3]int{dim, dim, dim}, core.Options{
+	res, err := core.TuckerALS(c, x, []int{dim, dim, dim}, core.Options{
 		Variant: core.DRI, MaxIters: 25, Seed: cfg.Seed + 71, Tol: 1e-9,
 	})
 	if err != nil {

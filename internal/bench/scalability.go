@@ -53,7 +53,7 @@ func newBenchClusterCfg(cfg Config, machines int) *mr.Cluster {
 // returns the simulated seconds, or ok=false on resource exhaustion.
 func runTucker(cfg Config, x *tensor.Tensor, coreDim int, v core.Variant, machines int) (sim float64, ok bool, err error) {
 	c := newBenchClusterCfg(cfg, machines)
-	_, err = core.TuckerALS(c, x, [3]int{coreDim, coreDim, coreDim},
+	_, err = core.TuckerALS(c, x, []int{coreDim, coreDim, coreDim},
 		core.Options{Variant: v, MaxIters: 1, Seed: 7})
 	var re *mr.ErrResourceExhausted
 	if errors.As(err, &re) {
@@ -354,7 +354,7 @@ func Fig8(cfg Config) (*Report, error) {
 		c := newBenchCluster(m)
 		var err error
 		if tucker {
-			_, err = core.TuckerALS(c, x, [3]int{5, 5, 5}, core.Options{Variant: core.DRI, MaxIters: 1, Seed: 7})
+			_, err = core.TuckerALS(c, x, []int{5, 5, 5}, core.Options{Variant: core.DRI, MaxIters: 1, Seed: 7})
 		} else {
 			_, err = core.ParafacALS(c, x, 5, core.Options{Variant: core.DRI, MaxIters: 1, Seed: 7})
 		}

@@ -127,7 +127,7 @@ func TestTuckerALSReconstructsLowRankTensor(t *testing.T) {
 	}
 	x.Coalesce()
 	c := testCluster()
-	res, err := TuckerALS(c, x, [3]int{2, 2, 2}, Options{Variant: DRI, MaxIters: 30, Seed: 2, Tol: 1e-10})
+	res, err := TuckerALS(c, x, []int{2, 2, 2}, Options{Variant: DRI, MaxIters: 30, Seed: 2, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTuckerALSCoreNormNonDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	x := randomSparse(rng, [3]int64{8, 8, 8}, 60)
 	c := testCluster()
-	res, err := TuckerALS(c, x, [3]int{3, 3, 3}, Options{Variant: DRI, MaxIters: 8, Seed: 4, Tol: 1e-12})
+	res, err := TuckerALS(c, x, []int{3, 3, 3}, Options{Variant: DRI, MaxIters: 8, Seed: 4, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTuckerALSVariantsAgree(t *testing.T) {
 	var norms []float64
 	for _, v := range Variants {
 		c := testCluster()
-		res, err := TuckerALS(c, x, [3]int{2, 2, 2}, Options{Variant: v, MaxIters: 4, Seed: 9, Tol: 1e-12})
+		res, err := TuckerALS(c, x, []int{2, 2, 2}, Options{Variant: v, MaxIters: 4, Seed: 9, Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("variant %v: %v", v, err)
 		}
@@ -184,10 +184,10 @@ func TestTuckerALSValidation(t *testing.T) {
 	c := testCluster()
 	x := tensor.New(3, 3, 3)
 	x.Append(1, 0, 0, 0)
-	if _, err := TuckerALS(c, x, [3]int{0, 2, 2}, Options{}); err == nil {
+	if _, err := TuckerALS(c, x, []int{0, 2, 2}, Options{}); err == nil {
 		t.Fatal("zero core dim accepted")
 	}
-	if _, err := TuckerALS(c, x, [3]int{2, 2, 5}, Options{}); err == nil {
+	if _, err := TuckerALS(c, x, []int{2, 2, 5}, Options{}); err == nil {
 		t.Fatal("core dim larger than tensor dim accepted")
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/haten2/haten2/internal/matrix"
 	"github.com/haten2/haten2/internal/mr"
-	"github.com/haten2/haten2/internal/tensor"
 )
 
-// Iteration checkpointing for the ALS drivers.
+// Iteration checkpointing for the ALS loop.
 //
-// When Options.Checkpoint names a DFS base path, the driver persists the
-// complete iteration state (factor matrices plus the driver loop's
+// When Options.Checkpoint names a DFS base path, runALS persists its
+// complete iteration state (alsState: factor matrices plus the loop's
 // convergence variables) after every outer iteration, and a fresh run
 // with the same options resumes from the newest checkpoint it finds —
 // the Hadoop pattern of an iterative driver surviving a JobTracker
@@ -30,28 +28,6 @@ import (
 // boundary, and all per-iteration randomness is derived from
 // (Options.Seed, iteration), never from a stream whose position depends
 // on how many iterations this process ran.
-
-// parafacCkpt is the loop state of parafacALSStaged at the end of an
-// iteration. Stored as a single DFS record (the simulator keeps record
-// payloads in memory; the record's Size carries the real byte cost).
-type parafacCkpt struct {
-	factors    []*matrix.Matrix
-	lambda     []float64
-	prevLambda []float64
-	prevFit    float64
-	fits       []float64
-	converged  bool
-}
-
-// tuckerCkpt is the corresponding state of tuckerALSStaged.
-type tuckerCkpt struct {
-	factors   []*matrix.Matrix
-	core      *tensor.Dense
-	coreNorms []float64
-	fits      []float64
-	prevNorm  float64
-	converged bool
-}
 
 // ckptName returns the DFS name of iteration it's checkpoint. The fixed
 // width keeps List's lexical order equal to iteration order.
@@ -73,38 +49,16 @@ func ckptIter(base, name string) (int, bool) {
 	return it, true
 }
 
-// cloneMatrices deep-copies a factor list.
-func cloneMatrices(ms []*matrix.Matrix) []*matrix.Matrix {
-	out := make([]*matrix.Matrix, len(ms))
-	for i, m := range ms {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
-// cloneDense deep-copies a dense core tensor.
-func cloneDense(d *tensor.Dense) *tensor.Dense {
-	out := tensor.NewDense(d.Dims()...)
-	copy(out.Data, d.Data)
-	return out
-}
-
-// matricesBytes is the serialized size charged for a factor list.
-func matricesBytes(ms []*matrix.Matrix) int64 {
-	var b int64
-	for _, m := range ms {
-		b += int64(m.Rows) * int64(m.Cols) * 8
-	}
-	return b
-}
-
-// writeCheckpoint atomically publishes iteration it's state under base
-// and prunes older checkpoints. A leftover same-name checkpoint from an
-// earlier process is replaced (re-running an iteration reproduces the
-// identical state, so the replacement is a no-op in content).
-func writeCheckpoint(c *mr.Cluster, base string, it int, state any, bytes int64) error {
+// saveCheckpoint atomically publishes a deep copy of st — the loop state
+// after iteration st.iters — under base and prunes older checkpoints. A
+// leftover same-name checkpoint from an earlier process is replaced
+// (re-running an iteration reproduces the identical state, so the
+// replacement is a no-op in content). The state is stored as a single
+// DFS record (the simulator keeps record payloads in memory; the
+// record's Size carries the real byte cost).
+func saveCheckpoint(c *mr.Cluster, base string, st *alsState) error {
 	fs := c.FS()
-	name := ckptName(base, it)
+	name := ckptName(base, st.iters)
 	if fs.Exists(name) {
 		if err := fs.Delete(name); err != nil {
 			return fmt.Errorf("core: checkpoint %q: %w", name, err)
@@ -114,11 +68,18 @@ func writeCheckpoint(c *mr.Cluster, base string, it int, state any, bytes int64)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint %q: %w", name, err)
 	}
-	w.Append(state, bytes)
+	floats := len(st.lambda) + len(st.prevLambda) + len(st.coreNorms) + len(st.fits)
+	for _, f := range st.factors {
+		floats += f.Rows * f.Cols
+	}
+	if st.core != nil {
+		floats += len(st.core.Data)
+	}
+	w.Append(st.clone(), int64(floats)*8+16)
 	w.Close()
 	// The new checkpoint is published; older ones are now redundant.
 	for _, n := range fs.List() {
-		if old, ok := ckptIter(base, n); ok && old < it {
+		if old, ok := ckptIter(base, n); ok && old < st.iters {
 			if err := fs.Delete(n); err != nil {
 				return fmt.Errorf("core: checkpoint prune %q: %w", n, err)
 			}
@@ -127,9 +88,10 @@ func writeCheckpoint(c *mr.Cluster, base string, it int, state any, bytes int64)
 	return nil
 }
 
-// loadCheckpoint returns the newest checkpoint payload under base and
-// its iteration number, or (nil, 0) when none exists.
-func loadCheckpoint(c *mr.Cluster, base string) (any, int, error) {
+// loadCheckpoint returns a private copy of the newest checkpoint under
+// base, or nil when none exists. A checkpoint written by a different
+// decomposition than method is an error, not a silent restart.
+func loadCheckpoint(c *mr.Cluster, base, method string) (*alsState, error) {
 	fs := c.FS()
 	best, bestIter := "", -1
 	for _, n := range fs.List() {
@@ -138,80 +100,20 @@ func loadCheckpoint(c *mr.Cluster, base string) (any, int, error) {
 		}
 	}
 	if bestIter < 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	recs, err := fs.ReadAll(best)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: checkpoint %q: %w", best, err)
+		return nil, fmt.Errorf("core: checkpoint %q: %w", best, err)
 	}
 	if len(recs) != 1 {
-		return nil, 0, fmt.Errorf("core: checkpoint %q has %d records, want 1", best, len(recs))
+		return nil, fmt.Errorf("core: checkpoint %q has %d records, want 1", best, len(recs))
 	}
-	return recs[0].Data, bestIter, nil
-}
-
-// saveParafacCheckpoint snapshots the PARAFAC loop state after an
-// iteration. Everything is deep-copied: the live loop mutates factors
-// and lambda in place on the very next iteration.
-func saveParafacCheckpoint(c *mr.Cluster, base string, it int,
-	factors []*matrix.Matrix, lambda, prevLambda []float64,
-	prevFit float64, fits []float64, converged bool) error {
-	ck := &parafacCkpt{
-		factors:    cloneMatrices(factors),
-		lambda:     append([]float64(nil), lambda...),
-		prevLambda: append([]float64(nil), prevLambda...),
-		prevFit:    prevFit,
-		fits:       append([]float64(nil), fits...),
-		converged:  converged,
+	st, ok := recs[0].Data.(*alsState)
+	if !ok || st.method != method {
+		return nil, fmt.Errorf("core: checkpoint %q is not a %s checkpoint", best, method)
 	}
-	bytes := matricesBytes(factors) + int64(len(lambda)+len(prevLambda)+len(fits))*8 + 16
-	return writeCheckpoint(c, base, it, ck, bytes)
-}
-
-// loadParafacCheckpoint returns the newest PARAFAC checkpoint under
-// base, or (nil, 0) when none exists.
-func loadParafacCheckpoint(c *mr.Cluster, base string) (*parafacCkpt, int, error) {
-	data, it, err := loadCheckpoint(c, base)
-	if err != nil || data == nil {
-		return nil, 0, err
-	}
-	ck, ok := data.(*parafacCkpt)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: checkpoint %q is not a PARAFAC checkpoint", ckptName(base, it))
-	}
-	return ck, it, nil
-}
-
-// saveTuckerCheckpoint snapshots the Tucker loop state after an
-// iteration.
-func saveTuckerCheckpoint(c *mr.Cluster, base string, it int,
-	factors []*matrix.Matrix, core *tensor.Dense,
-	coreNorms, fits []float64, prevNorm float64, converged bool) error {
-	ck := &tuckerCkpt{
-		factors:   cloneMatrices(factors),
-		core:      cloneDense(core),
-		coreNorms: append([]float64(nil), coreNorms...),
-		fits:      append([]float64(nil), fits...),
-		prevNorm:  prevNorm,
-		converged: converged,
-	}
-	bytes := matricesBytes(factors) + int64(len(core.Data))*8 +
-		int64(len(coreNorms)+len(fits))*8 + 16
-	return writeCheckpoint(c, base, it, ck, bytes)
-}
-
-// loadTuckerCheckpoint returns the newest Tucker checkpoint under base,
-// or (nil, 0) when none exists.
-func loadTuckerCheckpoint(c *mr.Cluster, base string) (*tuckerCkpt, int, error) {
-	data, it, err := loadCheckpoint(c, base)
-	if err != nil || data == nil {
-		return nil, 0, err
-	}
-	ck, ok := data.(*tuckerCkpt)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: checkpoint %q is not a Tucker checkpoint", ckptName(base, it))
-	}
-	return ck, it, nil
+	return st.clone(), nil
 }
 
 // iterSeed derives the RNG seed of one outer iteration from the run

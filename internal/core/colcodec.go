@@ -1,9 +1,8 @@
 package core
 
-// Columnar block encodings — the shuffle-v2 wire format. Where codec.go
-// encodes records one at a time at fixed width, this codec encodes a
-// whole block (a DFS file, or one map task's per-reducer shuffle
-// partition) as contiguous columns:
+// Columnar block encodings — the shuffle wire format, and the only one:
+// a whole block (a DFS file, or one map task's per-reducer shuffle
+// partition) is encoded as contiguous columns:
 //
 //	block   := crc32c || uvarint(count) || column …
 //	crc32c  := 4-byte little-endian CRC-32C (Castagnoli) over the rest
@@ -25,9 +24,10 @@ package core
 // it merely compresses less when locality is poor, and the engine
 // charges whatever the real encoding costs.
 //
-// The fixed-width codec in codec.go remains the documented fallback
-// (select it with Options.Codec = CodecFixed); its per-record size
-// constants still back the DFS accounting in records.go.
+// The fixed-width per-record format this replaced survives only as the
+// *Bytes constants in records.go, which still price DFS files and job
+// outputs (and are the frozen reference the columnar shuffle total is
+// tested against).
 //
 // Every encoder here has a matching incremental sizer with the
 // invariant len(Append*Block(nil, recs)) == blockHeaderSize(n) +
@@ -42,29 +42,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-
-	"github.com/haten2/haten2/internal/mr"
 )
-
-// Codec selects the wire format jobs use for shuffle accounting.
-type Codec uint8
-
-const (
-	// CodecColumnar is the default: varint-delta column blocks.
-	CodecColumnar Codec = iota
-	// CodecFixed is the fixed-width per-record fallback of codec.go.
-	CodecFixed
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecColumnar:
-		return "columnar"
-	case CodecFixed:
-		return "fixed"
-	}
-	return fmt.Sprintf("Codec(%d)", uint8(c))
-}
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
 // (0→0, -1→1, 1→2, …), so small negative deltas stay small.
@@ -330,15 +308,15 @@ func MatEntryBlockSize(cells []MatEntry) int64 {
 	return n
 }
 
-// --- sval shuffle blocks (the 3-way plan jobs) ------------------------
+// --- sval shuffle blocks (every plan job) ------------------------------
 
 // svalPairSize is the incremental encoded size of pair (k, v) appended
 // to a shuffle block whose previous pair is (pk, pv) — mr.BlockSizer's
 // Pair contract, with the first pair sized against zero values. The
-// layout per record: three key delta columns, one tag byte, three
-// index delta columns, one column delta, and the 8-byte value.
-func svalPairSize(pk [3]int64, pv sval, k [3]int64, v sval) int64 {
-	return varintLen(zigzag(k[0]-pk[0])) +
+// layout per record: three key delta columns, one tag byte, one index
+// delta column per tensor mode, one column delta, and the 8-byte value.
+func svalPairSize[I index](pk [3]int64, pv sval[I], k [3]int64, v sval[I]) int64 {
+	n := varintLen(zigzag(k[0]-pk[0])) +
 		varintLen(zigzag(k[1]-pk[1])) +
 		varintLen(zigzag(k[2]-pk[2])) +
 		1 +
@@ -347,12 +325,18 @@ func svalPairSize(pk [3]int64, pv sval, k [3]int64, v sval) int64 {
 		varintLen(zigzag(v.idx[2]-pv.idx[2])) +
 		varintLen(zigzag(int64(v.col)-int64(pv.col))) +
 		8
+	for m := 3; m < len(v.idx); m++ {
+		n += varintLen(zigzag(v.idx[m] - pv.idx[m]))
+	}
+	return n
 }
 
 // appendSValBlock encodes one shuffle partition block: parallel keys
 // and vals slices (len(keys) == len(vals)). Length is exactly
-// blockHeaderSize(n) + Σ svalPairSize over consecutive pairs.
-func appendSValBlock(dst []byte, keys [][3]int64, vals []sval) []byte {
+// blockHeaderSize(n) + Σ svalPairSize over consecutive pairs. The engine
+// only ever sizes blocks; this encoder is the reference the sizer is
+// tested against.
+func appendSValBlock[I index](dst []byte, keys [][3]int64, vals []sval[I]) []byte {
 	n := len(keys)
 	dst, at := beginBlock(dst)
 	dst = binary.AppendUvarint(dst, uint64(n))
@@ -362,7 +346,8 @@ func appendSValBlock(dst []byte, keys [][3]int64, vals []sval) []byte {
 	for _, v := range vals {
 		dst = append(dst, v.tag)
 	}
-	for m := 0; m < 3; m++ {
+	var zero I
+	for m := 0; m < len(zero); m++ {
 		dst = appendDeltaColumn(dst, n, func(i int) int64 { return vals[i].idx[m] })
 	}
 	dst = appendDeltaColumn(dst, n, func(i int) int64 { return int64(vals[i].col) })
@@ -373,7 +358,7 @@ func appendSValBlock(dst []byte, keys [][3]int64, vals []sval) []byte {
 }
 
 // decodeSValBlock parses one block written by appendSValBlock.
-func decodeSValBlock(src []byte) (keys [][3]int64, vals []sval, rest []byte, err error) {
+func decodeSValBlock[I index](src []byte) (keys [][3]int64, vals []sval[I], rest []byte, err error) {
 	stored, body, err := openBlock(src)
 	if err != nil {
 		return nil, nil, src, err
@@ -383,7 +368,7 @@ func decodeSValBlock(src []byte) (keys [][3]int64, vals []sval, rest []byte, err
 		return nil, nil, src, err
 	}
 	keys = make([][3]int64, n)
-	vals = make([]sval, n)
+	vals = make([]sval[I], n)
 	for m := 0; m < 3; m++ {
 		cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { keys[i][m] = v })
 		if err != nil {
@@ -397,7 +382,8 @@ func decodeSValBlock(src []byte) (keys [][3]int64, vals []sval, rest []byte, err
 		vals[i].tag = cur[i]
 	}
 	cur = cur[n:]
-	for m := 0; m < 3; m++ {
+	var zero I
+	for m := 0; m < len(zero); m++ {
 		cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { vals[i].idx[m] = v })
 		if err != nil {
 			return nil, nil, src, err
@@ -422,128 +408,4 @@ func decodeSValBlock(src []byte) (keys [][3]int64, vals []sval, rest []byte, err
 		return nil, nil, src, err
 	}
 	return keys, vals, rest, nil
-}
-
-// --- nsval shuffle blocks (the N-way plan jobs) -----------------------
-
-// nsvalPairSize is svalPairSize's N-way counterpart: two key delta
-// columns, one side byte, maxOrder index delta columns, one column
-// delta, and the value.
-func nsvalPairSize(pk [2]int64, pv nsval, k [2]int64, v nsval) int64 {
-	n := varintLen(zigzag(k[0]-pk[0])) +
-		varintLen(zigzag(k[1]-pk[1])) +
-		1 +
-		varintLen(zigzag(int64(v.col)-int64(pv.col))) +
-		8
-	for m := 0; m < maxOrder; m++ {
-		n += varintLen(zigzag(v.idx[m] - pv.idx[m]))
-	}
-	return n
-}
-
-// appendNSValBlock encodes one N-way shuffle partition block.
-func appendNSValBlock(dst []byte, keys [][2]int64, vals []nsval) []byte {
-	n := len(keys)
-	dst, at := beginBlock(dst)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	for m := 0; m < 2; m++ {
-		dst = appendDeltaColumn(dst, n, func(i int) int64 { return keys[i][m] })
-	}
-	for _, v := range vals {
-		b := byte(0)
-		if v.isMat {
-			b = 1
-		}
-		dst = append(dst, b)
-	}
-	for m := 0; m < maxOrder; m++ {
-		dst = appendDeltaColumn(dst, n, func(i int) int64 { return vals[i].idx[m] })
-	}
-	dst = appendDeltaColumn(dst, n, func(i int) int64 { return int64(vals[i].col) })
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.val))
-	}
-	return sealBlock(dst, at)
-}
-
-// decodeNSValBlock parses one block written by appendNSValBlock.
-func decodeNSValBlock(src []byte) (keys [][2]int64, vals []nsval, rest []byte, err error) {
-	stored, body, err := openBlock(src)
-	if err != nil {
-		return nil, nil, src, err
-	}
-	n, cur, err := readCount(body)
-	if err != nil {
-		return nil, nil, src, err
-	}
-	keys = make([][2]int64, n)
-	vals = make([]nsval, n)
-	for m := 0; m < 2; m++ {
-		cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { keys[i][m] = v })
-		if err != nil {
-			return nil, nil, src, err
-		}
-	}
-	if len(cur) < n {
-		return nil, nil, src, fmt.Errorf("core: short nsval block side column")
-	}
-	for i := 0; i < n; i++ {
-		if cur[i] > 1 {
-			return nil, nil, src, fmt.Errorf("core: bad nsval side byte %d", cur[i])
-		}
-		vals[i].isMat = cur[i] != 0
-	}
-	cur = cur[n:]
-	for m := 0; m < maxOrder; m++ {
-		cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { vals[i].idx[m] = v })
-		if err != nil {
-			return nil, nil, src, err
-		}
-	}
-	var rangeErr error
-	cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { vals[i].col = int32Checked(v, &rangeErr) })
-	if err == nil {
-		err = rangeErr
-	}
-	if err != nil {
-		return nil, nil, src, err
-	}
-	if len(cur) < n*8 {
-		return nil, nil, src, fmt.Errorf("core: short nsval block value column")
-	}
-	for i := 0; i < n; i++ {
-		vals[i].val = math.Float64frombits(binary.LittleEndian.Uint64(cur[i*8:]))
-	}
-	rest = cur[n*8:]
-	if err := verifyBlock(stored, body, rest); err != nil {
-		return nil, nil, src, err
-	}
-	return keys, vals, rest, nil
-}
-
-// Shared sizer instances: one per shuffle pair shape, so every job of
-// an ALS run reuses the same mr.BlockSizer value (no per-job allocs).
-var (
-	svalColumnarSizer  = &mr.BlockSizer[[3]int64, sval]{Pair: svalPairSize, Header: blockHeaderSize}
-	nsvalColumnarSizer = &mr.BlockSizer[[2]int64, nsval]{Pair: nsvalPairSize, Header: blockHeaderSize}
-)
-
-// svalAccounting applies the selected codec to a 3-way plan job:
-// columnar block accounting by default, fixed-width KVSize as the
-// fallback.
-func svalAccounting[O any](j *mr.Job[[3]int64, sval, O], codec Codec) {
-	if codec == CodecFixed {
-		j.KVSize = svalSize
-	} else {
-		j.BlockKV = svalColumnarSizer
-	}
-}
-
-// nsvalAccounting is svalAccounting for the N-way jobs.
-func nsvalAccounting[O any](j *mr.Job[[2]int64, nsval, O], codec Codec) {
-	if codec == CodecFixed {
-		j.KVSize = nsvalSize
-	} else {
-		j.BlockKV = nsvalColumnarSizer
-	}
 }

@@ -115,13 +115,13 @@ func TestMatEntryBlockSizerMatchesEncoder(t *testing.T) {
 	}
 }
 
-// incrementalBlockSize folds a BlockSizer the way the engine does: each
-// pair sized against its predecessor, the first against zero values,
-// plus the header.
-func svalIncrementalSize(keys [][3]int64, vals []sval) int64 {
+// svalIncrementalSize folds svalPairSize the way the engine folds a
+// BlockSizer: each pair sized against its predecessor, the first
+// against zero values, plus the header.
+func svalIncrementalSize[I index](keys [][3]int64, vals []sval[I]) int64 {
 	var n int64
 	var pk [3]int64
-	var pv sval
+	var pv sval[I]
 	for i := range keys {
 		n += svalPairSize(pk, pv, keys[i], vals[i])
 		pk, pv = keys[i], vals[i]
@@ -129,25 +129,26 @@ func svalIncrementalSize(keys [][3]int64, vals []sval) int64 {
 	return n + blockHeaderSize(len(keys))
 }
 
-func TestSValBlockSizerMatchesEncoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// checkSValBlock pins sizer == encoder and decode ∘ encode == identity
+// for the shuffle block of one tensor order.
+func checkSValBlock[I index](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	var keys [][3]int64
-	var vals []sval
+	var vals []sval[I]
 	for i := 0; i < 800; i++ {
-		keys = append(keys, [3]int64{rng.Int63n(1000), rng.Int63n(1000), 0})
-		vals = append(vals, sval{
-			tag: uint8(rng.Intn(4)),
-			idx: [3]int64{rng.Int63n(1000), rng.Int63n(1000), rng.Int63n(1000)},
-			col: int32(rng.Intn(64)),
-			val: rng.NormFloat64(),
-		})
+		keys = append(keys, [3]int64{rng.Int63n(1000), rng.Int63n(1000), rng.Int63n(5)})
+		v := sval[I]{tag: uint8(rng.Intn(5)), col: int32(rng.Intn(64)), val: rng.NormFloat64()}
+		for m := 0; m < len(v.idx); m++ {
+			v.idx[m] = rng.Int63n(1000)
+		}
+		vals = append(vals, v)
 	}
 	for _, n := range []int{0, 1, 800} {
 		enc := appendSValBlock(nil, keys[:n], vals[:n])
 		if got, want := int64(len(enc)), svalIncrementalSize(keys[:n], vals[:n]); got != want {
 			t.Fatalf("n=%d: encoded %d bytes, incremental sizer declared %d", n, got, want)
 		}
-		dk, dv, rest, err := decodeSValBlock(enc)
+		dk, dv, rest, err := decodeSValBlock[I](enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("n=%d: decode: %v, %d trailing", n, err, len(rest))
 		}
@@ -159,45 +160,11 @@ func TestSValBlockSizerMatchesEncoder(t *testing.T) {
 	}
 }
 
-func TestNSValBlockSizerMatchesEncoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var keys [][2]int64
-	var vals []nsval
-	for i := 0; i < 800; i++ {
-		keys = append(keys, [2]int64{rng.Int63n(1000), rng.Int63n(5)})
-		var idx [maxOrder]int64
-		for m := range idx {
-			idx[m] = rng.Int63n(1000)
-		}
-		vals = append(vals, nsval{
-			isMat: rng.Intn(2) == 1,
-			idx:   idx,
-			col:   int32(rng.Intn(64)),
-			val:   rng.NormFloat64(),
-		})
-	}
-	var want int64
-	var pk [2]int64
-	var pv nsval
-	for i := range keys {
-		want += nsvalPairSize(pk, pv, keys[i], vals[i])
-		pk, pv = keys[i], vals[i]
-	}
-	want += blockHeaderSize(len(keys))
-	enc := appendNSValBlock(nil, keys, vals)
-	if got := int64(len(enc)); got != want {
-		t.Fatalf("encoded %d bytes, incremental sizer declared %d", got, want)
-	}
-	dk, dv, rest, err := decodeNSValBlock(enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v, %d trailing", err, len(rest))
-	}
-	for i := range keys {
-		if dk[i] != keys[i] || dv[i] != vals[i] {
-			t.Fatalf("record %d: got (%v,%+v) want (%v,%+v)", i, dk[i], dv[i], keys[i], vals[i])
-		}
-	}
-}
+func TestSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[3]int64](t, 3) }
+
+// TestNSValBlockSizerMatchesEncoder is the same invariant for the N-way
+// (order-4) instantiation of the shuffle block.
+func TestNSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[4]int64](t, 4) }
 
 // TestColumnarChargeMatchesEncodedBytes is the end-to-end form of the
 // sizer invariant: run a real shuffle through the engine with a
@@ -217,10 +184,10 @@ func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 
 	var mu sync.Mutex
 	var curK [][3]int64
-	var curV []sval
+	var curV []sval3
 	var encodedTotal int64
-	rec := &mr.BlockSizer[[3]int64, sval]{
-		Pair: func(pk [3]int64, pv sval, k [3]int64, v sval) int64 {
+	rec := &mr.BlockSizer[[3]int64, sval3]{
+		Pair: func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
 			mu.Lock()
 			curK = append(curK, k)
 			curV = append(curV, v)
@@ -239,12 +206,12 @@ func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 		},
 	}
 
-	job := mr.Job[[3]int64, sval, YEntry]{
+	job := mr.Job[[3]int64, sval3, YEntry]{
 		Name: "charge-invariant",
-		Inputs: []mr.Input[[3]int64, sval]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval)) {
-			emit([3]int64{e.Idx[0], e.Idx[1], 0}, sval{tag: tagTensor, idx: e.Idx, val: e.Val})
+		Inputs: []mr.Input[[3]int64, sval3]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval3)) {
+			emit([3]int64{e.Idx[0], e.Idx[1], 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
 		})},
-		Reduce: func(k [3]int64, vs []sval, emit func(YEntry)) {
+		Reduce: func(k [3]int64, vs []sval3, emit func(YEntry)) {
 			var s float64
 			for _, v := range vs {
 				s += v.val
@@ -267,70 +234,43 @@ func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 	}
 	// And the whole point of the codec: the columnar charge must be
 	// strictly below the fixed-width charge for the same shuffle.
-	fixed := int64(len(entries)) * svalSize([3]int64{}, sval{})
+	fixed := int64(len(entries)) * hEntryBytes
 	if encodedTotal >= fixed {
 		t.Fatalf("columnar charge %d not below fixed-width charge %d", encodedTotal, fixed)
 	}
 }
 
-// TestCodecShuffleBytesDecrease pins the acceptance criterion that
-// switching a full plan from fixed-width to columnar accounting
-// strictly decreases shuffle bytes while leaving record counts — and
-// every output byte — untouched.
-func TestCodecShuffleBytesDecrease(t *testing.T) {
-	run := func(codec Codec) (*ParafacResult, mr.Totals) {
-		c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
-		x := smallTestTensor(t)
-		res, err := ParafacALS(c, x, 3, Options{Variant: DRI, MaxIters: 3, Seed: 11, Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, c.Totals()
-	}
-	colRes, colTot := run(CodecColumnar)
-	fixRes, fixTot := run(CodecFixed)
-	if colTot.ShuffleRecords != fixTot.ShuffleRecords {
-		t.Fatalf("codec changed shuffle records: columnar %d, fixed %d", colTot.ShuffleRecords, fixTot.ShuffleRecords)
-	}
-	if colTot.ShuffleBytes >= fixTot.ShuffleBytes {
-		t.Fatalf("columnar shuffle bytes %d not strictly below fixed %d", colTot.ShuffleBytes, fixTot.ShuffleBytes)
-	}
-	assertSameParafac(t, colRes, fixRes)
-}
-
-// TestCodecFactorBitIdentity is the correctness half of the codec
-// switch: accounting must never leak into arithmetic, so both codecs
-// produce bit-identical factors.
-func TestCodecFactorBitIdentity(t *testing.T) {
+// TestColumnarShuffleBelowFixedWidth freezes the fixed-width reference
+// the columnar codec replaced. It pins the shuffle total of a small
+// PARAFAC-DRI run and requires it to stay strictly below what the same
+// records cost at fixed width — computed arithmetically from the record
+// counts and the *Bytes constants: every tensor-derived record (two per
+// nonzero per factor column in IMHP, one per IMHP output in the merge)
+// at hEntryBytes, every factor cell at matEntryBytes.
+func TestColumnarShuffleBelowFixedWidth(t *testing.T) {
+	const rank, iters = 3, 3
+	c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
 	x := smallTestTensor(t)
-	var results []*ParafacResult
-	var tuckers []*TuckerResult
-	for _, codec := range []Codec{CodecColumnar, CodecFixed} {
-		c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
-		res, err := ParafacALS(c, x, 2, Options{Variant: DRI, MaxIters: 2, Seed: 7, Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-		tc := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
-		tres, err := TuckerALS(tc, x, [3]int{2, 2, 2}, Options{Variant: DRI, MaxIters: 2, Seed: 7, Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuckers = append(tuckers, tres)
+	if _, err := ParafacALS(c, x, rank, Options{Variant: DRI, MaxIters: iters, Tol: 1e-12, Seed: 11}); err != nil {
+		t.Fatal(err)
 	}
-	assertSameParafac(t, results[0], results[1])
-	for m := range tuckers[0].Model.Factors {
-		assertSameMatrix(t, tuckers[0].Model.Factors[m], tuckers[1].Model.Factors[m])
-	}
-	g0, g1 := tuckers[0].Model.Core.Data, tuckers[1].Model.Core.Data
-	if len(g0) != len(g1) {
-		t.Fatalf("core sizes differ")
-	}
-	for i := range g0 {
-		if math.Float64bits(g0[i]) != math.Float64bits(g1[i]) {
-			t.Fatalf("core entry %d differs between codecs", i)
+	tot := c.Totals()
+	var tensorRecs, matRecs int64
+	for n := 0; n < 3; n++ {
+		cells := int64(0)
+		for _, m := range others(3, n) {
+			cells += x.Dim(m) * rank
 		}
+		matRecs += iters * cells
+	}
+	tensorRecs = tot.ShuffleRecords - matRecs
+	fixed := tensorRecs*hEntryBytes + matRecs*matEntryBytes
+	const pinned = 148032
+	if tot.ShuffleBytes != pinned {
+		t.Fatalf("columnar shuffle bytes %d, pinned %d (%d records)", tot.ShuffleBytes, pinned, tot.ShuffleRecords)
+	}
+	if tot.ShuffleBytes >= fixed {
+		t.Fatalf("columnar shuffle bytes %d not strictly below the fixed-width price %d", tot.ShuffleBytes, fixed)
 	}
 }
 
@@ -432,10 +372,10 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			}
 		case 2:
 			keys := make([][3]int64, n)
-			vals := make([]sval, n)
+			vals := make([]sval3, n)
 			for i := range keys {
 				keys[i] = [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}
-				vals[i] = sval{
+				vals[i] = sval3{
 					tag: uint8(take(6*i + 3)),
 					idx: [3]int64{take(6*i + 4), take(6*i + 5), rng.Int63n(100)},
 					col: int32(rng.Intn(256)),
@@ -446,7 +386,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
 				t.Fatalf("sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
 			}
-			dk, dv, rest, err := decodeSValBlock(enc)
+			dk, dv, rest, err := decodeSValBlock[[3]int64](enc)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("sval round trip: %v, %d trailing", err, len(rest))
 			}
@@ -457,25 +397,28 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				}
 			}
 		case 3:
-			keys := make([][2]int64, n)
-			vals := make([]nsval, n)
+			keys := make([][3]int64, n)
+			vals := make([]sval[[4]int64], n)
 			for i := range keys {
-				keys[i] = [2]int64{take(4 * i), take(4*i + 1)}
-				var idx [maxOrder]int64
+				keys[i] = [3]int64{take(4 * i), take(4*i + 1), 0}
+				var idx [4]int64
 				for m := range idx {
 					idx[m] = take(4*i + 2 + m)
 				}
-				vals[i] = nsval{isMat: rng.Intn(2) == 1, idx: idx, col: int32(rng.Intn(256)), val: rng.NormFloat64()}
+				vals[i] = sval[[4]int64]{tag: uint8(rng.Intn(5)), idx: idx, col: int32(rng.Intn(256)), val: rng.NormFloat64()}
 			}
-			enc := appendNSValBlock(nil, keys, vals)
-			dk, dv, rest, err := decodeNSValBlock(enc)
+			enc := appendSValBlock(nil, keys, vals)
+			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
+				t.Fatalf("order-4 sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
+			}
+			dk, dv, rest, err := decodeSValBlock[[4]int64](enc)
 			if err != nil || len(rest) != 0 {
-				t.Fatalf("nsval round trip: %v, %d trailing", err, len(rest))
+				t.Fatalf("order-4 sval round trip: %v, %d trailing", err, len(rest))
 			}
 			for i := range keys {
-				if dk[i] != keys[i] || dv[i].isMat != vals[i].isMat || dv[i].idx != vals[i].idx ||
+				if dk[i] != keys[i] || dv[i].tag != vals[i].tag || dv[i].idx != vals[i].idx ||
 					dv[i].col != vals[i].col || math.Float64bits(dv[i].val) != math.Float64bits(vals[i].val) {
-					t.Fatalf("nsval %d mismatch", i)
+					t.Fatalf("order-4 sval %d mismatch", i)
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func TestTuckerDRIDeterministicAcrossProcs(t *testing.T) {
 	run := func(procs int) *TuckerResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := testCluster()
-		res, err := TuckerALS(c, x, [3]int{3, 3, 3}, Options{Variant: DRI, MaxIters: 2, Seed: 11})
+		res, err := TuckerALS(c, x, []int{3, 3, 3}, Options{Variant: DRI, MaxIters: 2, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

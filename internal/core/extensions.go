@@ -11,7 +11,7 @@ import (
 
 // This file implements the extensions the paper names as future work
 // (§VI): nonnegative tensor decomposition and decomposition with missing
-// values. Both reuse the HaTen2 job plans for their bottleneck products,
+// values. Both are PARAFAC-ALS with one piece of the rule replaced,
 // demonstrating the framework-extension point §III-B4 advertises.
 
 // NonnegativeParafac runs a rank-R nonnegative PARAFAC decomposition
@@ -24,85 +24,64 @@ import (
 // a local I×R product. Factors stay elementwise nonnegative, making the
 // components interpretable as soft cluster memberships.
 func NonnegativeParafac(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) (*ParafacResult, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("core: rank must be positive, got %d", rank)
-	}
 	for p := 0; p < x.NNZ(); p++ {
 		if x.Value(p) < 0 {
 			return nil, fmt.Errorf("core: NonnegativeParafac requires a nonnegative tensor; entry %d is %g", p, x.Value(p))
 		}
 	}
-	opt = opt.withDefaults()
-	defer installBackend(c, opt)()
-	s, err := Stage(c, tmpName(c, "nnparafac", "X"), x)
-	if err != nil {
-		return nil, err
-	}
-	defer s.cleanup([]string{s.Name})
-
-	rng := rand.New(rand.NewSource(opt.Seed))
-	factors := make([]*matrix.Matrix, 3)
-	for m := 0; m < 3; m++ {
-		f := matrix.Random(int(s.Dims[m]), rank, rng)
+	r := parafacRule("nnparafac", x.Order(), rank)
+	r.initFactor = func(rows, cols int, rng *rand.Rand) *matrix.Matrix {
+		f := matrix.Random(rows, cols, rng)
 		for i := range f.Data {
 			f.Data[i] += 0.1 // bound away from zero: multiplicative updates cannot leave 0
 		}
-		factors[m] = f
+		return f
 	}
-	res := &ParafacResult{}
-	const eps = 1e-12
-	prevFit := -1.0
-	for it := 0; it < opt.MaxIters; it++ {
-		for n := 0; n < 3; n++ {
-			m1, m2 := otherModes(n)
-			num, err := ParafacContract(s, n, factors[m1], factors[m2], opt.Variant)
-			if err != nil {
-				return nil, err
-			}
-			gram := matrix.Hadamard(matrix.Gram(factors[m1]), matrix.Gram(factors[m2]))
-			den := matrix.Mul(factors[n], gram)
-			f := factors[n]
-			for i := range f.Data {
-				f.Data[i] *= num.Data[i] / (den.Data[i] + eps)
-			}
-		}
-		res.Iters = it + 1
-		if opt.TrackFit {
-			model := kruskalFromRaw(factors)
-			fit := model.Fit(x)
-			res.Fits = append(res.Fits, fit)
-			if it > 0 && fit-prevFit < opt.Tol {
-				res.Converged = true
-				break
-			}
-			prevFit = fit
+	r.update = func(st *alsState, n int, others []*matrix.Matrix, ys []YEntry, _ *rand.Rand) {
+		const eps = 1e-12
+		f := st.factors[n]
+		num := kruskalProduct(ys, f.Rows, rank)
+		den := matrix.Mul(f, gramProduct(others))
+		for i := range f.Data {
+			f.Data[i] *= num.Data[i] / (den.Data[i] + eps)
 		}
 	}
-	res.Model = kruskalFromRaw(factors)
-	return res, nil
+	// The loop's factors are unnormalized; the model is their λ +
+	// unit-column form.
+	r.model = func(st *alsState) *tensor.Kruskal {
+		k := &tensor.Kruskal{Lambda: make([]float64, rank)}
+		for i := range k.Lambda {
+			k.Lambda[i] = 1
+		}
+		for _, f := range st.factors {
+			cp := f.Clone()
+			for i, n := range cp.NormalizeColumns() {
+				k.Lambda[i] *= n
+			}
+			k.Factors = append(k.Factors, cp)
+		}
+		return k
+	}
+	return r.parafac(c, x, rank, opt)
 }
 
-// kruskalFromRaw converts unnormalized factors into the λ + unit-column
-// convention without mutating the inputs.
-func kruskalFromRaw(factors []*matrix.Matrix) *tensor.Kruskal {
-	k := &tensor.Kruskal{}
-	rank := factors[0].Cols
-	lambda := make([]float64, rank)
-	for r := range lambda {
-		lambda[r] = 1
-	}
-	for _, f := range factors {
-		cp := f.Clone()
-		for r, n := range cp.NormalizeColumns() {
-			lambda[r] *= n
-		}
-		k.Factors = append(k.Factors, cp)
-	}
-	k.Lambda = lambda
-	return k
+// ErrMaskedInput reports a MaskedParafacALS input rejected before
+// anything is staged: a tensor that is not 3-way (Pos is -1), or the
+// missing coordinate at index Pos lying outside Dims.
+type ErrMaskedInput struct {
+	Dims  []int64
+	Pos   int
+	Coord [3]int64
 }
 
-// MaskedParafacALS decomposes a tensor whose values at the given
+func (e *ErrMaskedInput) Error() string {
+	if e.Pos < 0 {
+		return fmt.Sprintf("core: masked PARAFAC takes a 3-way tensor, got dims %v", e.Dims)
+	}
+	return fmt.Sprintf("core: missing coordinate %d %v is outside the tensor's dims %v", e.Pos, e.Coord, e.Dims)
+}
+
+// MaskedParafacALS decomposes a 3-way tensor whose values at the given
 // coordinates are unknown (held out or genuinely missing), using
 // EM-style imputation: each outer iteration fills the missing cells with
 // the current model's predictions, then runs one distributed ALS sweep
@@ -113,76 +92,46 @@ func kruskalFromRaw(factors []*matrix.Matrix) *tensor.Kruskal {
 // The returned model's Fits (when tracked) are computed against the
 // observed entries only.
 func MaskedParafacALS(c *mr.Cluster, x *tensor.Tensor, missing [][3]int64, rank int, opt Options) (*ParafacResult, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("core: rank must be positive, got %d", rank)
+	dims := x.Dims()
+	if len(dims) != 3 {
+		return nil, &ErrMaskedInput{Dims: dims, Pos: -1}
 	}
-	opt = opt.withDefaults()
-	defer installBackend(c, opt)()
 	// Strip any observed values at missing coordinates.
 	missSet := make(map[[3]int64]struct{}, len(missing))
-	for _, idx := range missing {
+	for pos, idx := range missing {
+		for m, i := range idx {
+			if i < 0 || i >= dims[m] {
+				return nil, &ErrMaskedInput{Dims: dims, Pos: pos, Coord: idx}
+			}
+		}
 		missSet[idx] = struct{}{}
 	}
-	observed := tensor.New(x.Dims()...)
+	observed := tensor.New(dims...)
 	for p := 0; p < x.NNZ(); p++ {
 		idx := x.Index(p)
-		key := [3]int64{idx[0], idx[1], idx[2]}
-		if _, gone := missSet[key]; !gone {
-			observed.Append(x.Value(p), idx[0], idx[1], idx[2])
+		if _, gone := missSet[[3]int64(idx)]; !gone {
+			observed.Append(x.Value(p), idx...)
 		}
 	}
 	observed.Coalesce()
 
-	// Factors persist across EM iterations (warm start); only the
-	// tensor's imputed entries change.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	factors := make([]*matrix.Matrix, 3)
-	dims := observed.Dims()
-	for m := 0; m < 3; m++ {
-		factors[m] = matrix.Random(int(dims[m]), rank, rng)
-	}
-	lambda := make([]float64, rank)
-	for r := range lambda {
-		lambda[r] = 1
-	}
-	res := &ParafacResult{}
-	model := &tensor.Kruskal{Lambda: lambda, Factors: factors}
-	for it := 0; it < opt.MaxIters; it++ {
-		// E step: complete the tensor with model predictions at the
-		// missing coordinates (zero on the first pass).
+	// Factors persist across EM iterations; only the tensor's imputed
+	// entries change.
+	r := parafacRule("maskedparafac", 3, rank)
+	r.warmStart = true
+	// E step: complete the tensor with the model's predictions at the
+	// missing coordinates (the first iteration runs on the observed
+	// entries alone); the sweep over it is the M step.
+	r.restage = func(st *alsState) *tensor.Tensor {
+		model := r.model(st)
 		work := observed.Clone()
-		if it > 0 {
-			for idx := range missSet {
-				if v := model.At(idx[0], idx[1], idx[2]); v != 0 {
-					work.Append(v, idx[0], idx[1], idx[2])
-				}
-			}
-			work.Coalesce()
-		}
-		// M step: one distributed ALS sweep over the completed tensor.
-		s, err := Stage(c, tmpName(c, "maskedparafac", "X"), work)
-		if err != nil {
-			return nil, err
-		}
-		err = parafacSweep(s, factors, lambda, rng, opt.Variant)
-		s.cleanup([]string{s.Name})
-		if err != nil {
-			return nil, err
-		}
-		model = &tensor.Kruskal{Lambda: lambda, Factors: factors}
-		res.Iters = it + 1
-		if opt.TrackFit {
-			res.Fits = append(res.Fits, model.Fit(observed))
-			// Stop only on a small *improvement*; transient decreases
-			// (possible while imputations settle) keep EM running.
-			if n := len(res.Fits); n > 1 {
-				if d := res.Fits[n-1] - res.Fits[n-2]; d >= 0 && d < opt.Tol {
-					res.Converged = true
-					break
-				}
+		for idx := range missSet {
+			if v := model.At(idx[:]...); v != 0 {
+				work.Append(v, idx[:]...)
 			}
 		}
+		work.Coalesce()
+		return work
 	}
-	res.Model = model
-	return res, nil
+	return r.parafac(c, observed, rank, opt)
 }

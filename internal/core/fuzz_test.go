@@ -1,9 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzBlockChecksum pins the tamper-detection contract of the columnar
 // block format: flipping any single byte of a sealed block — header,
@@ -49,10 +46,10 @@ func FuzzBlockChecksum(f *testing.F) {
 			decode = func(b []byte) error { _, _, err := DecodeMatEntryBlock(b); return err }
 		case 2:
 			keys := make([][3]int64, n)
-			vals := make([]sval, n)
+			vals := make([]sval3, n)
 			for i := range keys {
 				keys[i] = [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}
-				vals[i] = sval{
+				vals[i] = sval3{
 					tag: uint8(take(6*i + 3)),
 					idx: [3]int64{take(6*i + 4), take(6*i + 5), int64(i)},
 					col: int32(i % 7),
@@ -60,21 +57,21 @@ func FuzzBlockChecksum(f *testing.F) {
 				}
 			}
 			enc = appendSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeSValBlock(b); return err }
+			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[3]int64](b); return err }
 		case 3:
-			keys := make([][2]int64, n)
-			vals := make([]nsval, n)
+			keys := make([][3]int64, n)
+			vals := make([]sval[[4]int64], n)
 			for i := range keys {
-				keys[i] = [2]int64{take(4 * i), take(4*i + 1)}
-				vals[i] = nsval{
-					isMat: i%2 == 0,
-					idx:   [maxOrder]int64{take(4*i + 2), take(4*i + 3), int64(i)},
-					col:   int32(i % 5),
-					val:   float64(take(i)) / 11,
+				keys[i] = [3]int64{take(4 * i), take(4*i + 1), 0}
+				vals[i] = sval[[4]int64]{
+					tag: uint8(i % 5),
+					idx: [4]int64{take(4*i + 2), take(4*i + 3), int64(i)},
+					col: int32(i % 5),
+					val: float64(take(i)) / 11,
 				}
 			}
-			enc = appendNSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeNSValBlock(b); return err }
+			enc = appendSValBlock(nil, keys, vals)
+			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[4]int64](b); return err }
 		}
 		if err := decode(enc); err != nil {
 			t.Fatalf("pristine block rejected: %v", err)
@@ -84,85 +81,6 @@ func FuzzBlockChecksum(f *testing.F) {
 		if err := decode(enc); err == nil {
 			t.Fatalf("single-byte mutation at offset %d (xor %#02x) of a %d-record kind-%d block decoded silently",
 				i, delta, n, kind%4)
-		}
-	})
-}
-
-// FuzzCodecRoundTrip checks the binary record codecs on arbitrary
-// bytes: whenever a decoder accepts a prefix of the input, re-encoding
-// the decoded record must reproduce that prefix byte-for-byte (the
-// formats have no redundancy, so decode∘encode is the identity on
-// valid prefixes — including NaN payloads and negative indices), and
-// the remainder must be exactly the unconsumed suffix. The first fuzz
-// argument selects which record type to exercise.
-func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(0), make([]byte, entryBytes))
-	f.Add(uint8(1), make([]byte, matEntryBytes+3))
-	f.Add(uint8(2), make([]byte, hEntryBytes))
-	f.Add(uint8(3), make([]byte, yEntryBytes))
-	f.Add(uint8(4), EncodeTensorFile([]Entry{
-		{Idx: [3]int64{1, 2, 3}, Val: 4.5},
-		{Idx: [3]int64{-1, 0, 9}, Val: -0.0},
-	}))
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		check := func(size int, reenc []byte, rest []byte, err error) {
-			if err != nil {
-				if len(data) >= size {
-					t.Fatalf("decoder rejected %d bytes (need %d): %v", len(data), size, err)
-				}
-				return
-			}
-			if len(data) < size {
-				t.Fatalf("decoder accepted %d bytes, needs %d", len(data), size)
-			}
-			if !bytes.Equal(reenc, data[:size]) {
-				t.Fatalf("re-encode mismatch:\n% x\nvs\n% x", reenc, data[:size])
-			}
-			if !bytes.Equal(rest, data[size:]) {
-				t.Fatal("decoder consumed the wrong suffix")
-			}
-		}
-		switch kind % 5 {
-		case 0:
-			e, rest, err := DecodeEntry(data)
-			var reenc []byte
-			if err == nil {
-				reenc = EncodeEntry(nil, e)
-			}
-			check(entryBytes, reenc, rest, err)
-		case 1:
-			m, rest, err := DecodeMatEntry(data)
-			var reenc []byte
-			if err == nil {
-				reenc = EncodeMatEntry(nil, m)
-			}
-			check(matEntryBytes, reenc, rest, err)
-		case 2:
-			h, rest, err := DecodeHEntry(data)
-			var reenc []byte
-			if err == nil {
-				reenc = EncodeHEntry(nil, h)
-			}
-			check(hEntryBytes, reenc, rest, err)
-		case 3:
-			y, rest, err := DecodeYEntry(data)
-			var reenc []byte
-			if err == nil {
-				reenc = EncodeYEntry(nil, y)
-			}
-			check(yEntryBytes, reenc, rest, err)
-		case 4:
-			entries, err := DecodeTensorFile(data)
-			if err != nil {
-				if len(data)%entryBytes == 0 {
-					t.Fatalf("file decoder rejected aligned input: %v", err)
-				}
-				return
-			}
-			if got := EncodeTensorFile(entries); !bytes.Equal(got, data) {
-				t.Fatalf("tensor file round trip changed bytes: %d vs %d", len(got), len(data))
-			}
 		}
 	})
 }

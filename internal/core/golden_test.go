@@ -47,44 +47,35 @@ func TestFactorsGolden(t *testing.T) {
 	opt := Options{MaxIters: 3, Tol: 1e-12, Seed: 5}
 
 	var got bytes.Buffer
-	record := func(name string, head []float64, factors []*matrix.Matrix, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fmt.Fprintf(&got, "%s %s\n", name, factorDigest(head, factors))
-	}
 	parafac := func(name string, res *ParafacResult, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		record(name, res.Model.Lambda, res.Model.Factors, nil)
+		fmt.Fprintf(&got, "%s %s\n", name, factorDigest(res.Model.Lambda, res.Model.Factors))
+	}
+	tucker := func(name string, res *TuckerResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&got, "%s %s\n", name, factorDigest(res.Model.Core.Data, res.Model.Factors))
 	}
 	for _, v := range Variants {
 		o := opt
 		o.Variant = v
 		res, err := ParafacALS(testCluster(), x3, 3, o)
 		parafac("parafac3-"+v.String(), res, err)
-		tres, err := TuckerALS(testCluster(), x3, [3]int{3, 2, 2}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		record("tucker3-"+v.String(), tres.Model.Core.Data, tres.Model.Factors, nil)
+		tres, err := TuckerALS(testCluster(), x3, []int{3, 2, 2}, o)
+		tucker("tucker3-"+v.String(), tres, err)
 	}
 	o := opt
 	o.Variant = DRI
-	res4, err := ParafacALSN(testCluster(), x4, 3, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record("parafac4-DRI", res4.Model.Lambda, res4.Model.Factors, nil)
-	tres4, err := TuckerALSN(testCluster(), x4, []int{3, 2, 2, 2}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record("tucker4-DRI", tres4.Model.Core.Data, tres4.Model.Factors, nil)
-	res, err := NonnegativeParafac(testCluster(), x3, 3, o)
+	res, err := ParafacALS(testCluster(), x4, 3, o)
+	parafac("parafac4-DRI", res, err)
+	tres, err := TuckerALS(testCluster(), x4, []int{3, 2, 2, 2}, o)
+	tucker("tucker4-DRI", tres, err)
+	res, err = NonnegativeParafac(testCluster(), x3, 3, o)
 	parafac("nonnegative3-DRI", res, err)
 	missing := [][3]int64{{0, 1, 2}, {3, 3, 3}, {8, 7, 6}, {4, 0, 5}}
 	res, err = MaskedParafacALS(testCluster(), x3, missing, 3, o)

@@ -19,18 +19,27 @@ func random4Way(rng *rand.Rand, dims [4]int64, nnz int) *tensor.Tensor {
 	return t
 }
 
-func TestStageNValidation(t *testing.T) {
+func TestStageOrderValidation(t *testing.T) {
 	c := testCluster()
 	x2 := tensor.New(2, 2)
 	x2.Append(1, 0, 0)
-	if _, err := StageN(c, "X", x2); err == nil {
+	if _, err := Stage(c, "X", x2); err == nil {
 		t.Fatal("order 2 accepted")
 	}
 	x5 := tensor.New(2, 2, 2, 2, 2)
 	x5.Append(1, 0, 0, 0, 0, 0)
-	if _, err := StageN(c, "X", x5); err == nil {
+	if _, err := Stage(c, "X", x5); err == nil {
 		t.Fatal("order 5 accepted")
 	}
+}
+
+// pick returns the factors of the given modes.
+func pick(factors []*matrix.Matrix, modes []int) []*matrix.Matrix {
+	out := make([]*matrix.Matrix, len(modes))
+	for i, m := range modes {
+		out[i] = factors[m]
+	}
+	return out
 }
 
 // TestContractN4WayParafacMatchesMTTKRP checks the 4-way PairwiseMerge
@@ -45,25 +54,16 @@ func TestContractN4WayParafacMatchesMTTKRP(t *testing.T) {
 		factors[m] = matrix.Random(int(dims[m]), rank, rng)
 	}
 	c := testCluster()
-	s, err := StageN(c, "X4", x)
+	s, err := Stage(c, "X4", x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < 4; n++ {
-		modes := otherModesN(4, n)
-		others := make([]*matrix.Matrix, len(modes))
-		for i, m := range modes {
-			others[i] = factors[m]
-		}
-		ys, err := s.contractN(n, others, true)
+		ys, err := s.contract(n, pick(factors, others(4, n)), DRI, pairwiseMerge)
 		if err != nil {
 			t.Fatalf("mode %d: %v", n, err)
 		}
-		got := matrix.New(int(dims[n]), rank)
-		for _, e := range ys {
-			r := int(e.Cols[0])
-			got.Set(int(e.I), r, got.At(int(e.I), r)+e.Val)
-		}
+		got := kruskalProduct(ys, int(dims[n]), rank)
 		want := tensor.MTTKRP(x, factors, n)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("mode %d: 4-way MTTKRP mismatch", n)
@@ -83,17 +83,13 @@ func TestContractN4WayTuckerMatchesReference(t *testing.T) {
 		factors[m] = matrix.Random(int(dims[m]), core[m], rng)
 	}
 	c := testCluster()
-	s, err := StageN(c, "X4t", x)
+	s, err := Stage(c, "X4t", x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < 4; n++ {
-		modes := otherModesN(4, n)
-		others := make([]*matrix.Matrix, len(modes))
-		for i, m := range modes {
-			others[i] = factors[m]
-		}
-		ys, err := s.contractN(n, others, false)
+		modes := others(4, n)
+		ys, err := s.contract(n, pick(factors, modes), DRI, crossMerge)
 		if err != nil {
 			t.Fatalf("mode %d: %v", n, err)
 		}
@@ -105,11 +101,13 @@ func TestContractN4WayTuckerMatchesReference(t *testing.T) {
 		// Compare entrywise.
 		got := map[[4]int64]float64{}
 		for _, e := range ys {
+			// Q flattens the first two multiplied modes' columns
+			// row-major; R is the last one's.
 			var key [4]int64
 			key[n] = e.I
-			for i, m := range modes {
-				key[m] = int64(e.Cols[i])
-			}
+			key[modes[0]] = int64(e.Q) / int64(core[modes[1]])
+			key[modes[1]] = int64(e.Q) % int64(core[modes[1]])
+			key[modes[2]] = int64(e.R)
 			got[key] += e.Val
 		}
 		for p := 0; p < ref.NNZ(); p++ {
@@ -129,41 +127,44 @@ func TestContractN4WayTuckerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestContractN3WayAgreesWith3WayPlan cross-checks the generalized plan
-// against the specialized 3-way DRI implementation.
+// TestContractN3WayAgreesWith3WayPlan cross-checks the two
+// instantiations of the stack: a 3-way tensor staged as an order-4
+// tensor with a singleton last mode (and an all-ones factor for it) must
+// contract to what the 3-way plan gives.
 func TestContractN3WayAgreesWith3WayPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	x := randomSparse(rng, [3]int64{5, 6, 4}, 25)
 	u1 := matrix.Random(6, 3, rng)
 	u2 := matrix.Random(4, 3, rng)
 
-	c1 := testCluster()
-	s1, _ := Stage(c1, "X3", x)
+	s1, _ := Stage(testCluster(), "X3", x)
 	want, err := ParafacContract(s1, 0, u1, u2, DRI)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c2 := testCluster()
-	s2, err := StageN(c2, "X3n", x)
+	x4 := tensor.New(5, 6, 4, 1)
+	for p := 0; p < x.NNZ(); p++ {
+		x4.Append(x.Value(p), append(x.Index(p), 0)...)
+	}
+	ones := matrix.New(1, 3)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	s2, err := Stage(testCluster(), "X3n", x4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ys, err := s2.contractN(0, []*matrix.Matrix{u1, u2}, true)
+	ys, err := s2.contract(0, []*matrix.Matrix{u1, u2, ones}, DRI, pairwiseMerge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := matrix.New(5, 3)
-	for _, e := range ys {
-		r := int(e.Cols[0])
-		got.Set(int(e.I), r, got.At(int(e.I), r)+e.Val)
-	}
-	if !got.Equal(want, 1e-9) {
-		t.Fatal("N-way plan disagrees with 3-way plan")
+	if !kruskalProduct(ys, 5, 3).Equal(want, 1e-9) {
+		t.Fatal("order-4 plan disagrees with 3-way plan")
 	}
 }
 
-func TestParafacALSN4WayRecoversRank1(t *testing.T) {
+func TestParafacALS4WayRecoversRank1(t *testing.T) {
 	// An exactly rank-1 4-way tensor from positive factors.
 	rng := rand.New(rand.NewSource(204))
 	dims := []int64{4, 3, 4, 3}
@@ -188,7 +189,7 @@ func TestParafacALSN4WayRecoversRank1(t *testing.T) {
 	rec(0, nil, 1)
 	x.Coalesce()
 	c := testCluster()
-	res, err := ParafacALSN(c, x, 1, Options{Variant: DRI, MaxIters: 20, Seed: 1, TrackFit: true, Tol: 1e-10})
+	res, err := ParafacALS(c, x, 1, Options{Variant: DRI, MaxIters: 20, Seed: 1, TrackFit: true, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestParafacALSN4WayRecoversRank1(t *testing.T) {
 	}
 }
 
-func TestTuckerALSN4Way(t *testing.T) {
+func TestTuckerALS4Way(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	x := random4Way(rng, [4]int64{6, 5, 4, 3}, 40)
 	c := testCluster()
-	res, err := TuckerALSN(c, x, []int{2, 2, 2, 2}, Options{Variant: DRI, MaxIters: 6, Seed: 2, Tol: 1e-12})
+	res, err := TuckerALS(c, x, []int{2, 2, 2, 2}, Options{Variant: DRI, MaxIters: 6, Seed: 2, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +227,17 @@ func TestTuckerALSN4Way(t *testing.T) {
 	}
 }
 
-func TestTuckerALSNValidation(t *testing.T) {
+func TestTuckerALS4WayValidation(t *testing.T) {
 	c := testCluster()
 	x := tensor.New(3, 3, 3, 3)
 	x.Append(1, 0, 0, 0, 0)
-	if _, err := TuckerALSN(c, x, []int{2, 2, 2}, Options{}); err == nil {
+	if _, err := TuckerALS(c, x, []int{2, 2, 2}, Options{}); err == nil {
 		t.Fatal("wrong core arity accepted")
 	}
-	if _, err := TuckerALSN(c, x, []int{2, 2, 2, 9}, Options{}); err == nil {
+	if _, err := TuckerALS(c, x, []int{2, 2, 2, 9}, Options{}); err == nil {
 		t.Fatal("oversized core accepted")
 	}
-	if _, err := ParafacALSN(c, x, 0, Options{}); err == nil {
+	if _, err := ParafacALS(c, x, 0, Options{}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
 }
@@ -269,26 +270,15 @@ func TestQuickNWayParafacMatchesMTTKRP(t *testing.T) {
 			factors[m] = matrix.Random(int(dims[m]), rank, rng)
 		}
 		n := rng.Intn(order)
-		modes := otherModesN(order, n)
-		others := make([]*matrix.Matrix, len(modes))
-		for i, m := range modes {
-			others[i] = factors[m]
-		}
-		c := testCluster()
-		s, err := StageN(c, "Xq", x)
+		s, err := Stage(testCluster(), "Xq", x)
 		if err != nil {
 			return false
 		}
-		ys, err := s.contractN(n, others, true)
+		ys, err := s.contract(n, pick(factors, others(order, n)), DRI, pairwiseMerge)
 		if err != nil {
 			return false
 		}
-		got := matrix.New(int(dims[n]), rank)
-		for _, e := range ys {
-			r := int(e.Cols[0])
-			got.Set(int(e.I), r, got.At(int(e.I), r)+e.Val)
-		}
-		return got.Equal(tensor.MTTKRP(x, factors, n), 1e-9)
+		return kruskalProduct(ys, int(dims[n]), rank).Equal(tensor.MTTKRP(x, factors, n), 1e-9)
 	}
 	if err := quick.Check(f, qcfg(206)); err != nil {
 		t.Fatal(err)

@@ -7,20 +7,55 @@ import (
 	"github.com/haten2/haten2/internal/mr"
 )
 
-// pairScratchPool recycles the 𝒯″-side accumulator map the
-// PairwiseMerge reducer needs per key (see pairwiseMerge). Pooled
-// because the reducer runs once per distinct (coordinate, r) key and
-// per-call maps dominated the plan's allocation profile.
-var pairScratchPool = sync.Pool{New: func() any { return make(map[[3]int64]float64) }}
-
-// shuffle size of one sval, by provenance: tensor-derived records carry
-// a full coordinate (paper's ⟨i,j,k,v⟩ tuples); matrix cells are small.
-func svalSize(_ [3]int64, v sval) int64 {
-	if v.tag == tagMat {
-		return matEntryBytes
-	}
-	return hEntryBytes
+// stack is the job family instantiated at one tensor order: what a job
+// needs that depends on the coordinate width. Shuffle keys are
+// [3]int64 at every order — (a, b, c) for the 3-way-only Naive and DNN
+// jobs, (a, b, 0) for the Hadamard, IMHP and merge jobs of DRN and DRI.
+type stack[I index] struct {
+	// sizer is the columnar shuffle sizer every job of the order shares
+	// (one value, so jobs allocate nothing for accounting).
+	sizer *mr.BlockSizer[[3]int64, sval[I]]
+	// scratch recycles the accumulator maps the PairwiseMerge reducer
+	// needs per key (see pairwiseReduce). Pooled because the reducer
+	// runs once per distinct (coordinate, r) key and per-call maps
+	// dominated the plan's allocation profile.
+	scratch sync.Pool
+	// partition routes a shuffle key to its reducer, and sideBase is the
+	// first IMHP side key. Routing feeds output order and therefore the
+	// floating-point summation order of everything downstream, so each
+	// order keeps the routing its outputs were pinned with: order 3
+	// hashes the whole key with sides numbered from 1, order 4 hashes
+	// the (a, b) pair — its keys never use c — with sides from 0.
+	partition func([3]int64) uint64
+	sideBase  int64
 }
+
+// pairScratch holds one 𝒯″-side accumulator per merge side after the
+// first.
+type pairScratch[I index] [maxOrder - 2]map[I]float64
+
+func newStack[I index](partition func([3]int64) uint64, sideBase int64) *stack[I] {
+	return &stack[I]{
+		sizer: &mr.BlockSizer[[3]int64, sval[I]]{Pair: svalPairSize[I], Header: blockHeaderSize},
+		scratch: sync.Pool{New: func() any {
+			var acc pairScratch[I]
+			for s := range acc {
+				acc[s] = make(map[I]float64)
+			}
+			return &acc
+		}},
+		partition: partition,
+		sideBase:  sideBase,
+	}
+}
+
+// sval3 is the shuffle value of the 3-way-only Naive and DNN jobs.
+type sval3 = sval[[3]int64]
+
+var (
+	stack3 = newStack[[3]int64](mr.HashTriple, 1)
+	stack4 = newStack[[4]int64](func(k [3]int64) uint64 { return mr.HashPair([2]int64{k[0], k[1]}) }, 0)
+)
 
 // naiveContract is the HaTen2-Naive building block: one n-mode vector
 // product 𝒳 ×̄_m v as a single broadcast-style MapReduce job (the inner
@@ -34,7 +69,7 @@ func svalSize(_ [3]int64, v sval) int64 {
 // The result entries are written to outFile with outIdx in mode m's
 // position, so Q single-column results assemble into the 3-way
 // intermediate 𝒯 without a separate job.
-func naiveContract(c *mr.Cluster, codec Codec, inFiles []string, dims [3]int64, m int, vecFile string, vecLen int64, outIdx int64, fibers [][2]int64, outFile string) ([]Entry, error) {
+func naiveContract(c *mr.Cluster, inFiles []string, dims [3]int64, m int, vecFile string, vecLen int64, outIdx int64, fibers [][2]int64, outFile string) ([]Entry, error) {
 	m1, m2 := otherModes(m)
 	// Faithful plan: the vector is copied to all dims[m1]·dims[m2] fiber
 	// keys; we emit len(fibers)·vecLen of those copies for real.
@@ -42,21 +77,21 @@ func naiveContract(c *mr.Cluster, codec Codec, inFiles []string, dims [3]int64, 
 	if phantomKeys < 0 {
 		phantomKeys = 0
 	}
-	inputs := make([]mr.Input[[3]int64, sval], 0, len(inFiles)+1)
+	inputs := make([]mr.Input[[3]int64, sval3], 0, len(inFiles)+1)
 	for _, f := range inFiles {
-		inputs = append(inputs, mr.MapInput(f, func(e Entry, emit func([3]int64, sval)) {
-			emit([3]int64{e.Idx[m1], e.Idx[m2], 0}, sval{tag: tagTensor, idx: e.Idx, val: e.Val})
+		inputs = append(inputs, mr.MapInput(f, func(e Entry, emit func([3]int64, sval3)) {
+			emit([3]int64{e.Idx[m1], e.Idx[m2], 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
 		}))
 	}
-	inputs = append(inputs, mr.MapInput(vecFile, func(cell MatEntry, emit func([3]int64, sval)) {
+	inputs = append(inputs, mr.MapInput(vecFile, func(cell MatEntry, emit func([3]int64, sval3)) {
 		for _, f := range fibers {
-			emit([3]int64{f[0], f[1], 0}, sval{tag: tagMat, idx: [3]int64{cell.Row, 0, 0}, val: cell.Val})
+			emit([3]int64{f[0], f[1], 0}, sval3{tag: tagMat, idx: [3]int64{cell.Row, 0, 0}, val: cell.Val})
 		}
 	}))
-	job := mr.Job[[3]int64, sval, Entry]{
+	out, _, err := mr.Run(c, mr.Job[[3]int64, sval3, Entry]{
 		Name:   fmt.Sprintf("naive-contract(mode=%d)", m),
 		Inputs: inputs,
-		Reduce: func(key [3]int64, vals []sval, emit func(Entry)) {
+		Reduce: func(key [3]int64, vals []sval3, emit func(Entry)) {
 			// Inner product of the mode-m fiber with the vector.
 			vec := make(map[int64]float64)
 			for _, v := range vals {
@@ -77,17 +112,16 @@ func naiveContract(c *mr.Cluster, codec Codec, inFiles []string, dims [3]int64, 
 			idx[m1], idx[m2], idx[m] = key[0], key[1], outIdx
 			emit(Entry{Idx: idx, Val: sum})
 		},
-		Partition:           mr.HashTriple,
-		OutSize:             entrySize,
+		Partition:           stack3.partition,
+		BlockKV:             stack3.sizer,
+		OutSize:             entrySize[[3]int64],
 		Output:              outFile,
 		ExtraShuffleRecords: phantomKeys * vecLen,
 		// Phantom copies are never materialized, so they have no real
-		// encoding; they stay priced at the fixed MatEntry width under
-		// both codecs (only genuinely encoded records get codec-priced).
+		// encoding; they are priced at the fixed MatEntry width (only
+		// genuinely encoded records get codec-priced).
 		ExtraShuffleBytes: phantomKeys * vecLen * matEntryBytes,
-	}
-	svalAccounting(&job, codec)
-	out, _, err := mr.Run(c, job)
+	})
 	return out, err
 }
 
@@ -97,23 +131,23 @@ func naiveContract(c *mr.Cluster, codec Codec, inFiles []string, dims [3]int64, 
 // of the Naive broadcast — and each is multiplied by the matching vector
 // element. With bin set, tensor values are replaced by 1 first
 // (bin(𝒳) ∗̄_m v, the 𝒯″ side of Lemmas 1 and 2).
-// The result is an order-4 HEntry file carrying colIdx as the new mode.
-func hadamardVec(c *mr.Cluster, codec Codec, inFile string, m int, colIdx int32, vecFile string, bin bool, outFile string) error {
-	job := mr.Job[[3]int64, sval, HEntry]{
+// The result is an HEntry file carrying colIdx as the new mode.
+func (k *stack[I]) hadamardVec(c *mr.Cluster, inFile string, m int, colIdx int32, vecFile string, bin bool, outFile string) error {
+	_, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], HEntryOf[I]]{
 		Name: fmt.Sprintf("hadamard(%s,mode=%d,col=%d)", inFile, m, colIdx),
-		Inputs: []mr.Input[[3]int64, sval]{
-			mr.MapInput(inFile, func(e Entry, emit func([3]int64, sval)) {
+		Inputs: []mr.Input[[3]int64, sval[I]]{
+			mr.MapInput(inFile, func(e EntryOf[I], emit func([3]int64, sval[I])) {
 				v := e.Val
 				if bin {
 					v = 1
 				}
-				emit([3]int64{e.Idx[m], 0, 0}, sval{tag: tagTensor, idx: e.Idx, val: v})
+				emit([3]int64{e.Idx[m], 0, 0}, sval[I]{tag: tagTensor, idx: e.Idx, val: v})
 			}),
-			mr.MapInput(vecFile, func(cell MatEntry, emit func([3]int64, sval)) {
-				emit([3]int64{cell.Row, 0, 0}, sval{tag: tagMat, val: cell.Val})
+			mr.MapInput(vecFile, func(cell MatEntry, emit func([3]int64, sval[I])) {
+				emit([3]int64{cell.Row, 0, 0}, sval[I]{tag: tagMat, val: cell.Val})
 			}),
 		},
-		Reduce: func(key [3]int64, vals []sval, emit func(HEntry)) {
+		Reduce: func(key [3]int64, vals []sval[I], emit func(HEntryOf[I])) {
 			var vec float64
 			for _, v := range vals {
 				if v.tag == tagMat {
@@ -125,16 +159,15 @@ func hadamardVec(c *mr.Cluster, codec Codec, inFile string, m int, colIdx int32,
 			}
 			for _, v := range vals {
 				if v.tag == tagTensor {
-					emit(HEntry{Idx: v.idx, Col: colIdx, Val: v.val * vec})
+					emit(HEntryOf[I]{Idx: v.idx, Col: colIdx, Val: v.val * vec})
 				}
 			}
 		},
-		Partition: mr.HashTriple,
-		OutSize:   hEntrySize,
+		Partition: k.partition,
+		BlockKV:   k.sizer,
+		OutSize:   hEntrySize[I],
 		Output:    outFile,
-	}
-	svalAccounting(&job, codec)
-	_, _, err := mr.Run(c, job)
+	})
 	return err
 }
 
@@ -143,18 +176,18 @@ func hadamardVec(c *mr.Cluster, codec Codec, inFile string, m int, colIdx int32,
 // remaining coordinates plus the Hadamard column. The column index takes
 // mode m's place in the output, so Collapse(𝒳 ∗₂ Bᵀ)₂ yields the 3-way
 // 𝒯 = 𝒳 ×₂ Bᵀ directly.
-func collapse(c *mr.Cluster, codec Codec, inFiles []string, m int, outFile string) ([]Entry, error) {
+func collapse(c *mr.Cluster, inFiles []string, m int, outFile string) ([]Entry, error) {
 	m1, m2 := otherModes(m)
-	inputs := make([]mr.Input[[3]int64, sval], len(inFiles))
+	inputs := make([]mr.Input[[3]int64, sval3], len(inFiles))
 	for i, f := range inFiles {
-		inputs[i] = mr.MapInput(f, func(h HEntry, emit func([3]int64, sval)) {
-			emit([3]int64{h.Idx[m1], h.Idx[m2], int64(h.Col)}, sval{tag: tagTensor, val: h.Val})
+		inputs[i] = mr.MapInput(f, func(h HEntry, emit func([3]int64, sval3)) {
+			emit([3]int64{h.Idx[m1], h.Idx[m2], int64(h.Col)}, sval3{tag: tagTensor, val: h.Val})
 		})
 	}
-	job := mr.Job[[3]int64, sval, Entry]{
+	out, _, err := mr.Run(c, mr.Job[[3]int64, sval3, Entry]{
 		Name:   fmt.Sprintf("collapse(mode=%d)", m),
 		Inputs: inputs,
-		Reduce: func(key [3]int64, vals []sval, emit func(Entry)) {
+		Reduce: func(key [3]int64, vals []sval3, emit func(Entry)) {
 			var sum float64
 			for _, v := range vals {
 				sum += v.val
@@ -166,49 +199,56 @@ func collapse(c *mr.Cluster, codec Codec, inFiles []string, m int, outFile strin
 			idx[m1], idx[m2], idx[m] = key[0], key[1], key[2]
 			emit(Entry{Idx: idx, Val: sum})
 		},
-		Partition: mr.HashTriple,
-		OutSize:   entrySize,
+		Partition: stack3.partition,
+		BlockKV:   stack3.sizer,
+		OutSize:   entrySize[[3]int64],
 		Output:    outFile,
-	}
-	svalAccounting(&job, codec)
-	out, _, err := mr.Run(c, job)
+	})
 	return out, err
 }
 
-// taggedH is an IMHP output record: which side (𝒯′ or 𝒯″) it belongs to
-// plus the Hadamard entry itself.
-type taggedH struct {
-	side uint8 // 1 for 𝒯′, 2 for 𝒯″
-	h    HEntry
+// taggedH is an IMHP output record: which side (0 for 𝒯′, then the 𝒯″
+// sides) it belongs to plus the Hadamard entry itself.
+type taggedH[I index] struct {
+	side uint8
+	h    HEntryOf[I]
 }
 
-func taggedHSize(taggedH) int64 { return hEntryBytes }
+func taggedHSize[I index](t taggedH[I]) int64 { return hEntrySize(t.h) }
 
-// imhp is HaTen2-DRI's integrated job (§III-B4): it computes both
-// 𝒯′ = 𝒳 ∗_{m1} Bᵀ and 𝒯″ = bin(𝒳) ∗_{m2} Cᵀ in a single MapReduce job
-// that reads 𝒳 from the DFS once. The mapper emits every tensor entry
-// under two keys (its m1 coordinate, tagged for B, and its m2
-// coordinate, tagged for C); reducers hold one factor row — O(Q) extra
-// memory, the deliberate memory-for-jobs trade the paper makes — and
-// multiply it against their fiber. The two result tensors are written to
-// t1File and t2File (MultipleOutputs in the Hadoop implementation).
-func imhp(c *mr.Cluster, codec Codec, xFile string, m1 int, bFile string, m2 int, cFile string, t1File, t2File string) error {
-	job := mr.Job[[3]int64, sval, taggedH]{
-		Name: fmt.Sprintf("imhp(%s,%d,%d)", xFile, m1, m2),
-		Inputs: []mr.Input[[3]int64, sval]{
-			mr.MapInput(xFile, func(e Entry, emit func([3]int64, sval)) {
-				emit([3]int64{1, e.Idx[m1], 0}, sval{tag: tagT1, idx: e.Idx, val: e.Val})
-				emit([3]int64{2, e.Idx[m2], 0}, sval{tag: tagT2, idx: e.Idx, val: 1})
-			}),
-			mr.MapInput(bFile, func(cell MatEntry, emit func([3]int64, sval)) {
-				emit([3]int64{1, cell.Row, 0}, sval{tag: tagMat, col: cell.Col, val: cell.Val})
-			}),
-			mr.MapInput(cFile, func(cell MatEntry, emit func([3]int64, sval)) {
-				emit([3]int64{2, cell.Row, 0}, sval{tag: tagMat, col: cell.Col, val: cell.Val})
-			}),
-		},
-		Reduce: func(key [3]int64, vals []sval, emit func(taggedH)) {
-			side := uint8(key[0])
+// imhp is HaTen2-DRI's integrated job (§III-B4): it computes
+// 𝒯′ = 𝒳 ∗_{m₀} U₀ᵀ and 𝒯″ₛ = bin(𝒳) ∗_{mₛ} Uₛᵀ for every further
+// multiplied mode in a single MapReduce job that reads 𝒳 from the DFS
+// once. The mapper emits every tensor entry once per side, keyed by
+// (side, that mode's coordinate); reducers hold one factor row — O(Q)
+// extra memory, the deliberate memory-for-jobs trade the paper makes —
+// and multiply it against their fiber. modes lists the multiplied modes
+// and matFiles their staged factors; the result tensors are written one
+// per side to outFiles (MultipleOutputs in the Hadoop implementation).
+func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outFiles []string) error {
+	inputs := []mr.Input[[3]int64, sval[I]]{
+		mr.MapInput(xFile, func(e EntryOf[I], emit func([3]int64, sval[I])) {
+			v := e.Val
+			for s, m := range modes {
+				emit([3]int64{k.sideBase + int64(s), e.Idx[m], 0}, sval[I]{tag: tagT1 + uint8(s), idx: e.Idx, val: v})
+				v = 1 // bin(𝒳) for all but the first side
+			}
+		}),
+	}
+	for s, f := range matFiles {
+		side := k.sideBase + int64(s)
+		inputs = append(inputs, mr.MapInput(f, func(cell MatEntry, emit func([3]int64, sval[I])) {
+			emit([3]int64{side, cell.Row, 0}, sval[I]{tag: tagMat, col: cell.Col, val: cell.Val})
+		}))
+	}
+	name := "imhp(" + xFile
+	for _, m := range modes {
+		name += fmt.Sprintf(",%d", m)
+	}
+	out, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], taggedH[I]]{
+		Name:   name + ")",
+		Inputs: inputs,
+		Reduce: func(key [3]int64, vals []sval[I], emit func(taggedH[I])) {
 			// One factor row: O(Q) memory per reducer (vs. O(1) for the
 			// per-column DRN jobs — the trade §III-B4 argues is cheap).
 			var row []MatEntry
@@ -225,169 +265,209 @@ func imhp(c *mr.Cluster, codec Codec, xFile string, m1 int, bFile string, m2 int
 					if cell.Val == 0 {
 						continue
 					}
-					emit(taggedH{side: side, h: HEntry{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
+					emit(taggedH[I]{side: v.tag - tagT1, h: HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
 				}
 			}
 		},
-		Partition: mr.HashTriple,
-		OutSize:   taggedHSize,
-	}
-	svalAccounting(&job, codec)
-	out, _, err := mr.Run(c, job)
+		Partition: k.partition,
+		BlockKV:   k.sizer,
+		OutSize:   taggedHSize[I],
+	})
 	if err != nil {
 		return err
 	}
-	// MultipleOutputs: split the tagged stream into the two intermediate
-	// files the merge job consumes. The stream holds nnz·Q + nnz·R
-	// entries, so count sides first and size both halves exactly.
-	n1 := 0
+	// MultipleOutputs: split the tagged stream into the per-side
+	// intermediate files the merge job consumes. The stream holds
+	// nnz·ΣQₛ entries, so count sides first and size every part exactly.
+	var counts [maxOrder - 1]int
 	for _, o := range out {
-		if o.side == 1 {
-			n1++
-		}
+		counts[o.side]++
 	}
-	t1 := mr.Acquire[HEntry](n1)
-	t2 := mr.Acquire[HEntry](len(out) - n1)
+	parts := make([][]HEntryOf[I], len(outFiles))
+	for s := range parts {
+		parts[s] = mr.Acquire[HEntryOf[I]](counts[s])
+	}
 	for _, o := range out {
-		if o.side == 1 {
-			t1 = append(t1, o.h)
-		} else {
-			t2 = append(t2, o.h)
-		}
+		parts[o.side] = append(parts[o.side], o.h)
 	}
 	mr.Recycle(out)
-	if err := mr.WriteFileOwned(c, t1File, t1, hEntrySize); err != nil {
-		mr.Recycle(t2) // t2 never reaches its write on this path
-		return err
-	}
-	return mr.WriteFileOwned(c, t2File, t2, hEntrySize)
-}
-
-// crossMerge is CrossMerge(𝒯′, 𝒯″)₍ₙ₎ (Definition 3), the final step of
-// HaTen2-Tucker-DRN/DRI: 𝒴(i,q,r) = Σ_{j,k} 𝒯′(i,j,k,q)·𝒯″(i,j,k,r).
-// Both intermediates are shuffled on their mode-n coordinate —
-// nnz(𝒳)(Q+R) records, the Table III bound — and each reducer holds one
-// tensor slice (nnz(𝒳ᵢ::)(Q+R) memory) and forms all Q·R combinations
-// locally.
-func crossMerge(c *mr.Cluster, codec Codec, t1Files, t2Files []string, n int) ([]YEntry, error) {
-	mapSide := func(tag uint8) func(h HEntry, emit func([3]int64, sval)) {
-		return func(h HEntry, emit func([3]int64, sval)) {
-			emit([3]int64{h.Idx[n], 0, 0}, sval{tag: tag, idx: h.Idx, col: h.Col, val: h.Val})
+	for s, f := range outFiles {
+		if err := mr.WriteFileOwned(c, f, parts[s], hEntrySize[I]); err != nil {
+			for _, p := range parts[s+1:] {
+				mr.Recycle(p) // the later parts never reach their write on this path
+			}
+			return err
 		}
 	}
-	job := mr.Job[[3]int64, sval, YEntry]{
-		Name:   fmt.Sprintf("crossmerge(mode=%d)", n),
-		Inputs: sideInputs(t1Files, t2Files, mapSide),
-		Reduce: func(key [3]int64, vals []sval, emit func(YEntry)) {
-			// Match 𝒯′ and 𝒯″ records on their original (i,j,k)
-			// coordinate, then cross the q and r columns.
-			type cv struct {
-				col int32
-				val float64
+	return nil
+}
+
+// mergeOp is the final merge of the DRN and DRI plans — the one
+// operator in which the paper's two decompositions differ — and, for
+// the Naive and DNN plans, the column pairing that operator stands for.
+type mergeOp uint8
+
+const (
+	// crossMerge is CrossMerge(𝒯′, 𝒯″)₍ₙ₎ (Definition 3), Tucker's merge:
+	// 𝒴(i,q,r) = Σ_{j,k} 𝒯′(i,j,k,q)·𝒯″(i,j,k,r), every column of one
+	// factor against every column of the other. Both intermediates are
+	// shuffled on their mode-n coordinate — nnz(𝒳)(Q+R) records, the
+	// Table III bound — and each reducer holds one tensor slice
+	// (nnz(𝒳ᵢ::)(Q+R) memory) and forms all Q·R combinations locally.
+	crossMerge mergeOp = iota
+	// pairwiseMerge is PairwiseMerge(𝒯′, 𝒯″)₍ₙ₎ (Definition 4),
+	// PARAFAC's merge: 𝒴(i,r) = Σ_{j,k} 𝒯′(i,j,k,r)·𝒯″(i,j,k,r), equal
+	// columns only. Records are shuffled on (mode-n coordinate, r) —
+	// 2·nnz(𝒳)·R records, the Table IV bound — and reducers pair the
+	// sides on their original coordinate.
+	pairwiseMerge
+)
+
+// mergeLabels names each operator in plan spans, stage spans and jobs.
+var mergeLabels = [...]struct{ method, stage, job string }{
+	crossMerge:    {"tucker", "cross-merge", "crossmerge"},
+	pairwiseMerge: {"parafac", "pairwise-merge", "pairwisemerge"},
+}
+
+// merge runs op over the Hadamard intermediates of one mode-n update:
+// sideFiles[s] holds the files of side s (𝒯′ first) and cols[s] its
+// factor's column count (CrossMerge flattens column indexes by them,
+// see YEntry).
+func (k *stack[I]) merge(c *mr.Cluster, op mergeOp, sideFiles [][]string, cols []int32, n int) ([]YEntry, error) {
+	// CrossMerge reducers need each record's column; PairwiseMerge puts
+	// it in the key instead.
+	mapSide := func(tag uint8) func(HEntryOf[I], func([3]int64, sval[I])) {
+		return func(h HEntryOf[I], emit func([3]int64, sval[I])) {
+			emit([3]int64{h.Idx[n], 0, 0}, sval[I]{tag: tag, idx: h.Idx, col: h.Col, val: h.Val})
+		}
+	}
+	reduce := crossReduce[I](cols)
+	if op == pairwiseMerge {
+		mapSide = func(tag uint8) func(HEntryOf[I], func([3]int64, sval[I])) {
+			return func(h HEntryOf[I], emit func([3]int64, sval[I])) {
+				emit([3]int64{h.Idx[n], int64(h.Col), 0}, sval[I]{tag: tag, idx: h.Idx, val: h.Val})
 			}
-			// Coordinates and (q, r) cells are walked in first-seen order
-			// (vals order is fixed by the engine), never in map order, so
-			// each cell's floating-point summation order — and the
-			// emission order — is identical on every run.
-			t1 := make(map[[3]int64][]cv)
-			t2 := make(map[[3]int64][]cv)
-			var idxOrder [][3]int64
-			for _, v := range vals {
-				if v.tag == tagT1 {
-					if _, ok := t1[v.idx]; !ok {
-						idxOrder = append(idxOrder, v.idx)
-					}
-					t1[v.idx] = append(t1[v.idx], cv{v.col, v.val})
-				} else {
-					t2[v.idx] = append(t2[v.idx], cv{v.col, v.val})
-				}
+		}
+		reduce = k.pairwiseReduce(len(sideFiles))
+	}
+	var inputs []mr.Input[[3]int64, sval[I]]
+	for s, files := range sideFiles {
+		for _, f := range files {
+			inputs = append(inputs, mr.MapInput(f, mapSide(tagT1+uint8(s))))
+		}
+	}
+	out, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], YEntry]{
+		Name:      fmt.Sprintf("%s(mode=%d)", mergeLabels[op].job, n),
+		Inputs:    inputs,
+		Reduce:    reduce,
+		Partition: k.partition,
+		BlockKV:   k.sizer,
+		OutSize:   yEntrySize,
+	})
+	return out, err
+}
+
+// crossReduce matches the sides' records on their original coordinate,
+// then crosses their columns.
+func crossReduce[I index](cols []int32) func([3]int64, []sval[I], func(YEntry)) {
+	sides := len(cols)
+	type cv struct {
+		col int32
+		val float64
+	}
+	return func(key [3]int64, vals []sval[I], emit func(YEntry)) {
+		// Coordinates and (q, r) cells are walked in first-seen order
+		// (vals order is fixed by the engine), never in map order, so
+		// each cell's floating-point summation order — and the
+		// emission order — is identical on every run.
+		var by [maxOrder - 1]map[I][]cv
+		for s := range by[:sides] {
+			by[s] = make(map[I][]cv)
+		}
+		var idxOrder []I
+		for _, v := range vals {
+			side := by[v.tag-tagT1]
+			cells, seen := side[v.idx]
+			if !seen && v.tag == tagT1 {
+				idxOrder = append(idxOrder, v.idx)
 			}
-			acc := make(map[[2]int32]float64)
-			var accOrder [][2]int32
-			for _, idx := range idxOrder {
-				rs, ok := t2[idx]
+			side[v.idx] = append(cells, cv{v.col, v.val})
+		}
+		acc := make(map[[2]int32]float64)
+		var accOrder [][2]int32
+		var left, next []cv // 𝒯′ crossed with every side but the last
+	coords:
+		for _, idx := range idxOrder {
+			left = by[0][idx]
+			for s := 1; s < sides-1; s++ {
+				cells, ok := by[s][idx]
 				if !ok {
-					continue
+					continue coords
 				}
-				for _, qv := range t1[idx] {
-					for _, rv := range rs {
-						qr := [2]int32{qv.col, rv.col}
-						if _, seen := acc[qr]; !seen {
-							accOrder = append(accOrder, qr)
-						}
-						acc[qr] += qv.val * rv.val
+				next = next[:0]
+				for _, a := range left {
+					for _, b := range cells {
+						next = append(next, cv{a.col*cols[s] + b.col, a.val * b.val})
 					}
 				}
+				left, next = next, left
 			}
-			for _, qr := range accOrder {
-				if v := acc[qr]; v != 0 {
-					emit(YEntry{I: key[0], Q: qr[0], R: qr[1], Val: v})
+			rs, ok := by[sides-1][idx]
+			if !ok {
+				continue
+			}
+			for _, qv := range left {
+				for _, rv := range rs {
+					qr := [2]int32{qv.col, rv.col}
+					if _, seen := acc[qr]; !seen {
+						accOrder = append(accOrder, qr)
+					}
+					acc[qr] += qv.val * rv.val
 				}
 			}
-		},
-		Partition: mr.HashTriple,
-		OutSize:   yEntrySize,
-	}
-	svalAccounting(&job, codec)
-	out, _, err := mr.Run(c, job)
-	return out, err
-}
-
-// pairwiseMerge is PairwiseMerge(𝒯′, 𝒯″)₍ₙ₎ (Definition 4), the final
-// step of HaTen2-PARAFAC-DRN/DRI: 𝒴(i,r) = Σ_{j,k} 𝒯′(i,j,k,r)·𝒯″(i,j,k,r).
-// Records are shuffled on (mode-n coordinate, r) — 2·nnz(𝒳)·R records,
-// the Table IV bound — and reducers pair the two sides on their original
-// coordinate.
-func pairwiseMerge(c *mr.Cluster, codec Codec, t1Files, t2Files []string, n int) ([]YEntry, error) {
-	mapSide := func(tag uint8) func(h HEntry, emit func([3]int64, sval)) {
-		return func(h HEntry, emit func([3]int64, sval)) {
-			emit([3]int64{h.Idx[n], int64(h.Col), 0}, sval{tag: tag, idx: h.Idx, val: h.Val})
+		}
+		for _, qr := range accOrder {
+			if v := acc[qr]; v != 0 {
+				emit(YEntry{I: key[0], Q: qr[0], R: qr[1], Val: v})
+			}
 		}
 	}
-	job := mr.Job[[3]int64, sval, YEntry]{
-		Name:   fmt.Sprintf("pairwisemerge(mode=%d)", n),
-		Inputs: sideInputs(t1Files, t2Files, mapSide),
-		Reduce: func(key [3]int64, vals []sval, emit func(YEntry)) {
-			// One scratch map per in-flight reduce call, recycled via the
-			// pool: this reducer runs once per (coordinate, r) key —
-			// millions of calls per ALS iteration — and a fresh map per
-			// call was the plan's dominant allocation.
-			t2 := pairScratchPool.Get().(map[[3]int64]float64)
-			defer func() { clear(t2); pairScratchPool.Put(t2) }()
-			for _, v := range vals {
-				if v.tag == tagT2 {
-					t2[v.idx] += v.val
-				}
-			}
-			var sum float64
-			for _, v := range vals {
-				if v.tag == tagT1 {
-					sum += v.val * t2[v.idx]
-				}
-			}
-			if sum == 0 {
-				return
-			}
-			r := int32(key[1])
-			emit(YEntry{I: key[0], Q: r, R: r, Val: sum})
-		},
-		Partition: mr.HashTriple,
-		OutSize:   yEntrySize,
-	}
-	svalAccounting(&job, codec)
-	out, _, err := mr.Run(c, job)
-	return out, err
 }
 
-// sideInputs builds the merge-job input list: every 𝒯′ file mapped with
-// the tagT1 mapper and every 𝒯″ file with the tagT2 mapper.
-func sideInputs(t1Files, t2Files []string, mapSide func(uint8) func(h HEntry, emit func([3]int64, sval))) []mr.Input[[3]int64, sval] {
-	inputs := make([]mr.Input[[3]int64, sval], 0, len(t1Files)+len(t2Files))
-	for _, f := range t1Files {
-		inputs = append(inputs, mr.MapInput(f, mapSide(tagT1)))
+// pairwiseReduce multiplies, per original coordinate, the 𝒯′ record by
+// the sum of every other side's records there, and sums the products.
+func (k *stack[I]) pairwiseReduce(sides int) func([3]int64, []sval[I], func(YEntry)) {
+	return func(key [3]int64, vals []sval[I], emit func(YEntry)) {
+		// One scratch set per in-flight reduce call, recycled via the
+		// pool: this reducer runs once per (coordinate, r) key —
+		// millions of calls per ALS iteration — and fresh maps per call
+		// were the plan's dominant allocation.
+		acc := k.scratch.Get().(*pairScratch[I])
+		defer func() {
+			for _, m := range acc {
+				clear(m)
+			}
+			k.scratch.Put(acc)
+		}()
+		for _, v := range vals {
+			if v.tag != tagT1 {
+				acc[v.tag-tagT1-1][v.idx] += v.val
+			}
+		}
+		var sum float64
+		for _, v := range vals {
+			if v.tag == tagT1 {
+				term := v.val
+				for _, m := range acc[:sides-1] {
+					term *= m[v.idx]
+				}
+				sum += term
+			}
+		}
+		if sum == 0 {
+			return
+		}
+		r := int32(key[1])
+		emit(YEntry{I: key[0], Q: r, R: r, Val: sum})
 	}
-	for _, f := range t2Files {
-		inputs = append(inputs, mr.MapInput(f, mapSide(tagT2)))
-	}
-	return inputs
 }

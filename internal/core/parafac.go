@@ -10,75 +10,6 @@ import (
 	"github.com/haten2/haten2/internal/tensor"
 )
 
-// Options configures an ALS decomposition run.
-type Options struct {
-	// Variant selects the job plan; the recommended method is DRI
-	// ("just HaTen2"). The zero value is Naive — callers almost always
-	// want to set this.
-	Variant Variant
-	// MaxIters bounds the outer ALS iterations (paper notation T).
-	// Zero means 20.
-	MaxIters int
-	// Tol is the convergence threshold: PARAFAC stops when the fit
-	// improves by less than Tol, Tucker when ‖𝒢‖ increases by less than
-	// Tol relatively (Algorithm 2 line 10). Zero means 1e-4.
-	Tol float64
-	// Seed makes the random factor initialization reproducible.
-	Seed int64
-	// TrackFit records the model fit after every iteration in the
-	// result. It costs one pass over the nonzeros per iteration and is
-	// required for fit-based early stopping in PARAFAC (without it,
-	// PARAFAC stops on component-weight stabilization instead).
-	TrackFit bool
-	// WarmStart, when non-nil, resumes iteration from a previous
-	// PARAFAC model instead of a random initialization — the pattern
-	// for continuing a long decomposition in a later session. The
-	// model's rank must match.
-	WarmStart *tensor.Kruskal
-	// Checkpoint, when non-empty, is a DFS base path under which the
-	// driver persists its complete iteration state after every outer
-	// iteration (atomic commit, older checkpoints pruned), and from
-	// which a fresh run resumes if a checkpoint exists. A run killed
-	// mid-iteration — e.g. by a FaultPlan's KillAfterJobs — can be
-	// restarted on a new cluster sharing the same FS
-	// (mr.NewClusterWithFS) and converges to the bit-identical result.
-	Checkpoint string
-	// Codec selects the shuffle wire format for every job of the run:
-	// CodecColumnar (the default, varint-delta column blocks) or
-	// CodecFixed (the per-record fallback). It affects byte accounting
-	// only — factor outputs are bit-identical under both.
-	Codec Codec
-	// Backend, when non-nil, selects the execution backend for the run:
-	// the driver installs it on the cluster before staging the input (so
-	// the tensor itself ships through the backend's data plane) and
-	// restores the cluster's previous backend on return. Backends — e.g.
-	// the multi-process socket engine of internal/mrproc — may change
-	// wall-clock time and transport statistics, never output bytes.
-	Backend mr.Backend
-}
-
-// installBackend installs opt.Backend on c for the duration of a run.
-// It returns the restore function drivers defer; a nil Backend makes
-// both directions no-ops.
-func installBackend(c *mr.Cluster, opt Options) func() {
-	if opt.Backend == nil {
-		return func() {}
-	}
-	prev := c.Backend()
-	c.SetBackend(opt.Backend)
-	return func() { c.SetBackend(prev) }
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 20
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-4
-	}
-	return o
-}
-
 // ParafacResult is the outcome of a PARAFAC-ALS run.
 type ParafacResult struct {
 	// Model holds λ and the unit-column factor matrices.
@@ -93,169 +24,97 @@ type ParafacResult struct {
 	Converged bool
 }
 
-// ParafacALS runs the 3-way PARAFAC-ALS of Algorithm 1 with the
-// bottleneck 𝒳₍ₙ₎(C⊙B) computed on the cluster by the selected HaTen2
-// plan. The input tensor is staged to the cluster's DFS once; factor
-// matrices live in driver memory (they are I×R with small R) and are
-// staged per job, exactly as the Hadoop implementation keeps them on
-// HDFS between jobs.
+// ParafacALS runs the PARAFAC-ALS of Algorithm 1 on a tensor of order 3
+// or 4, with the bottleneck 𝒳₍ₙ₎(⊙ other factors) computed on the
+// cluster by the selected HaTen2 plan.
 func ParafacALS(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) (*ParafacResult, error) {
+	r := parafacRule("parafac", x.Order(), rank)
+	r.warmStart = true
+	return r.parafac(c, x, rank, opt)
+}
+
+// parafacRule is plain PARAFAC-ALS: the least-squares mode update
+// A⁽ⁿ⁾ ← 𝒴 (∗ₘ A⁽ᵐ⁾ᵀA⁽ᵐ⁾)† with columns renormalized into λ, and the
+// fit-or-λ stopping rule. The extensions start from it and replace what
+// they change.
+func parafacRule(name string, order, rank int) *rule {
+	r := &rule{
+		name:       name,
+		op:         pairwiseMerge,
+		cols:       make([]int, order),
+		initFactor: matrix.Random,
+		model: func(st *alsState) *tensor.Kruskal {
+			return &tensor.Kruskal{Lambda: append([]float64(nil), st.lambda...), Factors: st.factors}
+		},
+		update: func(st *alsState, n int, others []*matrix.Matrix, ys []YEntry, rng *rand.Rand) {
+			// The Gram matrices are R×R, so the update runs locally.
+			y := kruskalProduct(ys, st.factors[n].Rows, rank)
+			a := matrix.Mul(y, matrix.PseudoInverse(gramProduct(others)))
+			for r, nv := range a.NormalizeColumns() {
+				if nv == 0 {
+					// A dead component: reinitialize its column so ALS can
+					// recover rather than propagate zeros.
+					for i := 0; i < a.Rows; i++ {
+						a.Set(i, r, rng.Float64())
+					}
+					a.NormalizeColumns()
+					nv = 1
+				}
+				st.lambda[r] = nv
+			}
+			st.factors[n] = a
+		},
+	}
+	for m := range r.cols {
+		r.cols[m] = rank
+	}
+	// The epilogue sees the state through r.model (read at call time, so
+	// a rule that replaces the model is judged on its own): record the
+	// fit when tracked and stop when it improves by less than Tol — or,
+	// when fit tracking is off, when the component weights stabilize.
+	r.finish = func(st *alsState, x *tensor.Tensor, it int, opt Options) bool {
+		m := r.model(st)
+		copy(st.lambda, m.Lambda)
+		if !opt.TrackFit {
+			if it == 0 {
+				return false
+			}
+			maxRel := 0.0
+			for i, l := range st.lambda {
+				maxRel = math.Max(maxRel, math.Abs(l-st.prevLambda[i])/math.Max(1, math.Abs(l)))
+			}
+			return maxRel < opt.Tol
+		}
+		fit := m.Fit(x)
+		st.fits = append(st.fits, fit)
+		// Stop only on a small *improvement*; transient decreases keep
+		// the loop running.
+		if d := fit - st.prev; d >= 0 && d < opt.Tol {
+			return true
+		}
+		st.prev = fit
+		return false
+	}
+	return r
+}
+
+// gramProduct is ∗ₘ A⁽ᵐ⁾ᵀA⁽ᵐ⁾ over the given factors.
+func gramProduct(factors []*matrix.Matrix) *matrix.Matrix {
+	g := matrix.Gram(factors[0])
+	for _, f := range factors[1:] {
+		g = matrix.Hadamard(g, matrix.Gram(f))
+	}
+	return g
+}
+
+// parafac runs the loop under r and reports the final state as a model.
+func (r *rule) parafac(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) (*ParafacResult, error) {
 	if rank <= 0 {
 		return nil, fmt.Errorf("core: rank must be positive, got %d", rank)
 	}
-	opt = opt.withDefaults()
-	defer installBackend(c, opt)()
-	s, err := Stage(c, tmpName(c, "parafac", "X"), x)
+	st, err := runALS(c, x, opt, r)
 	if err != nil {
 		return nil, err
 	}
-	defer s.cleanup([]string{s.Name})
-	return parafacALSStaged(s, x, rank, opt)
-}
-
-// parafacALSStaged runs ALS against an already-staged tensor. x is the
-// in-memory copy used only for fit evaluation.
-func parafacALSStaged(s *Staged, x *tensor.Tensor, rank int, opt Options) (*ParafacResult, error) {
-	s.SetCodec(opt.Codec)
-	tr := s.cluster.Tracer()
-	defer tr.End(tr.Begin("run", "parafac-als/"+opt.Variant.String()))
-	rng := rand.New(rand.NewSource(opt.Seed))
-	factors := make([]*matrix.Matrix, 3)
-	lambda := make([]float64, rank)
-	if ws := opt.WarmStart; ws != nil {
-		if ws.Rank() != rank || len(ws.Factors) != 3 {
-			return nil, fmt.Errorf("core: warm start has rank %d / %d factors, want rank %d / 3", ws.Rank(), len(ws.Factors), rank)
-		}
-		for m := 0; m < 3; m++ {
-			if int64(ws.Factors[m].Rows) != s.Dims[m] {
-				return nil, fmt.Errorf("core: warm-start factor %d has %d rows, tensor mode has %d", m, ws.Factors[m].Rows, s.Dims[m])
-			}
-			factors[m] = ws.Factors[m].Clone()
-		}
-		copy(lambda, ws.Lambda)
-		// Fold λ into the first factor so the sweep's renormalization
-		// starts from the same model.
-		factors[0].ScaleColumns(lambda)
-	} else {
-		for m := 0; m < 3; m++ {
-			factors[m] = matrix.Random(int(s.Dims[m]), rank, rng)
-		}
-		for r := range lambda {
-			lambda[r] = 1
-		}
-	}
-	res := &ParafacResult{}
-	prevFit := math.Inf(-1)
-	prevLambda := make([]float64, rank)
-	startIter := 0
-	if opt.Checkpoint != "" {
-		ck, ckIter, err := loadParafacCheckpoint(s.cluster, opt.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil {
-			if len(ck.factors) != 3 || ck.factors[0].Cols != rank {
-				return nil, fmt.Errorf("core: checkpoint %q has rank %d, want %d",
-					opt.Checkpoint, ck.factors[0].Cols, rank)
-			}
-			for m := range factors {
-				factors[m] = ck.factors[m].Clone()
-			}
-			copy(lambda, ck.lambda)
-			copy(prevLambda, ck.prevLambda)
-			prevFit = ck.prevFit
-			res.Fits = append([]float64(nil), ck.fits...)
-			res.Iters = ckIter
-			startIter = ckIter
-			if ck.converged {
-				res.Converged = true
-				res.Model = &tensor.Kruskal{Lambda: lambda, Factors: factors}
-				return res, nil
-			}
-		}
-	}
-	for it := startIter; it < opt.MaxIters; it++ {
-		iterSpan := tr.Begin("iter", fmt.Sprintf("iter%02d", it))
-		copy(prevLambda, lambda)
-		// Randomness inside the sweep (dead-component reinit) is keyed
-		// to (Seed, it) so a checkpoint-resumed run draws identically.
-		sweepRNG := rand.New(rand.NewSource(iterSeed(opt.Seed, it)))
-		if err := parafacSweep(s, factors, lambda, sweepRNG, opt.Variant); err != nil {
-			return nil, err
-		}
-		res.Iters = it + 1
-		converged := false
-		if !opt.TrackFit && it > 0 {
-			// Cheap convergence criterion when fit tracking is off:
-			// stop when the component weights stabilize.
-			maxRel := 0.0
-			for r := range lambda {
-				rel := math.Abs(lambda[r]-prevLambda[r]) / math.Max(1, math.Abs(lambda[r]))
-				if rel > maxRel {
-					maxRel = rel
-				}
-			}
-			if maxRel < opt.Tol {
-				converged = true
-			}
-		}
-		if opt.TrackFit {
-			model := &tensor.Kruskal{Lambda: append([]float64(nil), lambda...), Factors: factors}
-			fit := model.Fit(x)
-			res.Fits = append(res.Fits, fit)
-			if fit-prevFit >= 0 && fit-prevFit < opt.Tol {
-				converged = true
-			} else {
-				prevFit = fit
-			}
-		}
-		if opt.Checkpoint != "" {
-			if err := saveParafacCheckpoint(s.cluster, opt.Checkpoint, it+1,
-				factors, lambda, prevLambda, prevFit, res.Fits, converged); err != nil {
-				return nil, err
-			}
-		}
-		tr.End(iterSpan)
-		if converged {
-			res.Converged = true
-			break
-		}
-	}
-	res.Model = &tensor.Kruskal{Lambda: lambda, Factors: factors}
-	return res, nil
-}
-
-// parafacSweep performs one outer ALS iteration (all three mode
-// updates, Algorithm 1 lines 3–8) in place on factors and lambda.
-func parafacSweep(s *Staged, factors []*matrix.Matrix, lambda []float64, rng *rand.Rand, variant Variant) error {
-	tr := s.cluster.Tracer()
-	for n := 0; n < 3; n++ {
-		modeSpan := tr.Begin("mode", fmt.Sprintf("mode%d", n))
-		m1, m2 := otherModes(n)
-		// 𝒴 ← 𝒳₍ₙ₎ (A⁽ᵐ²⁾ ⊙ A⁽ᵐ¹⁾) on the cluster.
-		y, err := ParafacContract(s, n, factors[m1], factors[m2], variant)
-		if err != nil {
-			return err
-		}
-		// A⁽ⁿ⁾ ← 𝒴 (A⁽ᵐ²⁾ᵀA⁽ᵐ²⁾ ∗ A⁽ᵐ¹⁾ᵀA⁽ᵐ¹⁾)† locally: the Gram
-		// matrices are R×R.
-		gram := matrix.Hadamard(matrix.Gram(factors[m1]), matrix.Gram(factors[m2]))
-		a := matrix.Mul(y, matrix.PseudoInverse(gram))
-		norms := a.NormalizeColumns()
-		for r, nv := range norms {
-			if nv == 0 {
-				// A dead component: reinitialize its column so ALS can
-				// recover rather than propagate zeros.
-				for i := 0; i < a.Rows; i++ {
-					a.Set(i, r, rng.Float64())
-				}
-				a.NormalizeColumns()
-				nv = 1
-			}
-			lambda[r] = nv
-		}
-		factors[n] = a
-		tr.End(modeSpan)
-	}
-	return nil
+	return &ParafacResult{Model: r.model(st), Iters: st.iters, Fits: st.fits, Converged: st.converged}, nil
 }

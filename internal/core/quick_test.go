@@ -207,7 +207,7 @@ func TestTuckerOnBinaryTensor(t *testing.T) {
 	}
 	x.Coalesce()
 	c := testCluster()
-	if _, err := TuckerALS(c, x, [3]int{2, 2, 2}, Options{Variant: DRI, MaxIters: 3, Seed: 1}); err != nil {
+	if _, err := TuckerALS(c, x, []int{2, 2, 2}, Options{Variant: DRI, MaxIters: 3, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -270,7 +270,7 @@ func TestQuickTuckerMatchesBaselineToolbox(t *testing.T) {
 		}
 		v := Variants[rng.Intn(len(Variants))]
 		opt := Options{Variant: v, MaxIters: 2, Tol: 1e-12, Seed: seed}
-		got, err := TuckerALS(testCluster(), x, [3]int{2, 2, 2}, opt)
+		got, err := TuckerALS(testCluster(), x, []int{2, 2, 2}, opt)
 		if err != nil {
 			t.Logf("distributed: %v", err)
 			return false

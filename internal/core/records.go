@@ -9,10 +9,15 @@
 //	DRN    dependency removal via CrossMerge / PairwiseMerge (Alg. 7, 8)
 //	DRI    job integration via IMHP: exactly two jobs (Alg. 9, 10)
 //
-// On top of the plans, ParafacALS (Algorithm 1) and TuckerALS
-// (Algorithm 2) run full alternating-least-squares decompositions on a
-// simulated cluster, and the package also provides the paper's stated
-// future-work extensions (nonnegative and masked PARAFAC).
+// The paper states its operators for N-way tensors and observes that
+// PARAFAC and Tucker differ only in the final merge, and the package is
+// built the same way: one record family and one set of jobs,
+// instantiated per tensor order (3 and 4; the 3-way case is N = 3, not
+// a separate stack) and parameterised by the merge operator; one ALS
+// loop (als.go) that ParafacALS (Algorithm 1), TuckerALS (Algorithm 2)
+// and the paper's stated future-work extensions (nonnegative and masked
+// PARAFAC) instantiate with their update rule; and one shuffle codec
+// (colcodec.go) every job is charged through.
 package core
 
 import (
@@ -23,12 +28,24 @@ import (
 	"github.com/haten2/haten2/internal/tensor"
 )
 
-// Entry is one nonzero of a 3-way tensor as staged on the DFS:
+// maxOrder is the largest tensor order the plans support — the order of
+// the paper's motivating (source-ip, target-ip, port, timestamp) logs.
+const maxOrder = 4
+
+// index is a tensor coordinate, one int64 per mode. Records and jobs
+// are instantiated once per supported order, so an order-3 record is
+// exactly as wide as its coordinate.
+type index interface{ [3]int64 | [4]int64 }
+
+// EntryOf is one nonzero of a tensor as staged on the DFS:
 // ⟨i, j, k, 𝒳(i,j,k)⟩ in the paper's notation.
-type Entry struct {
-	Idx [3]int64
+type EntryOf[I index] struct {
+	Idx I
 	Val float64
 }
+
+// Entry is the 3-way EntryOf.
+type Entry = EntryOf[[3]int64]
 
 // MatEntry is one cell of a factor matrix: ⟨row, col, value⟩.
 type MatEntry struct {
@@ -37,25 +54,33 @@ type MatEntry struct {
 	Val float64
 }
 
-// HEntry is one nonzero of a Hadamard-product intermediate (𝒯′ or 𝒯″):
-// the original tensor coordinate plus the appended factor-column index
-// (Definition 5: the result of ∗ₙ has one extra mode).
-type HEntry struct {
-	Idx [3]int64
+// HEntryOf is one nonzero of a Hadamard-product intermediate (𝒯′ or
+// 𝒯″): the original tensor coordinate plus the appended factor-column
+// index (Definition 5: the result of ∗ₙ has one extra mode).
+type HEntryOf[I index] struct {
+	Idx I
 	Col int32
 	Val float64
 }
 
-// YEntry is one entry of a contracted result: for Tucker, 𝒴(i, q, r);
-// for PARAFAC, 𝒴(i, r) with Q == R.
+// HEntry is the 3-way HEntryOf.
+type HEntry = HEntryOf[[3]int64]
+
+// YEntry is one entry of a contracted result, matricized along the
+// updated mode: row I, and the column indexes of the multiplied modes —
+// R for the last of them, Q for the others flattened row-major. On a
+// 3-way tensor that is Tucker's 𝒴(i, q, r); PARAFAC's 𝒴(i, r) has
+// Q == R.
 type YEntry struct {
 	I    int64
 	Q, R int32
 	Val  float64
 }
 
-// On-disk record sizes in bytes, used for all DFS and shuffle accounting.
-// They correspond to the plain binary encodings of the structs above.
+// Fixed record widths in bytes of the 3-way records (each further mode
+// adds 8). They price what is never block-encoded: DFS files, job
+// outputs, and the Naive plan's phantom broadcast copies. Shuffles are
+// charged what the columnar codec really writes (colcodec.go).
 const (
 	entryBytes    = 32 // 3×int64 + float64
 	matEntryBytes = 20 // int64 + int32 + float64
@@ -64,20 +89,20 @@ const (
 )
 
 // Package-level size functions for the record types above. Every job a
-// plan runs passes these as its KVSize/OutSize callbacks; hoisting them
-// here (instead of building a fresh closure at each call site) keeps
-// the per-record accounting calls allocation-free and lets all jobs of
-// an ALS run share the same function values.
-func entrySize(Entry) int64       { return entryBytes }
-func matEntrySize(MatEntry) int64 { return matEntryBytes }
-func hEntrySize(HEntry) int64     { return hEntryBytes }
-func yEntrySize(YEntry) int64     { return yEntryBytes }
+// plan runs passes these as its OutSize callbacks; hoisting them here
+// (instead of building a fresh closure at each call site) keeps the
+// per-record accounting calls allocation-free and lets all jobs of an
+// ALS run share the same function values.
+func entrySize[I index](e EntryOf[I]) int64   { return entryBytes + 8*int64(len(e.Idx)-3) }
+func hEntrySize[I index](h HEntryOf[I]) int64 { return hEntryBytes + 8*int64(len(h.Idx)-3) }
+func matEntrySize(MatEntry) int64             { return matEntryBytes }
+func yEntrySize(YEntry) int64                 { return yEntryBytes }
 
 // sval is the single shuffle value type every HaTen2 job uses, tagged by
 // which input the record came from.
-type sval struct {
-	tag uint8 // tagTensor, tagMat, tagT1, tagT2
-	idx [3]int64
+type sval[I index] struct {
+	tag uint8 // tagTensor, tagMat, or tagT1+s for side s of a merge
+	idx I
 	col int32
 	val float64
 }
@@ -85,8 +110,7 @@ type sval struct {
 const (
 	tagTensor = uint8(iota)
 	tagMat
-	tagT1
-	tagT2
+	tagT1 // 𝒯′; the 𝒯″ sides follow (tagT1+1, …)
 )
 
 // Staged is an input tensor written to a cluster's DFS together with the
@@ -94,67 +118,96 @@ const (
 // variant's broadcast emulation — the distinct fiber keys per mode).
 type Staged struct {
 	Name string
-	Dims [3]int64
+	Dims []int64
 	NNZ  int64
 
 	cluster *mr.Cluster
 	// fibers[m] caches the distinct coordinate pairs of modes ≠ m, i.e.
-	// the reducer keys of the Naive plan's broadcast for mode m.
+	// the reducer keys of the (3-way) Naive plan's broadcast for mode m.
 	fibers [3][][2]int64
-	// codec selects the shuffle wire format of the jobs run against this
-	// tensor (CodecColumnar unless overridden via SetCodec).
-	codec Codec
 }
 
-// SetCodec selects the shuffle codec for subsequent jobs run against
-// this staged tensor. The codec only changes shuffle byte accounting
-// (and hence trace/exhaustion behavior), never results: plans, routing
-// and reduce orders are codec-independent.
-func (s *Staged) SetCodec(c Codec) { s.codec = c }
-
-// Stage writes a coalesced 3-way tensor to the cluster DFS under name
-// and returns its handle. Decomposition drivers and benchmarks stage the
-// tensor once and run many jobs against it.
+// Stage writes a coalesced tensor of order 3 or 4 to the cluster DFS
+// under name and returns its handle. Decomposition drivers and
+// benchmarks stage the tensor once and run many jobs against it.
 func Stage(c *mr.Cluster, name string, x *tensor.Tensor) (*Staged, error) {
-	if x.Order() != 3 {
-		return nil, fmt.Errorf("core: Stage requires a 3-way tensor, got order %d", x.Order())
+	var write func(*mr.Cluster, string, *tensor.Tensor) error
+	switch x.Order() {
+	case 3:
+		write = writeEntries[[3]int64]
+	case 4:
+		write = writeEntries[[4]int64]
+	default:
+		return nil, fmt.Errorf("core: Stage supports tensors of order 3 to %d, got order %d", maxOrder, x.Order())
 	}
 	x.Coalesce()
-	entries := make([]Entry, x.NNZ())
-	for p := range entries {
-		idx := x.Index(p)
-		entries[p] = Entry{Idx: [3]int64{idx[0], idx[1], idx[2]}, Val: x.Value(p)}
-	}
-	if err := mr.WriteFile(c, name, entries, entrySize); err != nil {
+	if err := write(c, name, x); err != nil {
 		return nil, err
 	}
-	d := x.Dims()
-	return &Staged{
-		Name:    name,
-		Dims:    [3]int64{d[0], d[1], d[2]},
-		NNZ:     int64(x.NNZ()),
-		cluster: c,
-	}, nil
+	return &Staged{Name: name, Dims: x.Dims(), NNZ: int64(x.NNZ()), cluster: c}, nil
+}
+
+func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
+	entries := make([]EntryOf[I], x.NNZ())
+	for p := range entries {
+		e := &entries[p]
+		for m, i := range x.Index(p) {
+			e.Idx[m] = i
+		}
+		e.Val = x.Value(p)
+	}
+	return mr.WriteFile(c, name, entries, entrySize[I])
 }
 
 // Cluster returns the cluster the tensor is staged on.
 func (s *Staged) Cluster() *mr.Cluster { return s.cluster }
 
-// otherModes returns the two modes ≠ n in ascending order.
-func otherModes(n int) (int, int) {
-	switch n {
-	case 0:
-		return 1, 2
-	case 1:
-		return 0, 2
-	case 2:
-		return 0, 1
+// cleanup deletes temporary DFS files, ignoring absent ones.
+func (s *Staged) cleanup(files []string) {
+	for _, f := range files {
+		if s.cluster.FS().Exists(f) {
+			// Exists-guarded, so ErrNotExist (Delete's only error) is
+			// impossible; this defer-path has no caller to report to.
+			//haten2:allow errcheck-io best-effort temp cleanup, Delete can only return ErrNotExist and the file was just checked
+			_ = s.cluster.FS().Delete(f)
+		}
 	}
-	panic(fmt.Sprintf("core: invalid mode %d for 3-way tensor", n))
 }
 
-// fiberKeys returns the distinct (a, b) coordinate pairs over the modes
-// other than m present in the staged tensor, reading the staged file
+// others returns the modes ≠ n of an order-N tensor in ascending order.
+func others(order, n int) []int {
+	out := make([]int, 0, order-1)
+	for m := 0; m < order; m++ {
+		if m != n {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// otherModes is others for the 3-way-only Naive and DNN plans.
+func otherModes(n int) (int, int) {
+	o := others(3, n)
+	return o[0], o[1]
+}
+
+// distinctPairs returns the distinct (a, b) coordinate pairs of entries
+// in first-seen order — the fiber keys a Naive broadcast targets.
+func distinctPairs(entries []Entry, a, b int) [][2]int64 {
+	seen := make(map[[2]int64]struct{})
+	var keys [][2]int64
+	for _, e := range entries {
+		k := [2]int64{e.Idx[a], e.Idx[b]}
+		if _, ok := seen[k]; !ok {
+			seen[k] = struct{}{}
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// fiberKeys returns the distinct coordinate pairs over the modes other
+// than m present in the staged 3-way tensor, reading the staged file
 // once. The Naive plan broadcasts the factor vector to these keys.
 func (s *Staged) fiberKeys(m int) ([][2]int64, error) {
 	if s.fibers[m] != nil {
@@ -165,17 +218,8 @@ func (s *Staged) fiberKeys(m int) ([][2]int64, error) {
 		return nil, err
 	}
 	m1, m2 := otherModes(m)
-	seen := make(map[[2]int64]struct{})
-	var keys [][2]int64
-	for _, e := range entries {
-		k := [2]int64{e.Idx[m1], e.Idx[m2]}
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			keys = append(keys, k)
-		}
-	}
-	s.fibers[m] = keys
-	return keys, nil
+	s.fibers[m] = distinctPairs(entries, m1, m2)
+	return s.fibers[m], nil
 }
 
 // stageMatrix writes a factor matrix to the DFS as per-cell records,

@@ -84,8 +84,8 @@ func TestParafacCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("want ErrClusterKilled mid-run, got %v", err)
 	}
 	// At least one checkpoint must have been committed before the kill.
-	if _, it, err := loadParafacCheckpoint(c1, opt.Checkpoint); err != nil || it == 0 {
-		t.Fatalf("no checkpoint survived the kill: it=%d err=%v", it, err)
+	if st, err := loadCheckpoint(c1, opt.Checkpoint, "parafac"); err != nil || st == nil || st.iters == 0 {
+		t.Fatalf("no checkpoint survived the kill: state=%+v err=%v", st, err)
 	}
 
 	// Restart: new cluster (fresh JobTracker), same DFS, still-faulty but
@@ -125,7 +125,7 @@ func TestParafacCheckpointResumeBitIdentical(t *testing.T) {
 func TestTuckerCheckpointResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randomSparse(rng, [3]int64{10, 9, 8}, 70)
-	core := [3]int{3, 2, 2}
+	core := []int{3, 2, 2}
 	opt := Options{Variant: DRI, MaxIters: 5, Tol: 1e-12, Seed: 23}
 
 	ref, err := TuckerALS(testCluster(), x, core, opt)
@@ -203,7 +203,7 @@ func TestCheckpointPruneAndMismatch(t *testing.T) {
 		t.Fatal("rank-mismatched checkpoint resumed silently")
 	}
 	// Driver-type mismatch too.
-	if _, err := TuckerALS(c, x, [3]int{2, 2, 2}, opt); err == nil {
+	if _, err := TuckerALS(c, x, []int{2, 2, 2}, opt); err == nil {
 		t.Fatal("Tucker resumed from a PARAFAC checkpoint")
 	}
 }

@@ -128,7 +128,7 @@ func TestStorageDataLossCheckpointResume(t *testing.T) {
 		if !errors.As(err, &dl) {
 			t.Fatalf("seed %d: unexpected error class: %v", s, err)
 		}
-		if _, it, ckErr := loadParafacCheckpoint(c, opt.Checkpoint); ckErr == nil && it > 0 {
+		if st, ckErr := loadCheckpoint(c, opt.Checkpoint, "parafac"); ckErr == nil && st != nil && st.iters > 0 {
 			survivor, lossErr = c, err
 			break
 		}

@@ -25,12 +25,17 @@ type TuckerResult struct {
 	Converged bool
 }
 
-// TuckerALS runs the 3-way Tucker-ALS of Algorithm 2 with the bottleneck
-// 𝒳 ×_{m1} U1ᵀ ×_{m2} U2ᵀ computed on the cluster by the selected
-// HaTen2 plan. core gives the desired core tensor shape (P, Q, R); the
-// factor update (P leading left singular vectors of Y₍ₙ₎) runs locally
-// because Y₍ₙ₎ is an Iₙ×(Q·R) matrix with a tiny second dimension.
-func TuckerALS(c *mr.Cluster, x *tensor.Tensor, core [3]int, opt Options) (*TuckerResult, error) {
+// TuckerALS runs the Tucker-ALS of Algorithm 2 on a tensor of order 3
+// or 4, with the bottleneck 𝒳 ×ₘ A⁽ᵐ⁾ᵀ chain over the other modes
+// computed on the cluster by the selected HaTen2 plan. core gives the
+// desired core tensor shape, one entry per mode; the factor update
+// (core[n] leading left singular vectors of Y₍ₙ₎) runs locally because
+// Y₍ₙ₎ is an Iₙ×Π core[m] matrix with a tiny second dimension.
+func TuckerALS(c *mr.Cluster, x *tensor.Tensor, core []int, opt Options) (*TuckerResult, error) {
+	order := x.Order()
+	if len(core) != order {
+		return nil, fmt.Errorf("core: TuckerALS wants %d core dims, got %d", order, len(core))
+	}
 	for m, p := range core {
 		if p <= 0 {
 			return nil, fmt.Errorf("core: core dimension %d is %d, must be positive", m, p)
@@ -39,118 +44,85 @@ func TuckerALS(c *mr.Cluster, x *tensor.Tensor, core [3]int, opt Options) (*Tuck
 			return nil, fmt.Errorf("core: core dimension %d (%d) exceeds tensor dim %d", m, p, x.Dim(m))
 		}
 	}
-	opt = opt.withDefaults()
-	defer installBackend(c, opt)()
-	s, err := Stage(c, tmpName(c, "tucker", "X"), x)
+	// lastY is the final mode's contraction 𝒴 = 𝒳 ×₁A⁽¹⁾ᵀ … ×_{N-1}A⁽ᴺ⁻¹⁾ᵀ,
+	// which the epilogue turns into the core.
+	var lastY []YEntry
+	st, err := runALS(c, x, opt, &rule{
+		name: "tucker",
+		op:   crossMerge,
+		cols: core,
+		// All factors start as random orthonormal frames (Algorithm 2
+		// initializes B and C; mode 0 is overwritten by the first update).
+		initFactor: func(rows, cols int, rng *rand.Rand) *matrix.Matrix {
+			q, _ := matrix.QR(matrix.Random(rows, cols, rng))
+			return q
+		},
+		update: func(st *alsState, n int, others []*matrix.Matrix, ys []YEntry, _ *rand.Rand) {
+			// A⁽ⁿ⁾ ← leading core[n] left singular vectors of Y₍ₙ₎, whose
+			// columns are the multiplied modes' columns flattened (the
+			// layout does not affect the left singular vectors).
+			last := others[len(others)-1].Cols
+			cols := last
+			for _, o := range others[:len(others)-1] {
+				cols *= o.Cols
+			}
+			ym := matrix.New(st.factors[n].Rows, cols)
+			for _, y := range ys {
+				ym.Set(int(y.I), int(y.Q)*last+int(y.R), y.Val)
+			}
+			st.factors[n] = matrix.LeadingLeftSingularVectors(ym, core[n])
+			if n == order-1 {
+				lastY = ys
+			}
+		},
+		finish: func(st *alsState, x *tensor.Tensor, it int, opt Options) bool {
+			// 𝒢 ← 𝒴 ×_N A⁽ᴺ⁾ᵀ (Algorithm 2 line 9): contract the last
+			// mode of 𝒴 against the freshly updated last factor.
+			coreDims := make([]int64, order)
+			for m, p := range core {
+				coreDims[m] = int64(p)
+			}
+			g := tensor.NewDense(coreDims...)
+			af := st.factors[order-1]
+			coords := make([]int64, order)
+			for _, y := range lastY {
+				// Unflatten Q into the leading modes' core coordinates.
+				q := int64(y.Q)
+				for m := order - 3; m >= 0; m-- {
+					coords[m], q = q%coreDims[m], q/coreDims[m]
+				}
+				coords[order-2] = int64(y.R)
+				for r := 0; r < core[order-1]; r++ {
+					cv := af.At(int(y.I), r)
+					if cv == 0 {
+						continue
+					}
+					coords[order-1] = int64(r)
+					g.Add(y.Val*cv, coords...)
+				}
+			}
+			norm := g.Norm()
+			st.core = g
+			st.coreNorms = append(st.coreNorms, norm)
+			if opt.TrackFit {
+				st.fits = append(st.fits, (&tensor.TuckerModel{Core: g, Factors: st.factors}).Fit(x))
+			}
+			// Stop when ‖𝒢‖ ceases to increase (Algorithm 2 line 10).
+			if it > 0 && norm-st.prev < opt.Tol*math.Max(1, st.prev) {
+				return true
+			}
+			st.prev = norm
+			return false
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer s.cleanup([]string{s.Name})
-	return tuckerALSStaged(s, x, core, opt)
-}
-
-func tuckerALSStaged(s *Staged, x *tensor.Tensor, core [3]int, opt Options) (*TuckerResult, error) {
-	s.SetCodec(opt.Codec)
-	tr := s.cluster.Tracer()
-	defer tr.End(tr.Begin("run", "tucker-als/"+opt.Variant.String()))
-	rng := rand.New(rand.NewSource(opt.Seed))
-	// Initialize all factors as random orthonormal frames (Algorithm 2
-	// initializes B and C; mode-0 is overwritten by the first update).
-	factors := make([]*matrix.Matrix, 3)
-	for m := 0; m < 3; m++ {
-		q, _ := matrix.QR(matrix.Random(int(s.Dims[m]), core[m], rng))
-		factors[m] = q
-	}
-	res := &TuckerResult{}
-	var lastY []YEntry
-	prevNorm := 0.0
-	startIter := 0
-	if opt.Checkpoint != "" {
-		ck, ckIter, err := loadTuckerCheckpoint(s.cluster, opt.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil {
-			for m := range factors {
-				if len(ck.factors) != 3 || ck.factors[m].Cols != core[m] {
-					return nil, fmt.Errorf("core: checkpoint %q does not match core shape %v",
-						opt.Checkpoint, core)
-				}
-			}
-			for m := range factors {
-				factors[m] = ck.factors[m].Clone()
-			}
-			res.CoreNorms = append([]float64(nil), ck.coreNorms...)
-			res.Fits = append([]float64(nil), ck.fits...)
-			res.Iters = ckIter
-			res.Model = &tensor.TuckerModel{Core: cloneDense(ck.core), Factors: cloneMatrices(ck.factors)}
-			prevNorm = ck.prevNorm
-			startIter = ckIter
-			if ck.converged {
-				res.Converged = true
-				return res, nil
-			}
-		}
-	}
-	for it := startIter; it < opt.MaxIters; it++ {
-		iterSpan := tr.Begin("iter", fmt.Sprintf("iter%02d", it))
-		for n := 0; n < 3; n++ {
-			modeSpan := tr.Begin("mode", fmt.Sprintf("mode%d", n))
-			m1, m2 := otherModes(n)
-			ys, err := TuckerContract(s, n, factors[m1], factors[m2], opt.Variant)
-			if err != nil {
-				return nil, err
-			}
-			// A⁽ⁿ⁾ ← leading core[n] left singular vectors of Y₍ₙ₎.
-			// Y₍ₙ₎ is Iₙ × (core[m1]·core[m2]); the column layout does
-			// not affect the left singular vectors.
-			ym := matrix.New(int(s.Dims[n]), core[m1]*core[m2])
-			for _, y := range ys {
-				ym.Set(int(y.I), int(y.Q)*core[m2]+int(y.R), y.Val)
-			}
-			factors[n] = matrix.LeadingLeftSingularVectors(ym, core[n])
-			if n == 2 {
-				lastY = ys
-			}
-			tr.End(modeSpan)
-		}
-		// 𝒢 ← 𝒴 ×₃ Cᵀ (Algorithm 2 line 9): the last contraction built
-		// 𝒴 = 𝒳 ×₁Aᵀ ×₂Bᵀ with entries (k, p, q); contract mode 3
-		// against the freshly updated C.
-		g := tensor.NewDense(int64(core[0]), int64(core[1]), int64(core[2]))
-		cf := factors[2]
-		for _, y := range lastY {
-			for r := 0; r < core[2]; r++ {
-				cv := cf.At(int(y.I), r)
-				if cv == 0 {
-					continue
-				}
-				g.Add(y.Val*cv, int64(y.Q), int64(y.R), int64(r))
-			}
-		}
-		norm := g.Norm()
-		res.CoreNorms = append(res.CoreNorms, norm)
-		res.Iters = it + 1
-		res.Model = &tensor.TuckerModel{Core: g, Factors: append([]*matrix.Matrix(nil), factors...)}
-		if opt.TrackFit {
-			res.Fits = append(res.Fits, res.Model.Fit(x))
-		}
-		// Stop when ‖𝒢‖ ceases to increase (Algorithm 2 line 10).
-		converged := it > 0 && norm-prevNorm < opt.Tol*math.Max(1, prevNorm)
-		if !converged {
-			prevNorm = norm
-		}
-		if opt.Checkpoint != "" {
-			if err := saveTuckerCheckpoint(s.cluster, opt.Checkpoint, it+1,
-				factors, g, res.CoreNorms, res.Fits, prevNorm, converged); err != nil {
-				return nil, err
-			}
-		}
-		tr.End(iterSpan)
-		if converged {
-			res.Converged = true
-			break
-		}
-	}
-	return res, nil
+	return &TuckerResult{
+		Model:     &tensor.TuckerModel{Core: st.core, Factors: st.factors},
+		Iters:     st.iters,
+		CoreNorms: st.coreNorms,
+		Fits:      st.fits,
+		Converged: st.converged,
+	}, nil
 }

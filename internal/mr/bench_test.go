@@ -71,64 +71,6 @@ func BenchmarkParafacDRIIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineShuffleCodecs drives the engine through one real
-// PARAFAC-DRI contraction under each shuffle wire format — the CI
-// bench-smoke for the codec switch. Beyond timing, each sub-benchmark
-// verifies the codec contract and fails (not just regresses) when it
-// breaks: the columnar run must charge strictly fewer shuffle bytes
-// than the fixed-width run, and an encode→decode round trip of a
-// columnar block must succeed (a decode error is a bug in the wire
-// format, never a perf matter).
-func BenchmarkEngineShuffleCodecs(b *testing.B) {
-	const (
-		dim  = 150
-		nnz  = 150_000
-		rank = 4
-	)
-	x := gen.Random(7, [3]int64{dim, dim, dim}, nnz)
-	probe := []core.Entry{
-		{Idx: [3]int64{0, 1, 2}, Val: 0.5},
-		{Idx: [3]int64{3, 1, 2}, Val: -4.25},
-		{Idx: [3]int64{3, 5, 0}, Val: 1e-9},
-	}
-	bytesPerOp := map[string]float64{}
-	for _, codec := range []core.Codec{core.CodecFixed, core.CodecColumnar} {
-		b.Run(codec.String(), func(b *testing.B) {
-			if enc := core.AppendEntryBlock(nil, probe); true {
-				dec, rest, err := core.DecodeEntryBlock(enc)
-				if err != nil || len(rest) != 0 || len(dec) != len(probe) {
-					b.Fatalf("columnar round trip failed: %v (%d trailing, %d records)", err, len(rest), len(dec))
-				}
-			}
-			c := benchCluster()
-			s, err := core.Stage(c, "X", x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetCodec(codec)
-			rng := rand.New(rand.NewSource(7))
-			u1 := matrix.Random(dim, rank, rng)
-			u2 := matrix.Random(dim, rank, rng)
-			c.ResetCounters()
-			b.SetBytes(int64(nnz))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ParafacContract(s, 0, u1, u2, core.DRI); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			perOp := float64(c.Totals().ShuffleBytes) / float64(b.N)
-			b.ReportMetric(perOp, "shuffle-B/op")
-			bytesPerOp[codec.String()] = perOp
-			if f, ok := bytesPerOp["fixed"]; ok && codec == core.CodecColumnar && perOp >= f {
-				b.Fatalf("columnar shuffle bytes %.0f not strictly below fixed %.0f", perOp, f)
-			}
-		})
-	}
-}
-
 // BenchmarkEngineShuffle isolates mr.Run itself: a 1M-pair job with a
 // fan-in key space, no combiner, trivial reduce. This is the pure
 // map → shuffle-group → reduce path with none of core's arithmetic.

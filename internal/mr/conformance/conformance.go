@@ -117,7 +117,7 @@ func goldenTraces(t *testing.T, newBackend Factory) {
 				case "parafac":
 					_, err = core.ParafacALS(c, x, 2, opt)
 				case "tucker":
-					_, err = core.TuckerALS(c, x, [3]int{2, 2, 2}, opt)
+					_, err = core.TuckerALS(c, x, []int{2, 2, 2}, opt)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -256,12 +256,12 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	x := gen.Random(43, [3]int64{10, 9, 8}, 200)
 	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
 	base := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-	want, err := core.TuckerALS(base, x, [3]int{2, 2, 2}, opt)
+	want, err := core.TuckerALS(base, x, []int{2, 2, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := install(t, mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2}), newBackend)
-	got, err := core.TuckerALS(c, x, [3]int{2, 2, 2}, opt)
+	got, err := core.TuckerALS(c, x, []int{2, 2, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func goldenRun(t *testing.T, method string, v core.Variant) []byte {
 	case "parafac":
 		_, err = core.ParafacALS(c, x, 2, opt)
 	case "tucker":
-		_, err = core.TuckerALS(c, x, [3]int{2, 2, 2}, opt)
+		_, err = core.TuckerALS(c, x, []int{2, 2, 2}, opt)
 	default:
 		t.Fatalf("unknown method %q", method)
 	}

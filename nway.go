@@ -78,13 +78,13 @@ func (r *ParafacResultN) Fit(x *TensorN) float64 { return r.model.Fit(x.t) }
 // Predict evaluates the model at one coordinate.
 func (r *ParafacResultN) Predict(coords ...int64) float64 { return r.model.At(coords...) }
 
-// ParafacN runs N-way distributed PARAFAC-ALS with the DRI plan.
-// (Options.Variant is ignored: the N-way generalization implements the
-// recommended plan only.)
+// ParafacN runs distributed PARAFAC-ALS on a tensor of order 3 or 4 —
+// the same loop as Parafac — with the DRI plan. (Options.Variant is
+// ignored: the Naive and DNN plans are 3-way only.)
 func ParafacN(c *Cluster, x *TensorN, rank int, opt Options) (*ParafacResultN, error) {
 	iopt := opt.internal()
 	iopt.Variant = core.DRI
-	res, err := core.ParafacALSN(c.c, x.t, rank, iopt)
+	res, err := core.ParafacALS(c.c, x.t, rank, iopt)
 	if err != nil {
 		return nil, err
 	}
@@ -123,12 +123,13 @@ func (r *TuckerResultN) Fit(x *TensorN) float64 { return r.model.Fit(x.t) }
 // Predict evaluates the model at one coordinate.
 func (r *TuckerResultN) Predict(coords ...int64) float64 { return r.model.At(coords...) }
 
-// TuckerN runs N-way distributed Tucker-ALS with the DRI plan; core
-// gives the desired core shape, one entry per mode.
+// TuckerN runs distributed Tucker-ALS on a tensor of order 3 or 4 — the
+// same loop as Tucker — with the DRI plan; core gives the desired core
+// shape, one entry per mode.
 func TuckerN(c *Cluster, x *TensorN, core3 []int, opt Options) (*TuckerResultN, error) {
 	iopt := opt.internal()
 	iopt.Variant = core.DRI
-	res, err := core.TuckerALSN(c.c, x.t, core3, iopt)
+	res, err := core.TuckerALS(c.c, x.t, core3, iopt)
 	if err != nil {
 		return nil, err
 	}
