@@ -42,6 +42,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
@@ -333,9 +334,10 @@ func svalPairSize[I index](pk [3]int64, pv sval[I], k [3]int64, v sval[I]) int64
 
 // appendSValBlock encodes one shuffle partition block: parallel keys
 // and vals slices (len(keys) == len(vals)). Length is exactly
-// blockHeaderSize(n) + Σ svalPairSize over consecutive pairs. The engine
-// only ever sizes blocks; this encoder is the reference the sizer is
-// tested against.
+// blockHeaderSize(n) + Σ svalPairSize over consecutive pairs. In
+// process the engine only ever sizes blocks; with a backend installed
+// this is the encoder of every partition it ships (mr.BlockSizer.Append),
+// so the bytes on the wire are the bytes the job was charged.
 func appendSValBlock[I index](dst []byte, keys [][3]int64, vals []sval[I]) []byte {
 	n := len(keys)
 	dst, at := beginBlock(dst)
@@ -357,8 +359,12 @@ func appendSValBlock[I index](dst []byte, keys [][3]int64, vals []sval[I]) []byt
 	return sealBlock(dst, at)
 }
 
-// decodeSValBlock parses one block written by appendSValBlock.
-func decodeSValBlock[I index](src []byte) (keys [][3]int64, vals []sval[I], rest []byte, err error) {
+// decodeSValBlock parses one block written by appendSValBlock into the
+// storage of the keys and vals it is handed (mr.BlockSizer.Decode; nil
+// allocates). With a backend installed src is whatever a worker process
+// sent back — hostile input, rejected by structure or by CRC before any
+// record is returned.
+func decodeSValBlock[I index](src []byte, keys [][3]int64, vals []sval[I]) ([][3]int64, []sval[I], []byte, error) {
 	stored, body, err := openBlock(src)
 	if err != nil {
 		return nil, nil, src, err
@@ -367,8 +373,10 @@ func decodeSValBlock[I index](src []byte) (keys [][3]int64, vals []sval[I], rest
 	if err != nil {
 		return nil, nil, src, err
 	}
-	keys = make([][3]int64, n)
-	vals = make([]sval[I], n)
+	// Every field of every record is assigned below, so reused storage
+	// needs no clearing.
+	keys = slices.Grow(keys[:0], n)[:n]
+	vals = slices.Grow(vals[:0], n)[:n]
 	for m := 0; m < 3; m++ {
 		cur, err = decodeDeltaColumn(cur, n, func(i int, v int64) { keys[i][m] = v })
 		if err != nil {
@@ -403,7 +411,7 @@ func decodeSValBlock[I index](src []byte) (keys [][3]int64, vals []sval[I], rest
 	for i := 0; i < n; i++ {
 		vals[i].val = math.Float64frombits(binary.LittleEndian.Uint64(cur[i*8:]))
 	}
-	rest = cur[n*8:]
+	rest := cur[n*8:]
 	if err := verifyBlock(stored, body, rest); err != nil {
 		return nil, nil, src, err
 	}

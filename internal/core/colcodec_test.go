@@ -148,7 +148,7 @@ func checkSValBlock[I index](t *testing.T, seed int64) {
 		if got, want := int64(len(enc)), svalIncrementalSize(keys[:n], vals[:n]); got != want {
 			t.Fatalf("n=%d: encoded %d bytes, incremental sizer declared %d", n, got, want)
 		}
-		dk, dv, rest, err := decodeSValBlock[I](enc)
+		dk, dv, rest, err := decodeSValBlock[I](enc, nil, nil)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("n=%d: decode: %v, %d trailing", n, err, len(rest))
 		}
@@ -386,7 +386,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
 				t.Fatalf("sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
 			}
-			dk, dv, rest, err := decodeSValBlock[[3]int64](enc)
+			dk, dv, rest, err := decodeSValBlock[[3]int64](enc, nil, nil)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("sval round trip: %v, %d trailing", err, len(rest))
 			}
@@ -411,7 +411,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
 				t.Fatalf("order-4 sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
 			}
-			dk, dv, rest, err := decodeSValBlock[[4]int64](enc)
+			dk, dv, rest, err := decodeSValBlock[[4]int64](enc, nil, nil)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("order-4 sval round trip: %v, %d trailing", err, len(rest))
 			}

@@ -57,7 +57,7 @@ func FuzzBlockChecksum(f *testing.F) {
 				}
 			}
 			enc = appendSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[3]int64](b); return err }
+			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[3]int64](b, nil, nil); return err }
 		case 3:
 			keys := make([][3]int64, n)
 			vals := make([]sval[[4]int64], n)
@@ -71,7 +71,7 @@ func FuzzBlockChecksum(f *testing.F) {
 				}
 			}
 			enc = appendSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[4]int64](b); return err }
+			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[4]int64](b, nil, nil); return err }
 		}
 		if err := decode(enc); err != nil {
 			t.Fatalf("pristine block rejected: %v", err)

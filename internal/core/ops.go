@@ -12,8 +12,8 @@ import (
 // [3]int64 at every order — (a, b, c) for the 3-way-only Naive and DNN
 // jobs, (a, b, 0) for the Hadamard, IMHP and merge jobs of DRN and DRI.
 type stack[I index] struct {
-	// sizer is the columnar shuffle sizer every job of the order shares
-	// (one value, so jobs allocate nothing for accounting).
+	// sizer is the columnar shuffle block codec every job of the order
+	// shares (one value, so jobs allocate nothing for accounting).
 	sizer *mr.BlockSizer[[3]int64, sval[I]]
 	// scratch recycles the accumulator maps the PairwiseMerge reducer
 	// needs per key (see pairwiseReduce). Pooled because the reducer
@@ -36,7 +36,10 @@ type pairScratch[I index] [maxOrder - 2]map[I]float64
 
 func newStack[I index](partition func([3]int64) uint64, sideBase int64) *stack[I] {
 	return &stack[I]{
-		sizer: &mr.BlockSizer[[3]int64, sval[I]]{Pair: svalPairSize[I], Header: blockHeaderSize},
+		sizer: &mr.BlockSizer[[3]int64, sval[I]]{
+			Pair: svalPairSize[I], Header: blockHeaderSize,
+			Append: appendSValBlock[I], Decode: decodeSValBlock[I],
+		},
 		scratch: sync.Pool{New: func() any {
 			var acc pairScratch[I]
 			for s := range acc {

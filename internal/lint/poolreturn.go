@@ -30,10 +30,13 @@ import (
 // charged. The shuffle-v2 codec pools widened the surface: core's
 // per-reduce scratch maps come from a raw sync.Pool behind a type
 // assertion, and plans borrow engine slabs through the exported
-// mr.Acquire/mr.Recycle pair, so both shapes are tracked here too.
+// mr.Acquire/mr.Recycle pair, so both shapes are tracked here too. The
+// proc backend joined when its partition windows started being built in
+// slabs borrowed the same way: a slab leaked on a socket error path is
+// exactly the branch leak described above.
 var PoolReturn = &Analyzer{
 	Name: "poolreturn",
-	Doc:  "every pool acquisition in the pool-owning packages (mr, obs, core, serve) has a matching return on every path",
+	Doc:  "every pool acquisition in the pool-owning packages (mr, obs, core, serve, mrproc) has a matching return on every path",
 	Flow: true,
 	Run:  runPoolReturn,
 }
@@ -54,9 +57,10 @@ var crossPoolKinds = map[string]string{
 }
 
 // poolPackages are the package names holding (or borrowing) pooled
-// buffers: the engine, the trace exporter, core's codec scratch, and
-// the serving layer's request/score scratch pools.
-var poolPackages = map[string]bool{"mr": true, "obs": true, "core": true, "serve": true}
+// buffers: the engine, the trace exporter, core's codec scratch, the
+// serving layer's request/score scratch pools, and the proc backend's
+// frame slabs.
+var poolPackages = map[string]bool{"mr": true, "obs": true, "core": true, "serve": true, "mrproc": true}
 
 func runPoolReturn(p *Pass) {
 	if !poolPackages[p.Pkg.Pkg.Name()] {

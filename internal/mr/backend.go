@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -36,8 +38,14 @@ import (
 // in-process read of the same bytes, so file-plane failures degrade
 // throughput, never correctness. The shuffle plane is authoritative:
 // partitions exist only in the backend once shipped, so
-// ShipPartition/FetchPartition errors fail the job, exactly as a real
+// ShipPartitions/FetchPartitions errors fail the job, exactly as a real
 // cluster fails a job whose map outputs become unreachable.
+//
+// The shuffle plane moves windows, not single partitions, so that an
+// implementation can pipeline a window's transfers instead of paying a
+// round trip per partition. The engine bounds what a window holds: one
+// map task's non-empty per-reducer blocks on ship, one reducer's
+// non-empty blocks on fetch — never a whole job's.
 type Backend interface {
 	// Name identifies the backend in reports ("local", "loopback",
 	// "proc").
@@ -46,13 +54,17 @@ type Backend interface {
 	// which case the engine skips the encode/ship cycle entirely and
 	// runs its zero-copy fast path.
 	InProcess() bool
-	// ShipPartition hands the backend one map task's encoded shuffle
-	// partition for one reducer. The data slice is owned by the backend
-	// after the call.
-	ShipPartition(k PartKey, data []byte) error
-	// FetchPartition returns a previously shipped partition, or
-	// (nil, nil) when no partition was shipped for k (an empty bucket).
-	FetchPartition(k PartKey) ([]byte, error)
+	// ShipPartitions stores one window of encoded shuffle partitions,
+	// blocks[i] under keys[i]. The blocks are lent for the call only —
+	// they alias a pooled slab the engine reuses on return — so an
+	// implementation that keeps them copies them.
+	ShipPartitions(keys []PartKey, blocks [][]byte) error
+	// FetchPartitions reads one window of previously shipped partitions
+	// and hands each to visit exactly once, sequentially, in no promised
+	// order: visit(i, data) receives the bytes shipped under keys[i], or
+	// nil when nothing was. data is lent for that visit only. The first
+	// visit error ends the window and is returned.
+	FetchPartitions(keys []PartKey, visit func(i int, data []byte) error) error
 	// ReleaseJob frees every partition of the named job run.
 	ReleaseJob(job string, seq int64) error
 	// ShipFile mirrors the encoded content of a published DFS file.
@@ -75,16 +87,6 @@ type PartKey struct {
 	Seq     int64
 	Task    int
 	Reducer int
-}
-
-// ErrNoPartition reports a fetch of a partition the backend never
-// received — distinct from an empty partition, which fetches as
-// (nil, nil).
-type ErrNoPartition struct{ Key PartKey }
-
-func (e *ErrNoPartition) Error() string {
-	return fmt.Sprintf("mr: no partition shipped for %s/%d task %d reducer %d",
-		e.Key.Job, e.Key.Seq, e.Key.Task, e.Key.Reducer)
 }
 
 // ErrNoRemoteFile reports a fetch of a file the backend does not
@@ -117,17 +119,25 @@ func NewLoopback() *Loopback {
 func (l *Loopback) Name() string    { return "loopback" }
 func (l *Loopback) InProcess() bool { return false }
 
-func (l *Loopback) ShipPartition(k PartKey, data []byte) error {
+func (l *Loopback) ShipPartitions(keys []PartKey, blocks [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.parts[k] = data
+	for i, k := range keys {
+		l.parts[k] = bytes.Clone(blocks[i])
+	}
 	return nil
 }
 
-func (l *Loopback) FetchPartition(k PartKey) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.parts[k], nil
+func (l *Loopback) FetchPartitions(keys []PartKey, visit func(i int, data []byte) error) error {
+	for i, k := range keys {
+		l.mu.Lock()
+		data := l.parts[k]
+		l.mu.Unlock()
+		if err := visit(i, data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (l *Loopback) ReleaseJob(job string, seq int64) error {
@@ -267,4 +277,131 @@ func fetchRecords(b Backend, name string, want int) ([]dfs.Record, bool) {
 		return nil, false
 	}
 	return recs, true
+}
+
+// --- shuffle plane -----------------------------------------------------
+
+// partCodec turns one (map task, reducer) bucket into the bytes that
+// cross the backend seam and back. A job with a block codec ships the
+// very block it was charged for, encoded once; the routing hash is not
+// part of that block, so decode recomputes it with the job's partition
+// function (pure in the key by Job.Partition's contract, hence the same
+// value emit stored). Any other job falls back to the wire codec over
+// the pairs themselves, hash included.
+type partCodec[K comparable, V any] struct {
+	sizer *BlockSizer[K, V]
+	part  func(K) uint64
+}
+
+func (pc partCodec[K, V]) blocks() bool { return pc.sizer != nil && pc.sizer.Append != nil }
+
+func (pc partCodec[K, V]) encode(dst []byte, bucket []pair[K, V]) ([]byte, error) {
+	if !pc.blocks() {
+		data, err := wire.EncodeSlice(bucket)
+		return append(dst, data...), err
+	}
+	keys, vals := getSlice[K](len(bucket)), getSlice[V](len(bucket))
+	for _, p := range bucket {
+		keys, vals = append(keys, p.k), append(vals, p.v)
+	}
+	dst = pc.sizer.Append(dst, keys, vals)
+	putSlice(keys)
+	putSlice(vals)
+	return dst, nil
+}
+
+// decode parses a fetched partition of want records into a pooled
+// bucket. The bytes come from outside the process: anything but exactly
+// one well-formed block of the shipped length is an error.
+func (pc partCodec[K, V]) decode(data []byte, want int) ([]pair[K, V], error) {
+	if !pc.blocks() {
+		dec, err := wire.DecodeSlice(reflect.TypeFor[pair[K, V]](), data)
+		bucket, _ := dec.([]pair[K, V])
+		if err == nil && len(bucket) != want {
+			err = fmt.Errorf("%d records, want %d", len(bucket), want)
+		}
+		return bucket, err
+	}
+	keys, vals, rest, err := pc.sizer.Decode(data, getSlice[K](want), getSlice[V](want))
+	if err == nil && (len(keys) != want || len(rest) != 0) {
+		err = fmt.Errorf("%d records and %d trailing bytes, want %d records", len(keys), len(rest), want)
+	}
+	var bucket []pair[K, V]
+	if err == nil {
+		bucket = getSlice[pair[K, V]](want)
+		for i, k := range keys {
+			bucket = append(bucket, pair[K, V]{k: k, v: vals[i], h: pc.part(k)})
+		}
+	}
+	putSlice(keys)
+	putSlice(vals)
+	return bucket, err
+}
+
+// shipTask is one ship window: map task key.Task's non-empty buckets,
+// encoded back to back into one pooled slab that is lent to the backend
+// and reclaimed on return. counts[r] receives the records of reducer
+// r's partition, and the buckets go back to the pool: shipped or not,
+// the task's map output is the engine's no longer.
+func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, buckets [][]pair[K, V], counts []int) error {
+	slab := getSlice[byte](0)
+	keys := make([]PartKey, 0, len(buckets))
+	ends := make([]int, 0, len(buckets))
+	var err error
+	for r, bucket := range buckets {
+		if len(bucket) > 0 && err == nil {
+			slab, err = pc.encode(slab, bucket)
+			key.Reducer, counts[r] = r, len(bucket)
+			keys, ends = append(keys, key), append(ends, len(slab))
+		}
+		putSlice(bucket)
+		buckets[r] = nil
+	}
+	if err == nil && len(keys) > 0 {
+		blocks := make([][]byte, len(keys))
+		lo := 0
+		for i, hi := range ends {
+			blocks[i], lo = slab[lo:hi:hi], hi
+		}
+		err = rb.ShipPartitions(keys, blocks)
+	}
+	putSlice(slab)
+	return err
+}
+
+// fetchReducer is one fetch window: the partitions of reducer
+// key.Reducer that shipTask recorded as non-empty (counts is task-major,
+// reducers wide), decoded into buckets by task. Nothing is fetched for a
+// bucket the map phase saw empty, and a reducer with no input performs
+// no fetch at all.
+func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, counts []int, reducers int, buckets [][]pair[K, V]) error {
+	var keys []PartKey
+	for i := range buckets {
+		if counts[i*reducers+key.Reducer] > 0 {
+			key.Task = i
+			keys = append(keys, key)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	err := rb.FetchPartitions(keys, func(j int, data []byte) (err error) {
+		k := keys[j]
+		if data == nil {
+			err = errors.New("lost by the backend")
+		} else {
+			buckets[k.Task], err = pc.decode(data, counts[k.Task*reducers+k.Reducer])
+		}
+		if err != nil {
+			err = fmt.Errorf("partition task %d reducer %d: %w", k.Task, k.Reducer, err)
+		}
+		return err
+	})
+	if err != nil {
+		for i, bucket := range buckets {
+			putSlice(bucket)
+			buckets[i] = nil
+		}
+	}
+	return err
 }

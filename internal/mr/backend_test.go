@@ -1,8 +1,10 @@
 package mr
 
 import (
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -100,5 +102,76 @@ func TestBackendRemovedRestoresFastPath(t *testing.T) {
 	got := runWordCount(t, c, []string{"x y", "y"})
 	if got["y"] != 2 {
 		t.Fatalf("fast path broken after backend removal: %v", got)
+	}
+}
+
+// flakyBackend is a Loopback whose shuffle plane starts failing after a
+// set number of windows.
+type flakyBackend struct {
+	*Loopback
+	shipsLeft, fetchesLeft atomic.Int64
+}
+
+var errLostWorker = errors.New("worker lost")
+
+func (f *flakyBackend) ShipPartitions(keys []PartKey, blocks [][]byte) error {
+	if f.shipsLeft.Add(-1) < 0 {
+		return errLostWorker
+	}
+	return f.Loopback.ShipPartitions(keys, blocks)
+}
+
+func (f *flakyBackend) FetchPartitions(keys []PartKey, visit func(int, []byte) error) error {
+	if f.fetchesLeft.Add(-1) < 0 {
+		return errLostWorker
+	}
+	return f.Loopback.FetchPartitions(keys, visit)
+}
+
+// TestShufflePlaneErrorsFailTheJob pins that the shuffle plane is
+// authoritative: a ship or fetch window that fails fails the job with
+// the backend's error wrapped (never a fallback to in-process data),
+// the job is still recorded, and whatever had been shipped is released.
+func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
+	lines := []string{"a b a", "b c", "a", "d e f g h i j k"}
+	for _, tc := range []struct {
+		name           string
+		ships, fetches int64
+		want           string
+	}{
+		{"ship", 1, 1 << 30, "shuffle ship"},
+		{"fetch", 1 << 30, 1, "shuffle fetch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCluster(4)
+			fb := &flakyBackend{Loopback: NewLoopback()}
+			fb.shipsLeft.Store(tc.ships)
+			fb.fetchesLeft.Store(tc.fetches)
+			c.SetBackend(fb)
+			if err := WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Run(c, Job[string, int, string]{
+				Name: "words",
+				Inputs: []Input[string, int]{MapInput("lines", func(line string, emit func(string, int)) {
+					for _, w := range strings.Fields(line) {
+						emit(w, 1)
+					}
+				})},
+				Reduce:    func(k string, _ []int, emit func(string)) { emit(k) },
+				Partition: func(k string) uint64 { return uint64(len(k)) + uint64(k[0]) },
+			})
+			if !errors.Is(err, errLostWorker) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a wrapped %q failure, got %v", tc.want, err)
+			}
+			if jobs := c.Jobs(); len(jobs) != 1 {
+				t.Fatalf("failed job not recorded: %d jobs", len(jobs))
+			}
+			fb.mu.Lock()
+			defer fb.mu.Unlock()
+			if len(fb.parts) != 0 {
+				t.Fatalf("%d partitions of the failed job were never released", len(fb.parts))
+			}
+		})
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/haten2/haten2/internal/core"
@@ -58,6 +59,47 @@ func RunConformance(t *testing.T, newBackend Factory) {
 	t.Run("fault-matrix", func(t *testing.T) { faultMatrix(t, newBackend) })
 	t.Run("differential-parafac", func(t *testing.T) { differentialParafac(t, newBackend) })
 	t.Run("differential-tucker", func(t *testing.T) { differentialTucker(t, newBackend) })
+	t.Run("shipped-equals-charged", func(t *testing.T) { shippedEqualsCharged(t, newBackend) })
+	t.Run("fallback-codec", func(t *testing.T) { fallbackCodec(t, newBackend) })
+	t.Run("empty-shuffle", func(t *testing.T) { emptyShuffle(t, newBackend) })
+}
+
+// meter sits between the engine and the backend under test and counts
+// what crosses the shuffle plane of the seam, so the suite can hold
+// every implementation to the same accounting without asking any of
+// them for statistics.
+type meter struct {
+	mr.Backend
+	shippedBytes, shipped, fetched atomic.Int64
+}
+
+func (m *meter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
+	for _, b := range blocks {
+		m.shippedBytes.Add(int64(len(b)))
+	}
+	m.shipped.Add(int64(len(keys)))
+	return m.Backend.ShipPartitions(keys, blocks)
+}
+
+func (m *meter) FetchPartitions(keys []mr.PartKey, visit func(int, []byte) error) error {
+	m.fetched.Add(int64(len(keys)))
+	return m.Backend.FetchPartitions(keys, visit)
+}
+
+// installMetered is install with a meter in front of the backend. It
+// returns nil when the suite runs against the in-process engine, whose
+// shuffle crosses no seam.
+func installMetered(t *testing.T, c *mr.Cluster, newBackend Factory) *meter {
+	t.Helper()
+	var m *meter
+	install(t, c, func(t *testing.T) mr.Backend {
+		if b := newBackend(t); b != nil {
+			m = &meter{Backend: b}
+			return m
+		}
+		return nil
+	})
+	return m
 }
 
 // install builds a backend for c and registers its teardown. It
@@ -273,6 +315,115 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	}
 	if a, b := base.Totals(), c.Totals(); a != b {
 		t.Fatalf("counters differ:\nbase %+v\ngot  %+v", a, b)
+	}
+}
+
+// shippedEqualsCharged pins "encode once": for the DRI plans at order 3
+// and 4 the bytes the backend is handed are exactly the shuffle bytes
+// the jobs were charged — every partition crosses the seam as the block
+// the cost model sized, and nothing else does. (DRI charges no
+// ExtraShuffleBytes; the Naive plan's phantom broadcast charge is never
+// materialized and so never shipped.)
+func shippedEqualsCharged(t *testing.T, newBackend Factory) {
+	x3 := gen.Random(44, [3]int64{7, 6, 5}, 120)
+	x4 := tensor.New(7, 6, 5, 4) // x3 with a fourth coordinate
+	for p := 0; p < x3.NNZ(); p++ {
+		x4.Append(x3.Value(p), append(x3.Index(p), int64(p%4))...)
+	}
+	x4.Coalesce()
+	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
+	for _, tc := range []struct {
+		name string
+		run  func(c *mr.Cluster) error
+	}{
+		{"parafac-3", func(c *mr.Cluster) error {
+			_, err := core.ParafacALS(c, gen.Random(42, [3]int64{12, 10, 8}, 240), 3, opt)
+			return err
+		}},
+		{"tucker-3", func(c *mr.Cluster) error {
+			_, err := core.TuckerALS(c, gen.Random(43, [3]int64{10, 9, 8}, 200), []int{2, 2, 2}, opt)
+			return err
+		}},
+		{"parafac-4", func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x4, 2, opt); return err }},
+		{"tucker-4", func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
+			m := installMetered(t, c, newBackend)
+			if err := tc.run(c); err != nil {
+				t.Fatal(err)
+			}
+			if m == nil {
+				return
+			}
+			if got, want := m.shippedBytes.Load(), c.Totals().ShuffleBytes; got != want || want == 0 {
+				t.Fatalf("backend was shipped %d partition bytes, jobs were charged %d shuffle bytes", got, want)
+			}
+			if s, f := m.shipped.Load(), m.fetched.Load(); s != f {
+				t.Fatalf("%d partitions shipped, %d fetched: every non-empty bucket moves once each way", s, f)
+			}
+		})
+	}
+}
+
+// wordJob is a job without a block codec: its partitions cross the seam
+// through the wire-codec fallback.
+func wordJob(lines []string) func(c *mr.Cluster) ([]string, mr.JobStats, error) {
+	return func(c *mr.Cluster) ([]string, mr.JobStats, error) {
+		if err := mr.WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
+			return nil, mr.JobStats{}, err
+		}
+		return mr.Run(c, mr.Job[string, int, string]{
+			Name: "words",
+			Inputs: []mr.Input[string, int]{mr.MapInput("lines", func(line string, emit func(string, int)) {
+				for _, w := range strings.Fields(line) {
+					emit(w, len(w))
+				}
+			})},
+			Reduce: func(k string, vs []int, emit func(string)) { emit(fmt.Sprint(k, vs)) },
+			Partition: func(k string) uint64 {
+				return dfs.HashBytes([]byte(k))
+			},
+			Reducers: 5,
+		})
+	}
+}
+
+// fallbackCodec runs a job with no BlockKV through the backend: output
+// and counters must equal the in-process engine's, and its partitions
+// must really have crossed the seam.
+func fallbackCodec(t *testing.T, newBackend Factory) {
+	job := wordJob([]string{"q w e r t y u i o p", "a s d f g h j k l", "z x c v b n m q w e", "a a a"})
+	want, wantStats, err := job(mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+	m := installMetered(t, c, newBackend)
+	got, gotStats, err := job(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Fatalf("fallback job differs from in-process engine:\n got  %v %+v\n want %v %+v", got, gotStats, want, wantStats)
+	}
+	if m != nil && (m.shipped.Load() == 0 || m.shipped.Load() != m.fetched.Load()) {
+		t.Fatalf("fallback job shipped %d partitions and fetched %d", m.shipped.Load(), m.fetched.Load())
+	}
+}
+
+// emptyShuffle runs a job whose map phase emits nothing: the engine
+// knows every bucket is empty, so nothing is shipped and — the point —
+// nothing is fetched.
+func emptyShuffle(t *testing.T, newBackend Factory) {
+	c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+	m := installMetered(t, c, newBackend)
+	out, st, err := wordJob([]string{"", "  ", ""})(c)
+	if err != nil || len(out) != 0 || st.ShuffleRecords != 0 {
+		t.Fatalf("empty job: %d outputs, %d shuffle records, err %v", len(out), st.ShuffleRecords, err)
+	}
+	if m != nil && (m.shipped.Load() != 0 || m.fetched.Load() != 0) {
+		t.Fatalf("empty job shipped %d partitions and fetched %d, want none", m.shipped.Load(), m.fetched.Load())
 	}
 }
 

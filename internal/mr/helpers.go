@@ -6,21 +6,6 @@ func HashInt64(k int64) uint64 {
 	return uint64(k) * 0x9E3779B97F4A7C15
 }
 
-// Hash64 is a full-avalanche partitioner for int64 keys: a multiply
-// followed by the splitmix64 finalizer (mix64, fault.go). Prefer it
-// for new jobs whose key distribution is unknown; the existing HaTen2
-// plans keep the Fibonacci/mixing helpers above because reducer
-// routing feeds output order and their outputs are pinned bit-for-bit.
-//
-// The reduce-side group table (group.go) probes on the shuffled
-// partition hash pushed through the same mix64 finalizer, so a
-// partitioner here only has to route well — the engine's one extra mix
-// per pair replaces the per-key generic runtime hashing the old
-// map[K]int32 grouping paid in both passes.
-func Hash64(k int64) uint64 {
-	return mix64(uint64(k) * 0x9E3779B97F4A7C15)
-}
-
 // HashPair is a partitioner for [2]int64 keys.
 func HashPair(k [2]int64) uint64 {
 	h := uint64(k[0])*0x9E3779B97F4A7C15 ^ uint64(k[1])*0xC2B2AE3D27D4EB4F

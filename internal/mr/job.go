@@ -2,13 +2,11 @@ package mr
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/haten2/haten2/internal/dfs"
-	"github.com/haten2/haten2/internal/mr/wire"
 )
 
 // Input binds one DFS file to the map function that processes its
@@ -50,19 +48,30 @@ func MapInput[R any, K comparable, V any](file string, m func(R, func(K, V))) In
 	}
 }
 
-// BlockSizer accounts the encoded size of one shuffle partition block
-// incrementally, so the engine can charge real columnar-codec bytes at
-// emit time without materializing the block. Pair returns the bytes
-// record (k, v) adds to a block whose previous record is (prevK,
-// prevV); the first record of a block is sized against zero-valued
-// prev (delta-from-zero, exactly what the codec writes). Header
-// returns the block header size for a block of n > 0 records. A
-// partition block's total size is Header(n) + the sum of its n Pair
-// calls, and codecs must guarantee their encoders produce exactly that
-// many bytes (the columnar invariant tests in internal/core pin this).
+// BlockSizer is a job's shuffle block codec. Pair and Header account the
+// encoded size of one partition block incrementally, so the engine can
+// charge real columnar-codec bytes at emit time without materializing
+// the block: Pair returns the bytes record (k, v) adds to a block whose
+// previous record is (prevK, prevV); the first record of a block is
+// sized against zero-valued prev (delta-from-zero, exactly what the
+// codec writes). Header returns the block header size for a block of
+// n > 0 records. A partition block's total size is Header(n) + the sum
+// of its n Pair calls.
+//
+// Append and Decode are the encoder and decoder those sizes describe,
+// and what crosses the seam when a Backend owns the shuffle: Append
+// appends the block of the parallel keys/vals to dst — exactly
+// Header(n) + ΣPair bytes, which the columnar invariant tests in
+// internal/core and the conformance suite pin — and Decode parses one
+// block into the storage of the keys/vals it is handed, returning the
+// trailing bytes. The in-process engine never calls either. A sizer
+// without them sends its job down the wire-codec fallback, as a job
+// without BlockKV goes.
 type BlockSizer[K comparable, V any] struct {
 	Pair   func(prevK K, prevV V, k K, v V) int64
 	Header func(n int) int64
+	Append func(dst []byte, keys []K, vals []V) []byte
+	Decode func(src []byte, keys []K, vals []V) ([]K, []V, []byte, error)
 }
 
 // Job describes one MapReduce job.
@@ -412,11 +421,34 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if limit > 0 {
 		done = make([]bool, len(tasks))
 	}
+	// With an out-of-process backend a map task's buckets leave the
+	// engine's heap as soon as the task ends: every non-empty (map task,
+	// reducer) bucket becomes one encoded partition, keyed by (job, seq,
+	// task, reducer), one task's partitions per ship window. The engine
+	// therefore never holds more than the running tasks' map output, and
+	// the next task refills the buckets this one returned to the pool.
+	// The reduce phase fetches the partitions back in task order, so
+	// grouping, reduce input order, and therefore output bytes are
+	// identical to the in-process path. Once shipped, the backend is the
+	// sole holder of the shuffle: ship and fetch errors fail the job, the
+	// way a real cluster fails a job whose map outputs become
+	// unreachable. counts remembers the records of every shipped
+	// partition, so a bucket the map phase saw empty is never fetched.
+	var counts []int
+	var shipErrs []error
+	codec := partCodec[K, V]{sizer: sizer, part: part}
+	if rb != nil {
+		counts, shipErrs = make([]int, len(tasks)*reducers), make([]error, len(tasks))
+	}
 	runPool(pool, len(tasks), func(i int) {
 		if int64(i) > tripAt.Load() {
 			return
 		}
 		outs[i] = tasks[i]()
+		if rb != nil {
+			shipErrs[i] = shipTask(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Task: i},
+				outs[i].buckets, counts[i*reducers:(i+1)*reducers])
+		}
 		if limit <= 0 {
 			return
 		}
@@ -443,15 +475,30 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		st.ShuffleRecords += o.records
 		st.ShuffleBytes += o.bytes
 	}
-	if exhausted {
+	// fail is every exit after the map phase that abandons the job: it
+	// returns what the job still holds to the pools and — until the
+	// reduce phase, which releases the backend's partitions itself after
+	// its last fetch, has begun — to the backend, closes the books, and
+	// hands err back.
+	var results [][]O
+	fail := func(err error) ([]O, JobStats, error) {
 		for _, o := range outs {
 			for _, bucket := range o.buckets {
 				putSlice(bucket)
 			}
 		}
-		st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.StorageSeconds
+		for _, out := range results {
+			putSlice(out)
+		}
+		if rb != nil && results == nil {
+			_ = rb.ReleaseJob(job.Name, jobSeq) // best effort, as below
+		}
+		st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
 		c.record(st)
-		return nil, st, &ErrResourceExhausted{Job: job.Name, ShuffleRecords: st.ShuffleRecords, Limit: limit}
+		return nil, st, err
+	}
+	if exhausted {
+		return fail(&ErrResourceExhausted{Job: job.Name, ShuffleRecords: st.ShuffleRecords, Limit: limit})
 	}
 
 	// --- Map fault pass ---------------------------------------------------
@@ -472,54 +519,14 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			}
 		}
 		if ferr := plan.applyPhase(&st, fstate, c.cfg.Cost, job.Name, jobSeq, phaseMap, mtasks); ferr != nil {
-			for _, o := range outs {
-				for _, bucket := range o.buckets {
-					putSlice(bucket)
-				}
-			}
-			st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-			c.record(st)
-			return nil, st, ferr
+			return fail(ferr)
 		}
 	} else {
 		st.MapAttempts = st.MapTasks
 	}
-
-	// --- Backend shuffle ship ---------------------------------------------
-	// With an out-of-process backend, every (map task, reducer) bucket
-	// leaves the engine's heap here as one encoded partition, keyed by
-	// (job, seq, task, reducer); the reduce phase below fetches the
-	// partitions back in the same task order, so grouping, reduce input
-	// order, and therefore output bytes are identical to the in-process
-	// path. Once shipped, the backend is the sole holder of the shuffle:
-	// ship and fetch errors fail the job, the way a real cluster fails a
-	// job whose map outputs become unreachable.
-	var pairType reflect.Type
-	if rb != nil {
-		defer func() {
-			// Best-effort space reclamation; a failed release leaks remote
-			// partitions until backend Close, nothing more.
-			_ = rb.ReleaseJob(job.Name, jobSeq)
-		}()
-		pairType = reflect.TypeFor[pair[K, V]]()
-		var shipErr error
-		for i := range outs {
-			for r, bucket := range outs[i].buckets {
-				if shipErr == nil && len(bucket) > 0 {
-					data, err := wire.EncodeSlice(bucket)
-					if err == nil {
-						err = rb.ShipPartition(PartKey{Job: job.Name, Seq: jobSeq, Task: i, Reducer: r}, data)
-					}
-					shipErr = err
-				}
-				putSlice(bucket)
-				outs[i].buckets[r] = nil
-			}
-		}
-		if shipErr != nil {
-			st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-			c.record(st)
-			return nil, st, fmt.Errorf("mr: job %q: shuffle ship: %w", job.Name, shipErr)
+	for _, err := range shipErrs {
+		if err != nil {
+			return fail(fmt.Errorf("mr: job %q: shuffle ship: %w", job.Name, err))
 		}
 	}
 
@@ -538,7 +545,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		outCap = int(hint.outPerReducer) + 1
 		arenaCap = int(hint.pairsPerReducer) + 1
 	}
-	results := make([][]O, reducers)
+	results = make([][]O, reducers)
 	resultBytes := make([]int64, reducers)
 	keyCounts := make([]int64, reducers)
 	redInputs := make([]int64, reducers) // pairs per reduce task, for the fault pass
@@ -556,21 +563,9 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			for i := range outs {
 				buckets[i] = outs[i].buckets[r]
 			}
-		} else {
-			for i := range outs {
-				data, err := rb.FetchPartition(PartKey{Job: job.Name, Seq: jobSeq, Task: i, Reducer: r})
-				if err == nil && len(data) > 0 {
-					var dec any
-					dec, err = wire.DecodeSlice(pairType, data)
-					if err == nil {
-						buckets[i] = dec.([]pair[K, V])
-					}
-				}
-				if err != nil {
-					fetchErrs[r] = fmt.Errorf("partition task %d reducer %d: %w", i, r, err)
-					return
-				}
-			}
+		} else if err := fetchReducer(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Reducer: r}, counts, reducers, buckets); err != nil {
+			fetchErrs[r] = err
+			return
 		}
 		g := getGroupArena[K, V](keyCap)
 		for _, bucket := range buckets {
@@ -580,11 +575,8 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		g.layout(arenaCap)
 		for i, bucket := range buckets {
 			g.scatter(bucket)
-			if rb == nil {
-				putSlice(bucket)
-				outs[i].buckets[r] = nil
-			}
-			buckets[i] = nil
+			putSlice(bucket)
+			outs[i].buckets[r], buckets[i] = nil, nil
 		}
 		out := getSlice[O](outCap)
 		emit := func(o O) {
@@ -610,17 +602,16 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	})
 
 	if rb != nil {
+		// Every fetch window has returned: the backend's copy of the
+		// shuffle is dead weight from here on, so it goes before output
+		// concatenation rather than after — and before the next job ships.
+		// Best effort: a failed release leaks remote partitions until
+		// backend Close, nothing more.
+		_ = rb.ReleaseJob(job.Name, jobSeq)
 		for _, ferr := range fetchErrs {
-			if ferr == nil {
-				continue
+			if ferr != nil {
+				return fail(fmt.Errorf("mr: job %q: shuffle fetch: %w", job.Name, ferr))
 			}
-			for r, out := range results {
-				putSlice(out)
-				results[r] = nil
-			}
-			st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-			c.record(st)
-			return nil, st, fmt.Errorf("mr: job %q: shuffle fetch: %w", job.Name, ferr)
 		}
 	}
 
@@ -638,13 +629,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			}
 		}
 		if ferr := plan.applyPhase(&st, fstate, c.cfg.Cost, job.Name, jobSeq, phaseReduce, rtasks); ferr != nil {
-			for r, out := range results {
-				putSlice(out)
-				results[r] = nil
-			}
-			st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-			c.record(st)
-			return nil, st, ferr
+			return fail(ferr)
 		}
 	} else {
 		st.ReduceAttempts = reducers

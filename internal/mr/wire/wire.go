@@ -42,26 +42,53 @@ type Codec struct {
 	dec func(p unsafe.Pointer, r *reader) error
 }
 
-// codecCache memoizes compiled codecs per type. Compilation of
-// recursive types (a struct reachable from itself through a pointer or
-// slice) is handled by inserting an indirection before descending.
+// codecCache memoizes compiled codecs per type. Only finished codecs
+// are in it: anything a goroutine loads from here is safe to run.
 var codecCache sync.Map // reflect.Type -> *Codec
+
+// Compilation is serialized, and the codecs of the compilation in
+// progress live in inflight until the outermost type is done. Recursive
+// types (a struct reachable from itself through a pointer or slice)
+// resolve to their own unfinished codec there; another goroutine must
+// never see one — first uses race when map tasks ship concurrently — so
+// the whole graph is published at once, complete.
+var (
+	compileMu sync.Mutex
+	inflight  map[reflect.Type]*Codec // guarded by compileMu
+)
 
 // For returns the codec for t, compiling and caching it on first use.
 func For(t reflect.Type) (*Codec, error) {
 	if c, ok := codecCache.Load(t); ok {
 		return c.(*Codec), nil
 	}
-	c := &Codec{t: t}
-	// Publish the shell before compiling the body so recursive types
-	// resolve to the in-flight codec instead of recursing forever.
-	actual, loaded := codecCache.LoadOrStore(t, c)
-	if loaded {
-		return actual.(*Codec), nil
+	compileMu.Lock()
+	defer compileMu.Unlock()
+	inflight = make(map[reflect.Type]*Codec)
+	c, err := forLocked(t)
+	if err == nil {
+		for t, c := range inflight {
+			codecCache.Store(t, c)
+		}
 	}
+	inflight = nil
+	return c, err
+}
+
+// forLocked is For inside a compilation: compile calls it for the types
+// t is made of. Called with compileMu held.
+func forLocked(t reflect.Type) (*Codec, error) {
+	if c, ok := codecCache.Load(t); ok {
+		return c.(*Codec), nil
+	}
+	if c, ok := inflight[t]; ok {
+		return c, nil
+	}
+	c := &Codec{t: t}
+	inflight[t] = c
 	enc, dec, err := compile(t)
 	if err != nil {
-		codecCache.Delete(t)
+		delete(inflight, t)
 		return nil, err
 	}
 	c.enc, c.dec = enc, dec
@@ -171,7 +198,7 @@ func compile(t reflect.Type) (func(unsafe.Pointer, []byte) []byte, func(unsafe.P
 				return nil
 			}, nil
 	case reflect.Array:
-		ec, err := For(t.Elem())
+		ec, err := forLocked(t.Elem())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -197,7 +224,7 @@ func compile(t reflect.Type) (func(unsafe.Pointer, []byte) []byte, func(unsafe.P
 		fields := make([]fieldCodec, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			fc, err := For(f.Type)
+			fc, err := forLocked(f.Type)
 			if err != nil {
 				return nil, nil, fmt.Errorf("wire: %v field %s: %w", t, f.Name, err)
 			}
@@ -237,7 +264,7 @@ func compile(t reflect.Type) (func(unsafe.Pointer, []byte) []byte, func(unsafe.P
 				return nil
 			}, nil
 	case reflect.Slice:
-		ec, err := For(t.Elem())
+		ec, err := forLocked(t.Elem())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -286,7 +313,7 @@ func compile(t reflect.Type) (func(unsafe.Pointer, []byte) []byte, func(unsafe.P
 			}, nil
 	case reflect.Pointer:
 		et := t.Elem()
-		ec, err := For(et)
+		ec, err := forLocked(et)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/haten2/haten2/internal/dfs"
@@ -189,5 +190,45 @@ func TestSliceOfSlices(t *testing.T) {
 	// nil and empty both decode to empty; compare contents.
 	if len(got) != 3 || !reflect.DeepEqual(got[0], []int32{1, 2}) || len(got[1]) != 0 || !reflect.DeepEqual(got[2], []int32{3}) {
 		t.Fatalf("mismatch: %v", got)
+	}
+}
+
+// TestConcurrentFirstUse pins that a codec is never visible half
+// compiled: map tasks ship their partitions concurrently, so the first
+// EncodeSlice of a job's pair type happens on several goroutines at
+// once (run under -race; a nil encoder here was also a crash).
+func TestConcurrentFirstUse(t *testing.T) {
+	type node struct {
+		Name string
+		Next *node
+		Kids []node
+	}
+	type fresh struct {
+		K [3]int64
+		N node
+	}
+	in := []fresh{{K: [3]int64{1, 2, 3}, N: node{Name: "a", Next: &node{Name: "b"}, Kids: []node{{Name: "c"}}}}}
+	var wg sync.WaitGroup
+	outs := make([][]byte, 8)
+	for g := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, err := EncodeSlice(in)
+			if err != nil {
+				t.Error(err)
+			}
+			outs[g] = b
+		}()
+	}
+	wg.Wait()
+	for _, b := range outs[1:] {
+		if !bytes.Equal(b, outs[0]) {
+			t.Fatal("concurrent first encodes disagree")
+		}
+	}
+	back, err := DecodeSlice(reflect.TypeOf(fresh{}), outs[0])
+	if err != nil || !reflect.DeepEqual(back, in) {
+		t.Fatalf("round trip: %v %v", back, err)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame layout, little-endian:
@@ -92,26 +93,35 @@ var (
 	errTruncatedFrame = errors.New("mrproc: truncated frame")
 )
 
+// beginFrame opens a frame of type t at the end of dst: the caller
+// appends the payload in place and closes the frame with endFrame, so a
+// frame is built where it will be written from, never copied into.
+func beginFrame(dst []byte, t frameType) (_ []byte, at int) {
+	at = len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	return append(dst, byte(t), 0, 0, 0, 0), at
+}
+
+// endFrame closes the frame opened at offset at: it fills in the length
+// of everything appended since and appends the CRC.
+func endFrame(dst []byte, at int) []byte {
+	n := len(dst) - at - frameHeaderLen
+	if n > maxFramePayload {
+		// Callers never build oversized payloads (partition windows close
+		// their frames at frameTarget, chunks are bounded well below the
+		// cap); treat it as a programmer error rather than silently
+		// corrupting the stream.
+		panic(fmt.Sprintf("mrproc: frame payload %d exceeds %d", n, maxFramePayload))
+	}
+	binary.LittleEndian.PutUint32(dst[at+5:], uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[at+4:], crcTable))
+}
+
 // encodeFrame appends one complete frame for (t, payload) to dst and
 // returns the extended slice.
 func encodeFrame(dst []byte, t frameType, payload []byte) []byte {
-	if len(payload) > maxFramePayload {
-		// Callers never build oversized payloads (partitions and chunks
-		// are bounded well below the cap); treat it as a programmer
-		// error rather than silently corrupting the stream.
-		panic(fmt.Sprintf("mrproc: encodeFrame payload %d exceeds %d", len(payload), maxFramePayload))
-	}
-	start := len(dst)
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start+4:], crcTable)
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	return append(dst, tr[:]...)
+	dst, at := beginFrame(dst, t)
+	return endFrame(append(dst, payload...), at)
 }
 
 // decodeFrame parses one frame from the front of b. It returns the
@@ -143,11 +153,25 @@ func decodeFrame(b []byte) (frameType, []byte, int, error) {
 	return frameType(b[4]), b[frameHeaderLen : frameHeaderLen+int(n)], total, nil
 }
 
-// writeFrame writes one frame to w.
+// writeFrame writes one frame to w (a bufio.Writer everywhere outside
+// tests) without assembling it: header, payload and trailer go out as
+// three writes, the CRC accumulated across them.
 func writeFrame(w io.Writer, t frameType, payload []byte) error {
-	buf := encodeFrame(make([]byte, 0, frameHeaderLen+len(payload)+frameTrailerLen), t, payload)
-	_, err := w.Write(buf)
-	return err
+	if len(payload) > maxFramePayload {
+		return ErrOversized
+	}
+	var hdr [frameHeaderLen + frameTrailerLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
+	hdr[4] = byte(t)
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
+	crc := crc32.Update(crc32.Checksum(hdr[4:frameHeaderLen], crcTable), crcTable, payload)
+	binary.LittleEndian.PutUint32(hdr[frameHeaderLen:], crc)
+	for _, part := range [3][]byte{hdr[:frameHeaderLen], payload, hdr[frameHeaderLen:]} {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readFrame reads one frame from r. The payload is freshly allocated
@@ -156,32 +180,42 @@ func writeFrame(w io.Writer, t frameType, payload []byte) error {
 // header byte, which returns io.EOF so callers can distinguish an
 // orderly close from a mid-frame cut.
 func readFrame(r io.Reader) (frameType, []byte, error) {
+	t, buf, err := readFrameAppend(r, nil)
+	return t, buf[:len(buf):len(buf)], err
+}
+
+// readFrameAppend is readFrame into caller-owned storage: the payload
+// is appended to dst, growing it by no more than the validated length
+// plus the trailer. On error dst comes back as it went in.
+func readFrameAppend(r io.Reader, dst []byte) (frameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = io.EOF
 		}
-		return ftInvalid, nil, err
+		return ftInvalid, dst, err
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return ftInvalid, nil, unexpected(err)
+		return ftInvalid, dst, unexpected(err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return ftInvalid, nil, ErrBadMagic
+		return ftInvalid, dst, ErrBadMagic
 	}
-	n := binary.LittleEndian.Uint32(hdr[5:])
+	n := int(binary.LittleEndian.Uint32(hdr[5:]))
 	if n > maxFramePayload {
-		return ftInvalid, nil, ErrOversized
+		return ftInvalid, dst, ErrOversized
 	}
-	rest := make([]byte, int(n)+frameTrailerLen)
+	at := len(dst)
+	dst = slices.Grow(dst, n+frameTrailerLen)
+	rest := dst[at : at+n+frameTrailerLen]
 	if _, err := io.ReadFull(r, rest); err != nil {
-		return ftInvalid, nil, unexpected(err)
+		return ftInvalid, dst[:at], unexpected(err)
 	}
 	crc := crc32.Update(crc32.Checksum(hdr[4:], crcTable), crcTable, rest[:n])
 	if crc != binary.LittleEndian.Uint32(rest[n:]) {
-		return ftInvalid, nil, ErrBadCRC
+		return ftInvalid, dst[:at], ErrBadCRC
 	}
-	return frameType(hdr[4]), rest[:n:n], nil
+	return frameType(hdr[4]), dst[:at+n], nil
 }
 
 func unexpected(err error) error {

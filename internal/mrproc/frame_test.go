@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"github.com/haten2/haten2/internal/mr"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -77,11 +79,25 @@ func TestFrameOversizedLength(t *testing.T) {
 	}
 }
 
+// shipFrame builds one ftShipPart frame of a ship window.
+func shipFrame(entries ...string) []byte {
+	buf, at := beginFrame(nil, ftShipPart)
+	pw := protoWriter{b: buf}
+	for i, e := range entries {
+		encPartKey(&pw, mr.PartKey{Job: "seed", Seq: 1, Task: i, Reducer: 2})
+		pw.bytes([]byte(e))
+	}
+	return endFrame(pw.b, at)
+}
+
 // FuzzWireFraming is the frame codec's robustness pin: for arbitrary
-// input bytes, the buffer decoder and the stream reader must agree,
-// must never panic, and anything either accepts must re-encode to a
-// decodable frame with identical content. Truncations, CRC flips, and
-// oversized lengths (all present in the seed corpus) must error.
+// input bytes — read as a window, frame after frame — the buffer decoder
+// and the stream reader must agree, must never panic, and anything
+// either accepts must re-encode to a decodable frame with identical
+// content; the worker's walk over a ship frame's entries must end in
+// the payload's last byte or an error. Truncations (mid-frame,
+// mid-window, and mid-entry under a valid CRC), CRC flips, and oversized
+// lengths (all present in the seed corpus) must error.
 func FuzzWireFraming(f *testing.F) {
 	valid := encodeFrame(nil, ftShipPart, []byte("seed partition payload"))
 	f.Add(valid)
@@ -94,10 +110,22 @@ func FuzzWireFraming(f *testing.F) {
 	binary.LittleEndian.PutUint32(over[5:], maxFramePayload+7)
 	f.Add(over)
 	f.Add([]byte("garbage that is not a frame at all"))
+	window := append(shipFrame("block one", "block two"), shipFrame("block three")...)
+	f.Add(window)
+	f.Add(window[:len(window)-9]) // cut inside the window's second frame
+	whole := shipFrame("block one", "block two")
+	f.Add(encodeFrame(nil, ftShipPart, whole[frameHeaderLen:len(whole)-frameTrailerLen-4])) // cut inside the second entry, CRC intact
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ft1, p1, n, err := decodeFrame(b)
-		rt, rp, rerr := readFrame(bytes.NewReader(b))
-		if err == nil {
+		stream := bytes.NewReader(b)
+		for {
+			ft1, p1, n, err := decodeFrame(b)
+			rt, rp, rerr := readFrame(stream)
+			if err != nil {
+				if rerr == nil {
+					t.Fatal("stream accepted what buffer rejected")
+				}
+				return
+			}
 			if n > len(b) || n < frameHeaderLen+frameTrailerLen {
 				t.Fatalf("consumed %d of %d", n, len(b))
 			}
@@ -112,8 +140,18 @@ func FuzzWireFraming(f *testing.F) {
 			if err2 != nil || ft2 != ft1 || !bytes.Equal(p2, p1) || n2 != len(re) {
 				t.Fatalf("re-encode round trip failed: %v", err2)
 			}
-		} else if rerr == nil {
-			t.Fatal("stream accepted what buffer rejected")
+			if ft1 == ftShipPart {
+				for r := (protoReader{b: p1}); len(r.b) > 0; {
+					before := len(r.b)
+					if _, _, err := decShipEntry(&r); err != nil {
+						break
+					}
+					if len(r.b) >= before {
+						t.Fatal("ship entry consumed nothing")
+					}
+				}
+			}
+			b = b[n:]
 		}
 	})
 }

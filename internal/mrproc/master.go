@@ -118,8 +118,10 @@ type Stats struct {
 }
 
 // worker is the master's handle on one worker process: the connection
-// (serialized by mu — the protocol is strictly request/response per
-// worker), the process, and the membership state.
+// (serialized by mu — one conversation at a time per worker, a
+// conversation being one request/response round, one file transfer, or
+// one partition window whose requests are all written before its
+// in-order replies are read), the process, and the membership state.
 type worker struct {
 	id    int
 	cmd   *exec.Cmd
@@ -338,51 +340,95 @@ func (m *Master) call(w *worker, t frameType, payload []byte, want ...frameType)
 }
 
 func (m *Master) callLocked(w *worker, t frameType, payload []byte, want ...frameType) (frameType, []byte, error) {
+	if err := m.sendLocked(w, encodeFrame(nil, t, payload)); err != nil {
+		return ftInvalid, nil, err
+	}
+	return m.recvLocked(w, nil, want...)
+}
+
+// armLocked starts one bounded step of a conversation: it refuses a
+// worker that is not live and gives the socket IOTimeout from now, so a
+// window of any size times out only when it stops making progress.
+// Called with w.mu held.
+func (m *Master) armLocked(w *worker) error {
 	if s := w.getState(); s != StateLive {
-		return ftInvalid, nil, &errWorkerDown{id: w.id, state: s}
+		return &errWorkerDown{id: w.id, state: s}
 	}
 	if err := w.conn.SetDeadline(time.Now().Add(m.opt.IOTimeout)); err != nil {
 		w.markDownLocked()
-		return ftInvalid, nil, err
+		return err
 	}
-	if err := writeFrame(w.bw, t, payload); err != nil {
-		w.markDownLocked()
-		return ftInvalid, nil, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.markDownLocked()
-		return ftInvalid, nil, err
-	}
-	return m.recvLocked(w, want...)
+	return nil
 }
 
-// recvLocked reads one response frame and validates its type. Called
-// with w.mu held, after a request has been written.
-func (m *Master) recvLocked(w *worker, want ...frameType) (frameType, []byte, error) {
-	rt, rp, err := readFrame(w.br)
+// sendLocked writes the frames built in buf to the worker. Called with
+// w.mu held.
+func (m *Master) sendLocked(w *worker, buf []byte) error {
+	err := m.armLocked(w)
+	if err != nil {
+		return err
+	}
+	if _, err = w.bw.Write(buf); err == nil {
+		err = w.bw.Flush()
+	}
 	if err != nil {
 		w.markDownLocked()
-		return ftInvalid, nil, fmt.Errorf("mrproc: worker %d: %w", w.id, err)
+		return fmt.Errorf("mrproc: worker %d: %w", w.id, err)
+	}
+	return nil
+}
+
+// recvLocked reads one response frame, appending its payload to dst,
+// and validates its type. Called with w.mu held, after a request has
+// been written.
+func (m *Master) recvLocked(w *worker, dst []byte, want ...frameType) (frameType, []byte, error) {
+	if err := m.armLocked(w); err != nil {
+		return ftInvalid, dst, err
+	}
+	at := len(dst)
+	rt, dst, err := readFrameAppend(w.br, dst)
+	if err != nil {
+		w.markDownLocked()
+		return ftInvalid, dst, fmt.Errorf("mrproc: worker %d: %w", w.id, err)
 	}
 	if rt == ftError {
 		w.markDownLocked()
-		return ftInvalid, nil, fmt.Errorf("mrproc: worker %d: %s", w.id, rp)
+		return ftInvalid, dst[:at], fmt.Errorf("mrproc: worker %d: %s", w.id, dst[at:])
 	}
 	for _, wt := range want {
 		if rt == wt {
-			return rt, rp, nil
+			return rt, dst, nil
 		}
 	}
 	w.markDownLocked()
-	return ftInvalid, nil, fmt.Errorf("mrproc: worker %d: unexpected frame type %d", w.id, rt)
+	return ftInvalid, dst[:at], fmt.Errorf("mrproc: worker %d: unexpected frame type %d", w.id, rt)
 }
 
 // --- placement ---------------------------------------------------------
 
-// partWorker places a shuffle partition on a worker by hashing its key.
-func (m *Master) partWorker(k mr.PartKey) *worker {
-	h := dfs.HashBytes(encPartKeyMsg(k))
-	return m.workers[int(h%uint64(len(m.workers)))]
+// eachWorker splits a partition window by placement and runs share on
+// every worker that owns part of it, with the indexes into keys it owns,
+// in window order. Placement hashes (job, seq, reducer) and ignores the
+// task, so one reducer's partitions share a worker and its fetch window
+// is a single conversation; a map task's ship window fans out over at
+// most min(reducers, workers) of them.
+func (m *Master) eachWorker(keys []mr.PartKey, share func(w *worker, idx []int) error) error {
+	idx := make([][]int, len(m.workers))
+	var pw protoWriter
+	for i, k := range keys {
+		k.Task, pw.b = 0, pw.b[:0]
+		encPartKey(&pw, k)
+		w := dfs.HashBytes(pw.b) % uint64(len(m.workers))
+		idx[w] = append(idx[w], i)
+	}
+	for id, idx := range idx {
+		if len(idx) > 0 {
+			if err := share(m.workers[id], idx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // fileWorkers returns the replication-many workers holding a file, in
@@ -406,32 +452,131 @@ func (m *Master) Name() string { return "proc" }
 // process.
 func (m *Master) InProcess() bool { return false }
 
-// ShipPartition stores one encoded shuffle partition on its placed
-// worker. Partition loss fails jobs, so a down worker is an error, not
-// a fallback.
-func (m *Master) ShipPartition(k mr.PartKey, data []byte) error {
-	w := m.partWorker(k)
-	if _, _, err := m.call(w, ftShipPart, encShipPart(k, data), ftOK); err != nil {
-		return err
-	}
-	m.stats.partsShipped.Add(1)
-	m.stats.partBytes.Add(int64(len(data)))
-	return nil
+// Frame slabs. Partition windows are built in, and read back into, byte
+// slabs borrowed from the engine's pools (mr.Acquire): the master moves
+// thousands of windows per decomposition, and a fresh buffer per frame
+// was most of its allocation volume. A slab has exactly one owner at a
+// time — the function that acquired it, which hands it back with
+// mr.Recycle on every path (haten2lint's poolreturn check holds this
+// package to it). Payloads handed out of a slab are lent, never given:
+// they die with the Recycle.
+
+// frameTarget is the payload size at which a ship window closes one
+// frame and opens the next. It bounds the frame slab (one frame plus one
+// partition) whatever the window holds, and keeps a window's acks — one
+// per frame — to a few bytes per MiB shipped.
+const frameTarget = 1 << 20
+
+// ShipPartitions stores one window of encoded shuffle partitions on
+// their placed workers. Partition loss fails jobs, so a down worker is
+// an error, not a fallback. Each worker's share goes out back to back as
+// (key, block) entries of ftShipPart frames, every frame written before
+// the first ack is read: the worker acks each frame with a few bytes
+// while the master is still writing, so neither side can fill the
+// other's socket buffer however large the blocks are.
+func (m *Master) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
+	return m.eachWorker(keys, func(w *worker, idx []int) error {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		buf := mr.Acquire[byte](0)
+		defer func() { mr.Recycle(buf) }()
+		parts, frames, bytes := int64(len(idx)), 0, int64(0)
+		for ; len(idx) > 0; frames++ {
+			var pw protoWriter
+			var at int
+			pw.b, at = beginFrame(buf[:0], ftShipPart)
+			for ; len(idx) > 0 && len(pw.b) < frameTarget; idx = idx[1:] {
+				encPartKey(&pw, keys[idx[0]])
+				pw.bytes(blocks[idx[0]])
+				bytes += int64(len(blocks[idx[0]]))
+			}
+			buf = endFrame(pw.b, at)
+			if err := m.sendLocked(w, buf); err != nil {
+				return err
+			}
+		}
+		for ; frames > 0; frames-- {
+			var err error
+			if _, buf, err = m.recvLocked(w, buf[:0], ftOK); err != nil {
+				return err
+			}
+		}
+		m.stats.partsShipped.Add(parts)
+		m.stats.partBytes.Add(bytes)
+		return nil
+	})
 }
 
-// FetchPartition reads a partition back from its placed worker.
-// (nil, nil) means no partition was shipped for k.
-func (m *Master) FetchPartition(k mr.PartKey) ([]byte, error) {
-	w := m.partWorker(k)
-	t, p, err := m.call(w, ftFetchPart, encPartKeyMsg(k), ftPartData, ftPartAbsent)
-	if err != nil {
-		return nil, err
-	}
-	if t == ftPartAbsent {
-		return nil, nil
-	}
-	m.stats.partsFetched.Add(1)
-	return p, nil
+// FetchPartitions reads one window of partitions back from their placed
+// workers. For each worker's share a single ftFetchPart frame names
+// every partition wanted, and the worker answers with one ftPartData or
+// ftPartAbsent frame per key, in order: it has read the whole request
+// before it writes its first reply, so replies larger than the socket
+// buffers only ever wait for the master's reads, which have already
+// begun. visit runs with no lock held, after the share's replies are in:
+// what is resident is that share's encoded blocks, once.
+func (m *Master) FetchPartitions(keys []mr.PartKey, visit func(i int, data []byte) error) error {
+	return m.eachWorker(keys, func(w *worker, idx []int) error {
+		buf := mr.Acquire[byte](0)
+		defer func() { mr.Recycle(buf) }()
+		ends := make([]int, len(idx)) // reply j is buf[ends[j-1]:ends[j]], or absent when ends[j] < 0
+		if err := func() (err error) {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			var pw protoWriter
+			var at int
+			pw.b, at = beginFrame(buf[:0], ftFetchPart)
+			for _, i := range idx {
+				encPartKey(&pw, keys[i])
+			}
+			buf = endFrame(pw.b, at)
+			if err = m.sendLocked(w, buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+			for j := range ends {
+				var t frameType
+				if t, buf, err = m.recvLocked(w, buf, ftPartData, ftPartAbsent); err != nil {
+					return err
+				}
+				if ends[j] = len(buf); t == ftPartAbsent {
+					ends[j] = -1
+				}
+			}
+			return nil
+		}(); err != nil {
+			return err
+		}
+		lo := 0
+		for j, hi := range ends {
+			var data []byte
+			if hi >= 0 {
+				data, lo = buf[lo:hi:hi], hi
+				m.stats.partsFetched.Add(1)
+			}
+			if err := visit(idx[j], data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// ShipPartition and FetchPartition are the window-of-one cases, for
+// callers (probes, tests) that hold a single partition. FetchPartition
+// returns (nil, nil) when no partition was shipped for k.
+func (m *Master) ShipPartition(k mr.PartKey, data []byte) error {
+	return m.ShipPartitions([]mr.PartKey{k}, [][]byte{data})
+}
+
+func (m *Master) FetchPartition(k mr.PartKey) (data []byte, err error) {
+	err = m.FetchPartitions([]mr.PartKey{k}, func(_ int, lent []byte) error {
+		if lent != nil {
+			data = append([]byte{}, lent...)
+		}
+		return nil
+	})
+	return data, err
 }
 
 // ReleaseJob drops a job run's partitions on every live worker.
@@ -505,7 +650,7 @@ func (m *Master) shipFileTo(w *worker, name string, manifest []byte, chunks []ch
 		w.markDownLocked()
 		return err
 	}
-	if _, _, err := m.recvLocked(w, ftFileOK); err != nil {
+	if _, _, err := m.recvLocked(w, nil, ftFileOK); err != nil {
 		return err
 	}
 	m.stats.chunksShipped.Add(int64(len(need)))

@@ -103,6 +103,10 @@ func (r *protoReader) done() error {
 
 // --- message shapes ----------------------------------------------------
 
+// encPartKey appends a partition key. The ship-partition request is a
+// run of (key, bytes) entries and the fetch-partition request a run of
+// keys, each to the end of the payload: one entry is the
+// single-partition case.
 func encPartKey(w *protoWriter, k mr.PartKey) {
 	w.str(k.Job)
 	w.varint(k.Seq)
@@ -131,41 +135,15 @@ func decPartKey(r *protoReader) (mr.PartKey, error) {
 	return k, nil
 }
 
-// ship-partition request: key + data.
-func encShipPart(k mr.PartKey, data []byte) []byte {
-	var w protoWriter
-	encPartKey(&w, k)
-	w.bytes(data)
-	return w.b
-}
-
-func decShipPart(p []byte) (mr.PartKey, []byte, error) {
-	r := protoReader{b: p}
-	k, err := decPartKey(&r)
+// decShipEntry reads one (key, block) entry of a ship-partition
+// request; the block aliases the payload.
+func decShipEntry(r *protoReader) (mr.PartKey, []byte, error) {
+	k, err := decPartKey(r)
 	if err != nil {
 		return k, nil, err
 	}
 	data, err := r.bytes()
-	if err != nil {
-		return k, nil, err
-	}
-	return k, data, r.done()
-}
-
-// fetch-partition request / release-job request reuse the key shape.
-func encPartKeyMsg(k mr.PartKey) []byte {
-	var w protoWriter
-	encPartKey(&w, k)
-	return w.b
-}
-
-func decPartKeyMsg(p []byte) (mr.PartKey, error) {
-	r := protoReader{b: p}
-	k, err := decPartKey(&r)
-	if err != nil {
-		return k, err
-	}
-	return k, r.done()
+	return k, data, err
 }
 
 func encReleaseJob(job string, seq int64) []byte {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"github.com/haten2/haten2/internal/dfs"
-	"github.com/haten2/haten2/internal/mr"
 )
 
 // Environment hook: a process started with these variables set is a
@@ -51,13 +50,21 @@ func MaybeWorker() {
 // the file system keeps one hash discipline across the whole data path.
 func hashChunk(b []byte) uint64 { return dfs.HashBytes(b) }
 
+// jobRun names one run of a job: what ReleaseJob frees as a unit.
+type jobRun struct {
+	job string
+	seq int64
+}
+
 // workerStore is a worker process's in-memory state: shuffle partitions
-// by key, and files as manifests over a reference-counted,
-// content-addressed chunk store. Two files (or two generations of one
-// file) sharing identical chunks store them once; the ship protocol
-// only ever transfers chunks the store lacks.
+// by job run and then (task, reducer), so releasing a run drops one map
+// entry instead of scanning every run's partitions; and files as
+// manifests over a reference-counted, content-addressed chunk store.
+// Two files (or two generations of one file) sharing identical chunks
+// store them once; the ship protocol only ever transfers chunks the
+// store lacks.
 type workerStore struct {
-	parts  map[mr.PartKey][]byte
+	parts  map[jobRun]map[[2]int][]byte
 	files  map[string][]chunkRef
 	chunks map[uint64][]byte
 	refs   map[uint64]int
@@ -65,7 +72,7 @@ type workerStore struct {
 
 func newWorkerStore() *workerStore {
 	return &workerStore{
-		parts:  make(map[mr.PartKey][]byte),
+		parts:  make(map[jobRun]map[[2]int][]byte),
 		files:  make(map[string][]chunkRef),
 		chunks: make(map[uint64][]byte),
 		refs:   make(map[uint64]int),
@@ -153,14 +160,13 @@ func RunWorker(addr string, id int) error {
 // flight — which is exactly the shutdown flakiness the drain handshake
 // exists to prevent.
 func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
-	reply := func(t frameType, payload []byte) error {
-		if err := writeFrame(bw, t, payload); err != nil {
+	for {
+		// Replies are buffered while a request is handled and flushed
+		// when the next one is awaited: one write per request, however
+		// many frames answer it.
+		if err := bw.Flush(); err != nil {
 			return err
 		}
-		return bw.Flush()
-	}
-	fail := func(err error) error { return reply(ftError, []byte(err.Error())) }
-	for {
 		t, payload, err := readFrame(br)
 		if err == io.EOF {
 			return nil // master closed between frames
@@ -168,66 +174,62 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 		if err != nil {
 			return err
 		}
+		rt, rp := ftOK, []byte(nil) // the reply, for the requests that have exactly one
 		switch t {
 		case ftPing:
-			if err := reply(ftPong, nil); err != nil {
-				return err
-			}
+			rt = ftPong
 		case ftShipPart:
-			k, data, err := decShipPart(payload)
-			if err != nil {
-				return err
-			}
-			store.parts[k] = data
-			if err := reply(ftOK, nil); err != nil {
-				return err
-			}
-		case ftFetchPart:
-			k, err := decPartKeyMsg(payload)
-			if err != nil {
-				return err
-			}
-			data, ok := store.parts[k]
-			if !ok {
-				if err := reply(ftPartAbsent, nil); err != nil {
+			// One frame of a ship window: (key, block) entries to the end
+			// of the payload. The stored blocks alias the payload, which
+			// this loop owns.
+			for r := (protoReader{b: payload}); len(r.b) > 0; {
+				k, data, err := decShipEntry(&r)
+				if err != nil {
 					return err
 				}
-				break
+				run := jobRun{k.Job, k.Seq}
+				if store.parts[run] == nil {
+					store.parts[run] = make(map[[2]int][]byte)
+				}
+				store.parts[run][[2]int{k.Task, k.Reducer}] = data
 			}
-			if err := reply(ftPartData, data); err != nil {
-				return err
+		case ftFetchPart:
+			// A fetch window: one reply per key named, in order.
+			for r := (protoReader{b: payload}); len(r.b) > 0; {
+				k, err := decPartKey(&r)
+				if err != nil {
+					return err
+				}
+				rt = ftPartData
+				data, ok := store.parts[jobRun{k.Job, k.Seq}][[2]int{k.Task, k.Reducer}]
+				if !ok {
+					rt = ftPartAbsent
+				}
+				if err := writeFrame(bw, rt, data); err != nil {
+					return err
+				}
 			}
+			continue
 		case ftReleaseJob:
 			job, seq, err := decReleaseJob(payload)
 			if err != nil {
 				return err
 			}
-			for k := range store.parts {
-				if k.Job == job && k.Seq == seq {
-					delete(store.parts, k)
-				}
-			}
-			if err := reply(ftOK, nil); err != nil {
-				return err
-			}
+			delete(store.parts, jobRun{job, seq})
 		case ftShipFile:
 			if err := receiveFile(br, bw, store, payload); err != nil {
 				return err
 			}
+			continue
 		case ftFetchFile:
 			name, err := decName(payload)
 			if err != nil {
 				return err
 			}
-			data, ok := store.assemble(name)
-			if !ok {
-				if err := reply(ftFileAbsent, nil); err != nil {
-					return err
-				}
-				break
-			}
-			if err := reply(ftFileData, data); err != nil {
-				return err
+			rt = ftFileData
+			var ok bool
+			if rp, ok = store.assemble(name); !ok {
+				rt = ftFileAbsent
 			}
 		case ftDropFile:
 			name, err := decName(payload)
@@ -235,11 +237,11 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 				return err
 			}
 			store.dropFile(name)
-			if err := reply(ftOK, nil); err != nil {
+		case ftDrain:
+			if err := writeFrame(bw, ftDrainOK, nil); err != nil {
 				return err
 			}
-		case ftDrain:
-			if err := reply(ftDrainOK, nil); err != nil {
+			if err := bw.Flush(); err != nil {
 				return err
 			}
 			// Wait for the master to close; see the function comment.
@@ -252,9 +254,10 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 				}
 			}
 		default:
-			if err := fail(fmt.Errorf("mrproc: unexpected frame type %d", t)); err != nil {
-				return err
-			}
+			rt, rp = ftError, fmt.Appendf(nil, "mrproc: unexpected frame type %d", t)
+		}
+		if err := writeFrame(bw, rt, rp); err != nil {
+			return err
 		}
 	}
 }

@@ -52,7 +52,10 @@ type lineReader struct {
 
 func newLineReader(r io.Reader) *lineReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Lines of up to 16 MiB are accepted; the buffer starts at the
+	// scanner's default and grows to fit, so loading a 50 KB model does
+	// not allocate and clear a megabyte first.
+	sc.Buffer(make([]byte, 0, bufio.MaxScanTokenSize), 1<<24)
 	return &lineReader{sc: sc}
 }
 

@@ -1,7 +1,10 @@
 package haten2_test
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -143,5 +146,39 @@ func TestSaveLoadResumeWorkflow(t *testing.T) {
 	}
 	if resumed.Fit(x) < 0.999 {
 		t.Fatalf("resumed run did not finish the job: fit %v", resumed.Fit(x))
+	}
+}
+
+// TestLoadLongLines pins the loader's line limits, which the scanner's
+// starting buffer size must not move: a line longer than that starting
+// buffer (64 KiB) loads, bit for bit, and a line past the 16 MiB cap is
+// the scanner's own error.
+func TestLoadLongLines(t *testing.T) {
+	const rank = 6000 // 6000 × "0.3333333333333333 " > 64 KiB per line
+	var b strings.Builder
+	row := strings.TrimSuffix(strings.Repeat("0.3333333333333333 ", rank), " ")
+	if len(row) <= 64<<10 {
+		t.Fatalf("test line is only %d bytes", len(row))
+	}
+	fmt.Fprintf(&b, "haten2-parafac-v1\nrank %d\n%s\n", rank, row)
+	for m := 0; m < 3; m++ {
+		fmt.Fprintf(&b, "matrix 2 %d\n%s\n%s\n", rank, row, row)
+	}
+	res, err := haten2.LoadParafac(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("model with %d-byte lines: %v", len(row), err)
+	}
+	third := 1.0 / 3
+	if len(res.Lambda) != rank || res.Lambda[rank-1] != third || res.Factors[2].At(1, rank-1) != third {
+		t.Fatal("long-line model did not load bit for bit")
+	}
+	var out bytes.Buffer
+	if err := res.Save(&out); err != nil || out.String() != b.String() {
+		t.Fatalf("long-line model does not save back to its input (err %v)", err)
+	}
+
+	tooLong := "haten2-parafac-v1\nrank 1\n" + strings.Repeat("1", 1<<24) + "\n"
+	if _, err := haten2.LoadParafac(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("16 MiB line: want bufio.ErrTooLong, got %v", err)
 	}
 }
