@@ -53,31 +53,25 @@ func ckptIter(base, name string) (int, bool) {
 // after iteration st.iters — under base and prunes older checkpoints. A
 // leftover same-name checkpoint from an earlier process is replaced
 // (re-running an iteration reproduces the identical state, so the
-// replacement is a no-op in content). The state is stored as a single
-// DFS record (the simulator keeps record payloads in memory; the
-// record's Size carries the real byte cost).
+// replacement is a no-op in content). The state is a one-record file,
+// charged the bytes of the floats it holds.
 func saveCheckpoint(c *mr.Cluster, base string, st *alsState) error {
-	fs := c.FS()
 	name := ckptName(base, st.iters)
-	if fs.Exists(name) {
-		if err := fs.Delete(name); err != nil {
-			return fmt.Errorf("core: checkpoint %q: %w", name, err)
+	size := func(st *alsState) int64 {
+		floats := len(st.lambda) + len(st.prevLambda) + len(st.coreNorms) + len(st.fits)
+		for _, f := range st.factors {
+			floats += f.Rows * f.Cols
 		}
+		if st.core != nil {
+			floats += len(st.core.Data)
+		}
+		return int64(floats)*8 + 16
 	}
-	w, err := fs.Create(name)
-	if err != nil {
+	if err := mr.WriteFile(c, name, []*alsState{st.clone()}, size); err != nil {
 		return fmt.Errorf("core: checkpoint %q: %w", name, err)
 	}
-	floats := len(st.lambda) + len(st.prevLambda) + len(st.coreNorms) + len(st.fits)
-	for _, f := range st.factors {
-		floats += f.Rows * f.Cols
-	}
-	if st.core != nil {
-		floats += len(st.core.Data)
-	}
-	w.Append(st.clone(), int64(floats)*8+16)
-	w.Close()
 	// The new checkpoint is published; older ones are now redundant.
+	fs := c.FS()
 	for _, n := range fs.List() {
 		if old, ok := ckptIter(base, n); ok && old < st.iters {
 			if err := fs.Delete(n); err != nil {
@@ -92,9 +86,8 @@ func saveCheckpoint(c *mr.Cluster, base string, st *alsState) error {
 // base, or nil when none exists. A checkpoint written by a different
 // decomposition than method is an error, not a silent restart.
 func loadCheckpoint(c *mr.Cluster, base, method string) (*alsState, error) {
-	fs := c.FS()
 	best, bestIter := "", -1
-	for _, n := range fs.List() {
+	for _, n := range c.FS().List() {
 		if it, ok := ckptIter(base, n); ok && it > bestIter {
 			best, bestIter = n, it
 		}
@@ -102,18 +95,17 @@ func loadCheckpoint(c *mr.Cluster, base, method string) (*alsState, error) {
 	if bestIter < 0 {
 		return nil, nil
 	}
-	recs, err := fs.ReadAll(best)
+	recs, err := mr.ReadFile[*alsState](c, best)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint %q: %w", best, err)
 	}
 	if len(recs) != 1 {
 		return nil, fmt.Errorf("core: checkpoint %q has %d records, want 1", best, len(recs))
 	}
-	st, ok := recs[0].Data.(*alsState)
-	if !ok || st.method != method {
+	if recs[0].method != method {
 		return nil, fmt.Errorf("core: checkpoint %q is not a %s checkpoint", best, method)
 	}
-	return st.clone(), nil
+	return recs[0].clone(), nil
 }
 
 // iterSeed derives the RNG seed of one outer iteration from the run

@@ -4,6 +4,21 @@ import (
 	"testing"
 )
 
+// writeBlock publishes a file of n int records charging size bytes each.
+func writeBlock(t *testing.T, fs *FS, name string, n int, size int64) {
+	t.Helper()
+	w, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]int, n)
+	for i := range payload {
+		payload[i] = i
+	}
+	w.AppendBlock(payload, n, int64(n)*size)
+	w.Close()
+}
+
 func TestBlockWriteAndView(t *testing.T) {
 	fs := New(Options{})
 	w, err := fs.Create("blk")
@@ -14,9 +29,9 @@ func TestBlockWriteAndView(t *testing.T) {
 	w.AppendBlock(payload, len(payload), 32)
 	w.Close()
 
-	got, n, ok, err := fs.BlockView("blk")
-	if err != nil || !ok {
-		t.Fatalf("BlockView: ok=%v err=%v", ok, err)
+	got, n, err := fs.BlockView("blk")
+	if err != nil {
+		t.Fatalf("BlockView: %v", err)
 	}
 	if n != 4 {
 		t.Fatalf("count = %d, want 4", n)
@@ -25,11 +40,12 @@ func TestBlockWriteAndView(t *testing.T) {
 	if !isTyped || len(s) != 4 || s[2] != 30 {
 		t.Fatalf("payload = %#v", got)
 	}
+	// Zero-copy: the view is the slice the writer handed over.
+	if &s[0] != &payload[0] {
+		t.Fatal("BlockView copied the payload")
+	}
 	if sz, _ := fs.Size("blk"); sz != 32 {
 		t.Fatalf("Size = %d, want 32", sz)
-	}
-	if nr, _ := fs.NumRecords("blk"); nr != 4 {
-		t.Fatalf("NumRecords = %d, want 4", nr)
 	}
 	st := fs.Stats()
 	if st.BytesWritten != 32 || st.RecordsWritten != 4 {
@@ -40,74 +56,32 @@ func TestBlockWriteAndView(t *testing.T) {
 	}
 }
 
-// A block-written file must still serve per-record readers: the boxed
-// view is materialized lazily, sizes summing exactly to the block size.
-func TestBlockMaterializesForRecordReaders(t *testing.T) {
+// A file published without a block is a valid empty file; an absent one
+// is an error.
+func TestBlockViewOnEmptyAndAbsentFile(t *testing.T) {
 	fs := New(Options{})
-	w, _ := fs.Create("blk")
-	w.AppendBlock([]string{"a", "b", "c"}, 3, 10)
+	w, _ := fs.Create("empty")
 	w.Close()
-
-	recs, err := fs.ReadAll("blk")
-	if err != nil {
-		t.Fatal(err)
+	payload, n, err := fs.BlockView("empty")
+	if err != nil || payload != nil || n != 0 {
+		t.Fatalf("empty file: payload=%v n=%d err=%v", payload, n, err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records", len(recs))
+	if st := fs.Stats(); st.BytesRead != 0 || st.RecordsRead != 0 || st.BlocksWritten != 0 {
+		t.Fatalf("empty file charged I/O: %+v", st)
 	}
-	var total int64
-	for _, r := range recs {
-		total += r.Size
-	}
-	if total != 10 {
-		t.Fatalf("record sizes sum to %d, want 10", total)
-	}
-	if recs[1].Data.(string) != "b" {
-		t.Fatalf("recs[1] = %#v", recs[1])
-	}
-
-	// SplitRanges works off the same materialized view.
-	splits, bounds, err := fs.SplitRanges("blk", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 || bounds[len(bounds)-1] != 3 {
-		t.Fatalf("splits=%d bounds=%v", len(splits), bounds)
-	}
-}
-
-func TestBlockViewOnRecordFile(t *testing.T) {
-	fs := New(Options{})
-	w, _ := fs.Create("rec")
-	w.Append("x", 4)
-	w.Close()
-	before := fs.Stats().BytesRead
-	_, _, ok, err := fs.BlockView("rec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("BlockView reported a per-record file as a block")
-	}
-	if fs.Stats().BytesRead != before {
-		t.Fatal("failed BlockView charged a read")
-	}
-	if _, _, _, err := fs.BlockView("absent"); err == nil {
+	if _, _, err := fs.BlockView("absent"); err == nil {
 		t.Fatal("BlockView on absent file did not error")
 	}
 }
 
-func TestBlockWriteMixingPanics(t *testing.T) {
+func TestBlockWritePanics(t *testing.T) {
 	fs := New(Options{})
 	w, _ := fs.Create("a")
 	w.AppendBlock([]int{1}, 1, 8)
-	mustPanic(t, "Append after AppendBlock", func() { w.Append(2, 8) })
 	mustPanic(t, "second AppendBlock", func() { w.AppendBlock([]int{2}, 1, 8) })
 	w2, _ := fs.Create("b")
-	w2.Append(1, 8)
-	mustPanic(t, "AppendBlock after Append", func() { w2.AppendBlock([]int{2}, 1, 8) })
-	w3, _ := fs.Create("c")
-	mustPanic(t, "count mismatch", func() { w3.AppendBlock([]int{1, 2}, 3, 8) })
+	mustPanic(t, "count mismatch", func() { w2.AppendBlock([]int{1, 2}, 3, 8) })
+	mustPanic(t, "non-slice payload", func() { w2.AppendBlock(7, 1, 8) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

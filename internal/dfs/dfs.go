@@ -1,13 +1,18 @@
 // Package dfs simulates the distributed file system (HDFS) that HaTen2's
 // MapReduce jobs stage their input and output through.
 //
-// The simulator stores records in memory but performs full bookkeeping of
-// what a real HDFS would do to disk: records are packed into fixed-size
-// blocks, every written block is charged once per replica, and every job
-// that reads a file is charged for all of its bytes again. This makes the
-// paper's third optimization axis — "minimize disk accesses" by reading
-// the input tensor once instead of twice (§III-B4) — directly observable
-// in Stats.
+// Every file a plan touches is a homogeneous record file — tensor
+// entries, factor cells, the intermediates of Tables III/IV — so a file
+// has one representation: a single typed block, the []T slice its writer
+// handed to AppendBlock, kept in memory as written and lent back
+// verbatim by BlockView. The simulator never serializes the payload; the
+// writer states what it would occupy on disk, and the file system does
+// the bookkeeping a real HDFS would: those bytes are cut into fixed-size
+// DFS blocks, every block is checksummed and charged once per replica,
+// and every job that reads a file is charged for all of its bytes again.
+// This makes the paper's third optimization axis — "minimize disk
+// accesses" by reading the input tensor once instead of twice
+// (§III-B4) — directly observable in Stats.
 package dfs
 
 import (
@@ -16,14 +21,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Record is one item stored in a file: an opaque payload plus the number
-// of bytes it would occupy on disk. Sizes are supplied by the writer
-// because the simulator never serializes payloads.
-type Record struct {
-	Data any
-	Size int64
-}
 
 // Options configures a simulated file system.
 type Options struct {
@@ -81,12 +78,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 type file struct {
-	// records holds the per-record view. For block-written files it is
-	// materialized lazily (with boxing) the first time a per-record
-	// reader asks for it; typed readers never pay that cost.
-	records []Record
-	// typed is the payload of a block-written file: a []T slice stored
-	// as written, with no per-record boxing. nil for per-record files.
+	// typed is the file's payload: the []T slice AppendBlock stored, as
+	// written. nil while (and if) the file holds no block.
 	typed any
 	count int
 	bytes int64
@@ -126,25 +119,6 @@ func (f *file) blockSpan(b int, blockSize int64) int64 {
 		return blockSize
 	}
 	return f.bytes - int64(b)*blockSize
-}
-
-// materialize builds the boxed per-record view of a block-written file.
-// Called with fs.mu held. Per-record sizes are the block's bytes spread
-// uniformly (the block never carried per-record sizes), with the
-// remainder charged to the last record so the total is exact.
-func (f *file) materialize() {
-	if f.typed == nil || f.records != nil || f.count == 0 {
-		return
-	}
-	rv := reflect.ValueOf(f.typed)
-	n := rv.Len()
-	recs := make([]Record, n)
-	per := f.bytes / int64(n)
-	for i := 0; i < n; i++ {
-		recs[i] = Record{Data: rv.Index(i).Interface(), Size: per}
-	}
-	recs[n-1].Size += f.bytes - per*int64(n)
-	f.records = recs
 }
 
 // FS is a simulated distributed file system. All methods are safe for
@@ -194,7 +168,7 @@ func (e *ErrExist) Error() string { return fmt.Sprintf("dfs: file %q already exi
 
 // Create makes a new empty file and returns a writer for it. Like HDFS,
 // files are write-once: Create fails if the name already exists, staged
-// or published. The file stays invisible — absent from ReadAll, Exists,
+// or published. The file stays invisible — absent from BlockView, Exists,
 // Size, List, and Delete — until the writer's Close publishes it
 // atomically; a writer abandoned by a failed task attempt (Abort, or
 // simply never closed) exposes no partial output.
@@ -213,9 +187,9 @@ func (fs *FS) Create(name string) (*Writer, error) {
 	return &Writer{fs: fs, name: name, f: f}, nil
 }
 
-// Writer appends records to a file. It buffers nothing; every Append is
-// accounted immediately. Writers are safe for concurrent use. The file
-// becomes visible only when Close commits it; Abort discards it.
+// Writer writes one file. It buffers nothing; AppendBlock is accounted
+// immediately. Writers are safe for concurrent use. The file becomes
+// visible only when Close commits it; Abort discards it.
 type Writer struct {
 	fs    *FS
 	name  string
@@ -242,55 +216,18 @@ func (w *Writer) mustBeOpen(op string) {
 	}
 }
 
-// Append adds one record to the file. Appending to a closed or aborted
-// writer panics: the commit protocol forbids mutating published files.
-func (w *Writer) Append(data any, size int64) {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	w.mustBeOpen("Append")
-	if w.f.typed != nil {
-		panic("dfs: Append on a block-written file")
-	}
-	w.f.records = append(w.f.records, Record{Data: data, Size: size})
-	w.f.count++
-	w.f.bytes += size
-	w.f.fold(uint64(size), w.fs.opts.BlockSize)
-	w.fs.stats.BytesWritten += size
-	w.fs.stats.BytesReplWrite += size * int64(w.fs.opts.Replication)
-	w.fs.stats.RecordsWritten++
-}
-
-// AppendAll adds many records with a single lock acquisition.
-func (w *Writer) AppendAll(recs []Record) {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	w.mustBeOpen("AppendAll")
-	if w.f.typed != nil {
-		panic("dfs: AppendAll on a block-written file")
-	}
-	w.f.records = append(w.f.records, recs...)
-	w.f.count += len(recs)
-	for _, r := range recs {
-		w.f.bytes += r.Size
-		w.f.fold(uint64(r.Size), w.fs.opts.BlockSize)
-		w.fs.stats.BytesWritten += r.Size
-		w.fs.stats.BytesReplWrite += r.Size * int64(w.fs.opts.Replication)
-	}
-	w.fs.stats.RecordsWritten += int64(len(recs))
-}
-
 // AppendBlock stores a file's contents as one typed block: payload must
 // be a []T slice of count records charging size bytes in total. The
-// payload is stored as-is — no per-record boxing — and handed back
-// verbatim by BlockView, so ownership transfers to the file system:
-// the caller must not mutate (or return to a pool) the slice after the
-// call. A file holds at most one block, and block and per-record writes
-// cannot be mixed; violating either panics, like the write-once rules.
+// payload is stored as-is and handed back verbatim by BlockView, so
+// ownership transfers to the file system: the caller must not mutate
+// (or return to a pool) the slice after the call. A file holds at most
+// one block; a second AppendBlock, or one on a closed or aborted writer,
+// panics: the commit protocol forbids mutating published files.
 func (w *Writer) AppendBlock(payload any, count int, size int64) {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	w.mustBeOpen("AppendBlock")
-	if w.f.typed != nil || len(w.f.records) > 0 {
+	if w.f.typed != nil {
 		panic("dfs: AppendBlock on a non-empty file")
 	}
 	if rv := reflect.ValueOf(payload); rv.Kind() != reflect.Slice || rv.Len() != count {
@@ -312,19 +249,16 @@ func (w *Writer) AppendBlock(payload any, count int, size int64) {
 // When a remote mirror is installed, the newly published file is
 // shipped to it after the publish, outside the file-system mutex.
 func (w *Writer) Close() {
-	remote, payload, count, recs := w.commit()
-	if remote != nil {
-		remote.Ship(w.name, payload, count, recs)
+	if remote := w.commit(); remote != nil {
+		// The payload is frozen from publication on, so it is read here
+		// without the lock.
+		remote.Ship(w.name, w.f.typed, w.f.count)
 	}
 }
 
 // commit performs the locked portion of Close and returns the remote
-// hook to notify (nil when none is installed) together with a snapshot
-// of the published content taken under the lock — the payload and
-// record storage are append-frozen from publication on, but the record
-// slice header itself may later be replaced by lazy materialization,
-// so it must be captured here, not read from w.f afterwards.
-func (w *Writer) commit() (Remote, any, int, []Record) {
+// hook to notify (nil when none is installed).
+func (w *Writer) commit() Remote {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	switch w.state {
@@ -343,7 +277,7 @@ func (w *Writer) commit() (Remote, any, int, []Record) {
 	}
 	w.f.repl = w.fs.opts.Replication
 	w.fs.stats.BlocksWritten += int64(len(w.f.sums))
-	return w.fs.remote, w.f.typed, w.f.count, w.f.records
+	return w.fs.remote
 }
 
 // Abort discards a staged file, releasing its name. The bytes already
@@ -362,96 +296,31 @@ func (w *Writer) Abort() {
 	w.fs.stats.FilesAborted++
 }
 
-// ReadAll returns all records of a file and charges a full read. Every
-// block is checksum-verified first, failing over across replicas; a
-// block with no good replica fails the read with *ErrDataLoss.
-// The returned slice aliases file storage; callers must not mutate it.
-func (fs *FS) ReadAll(name string) ([]Record, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, &ErrNotExist{Name: name}
-	}
-	if err := fs.verifyRead(name, f); err != nil {
-		return nil, err
-	}
-	f.materialize()
-	fs.stats.BytesRead += f.bytes
-	fs.stats.RecordsRead += int64(f.count)
-	return f.records, nil
-}
-
-// BlockView returns the typed payload of a block-written file — the []T
-// slice AppendBlock stored, with no per-record boxing — charging one
-// full read. ok is false (with no read charged) when the file was
-// written per-record; callers then fall back to ReadAll or SplitRanges.
+// BlockView returns a file's payload — the []T slice AppendBlock
+// stored — and its record count, charging one full read. Every DFS block
+// is checksum-verified first, failing over across replicas; a block with
+// no good replica fails the read with *ErrDataLoss. A file published
+// without a block has a nil payload and no records.
 //
 // The payload is a borrowed view of file storage: callers must treat it
 // as read-only and must not return it to a buffer pool. It stays valid
 // until the file is deleted.
-func (fs *FS) BlockView(name string) (payload any, count int, ok bool, err error) {
+func (fs *FS) BlockView(name string) (payload any, count int, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, exists := fs.files[name]
-	if !exists {
-		return nil, 0, false, &ErrNotExist{Name: name}
-	}
-	if f.typed == nil {
-		return nil, 0, false, nil
+	f, ok := fs.files[name]
+	if !ok {
+		return nil, 0, &ErrNotExist{Name: name}
 	}
 	// Verify against the checksums computed at AppendBlock time before
 	// lending the pooled slab out; a bad block must surface here, not
 	// as a silent wrong decode downstream.
 	if err := fs.verifyRead(name, f); err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	fs.stats.BytesRead += f.bytes
 	fs.stats.RecordsRead += int64(f.count)
-	return f.typed, f.count, true, nil
-}
-
-// SplitRanges partitions a file into n contiguous input splits without
-// copying: it returns the file's record slice (aliasing file storage;
-// callers must not mutate it) together with n+1 split boundaries, so
-// split i is recs[bounds[i]:bounds[i+1]]. One full read of the file is
-// charged, exactly as Splits does. Some splits may be empty when the
-// file has fewer records than n.
-func (fs *FS) SplitRanges(name string, n int) (recs []Record, bounds []int, err error) {
-	if n <= 0 {
-		n = 1
-	}
-	recs, err = fs.ReadAll(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	bounds = make([]int, n+1)
-	per := (len(recs) + n - 1) / n
-	for i := 1; i <= n; i++ {
-		hi := i * per
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		bounds[i] = hi
-	}
-	return recs, bounds, nil
-}
-
-// Splits partitions a file's records into n contiguous input splits for
-// the MapReduce engine, charging one full read of the file. Some splits
-// may be empty when the file has fewer records than n. The splits alias
-// file storage; callers needing to avoid the per-split slice headers
-// should use SplitRanges instead.
-func (fs *FS) Splits(name string, n int) ([][]Record, error) {
-	recs, bounds, err := fs.SplitRanges(name, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Record, len(bounds)-1)
-	for i := range out {
-		out[i] = recs[bounds[i]:bounds[i+1]]
-	}
-	return out, nil
+	return f.typed, f.count, nil
 }
 
 // Size returns the logical byte size of a file.
@@ -463,17 +332,6 @@ func (fs *FS) Size(name string) (int64, error) {
 		return 0, &ErrNotExist{Name: name}
 	}
 	return f.bytes, nil
-}
-
-// NumRecords returns the record count of a file.
-func (fs *FS) NumRecords(name string) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return 0, &ErrNotExist{Name: name}
-	}
-	return f.count, nil
 }
 
 // Exists reports whether a file is present.

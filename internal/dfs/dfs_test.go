@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -13,15 +14,15 @@ func TestCreateWriteRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append("x", 10)
-	w.Append("y", 20)
+	w.AppendBlock([]string{"x", "y"}, 2, 30)
 	w.Close()
-	recs, err := fs.ReadAll("a")
+	payload, n, err := fs.BlockView("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Data != "x" || recs[1].Size != 20 {
-		t.Fatalf("records = %+v", recs)
+	recs := payload.([]string)
+	if n != 2 || len(recs) != 2 || recs[0] != "x" || recs[1] != "y" {
+		t.Fatalf("records = %+v (n=%d)", recs, n)
 	}
 }
 
@@ -39,7 +40,7 @@ func TestCreateDuplicate(t *testing.T) {
 
 func TestReadMissing(t *testing.T) {
 	fs := New(Options{})
-	_, err := fs.ReadAll("nope")
+	_, _, err := fs.BlockView("nope")
 	var ne *ErrNotExist
 	if !errors.As(err, &ne) {
 		t.Fatalf("want ErrNotExist, got %v", err)
@@ -49,10 +50,9 @@ func TestReadMissing(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	fs := New(Options{BlockSize: 100, Replication: 3})
 	w, _ := fs.Create("f")
-	w.Append(1, 150)
-	w.Append(2, 60)
+	w.AppendBlock([]int{1, 2}, 2, 210)
 	w.Close()
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	s := fs.Stats()
@@ -77,44 +77,12 @@ func TestRereadChargesAgain(t *testing.T) {
 	// The DRI optimization (read input once, not twice) must be visible.
 	fs := New(Options{})
 	w, _ := fs.Create("f")
-	w.Append(1, 100)
+	w.AppendBlock([]int{1}, 1, 100)
 	w.Close()
-	fs.ReadAll("f")
-	fs.ReadAll("f")
+	fs.BlockView("f")
+	fs.BlockView("f")
 	if got := fs.Stats().BytesRead; got != 200 {
 		t.Fatalf("BytesRead=%d want 200", got)
-	}
-}
-
-func TestSplits(t *testing.T) {
-	fs := New(Options{})
-	w, _ := fs.Create("f")
-	for i := 0; i < 10; i++ {
-		w.Append(i, 1)
-	}
-	w.Close()
-	splits, err := fs.Splits("f", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("%d splits", len(splits))
-	}
-	total := 0
-	for _, s := range splits {
-		total += len(s)
-	}
-	if total != 10 {
-		t.Fatalf("splits lost records: %d", total)
-	}
-	// More splits than records: trailing splits empty, nothing lost.
-	splits, _ = fs.Splits("f", 20)
-	total = 0
-	for _, s := range splits {
-		total += len(s)
-	}
-	if total != 10 {
-		t.Fatalf("over-split lost records: %d", total)
 	}
 }
 
@@ -142,16 +110,11 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
-func TestSizeAndNumRecords(t *testing.T) {
+func TestSize(t *testing.T) {
 	fs := New(Options{})
-	w, _ := fs.Create("f")
-	w.AppendAll([]Record{{Data: 1, Size: 5}, {Data: 2, Size: 7}})
-	w.Close()
+	writeBlock(t, fs, "f", 2, 6)
 	if sz, _ := fs.Size("f"); sz != 12 {
 		t.Fatalf("Size=%d", sz)
-	}
-	if n, _ := fs.NumRecords("f"); n != 2 {
-		t.Fatalf("NumRecords=%d", n)
 	}
 	if _, err := fs.Size("missing"); err == nil {
 		t.Fatal("Size of missing file should fail")
@@ -160,9 +123,7 @@ func TestSizeAndNumRecords(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	fs := New(Options{})
-	w, _ := fs.Create("f")
-	w.Append(1, 1)
-	w.Close()
+	writeBlock(t, fs, "f", 1, 1)
 	fs.ResetStats()
 	if s := fs.Stats(); s != (Stats{}) {
 		t.Fatalf("stats not reset: %+v", s)
@@ -190,18 +151,18 @@ func TestStagedFileInvisibleUntilClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append("half", 10)
+	w.AppendBlock([]string{"half"}, 1, 10)
 	if fs.Exists("part") {
 		t.Fatal("staged file visible via Exists")
 	}
-	if _, err := fs.ReadAll("part"); err == nil {
+	if _, _, err := fs.BlockView("part"); err == nil {
 		t.Fatal("staged file readable")
 	}
 	if _, err := fs.Size("part"); err == nil {
 		t.Fatal("staged file has observable Size")
 	}
-	if _, err := fs.NumRecords("part"); err == nil {
-		t.Fatal("staged file has observable NumRecords")
+	if err := fs.VerifyFile("part"); err == nil {
+		t.Fatal("staged file verifiable")
 	}
 	for _, n := range fs.List() {
 		if n == "part" {
@@ -217,8 +178,8 @@ func TestStagedFileInvisibleUntilClose(t *testing.T) {
 		t.Fatal("staged name not reserved")
 	}
 	w.Close()
-	recs, err := fs.ReadAll("part")
-	if err != nil || len(recs) != 1 {
+	recs, n, err := fs.BlockView("part")
+	if err != nil || n != 1 {
 		t.Fatalf("published file unreadable: recs=%v err=%v", recs, err)
 	}
 }
@@ -229,7 +190,7 @@ func TestAbortDiscardsStagedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(1, 100)
+	w.AppendBlock([]int{1}, 1, 100)
 	w.Abort()
 	if fs.Exists("doomed") {
 		t.Fatal("aborted file published")
@@ -247,10 +208,10 @@ func TestAbortDiscardsStagedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Append(2, 50)
+	w2.AppendBlock([]int{2}, 1, 50)
 	w2.Close()
-	recs, err := fs.ReadAll("doomed")
-	if err != nil || len(recs) != 1 || recs[0].Data != 2 {
+	recs, n, err := fs.BlockView("doomed")
+	if err != nil || n != 1 || recs.([]int)[0] != 2 {
 		t.Fatalf("retried file wrong: recs=%v err=%v", recs, err)
 	}
 	// Abort after Close must not unpublish.
@@ -263,7 +224,7 @@ func TestAbortDiscardsStagedFile(t *testing.T) {
 func TestDoubleClosePanics(t *testing.T) {
 	fs := New(Options{BlockSize: 10})
 	w, _ := fs.Create("f")
-	w.Append(1, 25)
+	w.AppendBlock([]int{1}, 1, 25)
 	w.Close()
 	defer func() {
 		r := recover()
@@ -303,13 +264,13 @@ func TestAppendAfterAbortPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Append after Abort did not panic")
+			t.Fatal("AppendBlock after Abort did not panic")
 		}
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "aborted writer") || !strings.Contains(msg, `"h"`) {
-			t.Fatalf("Append-after-Abort panic message unclear: %v", r)
+			t.Fatalf("AppendBlock-after-Abort panic message unclear: %v", r)
 		}
 	}()
-	w.Append(1, 1)
+	w.AppendBlock([]int{1}, 1, 1)
 }
 
 func TestDoubleAbortNoOp(t *testing.T) {
@@ -328,31 +289,43 @@ func TestAppendAfterClosePanics(t *testing.T) {
 	w.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Append after Close did not panic")
+			t.Fatal("AppendBlock after Close did not panic")
 		}
 	}()
-	w.Append(1, 1)
+	w.AppendBlock([]int{1}, 1, 1)
 }
 
-func TestConcurrentAppend(t *testing.T) {
+// TestConcurrentWriters drives the file system from several goroutines
+// at once — each publishing and reading back its own files, as parallel
+// reduce tasks do — and checks nothing is lost (run under -race).
+func TestConcurrentWriters(t *testing.T) {
 	fs := New(Options{})
-	w, _ := fs.Create("f")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				w.Append(i, 1)
+				name := fmt.Sprintf("f%d-%d", g, i)
+				w, err := fs.Create(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w.AppendBlock([]int{g, i}, 2, 2)
+				w.Close()
+				if p, n, err := fs.BlockView(name); err != nil || n != 2 || p.([]int)[1] != i {
+					t.Errorf("%s: payload=%v n=%d err=%v", name, p, n, err)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	w.Close()
-	if n, _ := fs.NumRecords("f"); n != 800 {
-		t.Fatalf("lost records under concurrency: %d", n)
+	st := fs.Stats()
+	if len(fs.List()) != 800 || st.FilesCreated != 800 || st.RecordsWritten != 1600 {
+		t.Fatalf("lost files under concurrency: %d listed, stats %+v", len(fs.List()), st)
 	}
-	if fs.Stats().BytesWritten != 800 {
-		t.Fatalf("bytes=%d", fs.Stats().BytesWritten)
+	if st.BytesWritten != 1600 || st.BytesRead != 1600 {
+		t.Fatalf("bytes written=%d read=%d", st.BytesWritten, st.BytesRead)
 	}
 }

@@ -10,9 +10,9 @@ import "encoding/binary"
 //
 //   - Ship fires after a writer's Close atomically publishes a file
 //     (and therefore after WriteFile-style replace patterns re-publish
-//     one). Block-written files pass their typed payload; per-record
-//     files pass their record slice. Both alias file storage and are
-//     immutable from publication on — the hook may read them freely but
+//     one), with the file's typed payload and record count — what
+//     BlockView would lend. The payload aliases file storage and is
+//     immutable from publication on — the hook may read it freely but
 //     must not mutate or retain ownership.
 //   - Drop fires after Delete removes a file.
 //
@@ -23,7 +23,7 @@ import "encoding/binary"
 // in-process read path — mirroring can change wall-clock time, never
 // results.
 type Remote interface {
-	Ship(name string, payload any, count int, recs []Record)
+	Ship(name string, payload any, count int)
 	Drop(name string)
 }
 

@@ -5,23 +5,10 @@ import (
 	"testing"
 )
 
-// writeBlocks publishes a per-record file of n records of size each.
-func writeBlocks(t *testing.T, fs *FS, name string, n int, size int64) {
-	t.Helper()
-	w, err := fs.Create(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		w.Append(i, size)
-	}
-	w.Close()
-}
-
 func TestChecksumsIncrementalAndDeterministic(t *testing.T) {
 	mk := func() *FS {
 		fs := New(Options{BlockSize: 10, Replication: 2, Machines: 4})
-		writeBlocks(t, fs, "f", 7, 4) // 28 bytes -> blocks of 10: 3 blocks
+		writeBlock(t, fs, "f", 7, 4) // 28 bytes -> blocks of 10: 3 blocks
 		return fs
 	}
 	a, b := mk(), mk()
@@ -43,25 +30,16 @@ func TestChecksumsIncrementalAndDeterministic(t *testing.T) {
 	}
 	// A different write pattern must change the trailing checksum.
 	c := New(Options{BlockSize: 10})
-	writeBlocks(t, c, "f", 14, 2) // same 28 bytes, different record sizes
+	writeBlock(t, c, "f", 14, 2) // same 28 bytes, different record count
 	sc, _ := c.BlockChecksums("f")
 	if sc[2] == sa[2] {
 		t.Fatal("different write patterns produced identical checksums")
-	}
-	// Block-written files are checksummed too (the BlockView path).
-	d := New(Options{BlockSize: 10})
-	w, _ := d.Create("g")
-	w.AppendBlock([]int{1, 2, 3}, 3, 25)
-	w.Close()
-	sd, _ := d.BlockChecksums("g")
-	if len(sd) != 3 {
-		t.Fatalf("block-written file: blocks=%d, want 3", len(sd))
 	}
 }
 
 func TestPlacementDistinctAndDeterministic(t *testing.T) {
 	fs := New(Options{BlockSize: 10, Replication: 3, Machines: 8})
-	writeBlocks(t, fs, "f", 10, 5) // 50 bytes -> 5 blocks
+	writeBlock(t, fs, "f", 10, 5) // 50 bytes -> 5 blocks
 	p1, err := fs.Placement("f")
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +65,7 @@ func TestPlacementDistinctAndDeterministic(t *testing.T) {
 	// Same file on a fresh FS places identically: placement is a pure
 	// hash, not scheduler state.
 	fs2 := New(Options{BlockSize: 10, Replication: 3, Machines: 8})
-	writeBlocks(t, fs2, "f", 10, 5)
+	writeBlock(t, fs2, "f", 10, 5)
 	p2, _ := fs2.Placement("f")
 	for b := range p1 {
 		for r := range p1[b] {
@@ -98,7 +76,7 @@ func TestPlacementDistinctAndDeterministic(t *testing.T) {
 	}
 	// More replicas than machines: placement wraps instead of failing.
 	fs3 := New(Options{BlockSize: 10, Replication: 3, Machines: 2})
-	writeBlocks(t, fs3, "f", 2, 5)
+	writeBlock(t, fs3, "f", 2, 5)
 	p3, _ := fs3.Placement("f")
 	if len(p3[0]) != 3 {
 		t.Fatalf("wrapped placement has %d replicas", len(p3[0]))
@@ -121,7 +99,7 @@ func findSeed(t *testing.T, pred func(seed int64) bool) int64 {
 func corruptFS(t *testing.T, seed int64, rate float64, repl int) *FS {
 	t.Helper()
 	fs := New(Options{BlockSize: 10, Replication: repl, Machines: 4})
-	writeBlocks(t, fs, "f", 8, 5) // 40 bytes -> 4 blocks
+	writeBlock(t, fs, "f", 8, 5) // 40 bytes -> 4 blocks
 	fs.InstallFaults(&StorageFaults{Seed: seed, CorruptRate: rate})
 	return fs
 }
@@ -131,11 +109,11 @@ func TestFailoverReadHealsAndMemoizes(t *testing.T) {
 	// but at least one copy is corrupt.
 	seed := findSeed(t, func(s int64) bool {
 		fs := corruptFS(t, s, 0.3, 3)
-		_, err := fs.ReadAll("f")
+		_, _, err := fs.BlockView("f")
 		return err == nil && fs.Stats().CorruptBlocks > 0
 	})
 	fs := corruptFS(t, seed, 0.3, 3)
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	st := fs.Stats()
@@ -152,7 +130,7 @@ func TestFailoverReadHealsAndMemoizes(t *testing.T) {
 			st.ReReplications, st.CorruptBlocks, st.ScrubBytes, st.FailoverBytes)
 	}
 	// A second read finds only healed copies: counters must not move.
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	st2 := fs.Stats()
@@ -165,7 +143,7 @@ func TestFailoverReadHealsAndMemoizes(t *testing.T) {
 
 func TestDataLossWhenAllReplicasBad(t *testing.T) {
 	fs := corruptFS(t, 1, 1.0, 3) // every copy corrupt
-	_, err := fs.ReadAll("f")
+	_, _, err := fs.BlockView("f")
 	var dl *ErrDataLoss
 	if !errors.As(err, &dl) {
 		t.Fatalf("err=%v, want ErrDataLoss", err)
@@ -180,17 +158,10 @@ func TestDataLossWhenAllReplicasBad(t *testing.T) {
 	if ec.File != "f" || ec.Block != dl.Block {
 		t.Fatalf("ErrCorrupt fields: %+v", ec)
 	}
-	// BlockView must verify too, before lending the payload.
-	w, _ := fs.Create("g")
-	w.AppendBlock([]int{1, 2}, 2, 15)
-	w.Close()
-	if _, _, _, err := fs.BlockView("g"); !errors.As(err, &dl) {
-		t.Fatalf("BlockView err=%v, want ErrDataLoss", err)
-	}
 	// Detection is memoized: re-reading the doomed file must not
 	// re-count the same bad copies.
 	before := fs.Stats()
-	if _, err := fs.ReadAll("f"); err == nil {
+	if _, _, err := fs.BlockView("f"); err == nil {
 		t.Fatal("doomed file became readable")
 	}
 	if after := fs.Stats(); after != before {
@@ -205,17 +176,17 @@ func TestDataLossWhenAllReplicasBad(t *testing.T) {
 func TestReplicaLossSkipsWithoutFailoverCharge(t *testing.T) {
 	mk := func(seed int64) *FS {
 		fs := New(Options{BlockSize: 10, Replication: 3, Machines: 4})
-		writeBlocks(t, fs, "f", 8, 5)
+		writeBlock(t, fs, "f", 8, 5)
 		fs.InstallFaults(&StorageFaults{Seed: seed, LossRate: 0.3})
 		return fs
 	}
 	seed := findSeed(t, func(s int64) bool {
 		fs := mk(s)
-		_, err := fs.ReadAll("f")
+		_, _, err := fs.BlockView("f")
 		return err == nil && fs.Stats().LostReplicas > 0
 	})
 	fs := mk(seed)
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	st := fs.Stats()
@@ -256,7 +227,7 @@ func TestScrubHealsEverythingAndReports(t *testing.T) {
 		t.Fatalf("scrub report disagrees with stats: %+v vs %+v", rep, st)
 	}
 	// After the scrub the file reads clean with no further failover.
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := fs.Stats(); st2.FailoverReads != st.FailoverReads || st2.ReReplications != st.ReReplications {
@@ -264,7 +235,7 @@ func TestScrubHealsEverythingAndReports(t *testing.T) {
 	}
 	// A clean FS scrubs to an empty report.
 	clean := New(Options{BlockSize: 10})
-	writeBlocks(t, clean, "f", 4, 5)
+	writeBlock(t, clean, "f", 4, 5)
 	rep2, err := clean.Scrub()
 	if err != nil || rep2.ReplicasRestored != 0 || rep2.FilesScanned != 1 {
 		t.Fatalf("clean scrub: %+v err=%v", rep2, err)
@@ -290,16 +261,16 @@ func TestVerifyFileReportsDataLoss(t *testing.T) {
 func TestInstallFaultsNilRunsCleanButKeepsHeals(t *testing.T) {
 	seed := findSeed(t, func(s int64) bool {
 		fs := corruptFS(t, s, 0.3, 3)
-		_, err := fs.ReadAll("f")
+		_, _, err := fs.BlockView("f")
 		return err == nil && fs.Stats().CorruptBlocks > 0
 	})
 	fs := corruptFS(t, seed, 0.3, 3)
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	healed := fs.Stats().ReReplications
 	fs.InstallFaults(nil)
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	if st := fs.Stats(); st.ReReplications != healed || st.CorruptBlocks != st.FailoverReads {
@@ -309,7 +280,7 @@ func TestInstallFaultsNilRunsCleanButKeepsHeals(t *testing.T) {
 	// were physical), so the read is still clean.
 	fs.InstallFaults(&StorageFaults{Seed: seed, CorruptRate: 0.3})
 	before := fs.Stats()
-	if _, err := fs.ReadAll("f"); err != nil {
+	if _, _, err := fs.BlockView("f"); err != nil {
 		t.Fatal(err)
 	}
 	after := fs.Stats()
@@ -321,15 +292,15 @@ func TestInstallFaultsNilRunsCleanButKeepsHeals(t *testing.T) {
 }
 
 func TestStorageFaultsNeverChangeBytes(t *testing.T) {
-	read := func(faults *StorageFaults) []Record {
+	read := func(faults *StorageFaults) []int {
 		fs := New(Options{BlockSize: 10, Replication: 3, Machines: 4})
-		writeBlocks(t, fs, "f", 8, 5)
+		writeBlock(t, fs, "f", 8, 5)
 		fs.InstallFaults(faults)
-		recs, err := fs.ReadAll("f")
+		payload, _, err := fs.BlockView("f")
 		if err != nil {
 			return nil
 		}
-		return recs
+		return payload.([]int)
 	}
 	clean := read(nil)
 	seed := findSeed(t, func(s int64) bool {
@@ -343,5 +314,56 @@ func TestStorageFaultsNeverChangeBytes(t *testing.T) {
 		if clean[i] != faulty[i] {
 			t.Fatalf("faults changed record %d: %+v vs %+v", i, clean[i], faulty[i])
 		}
+	}
+}
+
+// TestBadMiddleBlockOfMultiBlockFile pins the failure model on one file
+// spanning several DFS blocks: the read walks the blocks in order,
+// failing over and read-repairing the recoverable ones, and the first
+// block with no good copy — here one in the middle — fails the whole
+// read, lending nothing and charging no read bytes.
+func TestBadMiddleBlockOfMultiBlockFile(t *testing.T) {
+	lost := func(fs *FS) *ErrDataLoss {
+		_, _, err := fs.BlockView("f")
+		var dl *ErrDataLoss
+		errors.As(err, &dl)
+		return dl
+	}
+	seed := findSeed(t, func(s int64) bool {
+		dl := lost(corruptFS(t, s, 0.6, 2))
+		return dl != nil && (dl.Block == 1 || dl.Block == 2)
+	})
+	fs := corruptFS(t, seed, 0.6, 2) // 4 blocks of 10 bytes, 2 copies each
+	payload, n, err := fs.BlockView("f")
+	var dl *ErrDataLoss
+	var ec *ErrCorrupt
+	if !errors.As(err, &dl) || !errors.As(err, &ec) || payload != nil || n != 0 {
+		t.Fatalf("payload=%v n=%d err=%v, want ErrDataLoss wrapping ErrCorrupt and nothing lent", payload, n, err)
+	}
+	if dl.Replicas != 2 || ec.Block != dl.Block || ec.Replica != 0 {
+		t.Fatalf("loss %+v caused by %+v", dl, ec)
+	}
+	st := fs.Stats()
+	// Every copy of the doomed block was tried, and only copies of it and
+	// of the blocks before it: the read stopped there.
+	if st.CorruptBlocks < 2 || st.CorruptBlocks > int64(2*(dl.Block+1)) {
+		t.Fatalf("CorruptBlocks=%d with block %d lost", st.CorruptBlocks, dl.Block)
+	}
+	// The earlier blocks were readable, so every bad copy crossed there
+	// was re-replicated; the doomed block had no source to heal from.
+	if st.ReReplications != st.CorruptBlocks-2 || st.ScrubBytes != st.ReReplications*10 {
+		t.Fatalf("read-repair before the lost block: %+v", st)
+	}
+	if st.BytesRead != 0 || st.RecordsRead != 0 {
+		t.Fatalf("failed read charged %d bytes, %d records", st.BytesRead, st.RecordsRead)
+	}
+	// VerifyFile and Scrub name the same block, after healing what the
+	// read never reached.
+	var dl2 *ErrDataLoss
+	if err := fs.VerifyFile("f"); !errors.As(err, &dl2) || dl2.Block != dl.Block {
+		t.Fatalf("VerifyFile err=%v, want loss of block %d", err, dl.Block)
+	}
+	if rep, err := fs.Scrub(); !errors.As(err, &dl2) || rep.BlocksScanned != 4 {
+		t.Fatalf("Scrub rep=%+v err=%v", rep, err)
 	}
 }

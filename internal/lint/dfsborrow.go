@@ -27,11 +27,6 @@ import (
 // flagged released-after-rebind false positives and missed leaks
 // through `switch s := payload.(type)` entirely (Defs/Uses never see
 // the per-clause object — only types.Info.Implicits does).
-//
-// The one sanctioned exception is WriteFileOwned's replace path, which
-// reclaims the payload of a file it is about to delete; that site
-// carries a //haten2:allow with the argument for why no live borrow can
-// exist.
 var DFSBorrow = &Analyzer{
 	Name: "dfsborrow",
 	Doc:  "slices owned by or borrowed from the DFS (AppendBlock/BlockView) are not returned to the buffer pools",

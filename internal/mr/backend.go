@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 
-	"github.com/haten2/haten2/internal/dfs"
 	"github.com/haten2/haten2/internal/mr/wire"
 )
 
@@ -226,18 +225,12 @@ func (c *Cluster) remote() Backend {
 // are simply not mirrored, and reads of them fall back in-process.
 type remoteAdapter struct{ b Backend }
 
-func (a *remoteAdapter) Ship(name string, payload any, count int, recs []dfs.Record) {
-	var data []byte
-	var err error
-	if payload != nil {
-		data, err = wire.EncodeSlice(payload)
-	} else {
-		data, err = wire.EncodeRecords(recs)
-	}
+func (a *remoteAdapter) Ship(name string, payload any, _ int) {
+	data, err := wire.EncodeSlice(payload)
 	if err != nil {
-		// Unsupported payload (unregistered boxed type, map-valued
-		// record, ...): leave the file unmirrored. Correctness is
-		// untouched — the engine reads it in-process.
+		// Unsupported payload (a map- or interface-valued record, a file
+		// published without a block): leave the file unmirrored.
+		// Correctness is untouched — the engine reads it in-process.
 		return
 	}
 	//haten2:allow errcheck-io best-effort mirror: a failed ship leaves the file unmirrored and reads fall back in-process
@@ -249,7 +242,7 @@ func (a *remoteAdapter) Drop(name string) {
 	_ = a.b.DropFile(name)
 }
 
-// fetchTyped fetches the mirrored encoding of a block-written file and
+// fetchTyped fetches the mirrored encoding of a file and
 // decodes it to the same element type as the in-process payload it
 // shadows. ok is false when the backend does not mirror the file (or
 // the fetched bytes fail to decode), in which case the caller uses the
@@ -264,19 +257,6 @@ func fetchTyped(b Backend, name string, local any, want int) (payload any, ok bo
 		return nil, false
 	}
 	return decoded, true
-}
-
-// fetchRecords is fetchTyped for per-record files.
-func fetchRecords(b Backend, name string, want int) ([]dfs.Record, bool) {
-	data, err := b.FetchFile(name)
-	if err != nil {
-		return nil, false
-	}
-	recs, err := wire.DecodeRecords(data)
-	if err != nil || len(recs) != want {
-		return nil, false
-	}
-	return recs, true
 }
 
 // --- shuffle plane -----------------------------------------------------

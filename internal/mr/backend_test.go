@@ -54,14 +54,12 @@ func TestLoopbackOutputOrder(t *testing.T) {
 		}
 		out, _, err := Run(c, Job[string, int, string]{
 			Name: "order",
-			Inputs: []Input[string, int]{{
-				File: "lines",
-				Map: func(rec any, emit func(string, int)) {
-					for _, w := range strings.Fields(rec.(string)) {
-						emit(w, len(w))
-					}
-				},
-			}},
+			Inputs: []Input[string, int]{MapInput("lines", func(rec string, emit func(string, int)) {
+				for _, w := range strings.Fields(rec) {
+					emit(w, len(w))
+				}
+			},
+			)},
 			Reduce: func(k string, vs []int, emit func(string)) {
 				emit(k)
 			},

@@ -33,11 +33,11 @@ func TestExhaustionStatsDeterministic(t *testing.T) {
 		}
 		_, st, err := Run(c, Job[int64, int64, int64]{
 			Name: "explode",
-			Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
+			Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
 				for i := int64(0); i < 20; i++ {
-					emit(r.(int64)*20+i, 1)
+					emit(r*20+i, 1)
 				}
-			}}},
+			})},
 			Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 			Partition: HashInt64,
 		})
@@ -70,7 +70,7 @@ func TestExhaustionByPhantomChargeOnly(t *testing.T) {
 	WriteFile(c, "in", []int64{1, 2}, func(int64) int64 { return 8 })
 	_, st, err := Run(c, Job[int64, int64, int64]{
 		Name:                "phantom-only",
-		Inputs:              []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, 1) }}},
+		Inputs:              []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 		Reduce:              func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition:           HashInt64,
 		ExtraShuffleRecords: 200,
@@ -93,11 +93,11 @@ func TestCombinerExpandsValues(t *testing.T) {
 	WriteFile(c, "in", []int64{0}, func(int64) int64 { return 8 })
 	out, st, err := Run(c, Job[int64, int64, int64]{
 		Name: "expand",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
+		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
 			for k := int64(0); k < 4; k++ {
 				emit(k, 5)
 			}
-		}}},
+		})},
 		// Split each key's single value into three parts: 4 pairs in,
 		// 12 pairs out of the map task.
 		Combine: func(k int64, vs []int64) []int64 {
@@ -144,9 +144,9 @@ func TestCombinerScratchReuseAcrossBuckets(t *testing.T) {
 	WriteFile(c, "in", items, func(int64) int64 { return 8 })
 	out, _, err := Run(c, Job[int64, int64, int64]{
 		Name: "scratch",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
-			emit(r.(int64)%32, 1)
-		}}},
+		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
+			emit(r%32, 1)
+		})},
 		Combine: func(k int64, vs []int64) []int64 {
 			var s int64
 			for _, v := range vs {
@@ -185,7 +185,7 @@ func TestConcurrentRunsAndSnapshots(t *testing.T) {
 	job := func(name string) Job[int64, int64, int64] {
 		return Job[int64, int64, int64]{
 			Name:   name,
-			Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(r.(int64), 1) }}},
+			Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(r, 1) })},
 			Reduce: func(k int64, vs []int64, emit func(int64)) {
 				var s int64
 				for _, v := range vs {
@@ -280,12 +280,11 @@ func TestFaultDeterminismAcrossProcs(t *testing.T) {
 		})
 		job := Job[int64, int64, int64]{
 			Name: "fault-sweep",
-			Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
-				x := r.(int64)
+			Inputs: []Input[int64, int64]{MapInput("in", func(x int64, emit func(int64, int64)) {
 				for i := int64(0); i < 3; i++ {
 					emit((x*7+i)%64, x+i)
 				}
-			}}},
+			})},
 			Reduce: func(k int64, vs []int64, emit func(int64)) {
 				var s int64
 				for _, v := range vs {
@@ -351,9 +350,9 @@ func TestTraceBytesDeterministicAcrossProcs(t *testing.T) {
 		c.InstallFaultPlan(&FaultPlan{Seed: 7, FailureRate: 0.2, StragglerRate: 0.1, MaxAttempts: 32})
 		job := Job[int64, int64, int64]{
 			Name: "traced",
-			Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
-				emit(r.(int64)%32, 1)
-			}}},
+			Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
+				emit(r%32, 1)
+			})},
 			Reduce: func(k int64, vs []int64, emit func(int64)) {
 				var s int64
 				for _, v := range vs {

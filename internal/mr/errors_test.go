@@ -68,7 +68,7 @@ func TestTypedErrorsStorageDataLoss(t *testing.T) {
 	c.InstallFaultPlan(&FaultPlan{Seed: 7, BlockCorruptRate: 1})
 	_, _, err := Run(c, Job[int64, int64, int64]{
 		Name:      "doomed",
-		Inputs:    []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(r.(int64), 1) }}},
+		Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(r, 1) })},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition: HashInt64,
 	})
@@ -90,8 +90,8 @@ func TestTypedErrorsStorageDataLoss(t *testing.T) {
 func TestRunErrorsCarryJobName(t *testing.T) {
 	c := testCluster(1)
 	reduce := func(k int64, vs []int64, emit func(int64)) { emit(k) }
-	mapper := func(r any, emit func(int64, int64)) { emit(0, 1) }
-	in := []Input[int64, int64]{{File: "in", Map: mapper}}
+	mapper := func(r int64, emit func(int64, int64)) { emit(0, 1) }
+	in := []Input[int64, int64]{MapInput("in", mapper)}
 
 	cases := []struct {
 		name string

@@ -10,12 +10,11 @@ import (
 func sumJob(name string) Job[int64, int64, int64] {
 	return Job[int64, int64, int64]{
 		Name: name,
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
-			x := r.(int64)
+		Inputs: []Input[int64, int64]{MapInput("in", func(x int64, emit func(int64, int64)) {
 			for i := int64(0); i < 4; i++ {
 				emit((x+i)%16, x)
 			}
-		}}},
+		})},
 		Reduce: func(k int64, vs []int64, emit func(int64)) {
 			var s int64
 			for _, v := range vs {

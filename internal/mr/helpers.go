@@ -1,5 +1,7 @@
 package mr
 
+import "fmt"
+
 // HashInt64 is a partitioner for int64 keys (Fibonacci hashing, good
 // spread for both dense and strided key sets).
 func HashInt64(k int64) uint64 {
@@ -14,30 +16,15 @@ func HashPair(k [2]int64) uint64 {
 }
 
 // WriteFile creates a DFS file containing items, charged size(item)
-// bytes each, stored as a single typed block (no per-record boxing).
-// It replaces any existing file of the same name (delete+create),
-// which is the common pattern for per-iteration factor matrices.
+// bytes each, stored as a single typed block. It replaces any existing
+// file of the same name (delete+create), which is the common pattern
+// for per-iteration factor matrices.
 func WriteFile[T any](c *Cluster, name string, items []T, size func(T) int64) error {
-	if c.fs.Exists(name) {
-		if err := c.fs.Delete(name); err != nil {
-			return err
-		}
-	}
-	w, err := c.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	var total int64
-	for _, it := range items {
-		total += size(it)
-	}
 	// The DFS owns a block payload once appended, so hand it a copy and
 	// leave the caller's slice untouched.
 	blk := make([]T, len(items))
 	copy(blk, items)
-	w.AppendBlock(blk, len(blk), total)
-	w.Close()
-	return nil
+	return WriteFileOwned(c, name, blk, size)
 }
 
 // WriteFileOwned is WriteFile for a slice the caller hands off: items
@@ -46,27 +33,8 @@ func WriteFile[T any](c *Cluster, name string, items []T, size func(T) int64) er
 // Use it when a plan materializes a large intermediate purely to write
 // it (IMHP's 𝒯′/𝒯″ splits), where WriteFile's copy would double the
 // allocation.
-//
-// When it replaces an existing block file of the same element type, the
-// replaced payload is reclaimed into the engine's buffer pools — the
-// per-iteration rewrite cycle (Acquire → fill → WriteFileOwned) then
-// reuses two slab generations forever instead of faulting in fresh
-// ones. This is only sound because jobs run to completion before the
-// driver rewrites their inputs: any zero-copy view of the old block
-// (BlockView, MapInput) is dead by the time the file is replaced.
 func WriteFileOwned[T any](c *Cluster, name string, items []T, size func(T) int64) error {
 	if c.fs.Exists(name) {
-		//haten2:allow errcheck-io Exists-guarded view of a file we are about to delete; a non-block file just skips the reclaim
-		if payload, _, ok, _ := c.fs.BlockView(name); ok {
-			if old, isT := payload.([]T); isT {
-				// The one sanctioned pool return of DFS storage: the
-				// file is deleted on the next line, and jobs run to
-				// completion before the driver rewrites their inputs,
-				// so no borrowed view of this payload can be live.
-				//haten2:allow dfsborrow reclaiming the payload of the file being replaced; deleted immediately below, no live borrows by the sequential-job contract
-				putSlice(old)
-			}
-		}
 		if err := c.fs.Delete(name); err != nil {
 			return err
 		}
@@ -84,31 +52,19 @@ func WriteFileOwned[T any](c *Cluster, name string, items []T, size func(T) int6
 	return nil
 }
 
-// ReadFile reads back a DFS file of T records. Block-written files
-// (WriteFile, job outputs) are copied straight from the typed payload;
-// per-record files are asserted record by record.
+// ReadFile reads back a DFS file of T records as a private copy of its
+// payload. A file of another element type is an error.
 func ReadFile[T any](c *Cluster, name string) ([]T, error) {
-	payload, n, ok, err := c.fs.BlockView(name)
+	payload, n, err := c.fs.BlockView(name)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		if s, isT := payload.([]T); isT {
-			out := make([]T, n)
-			copy(out, s)
-			return out, nil
-		}
-		// Typed file of another element type: fall through to the boxed
-		// view, which asserts per record.
+	s, ok := payload.([]T)
+	if !ok && payload != nil {
+		return nil, fmt.Errorf("mr: file %q holds %T, not %T", name, payload, s)
 	}
-	recs, err := c.fs.ReadAll(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(recs))
-	for i, r := range recs {
-		out[i] = r.Data.(T)
-	}
+	out := make([]T, n)
+	copy(out, s)
 	return out, nil
 }
 
@@ -127,9 +83,8 @@ func Recycle[T any](s []T) {
 // Acquire returns an empty slice with capacity ≥ n from the engine's
 // typed buffer pools — the borrowing counterpart of Recycle. Plans that
 // materialize a large intermediate every iteration (IMHP's 𝒯′/𝒯″
-// splits) acquire instead of make so the slabs reclaimed by Recycle and
-// WriteFileOwned's replace path circulate rather than accumulate as
-// garbage.
+// splits) acquire instead of make so the slabs reclaimed by Recycle
+// circulate rather than accumulate as garbage.
 func Acquire[T any](n int) []T {
 	return getSlice[T](n)
 }

@@ -13,33 +13,21 @@ import (
 // records, mirroring Hadoop's MultipleInputs: a job may read several
 // files with different record types feeding one shuffle. This is how
 // HaTen2's IMHP job reads the tensor and both factor matrices at once.
+// MapInput is the only way to build one.
 type Input[K comparable, V any] struct {
 	// File is the DFS file to read.
 	File string
-	// Map is called once per record; it may emit any number of
-	// intermediate key/value pairs. Every record crosses the interface
-	// boxed as `any`; use MapInput to build a typed input that avoids
-	// the per-record box and assert.
-	Map func(rec any, emit func(K, V))
-	// run, when non-nil, is the despecialized fast path built by
-	// MapInput: it maps records lo..hi of a typed block payload (a []R
-	// borrowed from the DFS) with a single type assertion per split
-	// instead of one per record. Inputs whose file was written
-	// per-record fall back to Map.
+	// run maps records lo..hi of the file's typed payload (a []R borrowed
+	// from the DFS): one type assertion per split, none per record.
 	run func(payload any, lo, hi int, emit func(K, V))
 }
 
-// MapInput binds a DFS file to a typed map function. When the file was
-// block-written (WriteFile, job outputs), records flow to m straight
-// from the file's typed []R payload — no per-record boxing, one type
-// assertion per split. For per-record files the returned input behaves
-// exactly like a hand-written Input.Map that asserts rec.(R).
+// MapInput binds a DFS file of R records to a typed map function, called
+// once per record; it may emit any number of intermediate key/value
+// pairs. Records flow to m straight from the file's []R payload.
 func MapInput[R any, K comparable, V any](file string, m func(R, func(K, V))) Input[K, V] {
 	return Input[K, V]{
 		File: file,
-		Map: func(rec any, emit func(K, V)) {
-			m(rec.(R), emit)
-		},
 		run: func(payload any, lo, hi int, emit func(K, V)) {
 			for _, r := range payload.([]R)[lo:hi] {
 				m(r, emit)
@@ -160,6 +148,11 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if job.Partition == nil {
 		return nil, JobStats{}, fmt.Errorf("mr: job %q has no partition function", job.Name)
 	}
+	for _, in := range job.Inputs {
+		if in.run == nil {
+			return nil, JobStats{}, fmt.Errorf("mr: job %q: input %q was not built by MapInput", job.Name, in.File)
+		}
+	}
 	plan, jobSeq, err := c.startJob(job.Name)
 	if err != nil {
 		return nil, JobStats{Name: job.Name}, err
@@ -206,10 +199,8 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// from the typed pools and are presized from the previous run of the
 	// same job.
 	//
-	// Typed inputs (MapInput) over block-written files read the DFS
-	// payload zero-copy: the task maps a borrowed sub-range of the
-	// file's []R slice with no per-record boxing. Everything else goes
-	// through SplitRanges and the boxed Input.Map.
+	// Inputs read the DFS payload zero-copy: a task maps a borrowed
+	// sub-range of the file's []R slice.
 	type taskOut struct {
 		buckets [][]pair[K, V]
 		records int64
@@ -297,45 +288,22 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	var tasks []func() taskOut
 	var taskInputs []int64 // records per map task, for the fault pass
 	for _, in := range job.Inputs {
-		var (
-			payload any
-			nrec    int
-			recs    []dfs.Record
-			bounds  []int
-		)
-		if in.run != nil {
-			p, count, ok, err := c.fs.BlockView(in.File)
-			if err != nil {
-				return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
-			}
-			if ok {
-				payload, nrec = p, count
-				bounds = splitBounds(count, c.Workers())
-			}
+		payload, nrec, err := c.fs.BlockView(in.File)
+		if err != nil {
+			return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
 		}
-		if payload == nil {
-			var err error
-			recs, bounds, err = c.fs.SplitRanges(in.File, c.Workers())
-			if err != nil {
-				return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
-			}
-			nrec = len(recs)
-		}
+		bounds := splitBounds(nrec, c.Workers())
 		// Out-of-process backend: substitute the mirrored copy of the
 		// input for the in-process payload when the backend serves one.
-		// The local BlockView/SplitRanges calls above still ran — splits,
-		// DFS charges, and storage-fault detection are theirs, so
-		// counters stay byte-identical across backends — but the records
-		// the map tasks consume are the decoded remote bytes. A miss
-		// (unmirrored file, decode failure) keeps the in-process copy:
-		// the file plane degrades to local, never to wrong.
-		if rb != nil {
-			if payload != nil {
-				if dec, ok := fetchTyped(rb, in.File, payload, nrec); ok {
-					payload = dec
-				}
-			} else if rrecs, ok := fetchRecords(rb, in.File, nrec); ok {
-				recs = rrecs
+		// The local BlockView above still ran — splits, DFS charges, and
+		// storage-fault detection are its, so counters stay byte-identical
+		// across backends — but the records the map tasks consume are the
+		// decoded remote bytes. A miss (unmirrored file, decode failure)
+		// keeps the in-process copy: the file plane degrades to local,
+		// never to wrong.
+		if rb != nil && payload != nil {
+			if dec, ok := fetchTyped(rb, in.File, payload, nrec); ok {
+				payload = dec
 			}
 		}
 		st.InputRecords += int64(nrec)
@@ -351,22 +319,10 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			}
 			st.MapTasks++
 			taskInputs = append(taskInputs, int64(hi-lo))
-			if payload != nil {
-				runFn, blk := in.run, payload
-				tasks = append(tasks, func() taskOut {
-					return runTask(func(emit func(K, V)) { runFn(blk, lo, hi, emit) })
-				})
-			} else {
-				split := recs[lo:hi]
-				mapFn := in.Map
-				tasks = append(tasks, func() taskOut {
-					return runTask(func(emit func(K, V)) {
-						for _, rec := range split {
-							mapFn(rec.Data, emit)
-						}
-					})
-				})
-			}
+			runFn, blk := in.run, payload
+			tasks = append(tasks, func() taskOut {
+				return runTask(func(emit func(K, V)) { runFn(blk, lo, hi, emit) })
+			})
 		}
 	}
 	if storageOn {
@@ -660,9 +616,8 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			putSlice(all)
 			return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
 		}
-		// One typed block instead of len(all) boxed records: downstream
-		// typed inputs read it back zero-copy. The DFS owns the payload,
-		// so it gets a copy and the caller keeps all.
+		// Downstream inputs read the block back zero-copy. The DFS owns
+		// the payload, so it gets a copy and the caller keeps all.
 		blk := make([]O, len(all))
 		copy(blk, all)
 		w.AppendBlock(blk, len(blk), st.OutputBytes)
@@ -690,9 +645,9 @@ func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// splitBounds computes the same n+1 contiguous split boundaries over
-// count records that dfs.SplitRanges produces, so the typed block path
-// and the boxed record path cut identical map tasks.
+// splitBounds cuts count records into n contiguous input splits: split
+// i is records bounds[i]..bounds[i+1]. Some splits are empty when there
+// are fewer records than n.
 func splitBounds(count, n int) []int {
 	if n <= 0 {
 		n = 1

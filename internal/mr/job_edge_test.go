@@ -2,33 +2,17 @@ package mr
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 )
-
-func TestEmptyInputFileProducesNoOutput(t *testing.T) {
-	c := testCluster(2)
-	w, _ := c.FS().Create("empty")
-	w.Close()
-	out, st, err := Run(c, Job[int64, int64, int64]{
-		Name:      "empty",
-		Inputs:    []Input[int64, int64]{{File: "empty", Map: func(any, func(int64, int64)) { t.Fatal("map called") }}},
-		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
-		Partition: HashInt64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 || st.MapTasks != 0 || st.ShuffleRecords != 0 {
-		t.Fatalf("out=%v st=%+v", out, st)
-	}
-}
 
 func TestMapEmitsNothing(t *testing.T) {
 	c := testCluster(2)
 	WriteFile(c, "in", []int64{1, 2, 3}, func(int64) int64 { return 8 })
 	out, st, err := Run(c, Job[int64, int64, int64]{
 		Name:      "silent",
-		Inputs:    []Input[int64, int64]{{File: "in", Map: func(any, func(int64, int64)) {}}},
+		Inputs:    []Input[int64, int64]{MapInput("in", func(int64, func(int64, int64)) {})},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition: HashInt64,
 	})
@@ -48,7 +32,7 @@ func TestReducersOption(t *testing.T) {
 	WriteFile(c, "in", []int64{0, 1, 2, 3, 4, 5, 6, 7}, func(int64) int64 { return 8 })
 	_, st, err := Run(c, Job[int64, int64, int64]{
 		Name:      "reducers",
-		Inputs:    []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(r.(int64), 1) }}},
+		Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(r, 1) })},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition: HashInt64,
 		Reducers:  2,
@@ -69,7 +53,7 @@ func TestExtraShuffleAloneTripsLimit(t *testing.T) {
 	WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
 	_, _, err := Run(c, Job[int64, int64, int64]{
 		Name:                "phantom",
-		Inputs:              []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, 1) }}},
+		Inputs:              []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 		Reduce:              func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition:           HashInt64,
 		ExtraShuffleRecords: 1000,
@@ -90,7 +74,7 @@ func TestExtraShuffleCountsTowardSimTime(t *testing.T) {
 		WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
 		_, st, err := Run(c, Job[int64, int64, int64]{
 			Name:                "timed",
-			Inputs:              []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, 1) }}},
+			Inputs:              []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 			Reduce:              func(k int64, vs []int64, emit func(int64)) { emit(k) },
 			Partition:           HashInt64,
 			ExtraShuffleRecords: extra,
@@ -111,7 +95,7 @@ func TestDuplicateOutputFileFails(t *testing.T) {
 	WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
 	job := Job[int64, int64, int64]{
 		Name:      "dup",
-		Inputs:    []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, 1) }}},
+		Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition: HashInt64,
 		Output:    "out",
@@ -133,7 +117,7 @@ func TestValuesGroupedPerKeyInTaskOrder(t *testing.T) {
 	WriteFile(c, "in", []int64{10, 20, 30}, func(int64) int64 { return 8 })
 	out, _, err := Run(c, Job[int64, int64, []int64]{
 		Name:   "order",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, r.(int64)) }}},
+		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, r) })},
 		Reduce: func(k int64, vs []int64, emit func([]int64)) {
 			emit(append([]int64(nil), vs...))
 		},
@@ -156,7 +140,7 @@ func TestJobsLogPreservesOrder(t *testing.T) {
 	for _, name := range []string{"first", "second", "third"} {
 		_, _, err := Run(c, Job[int64, int64, int64]{
 			Name:      name,
-			Inputs:    []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) { emit(0, 1) }}},
+			Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 			Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 			Partition: HashInt64,
 		})
@@ -178,11 +162,11 @@ func TestCombinerReducesShuffle(t *testing.T) {
 		WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
 		job := Job[int64, int64, int64]{
 			Name: "combine",
-			Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
+			Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
 				for i := int64(0); i < 100; i++ {
 					emit(0, 1)
 				}
-			}}},
+			})},
 			Reduce: func(k int64, vs []int64, emit func(int64)) {
 				var s int64
 				for _, v := range vs {
@@ -228,9 +212,9 @@ func TestCombinerPreservesResultAcrossSplits(t *testing.T) {
 	WriteFile(c, "in", items, func(int64) int64 { return 8 })
 	out, st, err := Run(c, Job[int64, int64, int64]{
 		Name: "multcombine",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(r any, emit func(int64, int64)) {
-			emit(r.(int64)%4, 1)
-		}}},
+		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
+			emit(r%4, 1)
+		})},
 		Combine: func(k int64, vs []int64) []int64 {
 			var s int64
 			for _, v := range vs {
@@ -259,5 +243,100 @@ func TestCombinerPreservesResultAcrossSplits(t *testing.T) {
 	}
 	if st.ShuffleRecords >= 64 {
 		t.Fatalf("combiner did not reduce shuffle: %d", st.ShuffleRecords)
+	}
+}
+
+// TestFileEdgesAreTypedErrors pins the three places a file or input of
+// the wrong shape used to reach an unchecked assertion or a nil map
+// function: each is now an error naming what was wrong, or — for a file
+// published without a block — a valid empty file.
+func TestFileEdgesAreTypedErrors(t *testing.T) {
+	reduce := func(k int64, vs []int64, emit func(int64)) { emit(k) }
+	run := func(c *Cluster, in Input[int64, int64]) (JobStats, error) {
+		_, st, err := Run(c, Job[int64, int64, int64]{
+			Name: "edge", Inputs: []Input[int64, int64]{in}, Reduce: reduce, Partition: HashInt64,
+		})
+		return st, err
+	}
+	cases := []struct {
+		name string
+		do   func(c *Cluster) error
+		want []string // substrings of the error; nil means success
+	}{
+		{"ReadFile of another element type", func(c *Cluster) error {
+			_, err := ReadFile[string](c, "ints")
+			return err
+		}, []string{`"ints"`, "[]int64", "[]string"}},
+		{"Run with an Input not built by MapInput", func(c *Cluster) error {
+			st, err := run(c, Input[int64, int64]{File: "ints"})
+			if len(c.Jobs()) != 0 || st.MapTasks != 0 {
+				t.Errorf("rejected job was started: %+v", st)
+			}
+			return err
+		}, []string{`"edge"`, `"ints"`, "MapInput"}},
+		{"file published without a block", func(c *Cluster) error {
+			w, err := c.FS().Create("empty")
+			if err != nil {
+				return err
+			}
+			w.Close()
+			got, err := ReadFile[int64](c, "empty")
+			if err != nil || got == nil || len(got) != 0 {
+				t.Errorf("ReadFile = %v, %v; want an empty slice", got, err)
+			}
+			st, err := run(c, MapInput("empty", func(int64, func(int64, int64)) { t.Error("map called") }))
+			if st.MapTasks != 0 || st.InputRecords != 0 || st.ShuffleRecords != 0 || st.OutputRecords != 0 {
+				t.Errorf("empty file mapped: %+v", st)
+			}
+			return err
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Loopback as well: the mirror must skip the block-less file
+			// rather than trip over its nil payload.
+			for _, b := range []Backend{nil, NewLoopback()} {
+				c := testCluster(2)
+				c.SetBackend(b)
+				if err := WriteFile(c, "ints", []int64{1, 2, 3}, func(int64) int64 { return 8 }); err != nil {
+					t.Fatal(err)
+				}
+				err := tc.do(c)
+				if tc.want == nil {
+					if err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatal("no error")
+				}
+				for _, w := range tc.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("error %q does not name %s", err, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSplitBounds pins how a file's records are cut into map tasks:
+// contiguous, covering, ceil(count/n) records per split with the
+// shortfall in the trailing ones.
+func TestSplitBounds(t *testing.T) {
+	cases := []struct {
+		count, n int
+		want     []int
+	}{
+		{10, 4, []int{0, 3, 6, 9, 10}},
+		{2, 5, []int{0, 1, 2, 2, 2, 2}}, // fewer records than splits: trailing splits empty
+		{0, 3, []int{0, 0, 0, 0}},
+		{2, 0, []int{0, 2}}, // n <= 0 degrades to a single split
+	}
+	for _, tc := range cases {
+		if got := splitBounds(tc.count, tc.n); !slices.Equal(got, tc.want) {
+			t.Errorf("splitBounds(%d, %d) = %v, want %v", tc.count, tc.n, got, tc.want)
+		}
 	}
 }

@@ -24,14 +24,12 @@ func runWordCount(t *testing.T, c *Cluster, lines []string) map[string]int {
 	}
 	out, _, err := Run(c, Job[string, int, kv]{
 		Name: "wordcount",
-		Inputs: []Input[string, int]{{
-			File: "lines",
-			Map: func(rec any, emit func(string, int)) {
-				for _, w := range strings.Fields(rec.(string)) {
-					emit(w, 1)
-				}
-			},
-		}},
+		Inputs: []Input[string, int]{MapInput("lines", func(rec string, emit func(string, int)) {
+			for _, w := range strings.Fields(rec) {
+				emit(w, 1)
+			}
+		},
+		)},
 		Reduce: func(k string, vs []int, emit func(kv)) {
 			s := 0
 			for _, v := range vs {
@@ -94,12 +92,10 @@ func TestJobStatsCounting(t *testing.T) {
 	}
 	_, st, err := Run(c, Job[int64, int64, int64]{
 		Name: "double",
-		Inputs: []Input[int64, int64]{{
-			File: "nums",
-			Map: func(rec any, emit func(int64, int64)) {
-				emit(rec.(int64)%2, rec.(int64))
-			},
-		}},
+		Inputs: []Input[int64, int64]{MapInput("nums", func(rec int64, emit func(int64, int64)) {
+			emit(rec%2, rec)
+		},
+		)},
 		Reduce: func(k int64, vs []int64, emit func(int64)) {
 			var s int64
 			for _, v := range vs {
@@ -141,10 +137,10 @@ func TestMultipleInputs(t *testing.T) {
 	out, _, err := Run(c, Job[int64, int64, int64]{
 		Name: "join",
 		Inputs: []Input[int64, int64]{
-			{File: "as", Map: func(rec any, emit func(int64, int64)) { emit(0, rec.(int64)) }},
-			{File: "bs", Map: func(rec any, emit func(int64, int64)) {
-				emit(0, int64(len(rec.(string))))
-			}},
+			MapInput("as", func(rec int64, emit func(int64, int64)) { emit(0, rec) }),
+			MapInput("bs", func(rec string, emit func(int64, int64)) {
+				emit(0, int64(len(rec)))
+			}),
 		},
 		Reduce: func(k int64, vs []int64, emit func(int64)) {
 			var s int64
@@ -168,7 +164,7 @@ func TestOutputFileMaterialization(t *testing.T) {
 	WriteFile(c, "in", []int64{5, 6}, func(int64) int64 { return 8 })
 	_, st, err := Run(c, Job[int64, int64, int64]{
 		Name:   "pass",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(rec any, emit func(int64, int64)) { emit(rec.(int64), rec.(int64)) }}},
+		Inputs: []Input[int64, int64]{MapInput("in", func(rec int64, emit func(int64, int64)) { emit(rec, rec) })},
 		Reduce: func(k int64, vs []int64, emit func(int64)) {
 			for _, v := range vs {
 				emit(v)
@@ -199,11 +195,11 @@ func TestResourceExhaustion(t *testing.T) {
 	WriteFile(c, "in", []int64{0, 1, 2, 3}, func(int64) int64 { return 8 })
 	_, _, err := Run(c, Job[int64, int64, int64]{
 		Name: "explode",
-		Inputs: []Input[int64, int64]{{File: "in", Map: func(rec any, emit func(int64, int64)) {
+		Inputs: []Input[int64, int64]{MapInput("in", func(rec int64, emit func(int64, int64)) {
 			for i := int64(0); i < 100; i++ {
 				emit(i, 1)
 			}
-		}}},
+		})},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(0) },
 		Partition: HashInt64,
 	})
@@ -226,14 +222,14 @@ func TestJobValidation(t *testing.T) {
 		t.Fatal("missing inputs accepted")
 	}
 	WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
-	in := []Input[int64, int64]{{File: "in", Map: func(rec any, emit func(int64, int64)) {}}}
+	in := []Input[int64, int64]{MapInput("in", func(rec int64, emit func(int64, int64)) {})}
 	if _, _, err := Run(c, Job[int64, int64, int64]{Name: "no-reduce", Inputs: in, Partition: HashInt64}); err == nil {
 		t.Fatal("missing reduce accepted")
 	}
 	if _, _, err := Run(c, Job[int64, int64, int64]{Name: "no-part", Inputs: in, Reduce: func(int64, []int64, func(int64)) {}}); err == nil {
 		t.Fatal("missing partition accepted")
 	}
-	if _, _, err := Run(c, Job[int64, int64, int64]{Name: "bad-file", Inputs: []Input[int64, int64]{{File: "zzz", Map: func(any, func(int64, int64)) {}}}, Reduce: func(int64, []int64, func(int64)) {}, Partition: HashInt64}); err == nil {
+	if _, _, err := Run(c, Job[int64, int64, int64]{Name: "bad-file", Inputs: []Input[int64, int64]{MapInput("zzz", func(int64, func(int64, int64)) {})}, Reduce: func(int64, []int64, func(int64)) {}, Partition: HashInt64}); err == nil {
 		t.Fatal("missing input file accepted")
 	}
 }

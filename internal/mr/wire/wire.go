@@ -1,8 +1,8 @@
 // Package wire is the binary serialization layer of the pluggable
 // execution backends: it turns the engine's typed in-memory data —
-// shuffle pair buckets, block-written DFS payloads, and boxed DFS
-// records — into deterministic byte strings that can cross a process
-// boundary and decode back bit-identically.
+// shuffle pair buckets and the typed payloads of DFS files — into
+// deterministic byte strings that can cross a process boundary and
+// decode back bit-identically.
 //
 // The encoding is compiled once per concrete type from its reflect
 // layout: every field is written at a fixed offset walk in declaration
@@ -22,9 +22,9 @@
 //
 // Supported kinds: bool, all fixed-width ints and uints, int/uint
 // (always 8 bytes on the wire), float32/64, arrays, structs, strings,
-// slices, pointers, and — via Register — interface values of
-// registered dynamic types. Maps, channels, and funcs are rejected
-// with an error at compile time (codecFor), never mid-stream.
+// slices, and pointers. Maps, channels, funcs, and interfaces are
+// rejected with an error when the codec is compiled (For), never
+// mid-stream.
 package wire
 
 import (
@@ -343,158 +343,8 @@ func compile(t reflect.Type) (func(unsafe.Pointer, []byte) []byte, func(unsafe.P
 				reflect.NewAt(t, p).Elem().Set(v)
 				return nil
 			}, nil
-	case reflect.Interface:
-		if t.NumMethod() != 0 {
-			return nil, nil, fmt.Errorf("wire: non-empty interface %v unsupported", t)
-		}
-		return encodeAny, decodeAny, nil
 	default:
 		return nil, nil, fmt.Errorf("wire: unsupported kind %v", t.Kind())
-	}
-}
-
-// --- interface payloads (registered dynamic types) ----------------------
-
-// registry maps the stable wire id of a registered dynamic type — the
-// splitmix64-chained hash of its full reflect string — to the type.
-// Both processes of a backend run the same binary, so ids agree by
-// construction; a decode in a binary that never registered the type
-// fails cleanly.
-var (
-	regMu    sync.Mutex
-	registry = map[uint64]reflect.Type{}
-)
-
-// Register makes T encodable as the dynamic payload of an interface
-// value (dfs.Record.Data, checkpoint records). Registering the same
-// type twice is a no-op; two distinct types hashing to the same id
-// panics at registration, never at decode.
-func Register[T any]() {
-	RegisterType(reflect.TypeFor[T]())
-}
-
-// RegisterType is Register for a reflect.Type held at runtime.
-func RegisterType(t reflect.Type) {
-	id := typeID(t)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := registry[id]; ok {
-		if prev != t {
-			panic(fmt.Sprintf("wire: type id collision: %v and %v", prev, t))
-		}
-		return
-	}
-	registry[id] = t
-}
-
-func lookupType(id uint64) (reflect.Type, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	t, ok := registry[id]
-	return t, ok
-}
-
-// typeID hashes a type's full name with the same splitmix64 chain the
-// DFS checksum layer uses.
-func typeID(t reflect.Type) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, c := range []byte(t.String()) {
-		h = mix64(h ^ uint64(c))
-	}
-	// PkgPath disambiguates same-named types from different packages
-	// beyond what String() (which shortens the package) includes.
-	for _, c := range []byte(t.PkgPath()) {
-		h = mix64(h ^ uint64(c))
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer (the repo's standard mixer).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func encodeAny(p unsafe.Pointer, b []byte) []byte {
-	v := *(*any)(p)
-	if v == nil {
-		return binary.LittleEndian.AppendUint64(b, 0)
-	}
-	t := reflect.TypeOf(v)
-	id := typeID(t)
-	if _, ok := lookupType(id); !ok {
-		// Unregistered payloads cannot be encoded; surface as a panic
-		// converted to an error by EncodeRecords' recover. Interface
-		// encode has no error return because the fixed-width fast paths
-		// share its signature.
-		panic(&unregisteredError{t: t})
-	}
-	c, err := For(t)
-	if err != nil {
-		panic(&unregisteredError{t: t, cause: err})
-	}
-	b = binary.LittleEndian.AppendUint64(b, id)
-	// Copy the value out of the interface so we have an addressable,
-	// writable instance to encode from.
-	inst := reflect.New(t)
-	inst.Elem().Set(reflect.ValueOf(v))
-	return c.enc(inst.UnsafePointer(), b)
-}
-
-func decodeAny(p unsafe.Pointer, r *reader) error {
-	raw, err := r.take(8)
-	if err != nil {
-		return err
-	}
-	id := binary.LittleEndian.Uint64(raw)
-	if id == 0 {
-		*(*any)(p) = nil
-		return nil
-	}
-	t, ok := lookupType(id)
-	if !ok {
-		return fmt.Errorf("wire: unregistered type id %#x", id)
-	}
-	c, err := For(t)
-	if err != nil {
-		return err
-	}
-	inst := reflect.New(t)
-	if err := c.dec(inst.UnsafePointer(), r); err != nil {
-		return err
-	}
-	*(*any)(p) = inst.Elem().Interface()
-	return nil
-}
-
-// unregisteredError carries an encode-side unregistered dynamic type
-// out of the offset-compiled encoder (which has no error return) to
-// the recover in the public entry points.
-type unregisteredError struct {
-	t     reflect.Type
-	cause error
-}
-
-func (e *unregisteredError) Error() string {
-	if e.cause != nil {
-		return fmt.Sprintf("wire: cannot encode dynamic type %v: %v", e.t, e.cause)
-	}
-	return fmt.Sprintf("wire: dynamic type %v is not registered (wire.Register)", e.t)
-}
-
-// catch converts an unregisteredError panic raised inside the compiled
-// encoder into the returned error; any other panic propagates.
-func catch(err *error) {
-	if r := recover(); r != nil {
-		if ue, ok := r.(*unregisteredError); ok {
-			*err = ue
-			return
-		}
-		panic(r)
 	}
 }
 
@@ -502,8 +352,7 @@ func catch(err *error) {
 
 // EncodeSlice encodes s, which must be a slice, as a count followed by
 // its elements. The element type is compiled on first use.
-func EncodeSlice(s any) (out []byte, err error) {
-	defer catch(&err)
+func EncodeSlice(s any) ([]byte, error) {
 	v := reflect.ValueOf(s)
 	if v.Kind() != reflect.Slice {
 		return nil, fmt.Errorf("wire: EncodeSlice wants a slice, got %T", s)
@@ -557,39 +406,4 @@ func DecodeSlice(elem reflect.Type, data []byte) (any, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after slice", len(data)-r.off)
 	}
 	return s.Interface(), nil
-}
-
-// EncodeValue encodes one value of any supported type (used for boxed
-// record payloads and unit tests).
-func EncodeValue(v any) (out []byte, err error) {
-	defer catch(&err)
-	t := reflect.TypeOf(v)
-	if t == nil {
-		return nil, fmt.Errorf("wire: cannot encode untyped nil")
-	}
-	c, err := For(t)
-	if err != nil {
-		return nil, err
-	}
-	inst := reflect.New(t)
-	inst.Elem().Set(reflect.ValueOf(v))
-	return c.enc(inst.UnsafePointer(), nil), nil
-}
-
-// DecodeValue decodes one value of type t from data, consuming it
-// fully.
-func DecodeValue(t reflect.Type, data []byte) (any, error) {
-	c, err := For(t)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{data: data}
-	inst := reflect.New(t)
-	if err := c.dec(inst.UnsafePointer(), r); err != nil {
-		return nil, err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after value", len(data)-r.off)
-	}
-	return inst.Elem().Interface(), nil
 }

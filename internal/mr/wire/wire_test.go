@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"github.com/haten2/haten2/internal/dfs"
 )
 
 // podPair mirrors the engine's shuffle pair shape: unexported fields,
@@ -101,15 +99,15 @@ func TestStringsSlicesPointers(t *testing.T) {
 		list: []inner{{Name: "", Vals: nil}, {Name: "x", Vals: []float64{0}}},
 		s:    "hello",
 	}
-	enc, err := EncodeValue(in)
+	enc, err := EncodeSlice([]outer{in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeValue(reflect.TypeFor[outer](), enc)
+	out, err := DecodeSlice(reflect.TypeFor[outer](), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.(outer)
+	got := out.([]outer)[0]
 	if got.nilp != nil || got.ptr == nil || got.ptr.Name != in.ptr.Name ||
 		!reflect.DeepEqual(got.ptr.Vals, in.ptr.Vals) || got.s != in.s ||
 		len(got.list) != 2 || got.list[1].Name != "x" {
@@ -137,42 +135,26 @@ func TestTruncationAndTrailingBytesError(t *testing.T) {
 }
 
 func TestUnsupportedKinds(t *testing.T) {
-	if _, err := EncodeValue(map[string]int{"a": 1}); err == nil {
+	if _, err := EncodeSlice([]map[string]int{{"a": 1}}); err == nil {
 		t.Fatal("map encoded without error")
 	}
-	if _, err := EncodeValue(func() {}); err == nil {
+	if _, err := EncodeSlice([]func(){func() {}}); err == nil {
 		t.Fatal("func encoded without error")
 	}
-}
-
-type regPayload struct {
-	ID   int64
-	Tags []string
-}
-
-func TestRecordsRegistry(t *testing.T) {
-	Register[regPayload]()
-	Register[regPayload]() // idempotent
-	recs := []dfs.Record{
-		{Data: regPayload{ID: 7, Tags: []string{"a", "b"}}, Size: 40},
-		{Data: nil, Size: 0},
-		{Data: regPayload{ID: -1}, Size: 8},
+	// An interface-typed field has no fixed layout to compile: it is
+	// refused when the codec is built, on both sides, never mid-stream.
+	type boxed struct {
+		ID   int64
+		Data any
 	}
-	enc, err := EncodeRecords(recs)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := EncodeSlice([]boxed{{ID: 1, Data: int64(2)}}); err == nil {
+		t.Fatal("interface field encoded without error")
 	}
-	got, err := DecodeRecords(enc)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeSlice(reflect.TypeFor[boxed](), []byte{0}); err == nil {
+		t.Fatal("interface field decoded without error")
 	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatalf("records mismatch:\n got %+v\nwant %+v", got, recs)
-	}
-	// An unregistered payload type must fail the encode with an error.
-	type unreg struct{ X int }
-	if _, err := EncodeRecords([]dfs.Record{{Data: unreg{X: 1}, Size: 8}}); err == nil {
-		t.Fatal("unregistered payload encoded without error")
+	if _, err := EncodeSlice(nil); err == nil {
+		t.Fatal("nil payload encoded without error")
 	}
 }
 

@@ -14,9 +14,13 @@ type Dense struct {
 	Data []float64
 }
 
+// MaxDense is the largest number of entries a dense tensor may hold.
+const MaxDense = 1 << 27
+
 // NewDense returns a zero dense tensor with the given mode sizes.
-// It panics if the total size is unreasonably large (>2^27 entries),
-// which would indicate a misuse for data that should stay sparse.
+// It panics if the total size is unreasonably large (> MaxDense
+// entries), which would indicate a misuse for data that should stay
+// sparse.
 func NewDense(dims ...int64) *Dense {
 	if len(dims) == 0 {
 		panic("tensor: NewDense requires at least one mode")
@@ -27,7 +31,7 @@ func NewDense(dims ...int64) *Dense {
 			panic(fmt.Sprintf("tensor: dense mode %d has nonpositive size %d", i, d))
 		}
 		total *= d
-		if total > 1<<27 {
+		if total > MaxDense {
 			panic(fmt.Sprintf("tensor: NewDense%v too large to materialize", dims))
 		}
 	}

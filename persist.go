@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -73,7 +74,9 @@ func (lr *lineReader) next() (string, error) {
 	return "", fmt.Errorf("haten2: unexpected end of model data at line %d", lr.line)
 }
 
-func (lr *lineReader) floats(n int) ([]float64, error) {
+// appendFloats parses the next line as exactly n values onto dst. The
+// count is checked against the line before anything is allocated.
+func (lr *lineReader) appendFloats(dst []float64, n int) ([]float64, error) {
 	line, err := lr.next()
 	if err != nil {
 		return nil, err
@@ -82,15 +85,57 @@ func (lr *lineReader) floats(n int) ([]float64, error) {
 	if len(fields) != n {
 		return nil, fmt.Errorf("haten2: line %d: want %d values, got %d", lr.line, n, len(fields))
 	}
-	out := make([]float64, n)
-	for i, f := range fields {
+	for _, f := range fields {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
 			return nil, fmt.Errorf("haten2: line %d: %v", lr.line, err)
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// ErrModelShape reports a model file whose header at Line declares a
+// shape no model can have: a negative mode, a size that overflows, or a
+// Tucker core larger than a dense tensor may be.
+type ErrModelShape struct {
+	Line  int
+	Shape []int64
+}
+
+func (e *ErrModelShape) Error() string {
+	return fmt.Sprintf("haten2: line %d: impossible model shape %v", e.Line, e.Shape)
+}
+
+// size returns the number of values in a block of the given shape, or
+// *ErrModelShape when it is negative or exceeds limit.
+func (lr *lineReader) size(limit int64, shape ...int64) (int, error) {
+	total := int64(1)
+	for _, d := range shape {
+		if d < 0 || (d > 0 && total > limit/d) {
+			return 0, &ErrModelShape{Line: lr.line, Shape: shape}
+		}
+		total *= d
+	}
+	return int(total), nil
+}
+
+// preallocLimit caps the values a loader allocates on a header's word
+// alone (8 MiB of float64s). Past it storage grows with the lines that
+// actually arrive, so memory follows the input's size, not its claims.
+const preallocLimit = 1 << 20
+
+// values reads rows lines of cols values each into one row-major slice;
+// the caller has checked rows*cols with size.
+func (lr *lineReader) values(rows, cols int) ([]float64, error) {
+	data := make([]float64, 0, min(rows*cols, preallocLimit))
+	for i := 0; i < rows; i++ {
+		var err error
+		if data, err = lr.appendFloats(data, cols); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
 func (lr *lineReader) readMatrix() (*matrix.Matrix, error) {
@@ -98,22 +143,18 @@ func (lr *lineReader) readMatrix() (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows, cols int
+	var rows, cols int64
 	if _, err := fmt.Sscanf(header, "matrix %d %d", &rows, &cols); err != nil {
 		return nil, fmt.Errorf("haten2: line %d: bad matrix header %q", lr.line, header)
 	}
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("haten2: line %d: negative matrix shape", lr.line)
+	if _, err := lr.size(math.MaxInt, rows, cols); err != nil {
+		return nil, err
 	}
-	m := matrix.New(rows, cols)
-	for i := 0; i < rows; i++ {
-		vals, err := lr.floats(cols)
-		if err != nil {
-			return nil, err
-		}
-		copy(m.Row(i), vals)
+	data, err := lr.values(int(rows), int(cols))
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &matrix.Matrix{Rows: int(rows), Cols: int(cols), Data: data}, nil
 }
 
 // Save writes the PARAFAC model so it can be reloaded with LoadParafac.
@@ -155,7 +196,7 @@ func LoadParafac(rd io.Reader) (*ParafacResult, error) {
 	if _, err := fmt.Sscanf(header, "rank %d", &rank); err != nil || rank <= 0 {
 		return nil, fmt.Errorf("haten2: bad rank header %q", header)
 	}
-	lambda, err := lr.floats(rank)
+	lambda, err := lr.appendFloats(nil, rank)
 	if err != nil {
 		return nil, err
 	}
@@ -221,14 +262,18 @@ func LoadTucker(rd io.Reader) (*TuckerResult, error) {
 	if _, err := fmt.Sscanf(header, "core %d %d %d", &p, &q, &r); err != nil || p <= 0 || q <= 0 || r <= 0 {
 		return nil, fmt.Errorf("haten2: bad core header %q", header)
 	}
-	g := tensor.NewDense(p, q, r)
-	for i := range g.Data {
-		vals, err := lr.floats(1)
-		if err != nil {
-			return nil, err
-		}
-		g.Data[i] = vals[0]
+	n, err := lr.size(tensor.MaxDense, p, q, r)
+	if err != nil {
+		return nil, err
 	}
+	data, err := lr.values(n, 1)
+	if err != nil {
+		return nil, err
+	}
+	// Shaped only now that every value has arrived; the zeroed storage
+	// NewDense brings is replaced by what was read.
+	g := tensor.NewDense(p, q, r)
+	g.Data = data
 	model := &tensor.TuckerModel{Core: g}
 	for m := 0; m < 3; m++ {
 		f, err := lr.readMatrix()

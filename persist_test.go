@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -180,5 +183,78 @@ func TestLoadLongLines(t *testing.T) {
 	tooLong := "haten2-parafac-v1\nrank 1\n" + strings.Repeat("1", 1<<24) + "\n"
 	if _, err := haten2.LoadParafac(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("16 MiB line: want bufio.ErrTooLong, got %v", err)
+	}
+}
+
+// TestLoadHostileShapes pins that a model header is a claim, not an
+// allocation request: a shape that overflows or exceeds a dense core is
+// *ErrModelShape, and a huge but possible shape costs only what the
+// lines that follow it justify — a file truncated after the header is
+// an ordinary error, not a multi-gigabyte make (or a makeslice panic).
+func TestLoadHostileShapes(t *testing.T) {
+	const pHead = "haten2-parafac-v1\nrank 1\n1\n"
+	const tHead = "haten2-tucker-v1\n"
+	cases := []struct {
+		name  string
+		in    string
+		shape bool // want *ErrModelShape
+	}{
+		{"parafac overflowing", pHead + "matrix 4000000000 4000000000\n", true},
+		{"parafac negative", pHead + "matrix -1 1\n", true},
+		{"parafac huge, truncated after header", pHead + "matrix 4000000000 1\n", false},
+		{"parafac huge, truncated after a row", pHead + "matrix 4000000000 1\n0.5\n", false},
+		{"parafac huge columns", pHead + "matrix 1 4000000000\n0.5\n", false},
+		{"tucker beyond a dense core", tHead + "core 4000000000 1 1\n", true},
+		{"tucker overflowing", tHead + "core 4000000000 4000000000 4000000000\n", true},
+		{"tucker largest core, truncated after header", tHead + "core 512 512 512\n", false},
+		{"tucker huge factor, truncated after header", tHead + "core 1 1 1\n1\nmatrix 4000000000 1\n", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			load := func(r io.Reader) error { _, err := haten2.LoadParafac(r); return err }
+			if strings.HasPrefix(tc.in, tHead) {
+				load = func(r io.Reader) error { _, err := haten2.LoadTucker(r); return err }
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := load(strings.NewReader(tc.in))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("hostile model accepted")
+			}
+			var es *haten2.ErrModelShape
+			if errors.As(err, &es) != tc.shape {
+				t.Fatalf("error %v (%T), want ErrModelShape: %v", err, err, tc.shape)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+				t.Fatalf("allocated %d MiB on the header's word", got>>20)
+			}
+		})
+	}
+}
+
+// TestLoadGrowsPastPrealloc loads a factor larger than the loaders
+// allocate up front, so its storage grows with the rows that arrive,
+// and checks it still round-trips bit for bit.
+func TestLoadGrowsPastPrealloc(t *testing.T) {
+	const rows = 1<<20 + 1000
+	var b strings.Builder
+	b.WriteString("haten2-parafac-v1\nrank 1\n2\n")
+	fmt.Fprintf(&b, "matrix %d 1\n", rows)
+	for i := 0; i < rows; i++ {
+		b.WriteString(strconv.FormatFloat(float64(i), 'g', -1, 64))
+		b.WriteByte('\n')
+	}
+	b.WriteString("matrix 1 1\n0.1\nmatrix 1 1\n-3\n")
+	res, err := haten2.LoadParafac(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Factors[0]; f.Rows() != rows || f.Cols() != 1 || f.At(rows-1, 0) != rows-1 {
+		t.Fatalf("factor 0 is %d×%d ending in %v", f.Rows(), f.Cols(), f.At(rows-1, 0))
+	}
+	var out bytes.Buffer
+	if err := res.Save(&out); err != nil || out.String() != b.String() {
+		t.Fatalf("model does not save back to its input (err %v)", err)
 	}
 }
