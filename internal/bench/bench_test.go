@@ -11,6 +11,7 @@ var quick = Config{Seed: 42}
 
 func TestTable2Shape(t *testing.T) {
 	rep := Table2()
+	checkGolden(t, rep)
 	if len(rep.Rows) != 5 {
 		t.Fatalf("%d rows", len(rep.Rows))
 	}
@@ -34,6 +35,7 @@ func TestTable3JobCountsMatchFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	for _, row := range rep.Rows {
 		if row[1] != row[2] {
 			t.Fatalf("measured jobs %s != analytic %s for %s", row[1], row[2], row[0])
@@ -51,6 +53,7 @@ func TestTable4JobCountsMatchFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	for _, row := range rep.Rows {
 		if row[1] != row[2] {
 			t.Fatalf("measured jobs %s != analytic %s for %s", row[1], row[2], row[0])
@@ -60,6 +63,7 @@ func TestTable4JobCountsMatchFormulas(t *testing.T) {
 
 func TestTable5ListsAllDatasets(t *testing.T) {
 	rep := Table5(quick)
+	checkGolden(t, rep)
 	if len(rep.Rows) != 3 {
 		t.Fatalf("%d datasets", len(rep.Rows))
 	}
@@ -76,6 +80,7 @@ func TestFig8SpeedupShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("%d rows", len(rep.Rows))
 	}
@@ -106,6 +111,7 @@ func TestFig1cDRIWinsAtLargeCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	found := false
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "DRI") {
@@ -137,6 +143,7 @@ func TestTable6RecoversPlantedConcepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	// Mean purity note must report a high value.
 	ok := false
 	for _, n := range rep.Notes {
@@ -162,6 +169,7 @@ func TestTable7And8Consistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep7)
 	// 6 concepts × 3 modes of groups.
 	if len(rep7.Rows) != 18 {
 		t.Fatalf("table7 rows %d", len(rep7.Rows))
@@ -170,6 +178,7 @@ func TestTable7And8Consistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep8)
 	if len(rep8.Rows) != 3 {
 		t.Fatalf("table8 rows %d", len(rep8.Rows))
 	}
@@ -186,6 +195,7 @@ func TestAblationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("rows %d", len(rep.Rows))
 	}
@@ -225,6 +235,7 @@ func TestFigDataScalabilityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	ok := false
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "failure ordering matches the paper") {
@@ -241,6 +252,7 @@ func TestCombinerAblationSavesShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows %d", len(rep.Rows))
 	}
@@ -256,6 +268,7 @@ func TestTableNELLRecoversConcepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 4 { // four NELL concepts
 		t.Fatalf("rows %d", len(rep.Rows))
 	}
