@@ -1,54 +1,30 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/haten2/haten2/internal/bench"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", false, 1, "inproc", false, nil, nil); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// The retired reporters are unknown ids like any typo, and the error
+	// lists what is known.
+	for _, id := range []string{"nope", "mr", "faults", "storage", "serve", "table2,nope"} {
+		err := run(id, bench.Config{Seed: 1}, false)
+		if err == nil || !strings.Contains(err.Error(), "known: table2 table3") {
+			t.Fatalf("-exp %s: %v", id, err)
+		}
 	}
 }
 
 func TestRunSingleExperiment(t *testing.T) {
 	// table2 is static and instant; this exercises the registry and
 	// printing path end to end.
-	if err := run("table2", false, 1, "inproc", false, nil, nil); err != nil {
+	if err := run("table2", bench.Config{Seed: 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("table2, table5", false, 1, "inproc", true, nil, nil); err != nil {
+	if err := run("table2, table5", bench.Config{Seed: 1}, true); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProfiledWritesProfiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	if err := profiled(cpu, mem, func() error {
-		return run("table2", false, 1, "inproc", false, nil, nil)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{cpu, mem} {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile not written: %v", err)
-		}
-		if fi.Size() == 0 {
-			t.Errorf("%s: empty profile", p)
-		}
-	}
-}
-
-func TestProfiledPropagatesRunError(t *testing.T) {
-	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
-	err := profiled(cpu, "", func() error {
-		return run("nope", false, 1, "inproc", false, nil, nil)
-	})
-	if err == nil {
-		t.Fatal("experiment error swallowed by the profiling wrapper")
 	}
 }

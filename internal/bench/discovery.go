@@ -106,18 +106,16 @@ func shortNames(labels []string, ids []int64) string {
 func Table6(cfg Config) (*Report, error) {
 	kb, x := discoveryKB(cfg)
 	rank := len(kb.Concepts)
-	c := newBenchCluster(benchMachines)
+	c := newBenchCluster(cfg, benchMachines)
 	res, err := core.ParafacALS(c, x, rank, core.Options{
 		Variant: core.DRI, MaxIters: 40, Seed: cfg.Seed + 61, TrackFit: true, Tol: 1e-7,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		ID:      "table6",
-		Title:   "Concept discovery with HaTen2-PARAFAC on Freebase-music stand-in (Table VI)",
-		Headers: []string{"component", "matched concept", "purity", "top subjects", "top objects", "top relations"},
-	}
+	rep := newReport("table6", "Concept discovery with HaTen2-PARAFAC on Freebase-music stand-in (Table VI)",
+		text("component"), text("matched concept"), column{"purity", fixed2},
+		text("top subjects"), text("top objects"), text("top relations"))
 	subjOf := conceptOf(kb, func(c gen.Concept) []int64 { return c.Subjects })
 	const k = 3
 	sub, obj, rel := res.Model.Factors[0], res.Model.Factors[1], res.Model.Factors[2]
@@ -133,8 +131,8 @@ func Table6(cfg Config) (*Report, error) {
 			name = kb.Concepts[ci].Name
 		}
 		totalPurity += purity
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("Concept%d", r+1), name, fmt.Sprintf("%.2f", purity),
+		rep.Rows = append(rep.Rows, []any{
+			fmt.Sprintf("Concept%d", r+1), name, purity,
 			shortNames(kb.Subjects, topS), shortNames(kb.Objects, topO), shortNames(kb.Predicates, topR),
 		})
 	}
@@ -150,7 +148,7 @@ func Table6(cfg Config) (*Report, error) {
 // and VIII.
 func tuckerDiscovery(cfg Config) (*gen.KB, *core.TuckerResult, error) {
 	kb, x := discoveryKB(cfg)
-	c := newBenchCluster(benchMachines)
+	c := newBenchCluster(cfg, benchMachines)
 	dim := len(kb.Concepts)
 	res, err := core.TuckerALS(c, x, []int{dim, dim, dim}, core.Options{
 		Variant: core.DRI, MaxIters: 25, Seed: cfg.Seed + 71, Tol: 1e-9,
@@ -168,11 +166,8 @@ func Table7(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		ID:      "table7",
-		Title:   "Discovered factor groups with HaTen2-Tucker (Table VII)",
-		Headers: []string{"group", "top entities"},
-	}
+	rep := newReport("table7", "Discovered factor groups with HaTen2-Tucker (Table VII)",
+		text("group"), text("top entities"))
 	const k = 3
 	modes := []struct {
 		tag    string
@@ -185,7 +180,7 @@ func Table7(cfg Config) (*Report, error) {
 		totals := rowTotals(f)
 		for colIdx := 0; colIdx < f.Cols; colIdx++ {
 			top := topIdx(f, colIdx, totals, k)
-			rep.Rows = append(rep.Rows, []string{
+			rep.Rows = append(rep.Rows, []any{
 				fmt.Sprintf("%s%d", md.tag, colIdx+1),
 				shortNames(md.labels, top),
 			})
@@ -232,11 +227,8 @@ func Table8(cfg Config) (*Report, error) {
 		}
 		return cells[a].r < cells[b].r
 	})
-	rep := &Report{
-		ID:      "table8",
-		Title:   "Tucker concepts from the largest core entries (Table VIII)",
-		Headers: []string{"concept", "groups", "top subjects", "top objects", "top relations"},
-	}
+	rep := newReport("table8", "Tucker concepts from the largest core entries (Table VIII)",
+		text("concept"), text("groups"), text("top subjects"), text("top objects"), text("top relations"))
 	const k = 3
 	sub, obj, rel := res.Model.Factors[0], res.Model.Factors[1], res.Model.Factors[2]
 	subT, objT, relT := rowTotals(sub), rowTotals(obj), rowTotals(rel)
@@ -246,7 +238,7 @@ func Table8(cfg Config) (*Report, error) {
 	}
 	for i := 0; i < n; i++ {
 		c := cells[i]
-		rep.Rows = append(rep.Rows, []string{
+		rep.Rows = append(rep.Rows, []any{
 			fmt.Sprintf("Concept%d", i+1),
 			fmt.Sprintf("(S%d,O%d,R%d) |g|=%.2f", c.p+1, c.q+1, c.r+1, c.v),
 			shortNames(kb.Subjects, topIdx(sub, int(c.p), subT, k)),
@@ -255,31 +247,6 @@ func Table8(cfg Config) (*Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// All runs every experiment in paper order.
-func All(cfg Config) ([]*Report, error) {
-	var reports []*Report
-	reports = append(reports, Table2())
-	for _, f := range []func(Config) (*Report, error){Table3, Table4} {
-		r, err := f(cfg)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-	}
-	reports = append(reports, Table5(cfg))
-	for _, f := range []func(Config) (*Report, error){
-		Fig1a, Fig1b, Fig1c, Fig7a, Fig7b, Fig7c, Fig8,
-		Table6, Table7, Table8, TableNELL, Ablation, CombinerAblation,
-	} {
-		r, err := f(cfg)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-	}
-	return reports, nil
 }
 
 // TableNELL runs the concept-discovery pipeline on the NELL stand-in —
@@ -296,18 +263,16 @@ func TableNELL(cfg Config) (*Report, error) {
 	}).FilterScarcePredicates(1)
 	x := kb.Tensor()
 	rank := len(kb.Concepts)
-	c := newBenchCluster(benchMachines)
+	c := newBenchCluster(cfg, benchMachines)
 	res, err := core.ParafacALS(c, x, rank, core.Options{
 		Variant: core.DRI, MaxIters: 40, Seed: cfg.Seed + 91, TrackFit: true, Tol: 1e-7,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		ID:      "nell",
-		Title:   "Concept discovery with HaTen2-PARAFAC on NELL stand-in (supplementary material)",
-		Headers: []string{"component", "matched concept", "purity", "top noun phrases", "top contexts"},
-	}
+	rep := newReport("nell", "Concept discovery with HaTen2-PARAFAC on NELL stand-in (supplementary material)",
+		text("component"), text("matched concept"), column{"purity", fixed2},
+		text("top noun phrases"), text("top contexts"))
 	subjOf := conceptOf(kb, func(c gen.Concept) []int64 { return c.Subjects })
 	const k = 3
 	sub, rel := res.Model.Factors[0], res.Model.Factors[2]
@@ -322,8 +287,8 @@ func TableNELL(cfg Config) (*Report, error) {
 			name = kb.Concepts[ci].Name
 		}
 		totalPurity += purity
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("Concept%d", r+1), name, fmt.Sprintf("%.2f", purity),
+		rep.Rows = append(rep.Rows, []any{
+			fmt.Sprintf("Concept%d", r+1), name, purity,
 			shortNames(kb.Subjects, topS), shortNames(kb.Predicates, topR),
 		})
 	}

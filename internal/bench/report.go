@@ -6,10 +6,12 @@
 // (Tables VI–VIII). Each experiment returns a Report that prints the
 // same rows/series the paper shows.
 //
-// Absolute numbers come from the simulator's calibrated cost model and
-// therefore do not match the paper's testbed; the shapes — which method
-// wins, where each fails, how speedup flattens — are the reproduction
-// target (see EXPERIMENTS.md).
+// Every number is simulated: a Report is a pure function of its Config,
+// identical across runs, hosts and GOMAXPROCS. Absolute numbers come
+// from the simulator's calibrated cost model and therefore do not match
+// the paper's testbed; the shapes — which method wins, where each fails,
+// how speedup flattens — are the reproduction target (see
+// EXPERIMENTS.md).
 package bench
 
 import (
@@ -18,40 +20,122 @@ import (
 	"io"
 	"strings"
 
+	"github.com/haten2/haten2/internal/gen"
 	"github.com/haten2/haten2/internal/obs"
 )
 
 // Report is one regenerated table or figure.
 type Report struct {
 	// ID is the experiment identifier ("table3", "fig1a", ...).
-	ID string
+	ID string `json:"id"`
 	// Title describes the experiment as the paper captions it.
-	Title string
+	Title string `json:"title"`
 	// Headers labels the columns.
-	Headers []string
-	// Rows holds the data; "o.o.m" marks resource-exhausted points just
-	// as the paper's figures do.
-	Rows [][]string
+	Headers []string `json:"headers"`
+	// Rows holds the data as values, not text: int64 for counts,
+	// float64 for simulated seconds and ratios, string for names, bool
+	// for the feature matrix, and nil for a resource-exhausted point
+	// (printed "o.o.m", as the paper's figures do).
+	Rows [][]any `json:"rows"`
 	// Notes carries observations the harness verified (orderings,
 	// crossovers) for EXPERIMENTS.md.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
+
+	// formats[i] is how Print renders the numbers of column i; columns
+	// past its end are plain.
+	formats []format
+}
+
+// format is how one column's numeric cells become text.
+type format int
+
+const (
+	plain   format = iota // counts in full; the default, and what text columns use
+	seconds               // simulated seconds, adaptive precision, "s" suffix
+	fixed2                // %.2f (purity, scale-up)
+	sci                   // %.0e (density)
+	human                 // gen.Human (10K, 1M)
+)
+
+// column is one header with the format of the cells under it.
+type column struct {
+	header string
+	format format
+}
+
+// text is a column of names, or of counts printed in full.
+func text(header string) column { return column{header, plain} }
+
+func newReport(id, title string, cols ...column) *Report {
+	rep := &Report{ID: id, Title: title}
+	for _, c := range cols {
+		rep.Headers = append(rep.Headers, c.header)
+		rep.formats = append(rep.formats, c.format)
+	}
+	return rep
+}
+
+// render is the one place a cell becomes text; strings, and numbers in
+// a column whose format does not apply to them, print as they are.
+func (f format) render(cell any) string {
+	switch v := cell.(type) {
+	case nil:
+		return "o.o.m"
+	case bool:
+		if v {
+			return "Yes"
+		}
+		return "No"
+	case int64:
+		if f == human {
+			return gen.Human(v)
+		}
+	case float64:
+		switch f {
+		case fixed2:
+			return fmt.Sprintf("%.2f", v)
+		case sci:
+			return fmt.Sprintf("%.0e", v)
+		case seconds:
+			switch {
+			case v < 0.1:
+				return fmt.Sprintf("%.3fs", v)
+			case v < 10:
+				return fmt.Sprintf("%.2fs", v)
+			}
+			return fmt.Sprintf("%.1fs", v)
+		}
+	}
+	return fmt.Sprint(cell)
 }
 
 // Print renders the report as an aligned text table.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title)
-	widths := make([]int, len(r.Headers))
-	for i, h := range r.Headers {
-		widths[i] = len(h)
-	}
+	lines := [][]string{r.Headers, make([]string, len(r.Headers))}
 	for _, row := range r.Rows {
+		cells := make([]string, len(row))
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			var f format
+			if i < len(r.formats) {
+				f = r.formats[i]
+			}
+			cells[i] = f.render(cell)
+		}
+		lines = append(lines, cells)
+	}
+	widths := make([]int, len(r.Headers))
+	for _, cells := range lines {
+		for i, c := range cells {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
 			}
 		}
 	}
-	line := func(cells []string) {
+	for i := range lines[1] {
+		lines[1][i] = strings.Repeat("-", widths[i])
+	}
+	for _, cells := range lines {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
 			width := 0
@@ -62,19 +146,17 @@ func (r *Report) Print(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
-	line(r.Headers)
-	sep := make([]string, len(r.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range r.Rows {
-		line(row)
-	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
+}
+
+// JSON renders the report as a machine-readable object (haten2bench
+// -json): cells are JSON numbers, strings, booleans, or null for an
+// o.o.m point.
+func (r *Report) JSON() ([]byte, error) {
+	return json.MarshalIndent(r, "", "  ")
 }
 
 // Config controls the experiment scale.
@@ -87,37 +169,4 @@ type Config struct {
 	// experiments create, so one trace file covers a whole harness run
 	// (haten2bench's -trace flag).
 	Tracer *obs.Tracer
-	// Backend selects the execution backend for experiments that
-	// support one (currently mr): "" or "inproc" measures only the
-	// in-process engine; "proc" additionally sweeps the multi-process
-	// socket backend (internal/mrproc) and reports its rows alongside
-	// the in-process ones (haten2bench's -backend flag).
-	Backend string
-}
-
-// seconds renders a simulated duration with adaptive precision.
-func seconds(s float64) string {
-	switch {
-	case s < 0.1:
-		return fmt.Sprintf("%.3fs", s)
-	case s < 10:
-		return fmt.Sprintf("%.2fs", s)
-	default:
-		return fmt.Sprintf("%.1fs", s)
-	}
-}
-
-// count renders an integer cell.
-func count[T ~int | ~int64](n T) string { return fmt.Sprintf("%d", int64(n)) }
-
-// JSON renders the report as a machine-readable object (used by
-// haten2bench -json for downstream plotting).
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(struct {
-		ID      string     `json:"id"`
-		Title   string     `json:"title"`
-		Headers []string   `json:"headers"`
-		Rows    [][]string `json:"rows"`
-		Notes   []string   `json:"notes,omitempty"`
-	}{r.ID, r.Title, r.Headers, r.Rows, r.Notes}, "", "  ")
 }

@@ -25,17 +25,10 @@ const (
 	benchMachines  = 40         // the paper's cluster size
 )
 
-// oom is the cell the paper's figures use for failed runs.
-const oom = "o.o.m"
-
-// newBenchCluster builds the simulated 40-machine cluster. The shuffle
-// cap scales with the sweep size so the failure boundaries stay inside
-// the axes in both modes.
-func newBenchCluster(machines int) *mr.Cluster {
-	return newBenchClusterCfg(Config{}, machines)
-}
-
-func newBenchClusterCfg(cfg Config, machines int) *mr.Cluster {
+// newBenchCluster builds the simulated cluster every experiment runs
+// on, with cfg's tracer attached. The shuffle cap scales with the sweep
+// size so the failure boundaries stay inside the axes in both modes.
+func newBenchCluster(cfg Config, machines int) *mr.Cluster {
 	cap := int64(shuffleCap)
 	if cfg.Full {
 		cap = shuffleCapFull
@@ -49,70 +42,78 @@ func newBenchClusterCfg(cfg Config, machines int) *mr.Cluster {
 	return c
 }
 
-// runTucker runs one Tucker-ALS iteration with the given variant and
-// returns the simulated seconds, or ok=false on resource exhaustion.
-func runTucker(cfg Config, x *tensor.Tensor, coreDim int, v core.Variant, machines int) (sim float64, ok bool, err error) {
-	c := newBenchClusterCfg(cfg, machines)
-	_, err = core.TuckerALS(c, x, []int{coreDim, coreDim, coreDim},
-		core.Options{Variant: v, MaxIters: 1, Seed: 7})
-	var re *mr.ErrResourceExhausted
-	if errors.As(err, &re) {
-		return c.Totals().SimSeconds, false, nil
+// completed classifies the error of one measured run: nil is a
+// completed point; running out of resources — the cluster's shuffle cap
+// or the Toolbox's memory budget — is an o.o.m point, not a failure;
+// anything else fails the experiment.
+func completed(err error) (bool, error) {
+	var exhausted *mr.ErrResourceExhausted
+	var oom *baseline.ErrOutOfMemory
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.As(err, &exhausted), errors.As(err, &oom):
+		return false, nil
 	}
-	if err != nil {
-		return 0, false, err
-	}
-	return c.Totals().SimSeconds, true, nil
+	return false, err
 }
 
-// runParafac is runTucker's PARAFAC counterpart.
-func runParafac(cfg Config, x *tensor.Tensor, rank int, v core.Variant, machines int) (sim float64, ok bool, err error) {
-	c := newBenchClusterCfg(cfg, machines)
-	_, err = core.ParafacALS(c, x, rank, core.Options{Variant: v, MaxIters: 1, Seed: 7})
-	var re *mr.ErrResourceExhausted
-	if errors.As(err, &re) {
-		return c.Totals().SimSeconds, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return c.Totals().SimSeconds, true, nil
-}
-
-// runToolboxTucker runs the single-machine baseline, reporting modeled
-// seconds or o.o.m.
-func runToolboxTucker(x *tensor.Tensor, coreDim int) (sim float64, ok bool, err error) {
+// toolboxSeconds runs one ALS iteration (Tucker with a k³ core, or
+// rank-k PARAFAC) on the single-machine baseline and returns its modeled
+// seconds.
+func toolboxSeconds(tucker bool, x *tensor.Tensor, k int) (float64, error) {
 	tb := baseline.New(baseline.Config{MemoryBudget: toolboxBudget})
-	res, err := tb.TuckerALS(x, [3]int{coreDim, coreDim, coreDim}, baseline.Options{MaxIters: 1, Seed: 7})
-	var oomErr *baseline.ErrOutOfMemory
-	if errors.As(err, &oomErr) {
-		return 0, false, nil
+	opts := baseline.Options{MaxIters: 1, Seed: 7}
+	if tucker {
+		res, err := tb.TuckerALS(x, [3]int{k, k, k}, opts)
+		if err != nil {
+			return 0, err
+		}
+		return res.ModeledSeconds, nil
 	}
+	res, err := tb.ParafacALS(x, k, opts)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	return res.ModeledSeconds, true, nil
+	return res.ModeledSeconds, nil
 }
 
-func runToolboxParafac(x *tensor.Tensor, rank int) (sim float64, ok bool, err error) {
-	tb := baseline.New(baseline.Config{MemoryBudget: toolboxBudget})
-	res, err := tb.ParafacALS(x, rank, baseline.Options{MaxIters: 1, Seed: 7})
-	var oomErr *baseline.ErrOutOfMemory
-	if errors.As(err, &oomErr) {
-		return 0, false, nil
+// variantSeconds is toolboxSeconds for one HaTen2 variant on a fresh
+// simulated cluster.
+func variantSeconds(cfg Config, tucker bool, x *tensor.Tensor, k int, v core.Variant) (float64, error) {
+	c := newBenchCluster(cfg, benchMachines)
+	opts := core.Options{Variant: v, MaxIters: 1, Seed: 7}
+	var err error
+	if tucker {
+		_, err = core.TuckerALS(c, x, []int{k, k, k}, opts)
+	} else {
+		_, err = core.ParafacALS(c, x, k, opts)
 	}
-	if err != nil {
-		return 0, false, err
-	}
-	return res.ModeledSeconds, true, nil
+	return c.Totals().SimSeconds, err
 }
 
-// methodCell renders a (time, ok) pair.
-func methodCell(sim float64, ok bool) string {
-	if !ok {
-		return oom
+// timeRow measures the Toolbox and then each given variant on x and
+// returns one cell per method in that order: simulated seconds, or nil
+// where the method ran out of resources.
+func timeRow(cfg Config, tucker bool, x *tensor.Tensor, k int, variants []core.Variant) ([]any, error) {
+	cell := func(sim float64, err error) (any, error) {
+		if ok, err := completed(err); !ok {
+			return nil, err
+		}
+		return sim, nil
 	}
-	return seconds(sim)
+	c, err := cell(toolboxSeconds(tucker, x, k))
+	if err != nil {
+		return nil, err
+	}
+	cells := []any{c}
+	for _, v := range variants {
+		if c, err = cell(variantSeconds(cfg, tucker, x, k, v)); err != nil {
+			return nil, err
+		}
+		cells = append(cells, c)
+	}
+	return cells, nil
 }
 
 // dimSweep returns the Fig 1(a)/7(a) x-axis.
@@ -139,60 +140,34 @@ func Fig7a(cfg Config) (*Report, error) {
 
 func figDataScalability(cfg Config, id, title string, tucker bool) (*Report, error) {
 	const k = 5 // core dim / rank
-	rep := &Report{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"I=J=K", "nnz", "Toolbox", "Naive", "DNN", "DRN", "DRI"},
+	methods := []string{"Toolbox", "Naive", "DNN", "DRN", "DRI"}
+	cols := []column{text("I=J=K"), text("nnz")}
+	lastOK := map[string]int64{} // largest completed I per method
+	for _, m := range methods {
+		cols = append(cols, column{m, seconds})
+		lastOK[m] = -1
 	}
-	type outcome struct {
-		lastOK int64
-	}
-	last := map[string]*outcome{}
-	for _, m := range rep.Headers[2:] {
-		last[m] = &outcome{lastOK: -1}
-	}
+	rep := newReport(id, title, cols...)
 	for _, dim := range dimSweep(cfg) {
 		x := gen.Random(cfg.Seed+dim, [3]int64{dim, dim, dim}, int(dim*10))
-		row := []string{count(dim), count(x.NNZ())}
-		var sim float64
-		var ok bool
-		var err error
-		if tucker {
-			sim, ok, err = runToolboxTucker(x, k)
-		} else {
-			sim, ok, err = runToolboxParafac(x, k)
-		}
+		cells, err := timeRow(cfg, tucker, x, k, core.Variants)
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, methodCell(sim, ok))
-		if ok {
-			last["Toolbox"].lastOK = dim
-		}
-		for _, v := range core.Variants {
-			if tucker {
-				sim, ok, err = runTucker(cfg, x, k, v, benchMachines)
-			} else {
-				sim, ok, err = runParafac(cfg, x, k, v, benchMachines)
-			}
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, methodCell(sim, ok))
-			if ok {
-				last[v.String()].lastOK = dim
+		for i, c := range cells {
+			if c != nil {
+				lastOK[methods[i]] = dim
 			}
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, append([]any{dim, int64(x.NNZ())}, cells...))
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("largest completed I: Toolbox=%d Naive=%d DNN=%d DRN=%d DRI=%d",
-			last["Toolbox"].lastOK, last["Naive"].lastOK, last["DNN"].lastOK,
-			last["DRN"].lastOK, last["DRI"].lastOK))
-	if last["DRI"].lastOK >= last["DRN"].lastOK &&
-		last["DRN"].lastOK > last["DNN"].lastOK &&
-		last["DNN"].lastOK > last["Naive"].lastOK &&
-		last["DRI"].lastOK > last["Toolbox"].lastOK {
+			lastOK["Toolbox"], lastOK["Naive"], lastOK["DNN"], lastOK["DRN"], lastOK["DRI"]))
+	if lastOK["DRI"] >= lastOK["DRN"] &&
+		lastOK["DRN"] > lastOK["DNN"] &&
+		lastOK["DNN"] > lastOK["Naive"] &&
+		lastOK["DRI"] > lastOK["Toolbox"] {
 		rep.Notes = append(rep.Notes, "failure ordering matches the paper: Naive < DNN < DRN ≤ DRI, Toolbox < DRI")
 	}
 	return rep, nil
@@ -218,48 +193,28 @@ func Fig7b(cfg Config) (*Report, error) {
 	return figDensity(cfg, "fig7b", "PARAFAC: time vs density (I=J=K=300, rank 5)", false)
 }
 
+// decoupled are the variants of the density and core-size figures.
+var decoupled = []core.Variant{core.DNN, core.DRN, core.DRI}
+
 func figDensity(cfg Config, id, title string, tucker bool) (*Report, error) {
 	const dim = 300
 	const k = 5
-	rep := &Report{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"density", "nnz", "Toolbox", "DNN", "DRN", "DRI"},
-	}
+	rep := newReport(id, title, column{"density", sci}, text("nnz"),
+		column{"Toolbox", seconds}, column{"DNN", seconds}, column{"DRN", seconds}, column{"DRI", seconds})
 	lastDNN, lastDRI := -1.0, -1.0
 	for _, d := range densitySweep(cfg) {
 		x := gen.RandomWithDensity(cfg.Seed+int64(1/d), dim, d)
-		row := []string{fmt.Sprintf("%.0e", d), count(x.NNZ())}
-		var sim float64
-		var ok bool
-		var err error
-		if tucker {
-			sim, ok, err = runToolboxTucker(x, k)
-		} else {
-			sim, ok, err = runToolboxParafac(x, k)
-		}
+		cells, err := timeRow(cfg, tucker, x, k, decoupled)
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, methodCell(sim, ok))
-		for _, v := range []core.Variant{core.DNN, core.DRN, core.DRI} {
-			if tucker {
-				sim, ok, err = runTucker(cfg, x, k, v, benchMachines)
-			} else {
-				sim, ok, err = runParafac(cfg, x, k, v, benchMachines)
-			}
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, methodCell(sim, ok))
-			if ok && v == core.DNN {
-				lastDNN = d
-			}
-			if ok && v == core.DRI {
-				lastDRI = d
-			}
+		if cells[1] != nil {
+			lastDNN = d
 		}
-		rep.Rows = append(rep.Rows, row)
+		if cells[3] != nil {
+			lastDRI = d
+		}
+		rep.Rows = append(rep.Rows, append([]any{d, int64(x.NNZ())}, cells...))
 	}
 	if lastDRI > lastDNN {
 		rep.Notes = append(rep.Notes,
@@ -288,44 +243,23 @@ func Fig7c(cfg Config) (*Report, error) {
 
 func figCore(cfg Config, id, title string, tucker bool) (*Report, error) {
 	x := gen.Random(cfg.Seed+99, [3]int64{300, 300, 300}, 3000)
-	rep := &Report{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"core/rank", "Toolbox", "DNN", "DRN", "DRI"},
-	}
-	bestAtMax := ""
-	var bestTime float64
+	rep := newReport(id, title, text("core/rank"),
+		column{"Toolbox", seconds}, column{"DNN", seconds}, column{"DRN", seconds}, column{"DRI", seconds})
+	var cells []any
 	for _, k := range coreSweep(cfg) {
-		row := []string{count(k)}
-		var sim float64
-		var ok bool
 		var err error
-		if tucker {
-			sim, ok, err = runToolboxTucker(x, k)
-		} else {
-			sim, ok, err = runToolboxParafac(x, k)
-		}
-		if err != nil {
+		if cells, err = timeRow(cfg, tucker, x, k, decoupled); err != nil {
 			return nil, err
 		}
-		row = append(row, methodCell(sim, ok))
-		for _, v := range []core.Variant{core.DNN, core.DRN, core.DRI} {
-			if tucker {
-				sim, ok, err = runTucker(cfg, x, k, v, benchMachines)
-			} else {
-				sim, ok, err = runParafac(cfg, x, k, v, benchMachines)
-			}
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, methodCell(sim, ok))
-			if k == coreSweep(cfg)[len(coreSweep(cfg))-1] && ok {
-				if bestAtMax == "" || sim < bestTime {
-					bestAtMax, bestTime = v.String(), sim
-				}
-			}
+		rep.Rows = append(rep.Rows, append([]any{int64(k)}, cells...))
+	}
+	// cells is now the row of the largest core.
+	bestAtMax := ""
+	var bestTime float64
+	for i, v := range decoupled {
+		if sim, ok := cells[1+i].(float64); ok && (bestAtMax == "" || sim < bestTime) {
+			bestAtMax, bestTime = v.String(), sim
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("fastest HaTen2 variant at the largest core: %s", bestAtMax))
 	return rep, nil
@@ -351,7 +285,7 @@ func Fig8(cfg Config) (*Report, error) {
 	// timeAt executes one DRI iteration for real, then prices the
 	// nnz-scaled job log on m machines.
 	timeAt := func(tucker bool, m int) (float64, error) {
-		c := newBenchCluster(m)
+		c := newBenchCluster(cfg, m)
 		var err error
 		if tucker {
 			_, err = core.TuckerALS(c, x, []int{5, 5, 5}, core.Options{Variant: core.DRI, MaxIters: 1, Seed: 7})
@@ -377,11 +311,9 @@ func Fig8(cfg Config) (*Report, error) {
 		return total, nil
 	}
 
-	rep := &Report{
-		ID:      "fig8",
-		Title:   "Machine scalability of HaTen2-DRI (NELL workload): scale-up T10/TM",
-		Headers: []string{"machines", "Tucker T_M", "Tucker T10/TM", "PARAFAC T_M", "PARAFAC T10/TM"},
-	}
+	rep := newReport("fig8", "Machine scalability of HaTen2-DRI (NELL workload): scale-up T10/TM",
+		text("machines"), column{"Tucker T_M", seconds}, column{"Tucker T10/TM", fixed2},
+		column{"PARAFAC T_M", seconds}, column{"PARAFAC T10/TM", fixed2})
 	machines := []int{10, 20, 30, 40}
 	var t10Tucker, t10Parafac float64
 	var scaleups []float64
@@ -399,10 +331,7 @@ func Fig8(cfg Config) (*Report, error) {
 		}
 		su := t10Tucker / simT
 		scaleups = append(scaleups, su)
-		rep.Rows = append(rep.Rows, []string{
-			count(m), seconds(simT), fmt.Sprintf("%.2f", su),
-			seconds(simP), fmt.Sprintf("%.2f", t10Parafac/simP),
-		})
+		rep.Rows = append(rep.Rows, []any{int64(m), simT, su, simP, t10Parafac / simP})
 	}
 	// Verify the paper's shape: monotone increase that flattens.
 	monotone := true
@@ -425,18 +354,15 @@ func Fig8(cfg Config) (*Report, error) {
 // DESIGN.md calls out.
 func Ablation(cfg Config) (*Report, error) {
 	x := gen.Random(cfg.Seed+77, [3]int64{1000, 1000, 1000}, 10000)
-	rep := &Report{
-		ID:      "ablation",
-		Title:   "Per-idea ablation on a fixed workload (Tucker, core 5³, one iteration)",
-		Headers: []string{"variant", "jobs", "max shuffle records", "DFS bytes read", "sim time"},
-	}
+	rep := newReport("ablation", "Per-idea ablation on a fixed workload (Tucker, core 5³, one iteration)",
+		text("variant"), text("jobs"), text("max shuffle records"), text("DFS bytes read"), column{"sim time", seconds})
 	type point struct {
 		jobs int
 		sim  float64
 	}
 	var pts []point
 	for _, v := range core.Variants {
-		c := newBenchCluster(benchMachines)
+		c := newBenchCluster(cfg, benchMachines)
 		s, err := core.Stage(c, "X", x)
 		if err != nil {
 			return nil, err
@@ -444,14 +370,16 @@ func Ablation(cfg Config) (*Report, error) {
 		u1 := matrix.Random(1000, 5, randFor(cfg.Seed))
 		u2 := matrix.Random(1000, 5, randFor(cfg.Seed+1))
 		c.FS().ResetStats()
-		if _, err := core.TuckerContract(s, 0, u1, u2, v); err != nil {
-			rep.Rows = append(rep.Rows, []string{v.String(), oom, oom, oom, oom})
+		_, err = core.TuckerContract(s, 0, u1, u2, v)
+		if ok, err := completed(err); err != nil {
+			return nil, err
+		} else if !ok {
+			rep.Rows = append(rep.Rows, []any{v.String(), nil, nil, nil, nil})
 			continue
 		}
 		t := c.Totals()
-		rep.Rows = append(rep.Rows, []string{
-			v.String(), count(t.Jobs), count(t.MaxShuffleRecords),
-			count(c.FS().Stats().BytesRead), seconds(t.SimSeconds),
+		rep.Rows = append(rep.Rows, []any{
+			v.String(), int64(t.Jobs), t.MaxShuffleRecords, c.FS().Stats().BytesRead, t.SimSeconds,
 		})
 		pts = append(pts, point{t.Jobs, t.SimSeconds})
 	}
@@ -471,18 +399,15 @@ func CombinerAblation(cfg Config) (*Report, error) {
 	// fiber key coming from the contracted mode.
 	x := gen.Random(cfg.Seed+55, [3]int64{200, 50, 200}, 40000)
 	const q = 5
-	rep := &Report{
-		ID:      "combiner",
-		Title:   "Combiner ablation on a Collapse-style aggregation (extension)",
-		Headers: []string{"combiner", "shuffle records", "shuffle bytes", "sim time"},
-	}
+	rep := newReport("combiner", "Combiner ablation on a Collapse-style aggregation (extension)",
+		text("combiner"), text("shuffle records"), text("shuffle bytes"), column{"sim time", seconds})
 	type rec struct {
 		I, K int64
 		Col  int32
 		Val  float64
 	}
 	run := func(withCombiner bool) (mr.JobStats, error) {
-		c := newBenchCluster(benchMachines)
+		c := newBenchCluster(cfg, benchMachines)
 		var items []rec
 		for p := 0; p < x.NNZ(); p++ {
 			idx := x.Index(p)
@@ -533,7 +458,7 @@ func CombinerAblation(cfg Config) (*Report, error) {
 		if with {
 			label = "yes"
 		}
-		rep.Rows = append(rep.Rows, []string{label, count(st.ShuffleRecords), count(st.ShuffleBytes), seconds(st.SimSeconds)})
+		rep.Rows = append(rep.Rows, []any{label, st.ShuffleRecords, st.ShuffleBytes, st.SimSeconds})
 	}
 	if rows[1].ShuffleRecords < rows[0].ShuffleRecords {
 		saving := 1 - float64(rows[1].ShuffleRecords)/float64(rows[0].ShuffleRecords)

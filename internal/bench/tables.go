@@ -11,30 +11,19 @@ import (
 
 func randFor(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func yesNo(b bool) string {
-	if b {
-		return "Yes"
-	}
-	return "No"
-}
-
 // Table2 regenerates Table II, the feature matrix of all methods.
 func Table2() *Report {
-	rep := &Report{
-		ID:      "table2",
-		Title:   "Comparison of all methods (Table II)",
-		Headers: []string{"Method", "Distributed?", "Decoupling (D)", "Remove deps (R)", "Integrate jobs (I)"},
-	}
-	rep.Rows = append(rep.Rows, []string{"Tensor Toolbox", "No", "No", "No", "No"})
+	rep := newReport("table2", "Comparison of all methods (Table II)",
+		text("Method"), text("Distributed?"), text("Decoupling (D)"), text("Remove deps (R)"), text("Integrate jobs (I)"))
+	rep.Rows = append(rep.Rows, []any{"Tensor Toolbox", false, false, false, false})
 	for _, v := range core.Variants {
 		f := v.Features()
 		name := "HaTen2-" + v.String()
 		if v == core.DRI {
 			name += " (or just HaTen2)"
 		}
-		rep.Rows = append(rep.Rows, []string{
-			name, yesNo(f.Distributed), yesNo(f.DecoupledSteps),
-			yesNo(f.RemovedDependency), yesNo(f.IntegratedJobs),
+		rep.Rows = append(rep.Rows, []any{
+			name, f.Distributed, f.DecoupledSteps, f.RemovedDependency, f.IntegratedJobs,
 		})
 	}
 	return rep
@@ -64,14 +53,10 @@ func costTable(cfg Config, tucker bool) (*Report, error) {
 	if tucker {
 		id, title = "table3", "Tucker cost summary for X ×2 Bᵀ ×3 Cᵀ (Table III)"
 	}
-	rep := &Report{
-		ID:    id,
-		Title: title,
-		Headers: []string{"Method", "measured jobs", "analytic jobs",
-			"measured max intermediate (records)", "analytic bound (records)"},
-	}
+	rep := newReport(id, title, text("Method"), text("measured jobs"), text("analytic jobs"),
+		text("measured max intermediate (records)"), text("analytic bound (records)"))
 	for _, v := range core.Variants {
-		c := newBenchCluster(benchMachines)
+		c := newBenchCluster(cfg, benchMachines)
 		s, err := core.Stage(c, "X", x)
 		if err != nil {
 			return nil, err
@@ -96,9 +81,8 @@ func costTable(cfg Config, tucker bool) (*Report, error) {
 			analyticJobs = v.ParafacJobs(r)
 			bound = v.ParafacIntermediate(int64(x.NNZ()), dims[0], dims[1], dims[2], r)
 		}
-		rep.Rows = append(rep.Rows, []string{
-			"HaTen2-" + v.String(), count(t.Jobs), count(analyticJobs),
-			count(t.MaxShuffleRecords), count(bound),
+		rep.Rows = append(rep.Rows, []any{
+			"HaTen2-" + v.String(), int64(t.Jobs), int64(analyticJobs), t.MaxShuffleRecords, bound,
 		})
 		if t.Jobs != analyticJobs {
 			rep.Notes = append(rep.Notes,
@@ -114,11 +98,9 @@ func costTable(cfg Config, tucker bool) (*Report, error) {
 // Table5 regenerates Table V, the dataset summary, for the stand-in
 // datasets this reproduction generates.
 func Table5(cfg Config) *Report {
-	rep := &Report{
-		ID:      "table5",
-		Title:   "Summary of tensor data (Table V; offline stand-ins, scaled)",
-		Headers: []string{"dataset", "I", "J", "K", "nnz", "paper's original"},
-	}
+	rep := newReport("table5", "Summary of tensor data (Table V; offline stand-ins, scaled)",
+		text("dataset"), column{"I", human}, column{"J", human}, column{"K", human}, column{"nnz", human},
+		text("paper's original"))
 	fb := gen.NewKB(gen.KBConfig{
 		Seed: cfg.Seed, Theme: "music", ConceptNames: gen.FreebaseMusicNames,
 		EntitiesPerConcept: 40, TriplesPerConcept: 1500, NoiseTriples: 900,
@@ -138,10 +120,7 @@ func Table5(cfg Config) *Report {
 		{gen.Describe("NELL (stand-in)", nellT), "26M×26M×48M, 144M nnz"},
 		{gen.Describe("Random", rnd), "10³–10⁸ dims, 10⁴–10¹⁰ nnz"},
 	} {
-		rep.Rows = append(rep.Rows, []string{
-			e.info.Name, gen.Human(e.info.I), gen.Human(e.info.J), gen.Human(e.info.K),
-			gen.Human(e.info.NNZ), e.orig,
-		})
+		rep.Rows = append(rep.Rows, []any{e.info.Name, e.info.I, e.info.J, e.info.K, e.info.NNZ, e.orig})
 	}
 	return rep
 }

@@ -1,5 +1,5 @@
 // Fixture for the wallclock analyzer: wall-clock reads outside the
-// benchmark packages.
+// socket transport.
 package wallclock
 
 import "time"

@@ -1,12 +1,12 @@
-// The benchmark harness is where wall time is the measured quantity:
-// this whole package is exempt.
+// Fixture mirroring internal/bench: the evaluation harness reports
+// simulated time only, so it is no longer exempt.
 package bench
 
 import "time"
 
-// Measure times fn for real; not flagged.
+// Measure would put host speed into a table of simulated seconds.
 func Measure(fn func()) time.Duration {
-	start := time.Now()
+	start := time.Now() // want "time.Now reads the wall clock"
 	fn()
-	return time.Since(start)
+	return time.Since(start) // want "time.Since reads the wall clock"
 }

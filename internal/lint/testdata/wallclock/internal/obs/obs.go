@@ -1,6 +1,6 @@
 // Fixture mirroring internal/obs: the tracing layer reports simulated
 // time only, so wall-clock reads are banned there like everywhere
-// outside the benchmark packages.
+// outside the socket transport.
 package obs
 
 import "time"

@@ -67,9 +67,9 @@ func sameAsBaseline(t *testing.T, got []Result, want []baseline.TopKResult, ctx 
 
 // TestServedRankingsBitIdenticalParafac is the acceptance-criteria
 // matrix: rankings must be bit-identical to the single-threaded
-// baseline scorer across GOMAXPROCS {1,4,16} × shard counts {1,4,16},
-// with batching active and every query issued twice so the second pass
-// is served from cache.
+// baseline scorer across GOMAXPROCS {1,4,16} × shard counts {1,4,16} ×
+// cache {off, 64}, with batching active and every query issued twice so
+// that, with the cache on, the second pass is served from it.
 func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 	const (
 		subjects, objects, predicates = 37, 211, 11
@@ -93,38 +93,39 @@ func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 	for _, procs := range []int{1, 4, 16} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 4, 16} {
-			srv, err := New(model, Config{Shards: shards, CacheSize: 64, MaxBatch: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ {
-				got := make([][]Result, len(queries))
-				var wg sync.WaitGroup
-				const clients = 7
-				wg.Add(clients)
-				for c := 0; c < clients; c++ {
-					go func(c int) {
-						defer wg.Done()
-						for i := c; i < len(queries); i += clients {
-							res, err := srv.TopKObjects(queries[i].s, queries[i].p, k, nil)
-							if err != nil {
-								t.Error(err)
-								return
+			for _, cache := range []int{0, 64} {
+				srv, err := New(model, Config{Shards: shards, CacheSize: cache, NoCache: cache == 0, MaxBatch: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pass := 0; pass < 2; pass++ {
+					got := make([][]Result, len(queries))
+					var wg sync.WaitGroup
+					const clients = 7
+					wg.Add(clients)
+					for c := 0; c < clients; c++ {
+						go func(c int) {
+							defer wg.Done()
+							for i := c; i < len(queries); i += clients {
+								res, err := srv.TopKObjects(queries[i].s, queries[i].p, k, nil)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								got[i] = res
 							}
-							got[i] = res
-						}
-					}(c)
+						}(c)
+					}
+					wg.Wait()
+					for i := range queries {
+						sameAsBaseline(t, got[i], want[i], "parafac")
+					}
 				}
-				wg.Wait()
-				for i := range queries {
-					sameAsBaseline(t, got[i], want[i], "parafac")
+				if st := srv.Stats(); (st.CacheHits > 0) != (cache > 0) {
+					t.Errorf("procs=%d shards=%d cache=%d: %d cache hits after a repeated pass", procs, shards, cache, st.CacheHits)
 				}
+				srv.Close()
 			}
-			st := srv.Stats()
-			if st.CacheHits == 0 {
-				t.Errorf("procs=%d shards=%d: second pass produced no cache hits", procs, shards)
-			}
-			srv.Close()
 		}
 	}
 }

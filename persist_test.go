@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,25 +192,29 @@ func TestLoadLongLines(t *testing.T) {
 // *ErrModelShape, and a huge but possible shape costs only what the
 // lines that follow it justify — a file truncated after the header is
 // an ordinary error, not a multi-gigabyte make (or a makeslice panic).
+const (
+	pHead = "haten2-parafac-v1\nrank 1\n1\n"
+	tHead = "haten2-tucker-v1\n"
+)
+
+var hostileModels = []struct {
+	name  string
+	in    string
+	shape bool // want *ErrModelShape
+}{
+	{"parafac overflowing", pHead + "matrix 4000000000 4000000000\n", true},
+	{"parafac negative", pHead + "matrix -1 1\n", true},
+	{"parafac huge, truncated after header", pHead + "matrix 4000000000 1\n", false},
+	{"parafac huge, truncated after a row", pHead + "matrix 4000000000 1\n0.5\n", false},
+	{"parafac huge columns", pHead + "matrix 1 4000000000\n0.5\n", false},
+	{"tucker beyond a dense core", tHead + "core 4000000000 1 1\n", true},
+	{"tucker overflowing", tHead + "core 4000000000 4000000000 4000000000\n", true},
+	{"tucker largest core, truncated after header", tHead + "core 512 512 512\n", false},
+	{"tucker huge factor, truncated after header", tHead + "core 1 1 1\n1\nmatrix 4000000000 1\n", false},
+}
+
 func TestLoadHostileShapes(t *testing.T) {
-	const pHead = "haten2-parafac-v1\nrank 1\n1\n"
-	const tHead = "haten2-tucker-v1\n"
-	cases := []struct {
-		name  string
-		in    string
-		shape bool // want *ErrModelShape
-	}{
-		{"parafac overflowing", pHead + "matrix 4000000000 4000000000\n", true},
-		{"parafac negative", pHead + "matrix -1 1\n", true},
-		{"parafac huge, truncated after header", pHead + "matrix 4000000000 1\n", false},
-		{"parafac huge, truncated after a row", pHead + "matrix 4000000000 1\n0.5\n", false},
-		{"parafac huge columns", pHead + "matrix 1 4000000000\n0.5\n", false},
-		{"tucker beyond a dense core", tHead + "core 4000000000 1 1\n", true},
-		{"tucker overflowing", tHead + "core 4000000000 4000000000 4000000000\n", true},
-		{"tucker largest core, truncated after header", tHead + "core 512 512 512\n", false},
-		{"tucker huge factor, truncated after header", tHead + "core 1 1 1\n1\nmatrix 4000000000 1\n", false},
-	}
-	for _, tc := range cases {
+	for _, tc := range hostileModels {
 		t.Run(tc.name, func(t *testing.T) {
 			load := func(r io.Reader) error { _, err := haten2.LoadParafac(r); return err }
 			if strings.HasPrefix(tc.in, tHead) {
@@ -256,5 +261,75 @@ func TestLoadGrowsPastPrealloc(t *testing.T) {
 	var out bytes.Buffer
 	if err := res.Save(&out); err != nil || out.String() != b.String() {
 		t.Fatalf("model does not save back to its input (err %v)", err)
+	}
+}
+
+// modelBits flattens every value a model file persists — weights or
+// core first, then the three factors — to its IEEE-754 bits.
+func modelBits(head []float64, factors [3]*haten2.Matrix) []uint64 {
+	var bits []uint64
+	for _, v := range head {
+		bits = append(bits, math.Float64bits(v))
+	}
+	for _, f := range factors {
+		bits = append(bits, uint64(f.Rows()), uint64(f.Cols()))
+		for _, v := range f.Unwrap().Data {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	return bits
+}
+
+// FuzzLoadModel feeds both model loaders arbitrary text. They may
+// reject it, never panic; and a model either accepts must be a fixed
+// point of Save → Load: it saves, the saved file loads, and every value
+// comes back with the same bits.
+func FuzzLoadModel(f *testing.F) {
+	x := smallTensor()
+	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 1})
+	var buf bytes.Buffer
+	pr, err := haten2.Parafac(c, x, 2, haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 1})
+	if err != nil || pr.Save(&buf) != nil {
+		f.Fatal("seeding a PARAFAC model: ", err)
+	}
+	f.Add(buf.String())
+	buf.Reset()
+	tr, err := haten2.Tucker(c, x, [3]int{2, 1, 2}, haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 2})
+	if err != nil || tr.Save(&buf) != nil {
+		f.Fatal("seeding a Tucker model: ", err)
+	}
+	f.Add(buf.String())
+	for _, tc := range hostileModels {
+		f.Add(tc.in)
+	}
+
+	f.Fuzz(func(t *testing.T, in string) {
+		if m, err := haten2.LoadParafac(strings.NewReader(in)); err == nil {
+			checkReload(t, m, haten2.LoadParafac, func(m *haten2.ParafacResult) []uint64 {
+				return modelBits(m.Lambda, m.Factors)
+			})
+		}
+		if m, err := haten2.LoadTucker(strings.NewReader(in)); err == nil {
+			checkReload(t, m, haten2.LoadTucker, func(m *haten2.TuckerResult) []uint64 {
+				return modelBits(m.Core.Unwrap().Data, m.Factors)
+			})
+		}
+	})
+}
+
+// checkReload asserts that a model a loader accepted saves, that the
+// saved file loads, and that every value comes back with the same bits.
+func checkReload[M interface{ Save(io.Writer) error }](t *testing.T, m M, load func(io.Reader) (M, error), bits func(M) []uint64) {
+	t.Helper()
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatalf("accepted model failed to save: %v", err)
+	}
+	back, err := load(&saved)
+	if err != nil {
+		t.Fatalf("saved model failed to load: %v", err)
+	}
+	if got, want := bits(back), bits(m); !slices.Equal(got, want) {
+		t.Fatalf("model changed across Save → Load:\n%x\n%x", want, got)
 	}
 }
