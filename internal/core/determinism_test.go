@@ -60,8 +60,9 @@ func TestParafacDRIDeterministicAcrossProcs(t *testing.T) {
 
 // TestTuckerDRIDeterministicAcrossProcs covers the CrossMerge side of
 // the engine with the same property. CrossMerge reducers accumulate per
-// (q, r) cell through maps but walk coordinates and cells in first-seen
-// order rather than map order, so Tucker is bit-deterministic too.
+// (q, r) cell and walk coordinates and cells in first-seen order, so
+// Tucker is bit-deterministic too. GOMAXPROCS=2 is the smallest width at
+// which the first wave of map tasks runs concurrently.
 func TestTuckerDRIDeterministicAcrossProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	x := randomSparse(rng, [3]int64{18, 14, 10}, 600)

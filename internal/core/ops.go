@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/haten2/haten2/internal/mr"
@@ -15,10 +16,10 @@ type stack[I index] struct {
 	// sizer is the columnar shuffle block codec every job of the order
 	// shares (one value, so jobs allocate nothing for accounting).
 	sizer *mr.BlockSizer[[3]int64, sval[I]]
-	// scratch recycles the accumulator maps the PairwiseMerge reducer
-	// needs per key (see pairwiseReduce). Pooled because the reducer
-	// runs once per distinct (coordinate, r) key and per-call maps
-	// dominated the plan's allocation profile.
+	// scratch recycles the per-call state of the plan reducers (see
+	// scratch): they run once per distinct key — millions of calls per
+	// ALS iteration — so anything allocated per call dominates a plan's
+	// allocation profile.
 	scratch sync.Pool
 	// partition routes a shuffle key to its reducer, and sideBase is the
 	// first IMHP side key. Routing feeds output order and therefore the
@@ -30,26 +31,110 @@ type stack[I index] struct {
 	sideBase  int64
 }
 
-// pairScratch holds one 𝒯″-side accumulator per merge side after the
-// first.
-type pairScratch[I index] [maxOrder - 2]map[I]float64
-
 func newStack[I index](partition func([3]int64) uint64, sideBase int64) *stack[I] {
 	return &stack[I]{
 		sizer: &mr.BlockSizer[[3]int64, sval[I]]{
 			Pair: svalPairSize[I], Header: blockHeaderSize,
 			Append: appendSValBlock[I], Decode: decodeSValBlock[I],
 		},
-		scratch: sync.Pool{New: func() any {
-			var acc pairScratch[I]
-			for s := range acc {
-				acc[s] = make(map[I]float64)
-			}
-			return &acc
-		}},
+		scratch:   sync.Pool{New: func() any { return new(scratch[I]) }},
 		partition: partition,
 		sideBase:  sideBase,
 	}
+}
+
+// cv is one cell of a Hadamard intermediate within a key group: its
+// factor column and value.
+type cv struct {
+	col int32
+	val float64
+}
+
+// scratch is the pooled state of one reduce call. Both merge reducers
+// match a key's records across sides on their original coordinate, so
+// they share the matcher — an open-addressed coordinate → slot table
+// (linear probing, entries hold slot+1) with slots assigned in
+// first-seen order and each value's slot memoized — and differ only in
+// what they keep per slot: CrossMerge per-side cell runs, laid out by
+// count → prefix sum → scatter in arrival order and crossed into a
+// dense accumulator; PairwiseMerge one running sum per 𝒯″ side.
+type scratch[I index] struct {
+	table  []int32
+	coords []I     // slot → coordinate
+	pos    []int32 // slot → its table index, so match clears O(slots) entries
+	slot   []int32 // value → slot
+	// CrossMerge. next is indexed slot·sides+side: a run's cell count,
+	// then its scatter cursor, finally its end offset in cells.
+	next      []int32
+	cells     []cv
+	order     []int32 // slots in 𝒯′-first-seen order
+	left, tmp []cv    // 𝒯′ crossed with every side but the last
+	acc       []float64
+	seen      []bool  // acc and seen are all-zero between calls
+	touched   []int32 // accumulator cells in first-seen order
+	// PairwiseMerge: indexed slot·(sides-1)+(side-1).
+	sums []float64
+	// IMHP: the reducer's factor row.
+	row []MatEntry
+}
+
+// match empties the matcher of the previous call, resolves every
+// value's coordinate to its slot (s.slot) and returns the number of
+// distinct coordinates. The table is kept at most ½ full of the values
+// themselves, so it never grows mid-match.
+func (s *scratch[I]) match(vals []sval[I]) int {
+	for _, p := range s.pos {
+		s.table[p] = 0
+	}
+	if 2*len(vals) > len(s.table) {
+		s.table = make([]int32, 1<<bits.Len(uint(2*len(vals))))
+	}
+	s.coords, s.pos, s.slot = s.coords[:0], s.pos[:0], s.slot[:0]
+	var sl int32
+	for i := range vals {
+		idx := vals[i].idx
+		// Records of one coordinate tend to arrive together (IMHP emits
+		// a tensor entry's columns back to back).
+		if i == 0 || idx != vals[i-1].idx {
+			sl = s.lookup(idx)
+		}
+		s.slot = append(s.slot, sl)
+	}
+	return len(s.coords)
+}
+
+func hashIndex[I index](idx I) uint64 {
+	var h uint64
+	for m := 0; m < len(idx); m++ {
+		h = (h ^ uint64(idx[m])) * 0x9E3779B97F4A7C15
+	}
+	h ^= h >> 32
+	return h * 0xBF58476D1CE4E5B9
+}
+
+// lookup returns idx's slot, assigning the next one on first sight.
+func (s *scratch[I]) lookup(idx I) int32 {
+	mask := uint64(len(s.table) - 1)
+	p := hashIndex(idx) >> 20 & mask
+	for t := s.table[p]; t != 0; t = s.table[p] {
+		if s.coords[t-1] == idx {
+			return t - 1
+		}
+		p = (p + 1) & mask
+	}
+	s.coords, s.pos = append(s.coords, idx), append(s.pos, int32(p))
+	s.table[p] = int32(len(s.coords))
+	return int32(len(s.coords)) - 1
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // sval3 is the shuffle value of the 3-way-only Naive and DNN jobs.
@@ -249,29 +334,9 @@ func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outF
 		name += fmt.Sprintf(",%d", m)
 	}
 	out, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], taggedH[I]]{
-		Name:   name + ")",
-		Inputs: inputs,
-		Reduce: func(key [3]int64, vals []sval[I], emit func(taggedH[I])) {
-			// One factor row: O(Q) memory per reducer (vs. O(1) for the
-			// per-column DRN jobs — the trade §III-B4 argues is cheap).
-			var row []MatEntry
-			for _, v := range vals {
-				if v.tag == tagMat {
-					row = append(row, MatEntry{Col: v.col, Val: v.val})
-				}
-			}
-			for _, v := range vals {
-				if v.tag == tagMat {
-					continue
-				}
-				for _, cell := range row {
-					if cell.Val == 0 {
-						continue
-					}
-					emit(taggedH[I]{side: v.tag - tagT1, h: HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
-				}
-			}
-		},
+		Name:      name + ")",
+		Inputs:    inputs,
+		Reduce:    k.imhpReduce,
 		Partition: k.partition,
 		BlockKV:   k.sizer,
 		OutSize:   taggedHSize[I],
@@ -303,6 +368,29 @@ func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outF
 		}
 	}
 	return nil
+}
+
+// imhpReduce multiplies one factor row against the fiber that shares
+// its key: O(Q) memory per reducer (vs. O(1) for the per-column DRN
+// jobs — the trade §III-B4 argues is cheap).
+func (k *stack[I]) imhpReduce(key [3]int64, vals []sval[I], emit func(taggedH[I])) {
+	s := k.scratch.Get().(*scratch[I])
+	defer k.scratch.Put(s)
+	row := s.row[:0]
+	for _, v := range vals {
+		if v.tag == tagMat && v.val != 0 {
+			row = append(row, MatEntry{Col: v.col, Val: v.val})
+		}
+	}
+	s.row = row
+	for _, v := range vals {
+		if v.tag == tagMat {
+			continue
+		}
+		for _, cell := range row {
+			emit(taggedH[I]{side: v.tag - tagT1, h: HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
+		}
+	}
 }
 
 // mergeOp is the final merge of the DRN and DRI plans — the one
@@ -344,7 +432,7 @@ func (k *stack[I]) merge(c *mr.Cluster, op mergeOp, sideFiles [][]string, cols [
 			emit([3]int64{h.Idx[n], 0, 0}, sval[I]{tag: tag, idx: h.Idx, col: h.Col, val: h.Val})
 		}
 	}
-	reduce := crossReduce[I](cols)
+	reduce := k.crossReduce(cols)
 	if op == pairwiseMerge {
 		mapSide = func(tag uint8) func(HEntryOf[I], func([3]int64, sval[I])) {
 			return func(h HEntryOf[I], emit func([3]int64, sval[I])) {
@@ -371,98 +459,113 @@ func (k *stack[I]) merge(c *mr.Cluster, op mergeOp, sideFiles [][]string, cols [
 }
 
 // crossReduce matches the sides' records on their original coordinate,
-// then crosses their columns.
-func crossReduce[I index](cols []int32) func([3]int64, []sval[I], func(YEntry)) {
-	sides := len(cols)
-	type cv struct {
-		col int32
-		val float64
+// then crosses their columns. Coordinates are walked in 𝒯′-first-seen
+// order and (q, r) cells emitted in first-seen order (vals order is
+// fixed by the engine), so each cell's floating-point summation order —
+// and the emission order — is identical on every run.
+func (k *stack[I]) crossReduce(cols []int32) func([3]int64, []sval[I], func(YEntry)) {
+	sides := int32(len(cols))
+	last := cols[sides-1]
+	width := int(last) // the accumulator: one row of Y₍ₙ₎, flat·last cells
+	for _, c := range cols[:sides-1] {
+		width *= int(c)
 	}
 	return func(key [3]int64, vals []sval[I], emit func(YEntry)) {
-		// Coordinates and (q, r) cells are walked in first-seen order
-		// (vals order is fixed by the engine), never in map order, so
-		// each cell's floating-point summation order — and the
-		// emission order — is identical on every run.
-		var by [maxOrder - 1]map[I][]cv
-		for s := range by[:sides] {
-			by[s] = make(map[I][]cv)
-		}
-		var idxOrder []I
-		for _, v := range vals {
-			side := by[v.tag-tagT1]
-			cells, seen := side[v.idx]
-			if !seen && v.tag == tagT1 {
-				idxOrder = append(idxOrder, v.idx)
+		s := k.scratch.Get().(*scratch[I])
+		defer k.scratch.Put(s)
+		s.next = zeroed(s.next, s.match(vals)*int(sides))
+		order := s.order[:0]
+		for i, v := range vals {
+			o := s.slot[i]*sides + int32(v.tag-tagT1)
+			if v.tag == tagT1 && s.next[o] == 0 {
+				order = append(order, s.slot[i])
 			}
-			side[v.idx] = append(cells, cv{v.col, v.val})
+			s.next[o]++
 		}
-		acc := make(map[[2]int32]float64)
-		var accOrder [][2]int32
-		var left, next []cv // 𝒯′ crossed with every side but the last
+		s.order = order
+		total := int32(0)
+		for o, n := range s.next {
+			s.next[o] = total
+			total += n
+		}
+		if cap(s.cells) < len(vals) {
+			s.cells = make([]cv, len(vals))
+		}
+		cells := s.cells[:len(vals)]
+		for i, v := range vals {
+			o := s.slot[i]*sides + int32(v.tag-tagT1)
+			cells[s.next[o]] = cv{v.col, v.val}
+			s.next[o]++
+		}
+		run := func(o int32) []cv {
+			lo := int32(0)
+			if o > 0 {
+				lo = s.next[o-1]
+			}
+			return cells[lo:s.next[o]]
+		}
+		if len(s.acc) < width {
+			s.acc, s.seen = make([]float64, width), make([]bool, width)
+		}
+		touched := s.touched[:0]
 	coords:
-		for _, idx := range idxOrder {
-			left = by[0][idx]
-			for s := 1; s < sides-1; s++ {
-				cells, ok := by[s][idx]
-				if !ok {
-					continue coords
+		for _, sl := range order {
+			left := run(sl * sides)
+			for side := int32(1); side < sides-1; side++ {
+				mid := run(sl*sides + side)
+				if len(mid) == 0 {
+					continue coords // the coordinate is missing from this side
 				}
-				next = next[:0]
+				s.tmp = s.tmp[:0]
 				for _, a := range left {
-					for _, b := range cells {
-						next = append(next, cv{a.col*cols[s] + b.col, a.val * b.val})
+					for _, b := range mid {
+						s.tmp = append(s.tmp, cv{a.col*cols[side] + b.col, a.val * b.val})
 					}
 				}
-				left, next = next, left
+				left, s.left, s.tmp = s.tmp, s.tmp, s.left
 			}
-			rs, ok := by[sides-1][idx]
-			if !ok {
-				continue
-			}
+			rs := run(sl*sides + sides - 1)
 			for _, qv := range left {
 				for _, rv := range rs {
-					qr := [2]int32{qv.col, rv.col}
-					if _, seen := acc[qr]; !seen {
-						accOrder = append(accOrder, qr)
+					c := qv.col*last + rv.col
+					if !s.seen[c] {
+						s.seen[c] = true
+						touched = append(touched, c)
 					}
-					acc[qr] += qv.val * rv.val
+					s.acc[c] += qv.val * rv.val
 				}
 			}
 		}
-		for _, qr := range accOrder {
-			if v := acc[qr]; v != 0 {
-				emit(YEntry{I: key[0], Q: qr[0], R: qr[1], Val: v})
+		s.touched = touched
+		for _, c := range touched {
+			if v := s.acc[c]; v != 0 {
+				emit(YEntry{I: key[0], Q: c / last, R: c % last, Val: v})
 			}
+			s.acc[c], s.seen[c] = 0, false
 		}
 	}
 }
 
 // pairwiseReduce multiplies, per original coordinate, the 𝒯′ record by
-// the sum of every other side's records there, and sums the products.
+// the sum of every other side's records there, and sums the products in
+// 𝒯′ arrival order.
 func (k *stack[I]) pairwiseReduce(sides int) func([3]int64, []sval[I], func(YEntry)) {
+	w := int32(sides - 1)
 	return func(key [3]int64, vals []sval[I], emit func(YEntry)) {
-		// One scratch set per in-flight reduce call, recycled via the
-		// pool: this reducer runs once per (coordinate, r) key —
-		// millions of calls per ALS iteration — and fresh maps per call
-		// were the plan's dominant allocation.
-		acc := k.scratch.Get().(*pairScratch[I])
-		defer func() {
-			for _, m := range acc {
-				clear(m)
-			}
-			k.scratch.Put(acc)
-		}()
-		for _, v := range vals {
+		s := k.scratch.Get().(*scratch[I])
+		defer k.scratch.Put(s)
+		s.sums = zeroed(s.sums, s.match(vals)*int(w))
+		for i, v := range vals {
 			if v.tag != tagT1 {
-				acc[v.tag-tagT1-1][v.idx] += v.val
+				s.sums[s.slot[i]*w+int32(v.tag-tagT1-1)] += v.val
 			}
 		}
 		var sum float64
-		for _, v := range vals {
+		for i, v := range vals {
 			if v.tag == tagT1 {
 				term := v.val
-				for _, m := range acc[:sides-1] {
-					term *= m[v.idx]
+				for _, side := range s.sums[s.slot[i]*w : (s.slot[i]+1)*w] {
+					term *= side
 				}
 				sum += term
 			}

@@ -9,7 +9,10 @@
 package mr_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/haten2/haten2/internal/mr"
 )
@@ -53,8 +56,7 @@ func shuffleAllocJob(c *mr.Cluster, name string) (mr.Job[int64, int64, int64], i
 func TestShuffleAllocsPerRecord(t *testing.T) {
 	c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
 	job, pairs := shuffleAllocJob(c, "alloc-shuffle")
-	// Two warm-up runs: the first populates the cluster's shuffle hints,
-	// the second fills the pools with hint-sized buffers.
+	// Two warm-up runs fill the typed pools with slabs of the job's sizes.
 	for i := 0; i < 2; i++ {
 		if _, _, err := mr.Run(c, job); err != nil {
 			t.Fatal(err)
@@ -104,5 +106,205 @@ func TestShuffleAllocsPerRecordCombine(t *testing.T) {
 	if perRecord > allocBudgetPerRecord {
 		t.Errorf("combine shuffle path allocates %.4f allocs/record (budget %.2f): per-key allocation churn is back",
 			perRecord, allocBudgetPerRecord)
+	}
+}
+
+// The cold-run test's own record types: the typed pools are package
+// state keyed by element type, so types no other test shuffles are what
+// makes its job the first one its pools ever see, whatever ran before.
+type (
+	coldKey int64
+	coldVal struct{ a, b int64 }
+	coldOut struct {
+		k    coldKey
+		a, b int64
+	}
+)
+
+// TestShuffleColdRunAllocatesOnce pins that the engine writes a
+// shuffled record once even when nothing is warm. The job has the IMHP
+// shape — one large input emitting 2 pairs per record beside two tiny
+// ones, keys skewed so the busiest reducer takes more than 4× the
+// lightest — and is the first job on a fresh cluster. Everything it
+// allocates is compared with the bytes it has to hold: shuffled pairs ×
+// pair size + output records × record size.
+//
+// The pool is pinned two wide — the smallest width at which the first
+// wave of tasks is concurrent; every worker brings one growing emit
+// buffer and one blind first reducer, so the ratio rises with the width.
+// Measured ratio of TotalAlloc to that floor at GOMAXPROCS 1 / 2 / 4 / 8:
+// parent (one growing bucket per (task, reducer), one growing output per
+// reducer, then the concatenation) 4.07 / 4.10 / 4.16 / 4.21; head (one
+// exact slab per task, the group arena, output given its room before a
+// reducer runs) 1.28 / 1.80 / 2.03 / 2.62. The bound is midway at two.
+func TestShuffleColdRunAllocatesOnce(t *testing.T) {
+	const (
+		records  = 120_000
+		tiny     = 800
+		maxRatio = 2.95
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
+	big := make([]int64, records)
+	for i := range big {
+		big[i] = int64(i)
+	}
+	small := make([]int64, tiny)
+	for i := range small {
+		small[i] = int64(i)
+	}
+	for name, items := range map[string][]int64{"cold-x": big, "cold-b": small, "cold-c": small} {
+		if err := mr.WriteFile(c, name, items, func(int64) int64 { return 8 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 40 light keys and 7 heavy ones: a heavy key alone carries 5.7× a
+	// light one's pairs.
+	keys := func(v int64) (coldKey, coldKey) { return coldKey(v % 40), coldKey(1000 + v%7) }
+	part := func(k coldKey) uint64 { return mr.HashInt64(int64(k)) }
+	loads := make([]int, c.Workers())
+	for v := int64(0); v < records; v++ {
+		k1, k2 := keys(v)
+		loads[part(k1)%uint64(len(loads))]++
+		loads[part(k2)%uint64(len(loads))]++
+	}
+	lo, hi := records, 0
+	for _, n := range loads {
+		if n > 0 {
+			lo, hi = min(lo, n), max(hi, n)
+		}
+	}
+	if hi < 4*lo {
+		t.Fatalf("reducer loads %d..%d: the test wants a 4× skew", lo, hi)
+	}
+	tinyInput := func(file string) mr.Input[coldKey, coldVal] {
+		return mr.MapInput(file, func(v int64, emit func(coldKey, coldVal)) {
+			emit(coldKey(v%40), coldVal{a: -1, b: v})
+		})
+	}
+	job := mr.Job[coldKey, coldVal, coldOut]{
+		Name: "cold-imhp",
+		Inputs: []mr.Input[coldKey, coldVal]{
+			mr.MapInput("cold-x", func(v int64, emit func(coldKey, coldVal)) {
+				k1, k2 := keys(v)
+				emit(k1, coldVal{a: v, b: 1})
+				emit(k2, coldVal{a: v, b: 2})
+			}),
+			tinyInput("cold-b"), tinyInput("cold-c"),
+		},
+		Reduce: func(k coldKey, vs []coldVal, emit func(coldOut)) {
+			for _, v := range vs {
+				if v.a >= 0 {
+					emit(coldOut{k: k, a: v.a, b: v.b})
+				}
+			}
+		},
+		Partition: part,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, st, err := mr.Run(c, job)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ShuffleRecords != 2*records+2*tiny || len(out) != 2*records {
+		t.Fatalf("shuffled %d pairs into %d records", st.ShuffleRecords, len(out))
+	}
+	type pair struct { // the engine's pair[coldKey, coldVal]
+		k coldKey
+		v coldVal
+		h uint64
+	}
+	floor := float64(st.ShuffleRecords)*float64(unsafe.Sizeof(pair{})) + float64(len(out))*float64(unsafe.Sizeof(coldOut{}))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / floor
+	t.Logf("cold run allocated %.2f× its %.1f MB of pairs and output", ratio, floor/1e6)
+	if ratio > maxRatio {
+		t.Errorf("cold run allocated %.2f× the bytes it holds (bound %.2f×): a buffer on the data path is growing again", ratio, maxRatio)
+	}
+}
+
+// TestCombinerExpansionKeepsSlabsApart is the pool-ownership
+// regression: a map task's segments are carved from one pooled slab, so
+// a combiner that expands a bucket must get storage of its own (not its
+// neighbour's run), and only the slab — never a segment, never the
+// expanded bucket — may reach the pool, or two later tasks would be
+// handed the same memory. The combiner doubles the values of one key
+// routed to reducer 0, whose segment has every other reducer's after
+// it. Run twice per cluster, in process and across the backend seam:
+// every output must equal the arithmetic answer.
+func TestCombinerExpansionKeepsSlabsApart(t *testing.T) {
+	const records, keyspace = 20_000, 512
+	hot := int64(-1)
+	for k := int64(0); k < keyspace; k++ {
+		if mr.HashInt64(k)%32 == 0 {
+			hot = k
+			break
+		}
+	}
+	if hot < 0 {
+		t.Fatal("no key routes to reducer 0")
+	}
+	want := make(map[int64]int64)
+	for v := int64(0); v < records; v++ {
+		want[v%keyspace] += v
+	}
+	want[hot] *= 2
+	for _, backend := range []mr.Backend{nil, mr.NewLoopback()} {
+		c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
+		if backend != nil {
+			c.SetBackend(backend)
+		}
+		items := make([]int64, records)
+		for i := range items {
+			items[i] = int64(i)
+		}
+		if err := mr.WriteFile(c, "in", items, func(int64) int64 { return 8 }); err != nil {
+			t.Fatal(err)
+		}
+		job := mr.Job[int64, int64, [2]int64]{
+			Name: "expanding-combiner",
+			Inputs: []mr.Input[int64, int64]{mr.MapInput("in", func(v int64, emit func(int64, int64)) {
+				emit(v%keyspace, v)
+			})},
+			Combine: func(k int64, vs []int64) []int64 {
+				if k == hot {
+					return append(vs, vs...)
+				}
+				return vs
+			},
+			Reduce: func(k int64, vs []int64, emit func([2]int64)) {
+				var s int64
+				for _, v := range vs {
+					s += v
+				}
+				emit([2]int64{k, s})
+			},
+			Partition: mr.HashInt64,
+		}
+		var first [][2]int64
+		for run := 0; run < 2; run++ {
+			out, st, err := mr.Run(c, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShuffleRecords <= records {
+				t.Fatalf("backend %v run %d: %d shuffled records, the combiner expanded nothing", backend, run, st.ShuffleRecords)
+			}
+			if len(out) != keyspace {
+				t.Fatalf("backend %v run %d: %d keys, want %d", backend, run, len(out), keyspace)
+			}
+			for _, o := range out {
+				if o[1] != want[o[0]] {
+					t.Fatalf("backend %v run %d: key %d sums to %d, want %d", backend, run, o[0], o[1], want[o[0]])
+				}
+			}
+			if run == 0 {
+				first = append(first, out...)
+			} else if !reflect.DeepEqual(first, out) {
+				t.Fatalf("backend %v: second run's output differs from the first", backend)
+			}
+			mr.Recycle(out)
+		}
 	}
 }

@@ -290,52 +290,51 @@ func (pc partCodec[K, V]) encode(dst []byte, bucket []pair[K, V]) ([]byte, error
 	return dst, nil
 }
 
-// decode parses a fetched partition of want records into a pooled
-// bucket. The bytes come from outside the process: anything but exactly
-// one well-formed block of the shipped length is an error.
-func (pc partCodec[K, V]) decode(data []byte, want int) ([]pair[K, V], error) {
+// decode parses a fetched partition into dst, an empty segment whose
+// capacity is the record count shipTask recorded. The bytes come from
+// outside the process: anything but exactly one well-formed block of
+// that length is an error.
+func (pc partCodec[K, V]) decode(data []byte, dst []pair[K, V]) ([]pair[K, V], error) {
+	want := cap(dst)
 	if !pc.blocks() {
 		dec, err := wire.DecodeSlice(reflect.TypeFor[pair[K, V]](), data)
 		bucket, _ := dec.([]pair[K, V])
 		if err == nil && len(bucket) != want {
 			err = fmt.Errorf("%d records, want %d", len(bucket), want)
 		}
-		return bucket, err
+		return append(dst, bucket...), err
 	}
 	keys, vals, rest, err := pc.sizer.Decode(data, getSlice[K](want), getSlice[V](want))
 	if err == nil && (len(keys) != want || len(rest) != 0) {
 		err = fmt.Errorf("%d records and %d trailing bytes, want %d records", len(keys), len(rest), want)
 	}
-	var bucket []pair[K, V]
 	if err == nil {
-		bucket = getSlice[pair[K, V]](want)
 		for i, k := range keys {
-			bucket = append(bucket, pair[K, V]{k: k, v: vals[i], h: pc.part(k)})
+			dst = append(dst, pair[K, V]{k: k, v: vals[i], h: pc.part(k)})
 		}
 	}
 	putSlice(keys)
 	putSlice(vals)
-	return bucket, err
+	return dst, err
 }
 
-// shipTask is one ship window: map task key.Task's non-empty buckets,
+// shipTask is one ship window: map task key.Task's non-empty segments,
 // encoded back to back into one pooled slab that is lent to the backend
 // and reclaimed on return. counts[r] receives the records of reducer
-// r's partition, and the buckets go back to the pool: shipped or not,
-// the task's map output is the engine's no longer.
-func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, buckets [][]pair[K, V], counts []int) error {
-	slab := getSlice[byte](0)
-	keys := make([]PartKey, 0, len(buckets))
-	ends := make([]int, 0, len(buckets))
+// r's partition, and the task's slab goes back to the pool: shipped or
+// not, the task's map output is the engine's no longer.
+func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, out *mapOut[K, V], counts []int) error {
+	defer out.release()
+	slab := getSlice[byte](int(out.bytes)) // what the task was charged: exact for a block codec
+	keys := make([]PartKey, 0, len(out.segs))
+	ends := make([]int, 0, len(out.segs))
 	var err error
-	for r, bucket := range buckets {
+	for r, bucket := range out.segs {
 		if len(bucket) > 0 && err == nil {
 			slab, err = pc.encode(slab, bucket)
 			key.Reducer, counts[r] = r, len(bucket)
 			keys, ends = append(keys, key), append(ends, len(slab))
 		}
-		putSlice(bucket)
-		buckets[r] = nil
 	}
 	if err == nil && len(keys) > 0 {
 		blocks := make([][]byte, len(keys))
@@ -351,26 +350,36 @@ func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, 
 
 // fetchReducer is one fetch window: the partitions of reducer
 // key.Reducer that shipTask recorded as non-empty (counts is task-major,
-// reducers wide), decoded into buckets by task. Nothing is fetched for a
-// bucket the map phase saw empty, and a reducer with no input performs
+// reducers wide), decoded into one pooled slab of the reducer's exact
+// input size with buckets[task] its segments, carved in task order as a
+// map task's are. The caller returns the slab. Nothing is fetched for a
+// segment the map phase saw empty, and a reducer with no input performs
 // no fetch at all.
-func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, counts []int, reducers int, buckets [][]pair[K, V]) error {
+func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, counts []int, reducers int, buckets [][]pair[K, V]) ([]pair[K, V], error) {
 	var keys []PartKey
+	total := 0
 	for i := range buckets {
 		if counts[i*reducers+key.Reducer] > 0 {
 			key.Task = i
 			keys = append(keys, key)
+			total += counts[i*reducers+key.Reducer]
 		}
 	}
 	if len(keys) == 0 {
-		return nil
+		return nil, nil
+	}
+	slab := getSlice[pair[K, V]](total)
+	lo := 0
+	for _, k := range keys {
+		hi := lo + counts[k.Task*reducers+k.Reducer]
+		buckets[k.Task], lo = slab[lo:lo:hi], hi
 	}
 	err := rb.FetchPartitions(keys, func(j int, data []byte) (err error) {
 		k := keys[j]
 		if data == nil {
 			err = errors.New("lost by the backend")
 		} else {
-			buckets[k.Task], err = pc.decode(data, counts[k.Task*reducers+k.Reducer])
+			buckets[k.Task], err = pc.decode(data, buckets[k.Task])
 		}
 		if err != nil {
 			err = fmt.Errorf("partition task %d reducer %d: %w", k.Task, k.Reducer, err)
@@ -378,10 +387,9 @@ func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartK
 		return err
 	})
 	if err != nil {
-		for i, bucket := range buckets {
-			putSlice(bucket)
-			buckets[i] = nil
-		}
+		putSlice(slab[:total]) // the decoded prefix is unknown: clear it all
+		clear(buckets)
+		return nil, err
 	}
-	return err
+	return slab[:total], nil
 }

@@ -221,7 +221,6 @@ type Cluster struct {
 	mu     sync.Mutex
 	totals Totals
 	jobs   []JobStats
-	hints  map[string]shuffleHint
 	// faults is the installed failure schedule (nil: fault-free), and
 	// jobSeq numbers the jobs started since it was installed — the
 	// coordinate every fault decision is keyed by.
@@ -240,20 +239,6 @@ type Cluster struct {
 	// route their shuffle partitions and inputs through (backend.go).
 	// nil runs the in-process fast path.
 	backend Backend
-}
-
-// shuffleHint carries sizing statistics from a completed job to the
-// next run of a job with the same name, so the engine can presize its
-// map-side buckets, reducer group maps, and output buffers. ALS drivers
-// re-run structurally identical jobs every iteration (same name, same
-// data shape), which makes the previous run an excellent predictor.
-// Hints only ever affect buffer capacities — never grouping or ordering
-// — so they cannot perturb determinism.
-type shuffleHint struct {
-	pairsPerBucket  int64 // shuffle pairs per (map task, reducer) bucket
-	pairsPerReducer int64 // shuffle pairs per reduce task (sizes the value arena)
-	keysPerReducer  int64 // distinct keys per reduce task
-	outPerReducer   int64 // output records per reduce task
 }
 
 // NewCluster creates a cluster with cfg and a fresh DFS whose replicas
@@ -384,33 +369,13 @@ func (c *Cluster) Jobs() []JobStats {
 	return out
 }
 
-// ResetCounters zeroes the cluster totals and job log. DFS contents,
-// DFS statistics, and buffer-sizing hints (performance metadata, not
-// counters) are left untouched.
+// ResetCounters zeroes the cluster totals and job log. DFS contents
+// and DFS statistics are left untouched.
 func (c *Cluster) ResetCounters() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.totals = Totals{}
 	c.jobs = nil
-}
-
-// hint returns the sizing statistics recorded by the previous run of a
-// job with this name, if any.
-func (c *Cluster) hint(name string) (shuffleHint, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hints[name]
-	return h, ok
-}
-
-// setHint stores sizing statistics for the next run of the named job.
-func (c *Cluster) setHint(name string, h shuffleHint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hints == nil {
-		c.hints = make(map[string]shuffleHint)
-	}
-	c.hints[name] = h
 }
 
 // record merges one finished job's stats into the totals.

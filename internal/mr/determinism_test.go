@@ -240,7 +240,7 @@ func TestConcurrentRunsAndSnapshots(t *testing.T) {
 	if len(c.Jobs()) != 0 || c.Totals().Jobs != 0 {
 		t.Fatal("reset did not clear counters")
 	}
-	// The engine still works after resets, and hints survive them.
+	// The engine still works after resets.
 	if _, st, err := Run(c, job("concurrent")); err != nil || st.OutputRecords != 4 {
 		t.Fatalf("post-reset run: st=%+v err=%v", st, err)
 	}

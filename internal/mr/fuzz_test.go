@@ -36,12 +36,12 @@ func FuzzArenaGrouping(f *testing.F) {
 				ref[p.k] = append(ref[p.k], p.v)
 			}
 		}
-		g := getGroupArena[int64, int64](4)
+		g := getGroupArena[int64, int64]()
 		defer putGroupArena(g)
 		for _, b := range buckets {
 			g.count(b)
 		}
-		g.layout(0)
+		g.layout()
 		for _, b := range buckets {
 			g.scatter(b)
 		}

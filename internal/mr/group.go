@@ -1,7 +1,5 @@
 package mr
 
-import "math/bits"
-
 // The reducer's grouping stage is the engine's allocation and hashing
 // hot spot. The original implementation grouped each reduce partition
 // into a map[K][]V, growing one heap-allocated value slice per distinct
@@ -61,33 +59,17 @@ type groupArena[K comparable, V any] struct {
 	mask  uint64
 }
 
-// tableSize returns the power-of-two table length for keyCap distinct
-// keys at a load factor of at most ½.
-func tableSize(keyCap int) int {
-	if keyCap < 8 {
-		keyCap = 8
-	}
-	return 1 << bits.Len(uint(keyCap)*2-1)
-}
+// minTable is a fresh grouper's table length; register doubles it as
+// keys arrive, and the grown table stays with the pooled grouper.
+const minTable = 16
 
 // getGroupArena returns an empty grouper from the pool for the key and
-// value types, presized to keyCap distinct keys when freshly allocated.
-func getGroupArena[K comparable, V any](keyCap int) *groupArena[K, V] {
+// value types.
+func getGroupArena[K comparable, V any]() *groupArena[K, V] {
 	if v := poolFor[*groupArena[K, V]]().Get(); v != nil {
 		return v.(*groupArena[K, V])
 	}
-	if keyCap < 0 {
-		keyCap = 0
-	}
-	n := tableSize(keyCap)
-	return &groupArena[K, V]{
-		keys:   make([]K, 0, keyCap),
-		hashes: make([]uint64, 0, keyCap),
-		next:   make([]int32, 0, keyCap),
-		ends:   make([]int32, 0, keyCap),
-		table:  make([]int32, n),
-		mask:   uint64(n - 1),
-	}
+	return &groupArena[K, V]{table: make([]int32, minTable), mask: minTable - 1}
 }
 
 // putGroupArena releases the arena storage (clearing it so pooled
@@ -167,20 +149,16 @@ func (g *groupArena[K, V]) grow() {
 	g.mask = mask
 }
 
-// layout turns the counts into offsets and acquires the value arena,
-// presized to at least arenaCap (the shuffle hint from the previous run
-// of the job) so steady-state ALS iterations never regrow it.
-func (g *groupArena[K, V]) layout(arenaCap int) {
+// layout turns the counts into offsets and acquires the value arena at
+// its exact size.
+func (g *groupArena[K, V]) layout() {
 	total := int32(0)
 	for i, c := range g.next {
 		g.next[i] = total
 		total += c
 		g.ends[i] = total
 	}
-	if n := int(total); n > arenaCap {
-		arenaCap = n
-	}
-	g.vals = getSlice[V](arenaCap)[:total]
+	g.vals = getSlice[V](int(total))[:total]
 }
 
 // scatter is pass 2: write bucket's values into their keys' runs, using

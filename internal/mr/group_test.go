@@ -23,12 +23,12 @@ func refGroup(buckets [][]pair[string, int]) ([]string, map[string][]int) {
 	return keys, vals
 }
 
-func runArena(buckets [][]pair[string, int], keyCap, arenaCap int) ([]string, map[string][]int) {
-	g := getGroupArena[string, int](keyCap)
+func runArena(buckets [][]pair[string, int]) ([]string, map[string][]int) {
+	g := getGroupArena[string, int]()
 	for _, b := range buckets {
 		g.count(b)
 	}
-	g.layout(arenaCap)
+	g.layout()
 	for _, b := range buckets {
 		g.scatter(b)
 	}
@@ -53,7 +53,7 @@ func TestGroupArenaMatchesMapGrouping(t *testing.T) {
 			}
 		}
 		wantKeys, wantVals := refGroup(buckets)
-		gotKeys, gotVals := runArena(buckets, rng.Intn(4), rng.Intn(64))
+		gotKeys, gotVals := runArena(buckets)
 		if !reflect.DeepEqual(wantKeys, gotKeys) {
 			t.Fatalf("trial %d: key order %v, want %v", trial, gotKeys, wantKeys)
 		}
@@ -64,7 +64,7 @@ func TestGroupArenaMatchesMapGrouping(t *testing.T) {
 }
 
 func TestGroupArenaEmpty(t *testing.T) {
-	keys, vals := runArena(nil, 0, 0)
+	keys, vals := runArena(nil)
 	if len(keys) != 0 || len(vals) != 0 {
 		t.Fatalf("empty partition grouped to %v / %v", keys, vals)
 	}
@@ -77,11 +77,11 @@ func TestGroupArenaAppendSafe(t *testing.T) {
 	buckets := [][]pair[string, int]{{
 		{k: "x", v: 1}, {k: "x", v: 2}, {k: "y", v: 3}, {k: "y", v: 4},
 	}}
-	g := getGroupArena[string, int](0)
+	g := getGroupArena[string, int]()
 	for _, b := range buckets {
 		g.count(b)
 	}
-	g.layout(0)
+	g.layout()
 	for _, b := range buckets {
 		g.scatter(b)
 	}
@@ -98,9 +98,9 @@ func TestGroupArenaAppendSafe(t *testing.T) {
 // use must not leak into the next grouping.
 func TestGroupArenaReuseIsClean(t *testing.T) {
 	first := [][]pair[string, int]{{{k: "stale", v: 7}, {k: "stale", v: 8}, {k: "old", v: 9}}}
-	_, _ = runArena(first, 0, 0)
+	_, _ = runArena(first)
 	second := [][]pair[string, int]{{{k: "fresh", v: 1}}}
-	keys, vals := runArena(second, 0, 0)
+	keys, vals := runArena(second)
 	if !reflect.DeepEqual(keys, []string{"fresh"}) {
 		t.Fatalf("stale keys survived pooling: %v", keys)
 	}
@@ -119,7 +119,7 @@ func TestGroupArenaTaskOrder(t *testing.T) {
 		{{k: "j", v: 101}, {k: "k", v: 2}},
 		{{k: "k", v: 3}},
 	}
-	keys, vals := runArena(buckets, 0, 0)
+	keys, vals := runArena(buckets)
 	if !reflect.DeepEqual(keys, []string{"k", "j"}) {
 		t.Fatalf("first-seen key order broken: %v", keys)
 	}

@@ -134,6 +134,24 @@ type pair[K comparable, V any] struct {
 	h uint64
 }
 
+// mapOut is one map task's output: a single pooled slab holding exactly
+// the pairs the task emitted, carved into one contiguous segment per
+// reducer. A segment is capacity-clamped to its run, so appending to it
+// reallocates that segment alone (a combiner that expands its bucket
+// leaves segs[r] pointing at a private array); only slab itself ever
+// goes back to the pool, whole and once.
+type mapOut[K comparable, V any] struct {
+	slab    []pair[K, V]
+	segs    [][]pair[K, V]
+	records int64
+	bytes   int64
+}
+
+func (o *mapOut[K, V]) release() {
+	putSlice(o.slab)
+	o.slab, o.segs = nil, nil
+}
+
 // Run executes the job on the cluster and returns the reduce outputs in
 // deterministic order along with the job's statistics. It returns
 // ErrResourceExhausted if the shuffle exceeds the cluster's configured
@@ -185,26 +203,23 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if storageOn {
 		storageBase = c.fs.Stats()
 	}
-	hint, hasHint := c.hint(job.Name)
-	bucketCap := 0
-	if hasHint {
-		bucketCap = int(hint.pairsPerBucket) + 1
-	}
-
 	// --- Map phase -------------------------------------------------------
 	// Split every input into one split per worker and run map tasks in a
-	// bounded pool. Each task fills private per-reducer buckets; each
-	// reducer later walks its buckets in task order so the engine is
-	// deterministic regardless of scheduling. Bucket backing arrays come
-	// from the typed pools and are presized from the previous run of the
-	// same job.
+	// bounded pool. A task's emissions land in one worker-local buffer
+	// (reused by the worker's next task, so it stops growing after the
+	// first) while a per-reducer count is kept; at task end the counts
+	// are exact, and a stable counting scatter moves the pairs into one
+	// slab of exactly that length, one contiguous segment per reducer.
+	// Emission order inside a segment is preserved, and each reducer
+	// later walks its segments in task order, so the engine is
+	// deterministic regardless of scheduling.
 	//
 	// Inputs read the DFS payload zero-copy: a task maps a borrowed
 	// sub-range of the file's []R slice.
-	type taskOut struct {
-		buckets [][]pair[K, V]
-		records int64
-		bytes   int64
+	type taskOut = mapOut[K, V]
+	type mapWorker struct {
+		buf  []pair[K, V]
+		next []int // per reducer: the task's pair count, then its scatter cursor
 	}
 
 	// Reducer routing is Partition(k) % reducers by contract; when the
@@ -214,52 +229,60 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if reducers&(reducers-1) == 0 {
 		rmask = uint64(reducers - 1)
 	}
+	route := func(h uint64) uint64 {
+		if rmask != 0 {
+			return h & rmask
+		}
+		return h % uint64(reducers)
+	}
 	sizer := job.BlockKV
 
 	// runTask executes one map task: produce drives the input's map
-	// function over the task's split. emit only routes — one partition
-	// call, one mix, one append per pair. Records and bytes are
-	// accounted afterwards in a sequential walk over the filled buckets
-	// (post-combine volume for combine jobs): the walk is
-	// cache-friendly, and keeping size callbacks out of emit keeps the
-	// engine's innermost loop free of indirect calls it doesn't need.
+	// function over the task's split of records input records. emit only
+	// routes — one partition call, one count, one append per pair.
+	// Records and bytes are accounted afterwards in a sequential walk
+	// over the carved segments (post-combine volume for combine jobs):
+	// the walk is cache-friendly, and keeping size callbacks out of emit
+	// keeps the engine's innermost loop free of indirect calls it
+	// doesn't need.
 	part := job.Partition
-	runTask := func(produce func(emit func(K, V))) taskOut {
-		out := taskOut{buckets: make([][]pair[K, V], reducers)}
-		buckets := out.buckets
-		for r := range buckets {
-			buckets[r] = getSlice[pair[K, V]](bucketCap)
+	runTask := func(w *mapWorker, segs [][]pair[K, V], records int, produce func(emit func(K, V))) taskOut {
+		if w.next == nil {
+			// At least one pair per input record is the common floor; a
+			// wider fan-out grows the buffer during the first task only.
+			w.buf, w.next = getSlice[pair[K, V]](records), make([]int, reducers)
 		}
-		var emit func(k K, v V)
-		if rmask != 0 {
-			// Reslicing to rmask+1 (the exact reducer count) lets the
-			// compiler prove h&rmask is in bounds.
-			masked := buckets[:rmask+1]
-			emit = func(k K, v V) {
-				h := part(k)
-				r := h & rmask
-				masked[r] = append(masked[r], pair[K, V]{k: k, v: v, h: h})
-			}
-		} else {
-			emit = func(k K, v V) {
-				h := part(k)
-				r := h % uint64(reducers)
-				buckets[r] = append(buckets[r], pair[K, V]{k: k, v: v, h: h})
-			}
+		buf, next := w.buf[:0], w.next
+		clear(next)
+		produce(func(k K, v V) {
+			h := part(k)
+			next[route(h)]++
+			buf = append(buf, pair[K, V]{k: k, v: v, h: h})
+		})
+		w.buf = buf
+		out := taskOut{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs}
+		lo := 0
+		for r, n := range next {
+			segs[r], next[r] = out.slab[lo:lo+n:lo+n], lo
+			lo += n
 		}
-		produce(emit)
+		for i := range buf {
+			r := route(buf[i].h)
+			out.slab[next[r]] = buf[i]
+			next[r]++
+		}
 		if job.Combine != nil {
 			scratch := getCombineScratch[K, V]()
-			for r, bucket := range buckets {
-				buckets[r] = combineBucket(bucket, job.Combine, scratch)
+			for r, bucket := range segs {
+				segs[r] = combineBucket(bucket, job.Combine, scratch)
 			}
 			putCombineScratch(scratch)
 		}
-		for _, bucket := range buckets {
+		for _, bucket := range segs {
 			out.records += int64(len(bucket))
 			switch {
 			case sizer != nil:
-				// One block per non-empty (map task, reducer) bucket —
+				// One block per non-empty (map task, reducer) segment —
 				// the per-partition spill a real job would encode and
 				// ship: header plus consecutive-pair deltas, the first
 				// pair sized against zero values.
@@ -285,7 +308,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		return out
 	}
 
-	var tasks []func() taskOut
+	var tasks []func(*mapWorker, [][]pair[K, V]) taskOut
 	var taskInputs []int64 // records per map task, for the fault pass
 	for _, in := range job.Inputs {
 		payload, nrec, err := c.fs.BlockView(in.File)
@@ -320,8 +343,8 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			st.MapTasks++
 			taskInputs = append(taskInputs, int64(hi-lo))
 			runFn, blk := in.run, payload
-			tasks = append(tasks, func() taskOut {
-				return runTask(func(emit func(K, V)) { runFn(blk, lo, hi, emit) })
+			tasks = append(tasks, func(w *mapWorker, segs [][]pair[K, V]) taskOut {
+				return runTask(w, segs, hi-lo, func(emit func(K, V)) { runFn(blk, lo, hi, emit) })
 			})
 		}
 	}
@@ -377,33 +400,35 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if limit > 0 {
 		done = make([]bool, len(tasks))
 	}
-	// With an out-of-process backend a map task's buckets leave the
+	// With an out-of-process backend a map task's slab leaves the
 	// engine's heap as soon as the task ends: every non-empty (map task,
-	// reducer) bucket becomes one encoded partition, keyed by (job, seq,
+	// reducer) segment becomes one encoded partition, keyed by (job, seq,
 	// task, reducer), one task's partitions per ship window. The engine
 	// therefore never holds more than the running tasks' map output, and
-	// the next task refills the buckets this one returned to the pool.
+	// the next task carves the slab this one returned to the pool.
 	// The reduce phase fetches the partitions back in task order, so
 	// grouping, reduce input order, and therefore output bytes are
 	// identical to the in-process path. Once shipped, the backend is the
 	// sole holder of the shuffle: ship and fetch errors fail the job, the
 	// way a real cluster fails a job whose map outputs become
 	// unreachable. counts remembers the records of every shipped
-	// partition, so a bucket the map phase saw empty is never fetched.
+	// partition, so a segment the map phase saw empty is never fetched.
 	var counts []int
 	var shipErrs []error
 	codec := partCodec[K, V]{sizer: sizer, part: part}
 	if rb != nil {
 		counts, shipErrs = make([]int, len(tasks)*reducers), make([]error, len(tasks))
 	}
-	runPool(pool, len(tasks), func(i int) {
+	workers := make([]mapWorker, pool)
+	segs := make([][]pair[K, V], len(tasks)*reducers) // task-major segment headers
+	runPool(pool, len(tasks), func(w, i int) {
 		if int64(i) > tripAt.Load() {
 			return
 		}
-		outs[i] = tasks[i]()
+		outs[i] = tasks[i](&workers[w], segs[i*reducers:(i+1)*reducers])
 		if rb != nil {
 			shipErrs[i] = shipTask(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Task: i},
-				outs[i].buckets, counts[i*reducers:(i+1)*reducers])
+				&outs[i], counts[i*reducers:(i+1)*reducers])
 		}
 		if limit <= 0 {
 			return
@@ -419,6 +444,11 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		}
 		frontierMu.Unlock()
 	})
+	for _, w := range workers {
+		// The whole capacity: earlier tasks may have written past the
+		// last one's length.
+		putSlice(w.buf[:cap(w.buf)])
+	}
 	st.ShuffleRecords += job.ExtraShuffleRecords
 	st.ShuffleBytes += job.ExtraShuffleBytes
 	counted := len(tasks)
@@ -438,10 +468,8 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// hands err back.
 	var results [][]O
 	fail := func(err error) ([]O, JobStats, error) {
-		for _, o := range outs {
-			for _, bucket := range o.buckets {
-				putSlice(bucket)
-			}
+		for i := range outs {
+			outs[i].release()
 		}
 		for _, out := range results {
 			putSlice(out)
@@ -489,73 +517,98 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// --- Shuffle + reduce phases ----------------------------------------
 	// Every reduce task independently groups its own partition with a
 	// pooled two-pass arena (see group.go) — both passes walk the map
-	// tasks' buckets in task order, so reduce input order (and therefore
+	// tasks' segments in task order, so reduce input order (and therefore
 	// floating-point summation order) is deterministic — and immediately
 	// reduces it, with Reduce receiving contiguous subslices of the
 	// arena instead of per-key heap slices. Reducer partitions are
 	// disjoint, so the tasks parallelize with no synchronization beyond
 	// the pool itself.
-	keyCap, outCap, arenaCap := 0, 0, 0
-	if hasHint {
-		keyCap = int(hint.keysPerReducer) + 1
-		outCap = int(hint.outPerReducer) + 1
-		arenaCap = int(hint.pairsPerReducer) + 1
-	}
+	//
+	// Output is written once. Reducer r appends to results[r], and before
+	// it runs that buffer is given the room the job has taught its worker
+	// to expect: the worker's records per input pair so far (made/fed)
+	// times the pairs the buffer is for (plus an eighth when that means a
+	// new buffer, so the next job's estimate fits this one's). A pool one wide
+	// runs the reducers in order, so each continues its predecessor's
+	// buffer — the room is for every pair still to reduce, and the last
+	// buffer is the job's output. A wider pool gathers the buffers once,
+	// at the exact total. Only a worker's first reducer appends into the
+	// unknown.
 	results = make([][]O, reducers)
+	fed, made := make([]int64, pool), make([]int64, pool)
+	shuffled := st.ShuffleRecords - job.ExtraShuffleRecords
 	resultBytes := make([]int64, reducers)
-	keyCounts := make([]int64, reducers)
 	redInputs := make([]int64, reducers) // pairs per reduce task, for the fault pass
 	var fetchErrs []error
 	if rb != nil {
 		fetchErrs = make([]error, reducers)
 	}
-	runPool(pool, reducers, func(r int) {
+	runPool(pool, reducers, func(w, r int) {
 		// Assemble this reducer's partition in map-task order. In process
-		// the buckets alias the map outputs directly; with a backend each
-		// one is fetched back and decoded — same order, same pairs, so
-		// the group arena sees identical input either way.
+		// the segments alias the map slabs directly; with a backend they
+		// are fetched back and decoded into one slab of the reducer's own
+		// — same order, same pairs, so the group arena sees identical
+		// input either way.
 		buckets := make([][]pair[K, V], len(outs))
+		var fetched []pair[K, V]
 		if rb == nil {
 			for i := range outs {
-				buckets[i] = outs[i].buckets[r]
+				buckets[i] = outs[i].segs[r]
 			}
-		} else if err := fetchReducer(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Reducer: r}, counts, reducers, buckets); err != nil {
-			fetchErrs[r] = err
+		} else if fetched, fetchErrs[r] = fetchReducer(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Reducer: r}, counts, reducers, buckets); fetchErrs[r] != nil {
 			return
 		}
-		g := getGroupArena[K, V](keyCap)
+		g := getGroupArena[K, V]()
 		for _, bucket := range buckets {
 			redInputs[r] += int64(len(bucket))
 			g.count(bucket)
 		}
-		g.layout(arenaCap)
-		for i, bucket := range buckets {
+		g.layout()
+		for _, bucket := range buckets {
 			g.scatter(bucket)
-			putSlice(bucket)
-			outs[i].buckets[r], buckets[i] = nil, nil
 		}
-		out := getSlice[O](outCap)
+		putSlice(fetched)
+		var out []O
+		pairs := redInputs[r]
+		if pool == 1 {
+			pairs = shuffled - fed[0]
+			if r > 0 {
+				out, results[r-1] = results[r-1], nil
+			}
+		}
+		if fed[w] == 0 {
+			if out == nil {
+				out = getSlice[O](0) // nothing learned yet: the largest slab pooled
+			}
+		} else if expect := int(pairs * made[w] / fed[w]); len(out)+expect > cap(out) {
+			grown := append(getSlice[O](len(out)+expect+expect/8), out...)
+			putSlice(out)
+			out = grown
+		}
+		lo := len(out)
 		emit := func(o O) {
 			out = append(out, o)
 		}
 		for i, k := range g.keys {
 			job.Reduce(k, g.group(i), emit)
 		}
+		putGroupArena(g)
 		// Size outputs in one walk after the reduce loop rather than per
 		// emit, keeping the hot emit closure to a bare append.
-		var bytes int64
 		if job.OutSize == nil {
-			bytes = int64(len(out)) * 24
+			resultBytes[r] = int64(len(out)-lo) * 24
 		} else {
-			for i := range out {
-				bytes += outSize(out[i])
+			for _, o := range out[lo:] {
+				resultBytes[r] += outSize(o)
 			}
 		}
+		fed[w] += redInputs[r]
+		made[w] += int64(len(out) - lo)
 		results[r] = out
-		resultBytes[r] = bytes
-		keyCounts[r] = int64(len(g.keys))
-		putGroupArena(g)
 	})
+	for i := range outs {
+		outs[i].release()
+	}
 
 	if rb != nil {
 		// Every fetch window has returned: the backend's copy of the
@@ -591,23 +644,25 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		st.ReduceAttempts = reducers
 	}
 
-	var total int
-	for _, out := range results {
-		total += len(out)
+	// The output comes from the typed pool: big jobs emit hundreds of
+	// megabytes here, and cycling fresh slabs through the allocator every
+	// job turns into page-fault storms. Callers that drop large outputs
+	// quickly can hand the slice back with Recycle.
+	all := results[reducers-1]
+	if pool > 1 {
+		var total int
+		for _, part := range results {
+			total += len(part)
+		}
+		all = getSlice[O](total)
+		for _, part := range results {
+			all = append(all, part...)
+			putSlice(part)
+		}
 	}
-	// The concatenated output comes from the typed pool: big jobs emit
-	// hundreds of megabytes here, and cycling fresh slabs through the
-	// allocator every job turns into page-fault storms. Callers that
-	// drop large outputs quickly can hand the slice back with Recycle.
-	all := getSlice[O](total)
-	var distinctKeys int64
-	for r, out := range results {
-		all = append(all, out...)
-		st.OutputRecords += int64(len(out))
-		st.OutputBytes += resultBytes[r]
-		distinctKeys += keyCounts[r]
-		putSlice(out)
-		results[r] = nil
+	st.OutputRecords = int64(len(all))
+	for _, b := range resultBytes {
+		st.OutputBytes += b
 	}
 
 	if job.Output != "" {
@@ -626,23 +681,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 
 	st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
 	c.record(st)
-	if st.MapTasks > 0 {
-		shuffled := st.ShuffleRecords - job.ExtraShuffleRecords
-		c.setHint(job.Name, shuffleHint{
-			pairsPerBucket:  ceilDiv(shuffled, int64(st.MapTasks)*int64(reducers)),
-			pairsPerReducer: ceilDiv(shuffled, int64(reducers)),
-			keysPerReducer:  ceilDiv(distinctKeys, int64(reducers)),
-			outPerReducer:   ceilDiv(st.OutputRecords, int64(reducers)),
-		})
-	}
 	return all, st, nil
-}
-
-func ceilDiv(a, b int64) int64 {
-	if b <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
 }
 
 // splitBounds cuts count records into n contiguous input splits: split
@@ -742,14 +781,16 @@ func combineBucket[K comparable, V any](bucket []pair[K, V], combine func(K, []V
 	return out
 }
 
-// runPool executes fn(0..n-1) using at most width concurrent goroutines.
-func runPool(width, n int, fn func(i int)) {
+// runPool executes fn(w, 0..n-1) using at most width concurrent
+// goroutines; w < width numbers the goroutine making the call, so
+// callers can keep per-worker state without synchronization.
+func runPool(width, n int, fn func(w, i int)) {
 	if width > n {
 		width = n
 	}
 	if width <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -757,16 +798,16 @@ func runPool(width, n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < width; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -1,61 +1,105 @@
 package mr
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 )
 
-// The engine recycles its per-job scratch memory — map-side pair
-// buckets, reducer group arenas (group.go), and reduce output buffers —
-// across Run calls. ALS drivers run thousands of structurally identical
-// jobs in a loop, so without reuse every iteration reallocates (and the
-// GC retires) hundreds of megabytes of short-lived buffers. Run is
+// The engine recycles its per-job scratch memory — map-task slabs,
+// reducer group arenas (group.go), and reduce output buffers — across
+// Run calls. ALS drivers run thousands of structurally identical jobs
+// in a loop, so without reuse every iteration reallocates (and the GC
+// retires) hundreds of megabytes of short-lived buffers. Run is
 // generic, so the pools are keyed by concrete element type in a
 // package-level registry: every instantiation of Run with the same
 // key/value types shares one pool.
+//
+// Slabs of []T are filed by capacity class, eight to the octave: one job
+// asks for very different sizes at once (IMHP: a 7,500-pair slab per
+// tensor task beside 25-pair slabs for the factor tasks), and a single
+// LIFO pool answers a large request with whatever small slab was
+// returned last. A slab is filed under the last class that starts at or
+// below its capacity and a fresh one is made at a class start (at most an
+// eighth over the request), so every slab in a class fits every request
+// that maps to it: a slab taken from the pool is never too small, and
+// none is ever discarded.
 
-var typedPools sync.Map // reflect.Type -> *sync.Pool
+const (
+	minSlab     = 8 // the first class start; smaller slabs are not pooled
+	slabClasses = 8 * bits.UintSize
+)
 
-func poolFor[T any]() *sync.Pool {
-	t := reflect.TypeFor[T]()
-	if p, ok := typedPools.Load(t); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := typedPools.LoadOrStore(t, &sync.Pool{})
-	return p.(*sync.Pool)
+// slabClass returns the last class starting at or below n ≥ minSlab,
+// its start, and the distance to the next start.
+func slabClass(n int) (class, start, step int) {
+	k := bits.Len(uint(n)) - 1
+	step = 1 << (k - 3)
+	j := (n - 1<<k) / step
+	return 8*k + j, 1<<k + j*step, step
 }
 
-// getSlice returns an empty slice with capacity ≥ want from the pool
-// for []T, or a freshly made one. want may be 0, in which case a pooled
-// buffer of any capacity (or nil) is returned and append grows it.
-func getSlice[T any](want int) []T {
-	if v := poolFor[[]T]().Get(); v != nil {
-		s := *v.(*[]T)
-		if cap(s) >= want {
-			return s[:0]
-		}
+var typedPools sync.Map // reflect.Type -> *sync.Pool (scratch structs) or *[slabClasses]sync.Pool (keyed by []T)
+
+func pooled[P any](t reflect.Type) *P {
+	if p, ok := typedPools.Load(t); ok {
+		return p.(*P)
 	}
+	p, _ := typedPools.LoadOrStore(t, new(P))
+	return p.(*P)
+}
+
+func poolFor[T any]() *sync.Pool { return pooled[sync.Pool](reflect.TypeFor[T]()) }
+
+func slabPools[T any]() *[slabClasses]sync.Pool {
+	return pooled[[slabClasses]sync.Pool](reflect.TypeFor[[]T]())
+}
+
+// getSlice returns an empty slice with capacity ≥ want from the pools
+// for []T, looking no further than one octave up — a larger slab is
+// better kept for a larger request — or a freshly made one. want ≤ 0
+// asks for the largest slab pooled (or nil), for callers that append
+// without knowing their total.
+func getSlice[T any](want int) []T {
+	pools := slabPools[T]()
 	if want <= 0 {
+		for c := slabClasses - 1; c >= 0; c-- {
+			if v := pools[c].Get(); v != nil {
+				return (*v.(*[]T))[:0]
+			}
+		}
 		return nil
 	}
-	return make([]T, 0, want)
+	c, start, step := slabClass(max(want, minSlab))
+	if start < want {
+		c, start = c+1, start+step
+	}
+	for i := c; i < min(c+8, slabClasses); i++ {
+		if v := pools[i].Get(); v != nil {
+			return (*v.(*[]T))[:0]
+		}
+	}
+	return make([]T, 0, start)
 }
 
 // putSlice clears the used portion of s when T contains pointers (so
 // pooled memory pins no values) and returns its backing array to the
 // pool for []T. Pointer-free buffers — the engine's dominant case,
-// e.g. fiber-keyed pair buckets and float value arenas — skip the
+// e.g. fiber-keyed pair slabs and float value arenas — skip the
 // clear: stale numeric bytes pin nothing and every slot is overwritten
-// before its next read.
+// before its next read. s must be the whole slab it was acquired as,
+// never a sub-slice of one: two pool entries over one backing array
+// would hand the same memory to two later jobs.
 func putSlice[T any](s []T) {
-	if cap(s) == 0 {
+	if cap(s) < minSlab {
 		return
 	}
 	if hasPointers[T]() {
 		clear(s)
 	}
 	s = s[:0]
-	poolFor[[]T]().Put(&s)
+	c, _, _ := slabClass(cap(s))
+	slabPools[T]()[c].Put(&s)
 }
 
 var pointerFreeTypes sync.Map // reflect.Type -> bool
