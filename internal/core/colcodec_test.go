@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/haten2/haten2/internal/gen"
 	"github.com/haten2/haten2/internal/matrix"
@@ -166,77 +167,129 @@ func TestSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[3]int64](t
 // (order-4) instantiation of the shuffle block.
 func TestNSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[4]int64](t, 4) }
 
+// shipCounter is a Loopback that totals the partitions shipped across
+// it: across the backend seam every non-empty (map task, reducer)
+// segment crosses as exactly one block of the job's codec.
+type shipCounter struct {
+	*mr.Loopback
+	mu     sync.Mutex
+	bytes  int64
+	blocks int
+}
+
+func (s *shipCounter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
+	s.mu.Lock()
+	for _, b := range blocks {
+		s.bytes += int64(len(b))
+	}
+	s.blocks += len(blocks)
+	s.mu.Unlock()
+	return s.Loopback.ShipPartitions(keys, blocks)
+}
+
 // TestColumnarChargeMatchesEncodedBytes is the end-to-end form of the
-// sizer invariant: run a real shuffle through the engine with a
-// recording BlockSizer, reconstruct every per-partition block the
-// accounting walk declared, encode each with the real encoder, and
-// require the job's ShuffleBytes to equal the summed encoded lengths
-// exactly. A single-worker cluster serializes the map tasks so the
-// recorder sees each bucket's Pair calls contiguously (the engine walks
-// one bucket at a time: n Pair calls, then Header(n)).
+// sizer invariant: the shuffle bytes the engine charges as it places
+// each pair must equal, to the byte, the blocks the encoder writes for
+// the same segments. The encodings are measured where they really
+// exist — shipped across the backend seam, one block per non-empty
+// segment — so the test assumes nothing about the order in which the
+// engine calls Pair and Header. It runs on a multi-reducer cluster, in
+// process and across the seam (the charge is the engine's, not the
+// backend's), with and without a combiner (whose jobs are charged the
+// post-combine volume, sized in the combiner's flatten loop).
 func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
-	c := mr.NewCluster(mr.Config{Machines: 1, SlotsPerMachine: 1})
 	rng := rand.New(rand.NewSource(5))
 	entries := randEntries(rng, 2000, 400, true)
-	if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var curK [][3]int64
-	var curV []sval3
-	var encodedTotal int64
-	rec := &mr.BlockSizer[[3]int64, sval3]{
-		Pair: func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
+	for _, combine := range []bool{false, true} {
+		var pairs, headed int64 // Pair calls and the records Header(n) declared
+		var mu sync.Mutex
+		sizer := *stack3.sizer
+		sizer.Pair = func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
 			mu.Lock()
-			curK = append(curK, k)
-			curV = append(curV, v)
+			pairs++
 			mu.Unlock()
 			return svalPairSize(pk, pv, k, v)
-		},
-		Header: func(n int) int64 {
+		}
+		sizer.Header = func(n int) int64 {
 			mu.Lock()
-			defer mu.Unlock()
-			if n != len(curK) {
-				t.Errorf("block declared %d records, recorder saw %d", n, len(curK))
-			}
-			encodedTotal += int64(len(appendSValBlock(nil, curK, curV)))
-			curK, curV = curK[:0], curV[:0]
+			headed += int64(n)
+			mu.Unlock()
 			return blockHeaderSize(n)
-		},
-	}
-
-	job := mr.Job[[3]int64, sval3, YEntry]{
-		Name: "charge-invariant",
-		Inputs: []mr.Input[[3]int64, sval3]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval3)) {
-			emit([3]int64{e.Idx[0], e.Idx[1], 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
-		})},
-		Reduce: func(k [3]int64, vs []sval3, emit func(YEntry)) {
-			var s float64
-			for _, v := range vs {
-				s += v.val
+		}
+		job := mr.Job[[3]int64, sval3, YEntry]{
+			Name: "charge-invariant",
+			Inputs: []mr.Input[[3]int64, sval3]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval3)) {
+				emit([3]int64{e.Idx[0] / 40, e.Idx[1] / 40, 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
+			})},
+			Reduce: func(k [3]int64, vs []sval3, emit func(YEntry)) {
+				var s float64
+				for _, v := range vs {
+					s += v.val
+				}
+				emit(YEntry{I: k[0], Val: s})
+			},
+			Partition: mr.HashTriple,
+			BlockKV:   &sizer,
+			OutSize:   yEntrySize,
+		}
+		if combine {
+			job.Combine = func(_ [3]int64, vs []sval3) []sval3 {
+				for _, v := range vs[1:] {
+					vs[0].val += v.val
+				}
+				return vs[:1]
 			}
-			emit(YEntry{I: k[0], Val: s})
-		},
-		Partition: mr.HashTriple,
-		BlockKV:   rec,
-		OutSize:   yEntrySize,
+		}
+		counter := &shipCounter{Loopback: mr.NewLoopback()}
+		var stats [2]mr.JobStats
+		for i, backend := range []mr.Backend{nil, counter} {
+			c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2, Backend: backend})
+			if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
+				t.Fatal(err)
+			}
+			pairs, headed = 0, 0
+			_, st, err := mr.Run(c, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pairs != st.ShuffleRecords || headed != st.ShuffleRecords {
+				t.Fatalf("combine=%v: %d shuffled records, sized by %d Pair calls and declared by Header as %d",
+					combine, st.ShuffleRecords, pairs, headed)
+			}
+			stats[i] = st
+		}
+		if stats[0] != stats[1] {
+			t.Fatalf("combine=%v: the backend moved the job's stats:\n%+v\n%+v", combine, stats[0], stats[1])
+		}
+		st := stats[0]
+		if st.ShuffleBytes != counter.bytes {
+			t.Fatalf("combine=%v: engine charged %d shuffle bytes, the %d shipped blocks total %d",
+				combine, st.ShuffleBytes, counter.blocks, counter.bytes)
+		}
+		if combine && st.ShuffleRecords >= int64(len(entries)) {
+			t.Fatalf("the combiner shuffled %d of %d records", st.ShuffleRecords, len(entries))
+		}
+		if !combine && st.ShuffleRecords != int64(len(entries)) {
+			t.Fatalf("shuffle records %d, want %d", st.ShuffleRecords, len(entries))
+		}
+		// And the whole point of the codec: the columnar charge must be
+		// strictly below the fixed-width charge for the same shuffle.
+		if fixed := st.ShuffleRecords * hEntryBytes; st.ShuffleBytes >= fixed {
+			t.Fatalf("combine=%v: columnar charge %d not below fixed-width charge %d", combine, st.ShuffleBytes, fixed)
+		}
 	}
-	_, st, err := mr.Run(c, job)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSValPacked pins the shuffle value's layout: widest field first
+// packs it to 40 bytes at order 3 and 48 at order 4, so the engine's
+// pair stays 72 bytes and is copied with inline moves. A field added
+// later that re-pads the value fails here, not in a profile.
+func TestSValPacked(t *testing.T) {
+	if got := unsafe.Sizeof(sval[[3]int64]{}); got != 40 {
+		t.Errorf("order-3 sval is %d bytes, want 40", got)
 	}
-	if st.ShuffleBytes != encodedTotal {
-		t.Fatalf("engine charged %d shuffle bytes, real encodings total %d", st.ShuffleBytes, encodedTotal)
-	}
-	if st.ShuffleRecords != int64(len(entries)) {
-		t.Fatalf("shuffle records %d, want %d", st.ShuffleRecords, len(entries))
-	}
-	// And the whole point of the codec: the columnar charge must be
-	// strictly below the fixed-width charge for the same shuffle.
-	fixed := int64(len(entries)) * hEntryBytes
-	if encodedTotal >= fixed {
-		t.Fatalf("columnar charge %d not below fixed-width charge %d", encodedTotal, fixed)
+	if got := unsafe.Sizeof(sval[[4]int64]{}); got != 48 {
+		t.Errorf("order-4 sval is %d bytes, want 48", got)
 	}
 }
 

@@ -103,7 +103,7 @@ func oraclePairwiseReduce[I index](sides int) func([3]int64, []sval[I], func(YEn
 	}
 }
 
-func oracleIMHPReduce[I index](key [3]int64, vals []sval[I], emit func(taggedH[I])) {
+func oracleIMHPReduce[I index](key [3]int64, vals []sval[I], emit func(HEntryOf[I])) {
 	var row []MatEntry
 	for _, v := range vals {
 		if v.tag == tagMat {
@@ -118,7 +118,7 @@ func oracleIMHPReduce[I index](key [3]int64, vals []sval[I], emit func(taggedH[I
 			if cell.Val == 0 {
 				continue
 			}
-			emit(taggedH[I]{side: v.tag - tagT1, h: HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
+			emit(HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val})
 		}
 	}
 }
@@ -260,8 +260,8 @@ func TestIMHPReduceMatchesOracle(t *testing.T) {
 			t.Fatalf("row %d fiber %d: %d records, oracle %d", shape[0], shape[1], len(got), len(want))
 		}
 		for i := range got {
-			if got[i].side != want[i].side || got[i].h.Idx != want[i].h.Idx || got[i].h.Col != want[i].h.Col ||
-				math.Float64bits(got[i].h.Val) != math.Float64bits(want[i].h.Val) {
+			if got[i].Idx != want[i].Idx || got[i].Col != want[i].Col ||
+				math.Float64bits(got[i].Val) != math.Float64bits(want[i].Val) {
 				t.Fatalf("row %d fiber %d: record %d is %+v, oracle %+v", shape[0], shape[1], i, got[i], want[i])
 			}
 		}
@@ -273,8 +273,8 @@ func TestIMHPReduceMatchesOracle(t *testing.T) {
 // R = 8, 1.49 M mallocs per tall_parafac pass).
 func TestIMHPReduceAllocs(t *testing.T) {
 	vals := imhpGroup(8, 3)
-	var sink taggedH[[3]int64]
-	emit := func(o taggedH[[3]int64]) { sink = o }
+	var sink HEntry
+	emit := func(o HEntry) { sink = o }
 	reduce := func() { stack3.imhpReduce([3]int64{1, 7, 0}, vals, emit) }
 	reduce() // warm: the scratch and its row now sit in the pool
 	allocs := testing.AllocsPerRun(200, reduce)

@@ -203,7 +203,7 @@ func naiveContract(c *mr.Cluster, inFiles []string, dims [3]int64, m int, vecFil
 		Partition:           stack3.partition,
 		BlockKV:             stack3.sizer,
 		OutSize:             entrySize[[3]int64],
-		Output:              outFile,
+		Outputs:             []string{outFile},
 		ExtraShuffleRecords: phantomKeys * vecLen,
 		// Phantom copies are never materialized, so they have no real
 		// encoding; they are priced at the fixed MatEntry width (only
@@ -254,7 +254,7 @@ func (k *stack[I]) hadamardVec(c *mr.Cluster, inFile string, m int, colIdx int32
 		Partition: k.partition,
 		BlockKV:   k.sizer,
 		OutSize:   hEntrySize[I],
-		Output:    outFile,
+		Outputs:   []string{outFile},
 	})
 	return err
 }
@@ -290,19 +290,10 @@ func collapse(c *mr.Cluster, inFiles []string, m int, outFile string) ([]Entry, 
 		Partition: stack3.partition,
 		BlockKV:   stack3.sizer,
 		OutSize:   entrySize[[3]int64],
-		Output:    outFile,
+		Outputs:   []string{outFile},
 	})
 	return out, err
 }
-
-// taggedH is an IMHP output record: which side (0 for 𝒯′, then the 𝒯″
-// sides) it belongs to plus the Hadamard entry itself.
-type taggedH[I index] struct {
-	side uint8
-	h    HEntryOf[I]
-}
-
-func taggedHSize[I index](t taggedH[I]) int64 { return hEntrySize(t.h) }
 
 // imhp is HaTen2-DRI's integrated job (§III-B4): it computes
 // 𝒯′ = 𝒳 ∗_{m₀} U₀ᵀ and 𝒯″ₛ = bin(𝒳) ∗_{mₛ} Uₛᵀ for every further
@@ -311,8 +302,9 @@ func taggedHSize[I index](t taggedH[I]) int64 { return hEntrySize(t.h) }
 // (side, that mode's coordinate); reducers hold one factor row — O(Q)
 // extra memory, the deliberate memory-for-jobs trade the paper makes —
 // and multiply it against their fiber. modes lists the multiplied modes
-// and matFiles their staged factors; the result tensors are written one
-// per side to outFiles (MultipleOutputs in the Hadoop implementation).
+// and matFiles their staged factors; the reducers write the result
+// tensors one per side to outFiles through the engine's MultipleOutputs,
+// as the Hadoop implementation does.
 func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outFiles []string) error {
 	inputs := []mr.Input[[3]int64, sval[I]]{
 		mr.MapInput(xFile, func(e EntryOf[I], emit func([3]int64, sval[I])) {
@@ -333,47 +325,24 @@ func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outF
 	for _, m := range modes {
 		name += fmt.Sprintf(",%d", m)
 	}
-	out, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], taggedH[I]]{
-		Name:      name + ")",
-		Inputs:    inputs,
-		Reduce:    k.imhpReduce,
-		Partition: k.partition,
-		BlockKV:   k.sizer,
-		OutSize:   taggedHSize[I],
+	_, _, err := mr.Run(c, mr.Job[[3]int64, sval[I], HEntryOf[I]]{
+		Name:       name + ")",
+		Inputs:     inputs,
+		Reduce:     k.imhpReduce,
+		Partition:  k.partition,
+		BlockKV:    k.sizer,
+		OutSize:    hEntrySize[I],
+		Outputs:    outFiles,
+		OutputPart: func(key [3]int64) int { return int(key[0] - k.sideBase) },
 	})
-	if err != nil {
-		return err
-	}
-	// MultipleOutputs: split the tagged stream into the per-side
-	// intermediate files the merge job consumes. The stream holds
-	// nnz·ΣQₛ entries, so count sides first and size every part exactly.
-	var counts [maxOrder - 1]int
-	for _, o := range out {
-		counts[o.side]++
-	}
-	parts := make([][]HEntryOf[I], len(outFiles))
-	for s := range parts {
-		parts[s] = mr.Acquire[HEntryOf[I]](counts[s])
-	}
-	for _, o := range out {
-		parts[o.side] = append(parts[o.side], o.h)
-	}
-	mr.Recycle(out)
-	for s, f := range outFiles {
-		if err := mr.WriteFileOwned(c, f, parts[s], hEntrySize[I]); err != nil {
-			for _, p := range parts[s+1:] {
-				mr.Recycle(p) // the later parts never reach their write on this path
-			}
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // imhpReduce multiplies one factor row against the fiber that shares
 // its key: O(Q) memory per reducer (vs. O(1) for the per-column DRN
-// jobs — the trade §III-B4 argues is cheap).
-func (k *stack[I]) imhpReduce(key [3]int64, vals []sval[I], emit func(taggedH[I])) {
+// jobs — the trade §III-B4 argues is cheap). The key names the side, so
+// the records carry none.
+func (k *stack[I]) imhpReduce(key [3]int64, vals []sval[I], emit func(HEntryOf[I])) {
 	s := k.scratch.Get().(*scratch[I])
 	defer k.scratch.Put(s)
 	row := s.row[:0]
@@ -388,7 +357,7 @@ func (k *stack[I]) imhpReduce(key [3]int64, vals []sval[I], emit func(taggedH[I]
 			continue
 		}
 		for _, cell := range row {
-			emit(taggedH[I]{side: v.tag - tagT1, h: HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val}})
+			emit(HEntryOf[I]{Idx: v.idx, Col: cell.Col, Val: v.val * cell.Val})
 		}
 	}
 }

@@ -99,12 +99,15 @@ func matEntrySize(MatEntry) int64             { return matEntryBytes }
 func yEntrySize(YEntry) int64                 { return yEntryBytes }
 
 // sval is the single shuffle value type every HaTen2 job uses, tagged by
-// which input the record came from.
+// which input the record came from. Fields run widest first, so the
+// value packs to 40 bytes at order 3 (48 at order 4) and the engine's
+// 72-byte pair is copied with inline moves; the codec names fields, so
+// the order is layout only.
 type sval[I index] struct {
-	tag uint8 // tagTensor, tagMat, or tagT1+s for side s of a merge
 	idx I
-	col int32
 	val float64
+	col int32
+	tag uint8 // tagTensor, tagMat, or tagT1+s for side s of a merge
 }
 
 const (
@@ -156,7 +159,7 @@ func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
 		}
 		e.Val = x.Value(p)
 	}
-	return mr.WriteFile(c, name, entries, entrySize[I])
+	return mr.WriteFileOwned(c, name, entries, entrySize[I])
 }
 
 // Cluster returns the cluster the tensor is staged on.
@@ -233,7 +236,7 @@ func stageMatrix(c *mr.Cluster, name string, m *matrix.Matrix) error {
 			cells = append(cells, MatEntry{Row: int64(i), Col: int32(j), Val: v})
 		}
 	}
-	return mr.WriteFile(c, name, cells, matEntrySize)
+	return mr.WriteFileOwned(c, name, cells, matEntrySize)
 }
 
 // stageColumn writes one column of a factor matrix (the per-column jobs
@@ -243,5 +246,5 @@ func stageColumn(c *mr.Cluster, name string, m *matrix.Matrix, col int) error {
 	for i := 0; i < m.Rows; i++ {
 		cells = append(cells, MatEntry{Row: int64(i), Col: int32(col), Val: m.At(i, col)})
 	}
-	return mr.WriteFile(c, name, cells, matEntrySize)
+	return mr.WriteFileOwned(c, name, cells, matEntrySize)
 }

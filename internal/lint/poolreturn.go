@@ -17,11 +17,12 @@ import (
 // path-sensitive: a value bound from a pool acquisition (getSlice,
 // getGroupArena, getCombineScratch, getBuf, or a raw sync.Pool Get)
 // must, on every path that reaches the function's exit, be passed to
-// the matching return call, be returned to the caller, or escape into
-// another location (whose owner then carries the obligation). The
-// analysis runs a forward may-analysis over the function's CFG: the
-// fact is the set of outstanding acquisitions, releases and escapes
-// discharge them, and whatever survives at the exit block leaks. The
+// the matching return call, be handed to the DFS with AppendBlock, be
+// returned to the caller, or escape into another location (whose owner
+// then carries the obligation). The analysis runs a forward
+// may-analysis over the function's CFG: the fact is the set of
+// outstanding acquisitions, releases and escapes discharge them, and
+// whatever survives at the exit block leaks. The
 // flow-insensitive predecessor accepted a release anywhere in the
 // function, so a release guarded by one branch of an if satisfied it
 // even though the other branch leaked; here the leaking path keeps the
@@ -236,7 +237,25 @@ func (pf *poolFlow) discharges(n ast.Node, acq acquisition) bool {
 			}
 		}
 	}
-	return releasesIn(p, n, acq.put, acq.obj)
+	return releasesIn(p, n, acq.put, acq.obj) || handsOff(p, n, acq.obj)
+}
+
+// handsOff reports whether n passes obj itself to a DFS writer's
+// AppendBlock. The file system owns a block's payload from then on, and
+// dfsborrow forbids returning it to a pool afterwards, so the handoff
+// settles the obligation as a release would (the engine's multi-output
+// parts end this way).
+func handsOff(p *Pass, n ast.Node, obj types.Object) bool {
+	found := false
+	ast.Inspect(n, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok && isDFSCall(p, call, "AppendBlock") {
+			for _, arg := range call.Args {
+				found = found || identObj(p, arg) == obj
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // nilTested reports whether the body compares obj against nil.

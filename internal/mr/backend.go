@@ -273,7 +273,7 @@ type partCodec[K comparable, V any] struct {
 	part  func(K) uint64
 }
 
-func (pc partCodec[K, V]) blocks() bool { return pc.sizer != nil && pc.sizer.Append != nil }
+func (pc partCodec[K, V]) blocks() bool { return pc.sizer.Append != nil }
 
 func (pc partCodec[K, V]) encode(dst []byte, bucket []pair[K, V]) ([]byte, error) {
 	if !pc.blocks() {

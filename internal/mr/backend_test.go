@@ -71,7 +71,7 @@ func TestLoopbackOutputOrder(t *testing.T) {
 				return h
 			},
 			Reducers: 5,
-			Output:   "out",
+			Outputs:  []string{"out"},
 		})
 		if err != nil {
 			t.Fatal(err)

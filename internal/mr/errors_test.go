@@ -125,7 +125,7 @@ func TestRunErrorsCarryJobName(t *testing.T) {
 	WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
 	WriteFile(c, "out", []int64{1}, func(int64) int64 { return 8 })
 	_, _, err = Run(c, Job[int64, int64, int64]{
-		Name: "clobber", Inputs: in, Reduce: reduce, Partition: HashInt64, Output: "out",
+		Name: "clobber", Inputs: in, Reduce: reduce, Partition: HashInt64, Outputs: []string{"out"},
 	})
 	var ee *dfs.ErrExist
 	if !errors.As(err, &ee) || ee.Name != "out" {

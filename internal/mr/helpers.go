@@ -30,8 +30,8 @@ func WriteFile[T any](c *Cluster, name string, items []T, size func(T) int64) er
 // WriteFileOwned is WriteFile for a slice the caller hands off: items
 // becomes the file's block payload with no defensive copy, and the
 // caller must not read or write items afterwards — the DFS owns it.
-// Use it when a plan materializes a large intermediate purely to write
-// it (IMHP's 𝒯′/𝒯″ splits), where WriteFile's copy would double the
+// Use it when a plan builds a slice purely to write it (staging a
+// tensor or a factor matrix), where WriteFile's copy would double the
 // allocation.
 func WriteFileOwned[T any](c *Cluster, name string, items []T, size func(T) int64) error {
 	if c.fs.Exists(name) {
@@ -72,19 +72,18 @@ func ReadFile[T any](c *Cluster, name string) ([]T, error) {
 // caller owns outright) back to the engine's typed buffer pools, where
 // the next job with the same record type will reuse its backing array.
 // The caller must not touch s afterwards. Recycling is optional — an
-// un-recycled output is ordinary garbage — but plans that materialize
-// multi-million-record outputs and drop them within one step (IMHP's
-// tagged stream) should recycle to keep the allocator off the engine's
-// critical path.
+// un-recycled output is ordinary garbage — but callers that drop
+// multi-million-record outputs within one step should recycle to keep
+// the allocator off the engine's critical path.
 func Recycle[T any](s []T) {
 	putSlice(s)
 }
 
 // Acquire returns an empty slice with capacity ≥ n from the engine's
-// typed buffer pools — the borrowing counterpart of Recycle. Plans that
-// materialize a large intermediate every iteration (IMHP's 𝒯′/𝒯″
-// splits) acquire instead of make so the slabs reclaimed by Recycle
-// circulate rather than accumulate as garbage.
+// typed buffer pools — the borrowing counterpart of Recycle. Code that
+// fills a large buffer over and over (the proc backend's frame slabs)
+// acquires instead of make so the slabs reclaimed by Recycle circulate
+// rather than accumulate as garbage.
 func Acquire[T any](n int) []T {
 	return getSlice[T](n)
 }

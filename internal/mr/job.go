@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -104,9 +105,17 @@ type Job[K comparable, V any, O any] struct {
 	// OutSize reports the serialized size of one output record. Nil
 	// means 24 bytes.
 	OutSize func(O) int64
-	// Output, when non-empty, writes the job's output records to this
-	// DFS file (the between-jobs materialization Tables III/IV bound).
-	Output string
+	// Outputs, when non-empty, writes the job's output records to DFS
+	// files (the between-jobs materialization Tables III/IV bound). One
+	// file gets a copy of the records Run returns. Two or more are
+	// Hadoop's MultipleOutputs, with which HaTen2's IMHP job writes 𝒯′
+	// and 𝒯″: the records a reducer emits for key k go to part
+	// OutputPart(k), each part's slab becomes its file's block uncopied,
+	// and Run returns no records.
+	Outputs []string
+	// OutputPart names the part of Outputs a key's records go to. It is
+	// required with two or more Outputs and an error with fewer.
+	OutputPart func(K) int
 	// Reducers overrides the reduce task count; 0 means one per worker.
 	Reducers int
 	// ExtraShuffleRecords and ExtraShuffleBytes charge additional
@@ -171,13 +180,13 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			return nil, JobStats{}, fmt.Errorf("mr: job %q: input %q was not built by MapInput", job.Name, in.File)
 		}
 	}
+	nparts := max(len(job.Outputs), 1)
+	if (job.OutputPart != nil) != (nparts > 1) {
+		return nil, JobStats{}, fmt.Errorf("mr: job %q: OutputPart goes with two or more Outputs, got %d", job.Name, len(job.Outputs))
+	}
 	plan, jobSeq, err := c.startJob(job.Name)
 	if err != nil {
 		return nil, JobStats{Name: job.Name}, err
-	}
-	kvSize := job.KVSize
-	if kvSize == nil {
-		kvSize = func(K, V) int64 { return 24 }
 	}
 	outSize := job.OutSize
 	if outSize == nil {
@@ -219,7 +228,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	type taskOut = mapOut[K, V]
 	type mapWorker struct {
 		buf  []pair[K, V]
-		next []int // per reducer: the task's pair count, then its scatter cursor
+		next []int // per reducer: the task's pair count, then its segment cursor
 	}
 
 	// Reducer routing is Partition(k) % reducers by contract; when the
@@ -235,16 +244,28 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		}
 		return h % uint64(reducers)
 	}
+	// sizer is the job's one charge function. With a block codec, each
+	// non-empty (map task, reducer) segment is one block — the
+	// per-partition spill a real job would encode and ship: Header once
+	// plus consecutive-pair deltas, the first pair sized against zero
+	// values. Without one, KVSize (or the flat 24 bytes) is a headerless
+	// codec whose pairs ignore their predecessor.
 	sizer := job.BlockKV
+	if sizer == nil {
+		sizer = &BlockSizer[K, V]{Pair: func(K, V, K, V) int64 { return 24 }, Header: func(int) int64 { return 0 }}
+		if kv := job.KVSize; kv != nil {
+			sizer.Pair = func(_ K, _ V, k K, v V) int64 { return kv(k, v) }
+		}
+	}
 
 	// runTask executes one map task: produce drives the input's map
 	// function over the task's split of records input records. emit only
-	// routes — one partition call, one count, one append per pair.
-	// Records and bytes are accounted afterwards in a sequential walk
-	// over the carved segments (post-combine volume for combine jobs):
-	// the walk is cache-friendly, and keeping size callbacks out of emit
-	// keeps the engine's innermost loop free of indirect calls it
-	// doesn't need.
+	// routes — one partition call, one count, one append per pair —
+	// keeping the engine's innermost loop free of indirect calls it
+	// doesn't need. A pair is sized where it is written for the last
+	// time: in the scatter, against the slab cell just written before it
+	// in its segment, or in the combiner's flatten loop for a combine job
+	// (post-combine volume is what is shuffled).
 	part := job.Partition
 	runTask := func(w *mapWorker, segs [][]pair[K, V], records int, produce func(emit func(K, V))) taskOut {
 		if w.next == nil {
@@ -260,51 +281,44 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			buf = append(buf, pair[K, V]{k: k, v: v, h: h})
 		})
 		w.buf = buf
-		out := taskOut{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs}
+		out := taskOut{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs, records: int64(len(buf))}
+		sized := job.Combine == nil
+		var bytes int64
 		lo := 0
 		for r, n := range next {
-			segs[r], next[r] = out.slab[lo:lo+n:lo+n], lo
+			segs[r], next[r] = out.slab[lo:lo+n:lo+n], 0
+			if n > 0 && sized {
+				bytes += sizer.Header(n)
+			}
 			lo += n
 		}
+		var zero pair[K, V]
 		for i := range buf {
-			r := route(buf[i].h)
-			out.slab[next[r]] = buf[i]
-			next[r]++
+			p := &buf[i]
+			r := route(p.h)
+			seg, at := segs[r], next[r]
+			if sized {
+				prev := &zero
+				if at > 0 {
+					prev = &seg[at-1]
+				}
+				bytes += sizer.Pair(prev.k, prev.v, p.k, p.v)
+			}
+			seg[at] = *p
+			next[r] = at + 1
 		}
-		if job.Combine != nil {
+		if !sized {
+			out.records = 0
 			scratch := getCombineScratch[K, V]()
 			for r, bucket := range segs {
-				segs[r] = combineBucket(bucket, job.Combine, scratch)
+				var n int64
+				segs[r], n = combineBucket(bucket, job.Combine, scratch, sizer)
+				out.records += int64(len(segs[r]))
+				bytes += n
 			}
 			putCombineScratch(scratch)
 		}
-		for _, bucket := range segs {
-			out.records += int64(len(bucket))
-			switch {
-			case sizer != nil:
-				// One block per non-empty (map task, reducer) segment —
-				// the per-partition spill a real job would encode and
-				// ship: header plus consecutive-pair deltas, the first
-				// pair sized against zero values.
-				if len(bucket) == 0 {
-					continue
-				}
-				var pk K
-				var pv V
-				for _, p := range bucket {
-					out.bytes += sizer.Pair(pk, pv, p.k, p.v)
-					pk, pv = p.k, p.v
-				}
-				out.bytes += sizer.Header(len(bucket))
-			case job.KVSize != nil:
-				for _, p := range bucket {
-					out.bytes += kvSize(p.k, p.v)
-				}
-			default:
-				// Flat default pair size: no per-pair walk needed.
-				out.bytes += int64(len(bucket)) * 24
-			}
-		}
+		out.bytes = bytes
 		return out
 	}
 
@@ -524,21 +538,24 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// disjoint, so the tasks parallelize with no synchronization beyond
 	// the pool itself.
 	//
-	// Output is written once. Reducer r appends to results[r], and before
-	// it runs that buffer is given the room the job has taught its worker
-	// to expect: the worker's records per input pair so far (made/fed)
-	// times the pairs the buffer is for (plus an eighth when that means a
-	// new buffer, so the next job's estimate fits this one's). A pool one wide
-	// runs the reducers in order, so each continues its predecessor's
-	// buffer — the room is for every pair still to reduce, and the last
-	// buffer is the job's output. A wider pool gathers the buffers once,
-	// at the exact total. Only a worker's first reducer appends into the
-	// unknown.
-	results = make([][]O, reducers)
-	fed, made := make([]int64, pool), make([]int64, pool)
+	// Output is written once, per part. Reducer r appends part p's
+	// records to results[r·parts+p], and before it runs that buffer is
+	// given the room the job has taught its worker to expect: the
+	// worker's part-p records per input pair so far (made/fed) times the
+	// pairs the buffer is for (plus an eighth when that means a new
+	// buffer, so the next job's estimate fits this one's). A pool one
+	// wide runs the reducers in order, so each part continues its
+	// predecessor's buffer — the room is for every pair still to reduce,
+	// and the last reducer's buffers are the job's parts. A wider pool
+	// gathers each part once, at its exact total. Only a worker's first
+	// reducer appends into the unknown.
+	results = make([][]O, reducers*nparts)
+	fed, made := make([]int64, pool), make([]int64, pool*nparts)
+	los := make([]int, pool*nparts) // per worker: where its reducer's output starts in each part
 	shuffled := st.ShuffleRecords - job.ExtraShuffleRecords
-	resultBytes := make([]int64, reducers)
+	resultBytes := make([]int64, reducers*nparts)
 	redInputs := make([]int64, reducers) // pairs per reduce task, for the fault pass
+	partErrs := make([]error, reducers)
 	var fetchErrs []error
 	if rb != nil {
 		fetchErrs = make([]error, reducers)
@@ -568,43 +585,56 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			g.scatter(bucket)
 		}
 		putSlice(fetched)
-		var out []O
-		pairs := redInputs[r]
-		if pool == 1 {
-			pairs = shuffled - fed[0]
-			if r > 0 {
-				out, results[r-1] = results[r-1], nil
+		bufs, lo := results[r*nparts:(r+1)*nparts], los[w*nparts:(w+1)*nparts]
+		for p := range bufs {
+			var buf []O
+			pairs := redInputs[r]
+			if pool == 1 {
+				pairs = shuffled - fed[0]
+				if r > 0 {
+					buf, results[(r-1)*nparts+p] = results[(r-1)*nparts+p], nil
+				}
 			}
-		}
-		if fed[w] == 0 {
-			if out == nil {
-				out = getSlice[O](0) // nothing learned yet: the largest slab pooled
+			if fed[w] == 0 {
+				if buf == nil {
+					buf = getSlice[O](0) // nothing learned yet: the largest slab pooled
+				}
+			} else if expect := int(pairs * made[w*nparts+p] / fed[w]); len(buf)+expect > cap(buf) {
+				grown := append(getSlice[O](len(buf)+expect+expect/8), buf...)
+				putSlice(buf)
+				buf = grown
 			}
-		} else if expect := int(pairs * made[w] / fed[w]); len(out)+expect > cap(out) {
-			grown := append(getSlice[O](len(out)+expect+expect/8), out...)
-			putSlice(out)
-			out = grown
+			bufs[p], lo[p] = buf, len(buf)
 		}
-		lo := len(out)
+		out := &bufs[0]
 		emit := func(o O) {
-			out = append(out, o)
+			*out = append(*out, o)
 		}
 		for i, k := range g.keys {
+			if job.OutputPart != nil {
+				p := job.OutputPart(k)
+				if p < 0 || p >= nparts {
+					partErrs[r] = fmt.Errorf("mr: job %q: OutputPart(%v) = %d, outside its %d outputs", job.Name, k, p, nparts)
+					break
+				}
+				out = &bufs[p]
+			}
 			job.Reduce(k, g.group(i), emit)
 		}
 		putGroupArena(g)
 		// Size outputs in one walk after the reduce loop rather than per
 		// emit, keeping the hot emit closure to a bare append.
-		if job.OutSize == nil {
-			resultBytes[r] = int64(len(out)-lo) * 24
-		} else {
-			for _, o := range out[lo:] {
-				resultBytes[r] += outSize(o)
+		for p, buf := range bufs {
+			if job.OutSize == nil {
+				resultBytes[r*nparts+p] = int64(len(buf)-lo[p]) * 24
+			} else {
+				for _, o := range buf[lo[p]:] {
+					resultBytes[r*nparts+p] += outSize(o)
+				}
 			}
+			made[w*nparts+p] += int64(len(buf) - lo[p])
 		}
 		fed[w] += redInputs[r]
-		made[w] += int64(len(out) - lo)
-		results[r] = out
 	})
 	for i := range outs {
 		outs[i].release()
@@ -623,6 +653,17 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			}
 		}
 	}
+	for _, perr := range partErrs {
+		if perr != nil {
+			return fail(perr)
+		}
+	}
+	redBytes, partBytes, partLen := make([]int64, reducers), make([]int64, nparts), make([]int, nparts)
+	for i, b := range resultBytes {
+		redBytes[i/nparts] += b
+		partBytes[i%nparts] += b
+		partLen[i%nparts] += len(results[i])
+	}
 
 	// --- Reduce fault pass ------------------------------------------------
 	// Same scheme as the map pass; the blacklist state carries over so a
@@ -632,9 +673,9 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		for r := range rtasks {
 			rtasks[r] = taskCost{
 				records: redInputs[r],
-				bytes:   resultBytes[r],
+				bytes:   redBytes[r],
 				seconds: float64(redInputs[r])*c.cfg.Cost.PerReduceRecord +
-					float64(resultBytes[r])*c.cfg.Cost.PerDFSByte,
+					float64(redBytes[r])*c.cfg.Cost.PerDFSByte,
 			}
 		}
 		if ferr := plan.applyPhase(&st, fstate, c.cfg.Cost, job.Name, jobSeq, phaseReduce, rtasks); ferr != nil {
@@ -644,38 +685,54 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		st.ReduceAttempts = reducers
 	}
 
-	// The output comes from the typed pool: big jobs emit hundreds of
-	// megabytes here, and cycling fresh slabs through the allocator every
-	// job turns into page-fault storms. Callers that drop large outputs
-	// quickly can hand the slice back with Recycle.
-	all := results[reducers-1]
-	if pool > 1 {
-		var total int
-		for _, part := range results {
-			total += len(part)
-		}
-		all = getSlice[O](total)
-		for _, part := range results {
-			all = append(all, part...)
-			putSlice(part)
-		}
-	}
-	st.OutputRecords = int64(len(all))
-	for _, b := range resultBytes {
-		st.OutputBytes += b
-	}
-
-	if job.Output != "" {
-		w, err := c.fs.Create(job.Output)
+	// --- Output -----------------------------------------------------------
+	// Every output file is created before any is written, so a failed
+	// Create publishes no part (and, like every failed job, charges no
+	// output). A part comes from the typed pool — big jobs emit hundreds
+	// of megabytes here, and cycling fresh slabs through the allocator
+	// every job turns into page-fault storms — and is either the
+	// returned records (callers that drop them quickly can hand them
+	// back with Recycle) or, with several outputs, its file's block: the
+	// DFS owns it from the handoff on.
+	writers := make([]*dfs.Writer, 0, len(job.Outputs))
+	for _, name := range job.Outputs {
+		w, err := c.fs.Create(name)
 		if err != nil {
-			putSlice(all)
-			return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
+			for _, w := range writers {
+				w.Abort()
+			}
+			return fail(fmt.Errorf("mr: job %q: %w", job.Name, err))
 		}
-		// Downstream inputs read the block back zero-copy. The DFS owns
-		// the payload, so it gets a copy and the caller keeps all.
-		blk := make([]O, len(all))
-		copy(blk, all)
-		w.AppendBlock(blk, len(blk), st.OutputBytes)
+		writers = append(writers, w)
+	}
+	var all []O
+	for p := range partLen {
+		st.OutputRecords += int64(partLen[p])
+		st.OutputBytes += partBytes[p]
+		part := results[(reducers-1)*nparts+p]
+		if pool > 1 || len(part) == 0 {
+			// An empty part is nil: no pooled slab is spent on it.
+			part = nil
+			if partLen[p] > 0 {
+				part = getSlice[O](partLen[p])
+			}
+			for r := p; r < len(results); r += nparts {
+				part = append(part, results[r]...)
+				putSlice(results[r])
+			}
+		}
+		if nparts > 1 {
+			writers[p].AppendBlock(part, len(part), partBytes[p])
+			continue
+		}
+		all = part
+		if len(writers) == 1 {
+			// Naive and DNN read both the records and the file, so the
+			// DFS gets a copy and the caller keeps all.
+			writers[0].AppendBlock(slices.Clone(part), len(part), partBytes[0])
+		}
+	}
+	for _, w := range writers {
 		w.Close()
 	}
 
@@ -747,12 +804,13 @@ func (s *combineScratch[K, V]) reset() {
 }
 
 // combineBucket groups one task's bucket by key (preserving first-seen
-// key order), applies the combiner, and flattens back to pairs. The
-// combiner may expand a key's values (return more than one); the output
-// grows past the original bucket as needed.
-func combineBucket[K comparable, V any](bucket []pair[K, V], combine func(K, []V) []V, s *combineScratch[K, V]) []pair[K, V] {
+// key order), applies the combiner, and flattens back to pairs, sizing
+// each through sizer as it is written; it returns the pairs and their
+// block's bytes. The combiner may expand a key's values (return more
+// than one); the output grows past the original bucket as needed.
+func combineBucket[K comparable, V any](bucket []pair[K, V], combine func(K, []V) []V, s *combineScratch[K, V], sizer *BlockSizer[K, V]) ([]pair[K, V], int64) {
 	if len(bucket) == 0 {
-		return bucket
+		return bucket, 0
 	}
 	s.reset()
 	for _, p := range bucket {
@@ -773,12 +831,20 @@ func combineBucket[K comparable, V any](bucket []pair[K, V], combine func(K, []V
 	// The grouped values live in scratch storage, so the bucket itself
 	// can be rewritten in place.
 	out := bucket[:0]
+	var bytes int64
+	var pk K
+	var pv V
 	for i, k := range s.keys {
 		for _, v := range combine(k, s.vals[i]) {
+			bytes += sizer.Pair(pk, pv, k, v)
+			pk, pv = k, v
 			out = append(out, pair[K, V]{k: k, v: v, h: s.hs[i]})
 		}
 	}
-	return out
+	if len(out) > 0 {
+		bytes += sizer.Header(len(out))
+	}
+	return out, bytes
 }
 
 // runPool executes fn(w, 0..n-1) using at most width concurrent

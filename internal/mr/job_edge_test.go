@@ -98,7 +98,7 @@ func TestDuplicateOutputFileFails(t *testing.T) {
 		Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(0, 1) })},
 		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
 		Partition: HashInt64,
-		Output:    "out",
+		Outputs:   []string{"out"},
 	}
 	if _, _, err := Run(c, job); err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func TestOutputFileMaterialization(t *testing.T) {
 			}
 		},
 		Partition: HashInt64,
-		Output:    "out",
+		Outputs:   []string{"out"},
 		OutSize:   func(int64) int64 { return 8 },
 	})
 	if err != nil {

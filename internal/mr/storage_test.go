@@ -28,7 +28,7 @@ func runStorageChain(c *Cluster) ([]int64, error) {
 			emit(k*1000 + s)
 		},
 		Partition: HashInt64,
-		Output:    "chain/mid",
+		Outputs:   []string{"chain/mid"},
 	})
 	if err != nil {
 		return nil, err
