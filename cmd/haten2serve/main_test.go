@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	haten2 "github.com/haten2/haten2"
 	"github.com/haten2/haten2/internal/gen"
+	"github.com/haten2/haten2/internal/serve"
 	"github.com/haten2/haten2/internal/tensor"
 )
 
@@ -152,6 +154,16 @@ func TestServeErrors(t *testing.T) {
 	o.model = bad
 	if err := run(io.Discard, strings.NewReader(""), o); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+
+	// The persisted format reads NaN back; the server refuses to serve it.
+	nan := filepath.Join(t.TempDir(), "nan.model")
+	os.WriteFile(nan, []byte("haten2-parafac-v1\nrank 1\n1\nmatrix 1 1\n1\nmatrix 2 1\n1\nNaN\nmatrix 1 1\n1\n"), 0o644)
+	o = defaults()
+	o.model = nan
+	var nf *serve.ErrNonFinite
+	if err := run(io.Discard, strings.NewReader("objects 0 0\n"), o); !errors.As(err, &nf) || nf.Mode != 1 || nf.At[0] != 1 {
+		t.Fatalf("NaN model: err = %v, want *serve.ErrNonFinite at object row 1", err)
 	}
 
 	o = defaults()

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -397,21 +398,54 @@ func TestStringElides(t *testing.T) {
 	}
 }
 
+// TestMulBTIntoMatchesMul pins the kernel bitwise against an
+// independent ascending-r dot product (the order internal/baseline
+// scores in) and against Mul: b's rows 1–9 cover every remainder of the
+// 4-row step, and a's rows 1 and 32 a single query and a full batch.
+// Signed entries make the sums cancel, so any reordering would show.
 func TestMulBTIntoMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	// Spread sizes across the tile boundary (tile = 8 rows of b).
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 7, 4}, {8, 8, 8}, {5, 17, 9}, {2, 33, 1}} {
-		m, n, r := dims[0], dims[1], dims[2]
-		a := Random(m, r, rng)
-		b := Random(n, r, rng)
-		dst := New(m, n)
-		MulBTInto(dst, a, b)
-		want := Mul(a, b.T())
-		for i := range dst.Data {
-			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%v: element %d: %v != %v", dims, i, dst.Data[i], want.Data[i])
+	for _, m := range []int{1, 32} {
+		for n := 1; n <= 9; n++ {
+			for r := 1; r <= 9; r++ {
+				a, b := Random(m, r, rng), Random(n, r, rng)
+				for i := range b.Data {
+					b.Data[i] -= 0.5
+				}
+				dst := New(m, n)
+				MulBTInto(dst, a, b)
+				want := Mul(a, b.T())
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						var s float64
+						for c := 0; c < r; c++ {
+							s += a.At(i, c) * b.At(j, c)
+						}
+						got := dst.At(i, j)
+						if math.Float64bits(got) != math.Float64bits(s) || math.Float64bits(got) != math.Float64bits(want.At(i, j)) {
+							t.Fatalf("%dx%d·(%dx%d)ᵀ (%d,%d): %v, dot %v, Mul %v", m, r, n, r, i, j, got, s, want.At(i, j))
+						}
+					}
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkMulBTInto scores one query and a 32-query batch against a
+// 32,768-row rank-8 shard, the serving layer's miss and batched shapes.
+func BenchmarkMulBTInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	obj := Random(32768, 8, rng)
+	for _, m := range []int{1, 32} {
+		b.Run(fmt.Sprintf("%dx8", m), func(b *testing.B) {
+			q, dst := Random(m, 8, rng), New(m, obj.Rows)
+			b.SetBytes(int64(8 * len(obj.Data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulBTInto(dst, q, obj)
+			}
+		})
 	}
 }
 

@@ -120,11 +120,12 @@ func MulVec(a *Matrix, x []float64) []float64 {
 // MulBTInto computes dst = a·bᵀ into a preshaped dst (a is M×R, b is
 // N×R, dst must be M×N). It is the serving layer's batched scoring
 // kernel: a holds a batch of query vectors, b a shard of the object
-// factor, and dst(i,j) is query i's score for object j. The loop is
-// tiled over b's rows so one tile of object rows stays cache-resident
-// across the whole query batch, but each dst element is still a single
-// dot product accumulated in ascending r — tiling and sharding change
-// memory traffic, never the floating-point result (DESIGN.md §3h).
+// factor, and dst(i,j) is query i's score for object j. The loop steps
+// through b four rows at a time, reused across the whole query batch,
+// with four independent add chains; tail rows go one at a time. Each
+// dst element is still one dot product started at +0 and accumulated
+// in ascending r with no fused multiply-add, so blocking changes speed,
+// never the floating-point result (DESIGN.md §3h).
 func MulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulBTInto inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -132,20 +133,25 @@ func MulBTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: MulBTInto dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	const tile = 8
-	for j0 := 0; j0 < b.Rows; j0 += tile {
-		j1 := min(j0+tile, b.Rows)
+	r := a.Cols
+	j := 0
+	for ; j+4 <= b.Rows; j += 4 {
+		b0, b1, b2, b3 := b.Row(j)[:r], b.Row(j + 1)[:r], b.Row(j + 2)[:r], b.Row(j + 3)[:r]
 		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := j0; j < j1; j++ {
-				brow := b.Row(j)
-				var s float64
-				for r, av := range arow {
-					s += av * brow[r]
-				}
-				drow[j] = s
+			var s0, s1, s2, s3 float64
+			for c, av := range a.Row(i)[:r] {
+				s0 += av * b0[c]
+				s1 += av * b1[c]
+				s2 += av * b2[c]
+				s3 += av * b3[c]
 			}
+			d := dst.Data[i*dst.Cols+j : i*dst.Cols+j+4]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+		}
+	}
+	for ; j < b.Rows; j++ {
+		for i := 0; i < a.Rows; i++ {
+			dst.Data[i*dst.Cols+j] = Dot(a.Row(i), b.Row(j))
 		}
 	}
 }

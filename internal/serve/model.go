@@ -25,20 +25,43 @@ type Model struct {
 	rowTotals [3][]float64
 }
 
+// ErrNonFinite is the error NewParafacModel and NewTuckerModel return
+// for a NaN or ±Inf coefficient: a NaN score has no place in the
+// ranking order, so such a model is refused, not served (DESIGN.md §3h).
+type ErrNonFinite struct {
+	Part  string // "factor", "lambda" or "core"
+	Mode  int    // the factor's mode (0 subjects, 1 objects, 2 predicates); -1 for lambda and core
+	At    []int  // factor: row, column; lambda: component; core: its three coordinates
+	Value float64
+}
+
+func (e *ErrNonFinite) Error() string {
+	return fmt.Sprintf("serve: non-finite %s value %v at mode %d, index %v", e.Part, e.Value, e.Mode, e.At)
+}
+
+// checkFinite returns an *ErrNonFinite for the first NaN or ±Inf in
+// vals, a row-major array of shape dims, or nil.
+func checkFinite(part string, mode int, vals []float64, dims ...int) error {
+	for off, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			at := make([]int, len(dims))
+			for d := len(dims) - 1; d >= 0; d-- {
+				at[d], off = off%dims[d], off/dims[d]
+			}
+			return &ErrNonFinite{Part: part, Mode: mode, At: at, Value: v}
+		}
+	}
+	return nil
+}
+
 // NewParafacModel builds a serving model from a PARAFAC decomposition
 // 𝒳 ≈ Σ_r λ_r a_r∘b_r∘c_r with factors (subject, object, predicate).
 func NewParafacModel(lambda []float64, factors [3]*matrix.Matrix) (*Model, error) {
-	for m, f := range factors {
-		if f == nil {
-			return nil, fmt.Errorf("serve: nil factor for mode %d", m)
-		}
-		if f.Cols != len(lambda) {
-			return nil, fmt.Errorf("serve: factor %d has %d columns, want rank %d", m, f.Cols, len(lambda))
-		}
+	if err := checkFinite("lambda", -1, lambda, len(lambda)); err != nil {
+		return nil, err
 	}
-	mo := &Model{subject: factors[0], object: factors[1], predicate: factors[2], lambda: lambda}
-	mo.fillTotals()
-	return mo, nil
+	r := len(lambda)
+	return newModel(factors, [3]int{r, r, r}, lambda, nil)
 }
 
 // NewTuckerModel builds a serving model from a Tucker decomposition
@@ -47,15 +70,29 @@ func NewTuckerModel(core *tensor.Dense, factors [3]*matrix.Matrix) (*Model, erro
 	if core == nil || core.Order() != 3 {
 		return nil, fmt.Errorf("serve: Tucker model needs a 3-way core")
 	}
+	d := core.Dims()
+	dims := [3]int{int(d[0]), int(d[1]), int(d[2])}
+	if err := checkFinite("core", -1, core.Data, dims[:]...); err != nil {
+		return nil, err
+	}
+	return newModel(factors, dims, nil, core)
+}
+
+// newModel checks each factor's presence, width (cols[m] for mode m)
+// and entries, and builds the model around them.
+func newModel(factors [3]*matrix.Matrix, cols [3]int, lambda []float64, core *tensor.Dense) (*Model, error) {
 	for m, f := range factors {
 		if f == nil {
 			return nil, fmt.Errorf("serve: nil factor for mode %d", m)
 		}
-		if int64(f.Cols) != core.Dim(m) {
-			return nil, fmt.Errorf("serve: factor %d has %d columns, core mode has %d", m, f.Cols, core.Dim(m))
+		if f.Cols != cols[m] {
+			return nil, fmt.Errorf("serve: factor %d has %d columns, want %d", m, f.Cols, cols[m])
+		}
+		if err := checkFinite("factor", m, f.Data, f.Rows, f.Cols); err != nil {
+			return nil, err
 		}
 	}
-	mo := &Model{subject: factors[0], object: factors[1], predicate: factors[2], core: core}
+	mo := &Model{subject: factors[0], object: factors[1], predicate: factors[2], lambda: lambda, core: core}
 	mo.fillTotals()
 	return mo, nil
 }

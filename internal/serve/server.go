@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +51,8 @@ type batch struct {
 	reqs []*request
 	// q is the B×R query block; row i is request i's query vector.
 	q matrix.Matrix
+	// z[i] is the score request i gives every all-zero object row.
+	z []float64
 	// partials[i*shards+sh] is request i's top-k within shard sh.
 	partials [][]Result
 	// mergeParts/heads/pos are MergeTopK scratch.
@@ -60,13 +63,15 @@ type batch struct {
 	remaining int32
 }
 
-// shardWorker owns one contiguous row range [lo, hi) of the object
-// factor and a reusable score panel for it.
+// shardWorker serves one contiguous row range of the object factor: its
+// rows that are not all zero, compacted, and a reusable score panel for
+// them. The all-zero rows are never scored (see offerZeros).
 type shardWorker struct {
 	id     int
-	lo, hi int
-	rows   matrix.Matrix // row-slice view of the object factor
-	scores matrix.Matrix // B×(hi-lo) panel, data reused
+	rows   matrix.Matrix // the range's nonzero rows: a view when it has no zero rows, else a compact copy
+	idx    []int64       // global index of each compact row, ascending
+	zeros  []int64       // global indexes of the range's all-zero rows, ascending
+	scores matrix.Matrix // B×len(idx) panel, data reused
 	in     chan *batch
 	srv    *Server
 }
@@ -149,28 +154,15 @@ func New(model *Model, cfg Config) (*Server, error) {
 
 	obj := model.Factor(1)
 	r := model.QueryDim()
-	for i := 0; i < cfg.Shards; i++ {
-		lo := i * obj.Rows / cfg.Shards
-		hi := (i + 1) * obj.Rows / cfg.Shards
-		w := &shardWorker{
-			id: i,
-			lo: lo,
-			hi: hi,
-			rows: matrix.Matrix{
-				Rows: hi - lo,
-				Cols: r,
-				Data: obj.Data[lo*r : hi*r],
-			},
-			in:  make(chan *batch, inFlightBatches),
-			srv: s,
-		}
-		s.workers[i] = w
+	for i := range s.workers {
+		s.workers[i] = newShardWorker(s, i, obj, i*obj.Rows/cfg.Shards, (i+1)*obj.Rows/cfg.Shards)
 	}
 	for b := 0; b < inFlightBatches; b++ {
 		s.freeBatches <- &batch{
 			partials:   make([][]Result, cfg.MaxBatch*cfg.Shards),
 			mergeParts: make([][]Result, 0, cfg.Shards),
 			q:          matrix.Matrix{Cols: r},
+			z:          make([]float64, cfg.MaxBatch),
 		}
 	}
 
@@ -233,7 +225,14 @@ func (s *Server) dispatch() {
 		b.q.Data = b.q.Data[:n]
 		b.q.Rows = len(b.reqs)
 		for i, r := range b.reqs {
-			s.model.queryVecInto(b.q.Row(i), r.subject, r.predicate)
+			q := b.q.Row(i)
+			s.model.queryVecInto(q, r.subject, r.predicate)
+			// What the kernel would score an all-zero row: the +0-started,
+			// ascending-r sum of q_r·0 (+0 unless q overflowed).
+			b.z[i] = 0
+			for _, v := range q {
+				b.z[i] += v * 0
+			}
 		}
 
 		atomic.StoreInt32(&b.remaining, int32(len(s.workers)))
@@ -243,10 +242,35 @@ func (s *Server) dispatch() {
 	}
 }
 
+// newShardWorker builds the worker for the object rows [lo, hi): it
+// sorts the rows into idx and zeros, then allocates the compact copy
+// once, at its final size. A range with no all-zero rows is already
+// compact, so its rows alias the factor instead of copying it.
+func newShardWorker(s *Server, id int, obj *matrix.Matrix, lo, hi int) *shardWorker {
+	w := &shardWorker{id: id, in: make(chan *batch, inFlightBatches), srv: s}
+	for o := lo; o < hi; o++ {
+		if slices.ContainsFunc(obj.Row(o), func(v float64) bool { return v != 0 }) {
+			w.idx = append(w.idx, int64(o))
+		} else {
+			w.zeros = append(w.zeros, int64(o))
+		}
+	}
+	w.rows = matrix.Matrix{Rows: hi - lo, Cols: obj.Cols, Data: obj.Data[lo*obj.Cols : hi*obj.Cols]}
+	if len(w.zeros) > 0 {
+		w.rows = *matrix.New(len(w.idx), obj.Cols)
+		for i, o := range w.idx {
+			copy(w.rows.Row(i), obj.Row(int(o)))
+		}
+	}
+	return w
+}
+
 // run is a shard worker's loop: score every request in the batch over
-// this shard's rows with one blocked kernel call, select the per-shard
-// top-k, and — if this worker is the last to finish the batch — merge
-// the shards and complete the requests.
+// this shard's compact rows with one blocked kernel call, select the
+// per-shard top-k, offer the zero rows, and — if this worker is the
+// last to finish the batch — merge the shards and complete the
+// requests. Selection runs on compact positions mapped through idx,
+// which ascends, so the position tie-break is the index tie-break.
 func (w *shardWorker) run() {
 	defer w.srv.wg.Done()
 	for b := range w.in {
@@ -263,12 +287,36 @@ func (w *shardWorker) run() {
 		shards := len(w.srv.workers)
 		for i, req := range b.reqs {
 			slot := i*shards + w.id
-			b.partials[slot] = SelectTopK(b.partials[slot][:0], w.scores.Row(i), int64(w.lo), req.k)
+			part := SelectTopK(b.partials[slot][:0], w.scores.Row(i), 0, req.k)
+			for j := range part {
+				part[j].Index = w.idx[part[j].Index]
+			}
+			b.partials[slot] = w.offerZeros(part, b.z[i], req.k)
 		}
 		if atomic.AddInt32(&b.remaining, -1) == 0 {
 			w.srv.complete(b)
 		}
 	}
+}
+
+// offerZeros inserts the shard's all-zero rows, each scoring z, into
+// part (the compact rows' top-k, best first) under better. The zero
+// rows tie one another and come in ascending index, so only the first
+// k can rank, and once one is refused every later one would be too.
+func (w *shardWorker) offerZeros(part []Result, z float64, k int) []Result {
+	for _, o := range w.zeros[:min(k, len(w.zeros))] {
+		r := Result{Index: o, Score: z}
+		if len(part) == k && !better(r, part[k-1]) {
+			break
+		}
+		i := min(len(part), k-1) // a full part drops its worst entry
+		part = append(part[:i], r)
+		for ; i > 0 && better(r, part[i-1]); i-- {
+			part[i] = part[i-1]
+		}
+		part[i] = r
+	}
+	return part
 }
 
 // complete merges each request's per-shard partials into its final

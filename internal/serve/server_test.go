@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -65,30 +68,43 @@ func sameAsBaseline(t *testing.T, got []Result, want []baseline.TopKResult, ctx 
 	}
 }
 
-// TestServedRankingsBitIdenticalParafac is the acceptance-criteria
-// matrix: rankings must be bit-identical to the single-threaded
-// baseline scorer across GOMAXPROCS {1,4,16} × shard counts {1,4,16} ×
-// cache {off, 64}, with batching active and every query issued twice so
-// that, with the cache on, the second pass is served from it.
-func TestServedRankingsBitIdenticalParafac(t *testing.T) {
-	const (
-		subjects, objects, predicates = 37, 211, 11
-		rank                          = 7
-		k                             = 9
-	)
-	lambda, factors, model := testParafac(42, subjects, objects, predicates, rank)
-
-	type query struct{ s, p int64 }
-	rng := rand.New(rand.NewSource(7))
-	queries := make([]query, 300)
-	for i := range queries {
-		queries[i] = query{int64(rng.Intn(subjects)), int64(rng.Intn(predicates))}
+// hypersparse zeroes factor rows the way a knowledge base leaves
+// entities with empty slices: the first quarter of the objects (an
+// all-zero shard at 4 and 16 shards), all but two rows of the second
+// quarter (shards with fewer nonzero rows than k), every third object,
+// and subjects 0 and 5 (all-zero queries, where every score ties and
+// the answer is the lowest k indexes). Predicate 1 is made negative, so
+// a PARAFAC query through it scores every nonzero object below zero and
+// the zero rows rank first.
+func hypersparse(factors [3]*matrix.Matrix) {
+	obj := factors[1]
+	n := obj.Rows
+	for o := 0; o < n; o++ {
+		if o < n/2 && o != n/4+3 && o != n/2-2 || o%3 == 0 {
+			clear(obj.Row(o))
+		}
 	}
-	want := make([][]baseline.TopKResult, len(queries))
-	for i, q := range queries {
-		want[i] = baseline.ParafacTopKObjects(lambda, factors, q.s, q.p, k)
+	clear(factors[0].Row(0))
+	clear(factors[0].Row(5))
+	for r, v := range factors[2].Row(1) {
+		factors[2].Row(1)[r] = -math.Abs(v)
 	}
+}
 
+type servedQuery struct {
+	s, p int64
+	k    int
+}
+
+// checkServedMatrix is the acceptance-criteria matrix: rankings must be
+// bit-identical to the single-threaded baseline scorer's want across
+// GOMAXPROCS {1,4,16} × shard counts {1,4,16} × cache {off, 64}, with
+// batching active and every query issued in two passes so that, with
+// the cache on, the second pass is served from it. The second pass asks
+// each query twice in a row, so its repeat is a hit even when the query
+// list outgrows a stripe and the first ask was evicted.
+func checkServedMatrix(t *testing.T, name string, model *Model, queries []servedQuery, want [][]baseline.TopKResult) {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4, 16} {
 		runtime.GOMAXPROCS(procs)
@@ -99,7 +115,8 @@ func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 					t.Fatal(err)
 				}
 				for pass := 0; pass < 2; pass++ {
-					got := make([][]Result, len(queries))
+					// got[rep][i] is the answer to the rep-th ask of query i.
+					got := [2][][]Result{make([][]Result, len(queries)), make([][]Result, len(queries))}
 					var wg sync.WaitGroup
 					const clients = 7
 					wg.Add(clients)
@@ -107,22 +124,26 @@ func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 						go func(c int) {
 							defer wg.Done()
 							for i := c; i < len(queries); i += clients {
-								res, err := srv.TopKObjects(queries[i].s, queries[i].p, k, nil)
-								if err != nil {
-									t.Error(err)
-									return
+								for rep := 0; rep <= pass; rep++ {
+									res, err := srv.TopKObjects(queries[i].s, queries[i].p, queries[i].k, nil)
+									if err != nil {
+										t.Error(err)
+										return
+									}
+									got[rep][i] = res
 								}
-								got[i] = res
 							}
 						}(c)
 					}
 					wg.Wait()
-					for i := range queries {
-						sameAsBaseline(t, got[i], want[i], "parafac")
+					for rep := 0; rep <= pass; rep++ {
+						for i, q := range queries {
+							sameAsBaseline(t, got[rep][i], want[i], fmt.Sprintf("%s procs=%d shards=%d cache=%d pass %d ask %d query %v", name, procs, shards, cache, pass, rep, q))
+						}
 					}
 				}
 				if st := srv.Stats(); (st.CacheHits > 0) != (cache > 0) {
-					t.Errorf("procs=%d shards=%d cache=%d: %d cache hits after a repeated pass", procs, shards, cache, st.CacheHits)
+					t.Errorf("%s procs=%d shards=%d cache=%d: %d cache hits after a repeated pass", name, procs, shards, cache, st.CacheHits)
 				}
 				srv.Close()
 			}
@@ -130,26 +151,65 @@ func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 	}
 }
 
-func TestServedRankingsBitIdenticalTucker(t *testing.T) {
+// TestServedRankingsBitIdenticalParafac runs the matrix on a dense
+// model and on its hypersparse copy, with every tenth query asking for
+// more than Objects() results.
+func TestServedRankingsBitIdenticalParafac(t *testing.T) {
 	const (
-		subjects, objects, predicates = 19, 83, 9
-		k                             = 6
+		subjects, objects, predicates = 37, 211, 11
+		rank                          = 7
 	)
-	core, factors, model := testTucker(99, subjects, objects, predicates, [3]int{4, 5, 3})
-	srv, err := New(model, Config{Shards: 4, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]servedQuery, 300)
+	for i := range queries {
+		queries[i] = servedQuery{int64(rng.Intn(subjects)), int64(rng.Intn(predicates)), 9}
+		if i%10 == 0 {
+			queries[i].k = objects + 3
+		}
 	}
-	defer srv.Close()
-	var dst []Result
-	for s := int64(0); s < subjects; s++ {
-		for p := int64(0); p < predicates; p++ {
-			dst, err = srv.TopKObjects(s, p, k, dst)
-			if err != nil {
+	for _, sparse := range []bool{false, true} {
+		lambda, factors, model := testParafac(42, subjects, objects, predicates, rank)
+		if sparse {
+			hypersparse(factors)
+			var err error
+			if model, err = NewParafacModel(lambda, factors); err != nil {
 				t.Fatal(err)
 			}
-			sameAsBaseline(t, dst, baseline.TuckerTopKObjects(core, factors, s, p, k), "tucker")
 		}
+		want := make([][]baseline.TopKResult, len(queries))
+		for i, q := range queries {
+			want[i] = baseline.ParafacTopKObjects(lambda, factors, q.s, q.p, q.k)
+		}
+		checkServedMatrix(t, fmt.Sprintf("parafac sparse=%v", sparse), model, queries, want)
+	}
+}
+
+// TestServedRankingsBitIdenticalTucker runs the matrix over every
+// subject × predicate pair at k = 6, plus each subject once with k
+// above Objects(), on a dense model and on its hypersparse copy.
+func TestServedRankingsBitIdenticalTucker(t *testing.T) {
+	const subjects, objects, predicates = 19, 83, 9
+	var queries []servedQuery
+	for s := int64(0); s < subjects; s++ {
+		for p := int64(0); p < predicates; p++ {
+			queries = append(queries, servedQuery{s, p, 6})
+		}
+		queries = append(queries, servedQuery{s, s % predicates, objects + 3})
+	}
+	for _, sparse := range []bool{false, true} {
+		core, factors, model := testTucker(99, subjects, objects, predicates, [3]int{4, 5, 3})
+		if sparse {
+			hypersparse(factors)
+			var err error
+			if model, err = NewTuckerModel(core, factors); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([][]baseline.TopKResult, len(queries))
+		for i, q := range queries {
+			want[i] = baseline.TuckerTopKObjects(core, factors, q.s, q.p, q.k)
+		}
+		checkServedMatrix(t, fmt.Sprintf("tucker sparse=%v", sparse), model, queries, want)
 	}
 }
 
@@ -296,25 +356,168 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	// The cold path is allowed its single-flight bookkeeping (one
 	// flight struct + channel per miss) but must stay bounded — the
-	// batch, score panels, and request are all pooled.
-	var s int64
-	missSrv, err := New(model, Config{Shards: 4, MaxBatch: 8, NoCache: true})
+	// batch, score panels, and request are all pooled — and offering a
+	// shard's zero rows must allocate nothing: the hypersparse model's
+	// misses allocate no more than the dense model's.
+	missAllocs := func(model *Model) float64 {
+		var s int64
+		missSrv, err := New(model, Config{Shards: 4, MaxBatch: 8, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer missSrv.Close()
+		for i := 0; i < 5; i++ {
+			if dst, err = missSrv.TopKObjects(s, 1, k, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(200, func() {
+			s = (s + 1) % 23
+			dst, _ = missSrv.TopKObjects(s, 1, k, dst)
+		})
+	}
+	dense := missAllocs(model)
+	if dense > 8 {
+		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", dense)
+	}
+	lambda, factors, _ := testParafac(8, 23, 501, 13, 8)
+	hypersparse(factors)
+	sparseModel, err := NewParafacModel(lambda, factors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer missSrv.Close()
-	for i := 0; i < 5; i++ {
-		if dst, err = missSrv.TopKObjects(s, 3, k, dst); err != nil {
-			t.Fatal(err)
+	if sparse := missAllocs(sparseModel); sparse > dense {
+		t.Errorf("miss-path allocs/query = %.1f on the hypersparse model, %.1f on the dense one", sparse, dense)
+	}
+}
+
+// TestNonFiniteModelRejected pins the robustness policy: a NaN or ±Inf
+// λ, core cell or factor entry is refused with an *ErrNonFinite naming
+// where it sits, never served.
+func TestNonFiniteModelRejected(t *testing.T) {
+	check := func(name string, err error, part string, mode int, at []int) {
+		t.Helper()
+		var nf *ErrNonFinite
+		if !errors.As(err, &nf) {
+			t.Fatalf("%s: err = %v, want *ErrNonFinite", name, err)
+		}
+		if nf.Part != part || nf.Mode != mode || !slices.Equal(nf.At, at) || !(math.IsNaN(nf.Value) || math.IsInf(nf.Value, 0)) {
+			t.Fatalf("%s: got %+v, want %s mode %d at %v", name, nf, part, mode, at)
 		}
 	}
-	avg = testing.AllocsPerRun(200, func() {
-		s = (s + 1) % 23
-		dst, _ = missSrv.TopKObjects(s, 3, k, dst)
+	t.Run("lambda", func(t *testing.T) {
+		lambda, factors, _ := testParafac(1, 4, 5, 3, 3)
+		lambda[2] = math.Inf(1)
+		_, err := NewParafacModel(lambda, factors)
+		check("lambda", err, "lambda", -1, []int{2})
 	})
-	if avg > 8 {
-		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", avg)
+	t.Run("factor", func(t *testing.T) {
+		lambda, factors, _ := testParafac(1, 4, 5, 3, 3)
+		factors[1].Set(3, 1, math.NaN())
+		_, err := NewParafacModel(lambda, factors)
+		check("parafac factor", err, "factor", 1, []int{3, 1})
+		core, tfactors, _ := testTucker(2, 4, 5, 3, [3]int{2, 3, 2})
+		tfactors[2].Set(2, 0, math.Inf(-1))
+		_, err = NewTuckerModel(core, tfactors)
+		check("tucker factor", err, "factor", 2, []int{2, 0})
+	})
+	t.Run("core", func(t *testing.T) {
+		core, factors, _ := testTucker(2, 4, 5, 3, [3]int{2, 3, 2})
+		core.Set(math.NaN(), 1, 2, 0)
+		_, err := NewTuckerModel(core, factors)
+		check("core", err, "core", -1, []int{1, 2, 0})
+	})
+}
+
+// TestOverflowScoresNeverPanic pins the one NaN still reachable: a
+// finite model whose query vector overflows. Its scores may be ±Inf or
+// NaN, and the ranking is whatever order the heap produces — but every
+// query returns k results and nothing panics.
+func TestOverflowScoresNeverPanic(t *testing.T) {
+	lambda, factors, _ := testParafac(3, 6, 40, 3, 3)
+	lambda[0] = math.MaxFloat64
+	factors[0].Set(1, 0, 4)
+	hypersparse(factors)
+	model, err := NewParafacModel(lambda, factors)
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv, err := New(model, Config{Shards: 4, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for p := int64(0); p < 3; p++ {
+		if res, err := srv.TopKObjects(1, p, 5, nil); err != nil || len(res) != 5 {
+			t.Fatalf("predicate %d: %d results, err %v", p, len(res), err)
+		}
+	}
+}
+
+// FuzzServeShards drives the production shard path — compaction, the
+// blocked kernel over the compact rows, selection mapped through idx,
+// the zero-row offer and the cross-shard merge — on a fuzzed object
+// factor with a fuzzed set of all-zero rows, shard count, k and query,
+// and requires the served ranking to equal the baseline scorer's at
+// Float64bits.
+//
+// Input: k, shards, rank R, the R query values, then one row per R+1
+// bytes: a flag (odd: an all-zero row) and R values. Each value byte is
+// a small signed multiple of 1/16 (0x80 is −0), so scores are exact,
+// tie often, and never overflow.
+func FuzzServeShards(f *testing.F) {
+	// An all-zero factor; one nonzero row (scoring below zero) and k
+	// above the nonzero count; then mixed signs, a naturally zero row,
+	// a −0 row and ties.
+	f.Add([]byte{5, 3, 1, 16, 240, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7})
+	f.Add([]byte{4, 1, 1, 16, 16, 1, 0, 0, 0, 240, 3, 1, 5, 5, 1, 5, 5})
+	f.Add([]byte{9, 2, 2, 255, 3, 0, 0, 4, 2, 1, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 1, 3, 3, 3, 0, 250, 1, 3, 0, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		k, shards, r := int(data[0]%24), int(data[1]%6)+1, int(data[2]%4)+1
+		data = data[3:]
+		value := func(b byte) float64 {
+			if b == 0x80 {
+				return math.Copysign(0, -1)
+			}
+			return float64(int8(b)) / 16
+		}
+		if len(data) < r+r+1 {
+			return
+		}
+		subj, pred, obj := matrix.New(1, r), matrix.New(1, r), matrix.New((len(data)-r)/(r+1), r)
+		lambda := make([]float64, r)
+		for c := 0; c < r; c++ {
+			subj.Data[c], pred.Data[c], lambda[c] = value(data[c]), 1, 1
+		}
+		data = data[r:]
+		for o := 0; o < obj.Rows; o++ {
+			row := data[o*(r+1) : (o+1)*(r+1)]
+			if row[0]%2 == 1 {
+				continue
+			}
+			for c := 0; c < r; c++ {
+				obj.Set(o, c, value(row[1+c]))
+			}
+		}
+		factors := [3]*matrix.Matrix{subj, obj, pred}
+		model, err := NewParafacModel(lambda, factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(model, Config{Shards: shards, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		got, err := srv.TopKObjects(0, 0, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsBaseline(t, got, baseline.ParafacTopKObjects(lambda, factors, 0, 0, k), fmt.Sprintf("k=%d shards=%d rows=%d", k, shards, obj.Rows))
+	})
 }
 
 func BenchmarkServeCachedQuery(b *testing.B) {

@@ -50,28 +50,31 @@ func better(a, b Result) bool {
 
 // SelectTopK appends the k best entries of scores to dst (usually
 // dst[:0] of a reused buffer) and returns it, best first. Entry i gets
-// index base+i, so a shard selecting over its row slice reports global
-// indexes. The selection keeps a bounded worst-at-root heap of size k —
+// index base+i; every production caller passes base 0, and a shard maps
+// the positions it selects through its own index list. The selection
+// keeps a bounded worst-at-root heap of size k —
 // O(n log k), no allocation beyond dst's growth — and heap-sorts it
 // into descending rank order at the end.
+//
+// Once the heap is full every later entry has a higher index than any
+// it holds, so better(entry, root) is exactly score > root.Score, NaN
+// included: the scan compares with the root's score held in a local.
 func SelectTopK(dst []Result, scores []float64, base int64, k int) []Result {
-	if k > len(scores) {
-		k = len(scores)
-	}
+	k = min(k, len(scores))
 	if k <= 0 {
 		return dst
 	}
 	h := dst[:0]
-	for i, s := range scores {
-		r := Result{Index: base + int64(i), Score: s}
-		if len(h) < k {
-			h = append(h, r)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if better(r, h[0]) {
-			h[0] = r
-			siftDown(h, 0, len(h))
+	for i, s := range scores[:k] {
+		h = append(h, Result{Index: base + int64(i), Score: s})
+		siftUp(h, i)
+	}
+	root := h[0].Score
+	for i, s := range scores[k:] {
+		if s > root {
+			h[0] = Result{Index: base + int64(k+i), Score: s}
+			siftDown(h, 0, k)
+			root = h[0].Score
 		}
 	}
 	// Heap-sort in place: repeatedly swap the worst root to the end.
@@ -126,11 +129,7 @@ func siftDown(h []Result, i, end int) {
 func MergeTopK(dst []Result, parts [][]Result, k int, heads, pos []int) ([]Result, []int, []int) {
 	if len(parts) == 1 {
 		// Single shard: its partial already is the answer.
-		n := k
-		if n > len(parts[0]) {
-			n = len(parts[0])
-		}
-		return append(dst, parts[0][:n]...), heads, pos
+		return append(dst, parts[0][:min(k, len(parts[0]))]...), heads, pos
 	}
 	if cap(heads) < len(parts) {
 		heads = make([]int, 0, len(parts))

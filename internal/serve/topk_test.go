@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -80,6 +81,48 @@ func TestSelectTopKReusesDst(t *testing.T) {
 	}
 	if got[0].Index != 1 || got[1].Index != 2 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestSelectTopKNaNMatchesHeapOrder pins NaN scores — which have no
+// place in the ranking order — to the order the heap produces, as the
+// heap did when it called better on every entry: a NaN never displaces
+// the root, and a NaN root is never displaced.
+func TestSelectTopKNaNMatchesHeapOrder(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		scores []float64
+		k      int
+		want   []int64
+	}{
+		{[]float64{1, nan, 3, 2}, 2, []int64{1, 2}},
+		{[]float64{1, nan, 3, 2}, 3, []int64{1, 2, 3}},
+		{[]float64{nan, 5, 4, 9}, 2, []int64{1, 0}},
+		{[]float64{nan, 5, 4, 9}, 3, []int64{1, 2, 0}},
+		{[]float64{2, 1, nan, nan, 3}, 2, []int64{4, 0}},
+		{[]float64{2, 1, nan, nan, 3}, 3, []int64{4, 2, 0}},
+		{[]float64{nan, 1, nan, 2, 7, nan, 0}, 3, []int64{1, 2, 0}},
+	} {
+		got := SelectTopK(nil, tc.scores, 0, tc.k)
+		for i, r := range got {
+			if r.Index != tc.want[i] {
+				t.Fatalf("%v k=%d: got %v, want indexes %v", tc.scores, tc.k, got, tc.want)
+			}
+		}
+	}
+}
+
+// BenchmarkSelectTopK selects k = 10 from one 32,768-row shard's scores.
+func BenchmarkSelectTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	scores := make([]float64, 32768)
+	for i := range scores {
+		scores[i] = rng.NormFloat64()
+	}
+	dst := make([]Result, 0, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = SelectTopK(dst[:0], scores, 0, 10)
 	}
 }
 
