@@ -1,10 +1,10 @@
 package lint
 
 // Per-function control-flow graphs. The flow-sensitive analyzers
-// (poolreturn, dfsborrow, lockscope, goleak, sharedcapture) all run on
-// the same representation: a list of basic blocks over the function's
-// statements, with edges for if/for/range/switch/select/return and the
-// branch statements, and defers modeled as exit-edge actions. The
+// (poolreturn, dfsborrow) both run on the same representation: a list
+// of basic blocks over the function's statements, with edges for
+// if/for/range/switch/select/return and the branch statements, and
+// defers modeled as exit-edge actions. The
 // builder is purely syntactic — it needs no type information — and it
 // never descends into a nested function literal: a FuncLit inside a
 // statement is a value, and analyzers that care about literal bodies
@@ -23,9 +23,9 @@ package lint
 //     "all registered defers run when the function returns".
 //
 // Calls to panic and os.Exit terminate their block with no successor:
-// facts do not flow from a panicking path to the exit block, so a
-// must-analysis (poolreturn's must-release, goleak's must-join) does
-// not charge obligations on paths that never return normally.
+// facts do not flow from a panicking path to the exit block, so
+// poolreturn's must-release does not charge obligations on paths that
+// never return normally.
 
 import (
 	"go/ast"

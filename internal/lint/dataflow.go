@@ -1,28 +1,23 @@
 package lint
 
-// A generic forward/backward dataflow engine over the CFGs of cfg.go.
-// An analysis supplies a lattice (the fact domain with its join) and a
-// transfer function (the effect of one CFG node on a fact); the solver
-// iterates a worklist to the least fixed point and the analysis then
-// replays blocks to read the fact in force at each node.
+// A forward dataflow engine over the CFGs of cfg.go. An analysis
+// supplies a lattice (the fact domain with its join) and a transfer
+// function (the effect of one CFG node on a fact); the solver iterates
+// a worklist to the least fixed point and the analysis then replays
+// blocks to read the fact in force at each node.
 //
 // Conventions:
 //
 //   - Facts are treated as immutable values. A transfer function must
 //     never mutate its input fact; the copy-on-write set helpers below
-//     make that cheap for the common set-shaped domains.
-//   - Bottom is the join identity (join(Bottom, x) == x), which is the
-//     empty set for a may-analysis (union join) and the ⊤ marker for a
-//     must-analysis (intersection join): an unvisited path constrains
-//     nothing.
-//   - The solver visits only blocks reachable from the boundary, so
-//     facts on unreachable blocks stay Bottom and analyses skip them
-//     via CFG.Reachable.
+//     make that cheap for the set-shaped domains.
+//   - Bottom is the join identity (join(Bottom, x) == x): an unvisited
+//     path constrains nothing.
+//   - The solver visits only blocks reachable from Entry, so facts on
+//     unreachable blocks stay Bottom and analyses skip them via
+//     CFG.Reachable.
 
-import (
-	"go/ast"
-	"sort"
-)
+import "go/ast"
 
 // Fact is one analysis-specific dataflow value.
 type Fact any
@@ -33,17 +28,15 @@ type Fact any
 type Lattice interface {
 	// Bottom is the join identity, used for unvisited blocks.
 	Bottom() Fact
-	// Join combines the facts of two control-flow predecessors
-	// (successors, for a backward analysis).
+	// Join combines the facts of two control-flow predecessors.
 	Join(a, b Fact) Fact
 	// Equal reports whether two facts are the same point of the
 	// lattice (the solver's convergence test).
 	Equal(a, b Fact) bool
 }
 
-// Transfer is the effect of one CFG node on a fact. For a backward
-// analysis the input fact holds after the node (in execution order)
-// and the result holds before it.
+// Transfer is the effect of one CFG node on a fact: the input fact
+// holds before the node, the result after it.
 type Transfer func(n ast.Node, f Fact) Fact
 
 // Flow is one dataflow problem.
@@ -51,17 +44,12 @@ type Flow struct {
 	CFG      *CFG
 	Lat      Lattice
 	Transfer Transfer
-	// Backward selects the analysis direction: facts flow from Exit to
-	// Entry and blocks transfer in reverse node order.
-	Backward bool
-	// Boundary is the fact at the boundary block: Entry's incoming fact
-	// for a forward analysis, Exit's outgoing fact for a backward one.
+	// Boundary is Entry's incoming fact.
 	Boundary Fact
 }
 
 // Solution holds the solved per-block facts. In[b] is the fact at the
-// block's start in execution order, Out[b] at its end, for both
-// directions.
+// block's start, Out[b] at its end.
 type Solution struct {
 	flow *Flow
 	In   map[*Block]Fact
@@ -87,10 +75,10 @@ func (f *Flow) Solve() *Solution {
 			list = append(list, b)
 		}
 	}
-	// Seed every block on a path from the boundary (out-facts equal to
-	// Bottom would otherwise never schedule their successors), but only
-	// those: facts must not leak out of unreachable code.
-	for _, b := range f.reachableFromBoundary() {
+	// Seed every block reachable from Entry (out-facts equal to Bottom
+	// would otherwise never schedule their successors), but only those:
+	// facts must not leak out of unreachable code.
+	for _, b := range f.CFG.Reachable() {
 		push(b)
 	}
 	// The domains are finite-height and transfers monotone, so the
@@ -101,92 +89,31 @@ func (f *Flow) Solve() *Solution {
 		b := list[0]
 		list = list[1:]
 		queued[b.Index] = false
-		if f.Backward {
-			acc := f.Lat.Bottom()
-			if b == f.CFG.Exit {
-				acc = f.Lat.Join(acc, f.Boundary)
-			}
+		acc := f.Lat.Bottom()
+		if b == f.CFG.Entry {
+			acc = f.Lat.Join(acc, f.Boundary)
+		}
+		for _, p := range b.Preds {
+			acc = f.Lat.Join(acc, sol.Out[p])
+		}
+		sol.In[b] = acc
+		nf := acc
+		for _, n := range b.Nodes {
+			nf = f.Transfer(n, nf)
+		}
+		if !f.Lat.Equal(nf, sol.Out[b]) {
+			sol.Out[b] = nf
 			for _, s := range b.Succs {
-				acc = f.Lat.Join(acc, sol.In[s])
-			}
-			sol.Out[b] = acc
-			nf := acc
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				nf = f.Transfer(b.Nodes[i], nf)
-			}
-			if !f.Lat.Equal(nf, sol.In[b]) {
-				sol.In[b] = nf
-				for _, p := range b.Preds {
-					push(p)
-				}
-			}
-		} else {
-			acc := f.Lat.Bottom()
-			if b == f.CFG.Entry {
-				acc = f.Lat.Join(acc, f.Boundary)
-			}
-			for _, p := range b.Preds {
-				acc = f.Lat.Join(acc, sol.Out[p])
-			}
-			sol.In[b] = acc
-			nf := acc
-			for _, n := range b.Nodes {
-				nf = f.Transfer(n, nf)
-			}
-			if !f.Lat.Equal(nf, sol.Out[b]) {
-				sol.Out[b] = nf
-				for _, s := range b.Succs {
-					push(s)
-				}
+				push(s)
 			}
 		}
 	}
 	return sol
 }
 
-// reachableFromBoundary returns the blocks on a path from the
-// direction's boundary: reachable from Entry for a forward analysis,
-// co-reachable from Exit (following edges backwards) for a backward
-// one, in index order.
-func (f *Flow) reachableFromBoundary() []*Block {
-	if !f.Backward {
-		return f.CFG.Reachable()
-	}
-	seen := make([]bool, len(f.CFG.Blocks))
-	stack := []*Block{f.CFG.Exit}
-	seen[f.CFG.Exit.Index] = true
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range blk.Preds {
-			if !seen[p.Index] {
-				seen[p.Index] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	var out []*Block
-	for _, blk := range f.CFG.Blocks {
-		if seen[blk.Index] {
-			out = append(out, blk)
-		}
-	}
-	return out
-}
-
 // Replay walks one block in execution order, calling visit with each
-// node and the fact in force at it: for a forward analysis the fact
-// holds immediately before the node, for a backward analysis
-// immediately after it (the fact about the paths from that point on).
+// node and the fact holding immediately before it.
 func (s *Solution) Replay(b *Block, visit func(n ast.Node, f Fact)) {
-	if s.flow.Backward {
-		f := s.Out[b]
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			visit(b.Nodes[i], f)
-			f = s.flow.Transfer(b.Nodes[i], f)
-		}
-		return
-	}
 	f := s.In[b]
 	for _, n := range b.Nodes {
 		visit(n, f)
@@ -229,68 +156,6 @@ func (SetLattice[K]) Equal(a, b Fact) bool {
 	return len(am) == len(bm) && setLEQ(am, bm)
 }
 
-// MustSet is the fact of a must-analysis over keys of type K: the set
-// of facts holding on EVERY path so far. Top marks the join identity —
-// no path reaches this point yet, so nothing is constrained.
-type MustSet[K comparable] struct {
-	Top bool
-	M   map[K]bool
-}
-
-// Has reports whether k must hold. On ⊤ nothing is known to hold:
-// reporting true there would let unreachable code satisfy a must-fact.
-func (s MustSet[K]) Has(k K) bool { return !s.Top && s.M[k] }
-
-// MustSetLattice is the must-analysis dual of SetLattice: Join is
-// intersection and Bottom the ⊤ marker.
-type MustSetLattice[K comparable] struct{}
-
-func (MustSetLattice[K]) Bottom() Fact { return MustSet[K]{Top: true} }
-
-func (MustSetLattice[K]) Join(a, b Fact) Fact {
-	as, bs := a.(MustSet[K]), b.(MustSet[K])
-	if as.Top {
-		return bs
-	}
-	if bs.Top {
-		return as
-	}
-	if setLEQ(as.M, bs.M) {
-		return as
-	}
-	m := make(map[K]bool)
-	for k := range as.M {
-		if bs.M[k] {
-			m[k] = true
-		}
-	}
-	return MustSet[K]{M: m}
-}
-
-func (MustSetLattice[K]) Equal(a, b Fact) bool {
-	as, bs := a.(MustSet[K]), b.(MustSet[K])
-	if as.Top != bs.Top {
-		return false
-	}
-	return as.Top || (len(as.M) == len(bs.M) && setLEQ(as.M, bs.M))
-}
-
-// BoolLattice is the two-point lattice over bool facts. With All set,
-// Join is conjunction — the fact holds only when it holds on every
-// path (must-analysis) — otherwise disjunction (may-analysis).
-type BoolLattice struct{ All bool }
-
-func (l BoolLattice) Bottom() Fact { return l.All }
-
-func (l BoolLattice) Join(a, b Fact) Fact {
-	if l.All {
-		return a.(bool) && b.(bool)
-	}
-	return a.(bool) || b.(bool)
-}
-
-func (BoolLattice) Equal(a, b Fact) bool { return a == b }
-
 // setLEQ reports a ⊆ b.
 func setLEQ[K comparable](a, b map[K]bool) bool {
 	if len(a) > len(b) {
@@ -328,67 +193,5 @@ func setDel[K comparable](m map[K]bool, k K) map[K]bool {
 			out[key] = true
 		}
 	}
-	return out
-}
-
-// setDelFunc returns the set with every key matching drop removed,
-// copying on write.
-func setDelFunc[K comparable](m map[K]bool, drop func(K) bool) map[K]bool {
-	any := false
-	for k := range m {
-		if drop(k) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return m
-	}
-	out := make(map[K]bool, len(m))
-	for k := range m {
-		if !drop(k) {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// mustAdd returns the must-set with k added, copying on write. Adding
-// to ⊤ pins the set to {k}: the transfer establishes the fact on this
-// path regardless of what was unknown before.
-func mustAdd[K comparable](s MustSet[K], k K) MustSet[K] {
-	if !s.Top && s.M[k] {
-		return s
-	}
-	m := make(map[K]bool, len(s.M)+1)
-	for key := range s.M {
-		m[key] = true
-	}
-	m[k] = true
-	return MustSet[K]{M: m}
-}
-
-// mustDel returns the must-set with k removed, copying on write.
-func mustDel[K comparable](s MustSet[K], k K) MustSet[K] {
-	if s.Top || !s.M[k] {
-		return s
-	}
-	m := make(map[K]bool, len(s.M))
-	for key := range s.M {
-		if key != k {
-			m[key] = true
-		}
-	}
-	return MustSet[K]{M: m}
-}
-
-// sortedKeys returns the set's keys in sorted order, for deterministic
-// diagnostics.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

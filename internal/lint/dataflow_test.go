@@ -8,8 +8,7 @@ import (
 
 // The solver tests run over hand-built CFGs, so they pin the engine's
 // contract independently of the statement-level builder: block facts,
-// join behavior at merges, loop convergence, backward direction, and
-// the boundary fact.
+// join behavior at merges, loop convergence, and the boundary fact.
 
 // litNode makes a distinguishable CFG node: a BasicLit whose Value is
 // the "instruction" the test transfer functions interpret.
@@ -93,53 +92,6 @@ func TestSolveForwardDiamond(t *testing.T) {
 	}
 }
 
-// TestSolveForwardMustDiamond: the must-set dual — a fact established
-// on only one arm must NOT survive the intersection join.
-func TestSolveForwardMustDiamond(t *testing.T) {
-	must := func(n ast.Node, f Fact) Fact {
-		s := f.(MustSet[string])
-		lit, ok := n.(*ast.BasicLit)
-		if !ok {
-			return s
-		}
-		switch {
-		case len(lit.Value) > 4 && lit.Value[:4] == "gen ":
-			return mustAdd(s, lit.Value[4:])
-		case len(lit.Value) > 5 && lit.Value[:5] == "kill ":
-			return mustDel(s, lit.Value[5:])
-		}
-		return s
-	}
-	cfg := handCFG(
-		[][]ast.Node{
-			0: {litNode("gen both")},
-			1: {},
-			2: {litNode("gen x")},
-			3: {},
-			4: {},
-		},
-		[][]int{
-			0: {2, 3},
-			2: {4},
-			3: {4},
-			4: {1},
-		},
-	)
-	sol := (&Flow{
-		CFG:      cfg,
-		Lat:      MustSetLattice[string]{},
-		Transfer: must,
-		Boundary: MustSet[string]{M: map[string]bool{}},
-	}).Solve()
-	merge := sol.In[cfg.Blocks[4]].(MustSet[string])
-	if merge.Has("x") {
-		t.Errorf("must-analysis kept a fact established on only one arm")
-	}
-	if !merge.Has("both") {
-		t.Errorf("must-analysis dropped a fact established on every arm")
-	}
-}
-
 // TestSolveLoopConvergence: a fact generated inside a loop must reach
 // the loop head through the back edge, and the solver must terminate.
 //
@@ -173,73 +125,6 @@ func TestSolveLoopConvergence(t *testing.T) {
 	exit := sol.In[cfg.Exit].(map[string]bool)
 	if !exit["x"] {
 		t.Errorf("loop-generated fact missing at exit: %v", exit)
-	}
-}
-
-// TestSolveBackwardMust: liveness-style backward must-analysis with the
-// bool lattice: "every path from here hits a 'join' instruction". A
-// branch where only one arm joins must report false before the branch.
-func TestSolveBackwardMust(t *testing.T) {
-	joins := func(n ast.Node, f Fact) Fact {
-		lit, ok := n.(*ast.BasicLit)
-		if ok && lit.Value == "join" {
-			return true
-		}
-		return f
-	}
-	cfg := handCFG(
-		[][]ast.Node{
-			0: {litNode("spawn")},
-			1: {},
-			2: {litNode("join")},
-			3: {litNode("noop")},
-			4: {},
-		},
-		[][]int{
-			0: {2, 3},
-			2: {4},
-			3: {4},
-			4: {1},
-		},
-	)
-	sol := (&Flow{
-		CFG:      cfg,
-		Lat:      BoolLattice{All: true},
-		Transfer: joins,
-		Backward: true,
-		Boundary: false,
-	}).Solve()
-	if sol.In[cfg.Blocks[2]].(bool) != true {
-		t.Errorf("path through the joining arm not recognized")
-	}
-	if sol.In[cfg.Blocks[0]].(bool) != false {
-		t.Errorf("must-join reported true although one arm never joins")
-	}
-	// With both arms joining, the spawn point must see true.
-	cfg2 := handCFG(
-		[][]ast.Node{
-			0: {litNode("spawn")},
-			1: {},
-			2: {litNode("join")},
-			3: {litNode("join")},
-			4: {},
-		},
-		[][]int{
-			0: {2, 3},
-			2: {4},
-			3: {4},
-			4: {1},
-		},
-	)
-	sol2 := (&Flow{
-		CFG:      cfg2,
-		Lat:      BoolLattice{All: true},
-		Transfer: joins,
-		Backward: true,
-		Boundary: false,
-	}).Solve()
-	if sol2.In[cfg2.Blocks[0]].(bool) != true {
-		t.Errorf("must-join false although every arm joins")
 	}
 }
 

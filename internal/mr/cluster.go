@@ -419,7 +419,6 @@ func (c *Cluster) record(st JobStats) {
 		// (the tracer never calls back into mr), Emit is pure in-memory
 		// append with no I/O, and record is the single serialization point
 		// for job totals, so the trace rows inherit the counters' order.
-		//haten2:allow lockscope tracer mu is a leaf lock and Emit is in-memory only, no inversion or I/O under c.mu
 		c.traceJob(st)
 	}
 }

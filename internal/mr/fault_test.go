@@ -2,7 +2,9 @@ package mr
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // sumJob is a small deterministic job used throughout the fault tests:
@@ -256,5 +258,74 @@ func TestKillAfterJobsAndRestart(t *testing.T) {
 	c.InstallFaultPlan(nil)
 	if _, _, err := Run(c, sumJob("revived")); err != nil {
 		t.Fatalf("clearing the plan did not revive the cluster: %v", err)
+	}
+}
+
+// TestRunJoinsGoroutines pins that Run joins its map and reduce worker
+// pools on every way out — a succeeding job, an *ErrResourceExhausted
+// job and a fault-plan failure — so the goroutine count is back at the
+// warmed-up baseline within a short deadline of Run returning. Record 0
+// sleeps for four deadlines, so a pool Run failed to join is still
+// running when the deadline expires.
+func TestRunJoinsGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // a pool of 4, not the serial path
+	const deadline, nap = 25 * time.Millisecond, 100 * time.Millisecond
+	slowJob := func(name string) Job[int64, int64, int64] {
+		j := sumJob(name)
+		j.Inputs = []Input[int64, int64]{MapInput("in", func(x int64, emit func(int64, int64)) {
+			if x == 0 {
+				time.Sleep(nap)
+			}
+			emit(x%16, x)
+		})}
+		return j
+	}
+	cfg := Config{Machines: 4, SlotsPerMachine: 2}
+	tight := cfg
+	tight.MaxShuffleRecords = 10 // task 0's 8 records run; task 1 trips
+	cases := []struct {
+		name string
+		cfg  Config
+		plan *FaultPlan
+		want func(err error) bool
+	}{
+		{"ok", cfg, nil, func(err error) bool { return err == nil }},
+		{"exhausted", tight, nil, func(err error) bool {
+			var re *ErrResourceExhausted
+			return errors.As(err, &re)
+		}},
+		{"failed", cfg, &FaultPlan{Seed: 1, FailureRate: 1.0, MaxAttempts: 3}, func(err error) bool {
+			var jf *ErrJobFailed
+			return errors.As(err, &jf)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cycle := func() {
+				c := NewCluster(tc.cfg)
+				writeFaultInput(t, c)
+				c.InstallFaultPlan(tc.plan)
+				if _, _, err := Run(c, slowJob(tc.name)); !tc.want(err) {
+					t.Fatalf("unexpected Run error: %v", err)
+				}
+			}
+			cycle() // warm up lazy runtime machinery before taking the baseline
+			// Outsleep record 0 so that a pool the warm-up failed to
+			// join has exited and is not counted in the baseline.
+			time.Sleep(2 * nap)
+			before := runtime.NumGoroutine()
+			for i := 0; i < 8; i++ {
+				cycle()
+				end := time.Now().Add(deadline)
+				for runtime.NumGoroutine() > before {
+					if time.Now().After(end) {
+						buf := make([]byte, 1<<20)
+						t.Fatalf("cycle %d: goroutines leaked: %d -> %d\n%s",
+							i, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		})
 	}
 }

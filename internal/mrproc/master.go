@@ -198,7 +198,8 @@ func New(opt Options) (*Master, error) {
 		}
 	}
 	if opt.HeartbeatInterval > 0 {
-		//haten2:allow goleak heartbeat loop is the master's persistent daemon; Close closes hbStop and blocks on hbDone to join it
+		// The heartbeat loop is the master's persistent daemon; Close
+		// closes hbStop and blocks on hbDone to join it.
 		go m.heartbeatLoop()
 	} else {
 		close(m.hbDone)

@@ -27,7 +27,7 @@ func (q qkey) hash() uint64 {
 }
 
 // flight is one in-progress computation of a query that followers wait
-// on. done is closed (outside the stripe lock — lockscope) once results
+// on. done is closed (outside the stripe lock, which stays a leaf) once results
 // is filled; err reports a failed leader so followers don't serve a
 // zero-value ranking.
 type flight struct {

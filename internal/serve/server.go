@@ -167,10 +167,11 @@ func New(model *Model, cfg Config) (*Server, error) {
 	}
 
 	s.wg.Add(1 + len(s.workers))
-	//haten2:allow goleak dispatcher is a persistent daemon; Close closes s.queue and s.wg.Wait joins it
+	// The dispatcher and shard workers are persistent daemons: Close
+	// closes s.queue, the dispatcher closes the workers' channels on
+	// shutdown, and Close's s.wg.Wait joins them all.
 	go s.dispatch()
 	for _, w := range s.workers {
-		//haten2:allow goleak shard workers are persistent daemons; the dispatcher closes their channels on shutdown and Close's s.wg.Wait joins them
 		go w.run()
 	}
 	return s, nil

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/haten2/haten2/internal/baseline"
 	"github.com/haten2/haten2/internal/matrix"
@@ -242,6 +243,42 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil model accepted")
+	}
+}
+
+// TestCloseJoinsGoroutines pins that Close joins the dispatcher and
+// every shard worker: after New, a few queries and Close, the goroutine
+// count is back at the warmed-up baseline the moment Close returns. One
+// P means a goroutine Close failed to join cannot run, let alone exit,
+// before the count is read, so the check needs no settling time and
+// cannot pass by luck.
+func TestCloseJoinsGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, _, model := testParafac(9, 8, 40, 5, 3)
+	cycle := func() {
+		srv, err := New(model, Config{Shards: 4, CacheSize: 4, MaxBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := int64(0); q < 6; q++ {
+			if _, err := srv.TopKObjects(q, q%5, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+	}
+	cycle() // warm up lazy runtime machinery before taking the baseline
+	// Sleep so that goroutines the warm-up failed to join have exited
+	// and are not counted in the baseline.
+	time.Sleep(50 * time.Millisecond)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		cycle()
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("cycle %d: %d goroutines outlive Close (baseline %d)\n%s",
+				i, n-before, before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -2,13 +2,14 @@ package tensor
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadCOO exercises the text parser on arbitrary input: it must
-// never panic, and every tensor it accepts must round-trip through
-// WriteCOO/ReadCOO unchanged.
+// never panic, every value it accepts must be finite, and every tensor
+// it accepts must round-trip through WriteCOO/ReadCOO unchanged.
 func FuzzReadCOO(f *testing.F) {
 	seeds := []string{
 		"",
@@ -17,11 +18,14 @@ func FuzzReadCOO(f *testing.F) {
 		"# tensor 2 2\n0 1 3.25\n",
 		"# comment\n0 0 0 0 0 7\n",
 		"0 0 0 1e308\n",
+		"0 0 0 1e308\n0 0 0 1e308\n",
 		"# tensor 1\n0 1\n",
 		"a b c d\n",
 		"# tensor -1 2 2\n",
 		"9999999999999999999999 0 0 1\n",
 		"0 0 0 nan\n",
+		"0 0 0 +Inf\n",
+		"9223372036854775807 0 0 1\n",
 		"0 0 0 1\n0 0 1\n",
 	}
 	for _, s := range seeds {
@@ -31,6 +35,11 @@ func FuzzReadCOO(f *testing.F) {
 		x, err := ReadCOO(strings.NewReader(in))
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		for p := 0; p < x.NNZ(); p++ {
+			if v := x.Value(p); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite value %v", v)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteCOO(&buf, x); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,6 +46,9 @@ func WriteCOO(w io.Writer, t *Tensor) error {
 // ReadCOO parses the format written by WriteCOO. Lines that are empty or
 // start with '#' (other than the shape header) are skipped. If no shape
 // header is present, the shape is inferred as max-index+1 per mode.
+// Values must be finite: NaN and ±Inf are rejected with the line
+// number, as are duplicate entries whose sum overflows, since any one
+// of them turns every fitted factor into NaN.
 func ReadCOO(r io.Reader) (*Tensor, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -94,11 +98,19 @@ func ReadCOO(r io.Reader) (*Tensor, error) {
 			if c < 0 {
 				return nil, fmt.Errorf("tensor: line %d: negative index %d", lineNo, c)
 			}
+			if c == math.MaxInt64 {
+				// No dimension can hold it: the inferred size c+1
+				// would overflow.
+				return nil, fmt.Errorf("tensor: line %d: index %d out of range", lineNo, c)
+			}
 			coords[m] = c
 		}
 		v, err := strconv.ParseFloat(fields[order], 64)
 		if err != nil {
 			return nil, fmt.Errorf("tensor: line %d: bad value %q: %v", lineNo, fields[order], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("tensor: line %d: non-finite value %q", lineNo, fields[order])
 		}
 		rows = append(rows, coords)
 		vals = append(vals, v)
@@ -132,5 +144,10 @@ func ReadCOO(r io.Reader) (*Tensor, error) {
 		t.Append(vals[i], coords...)
 	}
 	t.Coalesce()
+	for p := 0; p < t.NNZ(); p++ {
+		if v := t.val[p]; math.IsInf(v, 0) {
+			return nil, fmt.Errorf("tensor: duplicate entries at %v sum to %v", t.Index(p), v)
+		}
+	}
 	return t, nil
 }

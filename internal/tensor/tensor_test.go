@@ -380,16 +380,22 @@ func TestReadCOOInfersShape(t *testing.T) {
 }
 
 func TestReadCOOErrors(t *testing.T) {
-	cases := []string{
-		"",                      // empty, no header
-		"0 a 0 1\n",             // bad index
-		"0 0 0 x\n",             // bad value
-		"0 0 1\n0 0 0 1\n",      // inconsistent order
-		"# tensor 2 2\n5 0 1\n", // index out of declared range
+	cases := []struct{ in, want string }{
+		{"", "empty input"},
+		{"0 a 0 1\n", "line 1: bad index"},
+		{"0 0 0 x\n", "line 1: bad value"},
+		{"0 0 1\n0 0 0 1\n", "line 2: inconsistent order"},
+		{"# tensor 2 2\n5 0 1\n", "exceeds declared dim"},
+		{"0 0 0 NaN\n", "line 1: non-finite value"},
+		{"0 0 0 1\n0 0 0 +Inf\n", "line 2: non-finite value"},
+		{"0 0 0 -Inf\n", "line 1: non-finite value"},
+		{"9223372036854775807 0 0 1\n", "line 1: index 9223372036854775807 out of range"},
+		{"0 0 0 1e308\n0 0 0 1e308\n", "sum to +Inf"},
 	}
-	for i, in := range cases {
-		if _, err := ReadCOO(strings.NewReader(in)); err == nil {
-			t.Fatalf("case %d: expected error", i)
+	for _, c := range cases {
+		_, err := ReadCOO(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadCOO(%q) error = %v, want one containing %q", c.in, err, c.want)
 		}
 	}
 }
