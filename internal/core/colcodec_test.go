@@ -116,6 +116,54 @@ func TestMatEntryBlockSizerMatchesEncoder(t *testing.T) {
 	}
 }
 
+// checkFileCodec pins a record type's file codec as the engine calls it
+// (mr.FileCodec, found on the zero record): FileBlockSize is the length
+// AppendFileBlock writes, and DecodeFileBlock gives back recs — compared
+// through their re-encoding, which is bit-exact on float payloads.
+func checkFileCodec[R any](t *testing.T, recs []R) {
+	t.Helper()
+	codec, ok := any(*new(R)).(mr.FileCodec)
+	if !ok {
+		t.Fatalf("%T has no file codec", recs)
+	}
+	enc := codec.AppendFileBlock(nil, recs)
+	if got, want := int64(len(enc)), codec.FileBlockSize(recs); got != want {
+		t.Fatalf("%T: encoded %d bytes, sizer declared %d", recs, got, want)
+	}
+	dec, rest, err := codec.DecodeFileBlock(append(enc, 0xee))
+	if err != nil || len(rest) != 1 {
+		t.Fatalf("%T: decode: %v, %d trailing", recs, err, len(rest))
+	}
+	if back, ok := dec.([]R); !ok || len(back) != len(recs) || string(codec.AppendFileBlock(nil, back)) != string(enc) {
+		t.Fatalf("%T: decode ∘ encode is not the identity", recs)
+	}
+}
+
+// TestFileCodecs pins the file codec of every record type a plan
+// stages on the DFS, at both tensor orders, on sorted and unsorted
+// records with wide deltas, and on no records at all.
+func TestFileCodecs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	wide := func() int64 { return rng.Int63n(1<<40) - 1<<39 }
+	for _, n := range []int{0, 1, 700} {
+		e3, e4 := make([]Entry, n), make([]EntryOf[[4]int64], n)
+		h3, h4 := make([]HEntry, n), make([]HEntryOf[[4]int64], n)
+		cells := make([]MatEntry, n)
+		for i := 0; i < n; i++ {
+			e3[i] = Entry{Idx: [3]int64{int64(i / 50), int64(i % 50), wide()}, Val: rng.NormFloat64()}
+			e4[i] = EntryOf[[4]int64]{Idx: [4]int64{int64(i / 50), wide(), int64(i % 7), -int64(i)}, Val: math.NaN()}
+			h3[i] = HEntry{Idx: e3[i].Idx, Col: int32(i % 5), Val: rng.NormFloat64()}
+			h4[i] = HEntryOf[[4]int64]{Idx: e4[i].Idx, Col: int32(rng.Intn(1 << 20)), Val: math.Inf(-1)}
+			cells[i] = MatEntry{Row: wide(), Col: int32(i % 9), Val: rng.NormFloat64()}
+		}
+		checkFileCodec(t, e3)
+		checkFileCodec(t, e4)
+		checkFileCodec(t, h3)
+		checkFileCodec(t, h4)
+		checkFileCodec(t, cells)
+	}
+}
+
 // svalIncrementalSize folds svalPairSize the way the engine folds a
 // BlockSizer: each pair sized against its predecessor, the first
 // against zero values, plus the header.
@@ -375,6 +423,8 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		{Idx: [3]int64{-9, 0, 1 << 40}, Val: math.Inf(-1)},
 	}))
 	f.Add(uint8(0), AppendMatEntryBlock(nil, []MatEntry{{Row: 5, Col: -1, Val: math.NaN()}}))
+	f.Add(uint8(4), appendHEntryBlock(nil, []HEntry{{Idx: [3]int64{3, 0, 9}, Col: 2, Val: -0.5}, {Idx: [3]int64{3, 1, 0}, Col: 0, Val: 1}}))
+	f.Add(uint8(5), appendHEntryBlock(nil, []HEntryOf[[4]int64]{{Idx: [4]int64{1, 2, 3, 1 << 33}, Col: 1 << 30, Val: math.Inf(1)}}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		// Forward: data → records → encode → size check → decode.
 		rng := rand.New(rand.NewSource(int64(len(data))))
@@ -385,7 +435,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			return rng.Int63n(1000) - 500
 		}
 		n := int(kind % 17)
-		switch kind % 4 {
+		switch kind % 6 {
 		case 0:
 			es := make([]Entry, n)
 			for i := range es {
@@ -474,23 +524,39 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 					t.Fatalf("order-4 sval %d mismatch", i)
 				}
 			}
+		case 4:
+			hs := make([]HEntry, n)
+			for i := range hs {
+				hs[i] = HEntry{Idx: [3]int64{take(4 * i), take(4*i + 1), take(4*i + 2)}, Col: int32(take(4*i + 3)), Val: rng.NormFloat64()}
+			}
+			checkFileCodec(t, hs)
+		case 5:
+			hs := make([]HEntryOf[[4]int64], n)
+			for i := range hs {
+				hs[i] = HEntryOf[[4]int64]{Idx: [4]int64{take(5 * i), take(5*i + 1), take(5*i + 2), take(5*i + 3)}, Col: int32(take(5*i + 4)), Val: rng.NormFloat64()}
+			}
+			checkFileCodec(t, hs)
 		}
 
 		// Backward: arbitrary bytes through the decoders. Acceptance is
 		// rare (the count header must be plausible), but whenever a
 		// decoder accepts, re-encoding must reproduce the consumed
 		// prefix exactly.
-		if es, rest, err := DecodeEntryBlock(data); err == nil {
-			reenc := AppendEntryBlock(nil, es)
-			if consumed := len(data) - len(rest); len(reenc) != consumed || string(reenc) != string(data[:consumed]) {
-				t.Fatalf("Entry decoder accepted %d bytes but re-encode differs", consumed)
-			}
-		}
-		if cs, rest, err := DecodeMatEntryBlock(data); err == nil {
-			reenc := AppendMatEntryBlock(nil, cs)
-			if consumed := len(data) - len(rest); len(reenc) != consumed || string(reenc) != string(data[:consumed]) {
-				t.Fatalf("MatEntry decoder accepted %d bytes but re-encode differs", consumed)
-			}
-		}
+		reencodes(t, data, Entry{})
+		reencodes(t, data, MatEntry{})
+		reencodes(t, data, HEntry{})
+		reencodes(t, data, HEntryOf[[4]int64]{})
 	})
+}
+
+// reencodes is the backward direction of FuzzColumnarRoundTrip for the
+// file codec of zero's record type.
+func reencodes(t *testing.T, data []byte, zero mr.FileCodec) {
+	t.Helper()
+	if recs, rest, err := zero.DecodeFileBlock(data); err == nil {
+		reenc := zero.AppendFileBlock(nil, recs)
+		if consumed := len(data) - len(rest); len(reenc) != consumed || string(reenc) != string(data[:consumed]) {
+			t.Fatalf("%T decoder accepted %d bytes but re-encode differs", zero, consumed)
+		}
+	}
 }

@@ -15,7 +15,9 @@ func FuzzBlockChecksum(f *testing.F) {
 	f.Add(uint8(1), uint16(4), uint8(1), []byte("corrupt me"))
 	f.Add(uint8(2), uint16(9), uint8(0x80), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(3), uint16(2), uint8(7), []byte("replica"))
-	f.Add(uint8(4), uint16(31), uint8(0x10), []byte("0123456789abcdef0123456789abcdef"))
+	f.Add(uint8(6), uint16(31), uint8(0x10), []byte("0123456789abcdef0123456789abcdef"))
+	f.Add(uint8(4), uint16(13), uint8(0x02), []byte("hadamard column"))
+	f.Add(uint8(5), uint16(40), uint8(0x21), []byte("order four"))
 	f.Fuzz(func(t *testing.T, kind uint8, pos uint16, delta uint8, data []byte) {
 		if delta == 0 {
 			delta = 1 // xor 0 is not a mutation
@@ -29,7 +31,7 @@ func FuzzBlockChecksum(f *testing.F) {
 		}
 		var enc []byte
 		decode := func([]byte) error { return nil }
-		switch kind % 4 {
+		switch kind % 6 {
 		case 0:
 			es := make([]Entry, n)
 			for i := range es {
@@ -72,6 +74,20 @@ func FuzzBlockChecksum(f *testing.F) {
 			}
 			enc = appendSValBlock(nil, keys, vals)
 			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[4]int64](b, nil, nil); return err }
+		case 4:
+			hs := make([]HEntry, n)
+			for i := range hs {
+				hs[i] = HEntry{Idx: [3]int64{take(4 * i), take(4*i + 1), take(4*i + 2)}, Col: int32(take(4*i+3) % 300), Val: float64(take(i)) / 5}
+			}
+			enc = appendHEntryBlock(nil, hs)
+			decode = func(b []byte) error { _, _, err := decodeHEntryBlock[[3]int64](b); return err }
+		case 5:
+			hs := make([]HEntryOf[[4]int64], n)
+			for i := range hs {
+				hs[i] = HEntryOf[[4]int64]{Idx: [4]int64{take(3 * i), take(3*i + 1), int64(i), take(3*i + 2)}, Col: int32(i % 4), Val: float64(take(i)) / 13}
+			}
+			enc = appendHEntryBlock(nil, hs)
+			decode = func(b []byte) error { _, _, err := decodeHEntryBlock[[4]int64](b); return err }
 		}
 		if err := decode(enc); err != nil {
 			t.Fatalf("pristine block rejected: %v", err)
@@ -80,7 +96,7 @@ func FuzzBlockChecksum(f *testing.F) {
 		enc[i] ^= delta
 		if err := decode(enc); err == nil {
 			t.Fatalf("single-byte mutation at offset %d (xor %#02x) of a %d-record kind-%d block decoded silently",
-				i, delta, n, kind%4)
+				i, delta, n, kind%6)
 		}
 	})
 }

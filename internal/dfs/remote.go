@@ -39,9 +39,10 @@ func (fs *FS) SetRemote(r Remote) {
 // HashBytes folds a byte string through the splitmix64 chain the
 // file-system checksums use, seeded with the length so strings that
 // differ only by trailing zeros hash apart. The multi-process backend
-// keys its content-addressed chunk store with it: a chunk's hash is a
-// pure function of its bytes, so re-shipping unchanged content is
-// detected without moving it.
+// places with it: a mirrored file goes to the workers after
+// HashBytes(name) on its ring, and a shuffle partition to the worker its
+// encoded (job, seq, reducer) key hashes to — pure functions of the
+// namespace, so placement never depends on scheduling.
 func HashBytes(b []byte) uint64 {
 	h := storageMix(uint64(len(b)) ^ 0x9e3779b97f4a7c15)
 	for len(b) >= 8 {

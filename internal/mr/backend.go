@@ -32,11 +32,11 @@ import (
 // factor matrices must be bit-identical to the in-process engine.
 //
 // Error semantics: ShipFile/FetchFile are best-effort mirrors — a
-// fetch that fails (file never shipped, encode unsupported, worker
-// lost beyond replication) makes the engine fall back to its
-// in-process read of the same bytes, so file-plane failures degrade
-// throughput, never correctness. The shuffle plane is authoritative:
-// partitions exist only in the backend once shipped, so
+// file that cannot be fetched (never shipped, a record type without a
+// FileCodec, a worker lost beyond replication) makes the engine fall
+// back to its in-process read of the same records, so file-plane
+// failures degrade throughput, never correctness. The shuffle plane is
+// authoritative: partitions exist only in the backend once shipped, so
 // ShipPartitions/FetchPartitions errors fail the job, exactly as a real
 // cluster fails a job whose map outputs become unreachable.
 //
@@ -66,7 +66,10 @@ type Backend interface {
 	FetchPartitions(keys []PartKey, visit func(i int, data []byte) error) error
 	// ReleaseJob frees every partition of the named job run.
 	ReleaseJob(job string, seq int64) error
-	// ShipFile mirrors the encoded content of a published DFS file.
+	// ShipFile mirrors the encoded content of a published DFS file,
+	// replacing any earlier copy of the same name. data is lent for the
+	// call only, as ShipPartitions' blocks are: the engine reuses it on
+	// return, so an implementation that keeps it copies it.
 	ShipFile(name string, data []byte) error
 	// FetchFile returns the encoded content of a mirrored file.
 	FetchFile(name string) ([]byte, error)
@@ -101,8 +104,9 @@ func (e *ErrNoRemoteFile) Error() string {
 // Loopback is a Backend that stores shipped bytes in process memory.
 // It exists to pin the serialization seam: with Loopback installed the
 // engine runs the exact code path of a multi-process backend — every
-// shuffle partition and every job input is encoded, shipped, fetched,
-// and decoded — without sockets or subprocesses. The conformance suite
+// shuffle partition, and every job input whose record type has a
+// FileCodec, is encoded, shipped, fetched, and decoded — without
+// sockets or subprocesses. The conformance suite
 // runs it as the bridge case between the in-process engine and mrproc.
 type Loopback struct {
 	mu    sync.Mutex
@@ -153,7 +157,7 @@ func (l *Loopback) ReleaseJob(job string, seq int64) error {
 func (l *Loopback) ShipFile(name string, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.files[name] = data
+	l.files[name] = bytes.Clone(data)
 	return nil
 }
 
@@ -219,22 +223,45 @@ func (c *Cluster) remote() Backend {
 	return nil
 }
 
-// remoteAdapter bridges the DFS's publish/delete hooks to a Backend:
-// published files are encoded with the wire codec and shipped; files
-// whose payload type the codec cannot express (or whose ship fails)
-// are simply not mirrored, and reads of them fall back in-process.
+// FileCodec is a record type's file codec: how a DFS file of R records
+// crosses an out-of-process backend — as one block — and comes back. A
+// record type provides it as methods on R itself, and the engine finds
+// them on the zero R of a file's []R payload; there is no registry. recs
+// is always a []R: FileBlockSize is the exact length AppendFileBlock
+// appends, and DecodeFileBlock parses one block, returning the trailing
+// bytes. A file whose record type has no FileCodec is not mirrored, and
+// jobs read it in process.
+type FileCodec interface {
+	FileBlockSize(recs any) int64
+	AppendFileBlock(dst []byte, recs any) []byte
+	DecodeFileBlock(src []byte) (recs any, rest []byte, err error)
+}
+
+// fileCodec returns the FileCodec of a file payload's record type.
+func fileCodec(payload any) (FileCodec, bool) {
+	if payload == nil {
+		return nil, false
+	}
+	codec, ok := reflect.Zero(reflect.TypeOf(payload).Elem()).Interface().(FileCodec)
+	return codec, ok
+}
+
+// remoteAdapter bridges the DFS's publish/delete hooks to a Backend: a
+// published file is encoded as its record type's block, into a pooled
+// slab of exactly the block's size that is lent to ShipFile and
+// reclaimed on return. Files without a FileCodec (or whose ship fails)
+// are simply not mirrored, and reads of them fall back in process.
 type remoteAdapter struct{ b Backend }
 
 func (a *remoteAdapter) Ship(name string, payload any, _ int) {
-	data, err := wire.EncodeSlice(payload)
-	if err != nil {
-		// Unsupported payload (a map- or interface-valued record, a file
-		// published without a block): leave the file unmirrored.
-		// Correctness is untouched — the engine reads it in-process.
+	codec, ok := fileCodec(payload)
+	if !ok {
 		return
 	}
+	buf := codec.AppendFileBlock(getSlice[byte](int(codec.FileBlockSize(payload))), payload)
 	//haten2:allow errcheck-io best-effort mirror: a failed ship leaves the file unmirrored and reads fall back in-process
-	_ = a.b.ShipFile(name, data)
+	_ = a.b.ShipFile(name, buf)
+	putSlice(buf)
 }
 
 func (a *remoteAdapter) Drop(name string) {
@@ -242,18 +269,22 @@ func (a *remoteAdapter) Drop(name string) {
 	_ = a.b.DropFile(name)
 }
 
-// fetchTyped fetches the mirrored encoding of a file and
-// decodes it to the same element type as the in-process payload it
-// shadows. ok is false when the backend does not mirror the file (or
-// the fetched bytes fail to decode), in which case the caller uses the
-// in-process payload.
+// fetchTyped fetches the mirrored block of a file and decodes it to the
+// records of the in-process payload it shadows. ok is false when the
+// record type has no FileCodec, the backend does not mirror the file, or
+// the fetched bytes are not exactly one block of want records, in which
+// case the caller uses the in-process payload.
 func fetchTyped(b Backend, name string, local any, want int) (payload any, ok bool) {
+	codec, ok := fileCodec(local)
+	if !ok {
+		return nil, false
+	}
 	data, err := b.FetchFile(name)
 	if err != nil {
 		return nil, false
 	}
-	decoded, err := wire.DecodeSlice(reflect.TypeOf(local).Elem(), data)
-	if err != nil || reflect.ValueOf(decoded).Len() != want {
+	decoded, rest, err := codec.DecodeFileBlock(data)
+	if err != nil || len(rest) != 0 || reflect.ValueOf(decoded).Len() != want {
 		return nil, false
 	}
 	return decoded, true

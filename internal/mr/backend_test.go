@@ -10,8 +10,9 @@ import (
 
 // TestLoopbackWordCount pins the backend seam at its smallest scale:
 // the same job on the in-process engine and on the loopback backend
-// (full encode/ship/fetch/decode of inputs and shuffle partitions)
-// must produce identical outputs and identical counters.
+// (full encode/ship/fetch/decode of the shuffle partitions; a string
+// has no file codec, so the input is read in process) must produce
+// identical outputs and identical counters.
 func TestLoopbackWordCount(t *testing.T) {
 	lines := []string{"a b a", "b c", "a", "d e f g h i j k"}
 	plain := testCluster(4)

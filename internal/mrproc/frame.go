@@ -14,14 +14,14 @@
 //     and oversized lengths are errors, never panics or allocations
 //     (FuzzWireFraming pins this).
 //   - proto.go + worker.go: the request/response protocol and the
-//     worker process serving it — a content-addressed chunk store for
-//     files (splitmix64-chained hashes via dfs.HashBytes, so
-//     re-replication and checkpoint shipping move only changed chunks)
-//     and a plain partition store for shuffle data.
+//     worker process serving it — a partition store for shuffle data
+//     and a file store holding each mirrored file as the one columnar
+//     block it arrived as (a file moves whole, once per replica: ALS
+//     rewrites every file it mirrors, so there is nothing to dedupe).
 //   - master.go: the mr.Backend implementation — spawns workers,
 //     tracks membership (register → live → draining → exited, dead on
-//     heartbeat miss), places partitions and files by hash, and drains
-//     workers before shutdown.
+//     heartbeat miss), places partitions and files by hash
+//     (dfs.HashBytes), and drains workers before shutdown.
 package mrproc
 
 import (
@@ -65,10 +65,10 @@ const (
 	ftPartData             // worker → master: partition bytes
 	ftPartAbsent           // worker → master: no such partition
 	ftReleaseJob           // master → worker: drop a job run's partitions
-	ftShipFile             // master → worker: file manifest (chunk hashes)
-	ftNeedChunks           // worker → master: chunk indices it lacks
-	ftChunkData            // master → worker: one chunk's bytes
-	ftFileOK               // worker → master: file assembled and stored
+	ftShipFile             // master → worker: store a file (payload: name, block)
+	_                      // retired: chunk indices a worker lacked
+	_                      // retired: one chunk's bytes
+	ftFileOK               // worker → master: file stored
 	ftFetchFile            // master → worker: read a file
 	ftFileData             // worker → master: file bytes
 	ftFileAbsent           // worker → master: no such file
@@ -108,9 +108,9 @@ func endFrame(dst []byte, at int) []byte {
 	n := len(dst) - at - frameHeaderLen
 	if n > maxFramePayload {
 		// Callers never build oversized payloads (partition windows close
-		// their frames at frameTarget, chunks are bounded well below the
-		// cap); treat it as a programmer error rather than silently
-		// corrupting the stream.
+		// their frames at frameTarget, a file block is far below the cap);
+		// treat it as a programmer error rather than silently corrupting
+		// the stream.
 		panic(fmt.Sprintf("mrproc: frame payload %d exceeds %d", n, maxFramePayload))
 	}
 	binary.LittleEndian.PutUint32(dst[at+5:], uint32(n))
@@ -154,24 +154,36 @@ func decodeFrame(b []byte) (frameType, []byte, int, error) {
 }
 
 // writeFrame writes one frame to w (a bufio.Writer everywhere outside
-// tests) without assembling it: header, payload and trailer go out as
-// three writes, the CRC accumulated across them.
-func writeFrame(w io.Writer, t frameType, payload []byte) error {
-	if len(payload) > maxFramePayload {
+// tests) without assembling it: the header, the payload — its parts laid
+// end to end, each written from where it lies — and the trailer go out
+// as separate writes, the CRC accumulated across them.
+func writeFrame(w io.Writer, t frameType, payload ...[]byte) error {
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
+	if n > maxFramePayload {
 		return ErrOversized
 	}
 	var hdr [frameHeaderLen + frameTrailerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	hdr[4] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum(hdr[4:frameHeaderLen], crcTable), crcTable, payload)
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(n))
+	crc := crc32.Checksum(hdr[4:frameHeaderLen], crcTable)
+	for _, p := range payload {
+		crc = crc32.Update(crc, crcTable, p)
+	}
 	binary.LittleEndian.PutUint32(hdr[frameHeaderLen:], crc)
-	for _, part := range [3][]byte{hdr[:frameHeaderLen], payload, hdr[frameHeaderLen:]} {
-		if _, err := w.Write(part); err != nil {
+	if _, err := w.Write(hdr[:frameHeaderLen]); err != nil {
+		return err
+	}
+	for _, p := range payload {
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err := w.Write(hdr[frameHeaderLen:])
+	return err
 }
 
 // readFrame reads one frame from r. The payload is freshly allocated

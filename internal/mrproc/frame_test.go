@@ -53,7 +53,7 @@ func TestFrameTruncation(t *testing.T) {
 // produce an error (bad magic, bad CRC, oversized, or truncation —
 // never a silent wrong decode, never a panic).
 func TestFrameCorruption(t *testing.T) {
-	enc := encodeFrame(nil, ftChunkData, []byte("chunk payload with some length"))
+	enc := encodeFrame(nil, ftShipFile, []byte("file payload with some length"))
 	for i := 0; i < len(enc); i++ {
 		mut := append([]byte{}, enc...)
 		mut[i] ^= 0x40
@@ -90,12 +90,21 @@ func shipFrame(entries ...string) []byte {
 	return endFrame(pw.b, at)
 }
 
+// shipFileFrame builds the ftShipFile frame of one file.
+func shipFileFrame(name, block string) []byte {
+	buf, at := beginFrame(nil, ftShipFile)
+	pw := protoWriter{b: buf}
+	pw.str(name)
+	return endFrame(append(pw.b, block...), at)
+}
+
 // FuzzWireFraming is the frame codec's robustness pin: for arbitrary
 // input bytes — read as a window, frame after frame — the buffer decoder
 // and the stream reader must agree, must never panic, and anything
 // either accepts must re-encode to a decodable frame with identical
 // content; the worker's walk over a ship frame's entries must end in
-// the payload's last byte or an error. Truncations (mid-frame,
+// the payload's last byte or an error, and a ship-file frame must split
+// into a name and a block that tile its payload. Truncations (mid-frame,
 // mid-window, and mid-entry under a valid CRC), CRC flips, and oversized
 // lengths (all present in the seed corpus) must error.
 func FuzzWireFraming(f *testing.F) {
@@ -113,6 +122,7 @@ func FuzzWireFraming(f *testing.F) {
 	window := append(shipFrame("block one", "block two"), shipFrame("block three")...)
 	f.Add(window)
 	f.Add(window[:len(window)-9]) // cut inside the window's second frame
+	f.Add(shipFileFrame("stage/X", "columnar block bytes"))
 	whole := shipFrame("block one", "block two")
 	f.Add(encodeFrame(nil, ftShipPart, whole[frameHeaderLen:len(whole)-frameTrailerLen-4])) // cut inside the second entry, CRC intact
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -139,6 +149,10 @@ func FuzzWireFraming(f *testing.F) {
 			ft2, p2, n2, err2 := decodeFrame(re)
 			if err2 != nil || ft2 != ft1 || !bytes.Equal(p2, p1) || n2 != len(re) {
 				t.Fatalf("re-encode round trip failed: %v", err2)
+			}
+			if name, block, err := decShipFile(p1); ft1 == ftShipFile && err == nil &&
+				(len(name)+len(block) >= len(p1) || string(p1[len(p1)-len(block):]) != string(block)) {
+				t.Fatalf("ship-file frame split into %d + %d bytes of %d", len(name), len(block), len(p1))
 			}
 			if ft1 == ftShipPart {
 				for r := (protoReader{b: p1}); len(r.b) > 0; {

@@ -2,11 +2,14 @@ package mrproc
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,13 +107,16 @@ type Stats struct {
 	PartitionsShipped int64
 	PartitionBytes    int64
 	PartitionsFetched int64
+	// FilesShipped and FileBytes count mirrored files and their block
+	// bytes once each; ChunksShipped and ChunkBytesShipped count the
+	// per-replica transfers of those blocks and the bytes they moved.
 	FilesShipped      int64
 	FileBytes         int64
 	ChunksShipped     int64
 	ChunkBytesShipped int64
-	// ChunksDeduped/ChunkBytesDeduped count manifest chunks a target
-	// worker already held — content the incremental transfer never
-	// moved.
+	// ChunksDeduped and ChunkBytesDeduped are always 0: files move whole,
+	// with nothing deduplicated. They remain, with the Chunk* names, only
+	// until the benchmark stops reading them.
 	ChunksDeduped     int64
 	ChunkBytesDeduped int64
 	Heartbeats        int64
@@ -157,7 +163,6 @@ type Master struct {
 		partsShipped, partBytes, partsFetched atomic.Int64
 		filesShipped, fileBytes               atomic.Int64
 		chunksShipped, chunkBytesShipped      atomic.Int64
-		chunksDeduped, chunkBytesDeduped      atomic.Int64
 		heartbeats, heartbeatMisses           atomic.Int64
 	}
 
@@ -341,7 +346,7 @@ func (m *Master) call(w *worker, t frameType, payload []byte, want ...frameType)
 }
 
 func (m *Master) callLocked(w *worker, t frameType, payload []byte, want ...frameType) (frameType, []byte, error) {
-	if err := m.sendLocked(w, encodeFrame(nil, t, payload)); err != nil {
+	if err := m.sendFrameLocked(w, t, payload); err != nil {
 		return ftInvalid, nil, err
 	}
 	return m.recvLocked(w, nil, want...)
@@ -365,11 +370,28 @@ func (m *Master) armLocked(w *worker) error {
 // sendLocked writes the frames built in buf to the worker. Called with
 // w.mu held.
 func (m *Master) sendLocked(w *worker, buf []byte) error {
-	err := m.armLocked(w)
-	if err != nil {
+	if err := m.armLocked(w); err != nil {
 		return err
 	}
-	if _, err = w.bw.Write(buf); err == nil {
+	_, err := w.bw.Write(buf)
+	return m.flushLocked(w, err)
+}
+
+// sendFrameLocked writes one frame of type t to the worker, its payload
+// the parts laid end to end, each written from where it lies: a file's
+// block is never copied into a frame. Called with w.mu held.
+func (m *Master) sendFrameLocked(w *worker, t frameType, payload ...[]byte) error {
+	if err := m.armLocked(w); err != nil {
+		return err
+	}
+	return m.flushLocked(w, writeFrame(w.bw, t, payload...))
+}
+
+// flushLocked completes a send: it flushes what was written unless the
+// write already failed, and a failure of either marks the worker down.
+// Called with w.mu held.
+func (m *Master) flushLocked(w *worker, err error) error {
+	if err == nil {
 		err = w.bw.Flush()
 	}
 	if err != nil {
@@ -594,20 +616,38 @@ func (m *Master) ReleaseJob(job string, seq int64) error {
 	return firstErr
 }
 
-// ShipFile mirrors a file to its replication set using the incremental
-// chunk protocol: each target answers the manifest with the chunk
-// indices it lacks, and only those move. A file counts as shipped when
-// at least one replica holds it.
+// ShipFile mirrors a file to its replication set as one ftShipFile
+// frame (name, block) per replica, the block written from the caller's
+// slice. The replicas are locked in worker order, so concurrent ships
+// cannot deadlock, and the frame goes to every one of them before any
+// ack is read: a worker reads a whole frame before it acks, so the acks
+// only ever wait for the master's reads. A file counts as shipped when
+// at least one replica stored it.
 func (m *Master) ShipFile(name string, data []byte) error {
-	chunks := splitChunks(data)
-	manifest := encManifest(name, chunks)
-	var stored int
+	if len(name)+len(data)+binary.MaxVarintLen64 > maxFramePayload {
+		return ErrOversized // too big for one frame: the file stays unmirrored
+	}
+	ws := m.fileWorkers(name)
+	slices.SortFunc(ws, func(a, b *worker) int { return a.id - b.id })
+	for _, w := range ws {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+	}
+	var pw protoWriter
+	pw.str(name)
+	var sent []*worker
 	var firstErr error
-	for _, w := range m.fileWorkers(name) {
-		if err := m.shipFileTo(w, name, manifest, chunks, data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+	for _, w := range ws {
+		if err := m.sendFrameLocked(w, ftShipFile, pw.b, data); err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			continue
+		}
+		sent = append(sent, w)
+	}
+	stored := 0
+	for _, w := range sent {
+		if _, _, err := m.recvLocked(w, nil, ftFileOK); err != nil {
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		stored++
@@ -617,47 +657,8 @@ func (m *Master) ShipFile(name string, data []byte) error {
 	}
 	m.stats.filesShipped.Add(1)
 	m.stats.fileBytes.Add(int64(len(data)))
-	return nil
-}
-
-// shipFileTo runs the master side of the incremental transfer with one
-// worker: manifest → needed indices → chunk data → file commit. The
-// whole conversation holds the worker's lock; the protocol is
-// request/response per worker, and interleaving another request inside
-// the transfer would desynchronize the stream.
-func (m *Master) shipFileTo(w *worker, name string, manifest []byte, chunks []chunkRef, data []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, needRaw, err := m.callLocked(w, ftShipFile, manifest, ftNeedChunks)
-	if err != nil {
-		return err
-	}
-	need, err := decNeed(needRaw, len(chunks))
-	if err != nil {
-		w.markDownLocked()
-		return err
-	}
-	var shippedBytes int64
-	for _, idx := range need {
-		off := int(idx) * chunkSize
-		chunk := data[off : off+int(chunks[idx].size)]
-		if err := writeFrame(w.bw, ftChunkData, encChunk(idx, chunk)); err != nil {
-			w.markDownLocked()
-			return err
-		}
-		shippedBytes += int64(len(chunk))
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.markDownLocked()
-		return err
-	}
-	if _, _, err := m.recvLocked(w, nil, ftFileOK); err != nil {
-		return err
-	}
-	m.stats.chunksShipped.Add(int64(len(need)))
-	m.stats.chunkBytesShipped.Add(shippedBytes)
-	m.stats.chunksDeduped.Add(int64(len(chunks) - len(need)))
-	m.stats.chunkBytesDeduped.Add(int64(len(data)) - shippedBytes)
+	m.stats.chunksShipped.Add(int64(stored))
+	m.stats.chunkBytesShipped.Add(int64(stored * len(data)))
 	return nil
 }
 
@@ -767,8 +768,6 @@ func (m *Master) Stats() Stats {
 		FileBytes:         m.stats.fileBytes.Load(),
 		ChunksShipped:     m.stats.chunksShipped.Load(),
 		ChunkBytesShipped: m.stats.chunkBytesShipped.Load(),
-		ChunksDeduped:     m.stats.chunksDeduped.Load(),
-		ChunkBytesDeduped: m.stats.chunkBytesDeduped.Load(),
 		Heartbeats:        m.stats.heartbeats.Load(),
 		HeartbeatMisses:   m.stats.heartbeatMisses.Load(),
 	}

@@ -79,53 +79,49 @@ func TestPartitionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIncrementalFileTransfer pins the content-hashed transfer: a
-// re-ship of unchanged content moves zero chunks, and a one-byte edit
-// moves exactly the chunk containing it.
-func TestIncrementalFileTransfer(t *testing.T) {
+// TestFileTransfer pins the file plane: a file is stored as the block
+// it was shipped as and comes back byte for byte, a re-ship replaces it,
+// a drop forgets it, a dead primary fails over to the next replica, and
+// every replica's copy moves exactly once.
+func TestFileTransfer(t *testing.T) {
 	m := newMaster(t, Options{Workers: 2, Replication: 2, HeartbeatInterval: -1})
 	defer m.Close()
-	data := make([]byte, 3*chunkSize+100) // four chunks, last one partial
-	for i := range data {
-		data[i] = byte(i * 7)
+	cells := make([]core.MatEntry, 3000)
+	for i := range cells {
+		cells[i] = core.MatEntry{Row: int64(i / 4), Col: int32(i % 4), Val: float64(i) / 7}
 	}
-	if err := m.ShipFile("stage/checkpoint", data); err != nil {
+	block := core.AppendMatEntryBlock(nil, cells)
+	if err := m.ShipFile("stage/A", block); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := m.FetchFile("stage/A"); err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("fetch: %d of %d bytes, %v", len(got), len(block), err)
+	}
+	updated := core.AppendMatEntryBlock(nil, cells[:1000])
+	if err := m.ShipFile("stage/A", updated); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.FetchFile("stage/A"); err != nil || !bytes.Equal(got, updated) {
+		t.Fatalf("fetch after re-ship: %d of %d bytes, %v", len(got), len(updated), err)
 	}
 	s := m.Stats()
-	if s.ChunksShipped != 8 || s.ChunkBytesShipped != 2*int64(len(data)) || s.ChunksDeduped != 0 {
-		t.Fatalf("first ship (4 chunks x 2 replicas): %+v", s)
+	if moved := int64(len(block) + len(updated)); s.FilesShipped != 2 || s.FileBytes != moved ||
+		s.ChunksShipped != 4 || s.ChunkBytesShipped != 2*moved || s.ChunksDeduped != 0 || s.ChunkBytesDeduped != 0 {
+		t.Fatalf("two ships of %d and %d bytes to 2 replicas: %+v", len(block), len(updated), s)
 	}
-	if got, err := m.FetchFile("stage/checkpoint"); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fetch: %d bytes, %v", len(got), err)
-	}
-	// Identical content: everything dedupes, nothing moves.
-	if err := m.ShipFile("stage/checkpoint", data); err != nil {
-		t.Fatal(err)
-	}
-	s = m.Stats()
-	if s.ChunksShipped != 8 || s.ChunksDeduped != 8 || s.ChunkBytesDeduped != 2*int64(len(data)) {
-		t.Fatalf("identical re-ship: %+v", s)
-	}
-	// A one-byte edit in the last chunk: only that chunk transfers.
-	data2 := append([]byte{}, data...)
-	data2[len(data2)-1] ^= 0xff
-	if err := m.ShipFile("stage/checkpoint", data2); err != nil {
-		t.Fatal(err)
-	}
-	s = m.Stats()
-	if s.ChunksShipped != 10 || s.ChunksDeduped != 14 {
-		t.Fatalf("edited re-ship: %+v", s)
-	}
-	if got, err := m.FetchFile("stage/checkpoint"); err != nil || !bytes.Equal(got, data2) {
-		t.Fatalf("fetch after edit: %d bytes, %v", len(got), err)
-	}
-	if err := m.DropFile("stage/checkpoint"); err != nil {
+	if err := m.DropFile("stage/A"); err != nil {
 		t.Fatal(err)
 	}
 	var missing *mr.ErrNoRemoteFile
-	if _, err := m.FetchFile("stage/checkpoint"); !errors.As(err, &missing) {
+	if _, err := m.FetchFile("stage/A"); !errors.As(err, &missing) {
 		t.Fatalf("fetch after drop: %v", err)
+	}
+	if err := m.ShipFile("stage/B", block); err != nil {
+		t.Fatal(err)
+	}
+	reap(t, m, m.fileWorkers("stage/B")[0].id)
+	if got, err := m.FetchFile("stage/B"); err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("fetch with the primary dead: %d of %d bytes, %v", len(got), len(block), err)
 	}
 }
 
@@ -190,7 +186,7 @@ func TestDrainShutdownClean(t *testing.T) {
 				t.Fatalf("iteration %d: ship: %v", i, err)
 			}
 		}
-		if err := m.ShipFile("drain/file", bytes.Repeat([]byte("x"), 3*chunkSize)); err != nil {
+		if err := m.ShipFile("drain/file", bytes.Repeat([]byte("x"), 3<<16)); err != nil {
 			t.Fatalf("iteration %d: ship file: %v", i, err)
 		}
 		if err := m.Close(); err != nil {

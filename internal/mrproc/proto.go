@@ -16,25 +16,10 @@ import (
 
 var errShortPayload = errors.New("mrproc: truncated message payload")
 
-// chunkSize is the content-addressed transfer granularity for files.
-// Factor matrices in the paper's configurations are a few hundred KB,
-// so a 64 KiB chunk gives real dedupe opportunities (an unchanged
-// chunk of a re-shipped checkpoint is recognized by hash and skipped)
-// without bloating manifests.
-const chunkSize = 64 << 10
-
-// chunkRef names one chunk of a file: content hash plus exact size
-// (the last chunk is short).
-type chunkRef struct {
-	hash uint64
-	size uint32
-}
-
 type protoWriter struct{ b []byte }
 
 func (w *protoWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *protoWriter) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *protoWriter) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *protoWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
 	w.b = append(w.b, s...)
@@ -61,15 +46,6 @@ func (r *protoReader) varint() (int64, error) {
 		return 0, errShortPayload
 	}
 	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *protoReader) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, errShortPayload
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
 	return v, nil
 }
 
@@ -166,89 +142,12 @@ func decReleaseJob(p []byte) (string, int64, error) {
 	return job, seq, r.done()
 }
 
-// ship-file request: name + manifest (per-chunk hash and size). The
-// worker answers with the indices of chunks it does not hold.
-func encManifest(name string, chunks []chunkRef) []byte {
-	var w protoWriter
-	w.str(name)
-	w.uvarint(uint64(len(chunks)))
-	for _, c := range chunks {
-		w.u64(c.hash)
-		w.uvarint(uint64(c.size))
-	}
-	return w.b
-}
-
-func decManifest(p []byte) (string, []chunkRef, error) {
+// decShipFile reads a ship-file request: the file's name, then its
+// block to the end of the payload, aliasing it.
+func decShipFile(p []byte) (string, []byte, error) {
 	r := protoReader{b: p}
 	name, err := r.str()
-	if err != nil {
-		return "", nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.b)) { // ≥1 byte per chunk entry
-		return "", nil, errShortPayload
-	}
-	chunks := make([]chunkRef, n)
-	for i := range chunks {
-		if chunks[i].hash, err = r.u64(); err != nil {
-			return "", nil, err
-		}
-		sz, err := r.uvarint()
-		if err != nil || sz > chunkSize {
-			return "", nil, errShortPayload
-		}
-		chunks[i].size = uint32(sz)
-	}
-	return name, chunks, r.done()
-}
-
-// need-chunks response: indices into the manifest.
-func encNeed(idx []uint32) []byte {
-	var w protoWriter
-	w.uvarint(uint64(len(idx)))
-	for _, i := range idx {
-		w.uvarint(uint64(i))
-	}
-	return w.b
-}
-
-func decNeed(p []byte, nchunks int) ([]uint32, error) {
-	r := protoReader{b: p}
-	n, err := r.uvarint()
-	if err != nil || n > uint64(nchunks) {
-		return nil, errShortPayload
-	}
-	idx := make([]uint32, n)
-	for i := range idx {
-		v, err := r.uvarint()
-		if err != nil || v >= uint64(nchunks) {
-			return nil, errShortPayload
-		}
-		idx[i] = uint32(v)
-	}
-	return idx, r.done()
-}
-
-// chunk-data message: manifest index + bytes.
-func encChunk(idx uint32, data []byte) []byte {
-	var w protoWriter
-	w.uvarint(uint64(idx))
-	w.bytes(data)
-	return w.b
-}
-
-func decChunk(p []byte) (uint32, []byte, error) {
-	r := protoReader{b: p}
-	idx, err := r.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	data, err := r.bytes()
-	if err != nil {
-		return 0, nil, err
-	}
-	return uint32(idx), data, r.done()
+	return name, r.b, err
 }
 
 func encName(name string) []byte {
@@ -279,20 +178,4 @@ func decHello(p []byte) (int, error) {
 		return 0, err
 	}
 	return int(id), r.done()
-}
-
-// splitChunks cuts data into chunkSize pieces and hashes each with the
-// DFS checksum chain. Chunk boundaries are fixed offsets, so an
-// unchanged prefix or suffix of a re-shipped file keeps its hashes and
-// is never moved again.
-func splitChunks(data []byte) []chunkRef {
-	chunks := make([]chunkRef, 0, (len(data)+chunkSize-1)/chunkSize)
-	for off := 0; off < len(data); off += chunkSize {
-		end := off + chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunks = append(chunks, chunkRef{hash: hashChunk(data[off:end]), size: uint32(end - off)})
-	}
-	return chunks
 }

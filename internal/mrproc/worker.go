@@ -7,8 +7,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-
-	"github.com/haten2/haten2/internal/dfs"
 )
 
 // Environment hook: a process started with these variables set is a
@@ -45,11 +43,6 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// hashChunk is the content hash of the chunk store: the DFS checksum
-// chain (splitmix64) over the chunk's bytes. Sharing the machinery with
-// the file system keeps one hash discipline across the whole data path.
-func hashChunk(b []byte) uint64 { return dfs.HashBytes(b) }
-
 // jobRun names one run of a job: what ReleaseJob frees as a unit.
 type jobRun struct {
 	job string
@@ -58,68 +51,15 @@ type jobRun struct {
 
 // workerStore is a worker process's in-memory state: shuffle partitions
 // by job run and then (task, reducer), so releasing a run drops one map
-// entry instead of scanning every run's partitions; and files as
-// manifests over a reference-counted, content-addressed chunk store.
-// Two files (or two generations of one file) sharing identical chunks
-// store them once; the ship protocol only ever transfers chunks the
-// store lacks.
+// entry instead of scanning every run's partitions; and files by name,
+// each the block it arrived as.
 type workerStore struct {
-	parts  map[jobRun]map[[2]int][]byte
-	files  map[string][]chunkRef
-	chunks map[uint64][]byte
-	refs   map[uint64]int
+	parts map[jobRun]map[[2]int][]byte
+	files map[string][]byte
 }
 
 func newWorkerStore() *workerStore {
-	return &workerStore{
-		parts:  make(map[jobRun]map[[2]int][]byte),
-		files:  make(map[string][]chunkRef),
-		chunks: make(map[uint64][]byte),
-		refs:   make(map[uint64]int),
-	}
-}
-
-// retain bumps a chunk's refcount, returning whether the store already
-// held it.
-func (s *workerStore) retain(h uint64) bool {
-	_, ok := s.chunks[h]
-	if ok {
-		s.refs[h]++
-	}
-	return ok
-}
-
-// dropFile forgets a file and releases its chunks.
-func (s *workerStore) dropFile(name string) {
-	refs, ok := s.files[name]
-	if !ok {
-		return
-	}
-	delete(s.files, name)
-	for _, c := range refs {
-		if s.refs[c.hash]--; s.refs[c.hash] <= 0 {
-			delete(s.refs, c.hash)
-			delete(s.chunks, c.hash)
-		}
-	}
-}
-
-// assemble concatenates a file's chunks. The bool is false when the
-// store does not hold the file.
-func (s *workerStore) assemble(name string) ([]byte, bool) {
-	refs, ok := s.files[name]
-	if !ok {
-		return nil, false
-	}
-	var total int
-	for _, c := range refs {
-		total += int(c.size)
-	}
-	out := make([]byte, 0, total)
-	for _, c := range refs {
-		out = append(out, s.chunks[c.hash]...)
-	}
-	return out, true
+	return &workerStore{parts: make(map[jobRun]map[[2]int][]byte), files: make(map[string][]byte)}
 }
 
 // RunWorker dials the master, registers as worker id, and serves
@@ -217,10 +157,12 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 			}
 			delete(store.parts, jobRun{job, seq})
 		case ftShipFile:
-			if err := receiveFile(br, bw, store, payload); err != nil {
+			// The stored block aliases the payload, which this loop owns.
+			name, data, err := decShipFile(payload)
+			if err != nil {
 				return err
 			}
-			continue
+			store.files[name], rt = data, ftFileOK
 		case ftFetchFile:
 			name, err := decName(payload)
 			if err != nil {
@@ -228,7 +170,7 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 			}
 			rt = ftFileData
 			var ok bool
-			if rp, ok = store.assemble(name); !ok {
+			if rp, ok = store.files[name]; !ok {
 				rt = ftFileAbsent
 			}
 		case ftDropFile:
@@ -236,7 +178,7 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 			if err != nil {
 				return err
 			}
-			store.dropFile(name)
+			delete(store.files, name)
 		case ftDrain:
 			if err := writeFrame(bw, ftDrainOK, nil); err != nil {
 				return err
@@ -260,83 +202,4 @@ func serve(br *bufio.Reader, bw *bufio.Writer, store *workerStore) error {
 			return err
 		}
 	}
-}
-
-// receiveFile runs the worker side of the incremental file transfer:
-// read the manifest, claim the chunks already in the content store,
-// request the rest, verify each arriving chunk against its declared
-// hash, and only then publish the new manifest (atomically replacing
-// any previous generation of the file).
-func receiveFile(br *bufio.Reader, bw *bufio.Writer, store *workerStore, payload []byte) error {
-	name, chunks, err := decManifest(payload)
-	if err != nil {
-		return err
-	}
-	var need []uint32
-	for i, c := range chunks {
-		if !store.retain(c.hash) {
-			need = append(need, uint32(i))
-		}
-	}
-	// Claimed refcounts must be rolled back if the transfer dies midway,
-	// or aborted transfers would leak pinned chunks.
-	claimed := len(chunks) - len(need)
-	rollback := func() {
-		for _, c := range chunks {
-			if claimed == 0 {
-				break
-			}
-			if _, ok := store.chunks[c.hash]; ok {
-				store.refs[c.hash]--
-				claimed--
-			}
-		}
-	}
-	if err := writeFrame(bw, ftNeedChunks, encNeed(need)); err != nil {
-		rollback()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		rollback()
-		return err
-	}
-	got := make(map[uint32][]byte, len(need))
-	for range need {
-		t, p, err := readFrame(br)
-		if err != nil {
-			rollback()
-			return err
-		}
-		if t != ftChunkData {
-			rollback()
-			return fmt.Errorf("mrproc: want chunk frame, got type %d", t)
-		}
-		idx, data, err := decChunk(p)
-		if err != nil {
-			rollback()
-			return err
-		}
-		if int(idx) >= len(chunks) || hashChunk(data) != chunks[idx].hash || uint32(len(data)) != chunks[idx].size {
-			rollback()
-			if err := writeFrame(bw, ftError, []byte("mrproc: chunk hash mismatch")); err != nil {
-				return err
-			}
-			return bw.Flush()
-		}
-		got[idx] = data
-	}
-	// All chunks verified: install them, then swap the manifest in.
-	for idx, data := range got {
-		h := chunks[idx].hash
-		if _, ok := store.chunks[h]; !ok {
-			store.chunks[h] = data
-		}
-		store.refs[h]++
-	}
-	store.dropFile(name)
-	store.files[name] = chunks
-	if err := writeFrame(bw, ftFileOK, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
