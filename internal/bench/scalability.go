@@ -433,7 +433,10 @@ func CombinerAblation(cfg Config) (*Report, error) {
 				emit(s)
 			},
 			Partition: mr.HashTriple,
-			KVSize:    func([3]int64, float64) int64 { return 32 },
+			BlockKV: &mr.BlockSizer[[3]int64, float64]{
+				Pair:   func([3]int64, float64, [3]int64, float64) int64 { return 32 },
+				Header: func(int) int64 { return 0 },
+			},
 		}
 		if withCombiner {
 			job.Combine = func(k [3]int64, vs []float64) []float64 {

@@ -291,7 +291,8 @@ func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 		counter := &shipCounter{Loopback: mr.NewLoopback()}
 		var stats [2]mr.JobStats
 		for i, backend := range []mr.Backend{nil, counter} {
-			c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2, Backend: backend})
+			c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+			c.SetBackend(backend)
 			if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,8 @@ func TestLoopbackWordCount(t *testing.T) {
 
 // TestLoopbackOutputOrder pins that output *order*, not just content,
 // survives the seam: a multi-reducer job's concatenated output must be
-// byte-for-byte the in-process engine's.
+// byte-for-byte the in-process engine's. Five worker slots make five
+// reducers, so routing takes the modulo path, not the power-of-two mask.
 func TestLoopbackOutputOrder(t *testing.T) {
 	lines := []string{"q w e r t y u i o p", "a s d f g h j k l", "z x c v b n m"}
 	run := func(c *Cluster) []string {
@@ -71,16 +72,16 @@ func TestLoopbackOutputOrder(t *testing.T) {
 				}
 				return h
 			},
-			Reducers: 5,
-			Outputs:  []string{"out"},
+			Outputs: []string{"out"},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	want := run(testCluster(4))
-	loop := testCluster(4)
+	fiveSlots := func() *Cluster { return NewCluster(Config{Machines: 5, SlotsPerMachine: 1}) }
+	want := run(fiveSlots())
+	loop := fiveSlots()
 	loop.SetBackend(NewLoopback())
 	if got := run(loop); !reflect.DeepEqual(got, want) {
 		t.Fatalf("order differs:\n got  %v\n want %v", got, want)

@@ -191,7 +191,9 @@ func (e *ErrResourceExhausted) Error() string {
 		e.Job, e.ShuffleRecords, e.Limit)
 }
 
-// Config describes a simulated cluster.
+// Config describes a simulated cluster. Its Machines·SlotsPerMachine
+// worker slots are also every job's reduce task count. A cluster starts
+// on the in-process data plane; Cluster.SetBackend installs another.
 type Config struct {
 	// Machines is the number of machines (the paper uses 10–40).
 	Machines int
@@ -204,11 +206,6 @@ type Config struct {
 	MaxShuffleRecords int64
 	// Cost is the simulated-time model; zero value takes defaults.
 	Cost CostModel
-	// Backend, when non-nil, is installed on the new cluster as if by
-	// SetBackend: an out-of-process backend routes every job's shuffle
-	// partitions and inputs through it. nil keeps the in-process data
-	// plane.
-	Backend Backend
 }
 
 // Cluster is a simulated Hadoop cluster: a DFS plus job execution with
@@ -264,11 +261,7 @@ func NewClusterWithFS(cfg Config, fs *dfs.FS) *Cluster {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
-	c := &Cluster{cfg: cfg, fs: fs}
-	if cfg.Backend != nil {
-		c.SetBackend(cfg.Backend)
-	}
-	return c
+	return &Cluster{cfg: cfg, fs: fs}
 }
 
 // InstallFaultPlan installs (or, with nil, removes) a failure schedule

@@ -565,7 +565,8 @@ func fileBytesLent(t *testing.T, newBackend Factory) {
 }
 
 // wordJob is a job without a block codec: its partitions cross the seam
-// through the wire-codec fallback.
+// through the wire-codec fallback. It runs on wordCluster's five worker
+// slots, so its five reducers route by modulo, not by power-of-two mask.
 func wordJob(lines []string) func(c *mr.Cluster) ([]string, mr.JobStats, error) {
 	return func(c *mr.Cluster) ([]string, mr.JobStats, error) {
 		if err := mr.WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
@@ -582,21 +583,22 @@ func wordJob(lines []string) func(c *mr.Cluster) ([]string, mr.JobStats, error) 
 			Partition: func(k string) uint64 {
 				return dfs.HashBytes([]byte(k))
 			},
-			Reducers: 5,
 		})
 	}
 }
+
+func wordCluster() *mr.Cluster { return mr.NewCluster(mr.Config{Machines: 5, SlotsPerMachine: 1}) }
 
 // fallbackCodec runs a job with no BlockKV through the backend: output
 // and counters must equal the in-process engine's, and its partitions
 // must really have crossed the seam.
 func fallbackCodec(t *testing.T, newBackend Factory) {
 	job := wordJob([]string{"q w e r t y u i o p", "a s d f g h j k l", "z x c v b n m q w e", "a a a"})
-	want, wantStats, err := job(mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2}))
+	want, wantStats, err := job(wordCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+	c := wordCluster()
 	m := installMetered(t, c, newBackend)
 	got, gotStats, err := job(c)
 	if err != nil {
@@ -614,7 +616,7 @@ func fallbackCodec(t *testing.T, newBackend Factory) {
 // knows every bucket is empty, so nothing is shipped and — the point —
 // nothing is fetched.
 func emptyShuffle(t *testing.T, newBackend Factory) {
-	c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+	c := wordCluster()
 	m := installMetered(t, c, newBackend)
 	out, st, err := wordJob([]string{"", "  ", ""})(c)
 	if err != nil || len(out) != 0 || st.ShuffleRecords != 0 {

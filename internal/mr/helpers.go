@@ -68,13 +68,15 @@ func ReadFile[T any](c *Cluster, name string) ([]T, error) {
 	return out, nil
 }
 
-// Recycle hands a slice previously returned by Run (or any slice the
-// caller owns outright) back to the engine's typed buffer pools, where
-// the next job with the same record type will reuse its backing array.
-// The caller must not touch s afterwards. Recycling is optional — an
-// un-recycled output is ordinary garbage — but callers that drop
-// multi-million-record outputs within one step should recycle to keep
-// the allocator off the engine's critical path.
+// Recycle hands a slice returned by Run for a job without Outputs (or
+// any slice the caller owns outright) back to the engine's typed buffer
+// pools, where the next job with the same record type will reuse its
+// backing array. What Run returns for a job with Outputs is a DFS
+// file's block and must never be recycled. The caller must not touch s
+// afterwards. Recycling is optional — an un-recycled output is ordinary
+// garbage — but callers that drop multi-million-record outputs within
+// one step should recycle to keep the allocator off the engine's
+// critical path.
 func Recycle[T any](s []T) {
 	putSlice(s)
 }

@@ -3,7 +3,6 @@ package mr
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,7 +62,9 @@ type BlockSizer[K comparable, V any] struct {
 	Decode func(src []byte, keys []K, vals []V) ([]K, []V, []byte, error)
 }
 
-// Job describes one MapReduce job.
+// Job describes one MapReduce job. It runs one reduce task per worker
+// slot of the cluster, and its reduce output is one part per file of
+// Outputs (one part when there are none).
 type Job[K comparable, V any, O any] struct {
 	// Name labels the job in statistics.
 	Name string
@@ -91,33 +92,26 @@ type Job[K comparable, V any, O any] struct {
 	// pair to route the shuffle and again in the reduce-side grouper,
 	// and the two calls must agree.
 	Partition func(K) uint64
-	// KVSize reports the serialized size in bytes of one intermediate
-	// pair, used for shuffle accounting. Nil means 24 bytes per pair.
-	// Ignored when BlockKV is set.
-	KVSize func(K, V) int64
-	// BlockKV, when non-nil, switches shuffle-byte accounting from the
-	// per-record KVSize to a block codec: each map task's per-reducer
+	// BlockKV is the job's shuffle codec: each map task's per-reducer
 	// bucket is charged as one contiguous encoded block (header plus
 	// delta-encoded records), mirroring how a real Hadoop job compresses
 	// each map task's spill per partition. Counters, resource limits and
-	// simulated time then reflect the codec's real wire size.
+	// simulated time then reflect the codec's real wire size. Nil means
+	// 24 bytes per pair and no header.
 	BlockKV *BlockSizer[K, V]
 	// OutSize reports the serialized size of one output record. Nil
 	// means 24 bytes.
 	OutSize func(O) int64
 	// Outputs, when non-empty, writes the job's output records to DFS
-	// files (the between-jobs materialization Tables III/IV bound). One
-	// file gets a copy of the records Run returns. Two or more are
-	// Hadoop's MultipleOutputs, with which HaTen2's IMHP job writes 𝒯′
-	// and 𝒯″: the records a reducer emits for key k go to part
-	// OutputPart(k), each part's slab becomes its file's block uncopied,
-	// and Run returns no records.
+	// files (the between-jobs materialization Tables III/IV bound), one
+	// part per file: each part's slab becomes its file's block uncopied.
+	// Two or more are Hadoop's MultipleOutputs, with which HaTen2's IMHP
+	// job writes 𝒯′ and 𝒯″: the records a reducer emits for key k go to
+	// part OutputPart(k).
 	Outputs []string
 	// OutputPart names the part of Outputs a key's records go to. It is
 	// required with two or more Outputs and an error with fewer.
 	OutputPart func(K) int
-	// Reducers overrides the reduce task count; 0 means one per worker.
-	Reducers int
 	// ExtraShuffleRecords and ExtraShuffleBytes charge additional
 	// intermediate data that a faithful implementation would have
 	// shuffled but that the simulator elides for tractability. HaTen2's
@@ -161,10 +155,13 @@ func (o *mapOut[K, V]) release() {
 	o.slab, o.segs = nil, nil
 }
 
-// Run executes the job on the cluster and returns the reduce outputs in
-// deterministic order along with the job's statistics. It returns
-// ErrResourceExhausted if the shuffle exceeds the cluster's configured
-// capacity, emulating the out-of-memory failures of Figures 1 and 7.
+// Run executes the job on the cluster and returns part 0 of its reduce
+// output in deterministic order along with the job's statistics. For a
+// job without Outputs the records are the caller's, who may Recycle
+// them; otherwise they are a read-only view of the first file's block,
+// which the DFS owns. It returns ErrResourceExhausted if the shuffle
+// exceeds the cluster's configured capacity, emulating the
+// out-of-memory failures of Figures 1 and 7.
 func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStats, error) {
 	if len(job.Inputs) == 0 {
 		return nil, JobStats{}, fmt.Errorf("mr: job %q has no inputs", job.Name)
@@ -192,10 +189,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if outSize == nil {
 		outSize = func(O) int64 { return 24 }
 	}
-	reducers := job.Reducers
-	if reducers <= 0 {
-		reducers = c.Workers()
-	}
+	reducers := c.Workers()
 	// rb is non-nil when an out-of-process backend owns the data plane:
 	// inputs are fetched from it when mirrored, and the shuffle always
 	// round-trips through it (ship after map, fetch inside reduce).
@@ -248,14 +242,11 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// non-empty (map task, reducer) segment is one block — the
 	// per-partition spill a real job would encode and ship: Header once
 	// plus consecutive-pair deltas, the first pair sized against zero
-	// values. Without one, KVSize (or the flat 24 bytes) is a headerless
-	// codec whose pairs ignore their predecessor.
+	// values. Without one, a flat 24 bytes is a headerless codec whose
+	// pairs ignore their predecessor.
 	sizer := job.BlockKV
 	if sizer == nil {
 		sizer = &BlockSizer[K, V]{Pair: func(K, V, K, V) int64 { return 24 }, Header: func(int) int64 { return 0 }}
-		if kv := job.KVSize; kv != nil {
-			sizer.Pair = func(_ K, _ V, k K, v V) int64 { return kv(k, v) }
-		}
 	}
 
 	// runTask executes one map task: produce drives the input's map
@@ -690,10 +681,10 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	// Create publishes no part (and, like every failed job, charges no
 	// output). A part comes from the typed pool — big jobs emit hundreds
 	// of megabytes here, and cycling fresh slabs through the allocator
-	// every job turns into page-fault storms — and is either the
-	// returned records (callers that drop them quickly can hand them
-	// back with Recycle) or, with several outputs, its file's block: the
-	// DFS owns it from the handoff on.
+	// every job turns into page-fault storms — and is its file's block,
+	// which the DFS owns from the handoff on, or, for a job without
+	// Outputs, the returned records (callers that drop them quickly can
+	// hand them back with Recycle).
 	writers := make([]*dfs.Writer, 0, len(job.Outputs))
 	for _, name := range job.Outputs {
 		w, err := c.fs.Create(name)
@@ -705,7 +696,6 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		}
 		writers = append(writers, w)
 	}
-	var all []O
 	for p := range partLen {
 		st.OutputRecords += int64(partLen[p])
 		st.OutputBytes += partBytes[p]
@@ -721,16 +711,10 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 				putSlice(results[r])
 			}
 		}
-		if nparts > 1 {
+		if len(writers) > 0 {
 			writers[p].AppendBlock(part, len(part), partBytes[p])
-			continue
 		}
-		all = part
-		if len(writers) == 1 {
-			// Naive and DNN read both the records and the file, so the
-			// DFS gets a copy and the caller keeps all.
-			writers[0].AppendBlock(slices.Clone(part), len(part), partBytes[0])
-		}
+		results[p] = part // slot p is spent: later parts read only their own slots
 	}
 	for _, w := range writers {
 		w.Close()
@@ -738,7 +722,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 
 	st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
 	c.record(st)
-	return all, st, nil
+	return results[0], st, nil
 }
 
 // splitBounds cuts count records into n contiguous input splits: split

@@ -27,27 +27,6 @@ func TestMapEmitsNothing(t *testing.T) {
 	}
 }
 
-func TestReducersOption(t *testing.T) {
-	c := testCluster(4)
-	WriteFile(c, "in", []int64{0, 1, 2, 3, 4, 5, 6, 7}, func(int64) int64 { return 8 })
-	_, st, err := Run(c, Job[int64, int64, int64]{
-		Name:      "reducers",
-		Inputs:    []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) { emit(r, 1) })},
-		Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(k) },
-		Partition: HashInt64,
-		Reducers:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ReduceTasks != 2 {
-		t.Fatalf("reduce tasks %d", st.ReduceTasks)
-	}
-	if st.OutputRecords != 8 {
-		t.Fatalf("output records %d", st.OutputRecords)
-	}
-}
-
 func TestExtraShuffleAloneTripsLimit(t *testing.T) {
 	c := NewCluster(Config{Machines: 1, MaxShuffleRecords: 100})
 	WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })

@@ -104,8 +104,11 @@ func TestJobStatsCounting(t *testing.T) {
 			emit(s)
 		},
 		Partition: HashInt64,
-		KVSize:    func(int64, int64) int64 { return 16 },
-		OutSize:   func(int64) int64 { return 8 },
+		BlockKV: &BlockSizer[int64, int64]{
+			Pair:   func(_, _, _, _ int64) int64 { return 16 },
+			Header: func(int) int64 { return 0 },
+		},
+		OutSize: func(int64) int64 { return 8 },
 	})
 	if err != nil {
 		t.Fatal(err)

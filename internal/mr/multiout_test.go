@@ -69,10 +69,10 @@ func moCluster(t *testing.T, loopback bool, plan *FaultPlan) *Cluster {
 // TestMultipleOutputsMatchSingleOutput holds a MultipleOutputs job to the
 // same job with one output, filtered by part: each part file holds the
 // oracle's records of that part in the oracle's order and is sized at
-// their OutSize total, and the job's stats equal the oracle's. Every leg
-// runs in process and across the Loopback seam, at GOMAXPROCS 1 (the
-// parts continue one buffer per part) and 2 and 4 (each part gathered
-// once), with and without a FaultPlan. A second job then reads all three
+// their OutSize total, Run returns part 0, and the job's stats equal the
+// oracle's. Every leg runs in process and across the Loopback seam, at
+// GOMAXPROCS 1 (the parts continue one buffer per part) and 2 and 4
+// (each part gathered once), with and without a FaultPlan. A second job then reads all three
 // parts, the empty one included.
 func TestMultipleOutputsMatchSingleOutput(t *testing.T) {
 	plans := []*FaultPlan{nil, {Seed: 3, FailureRate: 0.3, StragglerRate: 0.2, MaxAttempts: 20}}
@@ -91,9 +91,6 @@ func TestMultipleOutputsMatchSingleOutput(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != nil {
-						t.Fatalf("a multi-output job returned %d records", len(got))
-					}
 					if st != wantSt {
 						t.Fatalf("stats differ from the single-output job's:\n%+v\n%+v", st, wantSt)
 					}
@@ -111,6 +108,9 @@ func TestMultipleOutputsMatchSingleOutput(t *testing.T) {
 						}
 						if !slices.Equal(recs, part) {
 							t.Fatalf("part %d holds %d records, the oracle's part has %d (or they differ in order)", p, len(recs), len(part))
+						}
+						if p == 0 && !slices.Equal(got, part) {
+							t.Fatalf("Run returned %d records, not part 0's %d", len(got), len(part))
 						}
 						if size, err := c.FS().Size(f); err != nil || size != bytes {
 							t.Fatalf("part %d is %d bytes (%v), its records' OutSize total is %d", p, size, err, bytes)
@@ -141,6 +141,44 @@ func TestMultipleOutputsMatchSingleOutput(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestMultipleOutputsOneOutputIsTheFile: one output is the one-part
+// case. Run's result is the file's block itself — the same backing
+// array BlockView lends, not a copy — and the job's OutputBytes and the
+// DFS's BytesWritten both equal the records' OutSize total, charged
+// once. In process and across the Loopback seam, at GOMAXPROCS 1 (the
+// last reducer's buffer is the part) and 4 (the part is gathered).
+func TestMultipleOutputsOneOutputIsTheFile(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		for _, loopback := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs=%d/loopback=%v", procs, loopback), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				c := moCluster(t, loopback, nil)
+				written := c.FS().Stats().BytesWritten
+				got, st, err := Run(c, moJob("one"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				written = c.FS().Stats().BytesWritten - written
+				payload, n, err := c.FS().BlockView("one")
+				if err != nil {
+					t.Fatal(err)
+				}
+				blk := payload.([]moRec)
+				if len(got) == 0 || n != len(got) || &blk[0] != &got[0] {
+					t.Fatalf("Run returned %d records that are not the file's %d-record block", len(got), n)
+				}
+				var bytes int64
+				for _, r := range got {
+					bytes += moSize(r)
+				}
+				if st.OutputBytes != bytes || written != bytes {
+					t.Fatalf("OutputBytes %d and DFS BytesWritten %d, want the OutSize total %d", st.OutputBytes, written, bytes)
+				}
+			})
 		}
 	}
 }

@@ -17,7 +17,7 @@ func runStorageChain(c *Cluster) ([]int64, error) {
 		vals[i] = int64(i * 3)
 	}
 	WriteFile(c, "chain/in", vals, func(int64) int64 { return 16 })
-	out1, _, err := Run(c, Job[int64, int64, int64]{
+	_, _, err := Run(c, Job[int64, int64, int64]{
 		Name:   "chain-1",
 		Inputs: []Input[int64, int64]{MapInput("chain/in", func(v int64, emit func(int64, int64)) { emit(v%7, v) })},
 		Reduce: func(k int64, vs []int64, emit func(int64)) {
@@ -33,7 +33,6 @@ func runStorageChain(c *Cluster) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	Recycle(out1)
 	out2, _, err := Run(c, Job[int64, int64, int64]{
 		Name:   "chain-2",
 		Inputs: []Input[int64, int64]{MapInput("chain/mid", func(v int64, emit func(int64, int64)) { emit(v%5, v) })},

@@ -197,8 +197,11 @@ func readFrame(r io.Reader) (frameType, []byte, error) {
 }
 
 // readFrameAppend is readFrame into caller-owned storage: the payload
-// is appended to dst, growing it by no more than the validated length
-// plus the trailer. On error dst comes back as it went in.
+// is appended to dst. A dst with room for the frame takes it in one
+// read; otherwise dst grows as the bytes arrive, never more than
+// max(1 MiB, bytes read) ahead of them, so a garbled or hostile length
+// costs what the stream delivers, not what it declares. On error dst
+// comes back as it went in.
 func readFrameAppend(r io.Reader, dst []byte) (frameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
@@ -217,17 +220,25 @@ func readFrameAppend(r io.Reader, dst []byte) (frameType, []byte, error) {
 	if n > maxFramePayload {
 		return ftInvalid, dst, ErrOversized
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, n+frameTrailerLen)
-	rest := dst[at : at+n+frameTrailerLen]
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return ftInvalid, dst[:at], unexpected(err)
+	at, end := len(dst), len(dst)+n+frameTrailerLen
+	buf := dst
+	for len(buf) < end {
+		next := end
+		if cap(buf) < end {
+			next = min(end, len(buf)+max(1<<20, len(buf)-at))
+		}
+		buf = slices.Grow(buf, next-len(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):next]); err != nil {
+			return ftInvalid, dst, unexpected(err)
+		}
+		buf = buf[:next]
 	}
+	rest := buf[at:]
 	crc := crc32.Update(crc32.Checksum(hdr[4:], crcTable), crcTable, rest[:n])
 	if crc != binary.LittleEndian.Uint32(rest[n:]) {
-		return ftInvalid, dst[:at], ErrBadCRC
+		return ftInvalid, dst, ErrBadCRC
 	}
-	return frameType(hdr[4]), dst[:at+n], nil
+	return frameType(hdr[4]), buf[:at+n], nil
 }
 
 func unexpected(err error) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 
 	"github.com/haten2/haten2/internal/mr"
@@ -79,6 +80,35 @@ func TestFrameOversizedLength(t *testing.T) {
 	}
 }
 
+// hugeTruncatedFrame is a header declaring the largest legal payload
+// followed by only 10 bytes: a garbled length the stream cannot back.
+func hugeTruncatedFrame() []byte {
+	enc := encodeFrame(nil, ftFileData, make([]byte, 10))
+	binary.LittleEndian.PutUint32(enc[5:], maxFramePayload)
+	return enc[:frameHeaderLen+10]
+}
+
+// TestReadFrameHugeLengthTruncated: a declared length is not an
+// allocation. The stream ends 10 bytes into a 1 GiB payload, and the
+// read fails as truncated, hands dst back as it went in, and allocates
+// what the stream delivered plus one growth step — not the length.
+func TestReadFrameHugeLengthTruncated(t *testing.T) {
+	dst := append(make([]byte, 0, 16), "abc"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, got, err := readFrameAppend(bytes.NewReader(hugeTruncatedFrame()), dst)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
+	}
+	if len(got) != len(dst) || cap(got) != cap(dst) || &got[0] != &dst[0] || string(got) != "abc" {
+		t.Fatalf("dst came back as %q (len %d, cap %d), not as it went in", got, len(got), cap(got))
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 4<<20 {
+		t.Fatalf("reading a truncated frame allocated %d bytes", grown)
+	}
+}
+
 // shipFrame builds one ftShipPart frame of a ship window.
 func shipFrame(entries ...string) []byte {
 	buf, at := beginFrame(nil, ftShipPart)
@@ -118,6 +148,7 @@ func FuzzWireFraming(f *testing.F) {
 	over := encodeFrame(nil, ftFileData, []byte("x"))
 	binary.LittleEndian.PutUint32(over[5:], maxFramePayload+7)
 	f.Add(over)
+	f.Add(hugeTruncatedFrame())
 	f.Add([]byte("garbage that is not a frame at all"))
 	window := append(shipFrame("block one", "block two"), shipFrame("block three")...)
 	f.Add(window)

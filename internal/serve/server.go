@@ -16,7 +16,8 @@ type Config struct {
 	// each owned by one persistent worker goroutine.
 	Shards int
 	// CacheSize is the per-stripe LRU capacity (stripe count equals
-	// Shards). Zero disables caching entirely.
+	// Shards). Zero selects the default of 1024; only NoCache disables
+	// caching.
 	CacheSize int
 	// MaxBatch caps how many concurrent queries one dispatch merges
 	// into a single blocked matrix kernel call.

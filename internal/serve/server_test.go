@@ -244,6 +244,20 @@ func TestServerValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil model accepted")
 	}
+	// A zero CacheSize is the default, not "no cache"; NoCache is.
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{{Config{}, 1024}, {Config{NoCache: true}, 0}} {
+		s, err := New(model, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().CacheSize; got != tc.want {
+			t.Errorf("%+v: CacheSize %d, want %d", tc.cfg, got, tc.want)
+		}
+		s.Close()
+	}
 }
 
 // TestCloseJoinsGoroutines pins that Close joins the dispatcher and
