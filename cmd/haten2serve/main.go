@@ -202,8 +202,12 @@ func run(w io.Writer, r io.Reader, o options) error {
 			fmt.Fprintln(w, "commands: objects <subject> <predicate> [k] · members <component> [k] · membership <entity> [k] · stats · quit")
 		case "stats":
 			s := srv.Stats()
-			fmt.Fprintf(w, "queries %d · hits %d (%.1f%%) · misses %d · coalesced %d · batches %d (mean occupancy %.2f)\n",
-				s.Queries, s.CacheHits, 100*s.HitRate(), s.CacheMisses, s.Coalesced, s.Batches, s.BatchOccupancy())
+			perMiss := 0.0
+			if s.CacheMisses > 0 {
+				perMiss = float64(s.RowsScored) / float64(s.CacheMisses)
+			}
+			fmt.Fprintf(w, "queries %d · hits %d (%.1f%%) · misses %d · coalesced %d · batches %d (mean occupancy %.2f) · rows scored per miss %.1f\n",
+				s.Queries, s.CacheHits, 100*s.HitRate(), s.CacheMisses, s.Coalesced, s.Batches, s.BatchOccupancy(), perMiss)
 		case "objects":
 			ids, k, err := parseArgs(args, 2, o.topk)
 			if err != nil {

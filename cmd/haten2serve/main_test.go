@@ -72,7 +72,7 @@ func TestServeFromTensorFile(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		"serving", "shards", "music/", "concept 0 →", "concept 1 →",
-		"queries", "occupancy", "commands:", "unknown command",
+		"queries", "occupancy", "rows scored per miss", "commands:", "unknown command",
 		"error:", "→",
 	} {
 		if !strings.Contains(s, want) {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,12 +21,9 @@ type Config struct {
 	// Shards). Zero selects the default of 1024; only NoCache disables
 	// caching.
 	CacheSize int
-	// MaxBatch caps how many concurrent queries one dispatch merges
-	// into a single blocked matrix kernel call.
+	// MaxBatch caps how many concurrent queries one dispatch hands to
+	// the shard workers together.
 	MaxBatch int
-	// QueueDepth is the request channel capacity between callers and
-	// the dispatcher.
-	QueueDepth int
 	// NoCache disables the result cache (CacheSize is ignored). The
 	// load benchmark uses it to separate batching wins from cache wins.
 	NoCache bool
@@ -45,7 +44,7 @@ type request struct {
 	done      chan struct{}
 }
 
-// batch is one dispatch unit: up to MaxBatch requests scored together.
+// batch is one dispatch unit: up to MaxBatch requests handed over together.
 // All of its buffers are reused across dispatches, so the steady state
 // allocates nothing.
 type batch struct {
@@ -64,25 +63,31 @@ type batch struct {
 	remaining int32
 }
 
-// shardWorker serves one contiguous row range of the object factor: its
-// rows that are not all zero, compacted, and a reusable score panel for
-// them. The all-zero rows are never scored (see offerZeros).
+// scanBlock is the number of compact rows scored between cut-off tests.
+const scanBlock = 64
+
+// shardWorker serves the contiguous row range [lo, hi) of the object
+// factor: its rows that are not all zero, compacted in descending order
+// of norm, and a reusable score panel for one block of them. The
+// all-zero rows are never scored (see offerZeros).
 type shardWorker struct {
 	id     int
-	rows   matrix.Matrix // the range's nonzero rows: a view when it has no zero rows, else a compact copy
-	idx    []int64       // global index of each compact row, ascending
+	lo, hi int64
+	rows   matrix.Matrix // the range's nonzero rows, an owned copy in descending norm order
+	norm   []float64     // norm[j] ≥ ‖rows.Row(j)‖₂, descending
+	idx    []int64       // global index of each compact row; ascending among equal norms
 	zeros  []int64       // global indexes of the range's all-zero rows, ascending
-	scores matrix.Matrix // B×len(idx) panel, data reused
+	scores matrix.Matrix // 1×scanBlock panel, data reused
 	in     chan *batch
 	srv    *Server
 }
 
 // Server answers top-k factor queries at high throughput: queries are
-// batched by a dispatcher, scored shard-parallel with a blocked
-// matrix kernel, merged on a k-way heap, and cached in striped LRUs
-// with single-flight coalescing (DESIGN.md §3h). All rankings are
-// bit-identical to internal/baseline's single-threaded scorer
-// regardless of Shards, MaxBatch, or GOMAXPROCS.
+// batched by a dispatcher, scanned shard-parallel in descending norm
+// order up to an exact cut-off, merged on a k-way heap, and cached in
+// striped LRUs with single-flight coalescing (DESIGN.md §3h). All
+// rankings are bit-identical to internal/baseline's single-threaded
+// scorer regardless of Shards, MaxBatch, or GOMAXPROCS.
 type Server struct {
 	model   *Model
 	cfg     Config
@@ -99,12 +104,13 @@ type Server struct {
 	queries     atomic.Uint64
 	batches     atomic.Uint64
 	batchedReqs atomic.Uint64
+	rowsScored  atomic.Uint64
 }
 
 // New builds a Server over the model and starts its dispatcher and
 // shard workers. The caller must Close it to join them. Zero config
 // fields default to Shards 4 (clamped to the object count), CacheSize
-// 1024 per stripe, MaxBatch 32, QueueDepth 4×MaxBatch.
+// 1024 per stripe, MaxBatch 32. The request queue holds 4×MaxBatch.
 func New(model *Model, cfg Config) (*Server, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
@@ -127,16 +133,13 @@ func New(model *Model, cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
-	}
 
 	s := &Server{
 		model:       model,
 		cfg:         cfg,
 		stripes:     make([]*stripe, cfg.Shards),
 		workers:     make([]*shardWorker, cfg.Shards),
-		queue:       make(chan *request, cfg.QueueDepth),
+		queue:       make(chan *request, 4*cfg.MaxBatch),
 		freeBatches: make(chan *batch, inFlightBatches),
 	}
 	for i := range s.stripes {
@@ -245,60 +248,102 @@ func (s *Server) dispatch() {
 }
 
 // newShardWorker builds the worker for the object rows [lo, hi): it
-// sorts the rows into idx and zeros, then allocates the compact copy
-// once, at its final size. A range with no all-zero rows is already
-// compact, so its rows alias the factor instead of copying it.
+// sorts the rows into zeros and, in descending order of a certified
+// norm bound with ties in ascending index, idx; then it copies the idx
+// rows into one compact matrix it owns, allocated at its final size.
 func newShardWorker(s *Server, id int, obj *matrix.Matrix, lo, hi int) *shardWorker {
-	w := &shardWorker{id: id, in: make(chan *batch, inFlightBatches), srv: s}
+	w := &shardWorker{id: id, lo: int64(lo), hi: int64(hi), in: make(chan *batch, inFlightBatches), srv: s,
+		scores: matrix.Matrix{Rows: 1, Data: make([]float64, scanBlock)}}
+	type normRow struct {
+		n float64
+		o int64
+	}
+	var nz []normRow
 	for o := lo; o < hi; o++ {
-		if slices.ContainsFunc(obj.Row(o), func(v float64) bool { return v != 0 }) {
-			w.idx = append(w.idx, int64(o))
+		if n := normBound(obj.Row(o)); n > 0 {
+			nz = append(nz, normRow{n, int64(o)})
 		} else {
 			w.zeros = append(w.zeros, int64(o))
 		}
 	}
-	w.rows = matrix.Matrix{Rows: hi - lo, Cols: obj.Cols, Data: obj.Data[lo*obj.Cols : hi*obj.Cols]}
-	if len(w.zeros) > 0 {
-		w.rows = *matrix.New(len(w.idx), obj.Cols)
-		for i, o := range w.idx {
-			copy(w.rows.Row(i), obj.Row(int(o)))
-		}
+	slices.SortFunc(nz, func(a, b normRow) int { return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.o, b.o)) })
+	w.rows = *matrix.New(len(nz), obj.Cols)
+	for j, r := range nz {
+		w.norm = append(w.norm, r.n)
+		w.idx = append(w.idx, r.o)
+		copy(w.rows.Row(j), obj.Row(int(r.o)))
 	}
 	return w
 }
 
-// run is a shard worker's loop: score every request in the batch over
-// this shard's compact rows with one blocked kernel call, select the
-// per-shard top-k, offer the zero rows, and — if this worker is the
-// last to finish the batch — merge the shards and complete the
-// requests. Selection runs on compact positions mapped through idx,
-// which ascends, so the position tie-break is the index tie-break.
+// run is a shard worker's loop: rank every request in the batch over
+// this shard's rows, and — if this worker is the last to finish the
+// batch — merge the shards and complete the requests. An all-zero
+// query scores every row z, so the shard's answer is its k lowest
+// indexes, found without a scan; any other query is scanned (see scan)
+// and then offered the zero rows.
 func (w *shardWorker) run() {
 	defer w.srv.wg.Done()
 	for b := range w.in {
-		nb := len(b.reqs)
-		n := nb * w.rows.Rows
-		if cap(w.scores.Data) < n {
-			w.scores.Data = make([]float64, n)
-		}
-		w.scores.Data = w.scores.Data[:n]
-		w.scores.Rows = nb
-		w.scores.Cols = w.rows.Rows
-		matrix.MulBTInto(&w.scores, &b.q, &w.rows)
-
 		shards := len(w.srv.workers)
+		scored := 0
 		for i, req := range b.reqs {
 			slot := i*shards + w.id
-			part := SelectTopK(b.partials[slot][:0], w.scores.Row(i), 0, req.k)
-			for j := range part {
-				part[j].Index = w.idx[part[j].Index]
+			part, q := b.partials[slot][:0], b.q.Row(i)
+			if !slices.ContainsFunc(q, func(v float64) bool { return v != 0 }) {
+				for o := w.lo; o < min(w.hi, w.lo+int64(req.k)); o++ {
+					part = append(part, Result{Index: o, Score: b.z[i]})
+				}
+				b.partials[slot] = part
+				continue
 			}
+			part, n := w.scan(part, q, req.k)
+			scored += n
 			b.partials[slot] = w.offerZeros(part, b.z[i], req.k)
 		}
+		w.srv.rowsScored.Add(uint64(scored))
 		if atomic.AddInt32(&b.remaining, -1) == 0 {
 			w.srv.complete(b)
 		}
 	}
+}
+
+// scan appends the top k of the compact rows for the query q to h
+// (empty), best first, and returns it with the number of rows scored.
+// It scores scanBlock rows at a time with MulBTInto into a worst-at-root
+// heap under better. Before each block it stops when the heap is full
+// and ‖q‖·norm[j]·(1+δ) < t, the worst kept score: by Cauchy–Schwarz,
+// with δ = 4(R+2)·2⁻⁵² covering the rounding of the dot products and
+// of the bound, every row from j on scores below t (DESIGN.md §3h). The
+// test needs a finite ‖q‖, t ≥ 2⁻⁹⁰⁰ (so underflow stays far below
+// δ·t) and no NaN in the heap; otherwise every row is scored.
+func (w *shardWorker) scan(h []Result, q []float64, k int) ([]Result, int) {
+	k = min(k, len(w.idx))
+	qm := matrix.Matrix{Rows: 1, Cols: len(q), Data: q}
+	qn, slack := normBound(q), 1+4*float64(len(q)+2)*0x1p-52
+	cut := qn <= math.MaxFloat64
+	j := 0
+	for ; j < len(w.idx); j += scanBlock {
+		if cut && len(h) == k && h[0].Score >= 0x1p-900 && qn*w.norm[j]*slack < h[0].Score {
+			break
+		}
+		end := min(j+scanBlock, len(w.idx))
+		blk := matrix.Matrix{Rows: end - j, Cols: qm.Cols, Data: w.rows.Data[j*qm.Cols : end*qm.Cols]}
+		w.scores.Cols, w.scores.Data = end-j, w.scores.Data[:end-j]
+		matrix.MulBTInto(&w.scores, &qm, &blk)
+		for c, s := range w.scores.Data {
+			r := Result{Index: w.idx[j+c], Score: s}
+			if len(h) < k {
+				cut = cut && !math.IsNaN(s)
+				h = append(h, r)
+				siftUp(h, len(h)-1)
+			} else if !(s < h[0].Score) && better(r, h[0]) {
+				h[0] = r
+				siftDown(h, 0, k)
+			}
+		}
+	}
+	return sortHeap(h), min(j, len(w.idx))
 }
 
 // offerZeros inserts the shard's all-zero rows, each scoring z, into
@@ -438,6 +483,7 @@ type Stats struct {
 	Coalesced   uint64 // followers that waited on a leader's flight
 	Batches     uint64 // dispatches to the shard workers
 	BatchedReqs uint64 // requests carried by those dispatches
+	RowsScored  uint64 // compact object rows put through the kernel
 
 	Shards    int
 	CacheSize int // per-stripe LRU capacity
@@ -466,6 +512,7 @@ func (s *Server) Stats() Stats {
 		Queries:     s.queries.Load(),
 		Batches:     s.batches.Load(),
 		BatchedReqs: s.batchedReqs.Load(),
+		RowsScored:  s.rowsScored.Load(),
 		Shards:      s.cfg.Shards,
 		CacheSize:   s.cfg.CacheSize,
 		MaxBatch:    s.cfg.MaxBatch,

@@ -505,30 +505,47 @@ func TestOverflowScoresNeverPanic(t *testing.T) {
 	}
 }
 
-// FuzzServeShards drives the production shard path — compaction, the
-// blocked kernel over the compact rows, selection mapped through idx,
+// FuzzServeShards drives the production shard path — compaction in
+// norm order, the zero-query answer, the blocked scan with its cut-off,
 // the zero-row offer and the cross-shard merge — on a fuzzed object
 // factor with a fuzzed set of all-zero rows, shard count, k and query,
 // and requires the served ranking to equal the baseline scorer's at
 // Float64bits.
 //
-// Input: k, shards, rank R, the R query values, then one row per R+1
-// bytes: a flag (odd: an all-zero row) and R values. Each value byte is
-// a small signed multiple of 1/16 (0x80 is −0), so scores are exact,
-// tie often, and never overflow.
+// Input: k, shards, rank R, a query exponent e, the R query values,
+// then one row per R+1 bytes: a flag (odd: an all-zero row) and R
+// values. Each value byte is a small signed multiple of 1/16 (0x80 is
+// −0) and the query values are scaled by 2^(−10·(e mod 64)), so scores
+// are exact unless they underflow, tie often, and never overflow.
 func FuzzServeShards(f *testing.F) {
 	// An all-zero factor; one nonzero row (scoring below zero) and k
 	// above the nonzero count; then mixed signs, a naturally zero row,
 	// a −0 row and ties.
-	f.Add([]byte{5, 3, 1, 16, 240, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7})
-	f.Add([]byte{4, 1, 1, 16, 16, 1, 0, 0, 0, 240, 3, 1, 5, 5, 1, 5, 5})
-	f.Add([]byte{9, 2, 2, 255, 3, 0, 0, 4, 2, 1, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 1, 3, 3, 3, 0, 250, 1, 3, 0, 7, 7, 7})
+	f.Add([]byte{5, 3, 1, 0, 16, 240, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7, 1, 7, 7})
+	f.Add([]byte{4, 1, 1, 0, 16, 16, 1, 0, 0, 0, 240, 3, 1, 5, 5, 1, 5, 5})
+	f.Add([]byte{9, 2, 2, 0, 255, 3, 0, 0, 4, 2, 1, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 1, 3, 3, 3, 0, 250, 1, 3, 0, 7, 7, 7})
+	// An all-zero query (+0, −0) against nonzero rows of both signs:
+	// every object ties at +0, so the answer is the lowest indexes.
+	f.Add([]byte{4, 2, 1, 0, 0, 0x80, 0, 16, 240, 0, 240, 16, 1, 3, 3, 0, 5, 251, 0, 1, 1})
+	// Query (1, 0) against 64 rows (1, 1) and then row 0 = (1, 0), on one
+	// shard: row 0 has the smallest norm, so it is scored in the second
+	// block, and it ties the k-th score exactly with a lower index.
+	tie := []byte{3, 0, 1, 0, 16, 0, 0, 16, 0}
+	for i := 0; i < 64; i++ {
+		tie = append(tie, 0, 16, 16)
+	}
+	f.Add(tie)
+	// Query entries of 2⁻⁵⁵⁰, whose squares underflow to zero, against
+	// an all-zero row 0 and a positive row 1: the query is not all zero,
+	// and row 1 ranks first.
+	f.Add([]byte{1, 0, 1, 55, 16, 16, 1, 0, 0, 0, 16, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		k, shards, r := int(data[0]%24), int(data[1]%6)+1, int(data[2]%4)+1
-		data = data[3:]
+		scale := math.Ldexp(1, -10*int(data[3]%64))
+		data = data[4:]
 		value := func(b byte) float64 {
 			if b == 0x80 {
 				return math.Copysign(0, -1)
@@ -541,7 +558,7 @@ func FuzzServeShards(f *testing.F) {
 		subj, pred, obj := matrix.New(1, r), matrix.New(1, r), matrix.New((len(data)-r)/(r+1), r)
 		lambda := make([]float64, r)
 		for c := 0; c < r; c++ {
-			subj.Data[c], pred.Data[c], lambda[c] = value(data[c]), 1, 1
+			subj.Data[c], pred.Data[c], lambda[c] = value(data[c]), scale, 1
 		}
 		data = data[r:]
 		for o := 0; o < obj.Rows; o++ {

@@ -7,13 +7,14 @@
 // entity, rank the concepts it belongs to.
 //
 // The performance architecture (DESIGN.md §3h): the object factor
-// matrix is sharded row-wise across persistent worker goroutines, each
-// shard selects a partial top-k with a bounded heap, and partials are
-// merged on a k-way heap; results are cached in per-shard LRU stripes
-// with single-flight coalescing of duplicate in-flight queries; and a
-// dispatcher batches concurrent queries so the rank-R dot products are
-// amortized over a blocked matrix–matrix kernel. The steady-state query
-// path performs no allocations (pinned by AllocsPerRun tests).
+// matrix is sharded row-wise across persistent worker goroutines; each
+// shard holds its rows in descending norm order, scores them in blocks
+// into a bounded heap and stops once Cauchy–Schwarz shows no later row
+// can reach the k-th score; partials are merged on a k-way heap; results
+// are cached in per-shard LRU stripes with single-flight coalescing of
+// duplicate in-flight queries; and a dispatcher hands concurrent queries
+// to the workers in batches. The steady-state query path performs no
+// allocations (pinned by AllocsPerRun tests).
 //
 // The engine's standing invariant carries over: sharding, batching and
 // caching may change wall-clock time and counters, never the returned
@@ -77,12 +78,42 @@ func SelectTopK(dst []Result, scores []float64, base int64, k int) []Result {
 			root = h[0].Score
 		}
 	}
-	// Heap-sort in place: repeatedly swap the worst root to the end.
+	return sortHeap(h)
+}
+
+// sortHeap heap-sorts a worst-at-root heap in place into best-first
+// order by repeatedly swapping the worst root to the end.
+func sortHeap(h []Result) []Result {
 	for end := len(h) - 1; end > 0; end-- {
 		h[0], h[end] = h[end], h[0]
 		siftDown(h, 0, end)
 	}
 	return h
+}
+
+// normBound returns a certified upper bound on ‖x‖₂: 0 for an all-zero
+// x, NaN or +Inf for an x that holds one, and otherwise a finite or
+// +Inf value no smaller than the exact norm. The entries are scaled by
+// the power of two that brings the largest magnitude into [½, 1), so no
+// square overflows and no significant one underflows; the relative
+// slack (R+2)·2⁻⁵² covers the rounding of the squares, the sum and the
+// square root, and rounding the result up one ulp covers a subnormal
+// norm.
+func normBound(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		m = max(m, math.Abs(v))
+	}
+	if !(m > 0 && m <= math.MaxFloat64) {
+		return m
+	}
+	_, e := math.Frexp(m)
+	var s float64
+	for _, v := range x {
+		y := math.Ldexp(v, -e)
+		s += y * y
+	}
+	return math.Nextafter(math.Ldexp(math.Sqrt(s)*(1+float64(len(x)+2)*0x1p-52), e), math.Inf(1))
 }
 
 // siftUp restores the worst-at-root property after appending at i.
