@@ -10,7 +10,7 @@
 //	haten2bench -json            # machine-readable output
 //
 // Experiment ids: table2 table3 table4 table5 fig1a fig1b fig1c fig7a
-// fig7b fig7c fig8 table6 table7 table8 nell ablation combiner.
+// fig7b fig7c fig8 table6 table7 table8 nell ablation.
 //
 // Every number is simulated time or a job counter, so the output is a
 // pure function of (-seed, -full): byte-identical across runs, hosts and
@@ -109,7 +109,6 @@ var experiments = []struct {
 	{"table8", bench.Table8},
 	{"nell", bench.TableNELL},
 	{"ablation", bench.Ablation},
-	{"combiner", bench.CombinerAblation},
 }
 
 // run executes the experiments exp selects ("all", or comma-separated

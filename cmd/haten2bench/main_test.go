@@ -10,7 +10,7 @@ import (
 func TestRunUnknownExperiment(t *testing.T) {
 	// The retired reporters are unknown ids like any typo, and the error
 	// lists what is known.
-	for _, id := range []string{"nope", "mr", "faults", "storage", "serve", "table2,nope"} {
+	for _, id := range []string{"nope", "mr", "faults", "storage", "serve", "combiner", "table2,nope"} {
 		err := run(id, bench.Config{Seed: 1}, false)
 		if err == nil || !strings.Contains(err.Error(), "known: table2 table3") {
 			t.Fatalf("-exp %s: %v", id, err)

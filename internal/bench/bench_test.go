@@ -293,21 +293,6 @@ func TestFigDataScalabilityOrdering(t *testing.T) {
 	}
 }
 
-func TestCombinerAblationSavesShuffle(t *testing.T) {
-	rep, err := CombinerAblation(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, rep)
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows %d", len(rep.Rows))
-	}
-	without, with := cell[int64](t, rep, 0, 1), cell[int64](t, rep, 1, 1)
-	if with >= without {
-		t.Fatalf("combiner should cut shuffle: %d vs %d", with, without)
-	}
-}
-
 func TestTableNELLRecoversConcepts(t *testing.T) {
 	rep, err := TableNELL(quick)
 	if err != nil {

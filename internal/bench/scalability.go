@@ -388,84 +388,3 @@ func Ablation(cfg Config) (*Report, error) {
 	}
 	return rep, nil
 }
-
-// CombinerAblation measures what a Hadoop combiner would buy on a
-// Collapse-style aggregation (the DNN merge step): map tasks pre-sum
-// records sharing a (fiber, column) key before the shuffle. The paper's
-// implementation does not use combiners (Tables III/IV are reproduced
-// without them); this experiment quantifies the headroom.
-func CombinerAblation(cfg Config) (*Report, error) {
-	// A collapse workload: nnz·Q Hadamard records, with duplication per
-	// fiber key coming from the contracted mode.
-	x := gen.Random(cfg.Seed+55, [3]int64{200, 50, 200}, 40000)
-	const q = 5
-	rep := newReport("combiner", "Combiner ablation on a Collapse-style aggregation (extension)",
-		text("combiner"), text("shuffle records"), text("shuffle bytes"), column{"sim time", seconds})
-	type rec struct {
-		I, K int64
-		Col  int32
-		Val  float64
-	}
-	run := func(withCombiner bool) (mr.JobStats, error) {
-		c := newBenchCluster(cfg, benchMachines)
-		var items []rec
-		for p := 0; p < x.NNZ(); p++ {
-			idx := x.Index(p)
-			for col := int32(0); col < q; col++ {
-				items = append(items, rec{I: idx[0], K: idx[2], Col: col, Val: x.Value(p)})
-			}
-		}
-		if err := mr.WriteFile(c, "H", items, func(rec) int64 { return 36 }); err != nil {
-			return mr.JobStats{}, err
-		}
-		job := mr.Job[[3]int64, float64, float64]{
-			Name: "collapse-like",
-			Inputs: []mr.Input[[3]int64, float64]{
-				mr.MapInput("H", func(e rec, emit func([3]int64, float64)) {
-					emit([3]int64{e.I, e.K, int64(e.Col)}, e.Val)
-				}),
-			},
-			Reduce: func(k [3]int64, vs []float64, emit func(float64)) {
-				var s float64
-				for _, v := range vs {
-					s += v
-				}
-				emit(s)
-			},
-			Partition: mr.HashTriple,
-			BlockKV: &mr.BlockSizer[[3]int64, float64]{
-				Pair:   func([3]int64, float64, [3]int64, float64) int64 { return 32 },
-				Header: func(int) int64 { return 0 },
-			},
-		}
-		if withCombiner {
-			job.Combine = func(k [3]int64, vs []float64) []float64 {
-				var s float64
-				for _, v := range vs {
-					s += v
-				}
-				return []float64{s}
-			}
-		}
-		_, st, err := mr.Run(c, job)
-		return st, err
-	}
-	var rows []mr.JobStats
-	for _, with := range []bool{false, true} {
-		st, err := run(with)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, st)
-		label := "no"
-		if with {
-			label = "yes"
-		}
-		rep.Rows = append(rep.Rows, []any{label, st.ShuffleRecords, st.ShuffleBytes, st.SimSeconds})
-	}
-	if rows[1].ShuffleRecords < rows[0].ShuffleRecords {
-		saving := 1 - float64(rows[1].ShuffleRecords)/float64(rows[0].ShuffleRecords)
-		rep.Notes = append(rep.Notes, fmt.Sprintf("combiner removes %.0f%% of the shuffle on this workload", saving*100))
-	}
-	return rep, nil
-}

@@ -243,89 +243,75 @@ func (s *shipCounter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
 // segment — so the test assumes nothing about the order in which the
 // engine calls Pair and Header. It runs on a multi-reducer cluster, in
 // process and across the seam (the charge is the engine's, not the
-// backend's), with and without a combiner (whose jobs are charged the
-// post-combine volume, sized in the combiner's flatten loop).
+// backend's).
 func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	entries := randEntries(rng, 2000, 400, true)
-	for _, combine := range []bool{false, true} {
-		var pairs, headed int64 // Pair calls and the records Header(n) declared
-		var mu sync.Mutex
-		sizer := *stack3.sizer
-		sizer.Pair = func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
-			mu.Lock()
-			pairs++
-			mu.Unlock()
-			return svalPairSize(pk, pv, k, v)
-		}
-		sizer.Header = func(n int) int64 {
-			mu.Lock()
-			headed += int64(n)
-			mu.Unlock()
-			return blockHeaderSize(n)
-		}
-		job := mr.Job[[3]int64, sval3, YEntry]{
-			Name: "charge-invariant",
-			Inputs: []mr.Input[[3]int64, sval3]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval3)) {
-				emit([3]int64{e.Idx[0] / 40, e.Idx[1] / 40, 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
-			})},
-			Reduce: func(k [3]int64, vs []sval3, emit func(YEntry)) {
-				var s float64
-				for _, v := range vs {
-					s += v.val
-				}
-				emit(YEntry{I: k[0], Val: s})
-			},
-			Partition: mr.HashTriple,
-			BlockKV:   &sizer,
-			OutSize:   yEntrySize,
-		}
-		if combine {
-			job.Combine = func(_ [3]int64, vs []sval3) []sval3 {
-				for _, v := range vs[1:] {
-					vs[0].val += v.val
-				}
-				return vs[:1]
+	var pairs, headed int64 // Pair calls and the records Header(n) declared
+	var mu sync.Mutex
+	sizer := *stack3.sizer
+	sizer.Pair = func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
+		mu.Lock()
+		pairs++
+		mu.Unlock()
+		return svalPairSize(pk, pv, k, v)
+	}
+	sizer.Header = func(n int) int64 {
+		mu.Lock()
+		headed += int64(n)
+		mu.Unlock()
+		return blockHeaderSize(n)
+	}
+	job := mr.Job[[3]int64, sval3, YEntry]{
+		Name: "charge-invariant",
+		Inputs: []mr.Input[[3]int64, sval3]{mr.MapInput("in", func(e Entry, emit func([3]int64, sval3)) {
+			emit([3]int64{e.Idx[0] / 40, e.Idx[1] / 40, 0}, sval3{tag: tagTensor, idx: e.Idx, val: e.Val})
+		})},
+		Reduce: func(k [3]int64, vs []sval3, emit func(YEntry)) {
+			var s float64
+			for _, v := range vs {
+				s += v.val
 			}
+			emit(YEntry{I: k[0], Val: s})
+		},
+		Partition: mr.HashTriple,
+		BlockKV:   &sizer,
+		OutSize:   yEntrySize,
+	}
+	counter := &shipCounter{Loopback: mr.NewLoopback()}
+	var stats [2]mr.JobStats
+	for i, backend := range []mr.Backend{nil, counter} {
+		c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+		c.SetBackend(backend)
+		if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
+			t.Fatal(err)
 		}
-		counter := &shipCounter{Loopback: mr.NewLoopback()}
-		var stats [2]mr.JobStats
-		for i, backend := range []mr.Backend{nil, counter} {
-			c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
-			c.SetBackend(backend)
-			if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
-				t.Fatal(err)
-			}
-			pairs, headed = 0, 0
-			_, st, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pairs != st.ShuffleRecords || headed != st.ShuffleRecords {
-				t.Fatalf("combine=%v: %d shuffled records, sized by %d Pair calls and declared by Header as %d",
-					combine, st.ShuffleRecords, pairs, headed)
-			}
-			stats[i] = st
+		pairs, headed = 0, 0
+		_, st, err := mr.Run(c, job)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if stats[0] != stats[1] {
-			t.Fatalf("combine=%v: the backend moved the job's stats:\n%+v\n%+v", combine, stats[0], stats[1])
+		if pairs != st.ShuffleRecords || headed != st.ShuffleRecords {
+			t.Fatalf("%d shuffled records, sized by %d Pair calls and declared by Header as %d",
+				st.ShuffleRecords, pairs, headed)
 		}
-		st := stats[0]
-		if st.ShuffleBytes != counter.bytes {
-			t.Fatalf("combine=%v: engine charged %d shuffle bytes, the %d shipped blocks total %d",
-				combine, st.ShuffleBytes, counter.blocks, counter.bytes)
-		}
-		if combine && st.ShuffleRecords >= int64(len(entries)) {
-			t.Fatalf("the combiner shuffled %d of %d records", st.ShuffleRecords, len(entries))
-		}
-		if !combine && st.ShuffleRecords != int64(len(entries)) {
-			t.Fatalf("shuffle records %d, want %d", st.ShuffleRecords, len(entries))
-		}
-		// And the whole point of the codec: the columnar charge must be
-		// strictly below the fixed-width charge for the same shuffle.
-		if fixed := st.ShuffleRecords * hEntryBytes; st.ShuffleBytes >= fixed {
-			t.Fatalf("combine=%v: columnar charge %d not below fixed-width charge %d", combine, st.ShuffleBytes, fixed)
-		}
+		stats[i] = st
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("the backend moved the job's stats:\n%+v\n%+v", stats[0], stats[1])
+	}
+	st := stats[0]
+	if st.ShuffleBytes != counter.bytes {
+		t.Fatalf("engine charged %d shuffle bytes, the %d shipped blocks total %d",
+			st.ShuffleBytes, counter.blocks, counter.bytes)
+	}
+	if st.ShuffleRecords != int64(len(entries)) {
+		t.Fatalf("shuffle records %d, want %d", st.ShuffleRecords, len(entries))
+	}
+	// And the whole point of the codec: the columnar charge must be
+	// strictly below the fixed-width charge for the same shuffle.
+	if fixed := st.ShuffleRecords * hEntryBytes; st.ShuffleBytes >= fixed {
+		t.Fatalf("columnar charge %d not below fixed-width charge %d", st.ShuffleBytes, fixed)
 	}
 }
 

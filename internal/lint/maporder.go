@@ -14,8 +14,8 @@ import (
 //
 // A function is in "emit context" when it is
 //
-//   - a function literal bound to a Map, Reduce, or Combine field of a
-//     composite literal (the mr.Job / mr.Input plumbing), or
+//   - a function literal bound to a Map or Reduce field of a composite
+//     literal (the mr.Job / mr.Input plumbing), or
 //   - any function — declaration or literal — that takes a parameter
 //     named emit of function type.
 //
@@ -28,7 +28,7 @@ import (
 // and PairwiseMergeN use — ranges over a slice and needs no carve-out.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "no map iteration inside Map/Reduce/Combine or emit-callback functions",
+	Doc:  "no map iteration inside Map/Reduce or emit-callback functions",
 	Run:  runMapOrder,
 }
 
@@ -76,7 +76,7 @@ func emitContexts(n ast.Node) []emitCtx {
 				continue
 			}
 			key, ok := kv.Key.(*ast.Ident)
-			if !ok || (key.Name != "Map" && key.Name != "Reduce" && key.Name != "Combine") {
+			if !ok || (key.Name != "Map" && key.Name != "Reduce") {
 				continue
 			}
 			if lit, ok := kv.Value.(*ast.FuncLit); ok {

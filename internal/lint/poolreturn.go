@@ -15,10 +15,10 @@ import (
 // evaporates without any test failing. The check applies to the
 // packages that own pools (mr, and obs's exporter buffers) and is
 // path-sensitive: a value bound from a pool acquisition (getSlice,
-// getGroupArena, getCombineScratch, getBuf, or a raw sync.Pool Get)
-// must, on every path that reaches the function's exit, be passed to
-// the matching return call, be handed to the DFS with AppendBlock, be
-// returned to the caller, or escape into another location (whose owner
+// getGroupArena, getBuf, or a raw sync.Pool Get) must, on every path
+// that reaches the function's exit, be passed to the matching return
+// call, be handed to the DFS with AppendBlock, be returned to the
+// caller, or escape into another location (whose owner
 // then carries the obligation). The analysis runs a forward
 // may-analysis over the function's CFG: the fact is the set of
 // outstanding acquisitions, releases and escapes discharge them, and
@@ -45,11 +45,10 @@ var PoolReturn = &Analyzer{
 // poolKinds maps acquisition helpers to the call that must give the
 // buffer back.
 var poolKinds = map[string]string{
-	"getSlice":          "putSlice",
-	"getMap":            "putMap",
-	"getGroupArena":     "putGroupArena",
-	"getCombineScratch": "putCombineScratch",
-	"getBuf":            "putBuf",
+	"getSlice":      "putSlice",
+	"getMap":        "putMap",
+	"getGroupArena": "putGroupArena",
+	"getBuf":        "putBuf",
 }
 
 // crossPoolKinds maps mr's exported pool API, usable from any package.

@@ -1,15 +1,14 @@
 // Fixture for the maporder analyzer: map iteration inside emit-context
-// functions (Map/Reduce/Combine literals and emit-callback functions).
+// functions (Map/Reduce literals and emit-callback functions).
 package maporder
 
 import "sort"
 
-// job mimics the shape of mr.Job: function-typed Map/Reduce/Combine
-// fields bound with composite literals.
+// job mimics the shape of mr.Job: function-typed Map/Reduce fields
+// bound with composite literals.
 type job struct {
-	Map     func(rec any, emit func(int, float64))
-	Reduce  func(key int, vals []float64, emit func(float64))
-	Combine func(key int, vals []float64) []float64
+	Map    func(rec any, emit func(int, float64))
+	Reduce func(key int, vals []float64, emit func(float64))
 }
 
 // flaggedJob iterates maps inside Map and Reduce literals.

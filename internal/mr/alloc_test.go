@@ -9,7 +9,6 @@
 package mr_test
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -71,40 +70,6 @@ func TestShuffleAllocsPerRecord(t *testing.T) {
 	t.Logf("allocs/run = %.0f over %d shuffled pairs (%.4f allocs/record)", avg, pairs, perRecord)
 	if perRecord > allocBudgetPerRecord {
 		t.Errorf("shuffle hot path allocates %.4f allocs/record (budget %.2f): per-key allocation churn is back",
-			perRecord, allocBudgetPerRecord)
-	}
-}
-
-// TestShuffleAllocsPerRecordCombine pins the combiner path's budget.
-// The combiner itself sums in place and returns a subslice of its
-// input, so every allocation measured here belongs to the engine: the
-// pooled combine scratch and the arena must keep the path as flat as
-// the combiner-less one.
-func TestShuffleAllocsPerRecordCombine(t *testing.T) {
-	c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
-	job, pairs := shuffleAllocJob(c, "alloc-combine")
-	job.Combine = func(k int64, vs []int64) []int64 {
-		var s int64
-		for _, v := range vs {
-			s += v
-		}
-		vs[0] = s
-		return vs[:1]
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := mr.Run(c, job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(5, func() {
-		if _, _, err := mr.Run(c, job); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perRecord := avg / float64(pairs)
-	t.Logf("allocs/run = %.0f over %d pairs (%.4f allocs/record)", avg, pairs, perRecord)
-	if perRecord > allocBudgetPerRecord {
-		t.Errorf("combine shuffle path allocates %.4f allocs/record (budget %.2f): per-key allocation churn is back",
 			perRecord, allocBudgetPerRecord)
 	}
 }
@@ -221,90 +186,5 @@ func TestShuffleColdRunAllocatesOnce(t *testing.T) {
 	t.Logf("cold run allocated %.2f× its %.1f MB of pairs and output", ratio, floor/1e6)
 	if ratio > maxRatio {
 		t.Errorf("cold run allocated %.2f× the bytes it holds (bound %.2f×): a buffer on the data path is growing again", ratio, maxRatio)
-	}
-}
-
-// TestCombinerExpansionKeepsSlabsApart is the pool-ownership
-// regression: a map task's segments are carved from one pooled slab, so
-// a combiner that expands a bucket must get storage of its own (not its
-// neighbour's run), and only the slab — never a segment, never the
-// expanded bucket — may reach the pool, or two later tasks would be
-// handed the same memory. The combiner doubles the values of one key
-// routed to reducer 0, whose segment has every other reducer's after
-// it. Run twice per cluster, in process and across the backend seam:
-// every output must equal the arithmetic answer.
-func TestCombinerExpansionKeepsSlabsApart(t *testing.T) {
-	const records, keyspace = 20_000, 512
-	hot := int64(-1)
-	for k := int64(0); k < keyspace; k++ {
-		if mr.HashInt64(k)%32 == 0 {
-			hot = k
-			break
-		}
-	}
-	if hot < 0 {
-		t.Fatal("no key routes to reducer 0")
-	}
-	want := make(map[int64]int64)
-	for v := int64(0); v < records; v++ {
-		want[v%keyspace] += v
-	}
-	want[hot] *= 2
-	for _, backend := range []mr.Backend{nil, mr.NewLoopback()} {
-		c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
-		if backend != nil {
-			c.SetBackend(backend)
-		}
-		items := make([]int64, records)
-		for i := range items {
-			items[i] = int64(i)
-		}
-		if err := mr.WriteFile(c, "in", items, func(int64) int64 { return 8 }); err != nil {
-			t.Fatal(err)
-		}
-		job := mr.Job[int64, int64, [2]int64]{
-			Name: "expanding-combiner",
-			Inputs: []mr.Input[int64, int64]{mr.MapInput("in", func(v int64, emit func(int64, int64)) {
-				emit(v%keyspace, v)
-			})},
-			Combine: func(k int64, vs []int64) []int64 {
-				if k == hot {
-					return append(vs, vs...)
-				}
-				return vs
-			},
-			Reduce: func(k int64, vs []int64, emit func([2]int64)) {
-				var s int64
-				for _, v := range vs {
-					s += v
-				}
-				emit([2]int64{k, s})
-			},
-			Partition: mr.HashInt64,
-		}
-		var first [][2]int64
-		for run := 0; run < 2; run++ {
-			out, st, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.ShuffleRecords <= records {
-				t.Fatalf("backend %v run %d: %d shuffled records, the combiner expanded nothing", backend, run, st.ShuffleRecords)
-			}
-			if len(out) != keyspace {
-				t.Fatalf("backend %v run %d: %d keys, want %d", backend, run, len(out), keyspace)
-			}
-			for _, o := range out {
-				if o[1] != want[o[0]] {
-					t.Fatalf("backend %v run %d: key %d sums to %d, want %d", backend, run, o[0], o[1], want[o[0]])
-				}
-			}
-			if run == 0 {
-				first = append(first, out...)
-			} else if !reflect.DeepEqual(first, out) {
-				t.Fatalf("backend %v: second run's output differs from the first", backend)
-			}
-			mr.Recycle(out)
-		}
 	}
 }

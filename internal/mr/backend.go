@@ -11,7 +11,7 @@ import (
 )
 
 // Backend is the engine's pluggable data plane. A job's computation —
-// the map, combine, and reduce closures — always runs in the engine's
+// the map and reduce closures — always runs in the engine's
 // process (closures cannot cross a process boundary), but everything
 // the computation consumes and produces as *data* can be routed
 // elsewhere: the shuffle partitions each map task emits for each
@@ -351,10 +351,9 @@ func (pc partCodec[K, V]) decode(data []byte, dst []pair[K, V]) ([]pair[K, V], e
 
 // shipTask is one ship window: map task key.Task's non-empty segments,
 // encoded back to back into one pooled slab that is lent to the backend
-// and reclaimed on return. counts[r] receives the records of reducer
-// r's partition, and the task's slab goes back to the pool: shipped or
-// not, the task's map output is the engine's no longer.
-func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, out *mapOut[K, V], counts []int) error {
+// and reclaimed on return. The task's slab goes back to the pool:
+// shipped or not, the task's map output is the engine's no longer.
+func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, out *mapOut[K, V]) error {
 	defer out.release()
 	slab := getSlice[byte](int(out.bytes)) // what the task was charged: exact for a block codec
 	keys := make([]PartKey, 0, len(out.segs))
@@ -363,7 +362,7 @@ func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, 
 	for r, bucket := range out.segs {
 		if len(bucket) > 0 && err == nil {
 			slab, err = pc.encode(slab, bucket)
-			key.Reducer, counts[r] = r, len(bucket)
+			key.Reducer = r
 			keys, ends = append(keys, key), append(ends, len(slab))
 		}
 	}
@@ -380,11 +379,11 @@ func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, 
 }
 
 // fetchReducer is one fetch window: the partitions of reducer
-// key.Reducer that shipTask recorded as non-empty (counts is task-major,
-// reducers wide), decoded into one pooled slab of the reducer's exact
-// input size with buckets[task] its segments, carved in task order as a
-// map task's are. The caller returns the slab. Nothing is fetched for a
-// segment the map phase saw empty, and a reducer with no input performs
+// key.Reducer that the map phase counted as non-empty (counts is
+// task-major, reducers wide), decoded into one pooled slab of the
+// reducer's exact input size with buckets[task] its segments, carved in
+// task order as a map task's are. The caller returns the slab. Nothing
+// is fetched for an empty segment, and a reducer with no input performs
 // no fetch at all.
 func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, counts []int, reducers int, buckets [][]pair[K, V]) ([]pair[K, V], error) {
 	var keys []PartKey

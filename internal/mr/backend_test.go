@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/haten2/haten2/internal/dfs"
 )
 
 // TestLoopbackWordCount pins the backend seam at its smallest scale:
@@ -128,50 +130,91 @@ func (f *flakyBackend) FetchPartitions(keys []PartKey, visit func(int, []byte) e
 	return f.Loopback.FetchPartitions(keys, visit)
 }
 
-// TestShufflePlaneErrorsFailTheJob pins that the shuffle plane is
-// authoritative: a ship or fetch window that fails fails the job with
-// the backend's error wrapped (never a fallback to in-process data),
-// the job is still recorded, and whatever had been shipped is released.
+// TestShufflePlaneErrorsFailTheJob pins every exit that abandons a job
+// after its map phase has begun. The shuffle plane is authoritative: a
+// ship or fetch window that fails fails the job with the backend's error
+// wrapped (never a fallback to in-process data). Exhaustion after some
+// tasks have shipped, a fault plan that fails the job, an OutputPart out
+// of range and an output name that is taken fail it too, in process and
+// on the backend. Each failed job is still recorded, once, and whatever
+// had been shipped is released.
 func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 	lines := []string{"a b a", "b c", "a", "d e f g h i j k"}
+	const never = 1 << 30
 	for _, tc := range []struct {
 		name           string
-		ships, fetches int64
-		want           string
+		ships, fetches int64 // windows that succeed before the backend fails
+		backendOnly    bool
+		limit          int64 // MaxShuffleRecords
+		plan           *FaultPlan
+		job            func(*Job[string, int, string])
+		want           func(error) bool
 	}{
-		{"ship", 1, 1 << 30, "shuffle ship"},
-		{"fetch", 1 << 30, 1, "shuffle fetch"},
+		{name: "ship", ships: 1, fetches: never, backendOnly: true,
+			want: func(err error) bool {
+				return errors.Is(err, errLostWorker) && strings.Contains(err.Error(), "shuffle ship")
+			}},
+		{name: "fetch", ships: never, fetches: 1, backendOnly: true,
+			want: func(err error) bool {
+				return errors.Is(err, errLostWorker) && strings.Contains(err.Error(), "shuffle fetch")
+			}},
+		{name: "exhausted", ships: never, fetches: never, limit: 5,
+			want: func(err error) bool { var e *ErrResourceExhausted; return errors.As(err, &e) && e.ShuffleRecords == 6 }},
+		{name: "fault-plan", ships: never, fetches: never, plan: &FaultPlan{Seed: 1, FailureRate: 1},
+			want: func(err error) bool { var e *ErrJobFailed; return errors.As(err, &e) && e.Phase == "map" }},
+		{name: "output-part", ships: never, fetches: never,
+			job: func(j *Job[string, int, string]) {
+				j.Outputs, j.OutputPart = []string{"short", "long"}, func(k string) int { return len(k) + 1 }
+			},
+			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside its 2 outputs") }},
+		{name: "output-exists", ships: never, fetches: never,
+			job:  func(j *Job[string, int, string]) { j.Outputs = []string{"lines"} },
+			want: func(err error) bool { var e *dfs.ErrExist; return errors.As(err, &e) && e.Name == "lines" }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := testCluster(4)
-			fb := &flakyBackend{Loopback: NewLoopback()}
-			fb.shipsLeft.Store(tc.ships)
-			fb.fetchesLeft.Store(tc.fetches)
-			c.SetBackend(fb)
-			if err := WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
-				t.Fatal(err)
+		for _, backend := range []string{"flaky", "in-process"} {
+			if tc.backendOnly && backend != "flaky" {
+				continue
 			}
-			_, _, err := Run(c, Job[string, int, string]{
-				Name: "words",
-				Inputs: []Input[string, int]{MapInput("lines", func(line string, emit func(string, int)) {
-					for _, w := range strings.Fields(line) {
-						emit(w, 1)
-					}
-				})},
-				Reduce:    func(k string, _ []int, emit func(string)) { emit(k) },
-				Partition: func(k string) uint64 { return uint64(len(k)) + uint64(k[0]) },
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				c := NewCluster(Config{Machines: 4, SlotsPerMachine: 2, MaxShuffleRecords: tc.limit})
+				fb := &flakyBackend{Loopback: NewLoopback()}
+				fb.shipsLeft.Store(tc.ships)
+				fb.fetchesLeft.Store(tc.fetches)
+				if backend == "flaky" {
+					c.SetBackend(fb)
+				}
+				if err := WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
+					t.Fatal(err)
+				}
+				c.InstallFaultPlan(tc.plan)
+				job := Job[string, int, string]{
+					Name: "words",
+					Inputs: []Input[string, int]{MapInput("lines", func(line string, emit func(string, int)) {
+						for _, w := range strings.Fields(line) {
+							emit(w, 1)
+						}
+					})},
+					Reduce:    func(k string, _ []int, emit func(string)) { emit(k) },
+					Partition: func(k string) uint64 { return uint64(len(k)) + uint64(k[0]) },
+				}
+				if tc.job != nil {
+					tc.job(&job)
+				}
+				if _, _, err := Run(c, job); !tc.want(err) {
+					t.Fatalf("unexpected failure: %v", err)
+				}
+				if jobs := c.Jobs(); len(jobs) != 1 {
+					t.Fatalf("failed job not recorded once: %d jobs", len(jobs))
+				}
+				if tc.name == "exhausted" && backend == "flaky" && fb.shipsLeft.Load() == never {
+					t.Fatal("the job was exhausted before any task shipped")
+				}
+				fb.mu.Lock()
+				defer fb.mu.Unlock()
+				if len(fb.parts) != 0 {
+					t.Fatalf("%d partitions of the failed job were never released", len(fb.parts))
+				}
 			})
-			if !errors.Is(err, errLostWorker) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want a wrapped %q failure, got %v", tc.want, err)
-			}
-			if jobs := c.Jobs(); len(jobs) != 1 {
-				t.Fatalf("failed job not recorded: %d jobs", len(jobs))
-			}
-			fb.mu.Lock()
-			defer fb.mu.Unlock()
-			if len(fb.parts) != 0 {
-				t.Fatalf("%d partitions of the failed job were never released", len(fb.parts))
-			}
-		})
+		}
 	}
 }

@@ -72,7 +72,7 @@ func BenchmarkParafacDRIIteration(b *testing.B) {
 }
 
 // BenchmarkEngineShuffle isolates mr.Run itself: a 1M-pair job with a
-// fan-in key space, no combiner, trivial reduce. This is the pure
+// fan-in key space and a trivial reduce. This is the pure
 // map → shuffle-group → reduce path with none of core's arithmetic.
 func BenchmarkEngineShuffle(b *testing.B) {
 	const records = 250_000
@@ -156,51 +156,6 @@ func BenchmarkEngineShuffleTraced(b *testing.B) {
 		if i%64 == 63 {
 			// Keep the span log from growing without bound across b.N.
 			c.Tracer().Reset()
-		}
-	}
-}
-
-// BenchmarkEngineShuffleCombine is BenchmarkEngineShuffle with a
-// summing combiner, exercising the pooled per-task combine scratch.
-func BenchmarkEngineShuffleCombine(b *testing.B) {
-	const records = 250_000
-	c := benchCluster()
-	items := make([]int64, records)
-	for i := range items {
-		items[i] = int64(i)
-	}
-	if err := mr.WriteFile(c, "in", items, func(int64) int64 { return 8 }); err != nil {
-		b.Fatal(err)
-	}
-	job := mr.Job[int64, int64, int64]{
-		Name: "shuffle-bench-combine",
-		Inputs: []mr.Input[int64, int64]{mr.MapInput("in", func(v int64, emit func(int64, int64)) {
-			for j := int64(0); j < 4; j++ {
-				emit((v*4+j)%4096, 1)
-			}
-		})},
-		Combine: func(k int64, vs []int64) []int64 {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			return []int64{s}
-		},
-		Reduce: func(k int64, vs []int64, emit func(int64)) {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-		Partition: mr.HashInt64,
-	}
-	b.SetBytes(records * 4 * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := mr.Run(c, job); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -13,7 +13,8 @@
 // holds both planes of the seam to what the plans wrote: partitions are
 // the shuffle bytes the jobs were charged, files are their columnar
 // blocks, every job input is served by the backend, and a buffer lent to
-// ShipFile is not kept.
+// ShipFile is not kept. A shuffle lost mid-decomposition fails the job,
+// and a fresh cluster resumes from the checkpoints to the same factors.
 //
 // Usage, from any backend's package:
 //
@@ -69,6 +70,7 @@ func RunConformance(t *testing.T, newBackend Factory) {
 	t.Run("file-bytes-lent", func(t *testing.T) { fileBytesLent(t, newBackend) })
 	t.Run("fallback-codec", func(t *testing.T) { fallbackCodec(t, newBackend) })
 	t.Run("empty-shuffle", func(t *testing.T) { emptyShuffle(t, newBackend) })
+	t.Run("lost-shuffle-resume", func(t *testing.T) { lostShuffleResume(t, newBackend) })
 }
 
 // meter sits between the engine and the backend under test and counts
@@ -624,6 +626,69 @@ func emptyShuffle(t *testing.T, newBackend Factory) {
 	}
 	if m != nil && (m.shipped.Load() != 0 || m.fetched.Load() != 0) {
 		t.Fatalf("empty job shipped %d partitions and fetched %d, want none", m.shipped.Load(), m.fetched.Load())
+	}
+}
+
+// lossy loses the shuffle: fetch window number at (counting from zero,
+// in the order windows start) fails, as if the worker holding it had
+// died. A negative at only counts windows.
+type lossy struct {
+	mr.Backend
+	at      int64
+	fetches atomic.Int64
+}
+
+func (l *lossy) FetchPartitions(keys []mr.PartKey, visit func(int, []byte) error) error {
+	if l.fetches.Add(1)-1 == l.at {
+		return fmt.Errorf("fetch window %d lost", l.at)
+	}
+	return l.Backend.FetchPartitions(keys, visit)
+}
+
+// lostShuffleResume loses one fetch window halfway through a
+// checkpointed PARAFAC-DRI: the job fails with a shuffle fetch error,
+// and a fresh cluster over the same DFS with a fresh backend resumes to
+// the uninterrupted run's factors and λ, bit for bit, running fewer
+// jobs than a full run. The in-process engine has no shuffle to lose.
+func lostShuffleResume(t *testing.T, newBackend Factory) {
+	x := gen.Random(42, [3]int64{12, 10, 8}, 240)
+	cfg := mr.Config{Machines: 2, SlotsPerMachine: 2}
+	opt := core.Options{Variant: core.DRI, MaxIters: 4, Tol: 1e-12, Seed: 5, Checkpoint: "models/parafac"}
+	lossyCluster := func(at int64) (*mr.Cluster, *lossy) {
+		c := mr.NewCluster(cfg)
+		var l *lossy
+		install(t, c, func(t *testing.T) mr.Backend {
+			b := newBackend(t)
+			if b != nil && !b.InProcess() {
+				l = &lossy{Backend: b, at: at}
+				return l
+			}
+			return b
+		})
+		return c, l
+	}
+	full, count := lossyCluster(-1)
+	if count == nil {
+		t.Skip("the in-process engine's shuffle never leaves the heap")
+	}
+	want, err := core.ParafacALS(full, x, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost, _ := lossyCluster(count.fetches.Load() / 2)
+	if _, err := core.ParafacALS(lost, x, 3, opt); err == nil || !strings.Contains(err.Error(), "shuffle fetch") {
+		t.Fatalf("want a shuffle fetch failure, got %v", err)
+	}
+	resumed := install(t, mr.NewClusterWithFS(cfg, lost.FS()), newBackend)
+	got, err := core.ParafacALS(resumed, x, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iters != want.Iters || !modelBitsEqual(want.Model, got.Model) {
+		t.Fatal("the run resumed after the lost shuffle differs from the uninterrupted run")
+	}
+	if n, all := resumed.Totals().Jobs, full.Totals().Jobs; n >= all {
+		t.Fatalf("the resumed run ran %d jobs, a full run %d: nothing was resumed", n, all)
 	}
 }
 

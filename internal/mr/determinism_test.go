@@ -85,96 +85,6 @@ func TestExhaustionByPhantomChargeOnly(t *testing.T) {
 	}
 }
 
-// TestCombinerExpandsValues covers a combiner that returns more than
-// one value per key — the output legitimately grows past the original
-// bucket.
-func TestCombinerExpandsValues(t *testing.T) {
-	c := NewCluster(Config{Machines: 1, SlotsPerMachine: 1})
-	WriteFile(c, "in", []int64{0}, func(int64) int64 { return 8 })
-	out, st, err := Run(c, Job[int64, int64, int64]{
-		Name: "expand",
-		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
-			for k := int64(0); k < 4; k++ {
-				emit(k, 5)
-			}
-		})},
-		// Split each key's single value into three parts: 4 pairs in,
-		// 12 pairs out of the map task.
-		Combine: func(k int64, vs []int64) []int64 {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			return []int64{s - 2, 1, 1}
-		},
-		Reduce: func(k int64, vs []int64, emit func(int64)) {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-		Partition: HashInt64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ShuffleRecords != 12 {
-		t.Fatalf("expanding combiner should shuffle 12 records, got %d", st.ShuffleRecords)
-	}
-	if len(out) != 4 {
-		t.Fatalf("out=%v", out)
-	}
-	for _, o := range out {
-		if o != 5 {
-			t.Fatalf("expansion must preserve per-key totals: %v", out)
-		}
-	}
-}
-
-// TestCombinerScratchReuseAcrossBuckets runs a combiner job whose map
-// task fills many reducer buckets, so the shared per-task scratch is
-// exercised across consecutive buckets with different key sets.
-func TestCombinerScratchReuseAcrossBuckets(t *testing.T) {
-	c := NewCluster(Config{Machines: 4, SlotsPerMachine: 4})
-	items := make([]int64, 256)
-	for i := range items {
-		items[i] = int64(i)
-	}
-	WriteFile(c, "in", items, func(int64) int64 { return 8 })
-	out, _, err := Run(c, Job[int64, int64, int64]{
-		Name: "scratch",
-		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
-			emit(r%32, 1)
-		})},
-		Combine: func(k int64, vs []int64) []int64 {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			return []int64{s}
-		},
-		Reduce: func(k int64, vs []int64, emit func(int64)) {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-		Partition: HashInt64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, o := range out {
-		total += o
-	}
-	if len(out) != 32 || total != 256 {
-		t.Fatalf("len=%d total=%d", len(out), total)
-	}
-}
-
 // TestConcurrentRunsAndSnapshots exercises ResetCounters, Jobs, and
 // Totals while jobs run concurrently (run under -race in CI). Jobs must
 // return an isolated copy, and the final log must reflect exactly the

@@ -212,7 +212,7 @@ func (s *faultState) pickAlive(h uint64) int {
 // attempt (launched once the task lags by SpeculativeDelay) finishes
 // first; the losing attempt's work is charged as waste either way,
 // exactly like Hadoop killing the slower of two attempts.
-func (p *FaultPlan) applyPhase(st *JobStats, state *faultState, cost CostModel, job string, jobSeq int64, phase uint64, tasks []taskCost) *ErrJobFailed {
+func (p *FaultPlan) applyPhase(st *JobStats, state *faultState, cost CostModel, job string, jobSeq int64, phase uint64, tasks []taskCost) error {
 	phaseName := "map"
 	attempts := &st.MapAttempts
 	if phase == phaseReduce {

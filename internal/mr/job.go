@@ -75,17 +75,6 @@ type Job[K comparable, V any, O any] struct {
 	// only valid for the duration of the call (Hadoop's contract: the
 	// reduce iterator cannot be kept); copy values out to retain them.
 	Reduce func(key K, values []V, emit func(O))
-	// Combine, when non-nil, merges the values one map task emitted for
-	// a key before they are shuffled — Hadoop's combiner. It must be
-	// associative and produce values Reduce accepts. Shuffle counters
-	// (and therefore resource limits and simulated time) account the
-	// post-combine volume, which is the point of using one.
-	//
-	// The HaTen2 job plans deliberately do not use combiners — the
-	// paper's implementation didn't, and Tables III/IV are reproduced
-	// against un-combined shuffle volumes — but the engine supports
-	// them for the combiner ablation experiment.
-	Combine func(key K, values []V) []V
 	// Partition routes a key to a reducer as Partition(k) % reducers.
 	// It is required; use the Hash* helpers for common key shapes. It
 	// must be a pure function of the key: the engine calls it once per
@@ -139,20 +128,63 @@ type pair[K comparable, V any] struct {
 
 // mapOut is one map task's output: a single pooled slab holding exactly
 // the pairs the task emitted, carved into one contiguous segment per
-// reducer. A segment is capacity-clamped to its run, so appending to it
-// reallocates that segment alone (a combiner that expands its bucket
-// leaves segs[r] pointing at a private array); only slab itself ever
-// goes back to the pool, whole and once.
+// reducer, and the shuffle bytes the task was charged. Only slab itself
+// ever goes back to the pool, whole and once.
 type mapOut[K comparable, V any] struct {
-	slab    []pair[K, V]
-	segs    [][]pair[K, V]
-	records int64
-	bytes   int64
+	slab  []pair[K, V]
+	segs  [][]pair[K, V]
+	bytes int64
 }
 
 func (o *mapOut[K, V]) release() {
 	putSlice(o.slab)
 	o.slab, o.segs = nil, nil
+}
+
+// split is one map task: records lo..hi of an input's payload.
+type split[K comparable, V any] struct {
+	run     func(payload any, lo, hi int, emit func(K, V))
+	payload any
+	lo, hi  int
+}
+
+// mapWorker is a map pool worker's emit buffer, reused by its next task,
+// and next, per reducer the task's pair count, then its segment cursor.
+type mapWorker[K comparable, V any] struct {
+	buf  []pair[K, V]
+	next []int
+}
+
+// run is one Run call: the job, where it runs, and what each phase hands
+// the next, from splitInputs to commit in the order Run calls them.
+type run[K comparable, V any, O any] struct {
+	c    *Cluster
+	job  Job[K, V, O]
+	plan *FaultPlan
+	seq  int64
+	// rb is non-nil when an out-of-process backend owns the data plane:
+	// inputs are fetched from it when mirrored, and the shuffle always
+	// round-trips through it (ship after map, fetch inside reduce).
+	rb                     Backend
+	st                     JobStats
+	reducers, nparts, pool int
+	route                  func(h uint64) uint64
+	codec                  partCodec[K, V] // the job's charge function and shuffle codec
+
+	tasks []split[K, V] // splitInputs → mapTasks
+	// mapTasks → reduce: each task's output, and counts, task-major, the
+	// records of every (task, reducer) segment, which outlive the slabs.
+	outs     []mapOut[K, V]
+	counts   []int
+	shipErrs []error
+	fstate   *faultState // mapFaults → reduceFaults
+
+	// reduce → commit: results[r·nparts+p] holds reducer r's part-p
+	// records and resultBytes their size; fed, made and los are outBufs'.
+	results                           [][]O
+	resultBytes, redInputs, fed, made []int64
+	los                               []int
+	fetchErrs, partErrs               []error
 }
 
 // Run executes the job on the cluster and returns part 0 of its reduce
@@ -177,150 +209,85 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 			return nil, JobStats{}, fmt.Errorf("mr: job %q: input %q was not built by MapInput", job.Name, in.File)
 		}
 	}
-	nparts := max(len(job.Outputs), 1)
-	if (job.OutputPart != nil) != (nparts > 1) {
+	if (job.OutputPart != nil) != (len(job.Outputs) > 1) {
 		return nil, JobStats{}, fmt.Errorf("mr: job %q: OutputPart goes with two or more Outputs, got %d", job.Name, len(job.Outputs))
 	}
-	plan, jobSeq, err := c.startJob(job.Name)
+	plan, seq, err := c.startJob(job.Name)
 	if err != nil {
 		return nil, JobStats{Name: job.Name}, err
 	}
-	outSize := job.OutSize
-	if outSize == nil {
-		outSize = func(O) int64 { return 24 }
+	r := newRun(c, job, plan, seq)
+	if err := r.splitInputs(); err != nil {
+		return nil, r.st, fmt.Errorf("mr: job %q: %w", job.Name, err)
 	}
+	if err := r.mapTasks(); err != nil {
+		return r.fail(err)
+	}
+	if err := r.mapFaults(); err != nil {
+		return r.fail(err)
+	}
+	if err := r.reduce(); err != nil {
+		return r.fail(err)
+	}
+	if err := r.reduceFaults(); err != nil {
+		return r.fail(err)
+	}
+	if err := r.commit(); err != nil {
+		return r.fail(err)
+	}
+	r.finish()
+	return r.results[0], r.st, nil
+}
+
+// newRun readies one job's run state on c.
+func newRun[K comparable, V any, O any](c *Cluster, job Job[K, V, O], plan *FaultPlan, seq int64) *run[K, V, O] {
 	reducers := c.Workers()
-	// rb is non-nil when an out-of-process backend owns the data plane:
-	// inputs are fetched from it when mirrored, and the shuffle always
-	// round-trips through it (ship after map, fetch inside reduce).
-	rb := c.remote()
-
-	st := JobStats{Name: job.Name, ReduceTasks: reducers}
-	// Snapshot the DFS storage-fault counters around the input reads so
-	// the job is charged the failovers and scrubs its own reads caused.
-	// Attribution assumes jobs run sequentially (the same contract the
-	// fault plan's job sequence documents); concurrent Run callers get
-	// scheduling-dependent attribution but exact cluster-level totals.
-	storageOn := plan != nil && (plan.BlockCorruptRate > 0 || plan.ReplicaLossRate > 0)
-	var storageBase dfs.Stats
-	if storageOn {
-		storageBase = c.fs.Stats()
+	r := &run[K, V, O]{
+		c: c, job: job, plan: plan, seq: seq, rb: c.remote(),
+		st:       JobStats{Name: job.Name, ReduceTasks: reducers},
+		reducers: reducers, nparts: max(len(job.Outputs), 1), pool: min(runtime.GOMAXPROCS(0), reducers),
+		codec: partCodec[K, V]{sizer: job.BlockKV, part: job.Partition},
 	}
-	// --- Map phase -------------------------------------------------------
-	// Split every input into one split per worker and run map tasks in a
-	// bounded pool. A task's emissions land in one worker-local buffer
-	// (reused by the worker's next task, so it stops growing after the
-	// first) while a per-reducer count is kept; at task end the counts
-	// are exact, and a stable counting scatter moves the pairs into one
-	// slab of exactly that length, one contiguous segment per reducer.
-	// Emission order inside a segment is preserved, and each reducer
-	// later walks its segments in task order, so the engine is
-	// deterministic regardless of scheduling.
-	//
-	// Inputs read the DFS payload zero-copy: a task maps a borrowed
-	// sub-range of the file's []R slice.
-	type taskOut = mapOut[K, V]
-	type mapWorker struct {
-		buf  []pair[K, V]
-		next []int // per reducer: the task's pair count, then its segment cursor
-	}
-
 	// Reducer routing is Partition(k) % reducers by contract; when the
 	// worker count is a power of two (the common cluster shape) the
 	// modulo reduces to a mask with bit-identical routing.
-	rmask := uint64(0)
-	if reducers&(reducers-1) == 0 {
-		rmask = uint64(reducers - 1)
-	}
-	route := func(h uint64) uint64 {
-		if rmask != 0 {
-			return h & rmask
+	n, pow2 := uint64(reducers), reducers&(reducers-1) == 0
+	r.route = func(h uint64) uint64 {
+		if pow2 {
+			return h & (n - 1)
 		}
-		return h % uint64(reducers)
+		return h % n
 	}
-	// sizer is the job's one charge function. With a block codec, each
-	// non-empty (map task, reducer) segment is one block — the
-	// per-partition spill a real job would encode and ship: Header once
-	// plus consecutive-pair deltas, the first pair sized against zero
-	// values. Without one, a flat 24 bytes is a headerless codec whose
-	// pairs ignore their predecessor.
-	sizer := job.BlockKV
-	if sizer == nil {
-		sizer = &BlockSizer[K, V]{Pair: func(K, V, K, V) int64 { return 24 }, Header: func(int) int64 { return 0 }}
+	// The sizer is the job's one charge function. With a block codec,
+	// each non-empty (task, reducer) segment is one block, the spill a
+	// real job would ship: Header once plus consecutive-pair deltas, the
+	// first pair sized against zero values. Without one, a flat 24 bytes
+	// is a headerless codec whose pairs ignore their predecessor.
+	if r.codec.sizer == nil {
+		r.codec.sizer = &BlockSizer[K, V]{Pair: func(K, V, K, V) int64 { return 24 }, Header: func(int) int64 { return 0 }}
 	}
+	return r
+}
 
-	// runTask executes one map task: produce drives the input's map
-	// function over the task's split of records input records. emit only
-	// routes — one partition call, one count, one append per pair —
-	// keeping the engine's innermost loop free of indirect calls it
-	// doesn't need. A pair is sized where it is written for the last
-	// time: in the scatter, against the slab cell just written before it
-	// in its segment, or in the combiner's flatten loop for a combine job
-	// (post-combine volume is what is shuffled).
-	part := job.Partition
-	runTask := func(w *mapWorker, segs [][]pair[K, V], records int, produce func(emit func(K, V))) taskOut {
-		if w.next == nil {
-			// At least one pair per input record is the common floor; a
-			// wider fan-out grows the buffer during the first task only.
-			w.buf, w.next = getSlice[pair[K, V]](records), make([]int, reducers)
-		}
-		buf, next := w.buf[:0], w.next
-		clear(next)
-		produce(func(k K, v V) {
-			h := part(k)
-			next[route(h)]++
-			buf = append(buf, pair[K, V]{k: k, v: v, h: h})
-		})
-		w.buf = buf
-		out := taskOut{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs, records: int64(len(buf))}
-		sized := job.Combine == nil
-		var bytes int64
-		lo := 0
-		for r, n := range next {
-			segs[r], next[r] = out.slab[lo:lo+n:lo+n], 0
-			if n > 0 && sized {
-				bytes += sizer.Header(n)
-			}
-			lo += n
-		}
-		var zero pair[K, V]
-		for i := range buf {
-			p := &buf[i]
-			r := route(p.h)
-			seg, at := segs[r], next[r]
-			if sized {
-				prev := &zero
-				if at > 0 {
-					prev = &seg[at-1]
-				}
-				bytes += sizer.Pair(prev.k, prev.v, p.k, p.v)
-			}
-			seg[at] = *p
-			next[r] = at + 1
-		}
-		if !sized {
-			out.records = 0
-			scratch := getCombineScratch[K, V]()
-			for r, bucket := range segs {
-				var n int64
-				segs[r], n = combineBucket(bucket, job.Combine, scratch, sizer)
-				out.records += int64(len(segs[r]))
-				bytes += n
-			}
-			putCombineScratch(scratch)
-		}
-		out.bytes = bytes
-		return out
+// splitInputs cuts every input into one split per worker, each a map
+// task reading a borrowed sub-range of the file's []R payload. It
+// charges the job the DFS storage faults its own reads caused:
+// attribution assumes jobs run sequentially (the same contract the
+// fault plan's job sequence documents); concurrent Run callers get
+// scheduling-dependent attribution but exact cluster-level totals.
+func (r *run[K, V, O]) splitInputs() error {
+	fs := r.c.fs
+	storageOn := r.plan != nil && (r.plan.BlockCorruptRate > 0 || r.plan.ReplicaLossRate > 0)
+	var base dfs.Stats
+	if storageOn {
+		base = fs.Stats()
 	}
-
-	var tasks []func(*mapWorker, [][]pair[K, V]) taskOut
-	var taskInputs []int64 // records per map task, for the fault pass
-	for _, in := range job.Inputs {
-		payload, nrec, err := c.fs.BlockView(in.File)
+	for _, in := range r.job.Inputs {
+		payload, nrec, err := fs.BlockView(in.File)
 		if err != nil {
-			return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
+			return err
 		}
-		bounds := splitBounds(nrec, c.Workers())
+		bounds := splitBounds(nrec, r.reducers)
 		// Out-of-process backend: substitute the mirrored copy of the
 		// input for the in-process payload when the backend serves one.
 		// The local BlockView above still ran — splits, DFS charges, and
@@ -329,69 +296,62 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		// decoded remote bytes. A miss (unmirrored file, decode failure)
 		// keeps the in-process copy: the file plane degrades to local,
 		// never to wrong.
-		if rb != nil && payload != nil {
-			if dec, ok := fetchTyped(rb, in.File, payload, nrec); ok {
+		if r.rb != nil && payload != nil {
+			if dec, ok := fetchTyped(r.rb, in.File, payload, nrec); ok {
 				payload = dec
 			}
 		}
-		st.InputRecords += int64(nrec)
-		sz, err := c.fs.Size(in.File)
+		r.st.InputRecords += int64(nrec)
+		sz, err := fs.Size(in.File)
 		if err != nil {
-			return nil, st, fmt.Errorf("mr: job %q: %w", job.Name, err)
+			return err
 		}
-		st.InputBytes += sz
+		r.st.InputBytes += sz
 		for s := 0; s < len(bounds)-1; s++ {
-			lo, hi := bounds[s], bounds[s+1]
-			if lo == hi {
-				continue
+			if lo, hi := bounds[s], bounds[s+1]; lo < hi {
+				r.tasks = append(r.tasks, split[K, V]{run: in.run, payload: payload, lo: lo, hi: hi})
 			}
-			st.MapTasks++
-			taskInputs = append(taskInputs, int64(hi-lo))
-			runFn, blk := in.run, payload
-			tasks = append(tasks, func(w *mapWorker, segs [][]pair[K, V]) taskOut {
-				return runTask(w, segs, hi-lo, func(emit func(K, V)) { runFn(blk, lo, hi, emit) })
-			})
 		}
 	}
+	r.st.MapTasks = len(r.tasks)
 	if storageOn {
-		// The input reads above are the job's storage-failure surface:
-		// any bad replica copies they crossed were detected, failed
-		// over past, and re-replicated inside the DFS. Charge the
-		// deltas — and the simulated time of the extra I/O — to this
-		// job. Like the task fault pass, this moves time and counters
-		// only; the records the tasks will map are already fixed.
-		now := c.fs.Stats()
-		st.CorruptBlocks = now.CorruptBlocks - storageBase.CorruptBlocks
-		st.LostReplicas = now.LostReplicas - storageBase.LostReplicas
-		st.FailoverReads = now.FailoverReads - storageBase.FailoverReads
-		st.FailoverBytes = now.FailoverBytes - storageBase.FailoverBytes
-		st.ReReplications = now.ReReplications - storageBase.ReReplications
-		st.ScrubBytes = now.ScrubBytes - storageBase.ScrubBytes
-		machines := c.cfg.Machines
-		if machines <= 0 {
-			machines = 1
-		}
+		// The input reads above crossed any bad replica copies, failed
+		// over past them and re-replicated inside the DFS. Like the task
+		// fault pass, the deltas — and the simulated time of the extra
+		// I/O — move time and counters only; the records are fixed.
+		now, st := fs.Stats(), &r.st
+		st.CorruptBlocks = now.CorruptBlocks - base.CorruptBlocks
+		st.LostReplicas = now.LostReplicas - base.LostReplicas
+		st.FailoverReads = now.FailoverReads - base.FailoverReads
+		st.FailoverBytes = now.FailoverBytes - base.FailoverBytes
+		st.ReReplications = now.ReReplications - base.ReReplications
+		st.ScrubBytes = now.ScrubBytes - base.ScrubBytes
 		st.StorageSeconds = float64(st.FailoverBytes+st.ScrubBytes) *
-			c.cfg.Cost.PerDFSByte / float64(machines)
+			r.c.cfg.Cost.PerDFSByte / float64(max(r.c.cfg.Machines, 1))
 	}
+	return nil
+}
 
-	// Run the map tasks. The shuffle-capacity limit is enforced
-	// deterministically: a task's records count only once every
-	// earlier task has completed (a completion frontier in task
-	// order), and the limit trips at the first task index where the
-	// in-order prefix sum exceeds it. Tasks beyond the tripping index
-	// are skipped when possible and never counted, so the recorded
-	// ShuffleRecords/ShuffleBytes of an exhausted job are identical
-	// run-to-run regardless of scheduling.
-	limit := c.cfg.MaxShuffleRecords
-	outs := make([]taskOut, len(tasks))
-	pool := runtime.GOMAXPROCS(0)
-	if w := c.Workers(); w < pool {
-		pool = w
-	}
+// mapTasks runs the map tasks in a bounded pool. The shuffle-capacity
+// limit is enforced deterministically: a task's records count only once
+// every earlier task has completed (a completion frontier in task
+// order), and the limit trips at the first task index where the
+// in-order prefix sum exceeds it. Tasks beyond the tripping index are
+// skipped when possible and never counted, so the recorded
+// ShuffleRecords/ShuffleBytes of an exhausted job are identical
+// run-to-run regardless of scheduling.
+//
+// With an out-of-process backend a task ships its non-empty segments,
+// one partition each, as it ends (shipTask), so the engine never holds
+// more than the running tasks' map output. Once shipped, the backend is
+// the sole holder of the shuffle: ship and fetch errors fail the job,
+// the way a real cluster fails a job whose map outputs are unreachable.
+func (r *run[K, V, O]) mapTasks() error {
+	n, reducers, limit, extra := len(r.tasks), r.reducers, r.c.cfg.MaxShuffleRecords, r.job.ExtraShuffleRecords
+	r.outs, r.counts = make([]mapOut[K, V], n), make([]int, n*reducers)
 	var tripAt atomic.Int64
-	tripAt.Store(int64(len(tasks))) // sentinel: limit never tripped
-	if limit > 0 && job.ExtraShuffleRecords > limit {
+	tripAt.Store(int64(n)) // sentinel: limit never tripped
+	if limit > 0 && extra > limit {
 		// The phantom charge alone exhausts the cluster; no map task's
 		// output is counted.
 		tripAt.Store(-1)
@@ -400,48 +360,32 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		frontierMu sync.Mutex
 		done       []bool
 		frontier   int
-		prefix     = job.ExtraShuffleRecords
+		prefix     = extra
 	)
 	if limit > 0 {
-		done = make([]bool, len(tasks))
+		done = make([]bool, n)
 	}
-	// With an out-of-process backend a map task's slab leaves the
-	// engine's heap as soon as the task ends: every non-empty (map task,
-	// reducer) segment becomes one encoded partition, keyed by (job, seq,
-	// task, reducer), one task's partitions per ship window. The engine
-	// therefore never holds more than the running tasks' map output, and
-	// the next task carves the slab this one returned to the pool.
-	// The reduce phase fetches the partitions back in task order, so
-	// grouping, reduce input order, and therefore output bytes are
-	// identical to the in-process path. Once shipped, the backend is the
-	// sole holder of the shuffle: ship and fetch errors fail the job, the
-	// way a real cluster fails a job whose map outputs become
-	// unreachable. counts remembers the records of every shipped
-	// partition, so a segment the map phase saw empty is never fetched.
-	var counts []int
-	var shipErrs []error
-	codec := partCodec[K, V]{sizer: sizer, part: part}
-	if rb != nil {
-		counts, shipErrs = make([]int, len(tasks)*reducers), make([]error, len(tasks))
+	if r.rb != nil {
+		r.shipErrs = make([]error, n)
 	}
-	workers := make([]mapWorker, pool)
-	segs := make([][]pair[K, V], len(tasks)*reducers) // task-major segment headers
-	runPool(pool, len(tasks), func(w, i int) {
+	workers := make([]mapWorker[K, V], r.pool)
+	segs := make([][]pair[K, V], n*reducers) // task-major segment headers
+	runPool(r.pool, n, func(w, i int) {
 		if int64(i) > tripAt.Load() {
 			return
 		}
-		outs[i] = tasks[i](&workers[w], segs[i*reducers:(i+1)*reducers])
-		if rb != nil {
-			shipErrs[i] = shipTask(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Task: i},
-				&outs[i], counts[i*reducers:(i+1)*reducers])
+		row := i * reducers
+		r.outs[i] = r.mapTask(&workers[w], r.tasks[i], segs[row:row+reducers], r.counts[row:row+reducers])
+		if r.rb != nil {
+			r.shipErrs[i] = shipTask(r.rb, r.codec, PartKey{Job: r.job.Name, Seq: r.seq, Task: i}, &r.outs[i])
 		}
 		if limit <= 0 {
 			return
 		}
 		frontierMu.Lock()
 		done[i] = true
-		for frontier < len(tasks) && done[frontier] {
-			prefix += outs[frontier].records
+		for frontier < n && done[frontier] {
+			prefix += r.taskRecords(frontier)
 			if prefix > limit && int64(frontier) < tripAt.Load() {
 				tripAt.Store(int64(frontier))
 			}
@@ -454,261 +398,307 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 		// last one's length.
 		putSlice(w.buf[:cap(w.buf)])
 	}
-	st.ShuffleRecords += job.ExtraShuffleRecords
-	st.ShuffleBytes += job.ExtraShuffleBytes
-	counted := len(tasks)
-	exhausted := false
-	if t := tripAt.Load(); t < int64(len(tasks)) {
-		exhausted = true
-		counted = int(t) + 1
+	r.st.ShuffleRecords += extra
+	r.st.ShuffleBytes += r.job.ExtraShuffleBytes
+	trip := tripAt.Load()
+	for i := range min(int(trip)+1, n) {
+		r.st.ShuffleRecords += r.taskRecords(i)
+		r.st.ShuffleBytes += r.outs[i].bytes
 	}
-	for _, o := range outs[:counted] {
-		st.ShuffleRecords += o.records
-		st.ShuffleBytes += o.bytes
+	if trip < int64(n) {
+		return &ErrResourceExhausted{Job: r.job.Name, ShuffleRecords: r.st.ShuffleRecords, Limit: limit}
 	}
-	// fail is every exit after the map phase that abandons the job: it
-	// returns what the job still holds to the pools and — until the
-	// reduce phase, which releases the backend's partitions itself after
-	// its last fetch, has begun — to the backend, closes the books, and
-	// hands err back.
-	var results [][]O
-	fail := func(err error) ([]O, JobStats, error) {
-		for i := range outs {
-			outs[i].release()
-		}
-		for _, out := range results {
-			putSlice(out)
-		}
-		if rb != nil && results == nil {
-			_ = rb.ReleaseJob(job.Name, jobSeq) // best effort, as below
-		}
-		st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-		c.record(st)
-		return nil, st, err
-	}
-	if exhausted {
-		return fail(&ErrResourceExhausted{Job: job.Name, ShuffleRecords: st.ShuffleRecords, Limit: limit})
-	}
+	return nil
+}
 
-	// --- Map fault pass ---------------------------------------------------
-	// Replay the fault plan's attempt history for the completed map tasks.
-	// This is a sequential post-pass over pure hashes, so the parallel
-	// execution above can never influence which faults fire — faults change
-	// counters and simulated time, never outputs.
-	var fstate *faultState
-	if plan != nil {
-		fstate = newFaultState(c.cfg.Machines)
-		mtasks := make([]taskCost, len(tasks))
-		for i := range tasks {
-			mtasks[i] = taskCost{
-				records: taskInputs[i],
-				bytes:   outs[i].bytes,
-				seconds: float64(taskInputs[i])*c.cfg.Cost.PerMapRecord +
-					float64(outs[i].bytes)*c.cfg.Cost.PerShuffleByte,
-			}
+// taskRecords is the number of pairs map task i emitted.
+func (r *run[K, V, O]) taskRecords(i int) int64 {
+	var n int64
+	for _, c := range r.counts[i*r.reducers : (i+1)*r.reducers] {
+		n += int64(c)
+	}
+	return n
+}
+
+// mapTask executes one map task. emit only routes — one partition
+// call, one count, one append per pair — keeping the engine's innermost
+// loop free of indirect calls it doesn't need. At task end the counts
+// are exact, and a stable counting scatter moves the pairs into one
+// slab of exactly that length, one contiguous segment per reducer,
+// sizing each pair against the slab cell written before it in its
+// segment. Emission order inside a segment is preserved, and each
+// reducer later walks its segments in task order, so the engine is
+// deterministic regardless of scheduling.
+func (r *run[K, V, O]) mapTask(w *mapWorker[K, V], t split[K, V], segs [][]pair[K, V], counts []int) mapOut[K, V] {
+	part, route, sizer := r.job.Partition, r.route, r.codec.sizer
+	if w.next == nil {
+		// At least one pair per input record is the common floor; a
+		// wider fan-out grows the buffer during the first task only.
+		w.buf, w.next = getSlice[pair[K, V]](t.hi-t.lo), make([]int, r.reducers)
+	}
+	buf, next := w.buf[:0], w.next
+	clear(next)
+	t.run(t.payload, t.lo, t.hi, func(k K, v V) {
+		h := part(k)
+		next[route(h)]++
+		buf = append(buf, pair[K, V]{k: k, v: v, h: h})
+	})
+	w.buf = buf
+	out := mapOut[K, V]{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs}
+	var bytes int64
+	lo := 0
+	for rr, n := range next {
+		segs[rr], counts[rr], next[rr] = out.slab[lo:lo+n:lo+n], n, 0
+		if n > 0 {
+			bytes += sizer.Header(n)
 		}
-		if ferr := plan.applyPhase(&st, fstate, c.cfg.Cost, job.Name, jobSeq, phaseMap, mtasks); ferr != nil {
-			return fail(ferr)
+		lo += n
+	}
+	var zero pair[K, V]
+	for i := range buf {
+		p := &buf[i]
+		rr := route(p.h)
+		seg, at := segs[rr], next[rr]
+		prev := &zero
+		if at > 0 {
+			prev = &seg[at-1]
+		}
+		bytes += sizer.Pair(prev.k, prev.v, p.k, p.v)
+		seg[at] = *p
+		next[rr] = at + 1
+	}
+	out.bytes = bytes
+	return out
+}
+
+// mapFaults replays the fault plan's attempt history for the completed
+// map tasks. This is a sequential post-pass over pure hashes, so the
+// parallel execution above can never influence which faults fire —
+// faults change counters and simulated time, never outputs. Then the
+// first failed ship window fails the job.
+func (r *run[K, V, O]) mapFaults() error {
+	// The splits pin the inputs' payloads — on a backend, decoded copies —
+	// which nothing reads after this pass.
+	tasks := r.tasks
+	r.tasks = nil
+	if r.plan != nil {
+		r.fstate = newFaultState(r.c.cfg.Machines)
+		cost := r.c.cfg.Cost
+		mtasks := make([]taskCost, len(tasks))
+		for i, t := range tasks {
+			in, out := int64(t.hi-t.lo), r.outs[i].bytes
+			mtasks[i] = taskCost{records: in, bytes: out,
+				seconds: float64(in)*cost.PerMapRecord + float64(out)*cost.PerShuffleByte}
+		}
+		if err := r.plan.applyPhase(&r.st, r.fstate, cost, r.job.Name, r.seq, phaseMap, mtasks); err != nil {
+			return err
 		}
 	} else {
-		st.MapAttempts = st.MapTasks
+		r.st.MapAttempts = r.st.MapTasks
 	}
-	for _, err := range shipErrs {
+	for _, err := range r.shipErrs {
 		if err != nil {
-			return fail(fmt.Errorf("mr: job %q: shuffle ship: %w", job.Name, err))
+			return fmt.Errorf("mr: job %q: shuffle ship: %w", r.job.Name, err)
 		}
 	}
+	return nil
+}
 
-	// --- Shuffle + reduce phases ----------------------------------------
-	// Every reduce task independently groups its own partition with a
-	// pooled two-pass arena (see group.go) — both passes walk the map
-	// tasks' segments in task order, so reduce input order (and therefore
-	// floating-point summation order) is deterministic — and immediately
-	// reduces it, with Reduce receiving contiguous subslices of the
-	// arena instead of per-key heap slices. Reducer partitions are
-	// disjoint, so the tasks parallelize with no synchronization beyond
-	// the pool itself.
-	//
-	// Output is written once, per part. Reducer r appends part p's
-	// records to results[r·parts+p], and before it runs that buffer is
-	// given the room the job has taught its worker to expect: the
-	// worker's part-p records per input pair so far (made/fed) times the
-	// pairs the buffer is for (plus an eighth when that means a new
-	// buffer, so the next job's estimate fits this one's). A pool one
-	// wide runs the reducers in order, so each part continues its
-	// predecessor's buffer — the room is for every pair still to reduce,
-	// and the last reducer's buffers are the job's parts. A wider pool
-	// gathers each part once, at its exact total. Only a worker's first
-	// reducer appends into the unknown.
-	results = make([][]O, reducers*nparts)
-	fed, made := make([]int64, pool), make([]int64, pool*nparts)
-	los := make([]int, pool*nparts) // per worker: where its reducer's output starts in each part
-	shuffled := st.ShuffleRecords - job.ExtraShuffleRecords
-	resultBytes := make([]int64, reducers*nparts)
-	redInputs := make([]int64, reducers) // pairs per reduce task, for the fault pass
-	partErrs := make([]error, reducers)
-	var fetchErrs []error
-	if rb != nil {
-		fetchErrs = make([]error, reducers)
+// reduce runs one reduce task per reducer in a bounded pool (see
+// reduceTask), then returns the map slabs to the pools and, with a
+// backend, releases the job's partitions: every fetch window has
+// returned, so the backend's copy of the shuffle is dead weight. That
+// happens before output concatenation and before the next job ships.
+// Best effort: a failed release leaks remote partitions until backend
+// Close, nothing more.
+func (r *run[K, V, O]) reduce() error {
+	nout := r.reducers * r.nparts
+	r.results, r.resultBytes, r.redInputs = make([][]O, nout), make([]int64, nout), make([]int64, r.reducers)
+	r.fed, r.made, r.los = make([]int64, r.pool), make([]int64, r.pool*r.nparts), make([]int, r.pool*r.nparts)
+	r.fetchErrs, r.partErrs = make([]error, r.reducers), make([]error, r.reducers)
+	runPool(r.pool, r.reducers, r.reduceTask)
+	for i := range r.outs {
+		r.outs[i].release()
 	}
-	runPool(pool, reducers, func(w, r int) {
-		// Assemble this reducer's partition in map-task order. In process
-		// the segments alias the map slabs directly; with a backend they
-		// are fetched back and decoded into one slab of the reducer's own
-		// — same order, same pairs, so the group arena sees identical
-		// input either way.
-		buckets := make([][]pair[K, V], len(outs))
-		var fetched []pair[K, V]
-		if rb == nil {
-			for i := range outs {
-				buckets[i] = outs[i].segs[r]
+	if r.rb != nil {
+		_ = r.rb.ReleaseJob(r.job.Name, r.seq)
+		for _, err := range r.fetchErrs {
+			if err != nil {
+				return fmt.Errorf("mr: job %q: shuffle fetch: %w", r.job.Name, err)
 			}
-		} else if fetched, fetchErrs[r] = fetchReducer(rb, codec, PartKey{Job: job.Name, Seq: jobSeq, Reducer: r}, counts, reducers, buckets); fetchErrs[r] != nil {
+		}
+	}
+	for _, err := range r.partErrs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reduceTask is reducer rr on pool worker w. It assembles its partition
+// in map-task order: in process the segments alias the map slabs
+// directly; with a backend they are fetched back, one window, and
+// decoded into one slab of the reducer's own — same order, same pairs,
+// so the group arena sees identical input either way. It then groups
+// the partition with a pooled two-pass arena (see group.go) — both
+// passes walk the segments in task order, so reduce input order (and
+// therefore floating-point summation order) is deterministic — and
+// reduces it, Reduce receiving contiguous subslices of the arena.
+// Reducer partitions are disjoint, so the tasks need no synchronization
+// beyond the pool itself.
+func (r *run[K, V, O]) reduceTask(w, rr int) {
+	buckets := make([][]pair[K, V], len(r.outs))
+	var fetched []pair[K, V]
+	if r.rb == nil {
+		for i := range r.outs {
+			buckets[i] = r.outs[i].segs[rr]
+		}
+	} else {
+		key := PartKey{Job: r.job.Name, Seq: r.seq, Reducer: rr}
+		if fetched, r.fetchErrs[rr] = fetchReducer(r.rb, r.codec, key, r.counts, r.reducers, buckets); r.fetchErrs[rr] != nil {
 			return
 		}
-		g := getGroupArena[K, V]()
-		for _, bucket := range buckets {
-			redInputs[r] += int64(len(bucket))
-			g.count(bucket)
-		}
-		g.layout()
-		for _, bucket := range buckets {
-			g.scatter(bucket)
-		}
-		putSlice(fetched)
-		bufs, lo := results[r*nparts:(r+1)*nparts], los[w*nparts:(w+1)*nparts]
-		for p := range bufs {
-			var buf []O
-			pairs := redInputs[r]
-			if pool == 1 {
-				pairs = shuffled - fed[0]
-				if r > 0 {
-					buf, results[(r-1)*nparts+p] = results[(r-1)*nparts+p], nil
-				}
-			}
-			if fed[w] == 0 {
-				if buf == nil {
-					buf = getSlice[O](0) // nothing learned yet: the largest slab pooled
-				}
-			} else if expect := int(pairs * made[w*nparts+p] / fed[w]); len(buf)+expect > cap(buf) {
-				grown := append(getSlice[O](len(buf)+expect+expect/8), buf...)
-				putSlice(buf)
-				buf = grown
-			}
-			bufs[p], lo[p] = buf, len(buf)
-		}
-		out := &bufs[0]
-		emit := func(o O) {
-			*out = append(*out, o)
-		}
-		for i, k := range g.keys {
-			if job.OutputPart != nil {
-				p := job.OutputPart(k)
-				if p < 0 || p >= nparts {
-					partErrs[r] = fmt.Errorf("mr: job %q: OutputPart(%v) = %d, outside its %d outputs", job.Name, k, p, nparts)
-					break
-				}
-				out = &bufs[p]
-			}
-			job.Reduce(k, g.group(i), emit)
-		}
-		putGroupArena(g)
-		// Size outputs in one walk after the reduce loop rather than per
-		// emit, keeping the hot emit closure to a bare append.
-		for p, buf := range bufs {
-			if job.OutSize == nil {
-				resultBytes[r*nparts+p] = int64(len(buf)-lo[p]) * 24
-			} else {
-				for _, o := range buf[lo[p]:] {
-					resultBytes[r*nparts+p] += outSize(o)
-				}
-			}
-			made[w*nparts+p] += int64(len(buf) - lo[p])
-		}
-		fed[w] += redInputs[r]
-	})
-	for i := range outs {
-		outs[i].release()
 	}
+	g := getGroupArena[K, V]()
+	for _, bucket := range buckets {
+		r.redInputs[rr] += int64(len(bucket))
+		g.count(bucket)
+	}
+	g.layout()
+	for _, bucket := range buckets {
+		g.scatter(bucket)
+	}
+	putSlice(fetched)
+	bufs, lo := r.outBufs(w, rr)
+	out, outputPart, reduce := &bufs[0], r.job.OutputPart, r.job.Reduce
+	emit := func(o O) {
+		*out = append(*out, o)
+	}
+	for i, k := range g.keys {
+		if outputPart != nil {
+			p := outputPart(k)
+			if p < 0 || p >= r.nparts {
+				r.partErrs[rr] = fmt.Errorf("mr: job %q: OutputPart(%v) = %d, outside its %d outputs", r.job.Name, k, p, r.nparts)
+				break
+			}
+			out = &bufs[p]
+		}
+		reduce(k, g.group(i), emit)
+	}
+	putGroupArena(g)
+	// Size outputs in one walk after the reduce loop rather than per
+	// emit, keeping the hot emit closure to a bare append.
+	for p, buf := range bufs {
+		if r.job.OutSize == nil {
+			r.resultBytes[rr*r.nparts+p] = int64(len(buf)-lo[p]) * 24
+		} else {
+			for _, o := range buf[lo[p]:] {
+				r.resultBytes[rr*r.nparts+p] += r.job.OutSize(o)
+			}
+		}
+		r.made[w*r.nparts+p] += int64(len(buf) - lo[p])
+	}
+	r.fed[w] += r.redInputs[rr]
+}
 
-	if rb != nil {
-		// Every fetch window has returned: the backend's copy of the
-		// shuffle is dead weight from here on, so it goes before output
-		// concatenation rather than after — and before the next job ships.
-		// Best effort: a failed release leaks remote partitions until
-		// backend Close, nothing more.
-		_ = rb.ReleaseJob(job.Name, jobSeq)
-		for _, ferr := range fetchErrs {
-			if ferr != nil {
-				return fail(fmt.Errorf("mr: job %q: shuffle fetch: %w", job.Name, ferr))
+// outBufs readies reducer rr's output buffers, one per part, and where
+// its records will start in each. Output is written once, per part,
+// and a buffer is given the room the job has taught worker w to expect:
+// the worker's part-p records per input pair so far (made/fed) times
+// the pairs the buffer is for (plus an eighth when that means a new
+// buffer, so the next job's estimate fits this one's). A pool one wide
+// runs the reducers in order, so each part continues its predecessor's
+// buffer — the room is for every pair still to reduce, and the last
+// reducer's buffers are the job's parts. A wider pool gathers each part
+// once, at its exact total, in commit. Only a worker's first reducer
+// appends into the unknown.
+func (r *run[K, V, O]) outBufs(w, rr int) (bufs [][]O, lo []int) {
+	np := r.nparts
+	bufs, lo = r.results[rr*np:(rr+1)*np], r.los[w*np:(w+1)*np]
+	for p := range bufs {
+		var buf []O
+		pairs := r.redInputs[rr]
+		if r.pool == 1 {
+			pairs = r.st.ShuffleRecords - r.job.ExtraShuffleRecords - r.fed[0]
+			if rr > 0 {
+				buf, r.results[(rr-1)*np+p] = r.results[(rr-1)*np+p], nil
 			}
 		}
-	}
-	for _, perr := range partErrs {
-		if perr != nil {
-			return fail(perr)
-		}
-	}
-	redBytes, partBytes, partLen := make([]int64, reducers), make([]int64, nparts), make([]int, nparts)
-	for i, b := range resultBytes {
-		redBytes[i/nparts] += b
-		partBytes[i%nparts] += b
-		partLen[i%nparts] += len(results[i])
-	}
-
-	// --- Reduce fault pass ------------------------------------------------
-	// Same scheme as the map pass; the blacklist state carries over so a
-	// machine that failed map attempts stays blacklisted for reduce.
-	if plan != nil {
-		rtasks := make([]taskCost, reducers)
-		for r := range rtasks {
-			rtasks[r] = taskCost{
-				records: redInputs[r],
-				bytes:   redBytes[r],
-				seconds: float64(redInputs[r])*c.cfg.Cost.PerReduceRecord +
-					float64(redBytes[r])*c.cfg.Cost.PerDFSByte,
+		if r.fed[w] == 0 {
+			if buf == nil {
+				buf = getSlice[O](0) // nothing learned yet: the largest slab pooled
 			}
+		} else if expect := int(pairs * r.made[w*np+p] / r.fed[w]); len(buf)+expect > cap(buf) {
+			grown := append(getSlice[O](len(buf)+expect+expect/8), buf...)
+			putSlice(buf)
+			buf = grown
 		}
-		if ferr := plan.applyPhase(&st, fstate, c.cfg.Cost, job.Name, jobSeq, phaseReduce, rtasks); ferr != nil {
-			return fail(ferr)
-		}
-	} else {
-		st.ReduceAttempts = reducers
+		bufs[p], lo[p] = buf, len(buf)
 	}
+	return bufs, lo
+}
 
-	// --- Output -----------------------------------------------------------
-	// Every output file is created before any is written, so a failed
-	// Create publishes no part (and, like every failed job, charges no
-	// output). A part comes from the typed pool — big jobs emit hundreds
-	// of megabytes here, and cycling fresh slabs through the allocator
-	// every job turns into page-fault storms — and is its file's block,
-	// which the DFS owns from the handoff on, or, for a job without
-	// Outputs, the returned records (callers that drop them quickly can
-	// hand them back with Recycle).
-	writers := make([]*dfs.Writer, 0, len(job.Outputs))
-	for _, name := range job.Outputs {
-		w, err := c.fs.Create(name)
+// reduceFaults replays the fault plan for the reduce tasks, the same
+// scheme as mapFaults; the blacklist state carries over so a machine
+// that failed map attempts stays blacklisted for reduce.
+func (r *run[K, V, O]) reduceFaults() error {
+	if r.plan == nil {
+		r.st.ReduceAttempts = r.reducers
+		return nil
+	}
+	cost := r.c.cfg.Cost
+	rtasks := make([]taskCost, r.reducers)
+	for i, b := range r.resultBytes {
+		rtasks[i/r.nparts].bytes += b
+	}
+	for rr, n := range r.redInputs {
+		t := &rtasks[rr]
+		t.records, t.seconds = n, float64(n)*cost.PerReduceRecord+float64(t.bytes)*cost.PerDFSByte
+	}
+	return r.plan.applyPhase(&r.st, r.fstate, cost, r.job.Name, r.seq, phaseReduce, rtasks)
+}
+
+// commit publishes the reduce output. Every output file is created
+// before any is written, so a failed Create publishes no part (and, like
+// every failed job, charges no output). A part comes from the typed
+// pool — big jobs emit hundreds of megabytes here, and cycling fresh
+// slabs through the allocator every job turns into page-fault storms —
+// and is its file's block, which the DFS owns from the handoff on, or,
+// for a job without Outputs, the returned records (callers that drop
+// them quickly can hand them back with Recycle). results[p] is part p
+// on return.
+func (r *run[K, V, O]) commit() error {
+	writers := make([]*dfs.Writer, 0, len(r.job.Outputs))
+	for _, name := range r.job.Outputs {
+		w, err := r.c.fs.Create(name)
 		if err != nil {
 			for _, w := range writers {
 				w.Abort()
 			}
-			return fail(fmt.Errorf("mr: job %q: %w", job.Name, err))
+			return fmt.Errorf("mr: job %q: %w", r.job.Name, err)
 		}
 		writers = append(writers, w)
 	}
+	np, results := r.nparts, r.results
+	partBytes, partLen := make([]int64, np), make([]int, np)
+	for i, b := range r.resultBytes {
+		partBytes[i%np] += b
+		partLen[i%np] += len(results[i])
+	}
 	for p := range partLen {
-		st.OutputRecords += int64(partLen[p])
-		st.OutputBytes += partBytes[p]
-		part := results[(reducers-1)*nparts+p]
-		if pool > 1 || len(part) == 0 {
+		r.st.OutputRecords += int64(partLen[p])
+		r.st.OutputBytes += partBytes[p]
+		part := results[(r.reducers-1)*np+p]
+		if r.pool > 1 || len(part) == 0 {
 			// An empty part is nil: no pooled slab is spent on it.
 			part = nil
 			if partLen[p] > 0 {
 				part = getSlice[O](partLen[p])
 			}
-			for r := p; r < len(results); r += nparts {
-				part = append(part, results[r]...)
-				putSlice(results[r])
+			for i := p; i < len(results); i += np {
+				part = append(part, results[i]...)
+				putSlice(results[i])
 			}
 		}
 		if len(writers) > 0 {
@@ -719,10 +709,32 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	for _, w := range writers {
 		w.Close()
 	}
+	return nil
+}
 
-	st.SimSeconds = c.cfg.Cost.JobTime(c.cfg.Machines, st) + st.PenaltySeconds + st.StorageSeconds
-	c.record(st)
-	return results[0], st, nil
+// fail is every exit after splitInputs that abandons the job: it
+// returns what the job still holds to the pools and — until reduce,
+// which releases the backend's partitions itself after its last fetch,
+// has begun — to the backend, closes the books, and hands err back.
+func (r *run[K, V, O]) fail(err error) ([]O, JobStats, error) {
+	for i := range r.outs {
+		r.outs[i].release()
+	}
+	for _, out := range r.results {
+		putSlice(out)
+	}
+	if r.rb != nil && r.results == nil {
+		_ = r.rb.ReleaseJob(r.job.Name, r.seq) // best effort, as in reduce
+	}
+	r.finish()
+	return nil, r.st, err
+}
+
+// finish charges the job its simulated time and records it.
+func (r *run[K, V, O]) finish() {
+	cfg := r.c.cfg
+	r.st.SimSeconds = cfg.Cost.JobTime(cfg.Machines, r.st) + r.st.PenaltySeconds + r.st.StorageSeconds
+	r.c.record(r.st)
 }
 
 // splitBounds cuts count records into n contiguous input splits: split
@@ -742,93 +754,6 @@ func splitBounds(count, n int) []int {
 		bounds[i] = hi
 	}
 	return bounds
-}
-
-// combineScratch is the reusable grouping state of combineBucket. One
-// instance serves all of a map task's buckets (and, via the typed
-// pools, later tasks of jobs with the same key/value types), so the
-// key map and value slices are allocated once instead of per bucket.
-type combineScratch[K comparable, V any] struct {
-	idx  map[K]int
-	keys []K
-	// hs records each key's raw partition hash (from the first pair
-	// seen), so the flattened pairs keep the hash the group table needs.
-	hs   []uint64
-	vals [][]V
-}
-
-func getCombineScratch[K comparable, V any]() *combineScratch[K, V] {
-	if v := poolFor[*combineScratch[K, V]]().Get(); v != nil {
-		return v.(*combineScratch[K, V])
-	}
-	return &combineScratch[K, V]{idx: make(map[K]int)}
-}
-
-func putCombineScratch[K comparable, V any](s *combineScratch[K, V]) {
-	s.reset()
-	// Value slices are truncated lazily as keys are registered, so
-	// stale values can linger past their length; clear the full
-	// retained storage so pooled scratch pins no values.
-	for i := range s.vals {
-		v := s.vals[i][:cap(s.vals[i])]
-		clear(v)
-		s.vals[i] = v[:0]
-	}
-	poolFor[*combineScratch[K, V]]().Put(s)
-}
-
-// reset readies the scratch for the next bucket. Value slices are not
-// touched here — combineBucket truncates each slot as it re-registers
-// it, keeping reset O(keys of the previous bucket).
-func (s *combineScratch[K, V]) reset() {
-	clear(s.idx)
-	clear(s.keys)
-	s.keys = s.keys[:0]
-	s.hs = s.hs[:0]
-}
-
-// combineBucket groups one task's bucket by key (preserving first-seen
-// key order), applies the combiner, and flattens back to pairs, sizing
-// each through sizer as it is written; it returns the pairs and their
-// block's bytes. The combiner may expand a key's values (return more
-// than one); the output grows past the original bucket as needed.
-func combineBucket[K comparable, V any](bucket []pair[K, V], combine func(K, []V) []V, s *combineScratch[K, V], sizer *BlockSizer[K, V]) ([]pair[K, V], int64) {
-	if len(bucket) == 0 {
-		return bucket, 0
-	}
-	s.reset()
-	for _, p := range bucket {
-		i, ok := s.idx[p.k]
-		if !ok {
-			i = len(s.keys)
-			s.idx[p.k] = i
-			s.keys = append(s.keys, p.k)
-			s.hs = append(s.hs, p.h)
-			if i < len(s.vals) {
-				s.vals[i] = s.vals[i][:0]
-			} else {
-				s.vals = append(s.vals, nil)
-			}
-		}
-		s.vals[i] = append(s.vals[i], p.v)
-	}
-	// The grouped values live in scratch storage, so the bucket itself
-	// can be rewritten in place.
-	out := bucket[:0]
-	var bytes int64
-	var pk K
-	var pv V
-	for i, k := range s.keys {
-		for _, v := range combine(k, s.vals[i]) {
-			bytes += sizer.Pair(pk, pv, k, v)
-			pk, pv = k, v
-			out = append(out, pair[K, V]{k: k, v: v, h: s.hs[i]})
-		}
-	}
-	if len(out) > 0 {
-		bytes += sizer.Header(len(out))
-	}
-	return out, bytes
 }
 
 // runPool executes fn(w, 0..n-1) using at most width concurrent

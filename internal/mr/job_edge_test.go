@@ -133,98 +133,6 @@ func TestJobsLogPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestCombinerReducesShuffle(t *testing.T) {
-	// One map task emits 100 values for one key; the combiner pre-sums
-	// them so only one record is shuffled.
-	run := func(withCombiner bool) (int64, int64) {
-		c := NewCluster(Config{Machines: 1, SlotsPerMachine: 1})
-		WriteFile(c, "in", []int64{1}, func(int64) int64 { return 8 })
-		job := Job[int64, int64, int64]{
-			Name: "combine",
-			Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
-				for i := int64(0); i < 100; i++ {
-					emit(0, 1)
-				}
-			})},
-			Reduce: func(k int64, vs []int64, emit func(int64)) {
-				var s int64
-				for _, v := range vs {
-					s += v
-				}
-				emit(s)
-			},
-			Partition: HashInt64,
-		}
-		if withCombiner {
-			job.Combine = func(k int64, vs []int64) []int64 {
-				var s int64
-				for _, v := range vs {
-					s += v
-				}
-				return []int64{s}
-			}
-		}
-		out, st, err := Run(c, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 1 || out[0] != 100 {
-			t.Fatalf("wrong result with combiner=%v: %v", withCombiner, out)
-		}
-		return st.ShuffleRecords, st.ShuffleBytes
-	}
-	without, _ := run(false)
-	with, _ := run(true)
-	if without != 100 || with != 1 {
-		t.Fatalf("shuffle records without=%d with=%d", without, with)
-	}
-}
-
-func TestCombinerPreservesResultAcrossSplits(t *testing.T) {
-	// Multiple map tasks each combine locally; the reducer still sees
-	// the full total.
-	c := NewCluster(Config{Machines: 4, SlotsPerMachine: 2})
-	var items []int64
-	for i := int64(0); i < 64; i++ {
-		items = append(items, i)
-	}
-	WriteFile(c, "in", items, func(int64) int64 { return 8 })
-	out, st, err := Run(c, Job[int64, int64, int64]{
-		Name: "multcombine",
-		Inputs: []Input[int64, int64]{MapInput("in", func(r int64, emit func(int64, int64)) {
-			emit(r%4, 1)
-		})},
-		Combine: func(k int64, vs []int64) []int64 {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			return []int64{s}
-		},
-		Reduce: func(k int64, vs []int64, emit func(int64)) {
-			var s int64
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-		Partition: HashInt64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, o := range out {
-		total += o
-	}
-	if total != 64 {
-		t.Fatalf("total %d", total)
-	}
-	if st.ShuffleRecords >= 64 {
-		t.Fatalf("combiner did not reduce shuffle: %d", st.ShuffleRecords)
-	}
-}
-
 // TestFileEdgesAreTypedErrors pins the three places a file or input of
 // the wrong shape used to reach an unchecked assertion or a nil map
 // function: each is now an error naming what was wrong, or — for a file

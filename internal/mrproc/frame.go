@@ -1,8 +1,8 @@
 // Package mrproc is the multi-process execution backend: worker
 // processes that serve shuffle partitions and DFS file blocks to the
-// engine over local sockets. The engine's computation (map, combine,
-// reduce closures) stays in the master process — closures cannot cross
-// a process boundary — but every byte the computation consumes and
+// engine over local sockets. The engine's computation (map and reduce
+// closures) stays in the master process — closures cannot cross a
+// process boundary — but every byte the computation consumes and
 // produces round-trips through real worker processes, exactly the
 // data-plane shape of the Hadoop cluster the simulator models.
 //

@@ -401,9 +401,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		dst, _ = srv.TopKObjects(5, 7, k, dst)
 	})
-	if avg > 0.1 {
-		t.Errorf("steady-state allocs/query = %.3f, want ≤ 0.1", avg)
-	}
 
 	// The cold path is allowed its single-flight bookkeeping (one
 	// flight struct + channel per miss) but must stay bounded — the
@@ -428,16 +425,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	dense := missAllocs(model)
-	if dense > 8 {
-		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", dense)
-	}
 	lambda, factors, _ := testParafac(8, 23, 501, 13, 8)
 	hypersparse(factors)
 	sparseModel, err := NewParafacModel(lambda, factors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sparse := missAllocs(sparseModel); sparse > dense {
+	sparse := missAllocs(sparseModel)
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a quarter of its Puts.
+		t.Logf("allocs/query under -race (not asserted): hit %.3f, dense miss %.1f, hypersparse miss %.1f", avg, dense, sparse)
+		return
+	}
+	if avg > 0.1 {
+		t.Errorf("steady-state allocs/query = %.3f, want ≤ 0.1", avg)
+	}
+	if dense > 8 {
+		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", dense)
+	}
+	if sparse > dense {
 		t.Errorf("miss-path allocs/query = %.1f on the hypersparse model, %.1f on the dense one", sparse, dense)
 	}
 }
