@@ -18,9 +18,8 @@
 //
 // on, or directly above, the offending statement (an allow on a func
 // declaration covers the whole function). Run with -json for
-// machine-readable output, or -list for one line per check — name,
-// whether it is flow-sensitive or syntactic, and the invariant it
-// enforces.
+// machine-readable output, or -list for one line per check — its name
+// and the invariant it enforces.
 package main
 
 import (
@@ -61,11 +60,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			sensitivity := "syntactic"
-			if a.Flow {
-				sensitivity = "flow-sensitive"
-			}
-			fmt.Fprintf(stdout, "%-14s %-14s %s\n", a.Name, sensitivity, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}

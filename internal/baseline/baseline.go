@@ -40,14 +40,6 @@ type Config struct {
 	// sparse kernels. Zero means 5e-9 (vectorized MATLAB on the paper's
 	// 3.3 GHz Xeon).
 	SecondsPerOp float64
-	// METSlicing enables MET's (Kolda & Sun [20]) memory/time trade in
-	// TuckerALS: when the full n-mode-product intermediate does not fit
-	// the budget, it is computed one factor column at a time, shrinking
-	// the working set by the core dimension at the cost of re-streaming
-	// the tensor per column. The paper's comparison figures run with
-	// this off (the Toolbox defaults they benchmarked), so the
-	// experiment calibration is unchanged.
-	METSlicing bool
 }
 
 func (c Config) withDefaults() Config {
@@ -242,29 +234,13 @@ func (tb *Toolbox) TuckerALS(x *tensor.Tensor, core [3]int, opt Options) (*Tucke
 			inter := int64(x.NNZ()) * int64(core[m1]) * 32
 			dense := x.Dim(n) * int64(core[m1]*core[m2]) * 8
 			full := baseFootprint(x, cols) + inter + dense
-			var y *tensor.Tensor
-			if full <= tb.cfg.MemoryBudget || !tb.cfg.METSlicing {
-				if err := ch.mem("ttm", full); err != nil {
-					return nil, err
-				}
-				t1 := tensor.ModeMatrixProduct(x, m1, factors[m1].T())
-				ch.ops(int64(x.NNZ()) * int64(core[m1]))
-				y = tensor.ModeMatrixProduct(t1, m2, factors[m2].T())
-				ch.ops(int64(t1.NNZ()) * int64(core[m2]))
-			} else {
-				// MET slicing: one column of U_{m1} at a time; the
-				// intermediate shrinks by core[m1], the tensor is
-				// re-streamed per column.
-				sliced := baseFootprint(x, cols) + inter/int64(core[m1]) + dense
-				if err := ch.mem("ttm-met", sliced); err != nil {
-					return nil, err
-				}
-				var err error
-				y, err = metProduct(x, m1, m2, factors[m1], factors[m2], ch)
-				if err != nil {
-					return nil, err
-				}
+			if err := ch.mem("ttm", full); err != nil {
+				return nil, err
 			}
+			t1 := tensor.ModeMatrixProduct(x, m1, factors[m1].T())
+			ch.ops(int64(x.NNZ()) * int64(core[m1]))
+			y := tensor.ModeMatrixProduct(t1, m2, factors[m2].T())
+			ch.ops(int64(t1.NNZ()) * int64(core[m2]))
 			ym := tensor.Matricize(y, n)
 			factors[n] = matrix.LeadingLeftSingularVectors(ym, core[n])
 			ch.ops(int64(ym.Rows) * int64(ym.Cols) * int64(ym.Cols))
@@ -316,44 +292,4 @@ func max1(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// metProduct computes 𝒴 = 𝒳 ×_{m1} U1ᵀ ×_{m2} U2ᵀ one column of U1 at a
-// time (MET's slicing), so only a 1/Q1 slice of the intermediate is live
-// at once. Results are identical to the full-intermediate path; only the
-// memory profile and the op accounting (the extra passes over 𝒳) differ.
-func metProduct(x *tensor.Tensor, m1, m2 int, u1, u2 *matrix.Matrix, ch *charge) (*tensor.Tensor, error) {
-	dims := x.Dims()
-	dims[m1] = int64(u1.Cols)
-	dims[m2] = int64(u2.Cols)
-	out := tensor.New(dims...)
-	// Contracting mode m1 drops it from the tensor; m2's index shifts
-	// down when it followed m1.
-	m2after := m2
-	if m2 > m1 {
-		m2after = m2 - 1
-	}
-	for q := 0; q < u1.Cols; q++ {
-		slice := tensor.ModeVectorProduct(x, m1, u1.Col(q))
-		ch.ops(int64(x.NNZ()))
-		contracted := tensor.ModeMatrixProduct(slice, m2after, u2.T())
-		ch.ops(int64(slice.NNZ()) * int64(u2.Cols))
-		// Re-insert mode m1 with coordinate q.
-		for p := 0; p < contracted.NNZ(); p++ {
-			idx := contracted.Index(p)
-			var full [3]int64
-			w := 0
-			for m := 0; m < 3; m++ {
-				if m == m1 {
-					full[m] = int64(q)
-					continue
-				}
-				full[m] = idx[w]
-				w++
-			}
-			out.Append(contracted.Value(p), full[0], full[1], full[2])
-		}
-	}
-	out.Coalesce()
-	return out, nil
 }

@@ -128,36 +128,3 @@ func TestModeledTimeGrowsWithWork(t *testing.T) {
 		t.Fatalf("bigger tensor should model slower: %v vs %v", rb.ModeledSeconds, rs.ModeledSeconds)
 	}
 }
-
-func TestMETSlicingMatchesFullPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	x := planted(rng, [3]int64{12, 11, 10}, 2)
-	full := New(Config{})
-	res1, err := full.TuckerALS(x, [3]int{3, 3, 3}, Options{MaxIters: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget below the full intermediate but above the sliced one, with
-	// slicing enabled: must succeed with identical core norms.
-	inter := int64(x.NNZ()) * 3 * 32
-	budget := int64(x.NNZ())*32 + inter/3 + 12*9*8 + (12+11+10)*3*8 + 4096
-	met := New(Config{MemoryBudget: budget, METSlicing: true})
-	res2, err := met.TuckerALS(x, [3]int{3, 3, 3}, Options{MaxIters: 4, Seed: 5})
-	if err != nil {
-		t.Fatalf("MET path failed: %v", err)
-	}
-	for i := range res1.CoreNorms {
-		if d := res1.CoreNorms[i] - res2.CoreNorms[i]; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("core norms diverge at iter %d: %v vs %v", i, res1.CoreNorms, res2.CoreNorms)
-		}
-	}
-	// Without slicing the same budget must fail.
-	strict := New(Config{MemoryBudget: budget})
-	if _, err := strict.TuckerALS(x, [3]int{3, 3, 3}, Options{MaxIters: 4, Seed: 5}); err == nil {
-		t.Fatal("full path should exceed the budget")
-	}
-	// MET pays more modeled time (extra passes).
-	if res2.ModeledSeconds <= res1.ModeledSeconds {
-		t.Fatalf("MET should trade time for memory: %v vs %v", res2.ModeledSeconds, res1.ModeledSeconds)
-	}
-}

@@ -6,18 +6,19 @@
 // invariants that Go does not enforce: no map-iteration-order-dependent
 // emission inside mappers and reducers, no floating-point summation in
 // map order, no wall-clock reads or ambient randomness in the
-// simulation, no silently dropped I/O errors, and disciplined reuse of
-// pooled buffers. Package lint encodes each invariant as an Analyzer —
-// seven in all, five syntactic AST walks and two (poolreturn,
-// dfsborrow) on the forward dataflow engine — and is wired into
-// `go test ./...` through its self-test, so a change that reintroduces
-// a nondeterministic code shape fails tier-1 CI even when no behavioral
-// test happens to cover it.
+// simulation, and no silently dropped I/O errors. Package lint encodes
+// each invariant as an Analyzer — five in all, each a syntactic AST
+// walk — and is wired into `go test ./...` through its self-test, so a
+// change that reintroduces a nondeterministic code shape fails tier-1
+// CI even when no behavioral test happens to cover it.
 //
-// Concurrency is not linted: the few packages that spawn goroutines
-// (mr, serve, mrproc) run under -race in CI, and goroutine-join tests
-// in those packages check at runtime that every goroutine they start
-// is joined.
+// Neither concurrency nor pool ownership is linted. The few packages
+// that spawn goroutines (mr, serve, mrproc) run under -race in CI, and
+// goroutine-join tests in those packages check at runtime that every
+// goroutine they start is joined. Under the same -race build the
+// engine's typed pools count their loans and poison what they take back
+// (internal/mr/pool.go), so a slab that never comes back, or one
+// recycled while the DFS still owns it, fails a test where it happens.
 //
 // Findings are suppressed line-by-line with
 //
@@ -77,11 +78,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
-	// Flow marks the analyzers that run on the CFG/dataflow engine
-	// (path-sensitive facts); the rest are syntactic AST walks. Surfaced
-	// by `haten2lint -list` so readers know which findings depend on
-	// control flow.
-	Flow bool
 	// Run analyzes one package.
 	Run func(p *Pass)
 }
@@ -144,8 +140,6 @@ func Analyzers() []*Analyzer {
 		WallClock,
 		UnseededRand,
 		ErrcheckIO,
-		PoolReturn,
-		DFSBorrow,
 	}
 }
 

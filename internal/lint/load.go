@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -120,8 +121,8 @@ func parseModule(fset *token.FileSet, root, modPath string) (map[string]*parsedP
 	return pkgs, nil
 }
 
-// parseDir parses the non-test sources of one directory, or returns
-// (nil, nil) when it holds none.
+// parseDir parses the non-test sources of one directory that the
+// default build compiles, or returns (nil, nil) when it holds none.
 func parseDir(fset *token.FileSet, dir, root, modPath string) (*parsedPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -140,6 +141,13 @@ func parseDir(fset *token.FileSet, dir, root, modPath string) (*parsedPkg, error
 	for _, e := range entries {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		// The default build's files only: a //go:build race / !race pair
+		// declares the same names twice.
+		if ok, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		file, err := parser.ParseFile(fset, filepath.Join(dir, fn), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -229,15 +237,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 // typeCheck runs the type checker over one parsed package.
 func typeCheck(fset *token.FileSet, p *parsedPkg, std types.Importer, loaded map[string]*Package) (*Package, error) {
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		// Implicits carries the per-clause objects of type switches
-		// (`switch s := x.(type)`), which Defs and Uses never see; the
-		// flow-sensitive analyzers need them to track taint through
-		// clause bindings.
-		Implicits: make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	var errs []error
 	cfg := types.Config{

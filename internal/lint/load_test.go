@@ -111,3 +111,22 @@ func TestLoadImportCycle(t *testing.T) {
 		t.Errorf("error = %q, want it to mention \"import cycle through\"", err)
 	}
 }
+
+// A //go:build race / !race pair declares each name once per build; the
+// loader type-checks the default build's half.
+func TestLoadBuildConstraintPair(t *testing.T) {
+	dir := t.TempDir()
+	writeFixtureFile(t, dir, "go.mod", "module fixture.example/tags\n\ngo 1.22\n")
+	writeFixtureFile(t, dir, "on.go", "//go:build race\n\npackage tags\n\nconst on = true\n")
+	writeFixtureFile(t, dir, "off.go", "//go:build !race\n\npackage tags\n\nconst on = false\n")
+	pkgs, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+		t.Fatalf("loaded %d packages, want one with off.go alone", len(pkgs))
+	}
+	if name := filepath.Base(pkgs[0].Fset.Position(pkgs[0].Files[0].Pos()).Filename); name != "off.go" {
+		t.Errorf("loaded %s, want off.go", name)
+	}
+}

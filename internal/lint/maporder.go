@@ -161,6 +161,26 @@ func isSortedKeyCollection(p *Pass, rs *ast.RangeStmt, ctx *ast.BlockStmt) bool 
 	return sorted
 }
 
+// exprMentions reports whether any expression references obj.
+func exprMentions(p *Pass, exprs []ast.Expr, obj types.Object) bool {
+	found := false
+	for _, e := range exprs {
+		if e == nil {
+			continue
+		}
+		ast.Inspect(e, func(n ast.Node) bool {
+			if found {
+				return false
+			}
+			if id, ok := n.(*ast.Ident); ok && p.Pkg.Info.Uses[id] == obj {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
 // sortFuncs are the sort-package entry points not containing "Sort".
 var sortFuncs = map[string]bool{
 	"Strings": true, "Ints": true, "Float64s": true, "Stable": true,

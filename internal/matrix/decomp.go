@@ -243,9 +243,13 @@ func LeadingLeftSingularVectors(a *Matrix, p int) *Matrix {
 	}
 	u, s, _ := SVDThin(a)
 	out := New(a.Rows, p)
+	// The Gram route resolves an eigenvalue of aᵀa only to about
+	// λ₀·cols·ε, so a singular value below s₀·√(cols·ε) is rounding
+	// noise, and its vector is not orthogonal to the leading ones: it is
+	// zero, and completion supplies the rest of the frame.
 	tol := 0.0
 	if len(s) > 0 {
-		tol = s[0] * 1e-10
+		tol = s[0] * math.Sqrt(float64(a.Cols)*0x1p-52)
 	}
 	have := 0
 	for j := 0; j < u.Cols && have < p; j++ {

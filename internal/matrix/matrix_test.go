@@ -350,6 +350,25 @@ func TestLeadingLeftSingularVectorsRankDeficient(t *testing.T) {
 	}
 }
 
+// TestLeadingLeftSingularVectorsLowRankFrames is the Tucker update on a
+// matricized intermediate of rank below the core size: a rank-2 12×8
+// product asked for 5 vectors. The Gram route resolves singular values
+// only down to s₀·√(cols·ε); a rounding-noise value above a tighter
+// threshold yields a column that is not orthogonal to the leading ones,
+// and the frame is then no frame at all.
+func TestLeadingLeftSingularVectorsLowRankFrames(t *testing.T) {
+	worst := 0.0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := LeadingLeftSingularVectors(Mul(Random(12, 2, rng), Random(2, 8, rng)), 5)
+		worst = math.Max(worst, Gram(u).Sub(Identity(5)).MaxAbs())
+		if worst > 1e-12 {
+			t.Fatalf("seed %d: max |UᵀU−I| = %.3g, want an orthonormal frame", seed, worst)
+		}
+	}
+	t.Logf("worst max |UᵀU−I| over 200 seeds: %.3g", worst)
+}
+
 func TestSolve(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{5, 10})

@@ -9,6 +9,7 @@
 package mr_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -71,6 +72,39 @@ func TestShuffleAllocsPerRecord(t *testing.T) {
 	if perRecord > allocBudgetPerRecord {
 		t.Errorf("shuffle hot path allocates %.4f allocs/record (budget %.2f): per-key allocation churn is back",
 			perRecord, allocBudgetPerRecord)
+	}
+}
+
+// TestShuffleLendingCount checks the pools' lending count, which moves
+// only under the race detector: a Run keeps lent exactly one slab, its
+// output, and takes back every other slab it borrowed — map slabs,
+// emit buffers, group arenas, reducer outputs — so Recycle returns the
+// count to where it began. That holds on the job's first run and at
+// every pool width, since each width has its own release paths.
+func TestShuffleLendingCount(t *testing.T) {
+	if !mr.RaceEnabled {
+		t.Skip("the pools count their loans only under the race detector")
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c := mr.NewCluster(mr.Config{Machines: 8, SlotsPerMachine: 4})
+			job, _ := shuffleAllocJob(c, "lending")
+			for run := range 3 {
+				base := mr.Lent()
+				out, _, err := mr.Run(c, job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := mr.Lent() - base; n != 1 {
+					t.Fatalf("run %d: %+d slabs out after Run, want +1 (its output)", run, n)
+				}
+				mr.Recycle(out)
+				if n := mr.Lent() - base; n != 0 {
+					t.Fatalf("run %d: %+d slabs out after Recycle, want 0", run, n)
+				}
+			}
+		})
 	}
 }
 

@@ -66,6 +66,7 @@ const minTable = 16
 // getGroupArena returns an empty grouper from the pool for the key and
 // value types.
 func getGroupArena[K comparable, V any]() *groupArena[K, V] {
+	loan(1)
 	if v := poolFor[*groupArena[K, V]]().Get(); v != nil {
 		return v.(*groupArena[K, V])
 	}
@@ -75,6 +76,7 @@ func getGroupArena[K comparable, V any]() *groupArena[K, V] {
 // putGroupArena releases the arena storage (clearing it so pooled
 // memory pins no values) and returns the grouper to its pool.
 func putGroupArena[K comparable, V any](g *groupArena[K, V]) {
+	loan(-1)
 	putSlice(g.vals)
 	g.vals = nil
 	clear(g.keys) // keys may hold pointers; zero before truncating

@@ -85,9 +85,14 @@ func Recycle[T any](s []T) {
 // typed buffer pools — the borrowing counterpart of Recycle. Code that
 // fills a large buffer over and over (the proc backend's frame slabs)
 // acquires instead of make so the slabs reclaimed by Recycle circulate
-// rather than accumulate as garbage.
+// rather than accumulate as garbage. n ≤ 0 asks for the largest slab
+// pooled, or a small fresh one when the pools are empty: whatever the
+// caller appends it into is then a slab the pools lent.
 func Acquire[T any](n int) []T {
-	return getSlice[T](n)
+	if s := getSlice[T](n); s != nil {
+		return s
+	}
+	return getSlice[T](1)
 }
 
 // HashTriple is a partitioner for [3]int64 keys.

@@ -612,7 +612,8 @@ func (r *run[K, V, O]) reduceTask(w, rr int) {
 // buffer — the room is for every pair still to reduce, and the last
 // reducer's buffers are the job's parts. A wider pool gathers each part
 // once, at its exact total, in commit. Only a worker's first reducer
-// appends into the unknown.
+// appends into the unknown. No buffer is nil, so whatever emit grows
+// one into descends from a slab the pools lent.
 func (r *run[K, V, O]) outBufs(w, rr int) (bufs [][]O, lo []int) {
 	np := r.nparts
 	bufs, lo = r.results[rr*np:(rr+1)*np], r.los[w*np:(w+1)*np]
@@ -627,10 +628,13 @@ func (r *run[K, V, O]) outBufs(w, rr int) (bufs [][]O, lo []int) {
 		}
 		if r.fed[w] == 0 {
 			if buf == nil {
-				buf = getSlice[O](0) // nothing learned yet: the largest slab pooled
+				// nothing learned yet: the largest slab pooled, or a first
+				if buf = getSlice[O](0); buf == nil {
+					buf = getSlice[O](1)
+				}
 			}
-		} else if expect := int(pairs * r.made[w*np+p] / r.fed[w]); len(buf)+expect > cap(buf) {
-			grown := append(getSlice[O](len(buf)+expect+expect/8), buf...)
+		} else if expect := int(pairs * r.made[w*np+p] / r.fed[w]); buf == nil || len(buf)+expect > cap(buf) {
+			grown := append(getSlice[O](max(1, len(buf)+expect+expect/8)), buf...)
 			putSlice(buf)
 			buf = grown
 		}
@@ -703,6 +707,7 @@ func (r *run[K, V, O]) commit() error {
 		}
 		if len(writers) > 0 {
 			writers[p].AppendBlock(part, len(part), partBytes[p])
+			disown(part)
 		}
 		results[p] = part // slot p is spent: later parts read only their own slots
 	}

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"reflect"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // The engine recycles its per-job scratch memory — map-task slabs,
@@ -24,6 +26,12 @@ import (
 // eighth over the request), so every slab in a class fits every request
 // that maps to it: a slab taken from the pool is never too small, and
 // none is ever discarded.
+//
+// Under the race detector the pools check their two ownership facts
+// where they happen (DESIGN.md §3f): lent counts the slabs out on loan,
+// so a slab that never comes back shows in the count a sequential test
+// asserts, and putSlice poisons what it pools, so a slab recycled while
+// the DFS or a caller still reads it breaks the bit-identity tests.
 
 const (
 	minSlab     = 8 // the first class start; smaller slabs are not pooled
@@ -38,6 +46,13 @@ func slabClass(n int) (class, start, step int) {
 	j := (n - 1<<k) / step
 	return 8*k + j, 1<<k + j*step, step
 }
+
+var lent atomic.Int64 // moved by loan only
+
+// Lent reports how many slabs the typed pools have lent and not had
+// back, counted under the race detector only (0 otherwise). Run's output
+// for a job without Outputs stays lent to its caller until Recycle.
+func Lent() int64 { return lent.Load() }
 
 var typedPools sync.Map // reflect.Type -> *sync.Pool (scratch structs) or *[slabClasses]sync.Pool (keyed by []T)
 
@@ -65,7 +80,7 @@ func getSlice[T any](want int) []T {
 	if want <= 0 {
 		for c := slabClasses - 1; c >= 0; c-- {
 			if v := pools[c].Get(); v != nil {
-				return (*v.(*[]T))[:0]
+				return lend((*v.(*[]T))[:0])
 			}
 		}
 		return nil
@@ -76,10 +91,29 @@ func getSlice[T any](want int) []T {
 	}
 	for i := c; i < min(c+8, slabClasses); i++ {
 		if v := pools[i].Get(); v != nil {
-			return (*v.(*[]T))[:0]
+			return lend((*v.(*[]T))[:0])
 		}
 	}
-	return make([]T, 0, start)
+	return lend(make([]T, 0, start))
+}
+
+// loan moves the lending count by n under the race detector: +1 for
+// each slab or group arena lent, −1 for each given back.
+func loan(n int64) {
+	if raceEnabled {
+		lent.Add(n)
+	}
+}
+
+func lend[T any](s []T) []T { loan(1); return s }
+
+// disown counts s, a lent slab or nil, as given back: to the pools, or
+// for good to a new owner that never returns it (a DFS file, for
+// commit's parts).
+func disown[T any](s []T) {
+	if s != nil {
+		loan(-1)
+	}
 }
 
 // putSlice clears the used portion of s when T contains pointers (so
@@ -87,19 +121,31 @@ func getSlice[T any](want int) []T {
 // pool for []T. Pointer-free buffers — the engine's dominant case,
 // e.g. fiber-keyed pair slabs and float value arenas — skip the
 // clear: stale numeric bytes pin nothing and every slot is overwritten
-// before its next read. s must be the whole slab it was acquired as,
-// never a sub-slice of one: two pool entries over one backing array
-// would hand the same memory to two later jobs.
+// before its next read (under the race detector they are poisoned
+// instead). s must be the whole slab it was acquired as, never a
+// sub-slice of one: two pool entries over one backing array would hand
+// the same memory to two later jobs.
 func putSlice[T any](s []T) {
+	disown(s)
 	if cap(s) < minSlab {
 		return
 	}
 	if hasPointers[T]() {
 		clear(s)
+	} else if raceEnabled {
+		poison(s)
 	}
 	s = s[:0]
 	c, _, _ := slabClass(cap(s))
 	slabPools[T]()[c].Put(&s)
+}
+
+// poison overwrites s's elements with 0xA5 bytes.
+func poison[T any](s []T) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), uintptr(len(s))*unsafe.Sizeof(*new(T)))
+	for i := range b {
+		b[i] = 0xA5
+	}
 }
 
 var pointerFreeTypes sync.Map // reflect.Type -> bool

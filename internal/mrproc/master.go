@@ -480,9 +480,9 @@ func (m *Master) InProcess() bool { return false }
 // thousands of windows per decomposition, and a fresh buffer per frame
 // was most of its allocation volume. A slab has exactly one owner at a
 // time — the function that acquired it, which hands it back with
-// mr.Recycle on every path (haten2lint's poolreturn check holds this
-// package to it). Payloads handed out of a slab are lent, never given:
-// they die with the Recycle.
+// mr.Recycle on every path (the window tests check mr.Lent under the
+// race detector, where a Recycle also poisons the slab). Payloads handed
+// out of a slab are lent, never given: they die with the Recycle.
 
 // frameTarget is the payload size at which a ship window closes one
 // frame and opens the next. It bounds the frame slab (one frame plus one

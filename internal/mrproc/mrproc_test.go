@@ -240,6 +240,7 @@ func TestStartStopGoroutineClean(t *testing.T) {
 func TestWindowLargerThanSocketBuffers(t *testing.T) {
 	m := newMaster(t, Options{Workers: 2, HeartbeatInterval: -1})
 	defer m.Close()
+	lent := mr.Lent()
 	const parts, size = 64, 4 << 20
 	keys := make([]mr.PartKey, parts)
 	blocks := make([][]byte, parts)
@@ -269,6 +270,9 @@ func TestWindowLargerThanSocketBuffers(t *testing.T) {
 	if s := m.Stats(); s.PartitionsShipped != parts || s.PartitionBytes != parts*size || s.PartitionsFetched != parts {
 		t.Fatalf("stats count partitions and their bytes, not frames: %+v", s)
 	}
+	if n := mr.Lent() - lent; n != 0 {
+		t.Fatalf("%+d frame slabs never given back", n)
+	}
 }
 
 // reap kills worker id and waits for the process to be gone, so that
@@ -286,8 +290,9 @@ func reap(t *testing.T, m *Master, id int) {
 // the first visit) and under a ship window too large to have left the
 // master yet. Either way the call must come back with an error well
 // inside IOTimeout, the worker must be Dead, later windows must be
-// refused as worker-down without touching the socket, and Close must
-// still join everything the master started.
+// refused as worker-down without touching the socket, Close must still
+// join everything the master started, and every window must have given
+// its frame slab back (counted under the race detector).
 func TestKillWorkerMidWindow(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const ioTimeout = 5 * time.Second
@@ -301,6 +306,7 @@ func TestKillWorkerMidWindow(t *testing.T) {
 		return err
 	}
 
+	lent := mr.Lent() // every window, failed or not, gives its frame slab back
 	m := newMaster(t, Options{Workers: 2, HeartbeatInterval: -1, IOTimeout: ioTimeout})
 	var keys []mr.PartKey
 	var blocks [][]byte
@@ -357,6 +363,9 @@ func TestKillWorkerMidWindow(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("close with a dead worker: %v", err)
+	}
+	if n := mr.Lent() - lent; n != 0 {
+		t.Fatalf("%+d frame slabs never given back", n)
 	}
 
 	deadline := time.Now().Add(5 * time.Second)

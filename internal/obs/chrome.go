@@ -4,22 +4,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 )
-
-// bufPool recycles the byte buffers the exporters render into, so a
-// driver exporting a trace every iteration (or the golden tests
-// exporting hundreds) allocates the buffer once. The poolreturn lint
-// check enforces that every getBuf is paired with a putBuf.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<16); return &b }}
-
-func getBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-func putBuf(b *[]byte) { bufPool.Put(b) }
 
 // WriteChromeTrace writes the spans as Chrome trace_event JSON (the
 // format chrome://tracing and Perfetto load): one complete ("ph":"X")
@@ -38,21 +23,16 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 	t.mu.Lock()
-	spans := t.spans
-	buf := getBuf()
-	b := *buf
-	b = append(b, '[', '\n')
-	for i, s := range spans {
+	b := append(make([]byte, 0, 1<<16), '[', '\n')
+	for i, s := range t.spans {
 		if i > 0 {
 			b = append(b, ',', '\n')
 		}
 		b = appendEvent(b, s)
 	}
 	b = append(b, '\n', ']', '\n')
-	*buf = b
 	t.mu.Unlock()
-	_, err := w.Write(*buf)
-	putBuf(buf)
+	_, err := w.Write(b)
 	return err
 }
 

@@ -382,7 +382,10 @@ func TestLRUEvicts(t *testing.T) {
 // TestSteadyStateAllocs pins the acceptance criterion: the warm query
 // path must do ≤ 0.1 allocations per query. With the result cached and
 // the caller reusing its destination buffer, a query is a hash, one
-// stripe lock, and a copy — nothing allocates.
+// stripe lock, and a copy — nothing allocates. Membership and
+// ConceptMembers are held to the same budget: their score scratch comes
+// from the server's pool, so a lookup that forgets to give it back
+// allocates on every call.
 func TestSteadyStateAllocs(t *testing.T) {
 	_, _, model := testParafac(8, 23, 501, 13, 8)
 	srv, err := New(model, Config{Shards: 4, CacheSize: 64, MaxBatch: 8})
@@ -401,6 +404,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		dst, _ = srv.TopKObjects(5, 7, k, dst)
 	})
+	// The unsharded lookups rank in the server's pooled score scratch.
+	lookups := []struct {
+		name string
+		call func() ([]Result, error)
+	}{
+		{"Membership", func() ([]Result, error) { return srv.Membership(11, 3, dst) }},
+		{"ConceptMembers", func() ([]Result, error) { return srv.ConceptMembers(2, k, dst) }},
+	}
+	lookupAllocs := make([]float64, len(lookups))
+	for i, l := range lookups {
+		if dst, err = l.call(); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		lookupAllocs[i] = testing.AllocsPerRun(200, func() { dst, _ = l.call() })
+	}
 
 	// The cold path is allowed its single-flight bookkeeping (one
 	// flight struct + channel per miss) but must stay bounded — the
@@ -434,11 +452,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 	sparse := missAllocs(sparseModel)
 	if raceEnabled {
 		// The race detector makes sync.Pool drop a quarter of its Puts.
-		t.Logf("allocs/query under -race (not asserted): hit %.3f, dense miss %.1f, hypersparse miss %.1f", avg, dense, sparse)
+		t.Logf("allocs/query under -race (not asserted): hit %.3f, dense miss %.1f, hypersparse miss %.1f, lookups %.3f", avg, dense, sparse, lookupAllocs)
 		return
 	}
 	if avg > 0.1 {
 		t.Errorf("steady-state allocs/query = %.3f, want ≤ 0.1", avg)
+	}
+	for i, l := range lookups {
+		if lookupAllocs[i] > 0.1 {
+			t.Errorf("steady-state %s allocs/call = %.3f, want ≤ 0.1", l.name, lookupAllocs[i])
+		}
 	}
 	if dense > 8 {
 		t.Errorf("miss-path allocs/query = %.1f, want small and bounded", dense)
