@@ -9,12 +9,12 @@
 //	haten2 -method parafac -rank 5 -in fourway.coo          # 4-way input works too
 //	haten2 -method parafac -rank 10 -in tensor.coo -model m.txt
 //	haten2 -method parafac -rank 10 -in tensor.coo -trace run.trace.json -tracesummary
-//	haten2 -method parafac -rank 10 -in tensor.coo -backend proc   # multi-process data plane
+//	haten2 -method parafac -rank 10 -in tensor.coo -backend proc   # multi-process shuffle
 //
 // -backend selects the execution backend: inproc (default) keeps the
-// whole run in this process; proc spawns worker processes that serve
-// shuffle partitions and staged files over local sockets (DESIGN.md
-// §3i). Factor outputs are bit-identical across backends.
+// whole run in this process; proc spawns worker processes that hold the
+// shuffle partitions behind local sockets (DESIGN.md §3i). Factor
+// outputs are bit-identical across backends.
 //
 // -trace writes a Chrome trace_event JSON file of the run in simulated
 // time (load it in chrome://tracing or Perfetto); -tracesummary prints

@@ -1,6 +1,6 @@
 // Command haten2worker is a standalone mrproc worker process: it dials
-// a proc-backend master, registers, and serves shuffle partitions and
-// mirrored DFS files from memory until the master drains it.
+// a proc-backend master, registers, and holds shuffle partitions in
+// memory until the master drains it.
 //
 // The proc backend normally spawns workers by re-execing whatever
 // binary the master runs in (see mrproc.MaybeWorker); this command

@@ -1,9 +1,9 @@
 package core
 
-// Columnar block encodings — the format of everything that crosses the
-// backend seam: a whole block (a DFS file of tensor entries, factor
-// cells or Hadamard intermediates, or one map task's per-reducer shuffle
-// partition) is encoded as contiguous columns:
+// Columnar block encodings — the format of every shuffle partition that
+// crosses the backend seam: one map task's per-reducer partition is
+// encoded as contiguous columns, and so are the tensor-entry and
+// factor-cell blocks the benchmark's codec probes time:
 //
 //	block   := crc32c || uvarint(count) || column …
 //	crc32c  := 4-byte little-endian CRC-32C (Castagnoli) over the rest
@@ -18,8 +18,8 @@ package core
 //	cols    := zigzag-varint delta per record (factor column indexes)
 //	values  := 8-byte little-endian IEEE-754 float64 per record
 //
-// Tensor files are coalesced (sorted lexicographically by coordinate),
-// so index columns are non-decreasing and the deltas are tiny — most
+// Coalesced tensor entries are sorted lexicographically by coordinate,
+// so their index columns are non-decreasing and the deltas are tiny — most
 // encode in one byte instead of eight. Delta encoding stays *correct*
 // on unsorted sequences (shuffle partitions arrive in emission order):
 // it merely compresses less when locality is poor, and the engine
@@ -37,9 +37,7 @@ package core
 // the colcodec tests and FuzzColumnarRoundTrip pin both directions. The
 // mr engine charges shuffle bytes through the shuffle sizer
 // (mr.BlockSizer), so the cost model can never drift from the declared
-// wire format, and finds a DFS file's codec through methods on its
-// record type (mr.FileCodec), so a published file crosses the seam as
-// one exactly-sized block.
+// wire format.
 
 import (
 	"encoding/binary"
@@ -206,15 +204,14 @@ func (r *colReader) done() ([]byte, error) {
 	return r.b, nil
 }
 
-// --- Entry blocks (tensor files) --------------------------------------
+// --- Entry blocks (3-way tensor entries) ----------------------------
 
 // AppendEntryBlock appends the columnar encoding of entries to dst: one
 // delta-encoded index column per mode followed by the value column. Its
 // length is exactly EntryBlockSize(entries).
-func AppendEntryBlock[I index](dst []byte, entries []EntryOf[I]) []byte {
+func AppendEntryBlock(dst []byte, entries []Entry) []byte {
 	dst, at := beginBlock(dst, len(entries))
-	var zero I
-	for m := range len(zero) {
+	for m := range 3 {
 		prev := int64(0)
 		for i := range entries {
 			dst, prev = appendDelta(dst, entries[i].Idx[m]-prev), entries[i].Idx[m]
@@ -226,16 +223,13 @@ func AppendEntryBlock[I index](dst []byte, entries []EntryOf[I]) []byte {
 	return sealBlock(dst, at)
 }
 
-// DecodeEntryBlock parses one 3-way block written by AppendEntryBlock,
+// DecodeEntryBlock parses one block written by AppendEntryBlock,
 // returning the decoded entries and any trailing bytes. The block's CRC
 // is verified before any record is returned.
-func DecodeEntryBlock(src []byte) ([]Entry, []byte, error) { return decodeEntryBlock[[3]int64](src) }
-
-func decodeEntryBlock[I index](src []byte) ([]EntryOf[I], []byte, error) {
+func DecodeEntryBlock(src []byte) ([]Entry, []byte, error) {
 	r, n := openBlock(src)
-	out := make([]EntryOf[I], n)
-	var zero I
-	for m := range len(zero) {
+	out := make([]Entry, n)
+	for m := range 3 {
 		prev := int64(0)
 		for i := range out {
 			prev += r.delta()
@@ -256,26 +250,17 @@ func decodeEntryBlock[I index](src []byte) ([]EntryOf[I], []byte, error) {
 
 // EntryBlockSize is the exact encoded size of AppendEntryBlock(nil,
 // entries), computed without encoding.
-func EntryBlockSize[I index](entries []EntryOf[I]) int64 {
+func EntryBlockSize(entries []Entry) int64 {
 	n := blockHeaderSize(len(entries)) + 8*int64(len(entries))
-	var prev EntryOf[I]
+	var prev Entry
 	for _, e := range entries {
-		for m := range len(e.Idx) {
+		for m := range 3 {
 			n += deltaLen(prev.Idx[m], e.Idx[m])
 		}
 		prev = e
 	}
 	return n
 }
-
-// FileBlockSize, AppendFileBlock and DecodeFileBlock are EntryOf's file
-// codec (mr.FileCodec): a tensor file crosses the backend seam as its
-// Entry block. recs is the file's []EntryOf[I].
-func (EntryOf[I]) FileBlockSize(recs any) int64 { return EntryBlockSize(recs.([]EntryOf[I])) }
-func (EntryOf[I]) AppendFileBlock(dst []byte, recs any) []byte {
-	return AppendEntryBlock(dst, recs.([]EntryOf[I]))
-}
-func (EntryOf[I]) DecodeFileBlock(src []byte) (any, []byte, error) { return decodeEntryBlock[I](src) }
 
 // --- MatEntry blocks (factor matrices) --------------------------------
 
@@ -333,87 +318,6 @@ func MatEntryBlockSize(cells []MatEntry) int64 {
 	}
 	return n
 }
-
-// MatEntry's file codec (mr.FileCodec): a factor file crosses the
-// backend seam as its MatEntry block. recs is the file's []MatEntry.
-func (MatEntry) FileBlockSize(recs any) int64 { return MatEntryBlockSize(recs.([]MatEntry)) }
-func (MatEntry) AppendFileBlock(dst []byte, recs any) []byte {
-	return AppendMatEntryBlock(dst, recs.([]MatEntry))
-}
-func (MatEntry) DecodeFileBlock(src []byte) (any, []byte, error) { return DecodeMatEntryBlock(src) }
-
-// --- HEntry blocks (the Hadamard intermediates 𝒯′, 𝒯″) ----------------
-
-// appendHEntryBlock appends the columnar encoding of recs: one delta
-// index column per mode, the delta column of factor columns, then
-// values. Length is hEntryBlockSize(recs).
-func appendHEntryBlock[I index](dst []byte, recs []HEntryOf[I]) []byte {
-	dst, at := beginBlock(dst, len(recs))
-	var zero I
-	for m := range len(zero) {
-		prev := int64(0)
-		for i := range recs {
-			dst, prev = appendDelta(dst, recs[i].Idx[m]-prev), recs[i].Idx[m]
-		}
-	}
-	prev := int64(0)
-	for i := range recs {
-		dst, prev = appendDelta(dst, int64(recs[i].Col)-prev), int64(recs[i].Col)
-	}
-	for i := range recs {
-		dst = appendFloat(dst, recs[i].Val)
-	}
-	return sealBlock(dst, at)
-}
-
-func decodeHEntryBlock[I index](src []byte) ([]HEntryOf[I], []byte, error) {
-	r, n := openBlock(src)
-	out := make([]HEntryOf[I], n)
-	var zero I
-	for m := range len(zero) {
-		prev := int64(0)
-		for i := range out {
-			prev += r.delta()
-			out[i].Idx[m] = prev
-		}
-	}
-	prev := int64(0)
-	for i := range out {
-		prev += r.delta()
-		out[i].Col = r.narrow(prev)
-	}
-	if vals := r.take(8 * n); vals != nil {
-		for i := range out {
-			out[i].Val = floatAt(vals, i)
-		}
-	}
-	rest, err := r.done()
-	if err != nil {
-		return nil, rest, err
-	}
-	return out, rest, nil
-}
-
-func hEntryBlockSize[I index](recs []HEntryOf[I]) int64 {
-	n := blockHeaderSize(len(recs)) + 8*int64(len(recs))
-	var prev HEntryOf[I]
-	for _, h := range recs {
-		for m := range len(h.Idx) {
-			n += deltaLen(prev.Idx[m], h.Idx[m])
-		}
-		n += deltaLen(int64(prev.Col), int64(h.Col))
-		prev = h
-	}
-	return n
-}
-
-// HEntryOf's file codec (mr.FileCodec): a 𝒯 file crosses the backend
-// seam as its HEntry block. recs is the file's []HEntryOf[I].
-func (HEntryOf[I]) FileBlockSize(recs any) int64 { return hEntryBlockSize(recs.([]HEntryOf[I])) }
-func (HEntryOf[I]) AppendFileBlock(dst []byte, recs any) []byte {
-	return appendHEntryBlock(dst, recs.([]HEntryOf[I]))
-}
-func (HEntryOf[I]) DecodeFileBlock(src []byte) (any, []byte, error) { return decodeHEntryBlock[I](src) }
 
 // --- sval shuffle blocks (every plan job) ------------------------------
 

@@ -17,7 +17,7 @@ import (
 // model acts on.
 func storageTestCluster(repl int) *mr.Cluster {
 	return mr.NewClusterWithFS(mr.Config{Machines: 4, SlotsPerMachine: 2},
-		dfs.New(dfs.Options{BlockSize: 256, Replication: repl, Machines: 4}))
+		dfs.New(dfs.Options{BlockSize: 256, Replication: repl}))
 }
 
 // TestStorageReplicationSweepBitIdentical pins the acceptance

@@ -30,10 +30,6 @@ type Options struct {
 	// Replication is the number of replicas written per block. Defaults
 	// to 3, HDFS's default.
 	Replication int
-	// Machines is the number of simulated datanodes replicas are placed
-	// across. Defaults to Replication, the smallest cluster on which
-	// every block can keep fully distinct copies.
-	Machines int
 }
 
 // Stats aggregates the I/O the file system has performed.
@@ -51,7 +47,7 @@ type Stats struct {
 	// Storage-failure accounting (see storage.go). Faults move these
 	// counters and simulated time only — never the bytes a reader sees.
 	CorruptBlocks  int64 // replica copies whose checksum verification failed
-	LostReplicas   int64 // replica copies missing at read/scrub time
+	LostReplicas   int64 // replica copies missing at read time
 	FailoverReads  int64 // reads retried on the next replica after a bad copy
 	FailoverBytes  int64 // bytes re-read from further replicas during failover
 	ReReplications int64 // replica copies restored to reach the target factor
@@ -95,8 +91,8 @@ type file struct {
 	repl int
 	// healed and detected track per-replica-copy state, indexed
 	// block*repl+replica and allocated lazily on the first storage
-	// fault. healed marks copies restored by read-repair or Scrub
-	// (they verify clean from then on); detected memoizes bad copies
+	// fault. healed marks copies restored by read-repair (they verify
+	// clean from then on); detected memoizes bad copies
 	// so each is counted in Stats exactly once no matter how many
 	// times a doomed block is re-read.
 	healed   []bool
@@ -136,9 +132,6 @@ type FS struct {
 	stats   Stats
 	// faults is the installed storage fault plan; nil runs clean.
 	faults *StorageFaults
-	// remote, when non-nil, mirrors published files into an external
-	// block store (see remote.go). Hooks fire outside fs.mu.
-	remote Remote
 }
 
 // New returns an empty file system with the given options
@@ -149,9 +142,6 @@ func New(opts Options) *FS {
 	}
 	if opts.Replication <= 0 {
 		opts.Replication = 3
-	}
-	if opts.Machines <= 0 {
-		opts.Machines = opts.Replication
 	}
 	return &FS{opts: opts, files: make(map[string]*file), staging: make(map[string]*file)}
 }
@@ -246,19 +236,7 @@ func (w *Writer) AppendBlock(payload any, count int, size int64) {
 // checksums, and charges block-level accounting. The publish happens
 // exactly once: a second Close, or Close after Abort, panics — the
 // commit protocol treats a double commit as task-attempt corruption.
-// When a remote mirror is installed, the newly published file is
-// shipped to it after the publish, outside the file-system mutex.
 func (w *Writer) Close() {
-	if remote := w.commit(); remote != nil {
-		// The payload is frozen from publication on, so it is read here
-		// without the lock.
-		remote.Ship(w.name, w.f.typed, w.f.count)
-	}
-}
-
-// commit performs the locked portion of Close and returns the remote
-// hook to notify (nil when none is installed).
-func (w *Writer) commit() Remote {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	switch w.state {
@@ -277,7 +255,6 @@ func (w *Writer) commit() Remote {
 	}
 	w.f.repl = w.fs.opts.Replication
 	w.fs.stats.BlocksWritten += int64(len(w.f.sums))
-	return w.fs.remote
 }
 
 // Abort discards a staged file, releasing its name. The bytes already
@@ -343,21 +320,14 @@ func (fs *FS) Exists(name string) bool {
 }
 
 // Delete removes a file. Deleting an absent file returns ErrNotExist.
-// An installed remote mirror is told to drop its copy, outside the
-// file-system mutex.
 func (fs *FS) Delete(name string) error {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if _, ok := fs.files[name]; !ok {
-		fs.mu.Unlock()
 		return &ErrNotExist{Name: name}
 	}
 	delete(fs.files, name)
 	fs.stats.FilesDeleted++
-	remote := fs.remote
-	fs.mu.Unlock()
-	if remote != nil {
-		remote.Drop(name)
-	}
 	return nil
 }
 

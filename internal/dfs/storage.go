@@ -1,26 +1,26 @@
 // Storage failure model: replicated, checksummed blocks with seeded
-// corruption injection, read-path failover, and scrub/re-replication.
+// corruption injection, read-path failover, and read-repair.
 //
 // Every published file carries one checksum per block, computed
-// incrementally while the writer appends (dfs.go). Each block is stored
-// as Replication copies placed across the simulated machines by a pure
-// hash of (file, block, replica) — no scheduler state — so placement is
-// a deterministic property of the file system's contents.
+// incrementally while the writer appends (dfs.go), and each block is
+// stored as Replication copies. The read path is the only verification:
+// BlockView checks every block, fails over past bad copies and heals
+// them. There is no separate fsck pass.
 //
 // Faults are injected the same way mr.FaultPlan injects task faults:
 // whether one replica copy of one block is corrupt or lost is a pure
 // splitmix64 hash of (seed, file, block, replica), evaluated lazily at
-// read or scrub time. Because the decision never consults scheduling
-// state, the set of bad copies is identical at every GOMAXPROCS level
-// and across runs. Corruption and loss move simulated time and the
+// read time. Because the decision never consults scheduling state, the
+// set of bad copies is identical at every GOMAXPROCS level and across
+// runs. Corruption and loss move simulated time and the
 // Stats counters only; payload bytes are never mutated, so a fault can
 // change what a read costs but never what it returns — the repo's
 // standing invariant, extended to storage.
 package dfs
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // StorageFaults seeds deterministic storage failures, mirroring the
@@ -39,7 +39,7 @@ type StorageFaults struct {
 }
 
 // InstallFaults installs (or, with nil, removes) a storage fault plan.
-// Copies already healed by read-repair or Scrub stay healed — repairs
+// Copies already healed by read-repair stay healed — repairs
 // are physical, not plan state.
 func (fs *FS) InstallFaults(p *StorageFaults) {
 	fs.mu.Lock()
@@ -101,8 +101,8 @@ func storageMix(x uint64) uint64 {
 }
 
 // nameHash folds a file name into one 64-bit value (FNV-1a, finalized
-// through storageMix) so fault and placement decisions can hash it with
-// the other coordinates.
+// through storageMix) so fault decisions can hash it with the other
+// coordinates.
 func nameHash(name string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
@@ -112,12 +112,11 @@ func nameHash(name string) uint64 {
 	return storageMix(h)
 }
 
-// decision kinds keep the hash streams for loss, corruption, and
-// placement disjoint.
+// decision kinds keep the hash streams for loss and corruption
+// disjoint.
 const (
 	kindLoss uint64 = iota + 1
 	kindCorrupt
-	kindPlace
 )
 
 // storageHash chains the coordinates of one decision through the mixer.
@@ -198,7 +197,7 @@ func (fs *FS) heal(f *file, b, r int) {
 }
 
 // verifyRead checksums every block of a file along the read path: scan
-// replicas in placement order, fail over past bad copies to the first
+// replicas in replica order, fail over past bad copies to the first
 // good one, then scrub (re-replicate) the bad copies just crossed so
 // the block is back at its target factor for the next reader. A block
 // with no good copy fails the read with *ErrDataLoss. Called with
@@ -240,145 +239,22 @@ func (fs *FS) verifyBlockRead(f *file, name string, nh uint64, b int) error {
 	return &ErrDataLoss{File: name, Block: b, Replicas: f.repl, Cause: firstBad}
 }
 
-// verifyFileFull examines every replica copy of every block — the full
-// scrub an fsck pass does, not the first-good-copy walk of the read
-// path — healing all bad copies of recoverable blocks and reporting
-// the first unrecoverable one. Called with fs.mu held.
-func (fs *FS) verifyFileFull(name string, f *file) (restored int64, restoredBytes int64, err error) {
-	nh := nameHash(name)
-	for b := range f.sums {
-		good := false
-		var bad []int
-		var firstBad *ErrCorrupt
-		for r := 0; r < f.repl; r++ {
-			state := fs.copyState(f, nh, b, r)
-			if state == repGood {
-				good = true
-				continue
-			}
-			fs.markDetected(f, b, r, state)
-			bad = append(bad, r)
-			if state == repCorrupt && firstBad == nil {
-				firstBad = &ErrCorrupt{File: name, Block: b, Replica: r}
-			}
-		}
-		if !good {
-			if err == nil {
-				err = &ErrDataLoss{File: name, Block: b, Replicas: f.repl, Cause: firstBad}
-			}
-			continue
-		}
-		for _, r := range bad {
-			fs.heal(f, b, r)
-			restored++
-			restoredBytes += f.blockSpan(b, fs.opts.BlockSize)
-		}
+// HashBytes folds a byte string through the splitmix64 chain the
+// file-system checksums use, seeded with the length so strings that
+// differ only by trailing zeros hash apart. The multi-process backend
+// places with it: a shuffle partition goes to the worker its encoded
+// (job, seq, reducer) key hashes to — a pure function of the namespace,
+// so placement never depends on scheduling.
+func HashBytes(b []byte) uint64 {
+	h := storageMix(uint64(len(b)) ^ 0x9e3779b97f4a7c15)
+	for len(b) >= 8 {
+		h = storageMix(h ^ binary.LittleEndian.Uint64(b))
+		b = b[8:]
 	}
-	return restored, restoredBytes, err
-}
-
-// VerifyFile checksums every replica copy of every block of one file,
-// re-replicating bad copies back to the target factor. It returns
-// *ErrDataLoss when some block has no good copy left (recoverable
-// blocks are still healed first).
-func (fs *FS) VerifyFile(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return &ErrNotExist{Name: name}
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		h = storageMix(h ^ binary.LittleEndian.Uint64(tail[:]) ^ uint64(len(b)))
 	}
-	_, _, err := fs.verifyFileFull(name, f)
-	return err
-}
-
-// ScrubReport summarizes one full Scrub pass.
-type ScrubReport struct {
-	FilesScanned     int64
-	BlocksScanned    int64
-	ReplicasRestored int64
-	BytesRestored    int64
-}
-
-// Scrub checksums every replica copy of every block of every file, in
-// lexical file order, healing what it can. It returns the first
-// *ErrDataLoss found (after completing the pass) so callers learn both
-// the damage and the repairs.
-func (fs *FS) Scrub() (ScrubReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var rep ScrubReport
-	var firstErr error
-	for _, n := range names {
-		f := fs.files[n]
-		rep.FilesScanned++
-		rep.BlocksScanned += int64(len(f.sums))
-		restored, bytes, err := fs.verifyFileFull(n, f)
-		rep.ReplicasRestored += restored
-		rep.BytesRestored += bytes
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return rep, firstErr
-}
-
-// BlockChecksums returns a copy of a file's per-block checksums, as
-// computed incrementally at append time.
-func (fs *FS) BlockChecksums(name string) ([]uint64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, &ErrNotExist{Name: name}
-	}
-	sums := make([]uint64, len(f.sums))
-	copy(sums, f.sums)
-	return sums, nil
-}
-
-// Placement returns, for each block of a file, the machines its
-// replicas are placed on, in failover order. Placement is a pure hash
-// of (file, block, replica): replicas of one block land on distinct
-// machines while the cluster has enough of them (machines wrap only
-// when Replication exceeds Machines), and the same file always places
-// identically, independent of scheduling or fault state.
-func (fs *FS) Placement(name string) ([][]int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, &ErrNotExist{Name: name}
-	}
-	nh := nameHash(name)
-	out := make([][]int, len(f.sums))
-	for b := range out {
-		out[b] = placeBlock(nh, b, f.repl, fs.opts.Machines)
-	}
-	return out, nil
-}
-
-// placeBlock picks the machines for one block's replicas: each replica
-// draws without replacement from the machines not yet holding a copy,
-// refilling the pool only when the factor exceeds the cluster.
-func placeBlock(nh uint64, b, repl, machines int) []int {
-	out := make([]int, 0, repl)
-	var avail []int
-	for r := 0; r < repl; r++ {
-		if len(avail) == 0 {
-			avail = make([]int, machines)
-			for m := range avail {
-				avail[m] = m
-			}
-		}
-		k := int(storageHash(0, nh, uint64(b), uint64(r), kindPlace) % uint64(len(avail)))
-		out = append(out, avail[k])
-		avail = append(avail[:k], avail[k+1:]...)
-	}
-	return out
+	return h
 }

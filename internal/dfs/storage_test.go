@@ -7,16 +7,12 @@ import (
 
 func TestChecksumsIncrementalAndDeterministic(t *testing.T) {
 	mk := func() *FS {
-		fs := New(Options{BlockSize: 10, Replication: 2, Machines: 4})
+		fs := New(Options{BlockSize: 10, Replication: 2})
 		writeBlock(t, fs, "f", 7, 4) // 28 bytes -> blocks of 10: 3 blocks
 		return fs
 	}
 	a, b := mk(), mk()
-	sa, err := a.BlockChecksums("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, _ := b.BlockChecksums("f")
+	sa, sb := a.files["f"].sums, b.files["f"].sums
 	if len(sa) != 3 {
 		t.Fatalf("blocks=%d, want 3", len(sa))
 	}
@@ -31,55 +27,9 @@ func TestChecksumsIncrementalAndDeterministic(t *testing.T) {
 	// A different write pattern must change the trailing checksum.
 	c := New(Options{BlockSize: 10})
 	writeBlock(t, c, "f", 14, 2) // same 28 bytes, different record count
-	sc, _ := c.BlockChecksums("f")
+	sc := c.files["f"].sums
 	if sc[2] == sa[2] {
 		t.Fatal("different write patterns produced identical checksums")
-	}
-}
-
-func TestPlacementDistinctAndDeterministic(t *testing.T) {
-	fs := New(Options{BlockSize: 10, Replication: 3, Machines: 8})
-	writeBlock(t, fs, "f", 10, 5) // 50 bytes -> 5 blocks
-	p1, err := fs.Placement("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1) != 5 {
-		t.Fatalf("placement blocks=%d, want 5", len(p1))
-	}
-	for b, ms := range p1 {
-		if len(ms) != 3 {
-			t.Fatalf("block %d has %d replicas", b, len(ms))
-		}
-		seen := map[int]bool{}
-		for _, m := range ms {
-			if m < 0 || m >= 8 {
-				t.Fatalf("block %d placed on machine %d of 8", b, m)
-			}
-			if seen[m] {
-				t.Fatalf("block %d has two replicas on machine %d", b, m)
-			}
-			seen[m] = true
-		}
-	}
-	// Same file on a fresh FS places identically: placement is a pure
-	// hash, not scheduler state.
-	fs2 := New(Options{BlockSize: 10, Replication: 3, Machines: 8})
-	writeBlock(t, fs2, "f", 10, 5)
-	p2, _ := fs2.Placement("f")
-	for b := range p1 {
-		for r := range p1[b] {
-			if p1[b][r] != p2[b][r] {
-				t.Fatalf("placement not deterministic at block %d replica %d", b, r)
-			}
-		}
-	}
-	// More replicas than machines: placement wraps instead of failing.
-	fs3 := New(Options{BlockSize: 10, Replication: 3, Machines: 2})
-	writeBlock(t, fs3, "f", 2, 5)
-	p3, _ := fs3.Placement("f")
-	if len(p3[0]) != 3 {
-		t.Fatalf("wrapped placement has %d replicas", len(p3[0]))
 	}
 }
 
@@ -98,7 +48,7 @@ func findSeed(t *testing.T, pred func(seed int64) bool) int64 {
 
 func corruptFS(t *testing.T, seed int64, rate float64, repl int) *FS {
 	t.Helper()
-	fs := New(Options{BlockSize: 10, Replication: repl, Machines: 4})
+	fs := New(Options{BlockSize: 10, Replication: repl})
 	writeBlock(t, fs, "f", 8, 5) // 40 bytes -> 4 blocks
 	fs.InstallFaults(&StorageFaults{Seed: seed, CorruptRate: rate})
 	return fs
@@ -175,7 +125,7 @@ func TestDataLossWhenAllReplicasBad(t *testing.T) {
 
 func TestReplicaLossSkipsWithoutFailoverCharge(t *testing.T) {
 	mk := func(seed int64) *FS {
-		fs := New(Options{BlockSize: 10, Replication: 3, Machines: 4})
+		fs := New(Options{BlockSize: 10, Replication: 3})
 		writeBlock(t, fs, "f", 8, 5)
 		fs.InstallFaults(&StorageFaults{Seed: seed, LossRate: 0.3})
 		return fs
@@ -200,61 +150,6 @@ func TestReplicaLossSkipsWithoutFailoverCharge(t *testing.T) {
 	}
 	if st.ReReplications != st.LostReplicas || st.ScrubBytes == 0 {
 		t.Fatalf("loss not re-replicated: %+v", st)
-	}
-}
-
-func TestScrubHealsEverythingAndReports(t *testing.T) {
-	// A scrub examines every copy, so after it even copies "behind"
-	// the first good one are healed and a fault-free read follows.
-	seed := findSeed(t, func(s int64) bool {
-		fs := corruptFS(t, s, 0.3, 3)
-		rep, err := fs.Scrub()
-		return err == nil && rep.ReplicasRestored > 0
-	})
-	fs := corruptFS(t, seed, 0.3, 3)
-	rep, err := fs.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FilesScanned != 1 || rep.BlocksScanned != 4 {
-		t.Fatalf("scrub report: %+v", rep)
-	}
-	if rep.ReplicasRestored == 0 || rep.BytesRestored == 0 {
-		t.Fatalf("scrub restored nothing: %+v", rep)
-	}
-	st := fs.Stats()
-	if st.ReReplications != rep.ReplicasRestored || st.ScrubBytes != rep.BytesRestored {
-		t.Fatalf("scrub report disagrees with stats: %+v vs %+v", rep, st)
-	}
-	// After the scrub the file reads clean with no further failover.
-	if _, _, err := fs.BlockView("f"); err != nil {
-		t.Fatal(err)
-	}
-	if st2 := fs.Stats(); st2.FailoverReads != st.FailoverReads || st2.ReReplications != st.ReReplications {
-		t.Fatalf("post-scrub read still failed over: %+v", st2)
-	}
-	// A clean FS scrubs to an empty report.
-	clean := New(Options{BlockSize: 10})
-	writeBlock(t, clean, "f", 4, 5)
-	rep2, err := clean.Scrub()
-	if err != nil || rep2.ReplicasRestored != 0 || rep2.FilesScanned != 1 {
-		t.Fatalf("clean scrub: %+v err=%v", rep2, err)
-	}
-}
-
-func TestVerifyFileReportsDataLoss(t *testing.T) {
-	fs := corruptFS(t, 1, 1.0, 2)
-	err := fs.VerifyFile("f")
-	var dl *ErrDataLoss
-	if !errors.As(err, &dl) {
-		t.Fatalf("VerifyFile err=%v, want ErrDataLoss", err)
-	}
-	if err := fs.VerifyFile("missing"); err == nil {
-		t.Fatal("VerifyFile on absent file succeeded")
-	}
-	// Scrub surfaces the same loss after completing its pass.
-	if _, err := fs.Scrub(); !errors.As(err, &dl) {
-		t.Fatalf("Scrub err=%v, want ErrDataLoss", err)
 	}
 }
 
@@ -293,7 +188,7 @@ func TestInstallFaultsNilRunsCleanButKeepsHeals(t *testing.T) {
 
 func TestStorageFaultsNeverChangeBytes(t *testing.T) {
 	read := func(faults *StorageFaults) []int {
-		fs := New(Options{BlockSize: 10, Replication: 3, Machines: 4})
+		fs := New(Options{BlockSize: 10, Replication: 3})
 		writeBlock(t, fs, "f", 8, 5)
 		fs.InstallFaults(faults)
 		payload, _, err := fs.BlockView("f")
@@ -357,13 +252,13 @@ func TestBadMiddleBlockOfMultiBlockFile(t *testing.T) {
 	if st.BytesRead != 0 || st.RecordsRead != 0 {
 		t.Fatalf("failed read charged %d bytes, %d records", st.BytesRead, st.RecordsRead)
 	}
-	// VerifyFile and Scrub name the same block, after healing what the
-	// read never reached.
+	// A second read stops at the same block, and moves no counter: the
+	// blocks before it were healed, the doomed one's copies are known.
 	var dl2 *ErrDataLoss
-	if err := fs.VerifyFile("f"); !errors.As(err, &dl2) || dl2.Block != dl.Block {
-		t.Fatalf("VerifyFile err=%v, want loss of block %d", err, dl.Block)
+	if _, _, err := fs.BlockView("f"); !errors.As(err, &dl2) || dl2.Block != dl.Block {
+		t.Fatalf("second read err=%v, want loss of block %d", err, dl.Block)
 	}
-	if rep, err := fs.Scrub(); !errors.As(err, &dl2) || rep.BlocksScanned != 4 {
-		t.Fatalf("Scrub rep=%+v err=%v", rep, err)
+	if st2 := fs.Stats(); st2 != st {
+		t.Fatalf("second read moved counters: %+v vs %+v", st2, st)
 	}
 }

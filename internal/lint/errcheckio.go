@@ -11,7 +11,7 @@ import (
 // Those errors are the job plans' only signal that a stage failed —
 // a missing intermediate file, a write refused by the write-once rule,
 // a truncated model, a block whose every replica failed its checksum
-// (VerifyFile/Scrub return *ErrDataLoss) — and a dropped one silently
+// (BlockView returns *ErrDataLoss) — and a dropped one silently
 // corrupts the counters the paper's tables are reproduced from.
 // Flagged forms: a call used as a bare statement, a call under
 // go/defer, and an error result assigned to the blank identifier.

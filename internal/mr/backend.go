@@ -10,20 +10,20 @@ import (
 	"github.com/haten2/haten2/internal/mr/wire"
 )
 
-// Backend is the engine's pluggable data plane. A job's computation —
-// the map and reduce closures — always runs in the engine's
-// process (closures cannot cross a process boundary), but everything
-// the computation consumes and produces as *data* can be routed
-// elsewhere: the shuffle partitions each map task emits for each
-// reducer, and the DFS blocks jobs read as input and drivers write
-// between jobs. A Backend moves those bytes.
+// Backend is the engine's pluggable shuffle plane. A job's computation
+// — the map and reduce closures — always runs in the engine's process
+// (closures cannot cross a process boundary), and so do its DFS reads
+// and writes: the file system is the master's. What a Backend moves is
+// the shuffle, the one thing a MapReduce job sends between machines:
+// the encoded partition each map task emits for each reducer, parked
+// between the map phase and the reduce that fetches it.
 //
 // Two implementations ship with the engine: the in-process backend
-// (the zero value of a cluster — no Backend at all, data never leaves
-// the heap) and Loopback, which runs the full encode→ship→fetch→decode
-// cycle against in-memory storage, pinning the serialization seam
-// without processes. Package mrproc adds the real one: worker
-// processes serving partitions and blocks over local sockets.
+// (the zero value of a cluster — no Backend at all, partitions never
+// leave the heap) and Loopback, which runs the full
+// encode→ship→fetch→decode cycle against in-memory storage, pinning the
+// serialization seam without processes. Package mrproc adds the real
+// one: worker processes holding partitions behind local sockets.
 //
 // The standing invariant of the whole engine carries over verbatim:
 // backends may change wall-clock time and transport statistics, never
@@ -31,14 +31,9 @@ import (
 // every implementation to it — golden traces, the fault matrix, and
 // factor matrices must be bit-identical to the in-process engine.
 //
-// Error semantics: ShipFile/FetchFile are best-effort mirrors — a
-// file that cannot be fetched (never shipped, a record type without a
-// FileCodec, a worker lost beyond replication) makes the engine fall
-// back to its in-process read of the same records, so file-plane
-// failures degrade throughput, never correctness. The shuffle plane is
-// authoritative: partitions exist only in the backend once shipped, so
-// ShipPartitions/FetchPartitions errors fail the job, exactly as a real
-// cluster fails a job whose map outputs become unreachable.
+// Error semantics: partitions exist only in the backend once shipped,
+// so ShipPartitions/FetchPartitions errors fail the job, exactly as a
+// real cluster fails a job whose map outputs become unreachable.
 //
 // The shuffle plane moves windows, not single partitions, so that an
 // implementation can pipeline a window's transfers instead of paying a
@@ -46,13 +41,8 @@ import (
 // map task's non-empty per-reducer blocks on ship, one reducer's
 // non-empty blocks on fetch — never a whole job's.
 type Backend interface {
-	// Name identifies the backend in reports ("local", "loopback",
-	// "proc").
+	// Name identifies the backend in reports ("loopback", "proc").
 	Name() string
-	// InProcess reports that the data plane lives in engine memory, in
-	// which case the engine skips the encode/ship cycle entirely and
-	// runs its zero-copy fast path.
-	InProcess() bool
 	// ShipPartitions stores one window of encoded shuffle partitions,
 	// blocks[i] under keys[i]. The blocks are lent for the call only —
 	// they alias a pooled slab the engine reuses on return — so an
@@ -66,16 +56,6 @@ type Backend interface {
 	FetchPartitions(keys []PartKey, visit func(i int, data []byte) error) error
 	// ReleaseJob frees every partition of the named job run.
 	ReleaseJob(job string, seq int64) error
-	// ShipFile mirrors the encoded content of a published DFS file,
-	// replacing any earlier copy of the same name. data is lent for the
-	// call only, as ShipPartitions' blocks are: the engine reuses it on
-	// return, so an implementation that keeps it copies it.
-	ShipFile(name string, data []byte) error
-	// FetchFile returns the encoded content of a mirrored file.
-	FetchFile(name string) ([]byte, error)
-	// DropFile removes a mirrored file. Dropping an absent file is a
-	// no-op.
-	DropFile(name string) error
 	// Close releases the backend's resources (for mrproc: drains and
 	// stops the worker processes). The backend must not be used after.
 	Close() error
@@ -91,36 +71,23 @@ type PartKey struct {
 	Reducer int
 }
 
-// ErrNoRemoteFile reports a fetch of a file the backend does not
-// mirror; the engine falls back to the in-process read path.
-type ErrNoRemoteFile struct{ Name string }
-
-func (e *ErrNoRemoteFile) Error() string {
-	return fmt.Sprintf("mr: file %q is not mirrored by the backend", e.Name)
-}
-
 // --- Loopback ----------------------------------------------------------
 
-// Loopback is a Backend that stores shipped bytes in process memory.
-// It exists to pin the serialization seam: with Loopback installed the
-// engine runs the exact code path of a multi-process backend — every
-// shuffle partition, and every job input whose record type has a
-// FileCodec, is encoded, shipped, fetched, and decoded — without
-// sockets or subprocesses. The conformance suite
-// runs it as the bridge case between the in-process engine and mrproc.
+// Loopback is a Backend that stores shipped partitions in process
+// memory. It exists to pin the serialization seam: with Loopback
+// installed the engine runs the exact shuffle path of a multi-process
+// backend — every partition is encoded, shipped, fetched, and decoded —
+// without sockets or subprocesses. The conformance suite runs it as the
+// bridge case between the in-process engine and mrproc.
 type Loopback struct {
 	mu    sync.Mutex
 	parts map[PartKey][]byte
-	files map[string][]byte
 }
 
 // NewLoopback returns an empty loopback backend.
-func NewLoopback() *Loopback {
-	return &Loopback{parts: make(map[PartKey][]byte), files: make(map[string][]byte)}
-}
+func NewLoopback() *Loopback { return &Loopback{parts: make(map[PartKey][]byte)} }
 
-func (l *Loopback) Name() string    { return "loopback" }
-func (l *Loopback) InProcess() bool { return false }
+func (l *Loopback) Name() string { return "loopback" }
 
 func (l *Loopback) ShipPartitions(keys []PartKey, blocks [][]byte) error {
 	l.mu.Lock()
@@ -154,53 +121,22 @@ func (l *Loopback) ReleaseJob(job string, seq int64) error {
 	return nil
 }
 
-func (l *Loopback) ShipFile(name string, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.files[name] = bytes.Clone(data)
-	return nil
-}
-
-func (l *Loopback) FetchFile(name string) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	data, ok := l.files[name]
-	if !ok {
-		return nil, &ErrNoRemoteFile{Name: name}
-	}
-	return data, nil
-}
-
-func (l *Loopback) DropFile(name string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.files, name)
-	return nil
-}
-
 func (l *Loopback) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.parts, l.files = make(map[PartKey][]byte), make(map[string][]byte)
+	l.parts = make(map[PartKey][]byte)
 	return nil
 }
 
 // --- cluster wiring ----------------------------------------------------
 
-// SetBackend installs (or with nil removes) the cluster's execution
-// backend and, for an out-of-process backend, wires the DFS's remote
-// mirror hook to it so every file published from now on is shipped.
-// Install the backend before staging data: files published earlier are
-// not mirrored (the engine falls back to in-process reads for them).
+// SetBackend installs (or with nil removes) the cluster's shuffle
+// backend. Jobs started from now on ship their partitions through it;
+// their inputs and outputs stay in the cluster's DFS either way.
 func (c *Cluster) SetBackend(b Backend) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.backend = b
-	c.mu.Unlock()
-	if b != nil && !b.InProcess() {
-		c.fs.SetRemote(&remoteAdapter{b: b})
-	} else {
-		c.fs.SetRemote(nil)
-	}
 }
 
 // Backend returns the installed backend, or nil for the in-process
@@ -209,85 +145,6 @@ func (c *Cluster) Backend() Backend {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.backend
-}
-
-// remote returns the backend when it routes data out of the engine's
-// heap, nil otherwise — the single switch the engine's data-plane
-// code branches on.
-func (c *Cluster) remote() Backend {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.backend != nil && !c.backend.InProcess() {
-		return c.backend
-	}
-	return nil
-}
-
-// FileCodec is a record type's file codec: how a DFS file of R records
-// crosses an out-of-process backend — as one block — and comes back. A
-// record type provides it as methods on R itself, and the engine finds
-// them on the zero R of a file's []R payload; there is no registry. recs
-// is always a []R: FileBlockSize is the exact length AppendFileBlock
-// appends, and DecodeFileBlock parses one block, returning the trailing
-// bytes. A file whose record type has no FileCodec is not mirrored, and
-// jobs read it in process.
-type FileCodec interface {
-	FileBlockSize(recs any) int64
-	AppendFileBlock(dst []byte, recs any) []byte
-	DecodeFileBlock(src []byte) (recs any, rest []byte, err error)
-}
-
-// fileCodec returns the FileCodec of a file payload's record type.
-func fileCodec(payload any) (FileCodec, bool) {
-	if payload == nil {
-		return nil, false
-	}
-	codec, ok := reflect.Zero(reflect.TypeOf(payload).Elem()).Interface().(FileCodec)
-	return codec, ok
-}
-
-// remoteAdapter bridges the DFS's publish/delete hooks to a Backend: a
-// published file is encoded as its record type's block, into a pooled
-// slab of exactly the block's size that is lent to ShipFile and
-// reclaimed on return. Files without a FileCodec (or whose ship fails)
-// are simply not mirrored, and reads of them fall back in process.
-type remoteAdapter struct{ b Backend }
-
-func (a *remoteAdapter) Ship(name string, payload any, _ int) {
-	codec, ok := fileCodec(payload)
-	if !ok {
-		return
-	}
-	buf := codec.AppendFileBlock(getSlice[byte](int(codec.FileBlockSize(payload))), payload)
-	//haten2:allow errcheck-io best-effort mirror: a failed ship leaves the file unmirrored and reads fall back in-process
-	_ = a.b.ShipFile(name, buf)
-	putSlice(buf)
-}
-
-func (a *remoteAdapter) Drop(name string) {
-	//haten2:allow errcheck-io best-effort mirror: dropping an absent remote copy is harmless
-	_ = a.b.DropFile(name)
-}
-
-// fetchTyped fetches the mirrored block of a file and decodes it to the
-// records of the in-process payload it shadows. ok is false when the
-// record type has no FileCodec, the backend does not mirror the file, or
-// the fetched bytes are not exactly one block of want records, in which
-// case the caller uses the in-process payload.
-func fetchTyped(b Backend, name string, local any, want int) (payload any, ok bool) {
-	codec, ok := fileCodec(local)
-	if !ok {
-		return nil, false
-	}
-	data, err := b.FetchFile(name)
-	if err != nil {
-		return nil, false
-	}
-	decoded, rest, err := codec.DecodeFileBlock(data)
-	if err != nil || len(rest) != 0 || reflect.ValueOf(decoded).Len() != want {
-		return nil, false
-	}
-	return decoded, true
 }
 
 // --- shuffle plane -----------------------------------------------------

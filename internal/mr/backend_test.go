@@ -14,8 +14,7 @@ import (
 
 // TestLoopbackWordCount pins the backend seam at its smallest scale:
 // the same job on the in-process engine and on the loopback backend
-// (full encode/ship/fetch/decode of the shuffle partitions; a string
-// has no file codec, so the input is read in process) must produce
+// (full encode/ship/fetch/decode of the shuffle partitions) must produce
 // identical outputs and identical counters.
 func TestLoopbackWordCount(t *testing.T) {
 	lines := []string{"a b a", "b c", "a", "d e f g h i j k"}
@@ -96,11 +95,11 @@ func TestLoopbackOutputOrder(t *testing.T) {
 func TestBackendRemovedRestoresFastPath(t *testing.T) {
 	c := testCluster(2)
 	c.SetBackend(NewLoopback())
-	if c.remote() == nil {
-		t.Fatal("loopback backend not seen as out-of-process")
+	if c.Backend() == nil {
+		t.Fatal("loopback backend not installed")
 	}
 	c.SetBackend(nil)
-	if c.remote() != nil {
+	if c.Backend() != nil {
 		t.Fatal("removed backend still routing")
 	}
 	got := runWordCount(t, c, []string{"x y", "y"})

@@ -193,7 +193,7 @@ func (e *ErrResourceExhausted) Error() string {
 
 // Config describes a simulated cluster. Its Machines·SlotsPerMachine
 // worker slots are also every job's reduce task count. A cluster starts
-// on the in-process data plane; Cluster.SetBackend installs another.
+// with its shuffle in process; Cluster.SetBackend installs a backend.
 type Config struct {
 	// Machines is the number of machines (the paper uses 10–40).
 	Machines int
@@ -232,19 +232,14 @@ type Cluster struct {
 	// run on a fresh cluster reproducible regardless of what ran before
 	// it in the same process.
 	tmpSeq int64
-	// backend, when non-nil and out-of-process, is the data plane jobs
-	// route their shuffle partitions and inputs through (backend.go).
-	// nil runs the in-process fast path.
+	// backend, when non-nil, holds the shuffle partitions of every job
+	// (backend.go); nil runs the in-process fast path.
 	backend Backend
 }
 
-// NewCluster creates a cluster with cfg and a fresh DFS whose replicas
-// are placed across the cluster's machines.
+// NewCluster creates a cluster with cfg and a fresh DFS.
 func NewCluster(cfg Config) *Cluster {
-	if cfg.Machines <= 0 {
-		cfg.Machines = 1
-	}
-	return NewClusterWithFS(cfg, dfs.New(dfs.Options{Machines: cfg.Machines}))
+	return NewClusterWithFS(cfg, dfs.New(dfs.Options{}))
 }
 
 // NewClusterWithFS creates a cluster backed by an existing file system —

@@ -10,11 +10,11 @@
 // and 16) against an in-process baseline; and runs PARAFAC and Tucker
 // differentially, requiring bit-identical factor bytes — not approximate
 // equality — between the backend and the in-process engine. It also
-// holds both planes of the seam to what the plans wrote: partitions are
-// the shuffle bytes the jobs were charged, files are their columnar
-// blocks, every job input is served by the backend, and a buffer lent to
-// ShipFile is not kept. A shuffle lost mid-decomposition fails the job,
-// and a fresh cluster resumes from the checkpoints to the same factors.
+// holds the seam to what the plans wrote: the partitions shipped are
+// exactly the shuffle bytes the jobs were charged, a job without a block
+// codec still crosses it, and an empty shuffle crosses nothing. A
+// shuffle lost mid-decomposition fails the job, and a fresh cluster
+// resumes from the checkpoints to the same factors.
 //
 // Usage, from any backend's package:
 //
@@ -39,7 +39,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -66,17 +65,14 @@ func RunConformance(t *testing.T, newBackend Factory) {
 	t.Run("differential-parafac", func(t *testing.T) { differentialParafac(t, newBackend) })
 	t.Run("differential-tucker", func(t *testing.T) { differentialTucker(t, newBackend) })
 	t.Run("shipped-equals-charged", func(t *testing.T) { shippedEqualsCharged(t, newBackend) })
-	t.Run("files-mirrored", func(t *testing.T) { filesMirrored(t, newBackend) })
-	t.Run("file-bytes-lent", func(t *testing.T) { fileBytesLent(t, newBackend) })
 	t.Run("fallback-codec", func(t *testing.T) { fallbackCodec(t, newBackend) })
 	t.Run("empty-shuffle", func(t *testing.T) { emptyShuffle(t, newBackend) })
 	t.Run("lost-shuffle-resume", func(t *testing.T) { lostShuffleResume(t, newBackend) })
 }
 
 // meter sits between the engine and the backend under test and counts
-// what crosses the shuffle plane of the seam, so the suite can hold
-// every implementation to the same accounting without asking any of
-// them for statistics.
+// what crosses the seam, so the suite can hold every implementation to
+// the same accounting without asking any of them for statistics.
 type meter struct {
 	mr.Backend
 	shippedBytes, shipped, fetched atomic.Int64
@@ -193,7 +189,7 @@ func goldenTraces(t *testing.T, newBackend Factory) {
 func goldenStorage(t *testing.T, newBackend Factory) {
 	x := gen.Random(11, [3]int64{6, 6, 6}, 24)
 	c := install(t, mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2},
-		dfs.New(dfs.Options{BlockSize: 256, Replication: 3, Machines: 3})), newBackend)
+		dfs.New(dfs.Options{BlockSize: 256, Replication: 3})), newBackend)
 	c.InstallFaultPlan(&mr.FaultPlan{Seed: 1, BlockCorruptRate: 0.1, ReplicaLossRate: 0.05})
 	tr := obs.NewTracer()
 	c.SetTracer(tr)
@@ -216,7 +212,7 @@ func goldenStorage(t *testing.T, newBackend Factory) {
 // (plan, procs) cell the backend run's model and job counters must
 // equal the in-process baseline of the same plan: fault injection is
 // decided by pure hashes over the job sequence, so neither host
-// scheduling nor the data plane may move a single retry.
+// scheduling nor the shuffle backend may move a single retry.
 func faultMatrix(t *testing.T, newBackend Factory) {
 	plans := []struct {
 		name string
@@ -229,7 +225,7 @@ func faultMatrix(t *testing.T, newBackend Factory) {
 	run := func(t *testing.T, factory Factory, plan mr.FaultPlan) (*tensor.Kruskal, []mr.JobStats) {
 		t.Helper()
 		c := mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2},
-			dfs.New(dfs.Options{BlockSize: 256, Replication: 3, Machines: 3}))
+			dfs.New(dfs.Options{BlockSize: 256, Replication: 3}))
 		if factory != nil {
 			c = install(t, c, factory)
 		}
@@ -327,12 +323,11 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	}
 }
 
-// driRun is one DRI decomposition at order 3 or 4, for the cases that
-// hold a backend's data plane to what the plans wrote and were charged.
+// driRun is one DRI decomposition at order 3 or 4, for the case that
+// holds a backend's shuffle to what the plans were charged.
 type driRun struct {
-	name  string
-	order int
-	run   func(c *mr.Cluster) error
+	name string
+	run  func(c *mr.Cluster) error
 }
 
 func driRuns() []driRun {
@@ -344,16 +339,16 @@ func driRuns() []driRun {
 	x4.Coalesce()
 	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
 	return []driRun{
-		{"parafac-3", 3, func(c *mr.Cluster) error {
+		{"parafac-3", func(c *mr.Cluster) error {
 			_, err := core.ParafacALS(c, gen.Random(42, [3]int64{12, 10, 8}, 240), 3, opt)
 			return err
 		}},
-		{"tucker-3", 3, func(c *mr.Cluster) error {
+		{"tucker-3", func(c *mr.Cluster) error {
 			_, err := core.TuckerALS(c, gen.Random(43, [3]int64{10, 9, 8}, 200), []int{2, 2, 2}, opt)
 			return err
 		}},
-		{"parafac-4", 4, func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x4, 2, opt); return err }},
-		{"tucker-4", 4, func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt); return err }},
+		{"parafac-4", func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x4, 2, opt); return err }},
+		{"tucker-4", func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt); return err }},
 	}
 }
 
@@ -381,188 +376,6 @@ func shippedEqualsCharged(t *testing.T, newBackend Factory) {
 				t.Fatalf("%d partitions shipped, %d fetched: every non-empty bucket moves once each way", s, f)
 			}
 		})
-	}
-}
-
-// fileMeter sits in front of a backend's file plane: every file shipped
-// must be exactly the block its record type's mr.FileCodec writes for
-// the payload the DFS just published, and every file fetched must decode
-// to whole records, which it totals.
-type fileMeter struct {
-	mr.Backend
-	fs      *dfs.FS
-	mu      sync.Mutex
-	shipped map[reflect.Type]int // files shipped, per record type
-	fetched int64                // records decoded from fetched files
-	errs    []string
-}
-
-// codec returns the published payload of a file and its record type's
-// codec.
-func (m *fileMeter) codec(name string) (any, mr.FileCodec, error) {
-	payload, _, err := m.fs.BlockView(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	codec, ok := reflect.Zero(reflect.TypeOf(payload).Elem()).Interface().(mr.FileCodec)
-	if !ok {
-		return nil, nil, fmt.Errorf("%T has no file codec", payload)
-	}
-	return payload, codec, nil
-}
-
-func (m *fileMeter) note(name string, err error) {
-	if err != nil {
-		m.errs = append(m.errs, name+": "+err.Error())
-	}
-}
-
-func (m *fileMeter) ShipFile(name string, data []byte) error {
-	payload, codec, err := m.codec(name)
-	if err == nil && !bytes.Equal(data, codec.AppendFileBlock(nil, payload)) {
-		err = fmt.Errorf("shipped %d bytes that are not its %d-byte block", len(data), codec.FileBlockSize(payload))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.note(name, err); err == nil {
-		m.shipped[reflect.TypeOf(payload).Elem()]++
-	}
-	return m.Backend.ShipFile(name, data)
-}
-
-func (m *fileMeter) FetchFile(name string) ([]byte, error) {
-	data, err := m.Backend.FetchFile(name)
-	if err != nil {
-		return data, err
-	}
-	var recs any
-	_, codec, cerr := m.codec(name)
-	if cerr == nil {
-		var rest []byte
-		if recs, rest, cerr = codec.DecodeFileBlock(data); cerr == nil && len(rest) > 0 {
-			cerr = fmt.Errorf("%d trailing bytes", len(rest))
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.note(name, cerr); cerr == nil {
-		m.fetched += int64(reflect.ValueOf(recs).Len())
-	}
-	return data, nil
-}
-
-// filesMirrored pins the file plane for the DRI plans at order 3 and 4:
-// every tensor, factor and 𝒯 file is shipped as exactly its block, and
-// every job input is served by the backend — the records fetched total
-// the records the jobs read. Outputs alone cannot show this: a silent
-// fallback to the local copy keeps them bit-identical.
-func filesMirrored(t *testing.T, newBackend Factory) {
-	for _, tc := range driRuns() {
-		t.Run(tc.name, func(t *testing.T) {
-			c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-			var m *fileMeter
-			install(t, c, func(t *testing.T) mr.Backend {
-				if b := newBackend(t); b != nil {
-					m = &fileMeter{Backend: b, fs: c.FS(), shipped: make(map[reflect.Type]int)}
-					return m
-				}
-				return nil
-			})
-			if err := tc.run(c); err != nil {
-				t.Fatal(err)
-			}
-			if m == nil {
-				return
-			}
-			if len(m.errs) > 0 {
-				t.Fatalf("%d files crossed the seam as something other than their block, first %s", len(m.errs), m.errs[0])
-			}
-			want := []reflect.Type{reflect.TypeFor[core.Entry](), reflect.TypeFor[core.MatEntry](), reflect.TypeFor[core.HEntry]()}
-			if tc.order == 4 {
-				want[0], want[2] = reflect.TypeFor[core.EntryOf[[4]int64]](), reflect.TypeFor[core.HEntryOf[[4]int64]]()
-			}
-			for _, rt := range want {
-				if m.shipped[rt] == 0 || len(m.shipped) != len(want) {
-					t.Fatalf("files shipped per record type %v, want tensor, factor and 𝒯 files (%v)", m.shipped, want)
-				}
-			}
-			if in := c.Totals().InputRecords; m.fetched != in {
-				t.Fatalf("the backend served %d of the %d records jobs read: the rest fell back to the local copy", m.fetched, in)
-			}
-		})
-	}
-}
-
-// scribbler overwrites every buffer ShipFile is lent as soon as the
-// backend's call returns, and checks each fetch against a copy of what
-// was shipped.
-type scribbler struct {
-	mr.Backend
-	mu      sync.Mutex
-	shipped map[string][]byte
-	fetches int
-	errs    []string
-}
-
-func (s *scribbler) ShipFile(name string, data []byte) error {
-	err := s.Backend.ShipFile(name, data)
-	s.mu.Lock()
-	s.shipped[name] = bytes.Clone(data)
-	s.mu.Unlock()
-	for i := range data {
-		data[i] ^= 0xff
-	}
-	return err
-}
-
-func (s *scribbler) FetchFile(name string) ([]byte, error) {
-	data, err := s.Backend.FetchFile(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fetches++; err == nil && !bytes.Equal(data, s.shipped[name]) {
-		s.errs = append(s.errs, name)
-	}
-	return data, err
-}
-
-// fileBytesLent pins ShipFile's contract: data is lent for the call
-// only, and the engine reuses it on return. With every lent buffer
-// overwritten the moment ShipFile returns, each fetch must still return
-// the bytes shipped, and PARAFAC-DRI must still equal the in-process
-// engine bit for bit.
-func fileBytesLent(t *testing.T, newBackend Factory) {
-	x := gen.Random(42, [3]int64{12, 10, 8}, 240)
-	cfg := mr.Config{Machines: 3, SlotsPerMachine: 2}
-	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
-	want, err := core.ParafacALS(mr.NewCluster(cfg), x, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := mr.NewCluster(cfg)
-	var s *scribbler
-	install(t, c, func(t *testing.T) mr.Backend {
-		if b := newBackend(t); b != nil {
-			s = &scribbler{Backend: b, shipped: make(map[string][]byte)}
-			return s
-		}
-		return nil
-	})
-	got, err := core.ParafacALS(c, x, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !modelBitsEqual(want.Model, got.Model) {
-		t.Fatal("factor bytes differ from in-process engine")
-	}
-	if s == nil {
-		return
-	}
-	if s.fetches == 0 {
-		t.Fatal("no file was fetched from the backend")
-	}
-	if len(s.errs) > 0 {
-		t.Fatalf("%d of %d fetches returned other bytes than were shipped, first %s: the backend kept a lent buffer",
-			len(s.errs), s.fetches, s.errs[0])
 	}
 }
 
@@ -658,12 +471,11 @@ func lostShuffleResume(t *testing.T, newBackend Factory) {
 		c := mr.NewCluster(cfg)
 		var l *lossy
 		install(t, c, func(t *testing.T) mr.Backend {
-			b := newBackend(t)
-			if b != nil && !b.InProcess() {
+			if b := newBackend(t); b != nil {
 				l = &lossy{Backend: b, at: at}
 				return l
 			}
-			return b
+			return nil
 		})
 		return c, l
 	}

@@ -10,15 +10,16 @@ import (
 	"github.com/haten2/haten2/internal/mr"
 )
 
-// TestConformanceInProcess runs the suite against the in-process engine
-// itself. This is the suite's self-check: the baseline must pass its
-// own battery, or the battery (not a backend) is what drifted.
-func TestConformanceInProcess(t *testing.T) {
+// TestConformanceNoBackend runs the suite against the in-process engine
+// itself — a cluster with no backend installed. This is the suite's
+// self-check: the baseline must pass its own battery, or the battery
+// (not a backend) is what drifted.
+func TestConformanceNoBackend(t *testing.T) {
 	RunConformance(t, func(t *testing.T) mr.Backend { return nil })
 }
 
 // TestConformanceLoopback runs the suite against the loopback backend:
-// the full encode/ship/fetch/decode data plane with in-memory
+// the full encode/ship/fetch/decode shuffle with in-memory
 // transport. A failure here and a pass in-process isolates the wire
 // codec or the engine's ship/fetch seam, independent of sockets and
 // processes.

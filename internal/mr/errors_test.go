@@ -61,7 +61,7 @@ func TestTypedErrorsSurviveWrapping(t *testing.T) {
 // job-name wrapper end-to-end.
 func TestTypedErrorsStorageDataLoss(t *testing.T) {
 	c := NewClusterWithFS(Config{Machines: 2},
-		dfs.New(dfs.Options{BlockSize: 64, Replication: 1, Machines: 2}))
+		dfs.New(dfs.Options{BlockSize: 64, Replication: 1}))
 	WriteFile(c, "in", []int64{1, 2, 3, 4}, func(int64) int64 { return 40 })
 	// Replication 1 with certain corruption: the first read finds every
 	// (single) replica bad.

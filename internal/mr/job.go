@@ -162,8 +162,7 @@ type run[K comparable, V any, O any] struct {
 	job  Job[K, V, O]
 	plan *FaultPlan
 	seq  int64
-	// rb is non-nil when an out-of-process backend owns the data plane:
-	// inputs are fetched from it when mirrored, and the shuffle always
+	// rb is non-nil when a backend holds the shuffle: every partition
 	// round-trips through it (ship after map, fetch inside reduce).
 	rb                     Backend
 	st                     JobStats
@@ -243,7 +242,7 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 func newRun[K comparable, V any, O any](c *Cluster, job Job[K, V, O], plan *FaultPlan, seq int64) *run[K, V, O] {
 	reducers := c.Workers()
 	r := &run[K, V, O]{
-		c: c, job: job, plan: plan, seq: seq, rb: c.remote(),
+		c: c, job: job, plan: plan, seq: seq, rb: c.Backend(),
 		st:       JobStats{Name: job.Name, ReduceTasks: reducers},
 		reducers: reducers, nparts: max(len(job.Outputs), 1), pool: min(runtime.GOMAXPROCS(0), reducers),
 		codec: partCodec[K, V]{sizer: job.BlockKV, part: job.Partition},
@@ -288,19 +287,6 @@ func (r *run[K, V, O]) splitInputs() error {
 			return err
 		}
 		bounds := splitBounds(nrec, r.reducers)
-		// Out-of-process backend: substitute the mirrored copy of the
-		// input for the in-process payload when the backend serves one.
-		// The local BlockView above still ran — splits, DFS charges, and
-		// storage-fault detection are its, so counters stay byte-identical
-		// across backends — but the records the map tasks consume are the
-		// decoded remote bytes. A miss (unmirrored file, decode failure)
-		// keeps the in-process copy: the file plane degrades to local,
-		// never to wrong.
-		if r.rb != nil && payload != nil {
-			if dec, ok := fetchTyped(r.rb, in.File, payload, nrec); ok {
-				payload = dec
-			}
-		}
 		r.st.InputRecords += int64(nrec)
 		sz, err := fs.Size(in.File)
 		if err != nil {

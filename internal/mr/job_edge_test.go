@@ -180,8 +180,8 @@ func TestFileEdgesAreTypedErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Loopback as well: the mirror must skip the block-less file
-			// rather than trip over its nil payload.
+			// Loopback as well: a job over the block-less file ships and
+			// fetches no partition, and must not trip over its nil payload.
 			for _, b := range []Backend{nil, NewLoopback()} {
 				c := testCluster(2)
 				c.SetBackend(b)

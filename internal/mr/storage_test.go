@@ -56,7 +56,7 @@ func runStorageChain(c *Cluster) ([]int64, error) {
 
 func storageCluster(repl int) *Cluster {
 	return NewClusterWithFS(Config{Machines: 4},
-		dfs.New(dfs.Options{BlockSize: 128, Replication: repl, Machines: 4}))
+		dfs.New(dfs.Options{BlockSize: 128, Replication: repl}))
 }
 
 // TestStorageFaultsMoveTimeAndCountersNotOutputs is the headline

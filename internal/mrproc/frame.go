@@ -1,10 +1,9 @@
-// Package mrproc is the multi-process execution backend: worker
-// processes that serve shuffle partitions and DFS file blocks to the
-// engine over local sockets. The engine's computation (map and reduce
-// closures) stays in the master process — closures cannot cross a
-// process boundary — but every byte the computation consumes and
-// produces round-trips through real worker processes, exactly the
-// data-plane shape of the Hadoop cluster the simulator models.
+// Package mrproc is the multi-process shuffle backend: worker processes
+// that hold shuffle partitions for the engine behind local sockets. The
+// engine's computation (map and reduce closures) and its DFS stay in the
+// master process — closures cannot cross a process boundary — but every
+// partition a map task emits is parked in a worker until its reducer
+// fetches it, the one thing a Hadoop job moves between machines.
 //
 // The package has three layers:
 //
@@ -14,14 +13,13 @@
 //     and oversized lengths are errors, never panics or allocations
 //     (FuzzWireFraming pins this).
 //   - proto.go + worker.go: the request/response protocol and the
-//     worker process serving it — a partition store for shuffle data
-//     and a file store holding each mirrored file as the one columnar
-//     block it arrived as (a file moves whole, once per replica: ALS
-//     rewrites every file it mirrors, so there is nothing to dedupe).
+//     worker process serving it — a partition store for shuffle data,
+//     and a file store that only the file frames reach (probe-only,
+//     removed after ROADMAP item 1; no decomposition ships a file).
 //   - master.go: the mr.Backend implementation — spawns workers,
 //     tracks membership (register → live → draining → exited, dead on
-//     heartbeat miss), places partitions and files by hash
-//     (dfs.HashBytes), and drains workers before shutdown.
+//     heartbeat miss), places partitions by hash (dfs.HashBytes), and
+//     drains workers before shutdown.
 package mrproc
 
 import (

@@ -58,10 +58,11 @@ func (s WorkerState) String() string {
 type Options struct {
 	// Workers is the number of worker processes (default 2).
 	Workers int
-	// Replication is how many workers hold each shipped file (default
-	// min(2, Workers)). Shuffle partitions are not replicated: they are
-	// transient per-job state, and losing one fails the job just as a
-	// lost map output does on Hadoop.
+	// Replication is how many workers hold each file ShipFile stores
+	// (default min(2, Workers)); probe-only, removed after ROADMAP item
+	// 1. Shuffle partitions are not replicated: they are transient
+	// per-job state, and losing one fails the job just as a lost map
+	// output does on Hadoop.
 	Replication int
 	// HeartbeatInterval is the membership probe period (default 500ms).
 	// Zero takes the default; negative disables the heartbeat loop
@@ -102,14 +103,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts the backend's transport work. Pure observability: none
-// of these feed the engine's counters or simulated time.
+// of these feed the engine's counters or simulated time. A decomposition
+// moves only partitions; the File* and Chunk* counters move only when a
+// caller ships a file itself.
 type Stats struct {
 	PartitionsShipped int64
 	PartitionBytes    int64
 	PartitionsFetched int64
-	// FilesShipped and FileBytes count mirrored files and their block
-	// bytes once each; ChunksShipped and ChunkBytesShipped count the
-	// per-replica transfers of those blocks and the bytes they moved.
+	// FilesShipped and FileBytes count the files ShipFile stored and
+	// their bytes once each; ChunksShipped and ChunkBytesShipped count
+	// the per-replica transfers and the bytes they moved. Probe-only,
+	// removed after ROADMAP item 1.
 	FilesShipped      int64
 	FileBytes         int64
 	ChunksShipped     int64
@@ -153,8 +157,8 @@ func (e *errWorkerDown) Error() string {
 }
 
 // Master is the multi-process backend: it implements mr.Backend by
-// routing shuffle partitions and mirrored files to worker processes
-// over local TCP sockets.
+// parking shuffle partitions in worker processes over local TCP
+// sockets.
 type Master struct {
 	opt     Options
 	workers []*worker
@@ -471,10 +475,6 @@ func (m *Master) fileWorkers(name string) []*worker {
 // Name identifies the backend in reports.
 func (m *Master) Name() string { return "proc" }
 
-// InProcess reports that this backend's data plane leaves the engine's
-// process.
-func (m *Master) InProcess() bool { return false }
-
 // Frame slabs. Partition windows are built in, and read back into, byte
 // slabs borrowed from the engine's pools (mr.Acquire): the master moves
 // thousands of windows per decomposition, and a fresh buffer per frame
@@ -616,16 +616,18 @@ func (m *Master) ReleaseJob(job string, seq int64) error {
 	return firstErr
 }
 
-// ShipFile mirrors a file to its replication set as one ftShipFile
+// ShipFile stores a file on its replication set as one ftShipFile
 // frame (name, block) per replica, the block written from the caller's
-// slice. The replicas are locked in worker order, so concurrent ships
-// cannot deadlock, and the frame goes to every one of them before any
-// ack is read: a worker reads a whole frame before it acks, so the acks
-// only ever wait for the master's reads. A file counts as shipped when
-// at least one replica stored it.
+// slice. The file frames are not part of mr.Backend, and no
+// decomposition ships a file: ShipFile, FetchFile and DropFile are
+// probe-only, removed after ROADMAP item 1. The replicas are locked in
+// worker order, so concurrent ships cannot deadlock, and the frame goes
+// to every one of them before any ack is read: a worker reads a whole
+// frame before it acks, so the acks only ever wait for the master's
+// reads. A file counts as shipped when at least one replica stored it.
 func (m *Master) ShipFile(name string, data []byte) error {
 	if len(name)+len(data)+binary.MaxVarintLen64 > maxFramePayload {
-		return ErrOversized // too big for one frame: the file stays unmirrored
+		return ErrOversized // too big for one frame: the file is not stored
 	}
 	ws := m.fileWorkers(name)
 	slices.SortFunc(ws, func(a, b *worker) int { return a.id - b.id })
@@ -662,8 +664,8 @@ func (m *Master) ShipFile(name string, data []byte) error {
 	return nil
 }
 
-// FetchFile reads a mirrored file from the first live replica that
-// holds it.
+// FetchFile reads a stored file from the first live replica that holds
+// it, and returns (nil, nil) when none does.
 func (m *Master) FetchFile(name string) ([]byte, error) {
 	var firstErr error
 	for _, w := range m.fileWorkers(name) {
@@ -678,10 +680,7 @@ func (m *Master) FetchFile(name string) ([]byte, error) {
 			return p, nil
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, &mr.ErrNoRemoteFile{Name: name}
+	return nil, firstErr
 }
 
 // DropFile forgets a file on its replication set.

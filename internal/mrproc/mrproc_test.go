@@ -16,6 +16,7 @@ import (
 	"github.com/haten2/haten2/internal/gen"
 	"github.com/haten2/haten2/internal/mr"
 	"github.com/haten2/haten2/internal/mr/conformance"
+	"github.com/haten2/haten2/internal/tensor"
 )
 
 // TestMain diverts re-exec'd copies of this test binary into the worker
@@ -38,8 +39,8 @@ func newMaster(t *testing.T, opt Options) *Master {
 // TestConformanceProc is the package's headline test: the multi-process
 // backend must pass the full cross-backend suite — nine golden traces
 // byte-identical, fault matrix across GOMAXPROCS, and bit-identical
-// PARAFAC/Tucker factors — with every shuffle partition and mirrored
-// file round-tripping through real worker processes.
+// PARAFAC/Tucker factors — with every shuffle partition round-tripping
+// through real worker processes.
 func TestConformanceProc(t *testing.T) {
 	conformance.RunConformance(t, func(t *testing.T) mr.Backend {
 		return newMaster(t, Options{Workers: 2})
@@ -79,6 +80,46 @@ func TestPartitionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecompositionShipsNoFile pins that the seam is the shuffle: a
+// PARAFAC-DRI or Tucker-DRI decomposition at order 3 or 4 through a
+// Master ships its partitions and not one DFS file — every job reads its
+// input in the master, where the DFS is.
+func TestDecompositionShipsNoFile(t *testing.T) {
+	x3 := gen.Random(44, [3]int64{7, 6, 5}, 120)
+	x4 := tensor.New(7, 6, 5, 4)
+	for p := 0; p < x3.NNZ(); p++ {
+		x4.Append(x3.Value(p), append(x3.Index(p), int64(p%4))...)
+	}
+	x4.Coalesce()
+	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
+	for _, tc := range []struct {
+		name string
+		run  func(c *mr.Cluster) error
+	}{
+		{"parafac-3", func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x3, 2, opt); return err }},
+		{"tucker-3", func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x3, []int{2, 2, 2}, opt); return err }},
+		{"parafac-4", func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x4, 2, opt); return err }},
+		{"tucker-4", func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMaster(t, Options{Workers: 2, HeartbeatInterval: -1})
+			defer m.Close()
+			c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+			c.SetBackend(m)
+			if err := tc.run(c); err != nil {
+				t.Fatal(err)
+			}
+			s := m.Stats()
+			if s.PartitionsShipped == 0 {
+				t.Fatal("no partition crossed the seam")
+			}
+			if s.FilesShipped != 0 || s.ChunkBytesShipped != 0 {
+				t.Fatalf("the decomposition shipped %d files, %d bytes to their replicas", s.FilesShipped, s.ChunkBytesShipped)
+			}
+		})
+	}
+}
+
 // TestFileTransfer pins the file plane: a file is stored as the block
 // it was shipped as and comes back byte for byte, a re-ship replaces it,
 // a drop forgets it, a dead primary fails over to the next replica, and
@@ -112,9 +153,8 @@ func TestFileTransfer(t *testing.T) {
 	if err := m.DropFile("stage/A"); err != nil {
 		t.Fatal(err)
 	}
-	var missing *mr.ErrNoRemoteFile
-	if _, err := m.FetchFile("stage/A"); !errors.As(err, &missing) {
-		t.Fatalf("fetch after drop: %v", err)
+	if got, err := m.FetchFile("stage/A"); got != nil || err != nil {
+		t.Fatalf("fetch after drop: %d bytes, %v", len(got), err)
 	}
 	if err := m.ShipFile("stage/B", block); err != nil {
 		t.Fatal(err)

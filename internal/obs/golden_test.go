@@ -93,7 +93,7 @@ func goldenStorageRun(t *testing.T) []byte {
 	t.Helper()
 	x := gen.Random(11, [3]int64{6, 6, 6}, 24)
 	c := mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2},
-		dfs.New(dfs.Options{BlockSize: 256, Replication: 3, Machines: 3}))
+		dfs.New(dfs.Options{BlockSize: 256, Replication: 3}))
 	c.InstallFaultPlan(&mr.FaultPlan{Seed: 1, BlockCorruptRate: 0.1, ReplicaLossRate: 0.05})
 	tr := obs.NewTracer()
 	c.SetTracer(tr)
