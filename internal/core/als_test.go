@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -333,55 +334,57 @@ func TestTuckerALSHypersparseFramesAndFit(t *testing.T) {
 		{[]int64{8, 7, 6}, []int{3, 2, 2}},
 		{[]int64{6, 5, 4, 3}, []int{3, 2, 2, 2}},
 	} {
-		for seed := int64(1); seed <= 15; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			x := tensor.New(tc.dims...)
-			rows0 := [2]int64{rng.Int63n(tc.dims[0]), rng.Int63n(tc.dims[0])} // at most 2 < core[0]
-			coords := make([]int64, len(tc.dims))
-			for e := 0; e < 30; e++ {
-				coords[0] = rows0[e%2]
-				for m := 1; m < len(coords); m++ {
-					coords[m] = rng.Int63n(tc.dims[m])
+		t.Run(fmt.Sprintf("order-%d", len(tc.dims)), func(t *testing.T) {
+			for seed := int64(1); seed <= 15; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				x := tensor.New(tc.dims...)
+				rows0 := [2]int64{rng.Int63n(tc.dims[0]), rng.Int63n(tc.dims[0])} // at most 2 < core[0]
+				coords := make([]int64, len(tc.dims))
+				for e := 0; e < 30; e++ {
+					coords[0] = rows0[e%2]
+					for m := 1; m < len(coords); m++ {
+						coords[m] = rng.Int63n(tc.dims[m])
+					}
+					x.Append(rng.NormFloat64(), coords...)
 				}
-				x.Append(rng.NormFloat64(), coords...)
-			}
-			x.Coalesce()
-			res, err := TuckerALS(testCluster(), x, tc.core, Options{Variant: DRI, MaxIters: 3, Tol: 1e-12, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for m, f := range res.Model.Factors {
-				g, worst := matrix.Gram(f), 0.0
-				for i := 0; i < g.Rows; i++ {
-					for j := 0; j < g.Cols; j++ {
-						if d := g.At(i, j); i == j {
-							worst = max(worst, math.Abs(d-1))
-						} else {
-							worst = max(worst, math.Abs(d))
+				x.Coalesce()
+				res, err := TuckerALS(testCluster(), x, tc.core, Options{Variant: DRI, MaxIters: 3, Tol: 1e-12, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for m, f := range res.Model.Factors {
+					g, worst := matrix.Gram(f), 0.0
+					for i := 0; i < g.Rows; i++ {
+						for j := 0; j < g.Cols; j++ {
+							if d := g.At(i, j); i == j {
+								worst = max(worst, math.Abs(d-1))
+							} else {
+								worst = max(worst, math.Abs(d))
+							}
 						}
 					}
+					if worst > 1e-12 {
+						t.Fatalf("order %d seed %d: factor %d has max |UᵀU − I| = %.3g", len(tc.dims), seed, m, worst)
+					}
 				}
-				if worst > 1e-12 {
-					t.Fatalf("order %d seed %d: factor %d has max |UᵀU − I| = %.3g", len(tc.dims), seed, m, worst)
+				var sq float64
+				var cell func(m int)
+				cell = func(m int) {
+					if m == len(coords) {
+						d := x.At(coords...) - res.Model.At(coords...)
+						sq += d * d
+						return
+					}
+					for coords[m] = 0; coords[m] < tc.dims[m]; coords[m]++ {
+						cell(m + 1)
+					}
+				}
+				cell(0)
+				want := 1 - math.Sqrt(sq)/x.Norm()
+				if got := res.Model.Fit(x); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("order %d seed %d: Fit = %.15g, the expanded residual gives %.15g", len(tc.dims), seed, got, want)
 				}
 			}
-			var sq float64
-			var cell func(m int)
-			cell = func(m int) {
-				if m == len(coords) {
-					d := x.At(coords...) - res.Model.At(coords...)
-					sq += d * d
-					return
-				}
-				for coords[m] = 0; coords[m] < tc.dims[m]; coords[m]++ {
-					cell(m + 1)
-				}
-			}
-			cell(0)
-			want := 1 - math.Sqrt(sq)/x.Norm()
-			if got := res.Model.Fit(x); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("order %d seed %d: Fit = %.15g, the expanded residual gives %.15g", len(tc.dims), seed, got, want)
-			}
-		}
+		})
 	}
 }

@@ -362,6 +362,8 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		{Idx: [3]int64{-9, 0, 1 << 40}, Val: math.Inf(-1)},
 	}))
 	f.Add(uint8(0), AppendMatEntryBlock(nil, []MatEntry{{Row: 5, Col: -1, Val: math.NaN()}}))
+	f.Add(uint8(4), appendSValBlock(nil, [][3]int64{{3, 0, 9}, {3, 1, 0}}, []sval3{{tag: 2, idx: [3]int64{3, 0, 9}, col: 2, val: -0.5}, {idx: [3]int64{3, 1, 0}, val: 1}}))
+	f.Add(uint8(5), appendSValBlock(nil, [][3]int64{{1, 2, 0}}, []sval[[4]int64]{{tag: 1, idx: [4]int64{1, 2, 3, 1 << 33}, col: 1 << 30, val: math.Inf(1)}}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		// Forward: data → records → encode → size check → decode.
 		rng := rand.New(rand.NewSource(int64(len(data))))

@@ -11,10 +11,11 @@
 // differentially, requiring bit-identical factor bytes — not approximate
 // equality — between the backend and the in-process engine. It also
 // holds the seam to what the plans wrote: the partitions shipped are
-// exactly the shuffle bytes the jobs were charged, a job without a block
-// codec still crosses it, and an empty shuffle crosses nothing. A
-// shuffle lost mid-decomposition fails the job, and a fresh cluster
-// resumes from the checkpoints to the same factors.
+// exactly the shuffle bytes the jobs were charged, a block overwritten
+// once its loan ends changes nothing, a job without a block codec still
+// crosses the seam, and an empty shuffle crosses nothing. A shuffle lost
+// mid-decomposition fails the job, and a fresh cluster resumes from the
+// checkpoints to the same factors.
 //
 // Usage, from any backend's package:
 //
@@ -65,6 +66,7 @@ func RunConformance(t *testing.T, newBackend Factory) {
 	t.Run("differential-parafac", func(t *testing.T) { differentialParafac(t, newBackend) })
 	t.Run("differential-tucker", func(t *testing.T) { differentialTucker(t, newBackend) })
 	t.Run("shipped-equals-charged", func(t *testing.T) { shippedEqualsCharged(t, newBackend) })
+	t.Run("blocks-lent", func(t *testing.T) { blocksLent(t, newBackend) })
 	t.Run("fallback-codec", func(t *testing.T) { fallbackCodec(t, newBackend) })
 	t.Run("empty-shuffle", func(t *testing.T) { emptyShuffle(t, newBackend) })
 	t.Run("lost-shuffle-resume", func(t *testing.T) { lostShuffleResume(t, newBackend) })
@@ -78,17 +80,31 @@ type meter struct {
 	shippedBytes, shipped, fetched atomic.Int64
 }
 
+// The meter also ends the seam's loans: every block ShipPartitions is
+// lent, and the copy each visit is handed, is overwritten on return.
 func (m *meter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
+	m.shipped.Add(int64(len(keys)))
+	err := m.Backend.ShipPartitions(keys, blocks)
 	for _, b := range blocks {
 		m.shippedBytes.Add(int64(len(b)))
+		scribble(b)
 	}
-	m.shipped.Add(int64(len(keys)))
-	return m.Backend.ShipPartitions(keys, blocks)
+	return err
 }
 
 func (m *meter) FetchPartitions(keys []mr.PartKey, visit func(int, []byte) error) error {
 	m.fetched.Add(int64(len(keys)))
-	return m.Backend.FetchPartitions(keys, visit)
+	return m.Backend.FetchPartitions(keys, func(i int, data []byte) error {
+		lent := bytes.Clone(data) // nil stays nil: nothing was shipped
+		defer scribble(lent)
+		return visit(i, lent)
+	})
+}
+
+func scribble(b []byte) {
+	for i := range b {
+		b[i] ^= 0xff
+	}
 }
 
 // installMetered is install with a meter in front of the backend. It
@@ -152,7 +168,6 @@ func readGolden(t *testing.T, name string) []byte {
 func goldenTraces(t *testing.T, newBackend Factory) {
 	for _, method := range []string{"parafac", "tucker"} {
 		for _, v := range []core.Variant{core.Naive, core.DNN, core.DRN, core.DRI} {
-			method, v := method, v
 			t.Run(fmt.Sprintf("%s-%v", method, v), func(t *testing.T) {
 				x := gen.Random(11, [3]int64{6, 6, 6}, 24)
 				c := install(t, mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2}), newBackend)
@@ -244,11 +259,9 @@ func faultMatrix(t *testing.T, newBackend Factory) {
 		return res.Model, jobs
 	}
 	for _, pc := range plans {
-		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			baseModel, baseJobs := run(t, nil, pc.plan)
 			for _, procs := range []int{1, 4, 16} {
-				procs := procs
 				t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					model, jobs := run(t, newBackend, pc.plan)
@@ -270,18 +283,14 @@ func faultMatrix(t *testing.T, newBackend Factory) {
 func differentialParafac(t *testing.T, newBackend Factory) {
 	x := gen.Random(42, [3]int64{12, 10, 8}, 240)
 	for _, v := range []core.Variant{core.DNN, core.DRI} {
-		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			opt := core.Options{Variant: v, MaxIters: 3, Tol: 1e-12, Seed: 5}
 			base := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-			want, err := core.ParafacALS(base, x, 3, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
 			c := install(t, mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2}), newBackend)
-			got, err := core.ParafacALS(c, x, 3, opt)
-			if err != nil {
-				t.Fatal(err)
+			want, err := core.ParafacALS(base, x, 3, opt)
+			got, cerr := core.ParafacALS(c, x, 3, opt)
+			if err != nil || cerr != nil {
+				t.Fatal(err, cerr)
 			}
 			if !modelBitsEqual(want.Model, got.Model) {
 				t.Fatal("factor bytes differ from in-process engine")
@@ -303,14 +312,11 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	x := gen.Random(43, [3]int64{10, 9, 8}, 200)
 	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
 	base := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-	want, err := core.TuckerALS(base, x, []int{2, 2, 2}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := install(t, mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2}), newBackend)
-	got, err := core.TuckerALS(c, x, []int{2, 2, 2}, opt)
-	if err != nil {
-		t.Fatal(err)
+	want, err := core.TuckerALS(base, x, []int{2, 2, 2}, opt)
+	got, cerr := core.TuckerALS(c, x, []int{2, 2, 2}, opt)
+	if err != nil || cerr != nil {
+		t.Fatal(err, cerr)
 	}
 	if !reflect.DeepEqual(want.Model, got.Model) {
 		t.Fatal("Tucker model differs from in-process engine")
@@ -323,11 +329,11 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	}
 }
 
-// driRun is one DRI decomposition at order 3 or 4, for the case that
-// holds a backend's shuffle to what the plans were charged.
+// driRun is one DRI decomposition at order 3 or 4, returning its result,
+// for the cases that hold a backend's shuffle to what was charged and lent.
 type driRun struct {
 	name string
-	run  func(c *mr.Cluster) error
+	run  func(c *mr.Cluster) (any, error)
 }
 
 func driRuns() []driRun {
@@ -339,16 +345,14 @@ func driRuns() []driRun {
 	x4.Coalesce()
 	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
 	return []driRun{
-		{"parafac-3", func(c *mr.Cluster) error {
-			_, err := core.ParafacALS(c, gen.Random(42, [3]int64{12, 10, 8}, 240), 3, opt)
-			return err
+		{"parafac-3", func(c *mr.Cluster) (any, error) {
+			return core.ParafacALS(c, gen.Random(42, [3]int64{12, 10, 8}, 240), 3, opt)
 		}},
-		{"tucker-3", func(c *mr.Cluster) error {
-			_, err := core.TuckerALS(c, gen.Random(43, [3]int64{10, 9, 8}, 200), []int{2, 2, 2}, opt)
-			return err
+		{"tucker-3", func(c *mr.Cluster) (any, error) {
+			return core.TuckerALS(c, gen.Random(43, [3]int64{10, 9, 8}, 200), []int{2, 2, 2}, opt)
 		}},
-		{"parafac-4", func(c *mr.Cluster) error { _, err := core.ParafacALS(c, x4, 2, opt); return err }},
-		{"tucker-4", func(c *mr.Cluster) error { _, err := core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt); return err }},
+		{"parafac-4", func(c *mr.Cluster) (any, error) { return core.ParafacALS(c, x4, 2, opt) }},
+		{"tucker-4", func(c *mr.Cluster) (any, error) { return core.TuckerALS(c, x4, []int{2, 2, 2, 2}, opt) }},
 	}
 }
 
@@ -363,7 +367,7 @@ func shippedEqualsCharged(t *testing.T, newBackend Factory) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
 			m := installMetered(t, c, newBackend)
-			if err := tc.run(c); err != nil {
+			if _, err := tc.run(c); err != nil {
 				t.Fatal(err)
 			}
 			if m == nil {
@@ -374,6 +378,27 @@ func shippedEqualsCharged(t *testing.T, newBackend Factory) {
 			}
 			if s, f := m.shipped.Load(), m.fetched.Load(); s != f {
 				t.Fatalf("%d partitions shipped, %d fetched: every non-empty bucket moves once each way", s, f)
+			}
+		})
+	}
+}
+
+// blocksLent runs the DRI plans at order 3 and 4 with every lent block
+// overwritten when its loan ends (see meter): each result and the jobs'
+// counters must equal the in-process engine's.
+func blocksLent(t *testing.T, newBackend Factory) {
+	cfg := mr.Config{Machines: 3, SlotsPerMachine: 2}
+	for _, tc := range driRuns() {
+		t.Run(tc.name, func(t *testing.T) {
+			base, c := mr.NewCluster(cfg), mr.NewCluster(cfg)
+			installMetered(t, c, newBackend)
+			want, err := tc.run(base)
+			got, cerr := tc.run(c)
+			if err != nil || cerr != nil {
+				t.Fatal(err, cerr)
+			}
+			if !reflect.DeepEqual(want, got) || base.Totals() != c.Totals() {
+				t.Fatal("a run with every lent block overwritten differs from the in-process engine")
 			}
 		})
 	}
@@ -508,10 +533,7 @@ func lostShuffleResume(t *testing.T, newBackend Factory) {
 // equality, stricter than ==, which would admit differing NaN payloads
 // and conflate ±0.
 func modelBitsEqual(a, b *tensor.Kruskal) bool {
-	if len(a.Lambda) != len(b.Lambda) || len(a.Factors) != len(b.Factors) {
-		return false
-	}
-	if !floatsBitsEqual(a.Lambda, b.Lambda) {
+	if len(a.Factors) != len(b.Factors) || !floatsBitsEqual(a.Lambda, b.Lambda) {
 		return false
 	}
 	for i := range a.Factors {
