@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -98,16 +99,17 @@ func loadPersisted(path string) (*serve.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	first := strings.TrimSpace(strings.SplitN(string(data), "\n", 2)[0])
+	line, _, _ := bytes.Cut(data, []byte("\n"))
+	first := bytes.TrimSpace(line)
 	switch {
-	case strings.HasPrefix(first, "haten2-parafac"):
-		res, err := haten2.LoadParafac(strings.NewReader(string(data)))
+	case bytes.HasPrefix(first, []byte("haten2-parafac")):
+		res, err := haten2.LoadParafac(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
 		return serve.NewParafacModel(res.Lambda, unwrap3(res.Factors))
-	case strings.HasPrefix(first, "haten2-tucker"):
-		res, err := haten2.LoadTucker(strings.NewReader(string(data)))
+	case bytes.HasPrefix(first, []byte("haten2-tucker")):
+		res, err := haten2.LoadTucker(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}

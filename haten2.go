@@ -312,6 +312,11 @@ func NonnegativeParafac(c *Cluster, x *Tensor, rank int, opt Options) (*ParafacR
 	return wrapParafac(res), nil
 }
 
+// ErrNonFinite is the error every decomposition returns, before any job
+// runs, for a tensor holding a NaN or ±Inf value, or duplicate entries
+// whose sum overflows: Index and Value are the first such entry's.
+type ErrNonFinite = core.ErrNonFinite
+
 // ErrMaskedInput is the error MaskedParafac returns for an input it
 // rejects before staging anything: a missing coordinate outside the
 // tensor's dims (Pos indexes it) or a tensor that is not 3-way (Pos -1).

@@ -3,7 +3,9 @@ package haten2_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,6 +184,84 @@ func TestMaskedParafacRejectsBadInput(t *testing.T) {
 	}
 	if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
 		t.Fatalf("rejected inputs still reached the cluster: %+v, files %v", st, c.Unwrap().FS().List())
+	}
+}
+
+// TestNonFiniteInputIsTyped: a NaN or ±Inf value in a tensor built in
+// code, or duplicate entries whose sum overflows, is *ErrNonFinite
+// naming the first bad entry from every decomposition at orders 3 and
+// 4, returned before any job runs or any file is written, never a NaN
+// model with a nil error.
+func TestNonFiniteInputIsTyped(t *testing.T) {
+	bads := []struct {
+		name string
+		vals []float64 // appended at one coordinate
+		want float64
+	}{
+		{"NaN", []float64{math.NaN()}, math.NaN()},
+		{"+Inf", []float64{math.Inf(1)}, math.Inf(1)},
+		{"-Inf", []float64{math.Inf(-1)}, math.Inf(-1)},
+		{"overflowing duplicates", []float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+	}
+	opt := haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 1}
+	for _, bad := range bads {
+		for _, order := range []int{3, 4} {
+			at := []int64{2, 1, 0, 1}[:order]
+			build := func() *haten2.TensorN {
+				x, err := haten2.NewTensorN([]int64{3, 2, 2, 2}[:order]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x.Append(1, make([]int64, order)...)
+				for _, v := range bad.vals {
+					x.Append(v, at...)
+				}
+				x.Append(2, []int64{1, 1, 1, 1}[:order]...)
+				return x
+			}
+			runs := map[string]func(*haten2.Cluster) error{
+				"ParafacN": func(c *haten2.Cluster) error { _, err := haten2.ParafacN(c, build(), 2, opt); return err },
+				"TuckerN": func(c *haten2.Cluster) error {
+					_, err := haten2.TuckerN(c, build(), []int{1, 1, 1, 1}[:order], opt)
+					return err
+				},
+			}
+			if order == 3 {
+				x3 := func() *haten2.Tensor { return haten2.WrapTensor(build().Unwrap()) }
+				runs["Parafac"] = func(c *haten2.Cluster) error { _, err := haten2.Parafac(c, x3(), 2, opt); return err }
+				runs["Tucker"] = func(c *haten2.Cluster) error { _, err := haten2.Tucker(c, x3(), [3]int{1, 1, 1}, opt); return err }
+				runs["NonnegativeParafac"] = func(c *haten2.Cluster) error {
+					_, err := haten2.NonnegativeParafac(c, x3(), 2, opt)
+					return err
+				}
+				runs["MaskedParafac"] = func(c *haten2.Cluster) error {
+					_, err := haten2.MaskedParafac(c, x3(), [][3]int64{{0, 1, 1}}, 2, opt)
+					return err
+				}
+			}
+			for name, run := range runs {
+				c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
+				err := run(c)
+				if name == "NonnegativeParafac" && bad.want < 0 {
+					// Rejected before staging as a negative value.
+					if err == nil {
+						t.Errorf("%s, order %d, %s: accepted", bad.name, order, name)
+					}
+					continue
+				}
+				var nf *haten2.ErrNonFinite
+				if !errors.As(err, &nf) {
+					t.Errorf("%s, order %d, %s: want *ErrNonFinite, got %v", bad.name, order, name, err)
+					continue
+				}
+				if !slices.Equal(nf.Index, at) || fmt.Sprint(nf.Value) != fmt.Sprint(bad.want) {
+					t.Errorf("%s, order %d, %s: error names entry %v = %v, want %v = %v", bad.name, order, name, nf.Index, nf.Value, at, bad.want)
+				}
+				if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
+					t.Errorf("%s, order %d, %s: rejected input still reached the cluster: %+v, files %v", bad.name, order, name, st, c.Unwrap().FS().List())
+				}
+			}
+		}
 	}
 }
 

@@ -22,6 +22,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/haten2/haten2/internal/matrix"
 	"github.com/haten2/haten2/internal/mr"
@@ -130,9 +132,23 @@ type Staged struct {
 	fibers [3][][2]int64
 }
 
+// ErrNonFinite is the error Stage returns for a tensor holding a NaN or
+// ±Inf value once duplicates are summed: Index and Value are the first
+// such entry's. Any one of them turns every fitted factor into NaN.
+type ErrNonFinite struct {
+	Index []int64
+	Value float64
+}
+
+func (e *ErrNonFinite) Error() string {
+	return fmt.Sprintf("core: tensor entry %v is %v; decompositions take finite values only", e.Index, e.Value)
+}
+
 // Stage writes a coalesced tensor of order 3 or 4 to the cluster DFS
 // under name and returns its handle. Decomposition drivers and
-// benchmarks stage the tensor once and run many jobs against it.
+// benchmarks stage the tensor once and run many jobs against it. A
+// tensor with a non-finite value, a duplicate sum that overflows
+// included, is *ErrNonFinite and stages nothing.
 func Stage(c *mr.Cluster, name string, x *tensor.Tensor) (*Staged, error) {
 	var write func(*mr.Cluster, string, *tensor.Tensor) error
 	switch x.Order() {
@@ -158,6 +174,9 @@ func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
 			e.Idx[m] = i
 		}
 		e.Val = x.Value(p)
+		if math.IsNaN(e.Val) || math.IsInf(e.Val, 0) {
+			return &ErrNonFinite{Index: slices.Clone(x.Index(p)), Value: e.Val}
+		}
 	}
 	return mr.WriteFileOwned(c, name, entries, entrySize[I])
 }

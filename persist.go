@@ -4,10 +4,13 @@ package haten2
 // results can be written to a stream and reloaded later with full
 // Fit/Predict capability. The format is a line-oriented text format
 // (stable, diffable, and byte-exact for float64 via %g round-tripping
-// with strconv.ParseFloat).
+// with strconv.ParseFloat). Values are formatted into and parsed from
+// byte buffers, never through a string of their own, so a round trip
+// allocates per model, not per value.
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -23,32 +26,34 @@ const (
 	tuckerMagic  = "haten2-tucker-v1"
 )
 
-func writeMatrix(w *bufio.Writer, m *matrix.Matrix) error {
-	if _, err := fmt.Fprintf(w, "matrix %d %d\n", m.Rows, m.Cols); err != nil {
-		return err
+// appendRow appends vals to b as one line of space-separated values in
+// the shortest form that parses back to the same bits.
+func appendRow(b []byte, vals []float64) []byte {
+	for j, v := range vals {
+		if j > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
+	return append(b, '\n')
+}
+
+// writeMatrix writes m's header and rows, each row built in the scratch
+// line b and written with one call; it returns b for reuse. Errors stay
+// in w until Flush.
+func writeMatrix(w *bufio.Writer, b []byte, m *matrix.Matrix) []byte {
+	fmt.Fprintf(w, "matrix %d %d\n", m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if j > 0 {
-				if err := w.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := w.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return err
-		}
+		b = appendRow(b[:0], m.Row(i))
+		w.Write(b)
 	}
-	return nil
+	return b
 }
 
 type lineReader struct {
-	sc   *bufio.Scanner
-	line int
+	sc     *bufio.Scanner
+	line   int
+	bounds []int // fieldBounds' scratch, reused line to line
 }
 
 func newLineReader(r io.Reader) *lineReader {
@@ -60,33 +65,64 @@ func newLineReader(r io.Reader) *lineReader {
 	return &lineReader{sc: sc}
 }
 
-func (lr *lineReader) next() (string, error) {
+// next returns the next line that is not all whitespace, trimmed. It
+// points into the scanner's buffer and is valid until the next call.
+func (lr *lineReader) next() ([]byte, error) {
 	for lr.sc.Scan() {
 		lr.line++
-		s := strings.TrimSpace(lr.sc.Text())
-		if s != "" {
+		if s := bytes.TrimSpace(lr.sc.Bytes()); len(s) > 0 {
 			return s, nil
 		}
 	}
 	if err := lr.sc.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", fmt.Errorf("haten2: unexpected end of model data at line %d", lr.line)
+	return nil, fmt.Errorf("haten2: unexpected end of model data at line %d", lr.line)
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as spaces.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fieldBounds appends to dst the start and end offsets of each field of
+// line, cut on asciiSpace. ascii is false when the line holds a byte ≥
+// 0x80: Unicode spaces then separate fields too, which these bounds do
+// not see.
+func fieldBounds(dst []int, line []byte) (_ []int, ascii bool) {
+	wide := byte(0)
+	for i := 0; i < len(line); i++ {
+		if asciiSpace[line[i]] {
+			continue
+		}
+		start := i
+		for ; i < len(line) && !asciiSpace[line[i]]; i++ {
+			wide |= line[i]
+		}
+		dst = append(dst, start, i)
+	}
+	return dst, wide < 0x80
 }
 
 // appendFloats parses the next line as exactly n values onto dst. The
-// count is checked against the line before anything is allocated.
+// count is checked against the line before any value is parsed. Fields
+// are what unicode.IsSpace separates: fieldBounds cuts an all-ASCII line
+// in place, and any other line is first respaced so that each separator
+// it holds is one ASCII space.
 func (lr *lineReader) appendFloats(dst []float64, n int) ([]float64, error) {
 	line, err := lr.next()
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(line)
-	if len(fields) != n {
-		return nil, fmt.Errorf("haten2: line %d: want %d values, got %d", lr.line, n, len(fields))
+	bounds, ascii := fieldBounds(lr.bounds[:0], line)
+	if !ascii {
+		line = []byte(strings.Join(strings.Fields(string(line)), " "))
+		bounds, _ = fieldBounds(bounds[:0], line)
 	}
-	for _, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
+	lr.bounds = bounds
+	if len(bounds)/2 != n {
+		return nil, fmt.Errorf("haten2: line %d: want %d values, got %d", lr.line, n, len(bounds)/2)
+	}
+	for k := 0; k < len(bounds); k += 2 {
+		v, err := strconv.ParseFloat(string(line[bounds[k]:bounds[k+1]]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("haten2: line %d: %v", lr.line, err)
 		}
@@ -144,7 +180,7 @@ func (lr *lineReader) readMatrix() (*matrix.Matrix, error) {
 		return nil, err
 	}
 	var rows, cols int64
-	if _, err := fmt.Sscanf(header, "matrix %d %d", &rows, &cols); err != nil {
+	if _, err := fmt.Sscanf(string(header), "matrix %d %d", &rows, &cols); err != nil {
 		return nil, fmt.Errorf("haten2: line %d: bad matrix header %q", lr.line, header)
 	}
 	if _, err := lr.size(math.MaxInt, rows, cols); err != nil {
@@ -162,17 +198,10 @@ func (r *ParafacResult) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, parafacMagic)
 	fmt.Fprintf(bw, "rank %d\n", len(r.Lambda))
-	for i, v := range r.Lambda {
-		if i > 0 {
-			bw.WriteByte(' ')
-		}
-		bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	bw.WriteByte('\n')
+	b := appendRow(nil, r.Lambda)
+	bw.Write(b)
 	for _, f := range r.model.Factors {
-		if err := writeMatrix(bw, f); err != nil {
-			return err
-		}
+		b = writeMatrix(bw, b, f)
 	}
 	return bw.Flush()
 }
@@ -185,7 +214,7 @@ func LoadParafac(rd io.Reader) (*ParafacResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if magic != parafacMagic {
+	if string(magic) != parafacMagic {
 		return nil, fmt.Errorf("haten2: not a PARAFAC model (got %q)", magic)
 	}
 	header, err := lr.next()
@@ -193,7 +222,7 @@ func LoadParafac(rd io.Reader) (*ParafacResult, error) {
 		return nil, err
 	}
 	var rank int
-	if _, err := fmt.Sscanf(header, "rank %d", &rank); err != nil || rank <= 0 {
+	if _, err := fmt.Sscanf(string(header), "rank %d", &rank); err != nil || rank <= 0 {
 		return nil, fmt.Errorf("haten2: bad rank header %q", header)
 	}
 	lambda, err := lr.appendFloats(nil, rank)
@@ -232,14 +261,13 @@ func (r *TuckerResult) Save(w io.Writer) error {
 	fmt.Fprintln(bw, tuckerMagic)
 	p, q, rr := r.Core.Dims()
 	fmt.Fprintf(bw, "core %d %d %d\n", p, q, rr)
-	for _, v := range r.model.Core.Data {
-		bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		bw.WriteByte('\n')
+	var b []byte
+	for i := range r.model.Core.Data {
+		b = appendRow(b[:0], r.model.Core.Data[i:i+1])
+		bw.Write(b)
 	}
 	for _, f := range r.model.Factors {
-		if err := writeMatrix(bw, f); err != nil {
-			return err
-		}
+		b = writeMatrix(bw, b, f)
 	}
 	return bw.Flush()
 }
@@ -251,7 +279,7 @@ func LoadTucker(rd io.Reader) (*TuckerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if magic != tuckerMagic {
+	if string(magic) != tuckerMagic {
 		return nil, fmt.Errorf("haten2: not a Tucker model (got %q)", magic)
 	}
 	header, err := lr.next()
@@ -259,7 +287,7 @@ func LoadTucker(rd io.Reader) (*TuckerResult, error) {
 		return nil, err
 	}
 	var p, q, r int64
-	if _, err := fmt.Sscanf(header, "core %d %d %d", &p, &q, &r); err != nil || p <= 0 || q <= 0 || r <= 0 {
+	if _, err := fmt.Sscanf(string(header), "core %d %d %d", &p, &q, &r); err != nil || p <= 0 || q <= 0 || r <= 0 {
 		return nil, fmt.Errorf("haten2: bad core header %q", header)
 	}
 	n, err := lr.size(tensor.MaxDense, p, q, r)

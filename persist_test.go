@@ -264,6 +264,61 @@ func TestLoadGrowsPastPrealloc(t *testing.T) {
 	}
 }
 
+// respelled returns two spellings of a saved model that load as the
+// model itself: its values separated by U+00A0 and tabs, and its lines
+// ended by CRLF.
+func respelled(model string) []string {
+	lines := strings.SplitAfter(model, "\n")
+	for i, l := range lines {
+		if l != "" && !strings.HasPrefix(l, "haten2-") && !strings.HasPrefix(l, "rank ") &&
+			!strings.HasPrefix(l, "core ") && !strings.HasPrefix(l, "matrix ") {
+			lines[i] = strings.ReplaceAll(l, " ", "\u00a0\t")
+		}
+	}
+	return []string{strings.Join(lines, ""), strings.ReplaceAll(model, "\n", "\r\n")}
+}
+
+// TestLoadSeparators pins that whole saved models respelled with
+// U+00A0 and tabs between values, or with CRLF line ends, load bit for
+// bit. TestFieldBoundsMatchesStringsFields checks single lines.
+func TestLoadSeparators(t *testing.T) {
+	x := smallTensor()
+	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 1})
+	pr, err := haten2.Parafac(c, x, 2, haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := haten2.Tucker(c, x, [3]int{2, 1, 2}, haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps, ts bytes.Buffer
+	if err := pr.Save(&ps); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Save(&ts); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range respelled(ps.String()) {
+		m, err := haten2.LoadParafac(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("PARAFAC spelling %d: %v", i, err)
+		}
+		if !slices.Equal(modelBits(m.Lambda, m.Factors), modelBits(pr.Lambda, pr.Factors)) {
+			t.Fatalf("PARAFAC spelling %d loads different values", i)
+		}
+	}
+	for i, in := range respelled(ts.String()) {
+		m, err := haten2.LoadTucker(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("Tucker spelling %d: %v", i, err)
+		}
+		if !slices.Equal(modelBits(m.Core.Unwrap().Data, m.Factors), modelBits(tr.Core.Unwrap().Data, tr.Factors)) {
+			t.Fatalf("Tucker spelling %d loads different values", i)
+		}
+	}
+}
+
 // modelBits flattens every value a model file persists — weights or
 // core first, then the three factors — to its IEEE-754 bits.
 func modelBits(head []float64, factors [3]*haten2.Matrix) []uint64 {
@@ -293,12 +348,19 @@ func FuzzLoadModel(f *testing.F) {
 		f.Fatal("seeding a PARAFAC model: ", err)
 	}
 	f.Add(buf.String())
+	for _, in := range respelled(buf.String()) {
+		f.Add(in)
+	}
 	buf.Reset()
 	tr, err := haten2.Tucker(c, x, [3]int{2, 1, 2}, haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 2})
 	if err != nil || tr.Save(&buf) != nil {
 		f.Fatal("seeding a Tucker model: ", err)
 	}
 	f.Add(buf.String())
+	for _, in := range respelled(buf.String()) {
+		f.Add(in)
+	}
+	f.Add("haten2-parafac-v1\nrank 2\n1 2 x\n") // one field too many, and unparsable
 	for _, tc := range hostileModels {
 		f.Add(tc.in)
 	}
