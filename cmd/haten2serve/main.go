@@ -93,23 +93,31 @@ func loadModel(o options) (*serve.Model, *gen.Vocab, error) {
 }
 
 // loadPersisted sniffs the persistence magic and loads either model
-// kind into serving layout.
+// kind into serving layout, streaming the file: only the header line is
+// peeked before the loader reads the rest.
 func loadPersisted(path string) (*serve.Model, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	line, _, _ := bytes.Cut(data, []byte("\n"))
+	defer f.Close()
+	br := bufio.NewReader(f)
+	// The magic is 17 bytes; 64 is enough to show a wrong header.
+	head, err := br.Peek(64)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	line, _, _ := bytes.Cut(head, []byte("\n"))
 	first := bytes.TrimSpace(line)
 	switch {
 	case bytes.HasPrefix(first, []byte("haten2-parafac")):
-		res, err := haten2.LoadParafac(bytes.NewReader(data))
+		res, err := haten2.LoadParafac(br)
 		if err != nil {
 			return nil, err
 		}
 		return serve.NewParafacModel(res.Lambda, unwrap3(res.Factors))
 	case bytes.HasPrefix(first, []byte("haten2-tucker")):
-		res, err := haten2.LoadTucker(bytes.NewReader(data))
+		res, err := haten2.LoadTucker(br)
 		if err != nil {
 			return nil, err
 		}

@@ -148,12 +148,21 @@ func TestServeErrors(t *testing.T) {
 		t.Fatal("-model with -in accepted")
 	}
 
-	bad := filepath.Join(t.TempDir(), "bad.model")
-	os.WriteFile(bad, []byte("not-a-model\n"), 0o644)
-	o = defaults()
-	o.model = bad
-	if err := run(io.Discard, strings.NewReader(""), o); err == nil {
-		t.Fatal("bad magic accepted")
+	// The header is sniffed from a peek at the stream: an unknown one is
+	// named, and a known one with nothing behind it fails in the loader.
+	for body, want := range map[string]string{
+		"not-a-model\n":       `unrecognized model header "not-a-model"`,
+		"":                    `unrecognized model header ""`,
+		"haten2-parafac-v1\n": "unexpected end of model data",
+		"haten2-tucker-v1":    "unexpected end of model data",
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.model")
+		os.WriteFile(bad, []byte(body), 0o644)
+		o = defaults()
+		o.model = bad
+		if err := run(io.Discard, strings.NewReader(""), o); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("model file %q: err = %v, want one containing %q", body, err, want)
+		}
 	}
 
 	// The persisted format reads NaN back; the server refuses to serve it.

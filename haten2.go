@@ -238,7 +238,9 @@ type Options struct {
 	// Seed makes factor initialization reproducible.
 	Seed int64
 	// TrackFit records per-iteration fit (needed for early stopping in
-	// PARAFAC; costs one pass over the nonzeros per iteration).
+	// PARAFAC; costs one pass over the nonzeros per iteration). A fit is
+	// computed from ‖𝒳−𝒳̂‖² = ‖𝒳‖² − 2⟨𝒳,𝒳̂⟩ + ‖𝒳̂‖², which cancels near a
+	// perfect fit, so fits closer to 1 than about 10⁻⁷ are not resolved.
 	TrackFit bool
 }
 
@@ -316,6 +318,11 @@ func NonnegativeParafac(c *Cluster, x *Tensor, rank int, opt Options) (*ParafacR
 // runs, for a tensor holding a NaN or ±Inf value, or duplicate entries
 // whose sum overflows: Index and Value are the first such entry's.
 type ErrNonFinite = core.ErrNonFinite
+
+// ErrNegativeInput is the error NonnegativeParafac returns, before any
+// job runs, for a tensor with a negative value once duplicate entries
+// are summed: Index and Value are the first such entry's.
+type ErrNegativeInput = core.ErrNegativeInput
 
 // ErrMaskedInput is the error MaskedParafac returns for an input it
 // rejects before staging anything: a missing coordinate outside the

@@ -147,6 +147,38 @@ func TestNonnegativeParafacPublic(t *testing.T) {
 	}
 }
 
+// NonnegativeParafac judges a coordinate by the sum of its duplicates:
+// a lone −1 is refused with its coordinate before any job runs, and
+// −1 + 2 at one coordinate is the nonnegative value 1.
+func TestNonnegativeParafacNegativeInput(t *testing.T) {
+	opt := haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 1}
+	build := func(vals ...float64) *haten2.Tensor {
+		x := haten2.NewTensor(3, 2, 2)
+		x.Append(1, 0, 0, 0)
+		for _, v := range vals {
+			x.Append(v, 2, 1, 0)
+		}
+		x.Append(2, 1, 1, 1)
+		return x
+	}
+	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
+	_, err := haten2.NonnegativeParafac(c, build(-1), 1, opt)
+	var neg *haten2.ErrNegativeInput
+	if !errors.As(err, &neg) {
+		t.Fatalf("want *ErrNegativeInput, got %v", err)
+	}
+	if !slices.Equal(neg.Index, []int64{2, 1, 0}) || neg.Value != -1 {
+		t.Fatalf("error names entry %v = %v, want [2 1 0] = -1", neg.Index, neg.Value)
+	}
+	if st := c.Stats(); st.Jobs != 0 {
+		t.Fatalf("refused input still ran %d jobs", st.Jobs)
+	}
+	c = haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
+	if _, err := haten2.NonnegativeParafac(c, build(-1, 2), 1, opt); err != nil {
+		t.Fatalf("duplicates summing to 1 refused: %v", err)
+	}
+}
+
 func TestMaskedParafacPublic(t *testing.T) {
 	x := smallTensor()
 	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
@@ -244,8 +276,9 @@ func TestNonFiniteInputIsTyped(t *testing.T) {
 				err := run(c)
 				if name == "NonnegativeParafac" && bad.want < 0 {
 					// Rejected before staging as a negative value.
-					if err == nil {
-						t.Errorf("%s, order %d, %s: accepted", bad.name, order, name)
+					var neg *haten2.ErrNegativeInput
+					if !errors.As(err, &neg) || !slices.Equal(neg.Index, at) {
+						t.Errorf("%s, order %d, %s: want *ErrNegativeInput at %v, got %v", bad.name, order, name, at, err)
 					}
 					continue
 				}

@@ -32,12 +32,13 @@ package core
 // files and job outputs (and are the frozen reference the columnar
 // shuffle total is tested against).
 //
-// Every encoder here has a matching sizer with the invariant
-// len(Append*Block(nil, recs)) == blockHeaderSize(n) + Σ record sizes —
-// the colcodec tests and FuzzColumnarRoundTrip pin both directions. The
-// mr engine charges shuffle bytes through the shuffle sizer
-// (mr.BlockSizer), so the cost model can never drift from the declared
-// wire format.
+// The shuffle block's encoder has a matching sizer with the invariant
+// len(appendSValBlock(nil, pairs)) == blockHeaderSize(n) + Σ pair sizes —
+// the colcodec tests and FuzzColumnarRoundTrip pin it. The mr engine
+// charges shuffle bytes through that sizer (mr.BlockSizer), so the cost
+// model can never drift from the declared wire format. The Entry and
+// MatEntry blocks are priced by the fixed-width *Bytes constants, so
+// they need no sizer.
 
 import (
 	"encoding/binary"
@@ -62,9 +63,6 @@ func unzigzag(u uint64) int64 {
 func varintLen(x uint64) int64 {
 	return int64((bits.Len64(x|1) + 6) / 7)
 }
-
-// deltaLen is the encoded length of the zigzag delta from prev to v.
-func deltaLen(prev, v int64) int64 { return varintLen(zigzag(v - prev)) }
 
 // blockHeaderSize is the header charge for a block of n records: the
 // 4-byte CRC-32C field plus the record-count uvarint.
@@ -207,8 +205,7 @@ func (r *colReader) done() ([]byte, error) {
 // --- Entry blocks (3-way tensor entries) ----------------------------
 
 // AppendEntryBlock appends the columnar encoding of entries to dst: one
-// delta-encoded index column per mode followed by the value column. Its
-// length is exactly EntryBlockSize(entries).
+// delta-encoded index column per mode followed by the value column.
 func AppendEntryBlock(dst []byte, entries []Entry) []byte {
 	dst, at := beginBlock(dst, len(entries))
 	for m := range 3 {
@@ -248,24 +245,10 @@ func DecodeEntryBlock(src []byte) ([]Entry, []byte, error) {
 	return out, rest, nil
 }
 
-// EntryBlockSize is the exact encoded size of AppendEntryBlock(nil,
-// entries), computed without encoding.
-func EntryBlockSize(entries []Entry) int64 {
-	n := blockHeaderSize(len(entries)) + 8*int64(len(entries))
-	var prev Entry
-	for _, e := range entries {
-		for m := range 3 {
-			n += deltaLen(prev.Idx[m], e.Idx[m])
-		}
-		prev = e
-	}
-	return n
-}
-
 // --- MatEntry blocks (factor matrices) --------------------------------
 
 // AppendMatEntryBlock appends the columnar encoding of cells: row and
-// col delta columns, then values. Length is MatEntryBlockSize(cells).
+// col delta columns, then values.
 func AppendMatEntryBlock(dst []byte, cells []MatEntry) []byte {
 	dst, at := beginBlock(dst, len(cells))
 	prev := int64(0)
@@ -306,17 +289,6 @@ func DecodeMatEntryBlock(src []byte) ([]MatEntry, []byte, error) {
 		return nil, rest, err
 	}
 	return out, rest, nil
-}
-
-// MatEntryBlockSize is the exact encoded size of AppendMatEntryBlock.
-func MatEntryBlockSize(cells []MatEntry) int64 {
-	n := blockHeaderSize(len(cells)) + 8*int64(len(cells))
-	var prev MatEntry
-	for _, c := range cells {
-		n += deltaLen(prev.Row, c.Row) + deltaLen(int64(prev.Col), int64(c.Col))
-		prev = c
-	}
-	return n
 }
 
 // --- sval shuffle blocks (every plan job) ------------------------------

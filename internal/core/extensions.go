@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/haten2/haten2/internal/matrix"
 	"github.com/haten2/haten2/internal/mr"
@@ -22,11 +23,14 @@ import (
 // The numerator is the same bottleneck contraction as PARAFAC-ALS and is
 // computed on the cluster with the selected variant; the denominator is
 // a local I×R product. Factors stay elementwise nonnegative, making the
-// components interpretable as soft cluster memberships.
+// components interpretable as soft cluster memberships. The tensor is
+// coalesced first, so duplicates are judged by their sum; a negative sum
+// is *ErrNegativeInput and runs nothing.
 func NonnegativeParafac(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) (*ParafacResult, error) {
+	x.Coalesce()
 	for p := 0; p < x.NNZ(); p++ {
 		if x.Value(p) < 0 {
-			return nil, fmt.Errorf("core: NonnegativeParafac requires a nonnegative tensor; entry %d is %g", p, x.Value(p))
+			return nil, &ErrNegativeInput{Index: slices.Clone(x.Index(p)), Value: x.Value(p)}
 		}
 	}
 	r := parafacRule("nnparafac", x.Order(), rank)
@@ -63,6 +67,18 @@ func NonnegativeParafac(c *mr.Cluster, x *tensor.Tensor, rank int, opt Options) 
 		return k
 	}
 	return r.parafac(c, x, rank, opt)
+}
+
+// ErrNegativeInput is the error NonnegativeParafac returns for a tensor
+// with a negative value once duplicates are summed: Index and Value are
+// the first such entry's, in coordinate order.
+type ErrNegativeInput struct {
+	Index []int64
+	Value float64
+}
+
+func (e *ErrNegativeInput) Error() string {
+	return fmt.Sprintf("core: NonnegativeParafac requires a nonnegative tensor; entry %v is %g", e.Index, e.Value)
 }
 
 // ErrMaskedInput reports a MaskedParafacALS input rejected before

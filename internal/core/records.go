@@ -181,9 +181,6 @@ func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
 	return mr.WriteFileOwned(c, name, entries, entrySize[I])
 }
 
-// Cluster returns the cluster the tensor is staged on.
-func (s *Staged) Cluster() *mr.Cluster { return s.cluster }
-
 // cleanup deletes temporary DFS files, ignoring absent ones.
 func (s *Staged) cleanup(files []string) {
 	for _, f := range files {

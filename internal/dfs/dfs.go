@@ -8,8 +8,10 @@
 // verbatim by BlockView. The simulator never serializes the payload; the
 // writer states what it would occupy on disk, and the file system does
 // the bookkeeping a real HDFS would: those bytes are cut into fixed-size
-// DFS blocks, every block is checksummed and charged once per replica,
-// and every job that reads a file is charged for all of its bytes again.
+// DFS blocks, every block is charged once per replica, and every job
+// that reads a file is charged for all of its bytes again. No payload
+// byte exists to be checksummed: a corrupt or lost replica copy is a
+// simulated fault (storage.go) that moves counters and time only.
 // This makes the paper's third optimization axis — "minimize disk
 // accesses" by reading the input tensor once instead of twice
 // (§III-B4) — directly observable in Stats.
@@ -46,31 +48,12 @@ type Stats struct {
 
 	// Storage-failure accounting (see storage.go). Faults move these
 	// counters and simulated time only — never the bytes a reader sees.
-	CorruptBlocks  int64 // replica copies whose checksum verification failed
+	CorruptBlocks  int64 // replica copies found corrupt (a simulated checksum mismatch)
 	LostReplicas   int64 // replica copies missing at read time
 	FailoverReads  int64 // reads retried on the next replica after a bad copy
 	FailoverBytes  int64 // bytes re-read from further replicas during failover
 	ReReplications int64 // replica copies restored to reach the target factor
 	ScrubBytes     int64 // bytes copied while re-replicating bad copies
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.BytesWritten += other.BytesWritten
-	s.BytesReplWrite += other.BytesReplWrite
-	s.BytesRead += other.BytesRead
-	s.RecordsWritten += other.RecordsWritten
-	s.RecordsRead += other.RecordsRead
-	s.BlocksWritten += other.BlocksWritten
-	s.FilesCreated += other.FilesCreated
-	s.FilesDeleted += other.FilesDeleted
-	s.FilesAborted += other.FilesAborted
-	s.CorruptBlocks += other.CorruptBlocks
-	s.LostReplicas += other.LostReplicas
-	s.FailoverReads += other.FailoverReads
-	s.FailoverBytes += other.FailoverBytes
-	s.ReReplications += other.ReReplications
-	s.ScrubBytes += other.ScrubBytes
 }
 
 type file struct {
@@ -79,14 +62,9 @@ type file struct {
 	typed any
 	count int
 	bytes int64
-
-	// digest is the running splitmix64 fold over the file's write
-	// pattern; sums snapshots it once per completed block (plus the
-	// trailing partial block at Close), giving each block a checksum
-	// computed incrementally at append time — the zero-copy BlockView
-	// path verifies against these before lending the payload out.
-	digest uint64
-	sums   []uint64
+	// blocks is the number of DFS blocks the file occupies,
+	// ⌈bytes / BlockSize⌉, fixed when Close publishes it.
+	blocks int
 	// repl is the replication factor the file was published with.
 	repl int
 	// healed and detected track per-replica-copy state, indexed
@@ -97,16 +75,6 @@ type file struct {
 	// times a doomed block is re-read.
 	healed   []bool
 	detected []bool
-}
-
-// fold mixes one append event into the running digest and snapshots a
-// checksum for every block the write completed. Called with fs.mu held,
-// after f.bytes has been advanced.
-func (f *file) fold(evt uint64, blockSize int64) {
-	f.digest = storageMix(f.digest ^ storageMix(evt+0x9e3779b97f4a7c15))
-	for int64(len(f.sums)) < f.bytes/blockSize {
-		f.sums = append(f.sums, f.digest)
-	}
 }
 
 // blockSpan returns the logical bytes stored in block b.
@@ -226,14 +194,13 @@ func (w *Writer) AppendBlock(payload any, count int, size int64) {
 	w.f.typed = payload
 	w.f.count = count
 	w.f.bytes += size
-	w.f.fold(storageMix(uint64(count))^uint64(size), w.fs.opts.BlockSize)
 	w.fs.stats.BytesWritten += size
 	w.fs.stats.BytesReplWrite += size * int64(w.fs.opts.Replication)
 	w.fs.stats.RecordsWritten += int64(count)
 }
 
-// Close atomically publishes the file, finalizes its per-block
-// checksums, and charges block-level accounting. The publish happens
+// Close atomically publishes the file, fixes its block count, and
+// charges block-level accounting. The publish happens
 // exactly once: a second Close, or Close after Abort, panics — the
 // commit protocol treats a double commit as task-attempt corruption.
 func (w *Writer) Close() {
@@ -248,13 +215,9 @@ func (w *Writer) Close() {
 	w.state = writerClosed
 	delete(w.fs.staging, w.name)
 	w.fs.files[w.name] = w.f
-	if w.f.bytes%w.fs.opts.BlockSize != 0 {
-		// Checksum the trailing partial block; full blocks were
-		// snapshotted as the appends crossed their boundaries.
-		w.f.sums = append(w.f.sums, w.f.digest)
-	}
+	w.f.blocks = int((w.f.bytes + w.fs.opts.BlockSize - 1) / w.fs.opts.BlockSize)
 	w.f.repl = w.fs.opts.Replication
-	w.fs.stats.BlocksWritten += int64(len(w.f.sums))
+	w.fs.stats.BlocksWritten += int64(w.f.blocks)
 }
 
 // Abort discards a staged file, releasing its name. The bytes already
@@ -275,8 +238,9 @@ func (w *Writer) Abort() {
 
 // BlockView returns a file's payload — the []T slice AppendBlock
 // stored — and its record count, charging one full read. Every DFS block
-// is checksum-verified first, failing over across replicas; a block with
-// no good replica fails the read with *ErrDataLoss. A file published
+// is read from its first good replica under the installed fault plan,
+// failing over past bad copies; a block with no good replica fails the
+// read with *ErrDataLoss. A file published
 // without a block has a nil payload and no records.
 //
 // The payload is a borrowed view of file storage: callers must treat it
@@ -289,9 +253,8 @@ func (fs *FS) BlockView(name string) (payload any, count int, err error) {
 	if !ok {
 		return nil, 0, &ErrNotExist{Name: name}
 	}
-	// Verify against the checksums computed at AppendBlock time before
-	// lending the pooled slab out; a bad block must surface here, not
-	// as a silent wrong decode downstream.
+	// A block with no good replica must fail the read here, before the
+	// payload is lent out.
 	if err := fs.verifyRead(name, f); err != nil {
 		return nil, 0, err
 	}

@@ -134,14 +134,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{BytesWritten: 1, BytesRead: 2, RecordsRead: 3}
-	a.Add(Stats{BytesWritten: 10, BytesRead: 20, RecordsRead: 30, FilesCreated: 1})
-	if a.BytesWritten != 11 || a.BytesRead != 22 || a.RecordsRead != 33 || a.FilesCreated != 1 {
-		t.Fatalf("Add=%+v", a)
-	}
-}
-
 func TestStagedFileInvisibleUntilClose(t *testing.T) {
 	// The task-attempt commit protocol: between Create and Close the file
 	// must be invisible to every read-side method, so a failed attempt

@@ -1,11 +1,12 @@
-// Storage failure model: replicated, checksummed blocks with seeded
-// corruption injection, read-path failover, and read-repair.
+// Storage failure model: replicated blocks with seeded corruption and
+// loss, read-path failover, and read-repair.
 //
-// Every published file carries one checksum per block, computed
-// incrementally while the writer appends (dfs.go), and each block is
-// stored as Replication copies. The read path is the only verification:
-// BlockView checks every block, fails over past bad copies and heals
-// them. There is no separate fsck pass.
+// Every published file occupies ⌈bytes / BlockSize⌉ blocks (dfs.go),
+// each stored as Replication copies. No block carries a checksum: the
+// simulator holds typed records, not bytes, so a corrupt copy is one the
+// fault plan says a real DFS's checksum would reject. The read path is
+// the only place faults surface: BlockView walks every block, fails over
+// past bad copies and heals them. There is no separate fsck pass.
 //
 // Faults are injected the same way mr.FaultPlan injects task faults:
 // whether one replica copy of one block is corrupt or lost is a pure
@@ -29,8 +30,8 @@ type StorageFaults struct {
 	// Seed namespaces every hash decision below.
 	Seed int64
 	// CorruptRate is the probability that one replica copy of one
-	// block is silently corrupt on disk: its checksum verification
-	// fails at read time and the reader fails over to the next copy.
+	// block is silently corrupt on disk: a reader's checksum would
+	// reject it, so the reader fails over to the next copy.
 	CorruptRate float64
 	// LossRate is the probability that one replica copy of one block
 	// is missing (datanode died after the write): the copy is skipped
@@ -52,9 +53,10 @@ func (fs *FS) InstallFaults(p *StorageFaults) {
 	fs.faults = &q
 }
 
-// ErrCorrupt reports a checksum mismatch on one replica copy of one
-// block. Reads fail over past it, so callers only observe ErrCorrupt
-// wrapped inside ErrDataLoss, when no copy was left to fail over to.
+// ErrCorrupt reports a corrupt replica copy of one block, which a real
+// DFS detects as a checksum mismatch. Reads fail over past it, so
+// callers only observe ErrCorrupt wrapped inside ErrDataLoss, when no
+// copy was left to fail over to.
 type ErrCorrupt struct {
 	File    string
 	Block   int
@@ -167,7 +169,7 @@ func (fs *FS) copyState(f *file, nh uint64, b, r int) int {
 // metadata and costs no read). Called with fs.mu held.
 func (fs *FS) markDetected(f *file, b, r, state int) {
 	if f.detected == nil {
-		f.detected = make([]bool, len(f.sums)*f.repl)
+		f.detected = make([]bool, f.blocks*f.repl)
 	}
 	idx := b*f.repl + r
 	if f.detected[idx] {
@@ -189,14 +191,14 @@ func (fs *FS) markDetected(f *file, b, r, state int) {
 // with fs.mu held.
 func (fs *FS) heal(f *file, b, r int) {
 	if f.healed == nil {
-		f.healed = make([]bool, len(f.sums)*f.repl)
+		f.healed = make([]bool, f.blocks*f.repl)
 	}
 	f.healed[b*f.repl+r] = true
 	fs.stats.ReReplications++
 	fs.stats.ScrubBytes += f.blockSpan(b, fs.opts.BlockSize)
 }
 
-// verifyRead checksums every block of a file along the read path: scan
+// verifyRead resolves every block of a file along the read path: scan
 // replicas in replica order, fail over past bad copies to the first
 // good one, then scrub (re-replicate) the bad copies just crossed so
 // the block is back at its target factor for the next reader. A block
@@ -207,7 +209,7 @@ func (fs *FS) verifyRead(name string, f *file) error {
 		return nil
 	}
 	nh := nameHash(name)
-	for b := range f.sums {
+	for b := range f.blocks {
 		if err := fs.verifyBlockRead(f, name, nh, b); err != nil {
 			return err
 		}
@@ -239,8 +241,8 @@ func (fs *FS) verifyBlockRead(f *file, name string, nh uint64, b int) error {
 	return &ErrDataLoss{File: name, Block: b, Replicas: f.repl, Cause: firstBad}
 }
 
-// HashBytes folds a byte string through the splitmix64 chain the
-// file-system checksums use, seeded with the length so strings that
+// HashBytes folds a byte string through the splitmix64 mixer the
+// storage fault decisions use, seeded with the length so strings that
 // differ only by trailing zeros hash apart. The multi-process backend
 // places with it: a shuffle partition goes to the worker its encoded
 // (job, seq, reducer) key hashes to — a pure function of the namespace,

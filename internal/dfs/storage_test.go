@@ -5,31 +5,30 @@ import (
 	"testing"
 )
 
-func TestChecksumsIncrementalAndDeterministic(t *testing.T) {
-	mk := func() *FS {
+func TestStorageBlockCountIsCeilOfBytes(t *testing.T) {
+	// BlockSize 10: every size from empty through an exact multiple.
+	for _, c := range []struct {
+		n, size int64
+		blocks  int
+	}{{0, 4, 0}, {1, 1, 1}, {1, 9, 1}, {1, 10, 1}, {1, 11, 2}, {2, 10, 2}, {7, 4, 3}, {14, 2, 3}} {
 		fs := New(Options{BlockSize: 10, Replication: 2})
-		writeBlock(t, fs, "f", 7, 4) // 28 bytes -> blocks of 10: 3 blocks
-		return fs
-	}
-	a, b := mk(), mk()
-	sa, sb := a.files["f"].sums, b.files["f"].sums
-	if len(sa) != 3 {
-		t.Fatalf("blocks=%d, want 3", len(sa))
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatalf("checksums not deterministic: block %d %x vs %x", i, sa[i], sb[i])
+		writeBlock(t, fs, "f", int(c.n), c.size)
+		if got := fs.files["f"].blocks; got != c.blocks {
+			t.Errorf("%d bytes: %d blocks, want %d", c.n*c.size, got, c.blocks)
+		}
+		if got := fs.Stats().BlocksWritten; got != int64(c.blocks) {
+			t.Errorf("%d bytes: BlocksWritten=%d, want %d", c.n*c.size, got, c.blocks)
 		}
 	}
-	if a.Stats().BlocksWritten != 3 {
-		t.Fatalf("BlocksWritten=%d, want 3", a.Stats().BlocksWritten)
+	// A file published without a block occupies none.
+	fs := New(Options{BlockSize: 10})
+	w, err := fs.Create("empty")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A different write pattern must change the trailing checksum.
-	c := New(Options{BlockSize: 10})
-	writeBlock(t, c, "f", 14, 2) // same 28 bytes, different record count
-	sc := c.files["f"].sums
-	if sc[2] == sa[2] {
-		t.Fatal("different write patterns produced identical checksums")
+	w.Close()
+	if fs.files["empty"].blocks != 0 || fs.Stats().BlocksWritten != 0 {
+		t.Fatalf("blockless file: %d blocks, BlocksWritten=%d", fs.files["empty"].blocks, fs.Stats().BlocksWritten)
 	}
 }
 

@@ -149,23 +149,6 @@ func TestFilterScarcePredicates(t *testing.T) {
 	}
 }
 
-func TestFilterFrequentPredicates(t *testing.T) {
-	kb := &KB{
-		Predicates: []string{"p0", "p1"},
-		Triples: []Triple{
-			{0, 0, 0}, {0, 0, 0}, {0, 0, 0},
-			{0, 0, 1},
-		},
-	}
-	got := kb.FilterFrequentPredicates(1)
-	if len(got.Triples) != 1 || got.Triples[0].Predicate != 1 {
-		t.Fatalf("top predicate not dropped: %+v", got.Triples)
-	}
-	if same := kb.FilterFrequentPredicates(0); len(same.Triples) != 4 {
-		t.Fatal("topK=0 should be a no-op")
-	}
-}
-
 func TestNewIntrusionGroundTruth(t *testing.T) {
 	g := NewIntrusion(IntrusionConfig{Seed: 3})
 	if g.Tensor.Order() != 3 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/haten2/haten2/internal/tensor"
 )
@@ -133,44 +132,6 @@ func (kb *KB) FilterScarcePredicates(minCount int) *KB {
 	out.Triples = nil
 	for _, t := range kb.Triples {
 		if counts[t.Predicate] > minCount {
-			out.Triples = append(out.Triples, t)
-		}
-	}
-	return &out
-}
-
-// FilterFrequentPredicates drops triples of the topK most frequent
-// predicates — the paper's "as well as too frequent triples".
-func (kb *KB) FilterFrequentPredicates(topK int) *KB {
-	if topK <= 0 {
-		return kb
-	}
-	counts := map[int64]int{}
-	for _, t := range kb.Triples {
-		counts[t.Predicate]++
-	}
-	type pc struct {
-		p int64
-		c int
-	}
-	var order []pc
-	for p, c := range counts {
-		order = append(order, pc{p, c})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].c != order[j].c {
-			return order[i].c > order[j].c
-		}
-		return order[i].p < order[j].p
-	})
-	drop := map[int64]bool{}
-	for i := 0; i < topK && i < len(order); i++ {
-		drop[order[i].p] = true
-	}
-	out := *kb
-	out.Triples = nil
-	for _, t := range kb.Triples {
-		if !drop[t.Predicate] {
 			out.Triples = append(out.Triples, t)
 		}
 	}

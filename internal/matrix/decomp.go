@@ -310,54 +310,3 @@ func completeOrthonormal(out *Matrix, have int) {
 		}
 	}
 }
-
-// Solve solves the linear system a·x = b for square a using Gaussian
-// elimination with partial pivoting. It returns ErrSingular when a is
-// singular to working precision.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("matrix: Solve requires square a and matching b")
-	}
-	w := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		mx := math.Abs(w.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(w.At(r, col)); v > mx {
-				mx, piv = v, r
-			}
-		}
-		if mx < 1e-300 {
-			return nil, ErrSingular
-		}
-		if piv != col {
-			for c := 0; c < n; c++ {
-				w.Data[col*n+c], w.Data[piv*n+c] = w.Data[piv*n+c], w.Data[col*n+c]
-			}
-			x[col], x[piv] = x[piv], x[col]
-		}
-		inv := 1 / w.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := w.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				w.Set(r, c, w.At(r, c)-f*w.At(col, c))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for r := n - 1; r >= 0; r-- {
-		s := x[r]
-		for c := r + 1; c < n; c++ {
-			s -= w.At(r, c) * x[c]
-		}
-		x[r] = s / w.At(r, r)
-	}
-	return x, nil
-}

@@ -1,8 +1,10 @@
 // Package matrix provides the dense linear algebra needed by the HaTen2
 // tensor decomposition algorithms: row-major matrices with the standard,
-// Hadamard, Khatri-Rao and Kronecker products, Householder QR, symmetric
-// Jacobi eigendecomposition, Moore-Penrose pseudo-inverse, and extraction
-// of leading left singular vectors.
+// Gram and Hadamard products, Householder QR, symmetric Jacobi
+// eigendecomposition, Moore-Penrose pseudo-inverse, and extraction of
+// leading left singular vectors. KhatriRao materializes A⊙B for tests
+// only; the decompositions never form it (they use the Gram identity
+// (A⊙B)ᵀ(A⊙B) = AᵀA ∗ BᵀB).
 //
 // All matrices are small in HaTen2 (factor matrices are I×R with R ≤ ~100,
 // and the matrices that get decomposed are Gram matrices of size at most
@@ -11,7 +13,6 @@
 package matrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,34 +125,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Scale multiplies every entry by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// Add returns m + o. It panics on shape mismatch.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	m.mustSameShape(o, "Add")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + o.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - o. It panics on shape mismatch.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	m.mustSameShape(o, "Sub")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - o.Data[i]
-	}
-	return out
-}
-
 // Norm returns the Frobenius norm of m.
 func (m *Matrix) Norm() float64 {
 	var ss float64
@@ -203,10 +176,6 @@ func (m *Matrix) mustSameShape(o *Matrix, op string) {
 		panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
-
-// ErrSingular is returned by Solve when the system matrix is singular to
-// working precision.
-var ErrSingular = errors.New("matrix: singular system")
 
 // NormalizeColumns scales each column of m to unit Euclidean norm in place
 // and returns the original column norms. Zero columns are left untouched

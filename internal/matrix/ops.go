@@ -57,7 +57,9 @@ func Hadamard(a, b *Matrix) *Matrix {
 
 // KhatriRao returns the column-wise Kronecker (Khatri-Rao) product a⊙b.
 // Inputs must have the same number of columns R; the result is
-// (a.Rows·b.Rows)×R with column r equal to a_r ⊗ b_r.
+// (a.Rows·b.Rows)×R with column r equal to a_r ⊗ b_r. No decomposition
+// materializes it: it is the oracle of the tests that check MTTKRP and
+// the Gram identity the PARAFAC update relies on.
 func KhatriRao(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: KhatriRao column mismatch %d vs %d", a.Cols, b.Cols))
@@ -72,47 +74,6 @@ func KhatriRao(a, b *Matrix) *Matrix {
 				orow[r] = arow[r] * brow[r]
 			}
 		}
-	}
-	return out
-}
-
-// Kronecker returns the Kronecker product a⊗b of size
-// (a.Rows·b.Rows)×(a.Cols·b.Cols).
-func Kronecker(a, b *Matrix) *Matrix {
-	out := New(a.Rows*b.Rows, a.Cols*b.Cols)
-	for ia := 0; ia < a.Rows; ia++ {
-		for ja := 0; ja < a.Cols; ja++ {
-			av := a.At(ia, ja)
-			if av == 0 {
-				continue
-			}
-			for ib := 0; ib < b.Rows; ib++ {
-				dst := out.Row(ia*b.Rows + ib)
-				src := b.Row(ib)
-				off := ja * b.Cols
-				for jb, bv := range src {
-					dst[off+jb] += av * bv
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product a·x.
-// It panics if len(x) != a.Cols.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("matrix: MulVec shape mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
 	}
 	return out
 }

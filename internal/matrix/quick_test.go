@@ -150,36 +150,3 @@ func TestQuickPseudoInversePenrose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickSolveRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		b := New(n, n)
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		a := Mul(b, b.T())
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+1) // ensure invertible
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		rhs := MulVec(a, x)
-		got, err := Solve(a, rhs)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if math.Abs(got[i]-x[i]) > 1e-7*math.Max(1, math.Abs(x[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg(18)); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -155,7 +155,7 @@ func BenchmarkEngineShuffleTraced(b *testing.B) {
 		}
 		if i%64 == 63 {
 			// Keep the span log from growing without bound across b.N.
-			c.Tracer().Reset()
+			c.SetTracer(obs.NewTracer())
 		}
 	}
 }

@@ -58,8 +58,8 @@ type FaultPlan struct {
 	// scheduling and of the compute faults above.
 
 	// BlockCorruptRate is the probability that one replica copy of one
-	// DFS block is silently corrupt: its checksum fails at read time
-	// and the read fails over to the next copy, charging the re-read
+	// DFS block is silently corrupt: a reader's checksum would reject
+	// it, so the read fails over to the next copy, charging the re-read
 	// and a re-replication scrub to the cost model. A block with no
 	// good copy left fails the job with *dfs.ErrDataLoss.
 	BlockCorruptRate float64

@@ -747,16 +747,6 @@ func (m *Master) KillWorker(id int) error {
 	return w.cmd.Process.Kill()
 }
 
-// States snapshots the membership state of every worker, indexed by
-// worker id.
-func (m *Master) States() []WorkerState {
-	out := make([]WorkerState, len(m.workers))
-	for i, w := range m.workers {
-		out[i] = w.getState()
-	}
-	return out
-}
-
 // Stats snapshots the transport counters.
 func (m *Master) Stats() Stats {
 	return Stats{

@@ -36,6 +36,16 @@ func newMaster(t *testing.T, opt Options) *Master {
 	return m
 }
 
+// states snapshots the membership state of every worker, indexed by
+// worker id.
+func states(m *Master) []WorkerState {
+	out := make([]WorkerState, len(m.workers))
+	for i, w := range m.workers {
+		out[i] = w.getState()
+	}
+	return out
+}
+
 // TestConformanceProc is the package's headline test: the multi-process
 // backend must pass the full cross-backend suite — nine golden traces
 // byte-identical, fault matrix across GOMAXPROCS, and bit-identical
@@ -171,7 +181,7 @@ func TestFileTransfer(t *testing.T) {
 func TestMembershipLifecycle(t *testing.T) {
 	m := newMaster(t, Options{Workers: 2, Replication: 2, HeartbeatInterval: 25 * time.Millisecond})
 	defer m.Close()
-	for id, s := range m.States() {
+	for id, s := range states(m) {
 		if s != StateLive {
 			t.Fatalf("worker %d after New: %v", id, s)
 		}
@@ -183,17 +193,17 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for m.States()[1] != StateDead {
+	for states(m)[1] != StateDead {
 		if time.Now().After(deadline) {
-			t.Fatalf("heartbeat never marked killed worker dead: %v", m.States())
+			t.Fatalf("heartbeat never marked killed worker dead: %v", states(m))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if s := m.Stats(); s.Heartbeats == 0 || s.HeartbeatMisses == 0 {
 		t.Fatalf("heartbeat counters: %+v", s)
 	}
-	if m.States()[0] != StateLive {
-		t.Fatalf("worker 0 should be unaffected: %v", m.States())
+	if states(m)[0] != StateLive {
+		t.Fatalf("worker 0 should be unaffected: %v", states(m))
 	}
 	// File plane degrades, not fails: the surviving replica serves reads
 	// and absorbs writes.
@@ -206,7 +216,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("close with a dead worker: %v", err)
 	}
-	for id, s := range m.States() {
+	for id, s := range states(m) {
 		if s != StateExited {
 			t.Fatalf("worker %d after Close: %v", id, s)
 		}
@@ -232,7 +242,7 @@ func TestDrainShutdownClean(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatalf("iteration %d: close: %v", i, err)
 		}
-		for id, s := range m.States() {
+		for id, s := range states(m) {
 			if s != StateExited {
 				t.Fatalf("iteration %d: worker %d state %v after Close", i, id, s)
 			}
@@ -370,8 +380,8 @@ func TestKillWorkerMidWindow(t *testing.T) {
 			return nil
 		})
 	})
-	if err == nil || visits != share[0] || m.States()[1] != StateDead {
-		t.Fatalf("fetch window across a killed worker: err %v after %d visits, states %v", err, visits, m.States())
+	if err == nil || visits != share[0] || states(m)[1] != StateDead {
+		t.Fatalf("fetch window across a killed worker: err %v after %d visits, states %v", err, visits, states(m))
 	}
 	var down *errWorkerDown
 	if err := within("ship to a dead worker", func() error { return m.ShipPartitions(keys, blocks) }); !errors.As(err, &down) {
@@ -472,8 +482,8 @@ func TestKillWorkerMidShuffleCheckpointResume(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "shuffle") || !strings.Contains(err.Error(), "mrproc: worker 1") {
 		t.Fatalf("want a shuffle failure naming worker 1, got %v", err)
 	}
-	if d := time.Since(start); d > ioTimeout/2 || m1.States()[1] != StateDead {
-		t.Fatalf("failed after %v with states %v", d, m1.States())
+	if d := time.Since(start); d > ioTimeout/2 || states(m1)[1] != StateDead {
+		t.Fatalf("failed after %v with states %v", d, states(m1))
 	}
 
 	m2 := newMaster(t, Options{Workers: 2, HeartbeatInterval: -1})

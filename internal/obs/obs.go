@@ -139,16 +139,6 @@ func (t *Tracer) top() int {
 	return t.stack[len(t.stack)-1]
 }
 
-// Clock returns the simulated seconds accumulated so far.
-func (t *Tracer) Clock() float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clock
-}
-
 // Spans returns a copy of the recorded spans in submission order. Open
 // spans have Dur == -1.
 func (t *Tracer) Spans() []Span {
@@ -160,19 +150,6 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// Reset discards all spans and rewinds the clock to zero, keeping the
-// span buffer's capacity for the next run.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.clock = 0
-	t.spans = t.spans[:0]
-	t.stack = t.stack[:0]
 }
 
 // counter returns the value of the named counter on s, or 0.

@@ -50,9 +50,6 @@ func (d *Dense) Dims() []int64 {
 	return out
 }
 
-// Dim returns the size of mode n.
-func (d *Dense) Dim(n int) int64 { return d.dims[n] }
-
 func (d *Dense) offset(coords []int64) int64 {
 	if len(coords) != len(d.dims) {
 		panic("tensor: dense coordinate arity mismatch")
@@ -102,17 +99,6 @@ func (d *Dense) ToSparse() *Tensor {
 	}
 	t.Coalesce()
 	return t
-}
-
-// FromSparse materializes a sparse tensor densely. Duplicate coordinates
-// are summed. It panics for shapes too large to hold (see NewDense).
-func FromSparse(t *Tensor) *Dense {
-	d := NewDense(t.dims...)
-	o := t.Order()
-	for p, v := range t.val {
-		d.Data[d.offset(t.idx[p*o:(p+1)*o])] += v
-	}
-	return d
 }
 
 // String summarizes the dense tensor.

@@ -88,6 +88,11 @@ func (k *Kruskal) InnerWith(x *Tensor) float64 {
 
 // Fit returns the model fit 1 − ‖𝒳−𝒳̂‖_F/‖𝒳‖_F, computed without
 // materializing 𝒳̂ via ‖𝒳−𝒳̂‖² = ‖𝒳‖² − 2⟨𝒳,𝒳̂⟩ + ‖𝒳̂‖².
+//
+// That sum cancels three terms of size ‖𝒳‖², so its rounding error is
+// a few ε·‖𝒳‖² and the fit it yields is good to a few √ε in absolute
+// terms, about 10⁻⁷: near 1, fits closer than that are not resolved.
+// An exact model reads 1 − O(√ε), not 1 − O(ε).
 func (k *Kruskal) Fit(x *Tensor) float64 {
 	xn := x.Norm()
 	if xn == 0 {
@@ -167,7 +172,9 @@ func (t *TuckerModel) InnerWith(x *Tensor) float64 {
 }
 
 // Fit returns 1 − ‖𝒳−𝒳̂‖_F/‖𝒳‖_F. For orthonormal factors
-// ‖𝒳̂‖_F = ‖𝒢‖_F, which this uses.
+// ‖𝒳̂‖_F = ‖𝒢‖_F, which this uses. Like Kruskal.Fit it expands the
+// residual as ‖𝒳‖² − 2⟨𝒳,𝒳̂⟩ + ‖𝒢‖², so it resolves the fit only to a
+// few √ε, about 10⁻⁷, near 1.
 func (t *TuckerModel) Fit(x *Tensor) float64 {
 	xn := x.Norm()
 	if xn == 0 {

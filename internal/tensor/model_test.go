@@ -130,3 +130,52 @@ func TestKruskalAtArity(t *testing.T) {
 	}()
 	k.At(0, 0)
 }
+
+// cellFit is 1 − ‖𝒳−𝒳̂‖/‖𝒳‖ with the residual summed cell by cell over
+// the whole (small) shape, where at an exact fit it cancels to ~ε.
+func cellFit(x *Tensor, at func(...int64) float64) float64 {
+	d := x.Dims()
+	var res float64
+	for i := int64(0); i < d[0]; i++ {
+		for j := int64(0); j < d[1]; j++ {
+			for k := int64(0); k < d[2]; k++ {
+				r := x.At(i, j, k) - at(i, j, k)
+				res += r * r
+			}
+		}
+	}
+	return 1 - math.Sqrt(res)/x.Norm()
+}
+
+// exactKruskal builds a tensor that equals a rank-3 Kruskal model in
+// every cell.
+func exactKruskal(rng *rand.Rand) (*Tensor, *Kruskal) {
+	dims := []int64{8, 7, 6}
+	k := &Kruskal{Lambda: []float64{1 + rng.Float64(), 1 + rng.Float64(), 1 + rng.Float64()}}
+	for _, d := range dims {
+		f := matrix.Random(int(d), 3, rng)
+		f.NormalizeColumns()
+		k.Factors = append(k.Factors, f)
+	}
+	return k.Full(dims...).ToSparse(), k
+}
+
+// TestFitResolutionNearOne holds both Fits to the resolution their doc
+// comments state. On exact-rank models the cell-by-cell fit is 1 to
+// within ε, while Fit, which cancels three terms of size ‖𝒳‖², may read
+// anything within 10⁻⁷ of it (a few √ε), and no further.
+func TestFitResolutionNearOne(t *testing.T) {
+	const resolution = 1e-7
+	var worstK, worstT float64
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x, k := exactKruskal(rng)
+		worstK = math.Max(worstK, math.Abs(k.Fit(x)-cellFit(x, k.At)))
+		x, tm := exactTucker(rng)
+		worstT = math.Max(worstT, math.Abs(tm.Fit(x)-cellFit(x, tm.At)))
+	}
+	if worstK > resolution || worstT > resolution {
+		t.Fatalf("worst |Fit − cell fit|: Kruskal %.3g, Tucker %.3g, want ≤ %g", worstK, worstT, resolution)
+	}
+	t.Logf("worst |Fit − cell fit|: Kruskal %.3g, Tucker %.3g (√ε = %.3g)", worstK, worstT, math.Sqrt(0x1p-52))
+}

@@ -6,103 +6,6 @@ import (
 	"github.com/haten2/haten2/internal/matrix"
 )
 
-// ModeVectorHadamard returns 𝒳 ∗̄ₙ v (Definition 1): a tensor of the same
-// shape whose entry at (i₁…iₙ…i_N) is x·v[iₙ]. It panics if len(v) does
-// not match mode n.
-func ModeVectorHadamard(t *Tensor, n int, v []float64) *Tensor {
-	if int64(len(v)) != t.dims[n] {
-		panic(fmt.Sprintf("tensor: ModeVectorHadamard vector length %d != dim %d of mode %d", len(v), t.dims[n], n))
-	}
-	out := New(t.dims...)
-	o := t.Order()
-	out.idx = append([]int64(nil), t.idx...)
-	out.val = make([]float64, len(t.val))
-	for p, x := range t.val {
-		out.val[p] = x * v[t.idx[p*o+n]]
-	}
-	return out
-}
-
-// Collapse returns Collapse(𝒳)ₙ (Definition 2): the order-(N−1) tensor
-// obtained by summing all entries across mode n. It panics for order-1
-// tensors (the result would be a scalar; use SumAll for that).
-func Collapse(t *Tensor, n int) *Tensor {
-	o := t.Order()
-	if o < 2 {
-		panic("tensor: Collapse requires order >= 2; use SumAll for scalars")
-	}
-	dims := make([]int64, 0, o-1)
-	for m, d := range t.dims {
-		if m != n {
-			dims = append(dims, d)
-		}
-	}
-	out := New(dims...)
-	out.idx = make([]int64, 0, len(t.val)*(o-1))
-	out.val = make([]float64, 0, len(t.val))
-	coords := make([]int64, o-1)
-	for p, x := range t.val {
-		src := t.idx[p*o : (p+1)*o]
-		w := 0
-		for m, c := range src {
-			if m != n {
-				coords[w] = c
-				w++
-			}
-		}
-		out.idx = append(out.idx, coords...)
-		out.val = append(out.val, x)
-	}
-	out.Coalesce()
-	return out
-}
-
-// SumAll returns the sum of all entries.
-func SumAll(t *Tensor) float64 {
-	var s float64
-	for _, v := range t.val {
-		s += v
-	}
-	return s
-}
-
-// ModeVectorProduct returns 𝒳 ×̄ₙ v, the n-mode vector product: mode n is
-// contracted against v, producing an order-(N−1) tensor. HaTen2-DNN's
-// decoupling identity 𝒳 ×̄ₙ v == Collapse(𝒳 ∗̄ₙ v)ₙ is verified against
-// this implementation in the property tests.
-func ModeVectorProduct(t *Tensor, n int, v []float64) *Tensor {
-	return Collapse(ModeVectorHadamard(t, n, v), n)
-}
-
-// ModeMatrixHadamard returns 𝒳 ∗ₙ U (Definition 5) where U is Q×Iₙ: an
-// order-(N+1) tensor whose (i₁…i_N, q) entry is x·U(q, iₙ). The new mode
-// of size Q is appended last, matching the paper's definition.
-func ModeMatrixHadamard(t *Tensor, n int, u *matrix.Matrix) *Tensor {
-	if int64(u.Cols) != t.dims[n] {
-		panic(fmt.Sprintf("tensor: ModeMatrixHadamard matrix cols %d != dim %d of mode %d", u.Cols, t.dims[n], n))
-	}
-	o := t.Order()
-	dims := append(t.Dims(), int64(u.Rows))
-	out := New(dims...)
-	q := u.Rows
-	out.idx = make([]int64, 0, len(t.val)*q*(o+1))
-	out.val = make([]float64, 0, len(t.val)*q)
-	for p, x := range t.val {
-		src := t.idx[p*o : (p+1)*o]
-		in := src[n]
-		for r := 0; r < q; r++ {
-			uv := u.At(r, int(in))
-			if uv == 0 {
-				continue
-			}
-			out.idx = append(out.idx, src...)
-			out.idx = append(out.idx, int64(r))
-			out.val = append(out.val, x*uv)
-		}
-	}
-	return out
-}
-
 // ModeMatrixProduct returns 𝒴 = 𝒳 ×ₙ U where U is Q×Iₙ: mode n of size Iₙ
 // is replaced by a mode of size Q with
 // 𝒴(i₁…q…i_N) = Σ_{iₙ} 𝒳(i₁…iₙ…i_N)·U(q, iₙ).
@@ -212,25 +115,5 @@ func MTTKRP(t *Tensor, factors []*matrix.Matrix, n int) *matrix.Matrix {
 			dst[c] += v
 		}
 	}
-	return out
-}
-
-// Scale multiplies every entry by s in place and returns t.
-func (t *Tensor) Scale(s float64) *Tensor {
-	for i := range t.val {
-		t.val[i] *= s
-	}
-	return t
-}
-
-// Add returns a + b for same-shape tensors (entries summed coordinatewise).
-func Add(a, b *Tensor) *Tensor {
-	if !sameDims(a.dims, b.dims) {
-		panic("tensor: Add shape mismatch")
-	}
-	out := a.Clone()
-	out.idx = append(out.idx, b.idx...)
-	out.val = append(out.val, b.val...)
-	out.Coalesce()
 	return out
 }

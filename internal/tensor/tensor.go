@@ -1,7 +1,9 @@
 // Package tensor implements sparse N-way tensors in coordinate (COO)
-// format together with the multilinear operations HaTen2 builds on:
-// Collapse, the n-mode vector/matrix products and their Hadamard
-// ("decoupled") forms, matricization, and MTTKRP.
+// format, the PARAFAC and Tucker models, and the in-memory references
+// the distributed plans are tested against: the n-mode matrix product,
+// matricization, and MTTKRP. The paper's Hadamard and Collapse operators
+// (Definitions 1, 2 and 5) run only as MapReduce jobs in internal/core;
+// their in-memory statements live in this package's tests.
 //
 // Indices are int64 so the types describe billion-scale tensors faithfully
 // even though the in-process simulator works on scaled-down instances.
@@ -91,17 +93,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.dims...)
 	c.idx = append([]int64(nil), t.idx...)
 	c.val = append([]float64(nil), t.val...)
-	return c
-}
-
-// Bin returns bin(𝒳): a tensor of the same shape whose stored entries are
-// all 1 (stored zeros are dropped first by coalescing).
-func (t *Tensor) Bin() *Tensor {
-	c := t.Clone()
-	c.Coalesce()
-	for i := range c.val {
-		c.val[i] = 1
-	}
 	return c
 }
 
@@ -217,33 +208,6 @@ func (t *Tensor) Norm() float64 {
 	return math.Sqrt(ss)
 }
 
-// InnerProduct returns ⟨a, b⟩ = Σ a(i…)·b(i…) for two tensors of identical
-// shape. Both are coalesced as a side effect.
-func InnerProduct(a, b *Tensor) float64 {
-	if !sameDims(a.dims, b.dims) {
-		panic("tensor: InnerProduct shape mismatch")
-	}
-	a.Coalesce()
-	b.Coalesce()
-	o := len(a.dims)
-	var s float64
-	i, j := 0, 0
-	for i < len(a.val) && j < len(b.val) {
-		cmp := compareIdx(a.idx[i*o:(i+1)*o], b.idx[j*o:(j+1)*o])
-		switch {
-		case cmp < 0:
-			i++
-		case cmp > 0:
-			j++
-		default:
-			s += a.val[i] * b.val[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
 // Equal reports whether a and b have the same shape and the same entries
 // within tolerance tol. Both tensors are coalesced as a side effect.
 func Equal(a, b *Tensor, tol float64) bool {
@@ -289,19 +253,6 @@ func Equal(a, b *Tensor, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Density returns nnz/(Π dims) for a coalesced tensor, using float64
-// arithmetic so billion-scale shapes do not overflow.
-func (t *Tensor) Density() float64 {
-	total := 1.0
-	for _, d := range t.dims {
-		total *= float64(d)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(t.NNZ()) / total
 }
 
 // String summarizes the tensor shape and occupancy.

@@ -99,45 +99,12 @@ func TestAtOnMissing(t *testing.T) {
 	}
 }
 
-func TestBin(t *testing.T) {
-	x := New(2, 2)
-	x.Append(-7, 0, 0)
-	x.Append(3, 1, 0)
-	x.Append(0, 1, 1)
-	b := x.Bin()
-	if b.NNZ() != 2 {
-		t.Fatalf("bin nnz=%d", b.NNZ())
-	}
-	if b.At(0, 0) != 1 || b.At(1, 0) != 1 {
-		t.Fatal("bin entries not 1")
-	}
-	// Original untouched.
-	if x.At(0, 0) == 1 {
-		t.Fatal("Bin mutated the receiver")
-	}
-}
-
-func TestNormAndDensity(t *testing.T) {
+func TestNorm(t *testing.T) {
 	x := New(10, 10)
 	x.Append(3, 0, 0)
 	x.Append(4, 9, 9)
 	if math.Abs(x.Norm()-5) > 1e-12 {
 		t.Fatalf("norm=%v", x.Norm())
-	}
-	if math.Abs(x.Density()-0.02) > 1e-12 {
-		t.Fatalf("density=%v", x.Density())
-	}
-}
-
-func TestInnerProduct(t *testing.T) {
-	a := New(2, 2)
-	a.Append(2, 0, 0)
-	a.Append(3, 1, 1)
-	b := New(2, 2)
-	b.Append(5, 0, 0)
-	b.Append(7, 0, 1) // no partner in a
-	if got := InnerProduct(a, b); got != 10 {
-		t.Fatalf("inner=%v", got)
 	}
 }
 
@@ -159,7 +126,7 @@ func TestEqual(t *testing.T) {
 
 func TestCollapse(t *testing.T) {
 	x := small3()
-	c := Collapse(x, 1) // sum over mode 1 → shape 2×2
+	c := collapse(x, 1) // sum over mode 1 → shape 2×2
 	if c.Order() != 2 || c.Dim(0) != 2 || c.Dim(1) != 2 {
 		t.Fatalf("collapse shape %v", c.Dims())
 	}
@@ -178,7 +145,7 @@ func TestCollapseMerges(t *testing.T) {
 	x := New(2, 2, 2)
 	x.Append(1, 0, 0, 0)
 	x.Append(2, 0, 1, 0) // same (i,k) after collapsing mode 1
-	c := Collapse(x, 1)
+	c := collapse(x, 1)
 	if c.NNZ() != 1 || c.At(0, 0) != 3 {
 		t.Fatalf("collapse merge: nnz=%d val=%v", c.NNZ(), c.At(0, 0))
 	}
@@ -187,7 +154,7 @@ func TestCollapseMerges(t *testing.T) {
 func TestModeVectorHadamard(t *testing.T) {
 	x := small3()
 	v := []float64{10, 100, 1000}
-	h := ModeVectorHadamard(x, 1, v)
+	h := modeVectorHadamard(x, 1, v)
 	if h.At(0, 0, 0) != 10 || h.At(1, 2, 0) != 3000 {
 		t.Fatalf("hadamard values wrong: %v %v", h.At(0, 0, 0), h.At(1, 2, 0))
 	}
@@ -196,21 +163,10 @@ func TestModeVectorHadamard(t *testing.T) {
 	}
 }
 
-func TestModeVectorProductEqualsDecoupled(t *testing.T) {
-	// The HaTen2-DNN decoupling: 𝒳 ×̄ₙ v == Collapse(𝒳 ∗̄ₙ v)ₙ.
-	x := small3()
-	v := []float64{1, 2, 3}
-	direct := ModeVectorProduct(x, 1, v)
-	decoupled := Collapse(ModeVectorHadamard(x, 1, v), 1)
-	if !Equal(direct, decoupled, 1e-12) {
-		t.Fatal("decoupling identity violated")
-	}
-}
-
 func TestModeMatrixHadamardShape(t *testing.T) {
 	x := small3()
 	u := matrix.FromRows([][]float64{{1, 0, 2}, {0, 1, 0}}) // 2×3 = Q×J
-	h := ModeMatrixHadamard(x, 1, u)
+	h := modeMatrixHadamard(x, 1, u)
 	if h.Order() != 4 || h.Dim(3) != 2 {
 		t.Fatalf("shape %v", h.Dims())
 	}
@@ -231,14 +187,12 @@ func TestModeMatrixProductAgainstDense(t *testing.T) {
 	if y.Dim(1) != 2 {
 		t.Fatalf("result dims %v", y.Dims())
 	}
-	// Dense reference.
-	xd := FromSparse(x)
 	for i := int64(0); i < 4; i++ {
 		for q := int64(0); q < 2; q++ {
 			for k := int64(0); k < 3; k++ {
 				var want float64
 				for j := int64(0); j < 5; j++ {
-					want += xd.At(i, j, k) * u.At(int(q), int(j))
+					want += x.At(i, j, k) * u.At(int(q), int(j))
 				}
 				if math.Abs(y.At(i, q, k)-want) > 1e-10 {
 					t.Fatalf("y(%d,%d,%d)=%v want %v", i, q, k, y.At(i, q, k), want)
@@ -297,32 +251,12 @@ func TestMTTKRPAgainstMatricizedKhatriRao(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
-	a := New(2, 2)
-	a.Append(1, 0, 0)
-	b := New(2, 2)
-	b.Append(2, 0, 0)
-	b.Append(5, 1, 1)
-	s := Add(a, b)
-	if s.At(0, 0) != 3 || s.At(1, 1) != 5 {
-		t.Fatalf("Add wrong: %v %v", s.At(0, 0), s.At(1, 1))
-	}
-	s.Scale(2)
-	if s.At(0, 0) != 6 {
-		t.Fatal("Scale wrong")
-	}
-}
-
-func TestSumAll(t *testing.T) {
-	x := small3()
-	if SumAll(x) != 10 {
-		t.Fatalf("SumAll=%v", SumAll(x))
-	}
-}
-
 func TestDenseRoundTrip(t *testing.T) {
 	x := small3()
-	d := FromSparse(x)
+	d := NewDense(x.Dims()...)
+	for p := 0; p < x.NNZ(); p++ {
+		d.Set(x.Value(p), x.Index(p)...)
+	}
 	back := d.ToSparse()
 	if !Equal(x, back, 0) {
 		t.Fatal("dense round trip lost entries")
@@ -339,7 +273,7 @@ func TestDenseAccessors(t *testing.T) {
 	if d.At(1, 2) != 7 {
 		t.Fatalf("dense At=%v", d.At(1, 2))
 	}
-	if d.Order() != 2 || d.Dim(1) != 3 {
+	if d.Order() != 2 || d.Dims()[1] != 3 {
 		t.Fatal("dense shape accessors wrong")
 	}
 }
