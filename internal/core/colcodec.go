@@ -55,10 +55,6 @@ func zigzag(d int64) uint64 {
 	return uint64(d<<1) ^ uint64(d>>63)
 }
 
-func unzigzag(u uint64) int64 {
-	return int64(u>>1) ^ -int64(u&1)
-}
-
 // varintLen is the encoded length of x as a uvarint (1..10 bytes).
 func varintLen(x uint64) int64 {
 	return int64((bits.Len64(x|1) + 6) / 7)
@@ -158,7 +154,7 @@ func (r *colReader) delta() int64 {
 				break
 			}
 			r.b = r.b[i+1:]
-			return int64(u>>1) ^ -int64(u&1) // unzigzag, spelled out to stay inlinable
+			return int64(u>>1) ^ -int64(u&1) // the inverse of zigzag, spelled out to stay inlinable
 		}
 	}
 	r.b, r.bad = nil, true

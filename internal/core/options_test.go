@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -129,5 +130,28 @@ func TestOptionContract(t *testing.T) {
 				t.Fatalf("WarmStart neither honoured nor refused by name: %v", err)
 			}
 		})
+	}
+}
+
+// TestInputErrorMessages pins what the typed input errors say: the
+// offending entry's coordinate and value, and for a masked input which
+// of its two checks refused it.
+func TestInputErrorMessages(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want []string
+	}{
+		{&ErrNonFinite{Index: []int64{2, 0, 5}, Value: math.Inf(-1)}, []string{"[2 0 5]", "-Inf", "finite"}},
+		{&ErrNonFinite{Index: []int64{1, 1, 1, 3}, Value: math.NaN()}, []string{"[1 1 1 3]", "NaN"}},
+		{&ErrNegativeInput{Index: []int64{2, 1, 0}, Value: -0.5}, []string{"[2 1 0]", "-0.5", "nonnegative"}},
+		{&ErrMaskedInput{Dims: []int64{4, 5}, Pos: -1}, []string{"3-way", "[4 5]"}},
+		{&ErrMaskedInput{Dims: []int64{4, 5, 6}, Pos: 3, Coord: [3]int64{1, 9, 0}}, []string{"coordinate 3", "[1 9 0]", "[4 5 6]"}},
+	} {
+		msg := tc.err.Error()
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%q lacks %q", msg, w)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -259,5 +260,54 @@ func TestBadMiddleBlockOfMultiBlockFile(t *testing.T) {
 	}
 	if st2 := fs.Stats(); st2 != st {
 		t.Fatalf("second read moved counters: %+v vs %+v", st2, st)
+	}
+}
+
+// TestHashBytes pins the placement hash's contract: a pure function of
+// the bytes, seeded with the length so a trailing zero byte (within the
+// 8-byte tail or past a full word) changes it.
+func TestHashBytes(t *testing.T) {
+	inputs := [][]byte{
+		nil, {0}, {0, 0}, []byte("a"), []byte("a\x00"),
+		[]byte("12345678"), []byte("12345678\x00"), []byte("12345679"),
+		[]byte("job/3/seq/1/r0"), []byte("job/3/seq/1/r1"),
+	}
+	seen := make(map[uint64]string, len(inputs))
+	for _, in := range inputs {
+		h := HashBytes(in)
+		if h != HashBytes(append([]byte(nil), in...)) {
+			t.Fatalf("HashBytes(%q) differs between two calls", in)
+		}
+		if prev, ok := seen[h]; ok {
+			t.Fatalf("HashBytes(%q) == HashBytes(%q) = %#x", in, prev, h)
+		}
+		seen[h] = string(in)
+	}
+	if HashBytes(nil) != HashBytes([]byte{}) {
+		t.Fatal("nil and empty input hash apart")
+	}
+}
+
+// TestDataLossUnwrap: a loss with a recorded checksum mismatch unwraps
+// to it; a loss where every copy was simply gone unwraps to nothing, so
+// errors.As finds no *ErrCorrupt.
+func TestDataLossUnwrap(t *testing.T) {
+	cause := &ErrCorrupt{File: "f", Block: 2, Replica: 1}
+	var ec *ErrCorrupt
+	if err := error(&ErrDataLoss{File: "f", Block: 2, Replicas: 3, Cause: cause}); !errors.As(err, &ec) || ec != cause {
+		t.Fatalf("errors.As through %v = %v", err, ec)
+	}
+	lost := &ErrDataLoss{File: "f", Block: 0, Replicas: 2}
+	if lost.Unwrap() != nil {
+		t.Fatalf("Unwrap without a cause = %v, want nil", lost.Unwrap())
+	}
+	ec = nil
+	if errors.As(error(lost), &ec) {
+		t.Fatalf("errors.As found %v in a loss with no mismatch", ec)
+	}
+	for _, w := range []string{`"f"`, "block 0", "all 2 replicas"} {
+		if !strings.Contains(lost.Error(), w) {
+			t.Fatalf("%q lacks %q", lost.Error(), w)
+		}
 	}
 }

@@ -174,3 +174,12 @@ func writeFixtureFile(t *testing.T, dir, name, content string) {
 		t.Fatal(err)
 	}
 }
+
+// TestDiagnosticString pins the file:line:col: [check] message form that
+// editors and CI logs parse.
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{File: "internal/x/x.go", Line: 12, Col: 3, Check: "maporder", Message: "range over map"}
+	if got, want := d.String(), "internal/x/x.go:12:3: [maporder] range over map"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}

@@ -150,6 +150,45 @@ func TestKhatriRao(t *testing.T) {
 	}
 }
 
+func TestKroneckerAgainstKhatriRao(t *testing.T) {
+	// Khatri-Rao column r must equal the Kronecker product a_r ⊗ b_r of
+	// the two columns, whose entry i·len(b_r)+j is a_r[i]·b_r[j].
+	rng := rand.New(rand.NewSource(3))
+	a := Random(3, 2, rng)
+	b := Random(4, 2, rng)
+	kr := KhatriRao(a, b)
+	if kr.Rows != 12 || kr.Cols != 2 {
+		t.Fatalf("shape %dx%d", kr.Rows, kr.Cols)
+	}
+	for r := 0; r < 2; r++ {
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 4; j++ {
+				if kr.At(i*4+j, r) != a.At(i, r)*b.At(j, r) {
+					t.Fatalf("column %d row %d = %v, want %v", r, i*4+j, kr.At(i*4+j, r), a.At(i, r)*b.At(j, r))
+				}
+			}
+		}
+	}
+}
+
+func TestEqualShapeAndTolerance(t *testing.T) {
+	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	b := a.Clone()
+	b.Set(1, 0, 3+1e-9)
+	if !a.Equal(b, 1e-8) {
+		t.Fatal("entries within tol reported unequal")
+	}
+	if a.Equal(b, 1e-10) {
+		t.Fatal("entries beyond tol reported equal")
+	}
+	// Same data, transposed shape: 1×4 and 4×1 are not 2×2.
+	for _, o := range []*Matrix{{Rows: 1, Cols: 4, Data: a.Data}, {Rows: 4, Cols: 1, Data: a.Data}} {
+		if a.Equal(o, math.Inf(1)) || o.Equal(a, math.Inf(1)) {
+			t.Fatalf("%dx%d equal to 2x2", o.Rows, o.Cols)
+		}
+	}
+}
+
 func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot wrong")

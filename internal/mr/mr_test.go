@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/haten2/haten2/internal/obs"
 )
 
 func testCluster(machines int) *Cluster {
@@ -294,5 +296,57 @@ func TestHashSpread(t *testing.T) {
 		if n > 400 {
 			t.Fatalf("pair bucket %d got %d of 1000 keys", b, n)
 		}
+	}
+}
+
+// TestHashTriple: the [3]int64 partitioner is deterministic, tells
+// permuted coordinates apart, and spreads a dense 16³ grid over 16
+// partitions within a quarter of the even share.
+func TestHashTriple(t *testing.T) {
+	k := [3]int64{1, 2, 3}
+	if HashTriple(k) != HashTriple([3]int64{1, 2, 3}) {
+		t.Fatal("HashTriple is not a pure function of the key")
+	}
+	for _, p := range [][3]int64{{1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}} {
+		if HashTriple(p) == HashTriple(k) {
+			t.Fatalf("HashTriple(%v) == HashTriple(%v)", p, k)
+		}
+	}
+	const side, parts = 16, 16
+	var counts [parts]int
+	for i := int64(0); i < side; i++ {
+		for j := int64(0); j < side; j++ {
+			for l := int64(0); l < side; l++ {
+				counts[HashTriple([3]int64{i, j, l})%parts]++
+			}
+		}
+	}
+	even := side * side * side / parts
+	for p, n := range counts {
+		if 4*n < 3*even || 4*n > 5*even {
+			t.Fatalf("partition %d holds %d keys, even share %d: %v", p, n, even, counts)
+		}
+	}
+}
+
+// TestNextTmpAndTracer: temporary-file numbers count from 1 per
+// cluster, and Tracer returns what SetTracer attached (nil before).
+func TestNextTmpAndTracer(t *testing.T) {
+	c := NewCluster(Config{Machines: 2, SlotsPerMachine: 1})
+	if tr := c.Tracer(); tr != nil {
+		t.Fatalf("fresh cluster has tracer %v", tr)
+	}
+	for want := int64(1); want <= 3; want++ {
+		if got := c.NextTmp(); got != want {
+			t.Fatalf("NextTmp = %d, want %d", got, want)
+		}
+	}
+	if got := NewCluster(Config{Machines: 2, SlotsPerMachine: 1}).NextTmp(); got != 1 {
+		t.Fatalf("a second cluster's first NextTmp = %d, want 1", got)
+	}
+	tr := obs.NewTracer()
+	c.SetTracer(tr)
+	if c.Tracer() != tr {
+		t.Fatal("Tracer does not return the attached tracer")
 	}
 }

@@ -44,3 +44,26 @@ func TestSlabNeverTooSmall(t *testing.T) {
 		t.Fatalf("a %d-element slab was pooled", cap(s))
 	}
 }
+
+// TestAcquireLendsAndRecycleReturns: Acquire always hands out an empty
+// slab, never nil, with at least the asked capacity, and each one it
+// lends comes back through Recycle, so the race build's loan count ends
+// where it began.
+func TestAcquireLendsAndRecycleReturns(t *testing.T) {
+	type probe struct{ a, b int64 } // a type no other test pools
+	base := Lent()
+	var got [][]probe
+	for _, n := range []int{0, 1, 8, 100, 1000} {
+		s := Acquire[probe](n)
+		if s == nil || len(s) != 0 || cap(s) < max(n, 1) {
+			t.Fatalf("Acquire(%d): nil=%v len %d cap %d", n, s == nil, len(s), cap(s))
+		}
+		got = append(got, s)
+	}
+	for _, s := range got {
+		Recycle(s)
+	}
+	if d := Lent() - base; d != 0 {
+		t.Fatalf("%d slabs still lent after Recycle", d)
+	}
+}

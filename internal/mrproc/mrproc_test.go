@@ -506,3 +506,21 @@ func TestKillWorkerMidShuffleCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed run ran %d jobs, a full run %d: nothing was resumed", c2.Totals().Jobs, c0.Totals().Jobs)
 	}
 }
+
+// TestWorkerStateNames: every state prints its name, an out-of-range
+// value prints its number, and the worker-down error reads both the
+// worker and its state.
+func TestWorkerStateNames(t *testing.T) {
+	for s, want := range map[WorkerState]string{
+		StateSpawned: "spawned", StateLive: "live", StateDraining: "draining",
+		StateDead: "dead", StateExited: "exited", WorkerState(9): "state(9)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("WorkerState(%d).String() = %q, want %q", int32(s), got, want)
+		}
+	}
+	err := &errWorkerDown{id: 3, state: StateDead}
+	if got, want := err.Error(), "mrproc: worker 3 is dead"; got != want {
+		t.Errorf("errWorkerDown = %q, want %q", got, want)
+	}
+}

@@ -163,6 +163,30 @@ func TestModeVectorHadamard(t *testing.T) {
 	}
 }
 
+func TestModeVectorProductEqualsDecoupled(t *testing.T) {
+	// The HaTen2-DNN decoupling: 𝒳 ×̄ₙ v == Collapse(𝒳 ∗̄ₙ v)ₙ, on a
+	// worked example in every mode. The direct side is the n-mode matrix
+	// product with vᵀ; the decoupled side never calls ModeMatrixProduct.
+	x := small3()
+	for n, v := range [][]float64{{1, -2}, {1, 2, 3}, {0.5, 4}} {
+		direct := modeVectorProduct(x, n, v)
+		decoupled := collapse(modeVectorHadamard(x, n, v), n)
+		if !Equal(direct, decoupled, 1e-12) {
+			t.Fatalf("mode %d: decoupling identity violated", n)
+		}
+	}
+	// Mode 1 by hand: (0,0)=1·1, (0,1)=2·2, (1,0)=3·3, (1,1)=4·1.
+	y := modeVectorProduct(x, 1, []float64{1, 2, 3})
+	want := [][]float64{{1, 4}, {9, 4}}
+	for i := int64(0); i < 2; i++ {
+		for k := int64(0); k < 2; k++ {
+			if y.At(i, k) != want[i][k] {
+				t.Fatalf("(%d,%d) = %v, want %v", i, k, y.At(i, k), want[i][k])
+			}
+		}
+	}
+}
+
 func TestModeMatrixHadamardShape(t *testing.T) {
 	x := small3()
 	u := matrix.FromRows([][]float64{{1, 0, 2}, {0, 1, 0}}) // 2×3 = Q×J
