@@ -23,9 +23,10 @@
 //
 // The input format is one entry per line, "i j k [l] value" (0-based),
 // with an optional "# tensor I J K [L]" header; order-3 and order-4
-// tensors are supported (4-way runs always use the DRI plan). Factor
-// matrices are written as TSV when -factors is given; 3-way models can
-// be saved with -model and reloaded with haten2.LoadParafac/LoadTucker.
+// tensors are supported (a 4-way run takes -variant DRN or DRI: Naive
+// and DNN are 3-way plans). Factor matrices are written as TSV when
+// -factors is given; 3-way models can be saved with -model and reloaded
+// with haten2.LoadParafac/LoadTucker.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 		method   = flag.String("method", "parafac", "decomposition: parafac, tucker, nonnegative")
 		rank     = flag.Int("rank", 10, "rank R for parafac/nonnegative")
 		coreStr  = flag.String("core", "10x10x10", "core shape PxQxR (or PxQxRxS for 4-way) for tucker")
-		variant  = flag.String("variant", "DRI", "job plan: Naive, DNN, DRN, DRI (3-way only; 4-way always uses DRI)")
+		variant  = flag.String("variant", "DRI", "job plan: Naive, DNN, DRN, DRI (Naive and DNN are 3-way only)")
 		machines = flag.Int("machines", 40, "simulated cluster size")
 		iters    = flag.Int("iters", 20, "maximum ALS iterations")
 		tol      = flag.Float64("tol", 1e-4, "convergence tolerance")
@@ -276,6 +277,10 @@ func run4(cfg cliConfig, raw *tensor.Tensor) error {
 	if cfg.modelPath != "" {
 		return fmt.Errorf("-model is supported for 3-way tensors only")
 	}
+	variant, err := haten2.ParseVariant(cfg.variantStr)
+	if err != nil {
+		return err
+	}
 	cluster := haten2.NewCluster(haten2.ClusterConfig{Machines: cfg.machines})
 	teardown, err := attachBackend(cfg, cluster)
 	if err != nil {
@@ -283,11 +288,11 @@ func run4(cfg cliConfig, raw *tensor.Tensor) error {
 	}
 	defer teardown()
 	tr := cfg.tracer(cluster)
-	opt := haten2.Options{MaxIters: cfg.iters, Tol: cfg.tol, Seed: cfg.seed, TrackFit: true}
+	opt := haten2.Options{Variant: variant, MaxIters: cfg.iters, Tol: cfg.tol, Seed: cfg.seed, TrackFit: true}
 	d := x.Dims()
 	if !cfg.quiet {
-		fmt.Printf("tensor %dx%dx%dx%d, %d nonzeros; 4-way %s on %d machines (DRI plan)\n",
-			d[0], d[1], d[2], d[3], x.NNZ(), cfg.method, cfg.machines)
+		fmt.Printf("tensor %dx%dx%dx%d, %d nonzeros; 4-way %s on %d machines (%s plan)\n",
+			d[0], d[1], d[2], d[3], x.NNZ(), cfg.method, cfg.machines, variant)
 	}
 	var facs []*haten2.Matrix
 	switch cfg.method {

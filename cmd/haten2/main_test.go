@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,6 +118,24 @@ func TestRunErrors(t *testing.T) {
 	cfg.modelPath = filepath.Join(t.TempDir(), "m.txt")
 	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "3-way") {
 		t.Fatalf("4-way model save should be rejected, got %v", err)
+	}
+}
+
+// TestRunRefusesUnallocatableShape: a shape header whose factors no
+// allocation could hold is a typed error before anything is staged, not
+// a makeslice panic in the factor initialization.
+func TestRunRefusesUnallocatableShape(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "huge.coo")
+	if err := os.WriteFile(in, []byte("# tensor 9223372036854775807 9223372036854775807 2\n0 0 0 1\n1 2 1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"parafac", "tucker"} {
+		cfg := baseConfig(in)
+		cfg.method = method
+		var e *haten2.ErrFactorTooLarge
+		if err := run(cfg); !errors.As(err, &e) || e.Mode != 0 {
+			t.Errorf("%s: want *ErrFactorTooLarge for mode 0, got %v", method, err)
+		}
 	}
 }
 

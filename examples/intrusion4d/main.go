@@ -42,7 +42,7 @@ func main() {
 	cluster := haten2.NewCluster(haten2.ClusterConfig{Machines: 10})
 	const rank = 2
 	res, err := haten2.ParafacN(cluster, x, rank, haten2.Options{
-		MaxIters: 50, Seed: 8, TrackFit: true, Tol: 1e-8,
+		Variant: haten2.DRI, MaxIters: 50, Seed: 8, TrackFit: true, Tol: 1e-8,
 	})
 	if err != nil {
 		log.Fatal(err)

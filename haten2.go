@@ -319,6 +319,21 @@ func NonnegativeParafac(c *Cluster, x *Tensor, rank int, opt Options) (*ParafacR
 // whose sum overflows: Index and Value are the first such entry's.
 type ErrNonFinite = core.ErrNonFinite
 
+// ErrEmptyTensor is the error every decomposition returns, before any
+// job runs, for a tensor with no nonzero entry once duplicate entries
+// are summed.
+type ErrEmptyTensor = core.ErrEmptyTensor
+
+// ErrFactorTooLarge is the error every decomposition returns, before any
+// job runs, when one mode's factor matrix is larger than any allocation
+// can be (a hostile or mistaken shape header, say).
+type ErrFactorTooLarge = core.ErrFactorTooLarge
+
+// ErrOrder is the error a decomposition returns, before any job runs,
+// when Options.Variant names a plan that does not run at the tensor's
+// order: Naive and DNN are 3-way plans.
+type ErrOrder = core.ErrOrder
+
 // ErrNegativeInput is the error NonnegativeParafac returns, before any
 // job runs, for a tensor with a negative value once duplicate entries
 // are summed: Index and Value are the first such entry's.

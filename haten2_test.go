@@ -251,27 +251,7 @@ func TestNonFiniteInputIsTyped(t *testing.T) {
 				x.Append(2, []int64{1, 1, 1, 1}[:order]...)
 				return x
 			}
-			runs := map[string]func(*haten2.Cluster) error{
-				"ParafacN": func(c *haten2.Cluster) error { _, err := haten2.ParafacN(c, build(), 2, opt); return err },
-				"TuckerN": func(c *haten2.Cluster) error {
-					_, err := haten2.TuckerN(c, build(), []int{1, 1, 1, 1}[:order], opt)
-					return err
-				},
-			}
-			if order == 3 {
-				x3 := func() *haten2.Tensor { return haten2.WrapTensor(build().Unwrap()) }
-				runs["Parafac"] = func(c *haten2.Cluster) error { _, err := haten2.Parafac(c, x3(), 2, opt); return err }
-				runs["Tucker"] = func(c *haten2.Cluster) error { _, err := haten2.Tucker(c, x3(), [3]int{1, 1, 1}, opt); return err }
-				runs["NonnegativeParafac"] = func(c *haten2.Cluster) error {
-					_, err := haten2.NonnegativeParafac(c, x3(), 2, opt)
-					return err
-				}
-				runs["MaskedParafac"] = func(c *haten2.Cluster) error {
-					_, err := haten2.MaskedParafac(c, x3(), [][3]int64{{0, 1, 1}}, 2, opt)
-					return err
-				}
-			}
-			for name, run := range runs {
+			for name, run := range everyDecomposition(order, build, opt) {
 				c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
 				err := run(c)
 				if name == "NonnegativeParafac" && bad.want < 0 {
@@ -292,6 +272,66 @@ func TestNonFiniteInputIsTyped(t *testing.T) {
 				}
 				if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
 					t.Errorf("%s, order %d, %s: rejected input still reached the cluster: %+v, files %v", bad.name, order, name, st, c.Unwrap().FS().List())
+				}
+			}
+		}
+	}
+}
+
+// everyDecomposition runs each decomposition of the public API on a fresh
+// tensor from build: ParafacN and TuckerN at orders 3 and 4, and at
+// order 3 also Parafac, Tucker, NonnegativeParafac and MaskedParafac.
+func everyDecomposition(order int, build func() *haten2.TensorN, opt haten2.Options) map[string]func(*haten2.Cluster) error {
+	runs := map[string]func(*haten2.Cluster) error{
+		"ParafacN": func(c *haten2.Cluster) error { _, err := haten2.ParafacN(c, build(), 2, opt); return err },
+		"TuckerN": func(c *haten2.Cluster) error {
+			_, err := haten2.TuckerN(c, build(), []int{1, 1, 1, 1}[:order], opt)
+			return err
+		},
+	}
+	if order == 3 {
+		x3 := func() *haten2.Tensor { return haten2.WrapTensor(build().Unwrap()) }
+		runs["Parafac"] = func(c *haten2.Cluster) error { _, err := haten2.Parafac(c, x3(), 2, opt); return err }
+		runs["Tucker"] = func(c *haten2.Cluster) error { _, err := haten2.Tucker(c, x3(), [3]int{1, 1, 1}, opt); return err }
+		runs["NonnegativeParafac"] = func(c *haten2.Cluster) error {
+			_, err := haten2.NonnegativeParafac(c, x3(), 2, opt)
+			return err
+		}
+		runs["MaskedParafac"] = func(c *haten2.Cluster) error {
+			_, err := haten2.MaskedParafac(c, x3(), [][3]int64{{0, 1, 1}}, 2, opt)
+			return err
+		}
+	}
+	return runs
+}
+
+// TestEmptyTensorIsTyped: a tensor with no nonzero entry once
+// coalesced — none appended, or entries that cancel — has no model to
+// report, so every decomposition refuses it with *ErrEmptyTensor before any
+// file is staged or any job runs.
+func TestEmptyTensorIsTyped(t *testing.T) {
+	opt := haten2.Options{Variant: haten2.DRI, MaxIters: 2, Seed: 1}
+	for _, cancel := range []bool{false, true} {
+		for _, order := range []int{3, 4} {
+			build := func() *haten2.TensorN {
+				x, err := haten2.NewTensorN([]int64{2, 2, 2, 2}[:order]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cancel {
+					x.Append(1, make([]int64, order)...)
+					x.Append(-1, make([]int64, order)...)
+				}
+				return x
+			}
+			for name, run := range everyDecomposition(order, build, opt) {
+				c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
+				var e *haten2.ErrEmptyTensor
+				if err := run(c); !errors.As(err, &e) || len(e.Dims) != order {
+					t.Errorf("order %d, cancelling entries %v, %s: want *ErrEmptyTensor, got %v", order, cancel, name, err)
+				}
+				if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
+					t.Errorf("order %d, %s: refused input still reached the cluster: %+v, files %v", order, name, st, c.Unwrap().FS().List())
 				}
 			}
 		}

@@ -145,6 +145,9 @@ func runALS(c *mr.Cluster, x *tensor.Tensor, opt Options, r *rule) (*alsState, e
 	if opt.WarmStart != nil && !r.warmStart {
 		return nil, fmt.Errorf("core: %s-als does not support Options.WarmStart", r.name)
 	}
+	if err := admit(x, opt.Variant, r.cols); err != nil {
+		return nil, err
+	}
 	s, err := Stage(c, tmpName(c, r.name, "X"), x)
 	if err != nil {
 		return nil, err
@@ -238,4 +241,45 @@ func runALS(c *mr.Cluster, x *tensor.Tensor, opt Options, r *rule) (*alsState, e
 		}
 	}
 	return st, nil
+}
+
+// admit refuses, before anything is staged, an input no iteration could
+// decompose: a plan that does not run at the tensor's order, a tensor
+// with no nonzero entry once coalesced, or a factor (dims[m] × cols[m]
+// float64s) beyond the 2⁴⁸ bytes 64-bit Go allocates at most at once.
+func admit(x *tensor.Tensor, v Variant, cols []int) error {
+	if err := planRuns(v, x.Order()); err != nil {
+		return err
+	}
+	x.Coalesce()
+	if x.NNZ() == 0 {
+		return &ErrEmptyTensor{Dims: x.Dims()}
+	}
+	for m, q := range cols {
+		if rows := x.Dim(m); rows > (1<<48)/8/int64(q) {
+			return &ErrFactorTooLarge{Mode: m, Rows: rows, Cols: q}
+		}
+	}
+	return nil
+}
+
+// ErrEmptyTensor is the error every decomposition returns, before any
+// job runs, for a tensor with no nonzero entry once duplicates are
+// summed: every model fits it, so none is reported.
+type ErrEmptyTensor struct{ Dims []int64 }
+
+func (e *ErrEmptyTensor) Error() string {
+	return fmt.Sprintf("core: the %v tensor has no nonzero entry to decompose", e.Dims)
+}
+
+// ErrFactorTooLarge is the error every decomposition returns, before
+// any job runs, when mode Mode's factor, Rows × Cols float64s, is larger
+// than any allocation can be.
+type ErrFactorTooLarge struct {
+	Mode, Cols int
+	Rows       int64
+}
+
+func (e *ErrFactorTooLarge) Error() string {
+	return fmt.Sprintf("core: mode %d's factor would be %d×%d, beyond any allocation", e.Mode, e.Rows, e.Cols)
 }

@@ -32,13 +32,12 @@ package core
 // files and job outputs (and are the frozen reference the columnar
 // shuffle total is tested against).
 //
-// The shuffle block's encoder has a matching sizer with the invariant
-// len(appendSValBlock(nil, pairs)) == blockHeaderSize(n) + Σ pair sizes —
-// the colcodec tests and FuzzColumnarRoundTrip pin it. The mr engine
-// charges shuffle bytes through that sizer (mr.BlockSizer), so the cost
-// model can never drift from the declared wire format. The Entry and
-// MatEntry blocks are priced by the fixed-width *Bytes constants, so
-// they need no sizer.
+// A shuffle block is one segment — one map task's pairs for one
+// reducer — and its codec is mr.BlockCodec's three functions: svalSize,
+// appendSValBlock and decodeSValBlock. The engine charges shuffle bytes
+// through svalSize(seg) == len(appendSValBlock(nil, seg)), which the
+// colcodec tests and FuzzColumnarRoundTrip pin, so the cost model cannot
+// drift from the wire format. Entry and MatEntry blocks need no sizer.
 
 import (
 	"encoding/binary"
@@ -47,6 +46,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"github.com/haten2/haten2/internal/mr"
 )
 
 // zigzag maps a signed delta to an unsigned varint-friendly value
@@ -289,105 +290,105 @@ func DecodeMatEntryBlock(src []byte) ([]MatEntry, []byte, error) {
 
 // --- sval shuffle blocks (every plan job) ------------------------------
 
-// svalPairSize is the incremental encoded size of pair (k, v) appended
-// to a shuffle block whose previous pair is (pk, pv) — mr.BlockSizer's
-// Pair contract, with the first pair sized against zero values. The
-// layout per record: three key delta columns, one tag byte, one index
-// delta column per tensor mode, one column delta, and the 8-byte value.
-func svalPairSize[I index](pk [3]int64, pv sval[I], k [3]int64, v sval[I]) int64 {
-	n := varintLen(zigzag(k[0]-pk[0])) +
-		varintLen(zigzag(k[1]-pk[1])) +
-		varintLen(zigzag(k[2]-pk[2])) +
-		1 +
-		varintLen(zigzag(v.idx[0]-pv.idx[0])) +
-		varintLen(zigzag(v.idx[1]-pv.idx[1])) +
-		varintLen(zigzag(v.idx[2]-pv.idx[2])) +
-		varintLen(zigzag(int64(v.col)-int64(pv.col))) +
-		8
-	for m := 3; m < len(v.idx); m++ {
-		n += varintLen(zigzag(v.idx[m] - pv.idx[m]))
+// svalSize is the encoded size of one shuffle segment's block, computed
+// without encoding it: the header, then per record what each column
+// adds against the record before it (the first against zero) — three
+// key delta columns, one tag byte, one index delta column per tensor
+// mode, one column delta, and the 8-byte value.
+func svalSize[I index](seg []mr.Pair[[3]int64, sval[I]]) int64 {
+	n := blockHeaderSize(len(seg)) + int64(len(seg))*(1+8)
+	prev := new(mr.Pair[[3]int64, sval[I]]) // the zero record
+	for i := range seg {
+		p := &seg[i]
+		n += varintLen(zigzag(p.K[0]-prev.K[0])) +
+			varintLen(zigzag(p.K[1]-prev.K[1])) +
+			varintLen(zigzag(p.K[2]-prev.K[2])) +
+			varintLen(zigzag(p.V.idx[0]-prev.V.idx[0])) +
+			varintLen(zigzag(p.V.idx[1]-prev.V.idx[1])) +
+			varintLen(zigzag(p.V.idx[2]-prev.V.idx[2])) +
+			varintLen(zigzag(int64(p.V.col)-int64(prev.V.col)))
+		for m := 3; m < len(p.V.idx); m++ {
+			n += varintLen(zigzag(p.V.idx[m] - prev.V.idx[m]))
+		}
+		prev = p
 	}
 	return n
 }
 
-// appendSValBlock encodes one shuffle partition block: parallel keys
-// and vals slices (len(keys) == len(vals)). Length is exactly
-// blockHeaderSize(n) + Σ svalPairSize over consecutive pairs. In
-// process the engine only ever sizes blocks; with a backend installed
-// this is the encoder of every partition it ships (mr.BlockSizer.Append),
-// into a slab of exactly the size the job was charged, so the bytes on
-// the wire are the bytes the job was charged.
-func appendSValBlock[I index](dst []byte, keys [][3]int64, vals []sval[I]) []byte {
-	dst, at := beginBlock(dst, len(keys))
+// appendSValBlock appends one shuffle segment's block to dst. With a
+// backend installed it encodes every partition the engine ships, into a
+// slab of exactly the bytes the job was charged.
+func appendSValBlock[I index](dst []byte, seg []mr.Pair[[3]int64, sval[I]]) []byte {
+	dst, at := beginBlock(dst, len(seg))
 	for m := range 3 {
 		prev := int64(0)
-		for i := range keys {
-			dst, prev = appendDelta(dst, keys[i][m]-prev), keys[i][m]
+		for i := range seg {
+			dst, prev = appendDelta(dst, seg[i].K[m]-prev), seg[i].K[m]
 		}
 	}
-	for i := range vals {
-		dst = append(dst, vals[i].tag)
+	for i := range seg {
+		dst = append(dst, seg[i].V.tag)
 	}
 	var zero I
 	for m := range len(zero) {
 		prev := int64(0)
-		for i := range vals {
-			dst, prev = appendDelta(dst, vals[i].idx[m]-prev), vals[i].idx[m]
+		for i := range seg {
+			dst, prev = appendDelta(dst, seg[i].V.idx[m]-prev), seg[i].V.idx[m]
 		}
 	}
 	prev := int64(0)
-	for i := range vals {
-		dst, prev = appendDelta(dst, int64(vals[i].col)-prev), int64(vals[i].col)
+	for i := range seg {
+		dst, prev = appendDelta(dst, int64(seg[i].V.col)-prev), int64(seg[i].V.col)
 	}
-	for i := range vals {
-		dst = appendFloat(dst, vals[i].val)
+	for i := range seg {
+		dst = appendFloat(dst, seg[i].V.val)
 	}
 	return sealBlock(dst, at)
 }
 
-// decodeSValBlock parses one block written by appendSValBlock into the
-// storage of the keys and vals it is handed (mr.BlockSizer.Decode; nil
-// allocates). With a backend installed src is whatever a worker process
-// sent back — hostile input, rejected by structure or by CRC before any
-// record is returned.
-func decodeSValBlock[I index](src []byte, keys [][3]int64, vals []sval[I]) ([][3]int64, []sval[I], []byte, error) {
+// decodeSValBlock parses one block written by appendSValBlock, appending
+// its pairs to dst. With a backend installed src is whatever a worker
+// process sent back — hostile input, rejected by structure or by CRC
+// before any record is returned.
+func decodeSValBlock[I index](src []byte, dst []mr.Pair[[3]int64, sval[I]]) ([]mr.Pair[[3]int64, sval[I]], []byte, error) {
 	r, n := openBlock(src)
-	// Every field of every record is assigned below, so reused storage
-	// needs no clearing.
-	keys, vals = slices.Grow(keys[:0], n)[:n], slices.Grow(vals[:0], n)[:n]
+	// Every field but the engine's routing hash is assigned below, so
+	// reused storage needs no clearing.
+	dst = slices.Grow(dst, n)
+	seg := dst[len(dst) : len(dst)+n]
 	for m := range 3 {
 		prev := int64(0)
-		for i := range keys {
+		for i := range seg {
 			prev += r.delta()
-			keys[i][m] = prev
+			seg[i].K[m] = prev
 		}
 	}
 	if tags := r.take(n); tags != nil {
-		for i := range vals {
-			vals[i].tag = tags[i]
+		for i := range seg {
+			seg[i].V.tag = tags[i]
 		}
 	}
 	var zero I
 	for m := range len(zero) {
 		prev := int64(0)
-		for i := range vals {
+		for i := range seg {
 			prev += r.delta()
-			vals[i].idx[m] = prev
+			seg[i].V.idx[m] = prev
 		}
 	}
 	prev := int64(0)
-	for i := range vals {
+	for i := range seg {
 		prev += r.delta()
-		vals[i].col = r.narrow(prev)
+		seg[i].V.col = r.narrow(prev)
 	}
 	if vs := r.take(8 * n); vs != nil {
-		for i := range vals {
-			vals[i].val = floatAt(vs, i)
+		for i := range seg {
+			seg[i].V.val = floatAt(vs, i)
 		}
 	}
 	rest, err := r.done()
 	if err != nil {
-		return nil, nil, rest, err
+		return dst, rest, err
 	}
-	return keys, vals, rest, nil
+	return dst[:len(dst)+n], rest, nil
 }

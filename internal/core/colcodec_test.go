@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -13,15 +14,16 @@ import (
 	"github.com/haten2/haten2/internal/tensor"
 )
 
-// The columnar codec's load-bearing invariant is that the incremental
-// sizers charge exactly the bytes the encoders produce: the mr engine
-// accounts shuffle volume through BlockSizer without ever materializing
-// a block, so any drift between sizer and encoder silently corrupts the
-// cost model (simulated time, resource limits, the paper's Tables
-// III/IV). The tests here pin both directions — sizer == len(encoding),
-// and decode ∘ encode == identity — on structured, adversarial, and
-// fuzzed inputs, plus the end-to-end form: the bytes a job is charged
-// equal the length of the blocks its shuffle would have written.
+// The columnar codec's load-bearing invariant is that the segment sizer
+// charges exactly the bytes the encoder produces: the mr engine
+// accounts shuffle volume through BlockCodec.Size without ever
+// materializing a block in process, so any drift between sizer and
+// encoder silently corrupts the cost model (simulated time, resource
+// limits, the paper's Tables III/IV). The tests here pin both
+// directions — Size == len(encoding), and decode ∘ encode == identity —
+// on structured, adversarial, and fuzzed inputs, plus the end-to-end
+// form: the bytes a job is charged equal the length of the blocks its
+// shuffle writes.
 
 // randEntries builds n entries with a controllable index spread. Sorted
 // sequences exercise the tiny-delta fast path; unsorted ones (shuffle
@@ -110,56 +112,41 @@ func TestMatEntryBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// svalIncrementalSize folds svalPairSize the way the engine folds a
-// BlockSizer: each pair sized against its predecessor, the first
-// against zero values, plus the header.
-func svalIncrementalSize[I index](keys [][3]int64, vals []sval[I]) int64 {
-	var n int64
-	var pk [3]int64
-	var pv sval[I]
-	for i := range keys {
-		n += svalPairSize(pk, pv, keys[i], vals[i])
-		pk, pv = keys[i], vals[i]
-	}
-	return n + blockHeaderSize(len(keys))
-}
-
-// checkSValBlock pins sizer == encoder and decode ∘ encode == identity
-// for the shuffle block of one tensor order.
+// checkSValBlock pins the shuffle block's contract at one tensor order:
+// Size(seg) == len(Append(nil, seg)) and decode ∘ encode == identity,
+// decoding after a non-empty prefix of dst, which Decode must keep.
 func checkSValBlock[I index](t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	var keys [][3]int64
-	var vals []sval[I]
+	var seg []mr.Pair[[3]int64, sval[I]]
 	for i := 0; i < 800; i++ {
-		keys = append(keys, [3]int64{rng.Int63n(1000), rng.Int63n(1000), rng.Int63n(5)})
 		v := sval[I]{tag: uint8(rng.Intn(5)), col: int32(rng.Intn(64)), val: rng.NormFloat64()}
 		for m := 0; m < len(v.idx); m++ {
 			v.idx[m] = rng.Int63n(1000)
 		}
-		vals = append(vals, v)
+		seg = append(seg, mr.Pair[[3]int64, sval[I]]{K: [3]int64{rng.Int63n(1000), rng.Int63n(1000), rng.Int63n(5)}, V: v})
 	}
 	for _, n := range []int{0, 1, 800} {
-		enc := appendSValBlock(nil, keys[:n], vals[:n])
-		if got, want := int64(len(enc)), svalIncrementalSize(keys[:n], vals[:n]); got != want {
-			t.Fatalf("n=%d: encoded %d bytes, incremental sizer declared %d", n, got, want)
+		enc := appendSValBlock(nil, seg[:n])
+		if got, want := svalSize(seg[:n]), int64(len(enc)); got != want {
+			t.Fatalf("n=%d: encoded %d bytes, Size declared %d", n, want, got)
 		}
-		dk, dv, rest, err := decodeSValBlock[I](enc, nil, nil)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("n=%d: decode: %v, %d trailing", n, err, len(rest))
+		dec, rest, err := decodeSValBlock(enc, seg[799:800:800])
+		if err != nil || len(rest) != 0 || len(dec) != n+1 || dec[0] != seg[799] {
+			t.Fatalf("n=%d: decode: %v, %d trailing, %d records", n, err, len(rest), len(dec))
 		}
 		for i := 0; i < n; i++ {
-			if dk[i] != keys[i] || dv[i] != vals[i] {
-				t.Fatalf("n=%d record %d: got (%v,%+v) want (%v,%+v)", n, i, dk[i], dv[i], keys[i], vals[i])
+			if dec[1+i] != seg[i] {
+				t.Fatalf("n=%d record %d: got %+v want %+v", n, i, dec[1+i], seg[i])
 			}
 		}
 	}
 }
 
-func TestSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[3]int64](t, 3) }
+func TestSValBlockContract(t *testing.T) { checkSValBlock[[3]int64](t, 3) }
 
-// TestNSValBlockSizerMatchesEncoder is the same invariant for the N-way
-// (order-4) instantiation of the shuffle block.
-func TestNSValBlockSizerMatchesEncoder(t *testing.T) { checkSValBlock[[4]int64](t, 4) }
+// TestNSValBlockContract is the same contract for the N-way (order-4)
+// instantiation of the shuffle block.
+func TestNSValBlockContract(t *testing.T) { checkSValBlock[[4]int64](t, 4) }
 
 // shipCounter is a Loopback that totals the partitions shipped across
 // it: across the backend seam every non-empty (map task, reducer)
@@ -182,31 +169,21 @@ func (s *shipCounter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
 }
 
 // TestColumnarChargeMatchesEncodedBytes is the end-to-end form of the
-// sizer invariant: the shuffle bytes the engine charges as it places
-// each pair must equal, to the byte, the blocks the encoder writes for
-// the same segments. The encodings are measured where they really
-// exist — shipped across the backend seam, one block per non-empty
-// segment — so the test assumes nothing about the order in which the
-// engine calls Pair and Header. It runs on a multi-reducer cluster, in
-// process and across the seam (the charge is the engine's, not the
-// backend's).
+// codec contract: the engine sizes each non-empty (map task, reducer)
+// segment with exactly one Size call, and the shuffle bytes it charges
+// equal, to the byte, the blocks the encoder writes for the same
+// segments. The encodings are measured where they really exist —
+// shipped across the backend seam, one block per non-empty segment. It
+// runs on a multi-reducer cluster, in process and across the seam (the
+// charge is the engine's, not the backend's).
 func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	entries := randEntries(rng, 2000, 400, true)
-	var pairs, headed int64 // Pair calls and the records Header(n) declared
-	var mu sync.Mutex
-	sizer := *stack3.sizer
-	sizer.Pair = func(pk [3]int64, pv sval3, k [3]int64, v sval3) int64 {
-		mu.Lock()
-		pairs++
-		mu.Unlock()
-		return svalPairSize(pk, pv, k, v)
-	}
-	sizer.Header = func(n int) int64 {
-		mu.Lock()
-		headed += int64(n)
-		mu.Unlock()
-		return blockHeaderSize(n)
+	var sized atomic.Int64 // Size calls
+	codec := *stack3.codec
+	codec.Size = func(seg []mr.Pair[[3]int64, sval3]) int64 {
+		sized.Add(1)
+		return svalSize(seg)
 	}
 	job := mr.Job[[3]int64, sval3, YEntry]{
 		Name: "charge-invariant",
@@ -221,32 +198,33 @@ func TestColumnarChargeMatchesEncodedBytes(t *testing.T) {
 			emit(YEntry{I: k[0], Val: s})
 		},
 		Partition: mr.HashTriple,
-		BlockKV:   &sizer,
+		BlockKV:   &codec,
 		OutSize:   yEntrySize,
 	}
 	counter := &shipCounter{Loopback: mr.NewLoopback()}
 	var stats [2]mr.JobStats
+	var calls [2]int64
 	for i, backend := range []mr.Backend{nil, counter} {
 		c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
 		c.SetBackend(backend)
 		if err := mr.WriteFile(c, "in", entries, entrySize); err != nil {
 			t.Fatal(err)
 		}
-		pairs, headed = 0, 0
+		sized.Store(0)
 		_, st, err := mr.Run(c, job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pairs != st.ShuffleRecords || headed != st.ShuffleRecords {
-			t.Fatalf("%d shuffled records, sized by %d Pair calls and declared by Header as %d",
-				st.ShuffleRecords, pairs, headed)
-		}
-		stats[i] = st
+		stats[i], calls[i] = st, sized.Load()
 	}
 	if stats[0] != stats[1] {
 		t.Fatalf("the backend moved the job's stats:\n%+v\n%+v", stats[0], stats[1])
 	}
 	st := stats[0]
+	if calls[0] != int64(counter.blocks) || calls[1] != int64(counter.blocks) || counter.blocks == 0 {
+		t.Fatalf("%d shipped blocks, sized by %d Size calls in process and %d across the seam",
+			counter.blocks, calls[0], calls[1])
+	}
 	if st.ShuffleBytes != counter.bytes {
 		t.Fatalf("engine charged %d shuffle bytes, the %d shipped blocks total %d",
 			st.ShuffleBytes, counter.blocks, counter.bytes)
@@ -356,8 +334,13 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		{Idx: [3]int64{-9, 0, 1 << 40}, Val: math.Inf(-1)},
 	}))
 	f.Add(uint8(0), AppendMatEntryBlock(nil, []MatEntry{{Row: 5, Col: -1, Val: math.NaN()}}))
-	f.Add(uint8(4), appendSValBlock(nil, [][3]int64{{3, 0, 9}, {3, 1, 0}}, []sval3{{tag: 2, idx: [3]int64{3, 0, 9}, col: 2, val: -0.5}, {idx: [3]int64{3, 1, 0}, val: 1}}))
-	f.Add(uint8(5), appendSValBlock(nil, [][3]int64{{1, 2, 0}}, []sval[[4]int64]{{tag: 1, idx: [4]int64{1, 2, 3, 1 << 33}, col: 1 << 30, val: math.Inf(1)}}))
+	f.Add(uint8(4), appendSValBlock(nil, []mr.Pair[[3]int64, sval3]{
+		{K: [3]int64{3, 0, 9}, V: sval3{tag: 2, idx: [3]int64{3, 0, 9}, col: 2, val: -0.5}},
+		{K: [3]int64{3, 1, 0}, V: sval3{idx: [3]int64{3, 1, 0}, val: 1}},
+	}))
+	f.Add(uint8(5), appendSValBlock(nil, []mr.Pair[[3]int64, sval[[4]int64]]{
+		{K: [3]int64{1, 2, 0}, V: sval[[4]int64]{tag: 1, idx: [4]int64{1, 2, 3, 1 << 33}, col: 1 << 30, val: math.Inf(1)}},
+	}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		// Forward: data → records → encode → size check → decode.
 		rng := rand.New(rand.NewSource(int64(len(data))))
@@ -403,56 +386,27 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				}
 			}
 		case 2, 4:
-			keys := make([][3]int64, n)
-			vals := make([]sval3, n)
-			for i := range keys {
-				keys[i] = [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}
-				vals[i] = sval3{
+			seg := make([]mr.Pair[[3]int64, sval3], n)
+			for i := range seg {
+				seg[i] = mr.Pair[[3]int64, sval3]{K: [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}, V: sval3{
 					tag: uint8(take(6*i + 3)),
 					idx: [3]int64{take(6*i + 4), take(6*i + 5), rng.Int63n(100)},
 					col: int32(rng.Intn(256)),
 					val: rng.NormFloat64(),
-				}
+				}}
 			}
-			enc := appendSValBlock(nil, keys, vals)
-			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
-				t.Fatalf("sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
-			}
-			dk, dv, rest, err := decodeSValBlock[[3]int64](enc, nil, nil)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("sval round trip: %v, %d trailing", err, len(rest))
-			}
-			for i := range keys {
-				if dk[i] != keys[i] || dv[i].tag != vals[i].tag || dv[i].idx != vals[i].idx ||
-					dv[i].col != vals[i].col || math.Float64bits(dv[i].val) != math.Float64bits(vals[i].val) {
-					t.Fatalf("sval %d: (%v,%+v) != (%v,%+v)", i, dk[i], dv[i], keys[i], vals[i])
-				}
-			}
+			svalRoundTrips(t, seg)
 		case 3, 5:
-			keys := make([][3]int64, n)
-			vals := make([]sval[[4]int64], n)
-			for i := range keys {
-				keys[i] = [3]int64{take(4 * i), take(4*i + 1), 0}
+			seg := make([]mr.Pair[[3]int64, sval[[4]int64]], n)
+			for i := range seg {
 				var idx [4]int64
 				for m := range idx {
 					idx[m] = take(4*i + 2 + m)
 				}
-				vals[i] = sval[[4]int64]{tag: uint8(rng.Intn(5)), idx: idx, col: int32(rng.Intn(256)), val: rng.NormFloat64()}
+				seg[i] = mr.Pair[[3]int64, sval[[4]int64]]{K: [3]int64{take(4 * i), take(4*i + 1), 0},
+					V: sval[[4]int64]{tag: uint8(rng.Intn(5)), idx: idx, col: int32(rng.Intn(256)), val: rng.NormFloat64()}}
 			}
-			enc := appendSValBlock(nil, keys, vals)
-			if int64(len(enc)) != svalIncrementalSize(keys, vals) {
-				t.Fatalf("order-4 sval: encoded %d, declared %d", len(enc), svalIncrementalSize(keys, vals))
-			}
-			dk, dv, rest, err := decodeSValBlock[[4]int64](enc, nil, nil)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("order-4 sval round trip: %v, %d trailing", err, len(rest))
-			}
-			for i := range keys {
-				if dk[i] != keys[i] || dv[i].tag != vals[i].tag || dv[i].idx != vals[i].idx ||
-					dv[i].col != vals[i].col || math.Float64bits(dv[i].val) != math.Float64bits(vals[i].val) {
-					t.Fatalf("order-4 sval %d mismatch", i)
-				}
-			}
+			svalRoundTrips(t, seg)
 		}
 
 		// Backward: arbitrary bytes through the decoders. Acceptance is
@@ -462,6 +416,29 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		reencodes(t, data, DecodeEntryBlock, AppendEntryBlock)
 		reencodes(t, data, DecodeMatEntryBlock, AppendMatEntryBlock)
 	})
+}
+
+// svalRoundTrips is the forward direction of FuzzColumnarRoundTrip for
+// one shuffle segment: Size == len(encoding), and decode ∘ encode is the
+// identity bit for bit.
+func svalRoundTrips[I index](t *testing.T, seg []mr.Pair[[3]int64, sval[I]]) {
+	t.Helper()
+	enc := appendSValBlock(nil, seg)
+	if int64(len(enc)) != svalSize(seg) {
+		var order I
+		t.Fatalf("order-%d sval: encoded %d, Size declared %d", len(order), len(enc), svalSize(seg))
+	}
+	dec, rest, err := decodeSValBlock(enc, []mr.Pair[[3]int64, sval[I]](nil))
+	if err != nil || len(rest) != 0 || len(dec) != len(seg) {
+		t.Fatalf("sval round trip: %v, %d trailing, %d records", err, len(rest), len(dec))
+	}
+	for i, p := range seg {
+		d := dec[i]
+		if d.K != p.K || d.V.tag != p.V.tag || d.V.idx != p.V.idx || d.V.col != p.V.col ||
+			math.Float64bits(d.V.val) != math.Float64bits(p.V.val) {
+			t.Fatalf("sval %d: %+v != %+v", i, d, p)
+		}
+	}
 }
 
 // reencodes is the backward direction of FuzzColumnarRoundTrip for one

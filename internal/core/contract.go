@@ -85,14 +85,13 @@ func (s *Staged) contract(n int, factors []*matrix.Matrix, v Variant, op mergeOp
 			return nil, fmt.Errorf("core: the factors' %v columns cross to more than the %d a result index holds", cols[:i+1], math.MaxInt32)
 		}
 	}
+	if err := planRuns(v, order); err != nil {
+		return nil, err
+	}
 	switch v {
-	case Naive, DNN:
-		if order != 3 {
-			return nil, fmt.Errorf("core: the %v plan supports 3-way tensors only, got order %d", v, order)
-		}
-		if v == Naive {
-			return s.naive(n, factors[0], factors[1], op)
-		}
+	case Naive:
+		return s.naive(n, factors[0], factors[1], op)
+	case DNN:
 		return s.dnn(n, factors[0], factors[1], op)
 	case DRN, DRI:
 		if order == 3 {

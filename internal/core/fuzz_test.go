@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/haten2/haten2/internal/mr"
+)
 
 // FuzzBlockChecksum pins the tamper-detection contract of the columnar
 // block format: flipping any single byte of a sealed block — header,
@@ -48,33 +52,29 @@ func FuzzBlockChecksum(f *testing.F) {
 			enc = AppendMatEntryBlock(nil, cs)
 			decode = func(b []byte) error { _, _, err := DecodeMatEntryBlock(b); return err }
 		case 2, 4:
-			keys := make([][3]int64, n)
-			vals := make([]sval3, n)
-			for i := range keys {
-				keys[i] = [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}
-				vals[i] = sval3{
+			seg := make([]mr.Pair[[3]int64, sval3], n)
+			for i := range seg {
+				seg[i] = mr.Pair[[3]int64, sval3]{K: [3]int64{take(6 * i), take(6*i + 1), take(6*i + 2)}, V: sval3{
 					tag: uint8(take(6*i + 3)),
 					idx: [3]int64{take(6*i + 4), take(6*i + 5), int64(i)},
 					col: int32(i % 7),
 					val: float64(take(i)) / 7,
-				}
+				}}
 			}
-			enc = appendSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[3]int64](b, nil, nil); return err }
+			enc = appendSValBlock(nil, seg)
+			decode = func(b []byte) error { _, _, err := decodeSValBlock(b, seg[:0]); return err }
 		case 3, 5:
-			keys := make([][3]int64, n)
-			vals := make([]sval[[4]int64], n)
-			for i := range keys {
-				keys[i] = [3]int64{take(4 * i), take(4*i + 1), 0}
-				vals[i] = sval[[4]int64]{
+			seg := make([]mr.Pair[[3]int64, sval[[4]int64]], n)
+			for i := range seg {
+				seg[i] = mr.Pair[[3]int64, sval[[4]int64]]{K: [3]int64{take(4 * i), take(4*i + 1), 0}, V: sval[[4]int64]{
 					tag: uint8(i % 5),
 					idx: [4]int64{take(4*i + 2), take(4*i + 3), int64(i)},
 					col: int32(i % 5),
 					val: float64(take(i)) / 11,
-				}
+				}}
 			}
-			enc = appendSValBlock(nil, keys, vals)
-			decode = func(b []byte) error { _, _, _, err := decodeSValBlock[[4]int64](b, nil, nil); return err }
+			enc = appendSValBlock(nil, seg)
+			decode = func(b []byte) error { _, _, err := decodeSValBlock(b, seg[:0]); return err }
 		}
 		if err := decode(enc); err != nil {
 			t.Fatalf("pristine block rejected: %v", err)

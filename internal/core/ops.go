@@ -13,9 +13,9 @@ import (
 // [3]int64 at every order — (a, b, c) for the 3-way-only Naive and DNN
 // jobs, (a, b, 0) for the Hadamard, IMHP and merge jobs of DRN and DRI.
 type stack[I index] struct {
-	// sizer is the columnar shuffle block codec every job of the order
+	// codec is the columnar shuffle block codec every job of the order
 	// shares (one value, so jobs allocate nothing for accounting).
-	sizer *mr.BlockSizer[[3]int64, sval[I]]
+	codec *mr.BlockCodec[[3]int64, sval[I]]
 	// scratch recycles the per-call state of the plan reducers (see
 	// scratch): they run once per distinct key — millions of calls per
 	// ALS iteration — so anything allocated per call dominates a plan's
@@ -33,10 +33,7 @@ type stack[I index] struct {
 
 func newStack[I index](partition func([3]int64) uint64, sideBase int64) *stack[I] {
 	return &stack[I]{
-		sizer: &mr.BlockSizer[[3]int64, sval[I]]{
-			Pair: svalPairSize[I], Header: blockHeaderSize,
-			Append: appendSValBlock[I], Decode: decodeSValBlock[I],
-		},
+		codec:     &mr.BlockCodec[[3]int64, sval[I]]{Size: svalSize[I], Append: appendSValBlock[I], Decode: decodeSValBlock[I]},
 		scratch:   sync.Pool{New: func() any { return new(scratch[I]) }},
 		partition: partition,
 		sideBase:  sideBase,
@@ -201,7 +198,7 @@ func naiveContract(c *mr.Cluster, inFiles []string, dims [3]int64, m int, vecFil
 			emit(Entry{Idx: idx, Val: sum})
 		},
 		Partition:           stack3.partition,
-		BlockKV:             stack3.sizer,
+		BlockKV:             stack3.codec,
 		OutSize:             entrySize[[3]int64],
 		Outputs:             []string{outFile},
 		ExtraShuffleRecords: phantomKeys * vecLen,
@@ -252,7 +249,7 @@ func (k *stack[I]) hadamardVec(c *mr.Cluster, inFile string, m int, colIdx int32
 			}
 		},
 		Partition: k.partition,
-		BlockKV:   k.sizer,
+		BlockKV:   k.codec,
 		OutSize:   hEntrySize[I],
 		Outputs:   []string{outFile},
 	})
@@ -288,7 +285,7 @@ func collapse(c *mr.Cluster, inFiles []string, m int, outFile string) ([]Entry, 
 			emit(Entry{Idx: idx, Val: sum})
 		},
 		Partition: stack3.partition,
-		BlockKV:   stack3.sizer,
+		BlockKV:   stack3.codec,
 		OutSize:   entrySize[[3]int64],
 		Outputs:   []string{outFile},
 	})
@@ -330,7 +327,7 @@ func (k *stack[I]) imhp(c *mr.Cluster, xFile string, modes []int, matFiles, outF
 		Inputs:     inputs,
 		Reduce:     k.imhpReduce,
 		Partition:  k.partition,
-		BlockKV:    k.sizer,
+		BlockKV:    k.codec,
 		OutSize:    hEntrySize[I],
 		Outputs:    outFiles,
 		OutputPart: func(key [3]int64) int { return int(key[0] - k.sideBase) },
@@ -421,7 +418,7 @@ func (k *stack[I]) merge(c *mr.Cluster, op mergeOp, sideFiles [][]string, cols [
 		Inputs:    inputs,
 		Reduce:    reduce,
 		Partition: k.partition,
-		BlockKV:   k.sizer,
+		BlockKV:   k.codec,
 		OutSize:   yEntrySize,
 	})
 	return out, err

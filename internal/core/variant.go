@@ -53,6 +53,26 @@ func ParseVariant(s string) (Variant, error) {
 	return 0, fmt.Errorf("core: unknown variant %q (want Naive, DNN, DRN, or DRI)", s)
 }
 
+// ErrOrder is the error a decomposition or contraction returns, before
+// anything is staged, when its plan does not run at the tensor's order.
+type ErrOrder struct {
+	Plan  Variant
+	Order int
+}
+
+func (e *ErrOrder) Error() string {
+	return fmt.Sprintf("core: the %v plan supports 3-way tensors only, got order %d", e.Plan, e.Order)
+}
+
+// planRuns returns *ErrOrder unless plan v runs at the given tensor
+// order: Naive and DNN are 3-way plans.
+func planRuns(v Variant, order int) error {
+	if (v == Naive || v == DNN) && order != 3 {
+		return &ErrOrder{Plan: v, Order: order}
+	}
+	return nil
+}
+
 // Features reports which of the paper's three ideas a variant applies —
 // the rows of Table II.
 type Features struct {

@@ -210,12 +210,7 @@ func TestShuffleColdRunAllocatesOnce(t *testing.T) {
 	if st.ShuffleRecords != 2*records+2*tiny || len(out) != 2*records {
 		t.Fatalf("shuffled %d pairs into %d records", st.ShuffleRecords, len(out))
 	}
-	type pair struct { // the engine's pair[coldKey, coldVal]
-		k coldKey
-		v coldVal
-		h uint64
-	}
-	floor := float64(st.ShuffleRecords)*float64(unsafe.Sizeof(pair{})) + float64(len(out))*float64(unsafe.Sizeof(coldOut{}))
+	floor := float64(st.ShuffleRecords)*float64(unsafe.Sizeof(mr.Pair[coldKey, coldVal]{})) + float64(len(out))*float64(unsafe.Sizeof(coldOut{}))
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / floor
 	t.Logf("cold run allocated %.2f× its %.1f MB of pairs and output", ratio, floor/1e6)
 	if ratio > maxRatio {

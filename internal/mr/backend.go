@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
-
-	"github.com/haten2/haten2/internal/mr/wire"
 )
 
 // Backend is the engine's pluggable shuffle plane. A job's computation
@@ -15,8 +12,11 @@ import (
 // (closures cannot cross a process boundary), and so do its DFS reads
 // and writes: the file system is the master's. What a Backend moves is
 // the shuffle, the one thing a MapReduce job sends between machines:
-// the encoded partition each map task emits for each reducer, parked
-// between the map phase and the reduce that fetches it.
+// the partition each map task emits for each reducer — one block of the
+// job's BlockCodec, the very bytes the job was charged — parked between
+// the map phase and the reduce that fetches it. A job without a codec
+// has no blocks, so Run refuses it on a cluster with a Backend
+// (*ErrNoCodec); there is no fallback encoding.
 //
 // Two implementations ship with the engine: the in-process backend
 // (the zero value of a cluster — no Backend at all, partitions never
@@ -149,86 +149,27 @@ func (c *Cluster) Backend() Backend {
 
 // --- shuffle plane -----------------------------------------------------
 
-// partCodec turns one (map task, reducer) bucket into the bytes that
-// cross the backend seam and back. A job with a block codec ships the
-// very block it was charged for, encoded once; the routing hash is not
-// part of that block, so decode recomputes it with the job's partition
-// function (pure in the key by Job.Partition's contract, hence the same
-// value emit stored). Any other job falls back to the wire codec over
-// the pairs themselves, hash included.
-type partCodec[K comparable, V any] struct {
-	sizer *BlockSizer[K, V]
-	part  func(K) uint64
-}
-
-func (pc partCodec[K, V]) blocks() bool { return pc.sizer.Append != nil }
-
-func (pc partCodec[K, V]) encode(dst []byte, bucket []pair[K, V]) ([]byte, error) {
-	if !pc.blocks() {
-		data, err := wire.EncodeSlice(bucket)
-		return append(dst, data...), err
-	}
-	keys, vals := getSlice[K](len(bucket)), getSlice[V](len(bucket))
-	for _, p := range bucket {
-		keys, vals = append(keys, p.k), append(vals, p.v)
-	}
-	dst = pc.sizer.Append(dst, keys, vals)
-	putSlice(keys)
-	putSlice(vals)
-	return dst, nil
-}
-
-// decode parses a fetched partition into dst, an empty segment whose
-// capacity is the record count shipTask recorded. The bytes come from
-// outside the process: anything but exactly one well-formed block of
-// that length is an error.
-func (pc partCodec[K, V]) decode(data []byte, dst []pair[K, V]) ([]pair[K, V], error) {
-	want := cap(dst)
-	if !pc.blocks() {
-		dec, err := wire.DecodeSlice(reflect.TypeFor[pair[K, V]](), data)
-		bucket, _ := dec.([]pair[K, V])
-		if err == nil && len(bucket) != want {
-			err = fmt.Errorf("%d records, want %d", len(bucket), want)
-		}
-		return append(dst, bucket...), err
-	}
-	keys, vals, rest, err := pc.sizer.Decode(data, getSlice[K](want), getSlice[V](want))
-	if err == nil && (len(keys) != want || len(rest) != 0) {
-		err = fmt.Errorf("%d records and %d trailing bytes, want %d records", len(keys), len(rest), want)
-	}
-	if err == nil {
-		for i, k := range keys {
-			dst = append(dst, pair[K, V]{k: k, v: vals[i], h: pc.part(k)})
-		}
-	}
-	putSlice(keys)
-	putSlice(vals)
-	return dst, err
-}
-
 // shipTask is one ship window: map task key.Task's non-empty segments,
-// encoded back to back into one pooled slab that is lent to the backend
-// and reclaimed on return. The task's slab goes back to the pool:
-// shipped or not, the task's map output is the engine's no longer.
-func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, out *mapOut[K, V]) error {
+// each one block of the job's codec, appended back to back into one
+// pooled slab of exactly the bytes the task was charged, which is lent
+// to the backend and reclaimed on return. The task's slab goes back to
+// the pool: shipped or not, the task's map output is the engine's no
+// longer.
+func shipTask[K comparable, V any](rb Backend, codec *BlockCodec[K, V], key PartKey, out *mapOut[K, V]) error {
 	defer out.release()
-	slab := getSlice[byte](int(out.bytes)) // what the task was charged: exact for a block codec
+	slab := getSlice[byte](int(out.bytes))
 	keys := make([]PartKey, 0, len(out.segs))
-	ends := make([]int, 0, len(out.segs))
-	var err error
-	for r, bucket := range out.segs {
-		if len(bucket) > 0 && err == nil {
-			slab, err = pc.encode(slab, bucket)
+	blocks := make([][]byte, 0, len(out.segs))
+	for r, seg := range out.segs {
+		if len(seg) > 0 {
+			lo := len(slab)
+			slab = codec.Append(slab, seg)
 			key.Reducer = r
-			keys, ends = append(keys, key), append(ends, len(slab))
+			keys, blocks = append(keys, key), append(blocks, slab[lo:len(slab):len(slab)])
 		}
 	}
-	if err == nil && len(keys) > 0 {
-		blocks := make([][]byte, len(keys))
-		lo := 0
-		for i, hi := range ends {
-			blocks[i], lo = slab[lo:hi:hi], hi
-		}
+	var err error
+	if len(keys) > 0 {
 		err = rb.ShipPartitions(keys, blocks)
 	}
 	putSlice(slab)
@@ -237,12 +178,15 @@ func shipTask[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, 
 
 // fetchReducer is one fetch window: the partitions of reducer
 // key.Reducer that the map phase counted as non-empty (counts is
-// task-major, reducers wide), decoded into one pooled slab of the
-// reducer's exact input size with buckets[task] its segments, carved in
-// task order as a map task's are. The caller returns the slab. Nothing
-// is fetched for an empty segment, and a reducer with no input performs
-// no fetch at all.
-func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartKey, counts []int, reducers int, buckets [][]pair[K, V]) ([]pair[K, V], error) {
+// task-major, reducers wide), decoded straight into one pooled slab of
+// the reducer's exact input size with buckets[task] its segments,
+// carved in task order as a map task's are; each pair's routing hash is
+// recomputed with part, which Job.Partition's contract makes the value
+// emit stored. The caller returns the slab. The bytes come from outside
+// the process: anything but exactly one well-formed block of the
+// segment's record count is an error. Nothing is fetched for an empty
+// segment, and a reducer with no input performs no fetch at all.
+func fetchReducer[K comparable, V any](rb Backend, codec *BlockCodec[K, V], part func(K) uint64, key PartKey, counts []int, reducers int, buckets [][]Pair[K, V]) ([]Pair[K, V], error) {
 	var keys []PartKey
 	total := 0
 	for i := range buckets {
@@ -255,23 +199,29 @@ func fetchReducer[K comparable, V any](rb Backend, pc partCodec[K, V], key PartK
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	slab := getSlice[pair[K, V]](total)
+	slab := getSlice[Pair[K, V]](total)
 	lo := 0
 	for _, k := range keys {
 		hi := lo + counts[k.Task*reducers+k.Reducer]
 		buckets[k.Task], lo = slab[lo:lo:hi], hi
 	}
-	err := rb.FetchPartitions(keys, func(j int, data []byte) (err error) {
-		k := keys[j]
-		if data == nil {
-			err = errors.New("lost by the backend")
-		} else {
-			buckets[k.Task], err = pc.decode(data, buckets[k.Task])
+	err := rb.FetchPartitions(keys, func(j int, data []byte) error {
+		k, want := keys[j], cap(buckets[keys[j].Task])
+		seg, rest, err := []Pair[K, V](nil), []byte(nil), errors.New("lost by the backend")
+		if data != nil {
+			seg, rest, err = codec.Decode(data, buckets[k.Task])
+		}
+		if err == nil && (len(seg) != want || len(rest) != 0) {
+			err = fmt.Errorf("%d records and %d trailing bytes, want %d records", len(seg), len(rest), want)
 		}
 		if err != nil {
-			err = fmt.Errorf("partition task %d reducer %d: %w", k.Task, k.Reducer, err)
+			return fmt.Errorf("partition task %d reducer %d: %w", k.Task, k.Reducer, err)
 		}
-		return err
+		for i := range seg {
+			seg[i].h = part(seg[i].K)
+		}
+		buckets[k.Task] = seg
+		return nil
 	})
 	if err != nil {
 		putSlice(slab[:total]) // the decoded prefix is unknown: clear it all

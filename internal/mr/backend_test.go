@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,6 +13,29 @@ import (
 
 	"github.com/haten2/haten2/internal/dfs"
 )
+
+// gobCodec is the block codec of these tests' jobs, whose pairs core's
+// columnar codec does not cover: each segment is one gob stream, and
+// Size encodes it to measure it.
+func gobCodec[K comparable, V any]() *BlockCodec[K, V] {
+	appendSeg := func(dst []byte, seg []Pair[K, V]) []byte {
+		b := bytes.NewBuffer(dst)
+		if err := gob.NewEncoder(b).Encode(seg); err != nil {
+			panic(err)
+		}
+		return b.Bytes()
+	}
+	return &BlockCodec[K, V]{
+		Size:   func(seg []Pair[K, V]) int64 { return int64(len(appendSeg(nil, seg))) },
+		Append: appendSeg,
+		Decode: func(src []byte, dst []Pair[K, V]) ([]Pair[K, V], []byte, error) {
+			r := bytes.NewReader(src)
+			var seg []Pair[K, V]
+			err := gob.NewDecoder(r).Decode(&seg)
+			return append(dst, seg...), src[len(src)-r.Len():], err
+		},
+	}
+}
 
 // TestLoopbackWordCount pins the backend seam at its smallest scale:
 // the same job on the in-process engine and on the loopback backend
@@ -75,6 +100,7 @@ func TestLoopbackOutputOrder(t *testing.T) {
 				}
 				return h
 			},
+			BlockKV: gobCodec[string, int](),
 			Outputs: []string{"out"},
 		})
 		if err != nil {
@@ -109,10 +135,12 @@ func TestBackendRemovedRestoresFastPath(t *testing.T) {
 }
 
 // flakyBackend is a Loopback whose shuffle plane starts failing after a
-// set number of windows.
+// set number of windows, and whose fetches, with mangle set, hand the
+// engine mangle's version of every partition.
 type flakyBackend struct {
 	*Loopback
 	shipsLeft, fetchesLeft atomic.Int64
+	mangle                 func([]byte) []byte
 }
 
 var errLostWorker = errors.New("worker lost")
@@ -128,6 +156,9 @@ func (f *flakyBackend) FetchPartitions(keys []PartKey, visit func(int, []byte) e
 	if f.fetchesLeft.Add(-1) < 0 {
 		return errLostWorker
 	}
+	if f.mangle != nil {
+		return f.Loopback.FetchPartitions(keys, func(i int, data []byte) error { return visit(i, f.mangle(data)) })
+	}
 	return f.Loopback.FetchPartitions(keys, visit)
 }
 
@@ -137,15 +168,18 @@ func (f *flakyBackend) FetchPartitions(keys []PartKey, visit func(int, []byte) e
 // wrapped (never a fallback to in-process data). Exhaustion after some
 // tasks have shipped, a fault plan that fails the job, an OutputPart out
 // of range and an output name that is taken fail it too, in process and
-// on the backend, at every pool width. Each failed job is still
-// recorded, once, whatever had been shipped is released, and every slab
-// the job borrowed from the typed pools is back.
+// on the backend, at every pool width; so does a partition the backend
+// lost, cut short or padded, whose block the job's codec cannot take.
+// Each failed job is still recorded, once, whatever had been shipped is
+// released, and every slab the job borrowed from the typed pools is
+// back.
 func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 	lines := []string{"a b a", "b c", "a", "d e f g h i j k"}
 	const never = 1 << 30
 	for _, tc := range []struct {
 		name           string
 		ships, fetches int64 // windows that succeed before the backend fails
+		mangle         func([]byte) []byte
 		backendOnly    bool
 		limit          int64 // MaxShuffleRecords
 		plan           *FaultPlan
@@ -160,6 +194,15 @@ func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 			want: func(err error) bool {
 				return errors.Is(err, errLostWorker) && strings.Contains(err.Error(), "shuffle fetch")
 			}},
+		{name: "lost", ships: never, fetches: never, backendOnly: true,
+			mangle: func([]byte) []byte { return nil },
+			want:   fetchFails("lost by the backend")},
+		{name: "truncated", ships: never, fetches: never, backendOnly: true,
+			mangle: func(b []byte) []byte { return b[:len(b)-1] },
+			want:   fetchFails("partition task")},
+		{name: "trailing", ships: never, fetches: never, backendOnly: true,
+			mangle: func(b []byte) []byte { return append(bytes.Clone(b), 0) },
+			want:   fetchFails("1 trailing bytes")},
 		{name: "exhausted", ships: never, fetches: never, limit: 5,
 			want: func(err error) bool { var e *ErrResourceExhausted; return errors.As(err, &e) && e.ShuffleRecords == 6 }},
 		{name: "fault-plan", ships: never, fetches: never, plan: &FaultPlan{Seed: 1, FailureRate: 1},
@@ -183,7 +226,7 @@ func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 						lentBefore := Lent()
 						c := NewCluster(Config{Machines: 4, SlotsPerMachine: 2, MaxShuffleRecords: tc.limit})
-						fb := &flakyBackend{Loopback: NewLoopback()}
+						fb := &flakyBackend{Loopback: NewLoopback(), mangle: tc.mangle}
 						fb.shipsLeft.Store(tc.ships)
 						fb.fetchesLeft.Store(tc.fetches)
 						if backend == "flaky" {
@@ -202,6 +245,7 @@ func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 							})},
 							Reduce:    func(k string, _ []int, emit func(string)) { emit(k) },
 							Partition: func(k string) uint64 { return uint64(len(k)) + uint64(k[0]) },
+							BlockKV:   gobCodec[string, int](),
 						}
 						if tc.job != nil {
 							tc.job(&job)
@@ -229,5 +273,13 @@ func TestShufflePlaneErrorsFailTheJob(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fetchFails reports whether a job failed in its shuffle fetch with an
+// error that says why.
+func fetchFails(why string) func(error) bool {
+	return func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "shuffle fetch") && strings.Contains(err.Error(), why)
 	}
 }

@@ -3,19 +3,15 @@
 // the engine's standing invariant — backends may change wall-clock time
 // and transport statistics, never output bytes.
 //
-// The suite replays the nine golden traces of internal/obs (eight
-// method×variant runs plus the storage-fault run) with the backend
-// installed and requires byte-identical Chrome traces; sweeps the fault
-// matrix (compute faults and storage faults across GOMAXPROCS 1, 4,
-// and 16) against an in-process baseline; and runs PARAFAC and Tucker
-// differentially, requiring bit-identical factor bytes — not approximate
-// equality — between the backend and the in-process engine. It also
-// holds the seam to what the plans wrote: the partitions shipped are
-// exactly the shuffle bytes the jobs were charged, a block overwritten
-// once its loan ends changes nothing, a job without a block codec still
-// crosses the seam, and an empty shuffle crosses nothing. A shuffle lost
-// mid-decomposition fails the job, and a fresh cluster resumes from the
-// checkpoints to the same factors.
+// The suite replays the nine golden traces of internal/obs with the
+// backend installed, sweeps the fault matrix against an in-process
+// baseline, and requires bit-identical factors from PARAFAC and Tucker
+// on both. It holds the seam to what the plans wrote: the partitions
+// shipped are the shuffle bytes charged, a block overwritten once its
+// loan ends changes nothing, five reducers route by modulo across it, a
+// job without a block codec is refused before it starts, and an empty
+// shuffle crosses nothing. A shuffle lost mid-decomposition fails the
+// job, and a fresh cluster resumes from the checkpoints.
 //
 // Usage, from any backend's package:
 //
@@ -33,6 +29,8 @@ package conformance
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -67,17 +65,22 @@ func RunConformance(t *testing.T, newBackend Factory) {
 	t.Run("differential-tucker", func(t *testing.T) { differentialTucker(t, newBackend) })
 	t.Run("shipped-equals-charged", func(t *testing.T) { shippedEqualsCharged(t, newBackend) })
 	t.Run("blocks-lent", func(t *testing.T) { blocksLent(t, newBackend) })
-	t.Run("fallback-codec", func(t *testing.T) { fallbackCodec(t, newBackend) })
+	t.Run("modulo-routing", func(t *testing.T) { moduloRouting(t, newBackend) })
+	t.Run("no-codec-refused", func(t *testing.T) { noCodecRefused(t, newBackend) })
 	t.Run("empty-shuffle", func(t *testing.T) { emptyShuffle(t, newBackend) })
 	t.Run("lost-shuffle-resume", func(t *testing.T) { lostShuffleResume(t, newBackend) })
 }
 
 // meter sits between the engine and the backend under test and counts
 // what crosses the seam, so the suite can hold every implementation to
-// the same accounting without asking any of them for statistics.
+// the same accounting without asking any of them for statistics. With
+// loseAt set it loses the shuffle: fetch window number loseAt (counting
+// from one, in the order windows start) fails, as if the worker holding
+// it had died.
 type meter struct {
 	mr.Backend
-	shippedBytes, shipped, fetched atomic.Int64
+	shippedBytes, shipped, fetched, windows atomic.Int64
+	loseAt                                  int64
 }
 
 // The meter also ends the seam's loans: every block ShipPartitions is
@@ -94,6 +97,9 @@ func (m *meter) ShipPartitions(keys []mr.PartKey, blocks [][]byte) error {
 
 func (m *meter) FetchPartitions(keys []mr.PartKey, visit func(int, []byte) error) error {
 	m.fetched.Add(int64(len(keys)))
+	if w := m.windows.Add(1); w == m.loseAt {
+		return fmt.Errorf("fetch window %d lost", w)
+	}
 	return m.Backend.FetchPartitions(keys, func(i int, data []byte) error {
 		lent := bytes.Clone(data) // nil stays nil: nothing was shipped
 		defer scribble(lent)
@@ -107,37 +113,23 @@ func scribble(b []byte) {
 	}
 }
 
-// installMetered is install with a meter in front of the backend. It
-// returns nil when the suite runs against the in-process engine, whose
-// shuffle crosses no seam.
-func installMetered(t *testing.T, c *mr.Cluster, newBackend Factory) *meter {
-	t.Helper()
-	var m *meter
-	install(t, c, func(t *testing.T) mr.Backend {
-		if b := newBackend(t); b != nil {
-			m = &meter{Backend: b}
-			return m
-		}
-		return nil
-	})
-	return m
-}
-
-// install builds a backend for c and registers its teardown. It
-// returns c for chaining.
-func install(t *testing.T, c *mr.Cluster, newBackend Factory) *mr.Cluster {
+// install builds a backend for c, puts a meter in front of it and
+// registers its teardown. It returns the meter, or nil when the suite
+// runs against the in-process engine, whose shuffle crosses no seam.
+func install(t *testing.T, c *mr.Cluster, newBackend Factory) *meter {
 	t.Helper()
 	b := newBackend(t)
 	if b == nil {
-		return c
+		return nil
 	}
-	c.SetBackend(b)
+	m := &meter{Backend: b}
+	c.SetBackend(m)
 	t.Cleanup(func() {
 		if err := b.Close(); err != nil {
 			t.Errorf("backend close: %v", err)
 		}
 	})
-	return c
+	return m
 }
 
 // goldenDir resolves internal/obs/testdata relative to this source
@@ -170,7 +162,8 @@ func goldenTraces(t *testing.T, newBackend Factory) {
 		for _, v := range []core.Variant{core.Naive, core.DNN, core.DRN, core.DRI} {
 			t.Run(fmt.Sprintf("%s-%v", method, v), func(t *testing.T) {
 				x := gen.Random(11, [3]int64{6, 6, 6}, 24)
-				c := install(t, mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2}), newBackend)
+				c := mr.NewCluster(mr.Config{Machines: 2, SlotsPerMachine: 2})
+				install(t, c, newBackend)
 				tr := obs.NewTracer()
 				c.SetTracer(tr)
 				opt := core.Options{Variant: v, MaxIters: 2, Tol: 1e-12, Seed: 7}
@@ -203,8 +196,8 @@ func goldenTraces(t *testing.T, newBackend Factory) {
 // scrub attribution must survive the backend unchanged.
 func goldenStorage(t *testing.T, newBackend Factory) {
 	x := gen.Random(11, [3]int64{6, 6, 6}, 24)
-	c := install(t, mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2},
-		dfs.New(dfs.Options{BlockSize: 256, Replication: 3})), newBackend)
+	c := mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2}, dfs.New(dfs.Options{BlockSize: 256, Replication: 3}))
+	install(t, c, newBackend)
 	c.InstallFaultPlan(&mr.FaultPlan{Seed: 1, BlockCorruptRate: 0.1, ReplicaLossRate: 0.05})
 	tr := obs.NewTracer()
 	c.SetTracer(tr)
@@ -242,7 +235,7 @@ func faultMatrix(t *testing.T, newBackend Factory) {
 		c := mr.NewClusterWithFS(mr.Config{Machines: 2, SlotsPerMachine: 2},
 			dfs.New(dfs.Options{BlockSize: 256, Replication: 3}))
 		if factory != nil {
-			c = install(t, c, factory)
+			install(t, c, factory)
 		}
 		c.InstallFaultPlan(&plan)
 		res, err := core.ParafacALS(c, x, 2, core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 7})
@@ -286,7 +279,8 @@ func differentialParafac(t *testing.T, newBackend Factory) {
 		t.Run(v.String(), func(t *testing.T) {
 			opt := core.Options{Variant: v, MaxIters: 3, Tol: 1e-12, Seed: 5}
 			base := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-			c := install(t, mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2}), newBackend)
+			c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
+			install(t, c, newBackend)
 			want, err := core.ParafacALS(base, x, 3, opt)
 			got, cerr := core.ParafacALS(c, x, 3, opt)
 			if err != nil || cerr != nil {
@@ -312,7 +306,8 @@ func differentialTucker(t *testing.T, newBackend Factory) {
 	x := gen.Random(43, [3]int64{10, 9, 8}, 200)
 	opt := core.Options{Variant: core.DRI, MaxIters: 2, Tol: 1e-12, Seed: 5}
 	base := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-	c := install(t, mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2}), newBackend)
+	c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
+	install(t, c, newBackend)
 	want, err := core.TuckerALS(base, x, []int{2, 2, 2}, opt)
 	got, cerr := core.TuckerALS(c, x, []int{2, 2, 2}, opt)
 	if err != nil || cerr != nil {
@@ -366,7 +361,7 @@ func shippedEqualsCharged(t *testing.T, newBackend Factory) {
 	for _, tc := range driRuns() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mr.NewCluster(mr.Config{Machines: 3, SlotsPerMachine: 2})
-			m := installMetered(t, c, newBackend)
+			m := install(t, c, newBackend)
 			if _, err := tc.run(c); err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +386,7 @@ func blocksLent(t *testing.T, newBackend Factory) {
 	for _, tc := range driRuns() {
 		t.Run(tc.name, func(t *testing.T) {
 			base, c := mr.NewCluster(cfg), mr.NewCluster(cfg)
-			installMetered(t, c, newBackend)
+			install(t, c, newBackend)
 			want, err := tc.run(base)
 			got, cerr := tc.run(c)
 			if err != nil || cerr != nil {
@@ -404,51 +399,84 @@ func blocksLent(t *testing.T, newBackend Factory) {
 	}
 }
 
-// wordJob is a job without a block codec: its partitions cross the seam
-// through the wire-codec fallback. It runs on wordCluster's five worker
-// slots, so its five reducers route by modulo, not by power-of-two mask.
-func wordJob(lines []string) func(c *mr.Cluster) ([]string, mr.JobStats, error) {
-	return func(c *mr.Cluster) ([]string, mr.JobStats, error) {
-		if err := mr.WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
-			return nil, mr.JobStats{}, err
-		}
-		return mr.Run(c, mr.Job[string, int, string]{
-			Name: "words",
-			Inputs: []mr.Input[string, int]{mr.MapInput("lines", func(line string, emit func(string, int)) {
-				for _, w := range strings.Fields(line) {
-					emit(w, len(w))
-				}
-			})},
-			Reduce: func(k string, vs []int, emit func(string)) { emit(fmt.Sprint(k, vs)) },
-			Partition: func(k string) uint64 {
-				return dfs.HashBytes([]byte(k))
-			},
-		})
+// wordJob counts words on c through a job with the given block codec.
+// On wordCluster's five worker slots its five reducers route by modulo,
+// not by power-of-two mask.
+func wordJob(c *mr.Cluster, lines []string, codec *mr.BlockCodec[string, int]) ([]string, mr.JobStats, error) {
+	if err := mr.WriteFile(c, "lines", lines, func(s string) int64 { return int64(len(s)) }); err != nil {
+		return nil, mr.JobStats{}, err
 	}
+	return mr.Run(c, mr.Job[string, int, string]{
+		Name: "words",
+		Inputs: []mr.Input[string, int]{mr.MapInput("lines", func(line string, emit func(string, int)) {
+			for _, w := range strings.Fields(line) {
+				emit(w, len(w))
+			}
+		})},
+		Reduce:    func(k string, vs []int, emit func(string)) { emit(fmt.Sprint(k, vs)) },
+		Partition: func(k string) uint64 { return dfs.HashBytes([]byte(k)) },
+		BlockKV:   codec,
+	})
+}
+
+// wordCodec is the word job's block codec: each segment one gob stream.
+var wordCodec = &mr.BlockCodec[string, int]{
+	Size:   func(seg []mr.Pair[string, int]) int64 { return int64(len(appendWords(nil, seg))) },
+	Append: appendWords,
+	Decode: func(src []byte, dst []mr.Pair[string, int]) (seg []mr.Pair[string, int], rest []byte, err error) {
+		r := bytes.NewReader(src)
+		err = gob.NewDecoder(r).Decode(&seg)
+		return append(dst, seg...), src[len(src)-r.Len():], err
+	},
+}
+
+func appendWords(dst []byte, seg []mr.Pair[string, int]) []byte {
+	b := bytes.NewBuffer(dst)
+	if err := gob.NewEncoder(b).Encode(seg); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }
 
 func wordCluster() *mr.Cluster { return mr.NewCluster(mr.Config{Machines: 5, SlotsPerMachine: 1}) }
 
-// fallbackCodec runs a job with no BlockKV through the backend: output
-// and counters must equal the in-process engine's, and its partitions
-// must really have crossed the seam.
-func fallbackCodec(t *testing.T, newBackend Factory) {
-	job := wordJob([]string{"q w e r t y u i o p", "a s d f g h j k l", "z x c v b n m q w e", "a a a"})
-	want, wantStats, err := job(wordCluster())
+var wordLines = []string{"q w e r t y u i o p", "a s d f g h j k l", "z x c v b n m q w e", "a a a"}
+
+// moduloRouting runs the word job on five reducers through the backend:
+// output and counters must equal the in-process engine's, and its
+// partitions must really have crossed the seam.
+func moduloRouting(t *testing.T, newBackend Factory) {
+	want, wantStats, err := wordJob(wordCluster(), wordLines, wordCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := wordCluster()
-	m := installMetered(t, c, newBackend)
-	got, gotStats, err := job(c)
+	m := install(t, c, newBackend)
+	got, gotStats, err := wordJob(c, wordLines, wordCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
-		t.Fatalf("fallback job differs from in-process engine:\n got  %v %+v\n want %v %+v", got, gotStats, want, wantStats)
+		t.Fatalf("five-reducer job differs from in-process engine:\n got  %v %+v\n want %v %+v", got, gotStats, want, wantStats)
 	}
 	if m != nil && (m.shipped.Load() == 0 || m.shipped.Load() != m.fetched.Load()) {
-		t.Fatalf("fallback job shipped %d partitions and fetched %d", m.shipped.Load(), m.fetched.Load())
+		t.Fatalf("five-reducer job shipped %d partitions and fetched %d", m.shipped.Load(), m.fetched.Load())
+	}
+}
+
+// noCodecRefused runs the word job without a block codec: on a backend
+// Run refuses it with *mr.ErrNoCodec before it starts, so no counter
+// moves and nothing is shipped. The in-process engine runs it.
+func noCodecRefused(t *testing.T, newBackend Factory) {
+	c := wordCluster()
+	m := install(t, c, newBackend)
+	_, _, err := wordJob(c, wordLines, nil)
+	var e *mr.ErrNoCodec
+	if refused := errors.As(err, &e) && e.Job == "words"; refused != (m != nil) || !refused && err != nil {
+		t.Fatalf("a codec-less job with a backend (%v): %v", m != nil, err)
+	}
+	if m != nil && (c.Totals() != wordCluster().Totals() || m.shipped.Load() != 0) {
+		t.Fatalf("the refused job moved the totals or the seam: %+v, %d shipped", c.Totals(), m.shipped.Load())
 	}
 }
 
@@ -457,30 +485,14 @@ func fallbackCodec(t *testing.T, newBackend Factory) {
 // nothing is fetched.
 func emptyShuffle(t *testing.T, newBackend Factory) {
 	c := wordCluster()
-	m := installMetered(t, c, newBackend)
-	out, st, err := wordJob([]string{"", "  ", ""})(c)
+	m := install(t, c, newBackend)
+	out, st, err := wordJob(c, []string{"", "  ", ""}, wordCodec)
 	if err != nil || len(out) != 0 || st.ShuffleRecords != 0 {
 		t.Fatalf("empty job: %d outputs, %d shuffle records, err %v", len(out), st.ShuffleRecords, err)
 	}
 	if m != nil && (m.shipped.Load() != 0 || m.fetched.Load() != 0) {
 		t.Fatalf("empty job shipped %d partitions and fetched %d, want none", m.shipped.Load(), m.fetched.Load())
 	}
-}
-
-// lossy loses the shuffle: fetch window number at (counting from zero,
-// in the order windows start) fails, as if the worker holding it had
-// died. A negative at only counts windows.
-type lossy struct {
-	mr.Backend
-	at      int64
-	fetches atomic.Int64
-}
-
-func (l *lossy) FetchPartitions(keys []mr.PartKey, visit func(int, []byte) error) error {
-	if l.fetches.Add(1)-1 == l.at {
-		return fmt.Errorf("fetch window %d lost", l.at)
-	}
-	return l.Backend.FetchPartitions(keys, visit)
 }
 
 // lostShuffleResume loses one fetch window halfway through a
@@ -492,19 +504,8 @@ func lostShuffleResume(t *testing.T, newBackend Factory) {
 	x := gen.Random(42, [3]int64{12, 10, 8}, 240)
 	cfg := mr.Config{Machines: 2, SlotsPerMachine: 2}
 	opt := core.Options{Variant: core.DRI, MaxIters: 4, Tol: 1e-12, Seed: 5, Checkpoint: "models/parafac"}
-	lossyCluster := func(at int64) (*mr.Cluster, *lossy) {
-		c := mr.NewCluster(cfg)
-		var l *lossy
-		install(t, c, func(t *testing.T) mr.Backend {
-			if b := newBackend(t); b != nil {
-				l = &lossy{Backend: b, at: at}
-				return l
-			}
-			return nil
-		})
-		return c, l
-	}
-	full, count := lossyCluster(-1)
+	full, lost := mr.NewCluster(cfg), mr.NewCluster(cfg)
+	count := install(t, full, newBackend)
 	if count == nil {
 		t.Skip("the in-process engine's shuffle never leaves the heap")
 	}
@@ -512,11 +513,12 @@ func lostShuffleResume(t *testing.T, newBackend Factory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost, _ := lossyCluster(count.fetches.Load() / 2)
+	install(t, lost, newBackend).loseAt = count.windows.Load()/2 + 1
 	if _, err := core.ParafacALS(lost, x, 3, opt); err == nil || !strings.Contains(err.Error(), "shuffle fetch") {
 		t.Fatalf("want a shuffle fetch failure, got %v", err)
 	}
-	resumed := install(t, mr.NewClusterWithFS(cfg, lost.FS()), newBackend)
+	resumed := mr.NewClusterWithFS(cfg, lost.FS())
+	install(t, resumed, newBackend)
 	got, err := core.ParafacALS(resumed, x, 3, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestConformanceNoBackend(t *testing.T) {
 
 // TestConformanceLoopback runs the suite against the loopback backend:
 // the full encode/ship/fetch/decode shuffle with in-memory
-// transport. A failure here and a pass in-process isolates the wire
+// transport. A failure here and a pass in-process isolates the block
 // codec or the engine's ship/fetch seam, independent of sockets and
 // processes.
 func TestConformanceLoopback(t *testing.T) {

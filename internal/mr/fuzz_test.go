@@ -18,9 +18,9 @@ func FuzzArenaGrouping(f *testing.F) {
 	f.Add(uint8(2), []byte{31, 1, 31, 2, 31, 3, 0, 4, 15, 5, 15, 6})
 	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
 		nbuckets := int(nb%8) + 1
-		buckets := make([][]pair[int64, int64], nbuckets)
+		buckets := make([][]Pair[int64, int64], nbuckets)
 		for i := 0; i+1 < len(data); i += 2 {
-			p := pair[int64, int64]{k: int64(data[i] % 32), v: int64(data[i+1])}
+			p := Pair[int64, int64]{K: int64(data[i] % 32), V: int64(data[i+1])}
 			b := (i / 2) % nbuckets
 			buckets[b] = append(buckets[b], p)
 		}
@@ -30,10 +30,10 @@ func FuzzArenaGrouping(f *testing.F) {
 		var order []int64
 		for _, b := range buckets {
 			for _, p := range b {
-				if _, ok := ref[p.k]; !ok {
-					order = append(order, p.k)
+				if _, ok := ref[p.K]; !ok {
+					order = append(order, p.K)
 				}
-				ref[p.k] = append(ref[p.k], p.v)
+				ref[p.K] = append(ref[p.K], p.V)
 			}
 		}
 		g := getGroupArena[int64, int64]()

@@ -92,7 +92,7 @@ func putGroupArena[K comparable, V any](g *groupArena[K, V]) {
 // their values. Buckets must be offered in task order. Each pair's h
 // (the raw partition hash, finalized here) seeds the table probe and
 // is overwritten with the key's slot for the scatter pass.
-func (g *groupArena[K, V]) count(bucket []pair[K, V]) {
+func (g *groupArena[K, V]) count(bucket []Pair[K, V]) {
 	// table/mask/keys are reloaded after register, which may grow the
 	// table; between registrations they stay in registers.
 	table, mask, keys := g.table, g.mask, g.keys
@@ -104,11 +104,11 @@ func (g *groupArena[K, V]) count(bucket []pair[K, V]) {
 		for {
 			t := table[idx]
 			if t == 0 {
-				s = g.register(h, p.k, idx)
+				s = g.register(h, p.K, idx)
 				table, mask, keys = g.table, g.mask, g.keys
 				break
 			}
-			if keys[t-1] == p.k {
+			if keys[t-1] == p.K {
 				s = t - 1
 				break
 			}
@@ -168,11 +168,11 @@ func (g *groupArena[K, V]) layout() {
 // in the same task order as count, which makes each run's internal
 // order (map task index, emission order) — exactly the reduce input
 // order of the map-based grouping.
-func (g *groupArena[K, V]) scatter(bucket []pair[K, V]) {
+func (g *groupArena[K, V]) scatter(bucket []Pair[K, V]) {
 	vals, next := g.vals, g.next
 	for i := range bucket {
 		s := bucket[i].h
-		vals[next[s]] = bucket[i].v
+		vals[next[s]] = bucket[i].V
 		next[s]++
 	}
 }

@@ -9,21 +9,21 @@ import (
 // refGroup is the straightforward map-based grouping the arena
 // replaced; the arena must reproduce its key order and value runs
 // exactly on any bucket sequence.
-func refGroup(buckets [][]pair[string, int]) ([]string, map[string][]int) {
+func refGroup(buckets [][]Pair[string, int]) ([]string, map[string][]int) {
 	var keys []string
 	vals := make(map[string][]int)
 	for _, b := range buckets {
 		for _, p := range b {
-			if _, ok := vals[p.k]; !ok {
-				keys = append(keys, p.k)
+			if _, ok := vals[p.K]; !ok {
+				keys = append(keys, p.K)
 			}
-			vals[p.k] = append(vals[p.k], p.v)
+			vals[p.K] = append(vals[p.K], p.V)
 		}
 	}
 	return keys, vals
 }
 
-func runArena(buckets [][]pair[string, int]) ([]string, map[string][]int) {
+func runArena(buckets [][]Pair[string, int]) ([]string, map[string][]int) {
 	g := getGroupArena[string, int]()
 	for _, b := range buckets {
 		g.count(b)
@@ -45,11 +45,11 @@ func TestGroupArenaMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	alphabet := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for trial := 0; trial < 50; trial++ {
-		buckets := make([][]pair[string, int], rng.Intn(5))
+		buckets := make([][]Pair[string, int], rng.Intn(5))
 		for i := range buckets {
 			n := rng.Intn(20)
 			for j := 0; j < n; j++ {
-				buckets[i] = append(buckets[i], pair[string, int]{k: alphabet[rng.Intn(len(alphabet))], v: rng.Int()})
+				buckets[i] = append(buckets[i], Pair[string, int]{K: alphabet[rng.Intn(len(alphabet))], V: rng.Int()})
 			}
 		}
 		wantKeys, wantVals := refGroup(buckets)
@@ -74,8 +74,8 @@ func TestGroupArenaEmpty(t *testing.T) {
 // reducer appending to its values slice must reallocate, never
 // overwrite the next key's run in the shared arena.
 func TestGroupArenaAppendSafe(t *testing.T) {
-	buckets := [][]pair[string, int]{{
-		{k: "x", v: 1}, {k: "x", v: 2}, {k: "y", v: 3}, {k: "y", v: 4},
+	buckets := [][]Pair[string, int]{{
+		{K: "x", V: 1}, {K: "x", V: 2}, {K: "y", V: 3}, {K: "y", V: 4},
 	}}
 	g := getGroupArena[string, int]()
 	for _, b := range buckets {
@@ -97,9 +97,9 @@ func TestGroupArenaAppendSafe(t *testing.T) {
 // state between jobs: keys, counts, and arena contents from a previous
 // use must not leak into the next grouping.
 func TestGroupArenaReuseIsClean(t *testing.T) {
-	first := [][]pair[string, int]{{{k: "stale", v: 7}, {k: "stale", v: 8}, {k: "old", v: 9}}}
+	first := [][]Pair[string, int]{{{K: "stale", V: 7}, {K: "stale", V: 8}, {K: "old", V: 9}}}
 	_, _ = runArena(first)
-	second := [][]pair[string, int]{{{k: "fresh", v: 1}}}
+	second := [][]Pair[string, int]{{{K: "fresh", V: 1}}}
 	keys, vals := runArena(second)
 	if !reflect.DeepEqual(keys, []string{"fresh"}) {
 		t.Fatalf("stale keys survived pooling: %v", keys)
@@ -113,11 +113,11 @@ func TestGroupArenaReuseIsClean(t *testing.T) {
 // key arrive in (bucket index, position) order even when the key is
 // scattered across buckets.
 func TestGroupArenaTaskOrder(t *testing.T) {
-	buckets := [][]pair[string, int]{
-		{{k: "k", v: 0}, {k: "j", v: 100}, {k: "k", v: 1}},
+	buckets := [][]Pair[string, int]{
+		{{K: "k", V: 0}, {K: "j", V: 100}, {K: "k", V: 1}},
 		{},
-		{{k: "j", v: 101}, {k: "k", v: 2}},
-		{{k: "k", v: 3}},
+		{{K: "j", V: 101}, {K: "k", V: 2}},
+		{{K: "k", V: 3}},
 	}
 	keys, vals := runArena(buckets)
 	if !reflect.DeepEqual(keys, []string{"k", "j"}) {

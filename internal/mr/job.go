@@ -36,30 +36,39 @@ func MapInput[R any, K comparable, V any](file string, m func(R, func(K, V))) In
 	}
 }
 
-// BlockSizer is a job's shuffle block codec. Pair and Header account the
-// encoded size of one partition block incrementally, so the engine can
-// charge real columnar-codec bytes at emit time without materializing
-// the block: Pair returns the bytes record (k, v) adds to a block whose
-// previous record is (prevK, prevV); the first record of a block is
-// sized against zero-valued prev (delta-from-zero, exactly what the
-// codec writes). Header returns the block header size for a block of
-// n > 0 records. A partition block's total size is Header(n) + the sum
-// of its n Pair calls.
-//
-// Append and Decode are the encoder and decoder those sizes describe,
-// and what crosses the seam when a Backend owns the shuffle: Append
-// appends the block of the parallel keys/vals to dst — exactly
-// Header(n) + ΣPair bytes, which the columnar invariant tests in
-// internal/core and the conformance suite pin — and Decode parses one
-// block into the storage of the keys/vals it is handed, returning the
-// trailing bytes. The in-process engine never calls either. A sizer
-// without them sends its job down the wire-codec fallback, as a job
-// without BlockKV goes.
-type BlockSizer[K comparable, V any] struct {
-	Pair   func(prevK K, prevV V, k K, v V) int64
-	Header func(n int) int64
-	Append func(dst []byte, keys []K, vals []V) []byte
-	Decode func(src []byte, keys []K, vals []V) ([]K, []V, []byte, error)
+// Pair is one shuffle record, a key and a value a map function emitted.
+// A map task's pairs sit in one slab, one contiguous segment per
+// reducer; a segment is what a BlockCodec sizes, encodes and decodes.
+type Pair[K comparable, V any] struct {
+	K K
+	V V
+	// h carries the raw partition hash from emit into the reducer's
+	// group table (group.go), which mixes it before probing (its bits
+	// correlate with the routing mask) and then overwrites it with the
+	// key's slot, so the scatter pass does no hashing at all. No codec
+	// sees it: after a decode the engine recomputes it.
+	h uint64
+}
+
+// BlockCodec is a job's shuffle codec: one segment — a map task's pairs
+// for one reducer, in emission order — is one block, the spill a Hadoop
+// job compresses per partition. Size is the segment's charge, exactly
+// len(Append(nil, seg)) without encoding; Append appends its block to
+// dst, and is what crosses a Backend; Decode appends one block's pairs
+// to dst (routing hash unset) and returns the trailing bytes.
+type BlockCodec[K comparable, V any] struct {
+	Size   func(seg []Pair[K, V]) int64
+	Append func(dst []byte, seg []Pair[K, V]) []byte
+	Decode func(src []byte, dst []Pair[K, V]) ([]Pair[K, V], []byte, error)
+}
+
+// ErrNoCodec is the error Run returns, before the job starts, for a job
+// without a BlockKV on a cluster with a Backend: its pairs have no
+// encoding to cross the seam in.
+type ErrNoCodec struct{ Job string }
+
+func (e *ErrNoCodec) Error() string {
+	return fmt.Sprintf("mr: job %q has no block codec, and the cluster's shuffle crosses a backend", e.Job)
 }
 
 // Job describes one MapReduce job. It runs one reduce task per worker
@@ -82,12 +91,12 @@ type Job[K comparable, V any, O any] struct {
 	// and the two calls must agree.
 	Partition func(K) uint64
 	// BlockKV is the job's shuffle codec: each map task's per-reducer
-	// bucket is charged as one contiguous encoded block (header plus
-	// delta-encoded records), mirroring how a real Hadoop job compresses
-	// each map task's spill per partition. Counters, resource limits and
-	// simulated time then reflect the codec's real wire size. Nil means
-	// 24 bytes per pair and no header.
-	BlockKV *BlockSizer[K, V]
+	// segment is charged as one encoded block, Size once per non-empty
+	// segment, so counters, resource limits and simulated time reflect
+	// the codec's real wire size; with a Backend it is also what ships.
+	// Nil means 24 bytes per pair, in process only: Run refuses such a
+	// job on a cluster with a Backend (*ErrNoCodec).
+	BlockKV *BlockCodec[K, V]
 	// OutSize reports the serialized size of one output record. Nil
 	// means 24 bytes.
 	OutSize func(O) int64
@@ -114,25 +123,13 @@ type Job[K comparable, V any, O any] struct {
 	ExtraShuffleBytes   int64
 }
 
-type pair[K comparable, V any] struct {
-	k K
-	v V
-	// h carries the raw partition hash from emit into the reducer's
-	// group table (group.go), whose count pass pushes it through the
-	// mix64 finalizer and probes on that (the raw hash's bits correlate
-	// with the routing mask, so probing needs the extra mix — but no
-	// generic re-hash of the key); count then overwrites h with the
-	// key's slot so the scatter pass does no hashing at all.
-	h uint64
-}
-
 // mapOut is one map task's output: a single pooled slab holding exactly
 // the pairs the task emitted, carved into one contiguous segment per
 // reducer, and the shuffle bytes the task was charged. Only slab itself
 // ever goes back to the pool, whole and once.
 type mapOut[K comparable, V any] struct {
-	slab  []pair[K, V]
-	segs  [][]pair[K, V]
+	slab  []Pair[K, V]
+	segs  [][]Pair[K, V]
 	bytes int64
 }
 
@@ -151,7 +148,7 @@ type split[K comparable, V any] struct {
 // mapWorker is a map pool worker's emit buffer, reused by its next task,
 // and next, per reducer the task's pair count, then its segment cursor.
 type mapWorker[K comparable, V any] struct {
-	buf  []pair[K, V]
+	buf  []Pair[K, V]
 	next []int
 }
 
@@ -168,7 +165,6 @@ type run[K comparable, V any, O any] struct {
 	st                     JobStats
 	reducers, nparts, pool int
 	route                  func(h uint64) uint64
-	codec                  partCodec[K, V] // the job's charge function and shuffle codec
 
 	tasks []split[K, V] // splitInputs → mapTasks
 	// mapTasks → reduce: each task's output, and counts, task-major, the
@@ -211,11 +207,15 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 	if (job.OutputPart != nil) != (len(job.Outputs) > 1) {
 		return nil, JobStats{}, fmt.Errorf("mr: job %q: OutputPart goes with two or more Outputs, got %d", job.Name, len(job.Outputs))
 	}
+	rb := c.Backend()
+	if rb != nil && job.BlockKV == nil {
+		return nil, JobStats{}, &ErrNoCodec{Job: job.Name}
+	}
 	plan, seq, err := c.startJob(job.Name)
 	if err != nil {
 		return nil, JobStats{Name: job.Name}, err
 	}
-	r := newRun(c, job, plan, seq)
+	r := newRun(c, rb, job, plan, seq)
 	if err := r.splitInputs(); err != nil {
 		return nil, r.st, fmt.Errorf("mr: job %q: %w", job.Name, err)
 	}
@@ -239,13 +239,12 @@ func Run[K comparable, V any, O any](c *Cluster, job Job[K, V, O]) ([]O, JobStat
 }
 
 // newRun readies one job's run state on c.
-func newRun[K comparable, V any, O any](c *Cluster, job Job[K, V, O], plan *FaultPlan, seq int64) *run[K, V, O] {
+func newRun[K comparable, V any, O any](c *Cluster, rb Backend, job Job[K, V, O], plan *FaultPlan, seq int64) *run[K, V, O] {
 	reducers := c.Workers()
 	r := &run[K, V, O]{
-		c: c, job: job, plan: plan, seq: seq, rb: c.Backend(),
+		c: c, job: job, plan: plan, seq: seq, rb: rb,
 		st:       JobStats{Name: job.Name, ReduceTasks: reducers},
 		reducers: reducers, nparts: max(len(job.Outputs), 1), pool: min(runtime.GOMAXPROCS(0), reducers),
-		codec: partCodec[K, V]{sizer: job.BlockKV, part: job.Partition},
 	}
 	// Reducer routing is Partition(k) % reducers by contract; when the
 	// worker count is a power of two (the common cluster shape) the
@@ -256,14 +255,6 @@ func newRun[K comparable, V any, O any](c *Cluster, job Job[K, V, O], plan *Faul
 			return h & (n - 1)
 		}
 		return h % n
-	}
-	// The sizer is the job's one charge function. With a block codec,
-	// each non-empty (task, reducer) segment is one block, the spill a
-	// real job would ship: Header once plus consecutive-pair deltas, the
-	// first pair sized against zero values. Without one, a flat 24 bytes
-	// is a headerless codec whose pairs ignore their predecessor.
-	if r.codec.sizer == nil {
-		r.codec.sizer = &BlockSizer[K, V]{Pair: func(K, V, K, V) int64 { return 24 }, Header: func(int) int64 { return 0 }}
 	}
 	return r
 }
@@ -355,7 +346,7 @@ func (r *run[K, V, O]) mapTasks() error {
 		r.shipErrs = make([]error, n)
 	}
 	workers := make([]mapWorker[K, V], r.pool)
-	segs := make([][]pair[K, V], n*reducers) // task-major segment headers
+	segs := make([][]Pair[K, V], n*reducers) // task-major segment headers
 	runPool(r.pool, n, func(w, i int) {
 		if int64(i) > tripAt.Load() {
 			return
@@ -363,7 +354,7 @@ func (r *run[K, V, O]) mapTasks() error {
 		row := i * reducers
 		r.outs[i] = r.mapTask(&workers[w], r.tasks[i], segs[row:row+reducers], r.counts[row:row+reducers])
 		if r.rb != nil {
-			r.shipErrs[i] = shipTask(r.rb, r.codec, PartKey{Job: r.job.Name, Seq: r.seq, Task: i}, &r.outs[i])
+			r.shipErrs[i] = shipTask(r.rb, r.job.BlockKV, PartKey{Job: r.job.Name, Seq: r.seq, Task: i}, &r.outs[i])
 		}
 		if limit <= 0 {
 			return
@@ -410,50 +401,47 @@ func (r *run[K, V, O]) taskRecords(i int) int64 {
 // call, one count, one append per pair — keeping the engine's innermost
 // loop free of indirect calls it doesn't need. At task end the counts
 // are exact, and a stable counting scatter moves the pairs into one
-// slab of exactly that length, one contiguous segment per reducer,
-// sizing each pair against the slab cell written before it in its
-// segment. Emission order inside a segment is preserved, and each
-// reducer later walks its segments in task order, so the engine is
-// deterministic regardless of scheduling.
-func (r *run[K, V, O]) mapTask(w *mapWorker[K, V], t split[K, V], segs [][]pair[K, V], counts []int) mapOut[K, V] {
-	part, route, sizer := r.job.Partition, r.route, r.codec.sizer
+// slab of exactly that length, one contiguous segment per reducer, each
+// charged as one block (24 bytes a pair without a codec). Emission order
+// inside a segment is preserved, and each reducer later walks its
+// segments in task order, so the engine is deterministic regardless of
+// scheduling.
+func (r *run[K, V, O]) mapTask(w *mapWorker[K, V], t split[K, V], segs [][]Pair[K, V], counts []int) mapOut[K, V] {
+	part, route := r.job.Partition, r.route
 	if w.next == nil {
 		// At least one pair per input record is the common floor; a
 		// wider fan-out grows the buffer during the first task only.
-		w.buf, w.next = getSlice[pair[K, V]](t.hi-t.lo), make([]int, r.reducers)
+		w.buf, w.next = getSlice[Pair[K, V]](t.hi-t.lo), make([]int, r.reducers)
 	}
 	buf, next := w.buf[:0], w.next
 	clear(next)
 	t.run(t.payload, t.lo, t.hi, func(k K, v V) {
 		h := part(k)
 		next[route(h)]++
-		buf = append(buf, pair[K, V]{k: k, v: v, h: h})
+		buf = append(buf, Pair[K, V]{K: k, V: v, h: h})
 	})
 	w.buf = buf
-	out := mapOut[K, V]{slab: getSlice[pair[K, V]](len(buf))[:len(buf)], segs: segs}
-	var bytes int64
+	out := mapOut[K, V]{slab: getSlice[Pair[K, V]](len(buf))[:len(buf)], segs: segs}
 	lo := 0
 	for rr, n := range next {
 		segs[rr], counts[rr], next[rr] = out.slab[lo:lo+n:lo+n], n, 0
-		if n > 0 {
-			bytes += sizer.Header(n)
-		}
 		lo += n
 	}
-	var zero pair[K, V]
 	for i := range buf {
 		p := &buf[i]
 		rr := route(p.h)
-		seg, at := segs[rr], next[rr]
-		prev := &zero
-		if at > 0 {
-			prev = &seg[at-1]
-		}
-		bytes += sizer.Pair(prev.k, prev.v, p.k, p.v)
-		seg[at] = *p
-		next[rr] = at + 1
+		segs[rr][next[rr]] = *p
+		next[rr]++
 	}
-	out.bytes = bytes
+	if codec := r.job.BlockKV; codec == nil {
+		out.bytes = int64(len(buf)) * 24
+	} else {
+		for _, seg := range segs {
+			if len(seg) > 0 {
+				out.bytes += codec.Size(seg)
+			}
+		}
+	}
 	return out
 }
 
@@ -534,15 +522,15 @@ func (r *run[K, V, O]) reduce() error {
 // Reducer partitions are disjoint, so the tasks need no synchronization
 // beyond the pool itself.
 func (r *run[K, V, O]) reduceTask(w, rr int) {
-	buckets := make([][]pair[K, V], len(r.outs))
-	var fetched []pair[K, V]
+	buckets := make([][]Pair[K, V], len(r.outs))
+	var fetched []Pair[K, V]
 	if r.rb == nil {
 		for i := range r.outs {
 			buckets[i] = r.outs[i].segs[rr]
 		}
 	} else {
 		key := PartKey{Job: r.job.Name, Seq: r.seq, Reducer: rr}
-		if fetched, r.fetchErrs[rr] = fetchReducer(r.rb, r.codec, key, r.counts, r.reducers, buckets); r.fetchErrs[rr] != nil {
+		if fetched, r.fetchErrs[rr] = fetchReducer(r.rb, r.job.BlockKV, r.job.Partition, key, r.counts, r.reducers, buckets); r.fetchErrs[rr] != nil {
 			return
 		}
 	}

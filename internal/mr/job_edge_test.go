@@ -142,6 +142,7 @@ func TestFileEdgesAreTypedErrors(t *testing.T) {
 	run := func(c *Cluster, in Input[int64, int64]) (JobStats, error) {
 		_, st, err := Run(c, Job[int64, int64, int64]{
 			Name: "edge", Inputs: []Input[int64, int64]{in}, Reduce: reduce, Partition: HashInt64,
+			BlockKV: gobCodec[int64, int64](),
 		})
 		return st, err
 	}

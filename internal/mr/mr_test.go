@@ -46,6 +46,7 @@ func runWordCount(t *testing.T, c *Cluster, lines []string) map[string]int {
 			}
 			return h
 		},
+		BlockKV: gobCodec[string, int](),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +107,8 @@ func TestJobStatsCounting(t *testing.T) {
 			emit(s)
 		},
 		Partition: HashInt64,
-		BlockKV: &BlockSizer[int64, int64]{
-			Pair:   func(_, _, _, _ int64) int64 { return 16 },
-			Header: func(int) int64 { return 0 },
-		},
-		OutSize: func(int64) int64 { return 8 },
+		BlockKV:   &BlockCodec[int64, int64]{Size: func(seg []Pair[int64, int64]) int64 { return 16 * int64(len(seg)) }},
+		OutSize:   func(int64) int64 { return 8 },
 	})
 	if err != nil {
 		t.Fatal(err)

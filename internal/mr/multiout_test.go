@@ -40,6 +40,7 @@ func moJob(outputs ...string) Job[int64, int64, moRec] {
 			}
 		},
 		Partition: HashInt64,
+		BlockKV:   gobCodec[int64, int64](),
 		OutSize:   moSize,
 		Outputs:   outputs,
 	}
@@ -128,6 +129,7 @@ func TestMultipleOutputsMatchSingleOutput(t *testing.T) {
 						Inputs:    inputs,
 						Reduce:    func(k int64, vs []int64, emit func(int64)) { emit(int64(len(vs))) },
 						Partition: HashInt64,
+						BlockKV:   gobCodec[int64, int64](),
 					})
 					if err != nil {
 						t.Fatal(err)

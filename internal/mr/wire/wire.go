@@ -1,24 +1,21 @@
-// Package wire is the binary serialization layer of the pluggable
-// execution backends: it turns the engine's typed in-memory data —
-// shuffle pair buckets and the typed payloads of DFS files — into
-// deterministic byte strings that can cross a process boundary and
-// decode back bit-identically.
+// Package wire is a reflect-driven binary codec: it turns typed
+// in-memory values into deterministic byte strings that decode back
+// bit-identically. The engine does not call it — a shuffle crosses a
+// backend only as its job's mr.BlockCodec blocks, and a job without one
+// is refused there — so its one caller is the benchmark's wire.*
+// probes, and it is deleted with them (ROADMAP items 1a and 3).
 //
 // The encoding is compiled once per concrete type from its reflect
 // layout: every field is written at a fixed offset walk in declaration
 // order, fixed-width little-endian for numeric kinds, so padding bytes
 // never leak into the stream and float64 values round-trip through
-// math.Float64bits exactly. Unexported fields are included — the
-// engine's shuffle pairs and the drivers' checkpoint records are
-// unexported structs — by reading and writing through unsafe offsets
-// rather than reflect's access-checked Value API.
+// math.Float64bits exactly. Unexported fields are included, read and
+// written through unsafe offsets rather than reflect's access-checked
+// Value API.
 //
 // Determinism contract: for a fixed type, encode is a pure function of
 // the value (no map iteration, no pointers-as-identity, no wall
 // clock), and decode∘encode is the identity on every supported value.
-// The cross-backend conformance suite rests on this: a shuffle
-// partition that detours through a worker process must reduce to the
-// same bytes as one that never left the engine's heap.
 //
 // Supported kinds: bool, all fixed-width ints and uints, int/uint
 // (always 8 bytes on the wire), float32/64, arrays, structs, strings,

@@ -79,12 +79,11 @@ func (r *ParafacResultN) Fit(x *TensorN) float64 { return r.model.Fit(x.t) }
 func (r *ParafacResultN) Predict(coords ...int64) float64 { return r.model.At(coords...) }
 
 // ParafacN runs distributed PARAFAC-ALS on a tensor of order 3 or 4 —
-// the same loop as Parafac — with the DRI plan. (Options.Variant is
-// ignored: the Naive and DNN plans are 3-way only.)
+// the same loop as Parafac — with the plan Options.Variant names. At
+// order 4 that is DRN or DRI: Naive and DNN are 3-way plans, and asking
+// for one there returns *ErrOrder.
 func ParafacN(c *Cluster, x *TensorN, rank int, opt Options) (*ParafacResultN, error) {
-	iopt := opt.internal()
-	iopt.Variant = core.DRI
-	res, err := core.ParafacALS(c.c, x.t, rank, iopt)
+	res, err := core.ParafacALS(c.c, x.t, rank, opt.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -124,12 +123,11 @@ func (r *TuckerResultN) Fit(x *TensorN) float64 { return r.model.Fit(x.t) }
 func (r *TuckerResultN) Predict(coords ...int64) float64 { return r.model.At(coords...) }
 
 // TuckerN runs distributed Tucker-ALS on a tensor of order 3 or 4 — the
-// same loop as Tucker — with the DRI plan; core gives the desired core
-// shape, one entry per mode.
+// same loop as Tucker — with the plan Options.Variant names (DRN or DRI
+// at order 4, as for ParafacN); core gives the desired core shape, one
+// entry per mode.
 func TuckerN(c *Cluster, x *TensorN, core3 []int, opt Options) (*TuckerResultN, error) {
-	iopt := opt.internal()
-	iopt.Variant = core.DRI
-	res, err := core.TuckerALS(c.c, x.t, core3, iopt)
+	res, err := core.TuckerALS(c.c, x.t, core3, opt.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,13 @@
 package haten2_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	haten2 "github.com/haten2/haten2"
+	"github.com/haten2/haten2/internal/core"
+	"github.com/haten2/haten2/internal/matrix"
 )
 
 // rank1Tensor4 builds an exactly rank-1 4-way tensor.
@@ -54,7 +57,7 @@ func TestNewTensorNValidation(t *testing.T) {
 func TestParafacN4WayEndToEnd(t *testing.T) {
 	x := rank1Tensor4(t)
 	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 4})
-	res, err := haten2.ParafacN(c, x, 1, haten2.Options{MaxIters: 20, Seed: 1, TrackFit: true, Tol: 1e-10})
+	res, err := haten2.ParafacN(c, x, 1, haten2.Options{Variant: haten2.DRI, MaxIters: 20, Seed: 1, TrackFit: true, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestParafacN4WayEndToEnd(t *testing.T) {
 func TestTuckerN4WayEndToEnd(t *testing.T) {
 	x := rank1Tensor4(t)
 	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 4})
-	res, err := haten2.TuckerN(c, x, []int{1, 1, 1, 1}, haten2.Options{MaxIters: 10, Seed: 2})
+	res, err := haten2.TuckerN(c, x, []int{1, 1, 1, 1}, haten2.Options{Variant: haten2.DRI, MaxIters: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +114,107 @@ func TestParafacNOn3Way(t *testing.T) {
 	}
 	x.Coalesce()
 	c := haten2.NewCluster(haten2.ClusterConfig{Machines: 2})
-	res, err := haten2.ParafacN(c, x, 1, haten2.Options{MaxIters: 20, Seed: 1})
+	res, err := haten2.ParafacN(c, x, 1, haten2.Options{Variant: haten2.DRI, MaxIters: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fit := res.Fit(x); fit < 0.999 {
 		t.Fatalf("3-way via N API fit %v", fit)
 	}
+}
+
+// TestNWayHonoursVariant: at order 4 ParafacN and TuckerN run the plan
+// Options.Variant names. DRN runs DRN's jobs — per mode, one Hadamard
+// job per column of each other factor and one merge — and gives core's
+// DRN model bit for bit; Naive and DNN are refused with *ErrOrder
+// before any file is staged or any job runs.
+func TestNWayHonoursVariant(t *testing.T) {
+	x := rank1Tensor4(t)
+	opt := haten2.Options{Variant: haten2.DRN, MaxIters: 3, Tol: 1e-12, Seed: 3}
+	iopt := core.Options{Variant: core.DRN, MaxIters: 3, Tol: 1e-12, Seed: 3}
+	newCluster := func() *haten2.Cluster { return haten2.NewCluster(haten2.ClusterConfig{Machines: 2}) }
+	checkJobs := func(name string, c, ref *haten2.Cluster, iters, perIter int) {
+		t.Helper()
+		if got, want := c.Stats().Jobs, ref.Stats().Jobs; got != want || got != iters*perIter {
+			t.Errorf("%s DRN ran %d jobs, core's DRN %d, want %d·%d", name, got, want, iters, perIter)
+		}
+	}
+
+	c, ref := newCluster(), newCluster()
+	pf, err := haten2.ParafacN(c, x, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfWant, err := core.ParafacALS(ref.Unwrap(), x.Unwrap(), 2, iopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobs("ParafacN", c, ref, pf.Iters, 4*(3*2+1))
+	if !sameBits(pf.Lambda, pfWant.Model.Lambda) || !sameFactors(pf.Factors, pfWant.Model.Factors) {
+		t.Error("ParafacN with DRN differs from core's DRN model")
+	}
+
+	c, ref = newCluster(), newCluster()
+	shape := []int{2, 1, 2, 1}
+	tk, err := haten2.TuckerN(c, x, shape, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tkWant, err := core.TuckerALS(ref.Unwrap(), x.Unwrap(), shape, iopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobs("TuckerN", c, ref, tk.Iters, 3*(2+1+2+1)+4) // a Hadamard job per column in each other mode, a merge per mode
+	if !sameBits(tk.CoreNorms, tkWant.CoreNorms) || !sameFactors(tk.Factors, tkWant.Model.Factors) {
+		t.Error("TuckerN with DRN differs from core's DRN model")
+	}
+
+	for _, v := range []haten2.Variant{haten2.Naive, haten2.DNN} {
+		opt.Variant = v
+		runs := map[string]func(c *haten2.Cluster) error{
+			"ParafacN": func(c *haten2.Cluster) error { _, err := haten2.ParafacN(c, x, 2, opt); return err },
+			"TuckerN":  func(c *haten2.Cluster) error { _, err := haten2.TuckerN(c, x, []int{1, 1, 1, 1}, opt); return err },
+		}
+		for name, run := range runs {
+			c := newCluster()
+			var e *haten2.ErrOrder
+			if err := run(c); !errors.As(err, &e) || e.Order != 4 || e.Plan.String() != v.String() {
+				t.Errorf("%s with %v at order 4: got %v, want *ErrOrder", name, v, err)
+			}
+			if st := c.Stats(); st.Jobs != 0 || len(c.Unwrap().FS().List()) != 0 {
+				t.Errorf("%s with %v: refused input still reached the cluster: %+v, files %v", name, v, st, c.Unwrap().FS().List())
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFactors(got []*haten2.Matrix, want []*matrix.Matrix) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for m, f := range got {
+		if f.Rows() != want[m].Rows || f.Cols() != want[m].Cols {
+			return false
+		}
+		for i := 0; i < f.Rows(); i++ {
+			for j := 0; j < f.Cols(); j++ {
+				if math.Float64bits(f.At(i, j)) != math.Float64bits(want[m].At(i, j)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
