@@ -152,7 +152,7 @@ func runALS(c *mr.Cluster, x *tensor.Tensor, opt Options, r *rule) (*alsState, e
 	if err != nil {
 		return nil, err
 	}
-	defer func() { s.cleanup([]string{s.Name}) }()
+	defer func() { s.retire() }()
 	tr := c.Tracer()
 	defer tr.End(tr.Begin("run", r.name+"-als/"+opt.Variant.String()))
 
@@ -207,9 +207,12 @@ func runALS(c *mr.Cluster, x *tensor.Tensor, opt Options, r *rule) (*alsState, e
 		iterSpan := tr.Begin("iter", fmt.Sprintf("iter%02d", it))
 		if r.restage != nil && it > 0 {
 			s.cleanup([]string{s.Name})
-			if s, err = Stage(c, tmpName(c, r.name, "X"), r.restage(st)); err != nil {
+			s.reuse()
+			next, err := Stage(c, tmpName(c, r.name, "X"), r.restage(st))
+			if err != nil {
 				return nil, err
 			}
+			s = next
 		}
 		copy(st.prevLambda, st.lambda)
 		// Randomness inside the sweep (dead-component reinit) is keyed
@@ -226,6 +229,12 @@ func runALS(c *mr.Cluster, x *tensor.Tensor, opt Options, r *rule) (*alsState, e
 				return nil, err
 			}
 			r.update(st, n, rest, ys, rng)
+			if opt.Variant.Features().RemovedDependency {
+				// The merge job's output, lent by the engine's pools, is
+				// spent like the contraction's temporaries.
+				mr.Disown(ys)
+				s.spent = append(s.spent, ys)
+			}
 			tr.End(modeSpan)
 		}
 		st.iters = it + 1

@@ -74,7 +74,7 @@ func saveCheckpoint(c *mr.Cluster, base string, st *alsState) error {
 	fs := c.FS()
 	for _, n := range fs.List() {
 		if old, ok := ckptIter(base, n); ok && old < st.iters {
-			if err := fs.Delete(n); err != nil {
+			if _, err := fs.Delete(n); err != nil {
 				return fmt.Errorf("core: checkpoint prune %q: %w", n, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync"
@@ -449,6 +450,20 @@ func reencodes[R any](t *testing.T, data []byte, decode func([]byte) ([]R, []byt
 		reenc := encode(nil, recs)
 		if consumed := len(data) - len(rest); len(reenc) != consumed || string(reenc) != string(data[:consumed]) {
 			t.Fatalf("%T decoder accepted %d bytes but re-encode differs", recs, consumed)
+		}
+	}
+}
+
+// TestVarintLenMatchesEncoder: the length table agrees with the encoder
+// on both sides of every 7-bit boundary, zero and the largest value.
+func TestVarintLenMatchesEncoder(t *testing.T) {
+	xs := []uint64{0, math.MaxUint64}
+	for b := 1; b < 64; b++ {
+		xs = append(xs, 1<<b-1, 1<<b)
+	}
+	for _, x := range xs {
+		if got, want := varintLen(x), int64(len(binary.AppendUvarint(nil, x))); got != want {
+			t.Fatalf("varintLen(%d) = %d, the encoder writes %d bytes", x, got, want)
 		}
 	}
 }

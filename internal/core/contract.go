@@ -88,6 +88,7 @@ func (s *Staged) contract(n int, factors []*matrix.Matrix, v Variant, op mergeOp
 	if err := planRuns(v, order); err != nil {
 		return nil, err
 	}
+	s.reuse()
 	switch v {
 	case Naive:
 		return s.naive(n, factors[0], factors[1], op)

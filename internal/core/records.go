@@ -130,6 +130,11 @@ type Staged struct {
 	// fibers[m] caches the distinct coordinate pairs of modes ≠ m, i.e.
 	// the reducer keys of the (3-way) Naive plan's broadcast for mode m.
 	fibers [3][][2]int64
+	// spent holds what the last contraction is done with — the payloads
+	// of the temporaries it deleted and, in an ALS run, its result —
+	// until the next contraction gives it back to the engine's pools
+	// (reuse) or the run ends and lets it go (retire).
+	spent []any
 }
 
 // ErrNonFinite is the error Stage returns for a tensor holding a NaN or
@@ -167,7 +172,7 @@ func Stage(c *mr.Cluster, name string, x *tensor.Tensor) (*Staged, error) {
 }
 
 func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
-	entries := make([]EntryOf[I], x.NNZ())
+	entries := mr.Acquire[EntryOf[I]](x.NNZ())[:x.NNZ()]
 	for p := range entries {
 		e := &entries[p]
 		for m, i := range x.Index(p) {
@@ -175,22 +180,42 @@ func writeEntries[I index](c *mr.Cluster, name string, x *tensor.Tensor) error {
 		}
 		e.Val = x.Value(p)
 		if math.IsNaN(e.Val) || math.IsInf(e.Val, 0) {
+			mr.Recycle(entries)
 			return &ErrNonFinite{Index: slices.Clone(x.Index(p)), Value: e.Val}
 		}
 	}
 	return mr.WriteFileOwned(c, name, entries, entrySize[I])
 }
 
-// cleanup deletes temporary DFS files, ignoring absent ones.
+// cleanup deletes temporary DFS files, ignoring absent ones (Delete's
+// only error), and keeps their payloads for the next contraction.
 func (s *Staged) cleanup(files []string) {
 	for _, f := range files {
-		if s.cluster.FS().Exists(f) {
-			// Exists-guarded, so ErrNotExist (Delete's only error) is
-			// impossible; this defer-path has no caller to report to.
-			//haten2:allow errcheck-io best-effort temp cleanup, Delete can only return ErrNotExist and the file was just checked
-			_ = s.cluster.FS().Delete(f)
+		if payload, err := s.cluster.FS().Delete(f); err == nil {
+			s.spent = append(s.spent, payload)
 		}
 	}
+}
+
+// reuse gives what the last contraction was done with back to the
+// engine's pools, where this one's writers and jobs draw it again: it
+// is called only when another job follows.
+func (s *Staged) reuse() {
+	for _, p := range s.spent {
+		mr.Reclaim(p)
+	}
+	clear(s.spent)
+	s.spent = s.spent[:0]
+}
+
+// retire ends an ALS run on s: the staged tensor is deleted and what
+// the last contraction was done with is let go, not pooled. Nothing
+// enters a pool after a run's last job — sync.Pool would keep it live
+// through the next GC cycle, which falls in whatever the caller does
+// next (persisting or serving the model), and the peak moves there.
+func (s *Staged) retire() {
+	s.cleanup([]string{s.Name})
+	s.spent = nil
 }
 
 // others returns the modes ≠ n of an order-N tensor in ascending order.
@@ -245,7 +270,7 @@ func (s *Staged) fiberKeys(m int) ([][2]int64, error) {
 // replacing any previous file of the same name (the per-iteration factor
 // update pattern).
 func stageMatrix(c *mr.Cluster, name string, m *matrix.Matrix) error {
-	cells := make([]MatEntry, 0, m.Rows*m.Cols)
+	cells := mr.Acquire[MatEntry](m.Rows * m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -258,7 +283,7 @@ func stageMatrix(c *mr.Cluster, name string, m *matrix.Matrix) error {
 // stageColumn writes one column of a factor matrix (the per-column jobs
 // of the Naive, DNN and DRN variants read single columns).
 func stageColumn(c *mr.Cluster, name string, m *matrix.Matrix, col int) error {
-	cells := make([]MatEntry, 0, m.Rows)
+	cells := mr.Acquire[MatEntry](m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		cells = append(cells, MatEntry{Row: int64(i), Col: int32(col), Val: m.At(i, col)})
 	}

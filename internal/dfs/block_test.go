@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -92,4 +94,89 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestDeleteHandsBackPayloadUnderStorageFaults: Delete returns exactly
+// the slice AppendBlock stored — the same backing array, for the
+// engine's pools to reuse — after which no read-side method sees the
+// file, and it counts one deletion. A file published without a block
+// hands back nil. The same holds with storage faults installed, even
+// for a file no read could fail over on: faults move counters, never
+// the storage.
+func TestDeleteHandsBackPayloadUnderStorageFaults(t *testing.T) {
+	for _, faults := range []*StorageFaults{nil, {Seed: 3, CorruptRate: 0.5, LossRate: 0.2}, {Seed: 1, CorruptRate: 1}} {
+		t.Run(fmt.Sprintf("faults=%+v", faults), func(t *testing.T) {
+			fs := New(Options{BlockSize: 16, Replication: 2})
+			fs.InstallFaults(faults)
+			stored := []int64{4, 5, 6, 7, 8}
+			w, err := fs.Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AppendBlock(stored, len(stored), 40)
+			w.Close()
+			if _, _, err := fs.BlockView("f"); faults == nil && err != nil {
+				t.Fatal(err)
+			}
+			before := fs.Stats()
+			payload, err := fs.Delete("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := payload.([]int64)
+			if !ok || len(got) != len(stored) || cap(got) != cap(stored) || &got[0] != &stored[0] {
+				t.Fatalf("Delete handed back %T %v, want the stored slice", payload, payload)
+			}
+			after := fs.Stats()
+			if after.FilesDeleted != before.FilesDeleted+1 {
+				t.Fatalf("FilesDeleted %d → %d, want one more", before.FilesDeleted, after.FilesDeleted)
+			}
+			if before.FilesDeleted = after.FilesDeleted; before != after {
+				t.Fatalf("Delete moved other counters: %+v → %+v", before, after)
+			}
+			var ne *ErrNotExist
+			if _, _, err := fs.BlockView("f"); !errors.As(err, &ne) {
+				t.Fatalf("BlockView after Delete: %v", err)
+			}
+			if _, err := fs.Size("f"); !errors.As(err, &ne) {
+				t.Fatalf("Size after Delete: %v", err)
+			}
+			if fs.Exists("f") {
+				t.Fatal("deleted file exists")
+			}
+			if p, err := fs.Delete("f"); !errors.As(err, &ne) || p != nil {
+				t.Fatalf("second Delete: %v, %v", p, err)
+			}
+			w, _ = fs.Create("empty")
+			w.Close()
+			if p, err := fs.Delete("empty"); err != nil || p != nil {
+				t.Fatalf("blockless file: Delete handed back %v, %v", p, err)
+			}
+		})
+	}
+}
+
+// TestDeleteStagedOrAbortedHandsBackNothing: an unpublished file is
+// absent to Delete, so its payload is never handed out while a writer
+// may still own it, and nothing is counted.
+func TestDeleteStagedOrAbortedHandsBackNothing(t *testing.T) {
+	fs := New(Options{})
+	staged, _ := fs.Create("staged")
+	staged.AppendBlock([]int{1}, 1, 8)
+	aborted, _ := fs.Create("aborted")
+	aborted.AppendBlock([]int{2}, 1, 8)
+	aborted.Abort()
+	var ne *ErrNotExist
+	for _, name := range []string{"staged", "aborted"} {
+		if p, err := fs.Delete(name); !errors.As(err, &ne) || p != nil {
+			t.Fatalf("Delete(%q) = %v, %v; want nothing and ErrNotExist", name, p, err)
+		}
+	}
+	if n := fs.Stats().FilesDeleted; n != 0 {
+		t.Fatalf("FilesDeleted = %d", n)
+	}
+	staged.Close()
+	if p, err := fs.Delete("staged"); err != nil || p.([]int)[0] != 1 {
+		t.Fatalf("published file: Delete = %v, %v", p, err)
+	}
 }

@@ -15,6 +15,12 @@
 // This makes the paper's third optimization axis — "minimize disk
 // accesses" by reading the input tensor once instead of twice
 // (§III-B4) — directly observable in Stats.
+//
+// A payload is lent to readers, never copied: a BlockView is valid until
+// the file is deleted. Delete hands the payload back to its caller, as a
+// real DFS reuses the disk blocks of a deleted file; the MapReduce
+// engine files it into its buffer pools, so the next job's output is
+// written into the storage the last one's deleted intermediates held.
 package dfs
 
 import (
@@ -245,7 +251,8 @@ func (w *Writer) Abort() {
 //
 // The payload is a borrowed view of file storage: callers must treat it
 // as read-only and must not return it to a buffer pool. It stays valid
-// until the file is deleted.
+// until the file is deleted, when Delete hands the storage to its
+// caller for reuse.
 func (fs *FS) BlockView(name string) (payload any, count int, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -282,16 +289,22 @@ func (fs *FS) Exists(name string) bool {
 	return ok
 }
 
-// Delete removes a file. Deleting an absent file returns ErrNotExist.
-func (fs *FS) Delete(name string) error {
+// Delete removes a published file and hands its payload — the []T
+// slice AppendBlock stored, nil for a file published without a block —
+// back to the caller, who owns it from then on: every view BlockView
+// lent of the file is invalid, and the caller may reuse the storage.
+// Deleting an absent file, or a staged or aborted one, returns
+// ErrNotExist and hands back nothing.
+func (fs *FS) Delete(name string) (payload any, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
-		return &ErrNotExist{Name: name}
+	f, ok := fs.files[name]
+	if !ok {
+		return nil, &ErrNotExist{Name: name}
 	}
 	delete(fs.files, name)
 	fs.stats.FilesDeleted++
-	return nil
+	return f.typed, nil
 }
 
 // List returns all file names in lexical order.

@@ -96,13 +96,13 @@ func TestDeleteAndList(t *testing.T) {
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Fatalf("List=%v", got)
 	}
-	if err := fs.Delete("b"); err != nil {
+	if _, err := fs.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Exists("b") {
 		t.Fatal("deleted file still exists")
 	}
-	if err := fs.Delete("b"); err == nil {
+	if _, err := fs.Delete("b"); err == nil {
 		t.Fatal("double delete should fail")
 	}
 	if fs.Stats().FilesDeleted != 1 {
@@ -158,7 +158,7 @@ func TestStagedFileInvisibleUntilClose(t *testing.T) {
 			t.Fatal("staged file listed")
 		}
 	}
-	if err := fs.Delete("part"); err == nil {
+	if _, err := fs.Delete("part"); err == nil {
 		t.Fatal("staged file deletable")
 	}
 	// The name is reserved while staged: a speculative duplicate attempt

@@ -304,7 +304,7 @@ func TestHintsPresizeSecondRun(t *testing.T) {
 	c := testCluster(2)
 	lines := []string{"a b c d", "b c d e", "c d e f", "g h", "a a a a a"}
 	first := runWordCount(t, c, lines)
-	if err := c.FS().Delete("lines"); err != nil {
+	if _, err := c.FS().Delete("lines"); err != nil {
 		t.Fatal(err)
 	}
 	second := runWordCount(t, c, lines)

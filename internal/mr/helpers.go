@@ -22,9 +22,7 @@ func HashPair(k [2]int64) uint64 {
 func WriteFile[T any](c *Cluster, name string, items []T, size func(T) int64) error {
 	// The DFS owns a block payload once appended, so hand it a copy and
 	// leave the caller's slice untouched.
-	blk := make([]T, len(items))
-	copy(blk, items)
-	return WriteFileOwned(c, name, blk, size)
+	return WriteFileOwned(c, name, append(getSlice[T](max(len(items), 1)), items...), size)
 }
 
 // WriteFileOwned is WriteFile for a slice the caller hands off: items
@@ -32,15 +30,21 @@ func WriteFile[T any](c *Cluster, name string, items []T, size func(T) int64) er
 // caller must not read or write items afterwards — the DFS owns it.
 // Use it when a plan builds a slice purely to write it (staging a
 // tensor or a factor matrix), where WriteFile's copy would double the
-// allocation.
+// allocation. items must be a slab Acquire lent: the file takes the loan
+// over, and when the file is deleted its storage can go back to the
+// pools (Reclaim). A file replaced by name goes back at once.
 func WriteFileOwned[T any](c *Cluster, name string, items []T, size func(T) int64) error {
 	if c.fs.Exists(name) {
-		if err := c.fs.Delete(name); err != nil {
+		old, err := c.fs.Delete(name)
+		if err != nil {
+			putSlice(items)
 			return err
 		}
+		Reclaim(old)
 	}
 	w, err := c.fs.Create(name)
 	if err != nil {
+		putSlice(items)
 		return err
 	}
 	var total int64
@@ -48,6 +52,7 @@ func WriteFileOwned[T any](c *Cluster, name string, items []T, size func(T) int6
 		total += size(it)
 	}
 	w.AppendBlock(items, len(items), total)
+	Disown(items)
 	w.Close()
 	return nil
 }
@@ -83,9 +88,10 @@ func Recycle[T any](s []T) {
 
 // Acquire returns an empty slice with capacity ≥ n from the engine's
 // typed buffer pools — the borrowing counterpart of Recycle. Code that
-// fills a large buffer over and over (the proc backend's frame slabs)
-// acquires instead of make so the slabs reclaimed by Recycle circulate
-// rather than accumulate as garbage. n ≤ 0 asks for the largest slab
+// fills a large buffer over and over (the proc backend's frame slabs,
+// the slices plans stage with WriteFileOwned) acquires instead of make
+// so the slabs given back by Recycle and Reclaim circulate rather than
+// accumulate as garbage. n ≤ 0 asks for the largest slab
 // pooled, or a small fresh one when the pools are empty: whatever the
 // caller appends it into is then a slab the pools lent.
 func Acquire[T any](n int) []T {

@@ -410,7 +410,8 @@ func (r *run[K, V, O]) mapTask(w *mapWorker[K, V], t split[K, V], segs [][]Pair[
 	part, route := r.job.Partition, r.route
 	if w.next == nil {
 		// At least one pair per input record is the common floor; a
-		// wider fan-out grows the buffer during the first task only.
+		// wider fan-out grows the buffer, through the pools, during the
+		// first task only.
 		w.buf, w.next = getSlice[Pair[K, V]](t.hi-t.lo), make([]int, r.reducers)
 	}
 	buf, next := w.buf[:0], w.next
@@ -418,6 +419,9 @@ func (r *run[K, V, O]) mapTask(w *mapWorker[K, V], t split[K, V], segs [][]Pair[
 	t.run(t.payload, t.lo, t.hi, func(k K, v V) {
 		h := part(k)
 		next[route(h)]++
+		if len(buf) == cap(buf) {
+			buf = grown(buf)
+		}
 		buf = append(buf, Pair[K, V]{K: k, V: v, h: h})
 	})
 	w.buf = buf
@@ -547,6 +551,9 @@ func (r *run[K, V, O]) reduceTask(w, rr int) {
 	bufs, lo := r.outBufs(w, rr)
 	out, outputPart, reduce := &bufs[0], r.job.OutputPart, r.job.Reduce
 	emit := func(o O) {
+		if len(*out) == cap(*out) {
+			*out = grown(*out)
+		}
 		*out = append(*out, o)
 	}
 	for i, k := range g.keys {
@@ -681,7 +688,7 @@ func (r *run[K, V, O]) commit() error {
 		}
 		if len(writers) > 0 {
 			writers[p].AppendBlock(part, len(part), partBytes[p])
-			disown(part)
+			Disown(part)
 		}
 		results[p] = part // slot p is spent: later parts read only their own slots
 	}

@@ -27,6 +27,15 @@ import (
 // that maps to it: a slab taken from the pool is never too small, and
 // none is ever discarded.
 //
+// A slab lent to a DFS file comes back too. A writer hands the file a
+// slab it drew here (Acquire, or a job's part), and once the file is
+// deleted, Reclaim files its payload by dynamic type into the class its
+// capacity falls in — the one give-back path, which WriteFileOwned's
+// replace-by-name also takes. So a contraction's intermediates are
+// written into the storage the last contraction's deleted ones held.
+// Whoever deletes decides whether there is a next job to reuse them: a
+// slab pooled after the last job only stays live through the next GC.
+//
 // Under the race detector the pools check their two ownership facts
 // where they happen (DESIGN.md §3f): lent counts the slabs out on loan,
 // so a slab that never comes back shows in the count a sequential test
@@ -54,20 +63,43 @@ var lent atomic.Int64 // moved by loan only
 // for a job without Outputs stays lent to its caller until Recycle.
 func Lent() int64 { return lent.Load() }
 
-var typedPools sync.Map // reflect.Type -> *sync.Pool (scratch structs) or *[slabClasses]sync.Pool (keyed by []T)
+var typedPools sync.Map // reflect.Type -> *sync.Pool (scratch structs, keyed by *T) or *slabs (keyed by []T)
 
-func pooled[P any](t reflect.Type) *P {
+// slabs is the registry's entry for []T: one pool per capacity class,
+// and put, which files a []T that arrives as an any (Reclaim).
+type slabs struct {
+	class [slabClasses]sync.Pool
+	put   func(payload any)
+}
+
+func pooled[P any](t reflect.Type, fresh func() *P) *P {
 	if p, ok := typedPools.Load(t); ok {
 		return p.(*P)
 	}
-	p, _ := typedPools.LoadOrStore(t, new(P))
+	p, _ := typedPools.LoadOrStore(t, fresh())
 	return p.(*P)
 }
 
-func poolFor[T any]() *sync.Pool { return pooled[sync.Pool](reflect.TypeFor[T]()) }
+func poolFor[T any]() *sync.Pool {
+	return pooled(reflect.TypeFor[T](), func() *sync.Pool { return new(sync.Pool) })
+}
 
-func slabPools[T any]() *[slabClasses]sync.Pool {
-	return pooled[[slabClasses]sync.Pool](reflect.TypeFor[[]T]())
+func slabPools[T any]() *slabs {
+	return pooled(reflect.TypeFor[[]T](), func() *slabs {
+		return &slabs{put: func(payload any) { putSlice(lend(payload.([]T))) }}
+	})
+}
+
+// Reclaim hands the pools a slab a deleted DFS file held — the payload
+// dfs.FS.Delete returned — filed by its dynamic type. Under the race
+// detector it is a loan coming back: the writer disowned the slab when
+// the file took it, so it is lent again and put, poisoned. A payload of
+// a type no job has pooled, or nil, is left to the GC. The caller must
+// hold no view of the file.
+func Reclaim(payload any) {
+	if p, ok := typedPools.Load(reflect.TypeOf(payload)); ok {
+		p.(*slabs).put(payload)
+	}
 }
 
 // getSlice returns an empty slice with capacity ≥ want from the pools
@@ -79,7 +111,7 @@ func getSlice[T any](want int) []T {
 	pools := slabPools[T]()
 	if want <= 0 {
 		for c := slabClasses - 1; c >= 0; c-- {
-			if v := pools[c].Get(); v != nil {
+			if v := pools.class[c].Get(); v != nil {
 				return lend((*v.(*[]T))[:0])
 			}
 		}
@@ -90,11 +122,22 @@ func getSlice[T any](want int) []T {
 		c, start = c+1, start+step
 	}
 	for i := c; i < min(c+8, slabClasses); i++ {
-		if v := pools[i].Get(); v != nil {
+		if v := pools.class[i].Get(); v != nil {
 			return lend((*v.(*[]T))[:0])
 		}
 	}
 	return lend(make([]T, 0, start))
+}
+
+// grown returns the records of s, a whole lent slab, in a pooled slab
+// of twice the capacity, s going back to the pools. A full emit buffer
+// grows through it rather than append, so a job whose fan-out outgrows
+// its first guess finds the slab the previous job grew into instead of
+// growing anew.
+func grown[T any](s []T) []T {
+	g := append(getSlice[T](2*cap(s)+minSlab), s...)
+	putSlice(s)
+	return g
 }
 
 // loan moves the lending count by n under the race detector: +1 for
@@ -107,10 +150,12 @@ func loan(n int64) {
 
 func lend[T any](s []T) []T { loan(1); return s }
 
-// disown counts s, a lent slab or nil, as given back: to the pools, or
-// for good to a new owner that never returns it (a DFS file, for
-// commit's parts).
-func disown[T any](s []T) {
+// Disown counts s, a slab the pools lent (an Acquire, or Run's output
+// for a job without Outputs) or nil, as given back: to the pools, or for
+// good to an owner that never returns it through Recycle — a DFS file
+// (commit's parts, WriteFileOwned's items), or a caller that keeps it.
+// Only the count moves; nothing is pooled.
+func Disown[T any](s []T) {
 	if s != nil {
 		loan(-1)
 	}
@@ -126,7 +171,7 @@ func disown[T any](s []T) {
 // sub-slice of one: two pool entries over one backing array would hand
 // the same memory to two later jobs.
 func putSlice[T any](s []T) {
-	disown(s)
+	Disown(s)
 	if cap(s) < minSlab {
 		return
 	}
@@ -137,7 +182,7 @@ func putSlice[T any](s []T) {
 	}
 	s = s[:0]
 	c, _, _ := slabClass(cap(s))
-	slabPools[T]()[c].Put(&s)
+	slabPools[T]().class[c].Put(&s)
 }
 
 // poison overwrites s's elements with 0xA5 bytes.
